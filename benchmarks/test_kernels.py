@@ -13,7 +13,13 @@ serve benchmarks.  Three sections land in ``BENCH_kernels.json``:
   byte-identical streams.  Two shape-contrast payloads (periodic,
   motif-tiled) are reported alongside for decode-side visibility.
 * ``huffman_tables`` — the two-``np.repeat`` canonical-table build
-  against the per-symbol scatter loop it replaced.
+  against the per-symbol scatter loop it replaced, and (``kernels``) the
+  two-queue length build, byte-plane packer and anchored-lifting decoder
+  against the retired implementations in ``tests/reference_kernels.py``
+  — on the production residual stream (sz3's quantize → Lorenzo →
+  escape split on a 512 KiB field: ~131 k codes over a ~10 k-symbol
+  alphabet) and on a 64-code one (the ``campaign_many_small`` regime).
+  Byte equality is asserted, and "not slower" at both sizes.
 * ``stage_times`` — per-kernel wall-clock (quantize / predict /
   huffman / lossless, etc.) for each compressor via the
   ``stage_times`` introspection hooks, so a regression in any single
@@ -28,13 +34,15 @@ import time
 
 import numpy as np
 
-from repro.encoding import huffman
+from repro.compressors.sz3 import lorenzo_forward, quantize, split_escapes
+from repro.encoding import huffman, pack_codes
 from repro.encoding.lz import (
     _lz77_compress,
     _lz77_compress_ref,
     _lz77_decompress,
     _lz77_decompress_ref,
 )
+from tests import reference_kernels as ref
 
 ARTIFACT = "BENCH_kernels.json"
 PAYLOAD_SIZE = 1 << 20
@@ -97,21 +105,44 @@ def _bench_lz77(payload: bytes, reps: int = 3) -> dict:
     }
 
 
-def _reference_table_build(code: huffman.HuffmanCode) -> tuple[np.ndarray, np.ndarray]:
-    """The retired per-symbol scatter loop (baseline for the bench)."""
-    width = max(code.max_length, 1)
-    size = 1 << width
-    sym_table = np.zeros(size, dtype=np.int64)
-    len_table = np.zeros(size, dtype=np.int64)
-    for i in range(code.symbols.size):
-        l = int(code.lengths[i])
-        if l == 0:
-            continue
-        b = int(code.codes[i]) << (width - l)
-        s = 1 << (width - l)
-        sym_table[b : b + s] = i
-        len_table[b : b + s] = l
-    return sym_table, len_table
+def _bench_field(rng: np.random.Generator) -> np.ndarray:
+    axes = [np.linspace(0.0, 2.0 * np.pi, s) for s in (64, 64, 32)]
+    zz, yy, xx = np.meshgrid(*axes, indexing="ij")
+    field = np.sin(3.0 * xx) * np.cos(2.0 * yy) + 0.5 * np.sin(zz)
+    return field + 0.02 * rng.standard_normal(field.shape)
+
+
+def _bench_huffman_kernels(symbols: np.ndarray, reps: int) -> dict:
+    """Build / pack / decode of one symbol stream, new kernel vs oracle."""
+    values, counts = np.unique(symbols, return_counts=True)
+    t_build_ref, lengths_ref = _best(ref.huffman_code_lengths_heap, counts, reps=reps)
+    t_build, lengths = _best(huffman.huffman_code_lengths, counts, reps=reps)
+    assert np.array_equal(lengths, lengths_ref), "two-queue build changed a code length"
+
+    code = huffman.build_code(symbols=values, counts=counts)
+    idx = np.searchsorted(values, symbols)
+    args = (code.codes[idx], code.lengths[idx])
+    t_pack_ref, packed_ref = _best(ref.pack_codes_bitplanes, *args, reps=reps)
+    t_pack, packed = _best(pack_codes, *args, reps=reps)
+    assert packed == packed_ref, "byte-plane packer is not byte-exact"
+
+    stream = huffman.encode(symbols)
+    t_dec_ref, out_ref = _best(ref.huffman_decode_full_lifting, stream, reps=reps)
+    t_dec, out = _best(huffman.decode, stream, reps=reps)
+    assert np.array_equal(out, out_ref) and np.array_equal(out, symbols)
+    return {
+        "codes": int(symbols.size),
+        "symbols": int(values.size),
+        "build_ref_s": round(t_build_ref, 6),
+        "build_s": round(t_build, 6),
+        "build_speedup": round(t_build_ref / t_build, 2),
+        "pack_ref_s": round(t_pack_ref, 6),
+        "pack_s": round(t_pack, 6),
+        "pack_speedup": round(t_pack_ref / t_pack, 2),
+        "decode_ref_s": round(t_dec_ref, 6),
+        "decode_s": round(t_dec, 6),
+        "decode_speedup": round(t_dec_ref / t_dec, 2),
+    }
 
 
 class TestKernelSpeed:
@@ -129,7 +160,7 @@ class TestKernelSpeed:
         rng = np.random.default_rng(7)
         sym = np.clip(rng.zipf(1.3, 200_000), 1, 5000).astype(np.int64)
         code = huffman.build_code(sym)
-        t_ref, tables_ref = _best(_reference_table_build, code)
+        t_ref, tables_ref = _best(ref.decode_tables_scatter_loop, code)
         t_vec, tables_vec = _best(code.decode_tables)
         assert np.array_equal(tables_ref[0], tables_vec[0])
         assert np.array_equal(tables_ref[1], tables_vec[1])
@@ -140,16 +171,21 @@ class TestKernelSpeed:
             "build_vec_s": round(t_vec, 5),
             "build_speedup": round(t_ref / t_vec, 2),
         }
+
+        # -- Huffman build / pack / decode vs the test-only oracles ------
+        field = _bench_field(rng)
+        residuals, _ = split_escapes(lorenzo_forward(quantize(field, 1e-5), 1))
+        residuals = residuals.reshape(-1)
+        report["huffman_tables"]["kernels"] = {
+            "production_residuals": _bench_huffman_kernels(residuals, reps=3),
+            "tiny_64_codes": _bench_huffman_kernels(residuals[:64], reps=200),
+        }
         record_property("huffman_tables", report["huffman_tables"])
 
         # -- per-stage compressor timings -------------------------------
         from repro.core.compressor import compressor_registry
         import repro.compressors  # noqa: F401
 
-        axes = [np.linspace(0.0, 2.0 * np.pi, s) for s in (64, 64, 32)]
-        zz, yy, xx = np.meshgrid(*axes, indexing="ij")
-        field = np.sin(3.0 * xx) * np.cos(2.0 * yy) + 0.5 * np.sin(zz)
-        field += 0.02 * rng.standard_normal(field.shape)
         stage_rows = {}
         for comp_id, options in (
             ("sz3", {"pressio:abs": 1e-3}),
@@ -176,5 +212,10 @@ class TestKernelSpeed:
         assert lz["production_hstream"]["combined_speedup"] >= SPEEDUP_BAR
         assert lz["production_hstream"]["encode_speedup"] >= SPEEDUP_BAR
         assert report["huffman_tables"]["build_speedup"] >= 1.0
+        # The Huffman kernels must win on the production stream and must
+        # not lose on tiny ones (thousands of 2 KiB fields per campaign).
+        for size, row in report["huffman_tables"]["kernels"].items():
+            for kernel in ("build", "pack", "decode"):
+                assert row[f"{kernel}_speedup"] >= 1.0, (size, kernel, row)
         for label, row in stage_rows.items():
             assert row["total"] > 0.0, label

@@ -7,12 +7,15 @@ vectorise the hot loop), so both directions are expressed as whole-array
 NumPy operations:
 
 * **packing** — given per-symbol ``(code, length)`` arrays, bit offsets
-  come from a cumulative sum of lengths and each *bit plane* of the codes
-  is scattered with one vectorised masked assignment (at most
-  ``max_length`` passes, independent of the number of symbols);
-* **unpacking** — ``np.unpackbits`` plus sliding windows give the
-  ``k``-bit integer starting at *every* bit position in one shot, which
-  is the primitive the table-driven Huffman decoder builds on.
+  come from a cumulative sum of lengths; each code is left-aligned in a
+  64-bit word, shifted to its offset inside its first output byte, and
+  the word's *byte planes* are accumulated into the output with one
+  ``bincount`` each (``ceil((max_length + 7) / 8)`` passes, independent
+  of the number of symbols);
+* **unpacking** — the ``k``-bit integer starting at *every* bit position
+  is cut out of a few-byte big-endian word per stream byte (one shift per
+  bit offset 0..7), which is the primitive the table-driven Huffman
+  decoder builds on.
 """
 
 from __future__ import annotations
@@ -45,22 +48,34 @@ def pack_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
         raise ValueError("codes and lengths must have the same shape")
     if codes.size == 0:
         return b"", 0
-    total_bits = int(lengths.sum())
+    max_len = int(lengths.max())
+    if max_len > 64 or int(lengths.min()) < 0:
+        raise ValueError("code lengths must be in 0..64")
+    ends = np.cumsum(lengths)
+    total_bits = int(ends[-1])
     if total_bits == 0:
         return b"", 0
-    # Start offset of each code in the output bit stream.
-    offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    bits = np.zeros(total_bits, dtype=np.uint8)
-    max_len = int(lengths.max())
-    for j in range(max_len):
-        # Bit j (from the MSB of each code) lands at offset + j for every
-        # code long enough to have that bit.
-        mask = lengths > j
-        if not mask.any():
-            continue
-        shift = (lengths[mask] - 1 - j).astype(np.uint64)
-        bits[offsets[mask] + j] = ((codes[mask] >> shift) & np.uint64(1)).astype(np.uint8)
-    return np.packbits(bits).tobytes(), total_bits
+    starts = ends - lengths
+    first_byte = starts >> 3
+    lead = (starts & 7).astype(np.uint64)
+    # Left-align each code in a 64-bit word (this also drops any bits above
+    # its length; NumPy defines an unsigned shift by 64 as 0, which is what
+    # a zero-length code must contribute), then push it right by its bit
+    # offset inside its first output byte.  The word's big-endian bytes are
+    # now the values to add into output bytes first_byte, first_byte+1, ...;
+    # codes sharing an output byte occupy disjoint bits of it, so adding is
+    # OR-ing, and sums stay below 256 (exact in bincount's float64).
+    word = codes << (64 - lengths).astype(np.uint64)
+    planes = (word >> lead).astype(">u8").view(np.uint8).reshape(-1, 8)
+    nbytes = (total_bits + 7) >> 3
+    out = np.zeros(nbytes + 9, dtype=np.float64)
+    n_planes = (max_len + 14) >> 3  # ceil((7 lead bits + max_len) / 8)
+    for k in range(n_planes):
+        # A code longer than 57 bits at a large offset spills into a ninth
+        # byte: the low `lead` bits the right shift pushed off the word.
+        piece = planes[:, k] if k < 8 else (word << (np.uint64(8) - lead)) & np.uint64(0xFF)
+        out[k : k + nbytes] += np.bincount(first_byte, weights=piece, minlength=nbytes)[:nbytes]
+    return out[:nbytes].astype(np.uint8).tobytes(), total_bits
 
 
 def unpack_bits(payload: bytes, total_bits: int) -> np.ndarray:
@@ -78,15 +93,28 @@ def windows_at_every_position(bits: np.ndarray, width: int) -> np.ndarray:
 
     The stream is zero padded on the right so positions near the end are
     well defined.  Output dtype is int64; ``out[p]`` reads bits
-    ``p .. p+width-1`` MSB-first.
+    ``p .. p+width-1`` MSB-first.  *width* is at most 57: the window at
+    bit ``8b + j`` is cut out of the ``ceil((width + 7) / 8)`` bytes
+    starting at byte ``b``, which have to fit one 64-bit word.
     """
-    if width <= 0:
-        raise ValueError("width must be positive")
-    n = bits.size
-    padded = np.concatenate([bits.astype(np.int64), np.zeros(width, dtype=np.int64)])
-    view = np.lib.stride_tricks.sliding_window_view(padded, width)[: max(n, 1)]
-    weights = (np.int64(1) << np.arange(width - 1, -1, -1, dtype=np.int64))
-    return view @ weights
+    if not 0 < width <= 57:
+        raise ValueError("width must be in 1..57")
+    packed = np.packbits(bits)
+    n_bytes = max(packed.size, 1)
+    n_gather = (width + 14) >> 3
+    padded = np.zeros(n_bytes + n_gather, dtype=np.int64)
+    padded[: packed.size] = packed
+    # word[b] = bytes b .. b+n_gather-1, big-endian.
+    word = padded[:n_bytes].copy()
+    for k in range(1, n_gather):
+        word <<= 8
+        word |= padded[k : k + n_bytes]
+    out = np.empty((n_bytes, 8), dtype=np.int64)
+    spare = 8 * n_gather - width
+    for j in range(8):
+        np.right_shift(word, spare - j, out=out[:, j])
+    out &= (1 << width) - 1
+    return out.reshape(-1)[: max(bits.size, 1)]
 
 
 def uint_bit_length(values: np.ndarray) -> np.ndarray:

@@ -1,29 +1,32 @@
 """Canonical Huffman coding, from scratch, with a vectorised decoder.
 
-The encoder is the standard two-queue/heap construction followed by a
-zlib-style length-limiting pass and canonical code assignment.  Codes are
-packed with :func:`repro.encoding.bitio.pack_codes` (bit-plane scatter,
-no per-symbol Python loop).
+The encoder builds optimal code lengths with the two-queue construction
+(one stable sort of the leaves, then a linear merge that keeps parent
+pointers only), limits them with a zlib-style pass and assigns canonical
+codes.  Codes are packed with :func:`repro.encoding.bitio.pack_codes`
+(byte-plane accumulation, no per-symbol Python loop).
 
-The decoder avoids the classic sequential bit-walk entirely.  Because
-code lengths are limited to ``max_length`` bits, a single lookup table
-maps every ``max_length``-bit window to ``(symbol, code_length)``.  We
-evaluate that table at *every* bit position of the stream at once, build
-the "next code starts at" jump array ``J[p] = p + len[p]``, and then
-recover the positions of all ``N`` codes with **binary lifting**: the
-position of the ``k``-th code is found by composing jumps of
-2^j codes for the set bits of ``k``, and the jump-by-2^(j+1) table is the
-jump-by-2^j table applied to itself.  Every step is a whole-array gather,
-so the decode is ``O(T log N)`` vectorised work instead of ``N``
-iterations of interpreted Python — the list-ranking trick from parallel
-algorithms applied to entropy decoding.
+The decoder avoids the classic sequential bit-walk.  Because code lengths
+are limited to ``max_length`` bits, a single lookup table maps every
+``max_length``-bit window to ``(symbol, code_length)``.  The length table
+is evaluated at *every* bit position of the stream at once, which gives
+the "next code starts at" jump array ``J[p] = p + len[p]``; the position
+of the ``k``-th code is ``J`` applied ``k`` times to 0.  Those positions
+are recovered with **anchored binary lifting**: the jump-by-2^(j+1) table
+is the jump-by-2^j table applied to itself (a stream-sized gather), but
+only ``L`` such levels are built; the top one is walked sequentially to
+place an *anchor* at every ``2^L``-th code, and the lower levels fan each
+anchor out to the ``2^L`` codes it covers with gathers whose sizes sum to
+``N``.  That is ``O(L*T + N)`` vectorised work for ``T`` bits and ``N``
+codes plus ``N / 2^L`` interpreted steps — the list-ranking trick from
+parallel algorithms, stopped where a short serial walk becomes cheaper
+than another stream-sized pass.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -31,34 +34,66 @@ from ..core.errors import CorruptStreamError
 from .bitio import pack_codes, unpack_bits, windows_at_every_position
 
 DEFAULT_MAX_LENGTH = 16
+# The decoder tabulates every window of the code's width, so the width a
+# stream may declare is capped; :func:`build_code` never exceeds it.
+MAX_CODE_LENGTH = 24
+# Levels of the decoder's jump table that are materialised (see
+# :func:`_code_positions`): each costs a stream-sized gather and halves
+# the sequential anchor walk.
+_LIFT_LEVELS = 3
 
 
 def huffman_code_lengths(counts: np.ndarray) -> np.ndarray:
-    """Optimal (unlimited) Huffman code lengths for positive *counts*.
+    """Optimal (unlimited) Huffman code lengths for non-negative *counts*.
 
-    Standard heap construction; ties are broken deterministically by
-    insertion order so the resulting lengths are reproducible.
+    Two-queue construction: the leaves are stable-sorted by count once,
+    merged nodes are appended to a second queue (their weights come out
+    non-decreasing, so it needs no sorting), and each merge takes the
+    smaller head of the two queues.  A leaf wins a weight tie against a
+    merged node and merged nodes leave in creation order, which makes the
+    lengths reproducible — and equal, element for element, to those of a
+    ``(weight, insertion index)`` heap.  Only parent pointers are kept
+    during the merge; one reverse pass turns them into depths.
     """
     counts = np.asarray(counts, dtype=np.int64)
     n = counts.size
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    if n == 1:
-        return np.ones(1, dtype=np.int64)
-    # Heap items: (weight, tiebreak, list of leaf indices in this subtree).
-    heap: list[tuple[int, int, list[int]]] = [
-        (int(c), i, [i]) for i, c in enumerate(counts)
-    ]
-    heapify(heap)
-    lengths = np.zeros(n, dtype=np.int64)
-    tiebreak = n
-    while len(heap) > 1:
-        w1, _, leaves1 = heappop(heap)
-        w2, _, leaves2 = heappop(heap)
-        merged = leaves1 + leaves2
-        lengths[merged] += 1
-        heappush(heap, (w1 + w2, tiebreak, merged))
-        tiebreak += 1
+    if n <= 2:
+        # One symbol still needs a 1-bit code; two always get one bit each.
+        return np.ones(n, dtype=np.int64)
+    order = np.argsort(counts, kind="stable")
+    # Node ids: sorted leaves 0..n-1, then merged nodes in creation order.
+    # The inf sentinels end the leaf queue and stand for "not merged yet";
+    # weights are Python ints, so sums cannot wrap.
+    inf = float("inf")
+    leaf_w = counts[order].tolist()
+    leaf_w.append(inf)
+    node_w = [inf] * n
+    parent = [0] * (2 * n - 1)
+    li = ni = 0
+    for k in range(n - 1):
+        if leaf_w[li] <= node_w[ni]:
+            first, weight = li, leaf_w[li]
+            li += 1
+        else:
+            first, weight = n + ni, node_w[ni]
+            ni += 1
+        if leaf_w[li] <= node_w[ni]:
+            second = li
+            weight += leaf_w[li]
+            li += 1
+        else:
+            second = n + ni
+            weight += node_w[ni]
+            ni += 1
+        parent[first] = parent[second] = n + k
+        node_w[k] = weight
+    # A parent is always created after its children, so walking the merged
+    # nodes newest-first sees every parent's depth before it is needed.
+    depth = [0] * (2 * n - 1)
+    for node in range(2 * n - 3, n - 1, -1):
+        depth[node] = depth[parent[node]] + 1
+    lengths = np.empty(n, dtype=np.int64)
+    lengths[order] = np.asarray(depth, dtype=np.int64)[parent[:n]] + 1
     return lengths
 
 
@@ -204,7 +239,7 @@ def build_code(values: np.ndarray | None = None, *, counts: np.ndarray | None = 
     symbols = np.asarray(symbols, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
     lengths = huffman_code_lengths(counts)
-    lengths = limit_code_lengths(lengths, max_length)
+    lengths = limit_code_lengths(lengths, min(max_length, MAX_CODE_LENGTH))
     return HuffmanCode(symbols=symbols, lengths=lengths, codes=canonical_codes(lengths))
 
 
@@ -238,7 +273,12 @@ def encode(values: np.ndarray, *, max_length: int = DEFAULT_MAX_LENGTH,
 
 
 def decode(stream: bytes) -> np.ndarray:
-    """Decode a stream produced by :func:`encode` (vectorised, see module docs)."""
+    """Decode a stream produced by :func:`encode` (vectorised, see module docs).
+
+    Every header field is checked against the payload before anything is
+    sized from it, so a corrupt stream raises :class:`CorruptStreamError`
+    and never an allocation or indexing error.
+    """
     if len(stream) < _STREAM_HEADER.size:
         raise CorruptStreamError("huffman stream too short")
     n_symbols, n_values, total_bits, width = _STREAM_HEADER.unpack_from(stream, 0)
@@ -251,37 +291,59 @@ def decode(stream: bytes) -> np.ndarray:
     off += n_symbols
     if n_values == 0:
         return np.zeros(0, dtype=np.int64)
-    code = HuffmanCode(symbols=symbols, lengths=lengths, codes=canonical_codes(lengths))
-    if n_symbols == 1:
-        # Degenerate single-symbol alphabet: the bit stream is all the
-        # same 1-bit code; no table walk needed.
-        return np.full(n_values, symbols[0], dtype=np.int64)
     bits = unpack_bits(stream[off:], total_bits)
-    width = max(int(width), 1)
-    windows = windows_at_every_position(bits, width)
+    # Every code is at least one bit, and a one-symbol alphabet is coded
+    # with exactly one bit a value.
+    if n_symbols == 0 or n_values > total_bits or (n_symbols == 1 and n_values != total_bits):
+        raise CorruptStreamError("huffman header inconsistent with its payload")
+    if not 1 <= width <= MAX_CODE_LENGTH or width != lengths.max() or lengths.min() < 1:
+        raise CorruptStreamError("huffman code table inconsistent with its header")
+    if n_symbols == 1:
+        return np.full(n_values, symbols[0], dtype=np.int64)
+    code = HuffmanCode(symbols=symbols, lengths=lengths, codes=canonical_codes(lengths))
     sym_table, len_table = code.decode_tables()
-    sym_at = sym_table[windows]
-    len_at = len_table[windows]
-    if (len_at[0] == 0) if total_bits else False:
+    windows = windows_at_every_position(bits, width)
+    len_at = len_table.astype(np.uint8)[windows]
+    if len_at[0] == 0:
         raise CorruptStreamError("invalid prefix at stream start")
-    # Jump array with a sink at index T: J[p] = start of the next code.
-    T = int(total_bits)
-    jump = np.minimum(np.arange(T, dtype=np.int64) + len_at, T)
-    jump = np.append(jump, T)  # sink maps to itself
-    # Binary lifting: position of the k-th code for all k at once.
-    ks = np.arange(n_values, dtype=np.int64)
-    pos = np.zeros(n_values, dtype=np.int64)
-    step = jump
-    level_bits = max(int(n_values - 1).bit_length(), 1)
-    for j in range(level_bits):
-        mask = ((ks >> j) & 1).astype(bool)
-        if mask.any():
-            pos[mask] = step[pos[mask]]
-        if j + 1 < level_bits:
-            step = step[step]
-    if (pos >= T).any():
+    # jump[p] = start of the code after the one at p; a position no code
+    # matches (length 0) maps to itself, and the end of the stream is a
+    # sink.  Only the last `width` positions can point past it.
+    jump = np.arange(total_bits + 1, dtype=np.int64)
+    jump[:total_bits] += len_at
+    tail = jump[-(width + 1) :]
+    np.minimum(tail, total_bits, out=tail)
+    pos = _code_positions(jump, n_values)
+    if (pos >= total_bits).any():
         raise CorruptStreamError("huffman stream truncated")
-    decoded_idx = sym_at[pos]
     if (len_at[pos] == 0).any():
         raise CorruptStreamError("invalid huffman code in stream")
-    return symbols[decoded_idx]
+    return symbols[sym_table[windows[pos]]]
+
+
+def _code_positions(jump: np.ndarray, n_values: int) -> np.ndarray:
+    """Start positions of the first *n_values* codes: ``jump`` applied
+    0, 1, 2, ... times to position 0 (anchored binary lifting)."""
+    # lifted[l] jumps 2**l codes at once; each level is the one below
+    # applied to itself, a T-sized gather.
+    lifted = [jump]
+    for _ in range(_LIFT_LEVELS):
+        lifted.append(lifted[-1][lifted[-1]])
+    # Anchors: the position of every 2**_LIFT_LEVELS-th code, by walking
+    # the top level sequentially.
+    stride = 1 << _LIFT_LEVELS
+    jump_stride = lifted[-1].item
+    anchors = []
+    at = 0
+    for _ in range(-(-n_values // stride)):
+        anchors.append(at)
+        at = jump_stride(at)
+    # Fan out: column r of row a is code stride * a + r.  Level l fills
+    # the columns whose lowest set bit is 2**l from the columns 2**l to
+    # their left, so each pass doubles the codes known per anchor.
+    pos = np.empty((len(anchors), stride), dtype=np.int64)
+    pos[:, 0] = anchors
+    for l in range(_LIFT_LEVELS - 1, -1, -1):
+        step = 1 << l
+        pos[:, step :: 2 * step] = lifted[l][pos[:, :: 2 * step]]
+    return pos.reshape(-1)[:n_values]

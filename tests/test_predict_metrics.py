@@ -76,6 +76,29 @@ class TestFeatureMetrics:
         assert res["stat:value_range"] > 0
         assert "stat:skewness" in res and "stat:kurtosis" in res
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_value_stats_moments_match_plain_float64_reference(self, dtype):
+        """The moments are computed by repeated multiplication, not
+        ``centered**k``; they must agree with the textbook float64
+        definition to rounding (1e-12 relative)."""
+        rng = np.random.default_rng(5)
+        field = (rng.gamma(2.0, 1.5, (24, 20, 16)) - 1.0).astype(dtype)  # skewed, heavy tail
+        res = run_metric(ValueStatsMetric(), field)
+        x = field.astype(np.float64).reshape(-1)
+        c = x - x.mean()
+        m2 = np.mean(c**2)
+        assert res["stat:mean"] == pytest.approx(float(x.mean()), rel=1e-12)
+        assert res["stat:std"] == pytest.approx(float(np.sqrt(m2)), rel=1e-12)
+        assert res["stat:skewness"] == pytest.approx(float(np.mean(c**3) / m2**1.5), rel=1e-12)
+        assert res["stat:kurtosis"] == pytest.approx(float(np.mean(c**4) / m2**2), rel=1e-12)
+        assert res["stat:skewness"] > 0.5 and res["stat:kurtosis"] > 3.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_value_stats_constant_array_has_zero_skew_and_kurtosis(self, dtype):
+        res = run_metric(ValueStatsMetric(), np.full((8, 8, 4), 2.5, dtype=dtype))
+        assert res["stat:std"] == 0.0 and res["stat:value_range"] == 0.0
+        assert res["stat:skewness"] == 0.0 and res["stat:kurtosis"] == 0.0
+
     def test_sparsity_metric(self, sparse_field):
         res = run_metric(SparsityMetric(), sparse_field)
         assert res["sparsity:zero_ratio"] == pytest.approx((sparse_field == 0).mean())
