@@ -6,9 +6,12 @@ Two phases mirror how the real bench separates concerns:
    becomes a checkpointable task that (a) runs the compressor with the
    standard metrics attached for ground truth (realised CR, wall times),
    and (b) runs every scheme's metric evaluator, bucketing metric costs
-   into the paper's stages.  Results land in the SQLite checkpoint keyed
-   by stable option hashes, so a re-run (or a crash) recomputes only the
-   missing keys.
+   into the paper's stages.  A worker keeps the loaded field, its
+   compressors and its evaluators for as long as consecutive tasks name
+   the same entry, so the field is loaded once and a new bound
+   recomputes only the error-dependent metrics (§4.2).  Results land in
+   the SQLite checkpoint keyed by stable option hashes, so a re-run (or
+   a crash) recomputes only the missing keys.
 2. **Evaluation** — per (scheme, compressor): assemble observations into
    feature rows, run the cross-validation protocol (grouped by field for
    the out-of-sample setting §6 emphasises), time fit and inference, and
@@ -32,6 +35,8 @@ from typing import Any, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from ..compressors import make_compressor  # imports register the codecs
+from ..core.compressor import CompressorPlugin
+from ..core.data import PressioData
 from ..core.errors import UnsupportedError
 from ..core.metrics import ErrorStatMetrics, SizeMetrics, TimeMetrics
 from ..dataset.base import DatasetPlugin
@@ -39,6 +44,7 @@ from ..dataset.caches import LocalCache, SharedMemoryCache
 from ..dataset.shm import DATA_PLANES
 from ..mlkit.metrics import medape
 from ..mlkit.model_selection import GroupKFold, KFold
+from ..predict.evaluator import MetricsEvaluator
 from ..predict.scheme import SchemePlugin, get_scheme
 from .checkpoint import CheckpointStore
 from .faults import ChaosPlan, chaos_worker_init
@@ -102,6 +108,32 @@ class Table2Row:
     medape_pct: float = math.nan
     n_observations: int = 0
     supported: bool = True
+
+
+class _EntryContext:
+    """What a worker holds while consecutive tasks name one dataset entry.
+
+    The loaded field, one compressor per compressor id, and one metric
+    evaluator per (scheme, compressor id) — ``None`` where the scheme
+    raised :class:`UnsupportedError` for the pairing.  Evaluators share
+    their compressor's instance, so a new bound reaches them through its
+    options and their caches stay valid by key.
+    """
+
+    __slots__ = ("data_index", "data", "bound_scale", "compressors", "evaluators")
+
+    def __init__(self, data_index: int, data: PressioData, relative_bounds: bool) -> None:
+        self.data_index = data_index
+        self.data = data
+        #: What a task's nominal bound is multiplied by: the field's
+        #: value range under range-relative bounds, else 1.
+        self.bound_scale = 1.0
+        if relative_bounds:
+            arr = data.array
+            vrange = float(arr.max() - arr.min()) if arr.size else 1.0
+            self.bound_scale = max(vrange, 1e-30)
+        self.compressors: dict[str, CompressorPlugin] = {}
+        self.evaluators: dict[tuple[str, str], MetricsEvaluator | None] = {}
 
 
 def _rebuild_collection_fn(dataset: DatasetPlugin, kwargs: dict):
@@ -196,6 +228,10 @@ class ExperimentRunner:
                     owner=self.data_plane_owner,
                 )
         self.queue.data_plane = self.data_plane
+        #: worker index -> the entry that worker is on.  Keyed by worker
+        #: because the thread engine shares this runner across threads;
+        #: one held field per worker bounds the memory.
+        self._contexts: dict[int, _EntryContext] = {}
 
     # -- task construction ----------------------------------------------------
     def build_tasks(self) -> list[Task]:
@@ -231,14 +267,34 @@ class ExperimentRunner:
 
     # -- collection -------------------------------------------------------------
     def run_task(self, task: Task, worker: int = 0) -> dict[str, Any]:
-        """Execute one collection task (ground truth + scheme metrics)."""
-        data = self._plane_dataset.load_data(task.data_index)
-        eb = float(task.compressor_options["pressio:abs"])
-        if self.relative_bounds:
-            arr = data.array
-            vrange = float(arr.max() - arr.min()) if arr.size else 1.0
-            eb = eb * max(vrange, 1e-30)
-        comp = make_compressor(task.compressor_id)
+        """Execute one collection task (ground truth + scheme metrics).
+
+        Runs in *worker*'s entry context: the context is replaced when
+        ``task.data_index`` differs from the previous task's, and dropped
+        when anything escapes (a deadline firing mid-compress leaves
+        metrics attached), so a retry starts from a fresh load.
+        """
+        context = self._contexts.get(worker)
+        try:
+            if context is None or context.data_index != task.data_index:
+                context = self._contexts[worker] = _EntryContext(
+                    task.data_index,
+                    self._plane_dataset.load_data(task.data_index),
+                    self.relative_bounds,
+                )
+            return self._run_in_context(task, context)
+        except BaseException:
+            self._contexts.pop(worker, None)
+            raise
+
+    def _run_in_context(self, task: Task, context: _EntryContext) -> dict[str, Any]:
+        data = context.data
+        eb = float(task.compressor_options["pressio:abs"]) * context.bound_scale
+        comp = context.compressors.get(task.compressor_id)
+        if comp is None:
+            comp = context.compressors[task.compressor_id] = make_compressor(
+                task.compressor_id
+            )
         comp.set_options({"pressio:abs": eb})
         payload: dict[str, Any] = {
             "data_id": task.data_id,
@@ -270,18 +326,40 @@ class ExperimentRunner:
             )
         # Scheme metrics, with per-stage timing buckets.
         for scheme in self.schemes:
+            evaluator = self._evaluator(context, scheme, comp)
+            payload[f"scheme:{scheme.id}:supported"] = evaluator is not None
+            if evaluator is None:
+                continue
+            # The cache key decides validity: a new bound misses the
+            # error-dependent metrics and hits the error-agnostic ones.
+            results = evaluator.evaluate(data, changed=())
+            payload.update({k: v for k, v in results.items()})
+            payload.update(scheme.config_features(comp))
+            # Only buckets this task computed in: a bucket served from the
+            # cache has no column, so Table 2's mean stays the cost of
+            # computing it once.
+            for bucket, seconds in evaluator.last_stage_seconds.items():
+                payload[f"time:{scheme.id}:{bucket}"] = seconds
+        return payload
+
+    def _evaluator(
+        self, context: _EntryContext, scheme: SchemePlugin, comp: CompressorPlugin
+    ) -> MetricsEvaluator | None:
+        """The context's evaluator for (*scheme*, *comp*), built on first
+        use; ``None`` memoises an unsupported pairing."""
+        key = (scheme.id, comp.id)
+        if key not in context.evaluators:
             try:
                 evaluator = scheme.req_metrics_opts(comp)
             except UnsupportedError:
-                payload[f"scheme:{scheme.id}:supported"] = False
-                continue
-            payload[f"scheme:{scheme.id}:supported"] = True
-            results = evaluator.evaluate(data)
-            payload.update({k: v for k, v in results.items()})
-            payload.update(scheme.config_features(comp))
-            for bucket, seconds in evaluator.stage_seconds.items():
-                payload[f"time:{scheme.id}:{bucket}"] = seconds
-        return payload
+                evaluator = None
+            else:
+                # A campaign that asks for replicates wants fresh
+                # nondeterministic draws; one that does not gets the
+                # paper's "one SVD per sweep".
+                evaluator.cache_nondeterministic = self.replicates == 1
+            context.evaluators[key] = evaluator
+        return context.evaluators[key]
 
     def worker_init(self):
         """A picklable factory rebuilding :meth:`run_task` per process.
@@ -300,6 +378,7 @@ class ExperimentRunner:
                 "bounds": list(self.bounds),
                 "schemes": [s.id for s in self.schemes],
                 "relative_bounds": self.relative_bounds,
+                "replicates": self.replicates,
                 "experiment_meta": dict(self.experiment_meta),
                 "data_plane": self.data_plane,
                 "data_plane_dir": self.data_plane_dir,
@@ -402,6 +481,8 @@ class ExperimentRunner:
             chaos=chaos if cluster_mode else None,
             merge_store=self.store if cluster_mode else None,
         )
+        # The campaign is over: no held field outlives it in this process.
+        self._contexts.clear()
         self.store.flush()
         failures = [r for r in results if not r.ok]
         for r in failures:
@@ -544,6 +625,7 @@ class ExperimentRunner:
         worker-side runner) only drops its attachments.  The checkpoint
         store is left open — it has its own lifecycle.
         """
+        self._contexts.clear()
         if self._plane_dataset is not self.dataset:
             self._plane_dataset.close()
 

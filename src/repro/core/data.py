@@ -13,11 +13,17 @@ storage is a NumPy array; we keep the thin wrapper because:
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Mapping
 
 import numpy as np
 
 from .errors import TypeMismatchError
+
+#: Process-wide serials for buffers without provenance.  ``id(obj)`` is
+#: handed to the next object once one is freed, so it cannot key a cache
+#: that outlives the buffer; a serial is never handed out twice.
+_SERIALS = itertools.count(1)
 
 
 class PressioData:
@@ -35,7 +41,7 @@ class PressioData:
         mover in :mod:`repro.dataset` flips this to ``"device"``.
     """
 
-    __slots__ = ("array", "metadata", "domain")
+    __slots__ = ("array", "metadata", "domain", "_serial")
 
     def __init__(
         self,
@@ -50,6 +56,7 @@ class PressioData:
         self.array = array.copy() if copy else array
         self.metadata: dict[str, Any] = dict(metadata or {})
         self.domain = domain
+        self._serial = next(_SERIALS)
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -129,7 +136,8 @@ class PressioData:
         """A provenance-derived identity used for caching and locality.
 
         Prefers explicit metadata (file/field/timestep); falls back to
-        the object id, which is stable for the lifetime of the buffer.
+        the buffer's construction serial, which is stable for its
+        lifetime and never reused by a later buffer in this process.
         """
         meta = self.metadata
         if "data_id" in meta:
@@ -137,7 +145,7 @@ class PressioData:
         parts = [str(meta[k]) for k in ("file", "field", "timestep") if k in meta]
         if parts:
             return "/".join(parts)
-        return f"anon-{id(self):x}"
+        return f"anon-{self._serial:x}"
 
     def __repr__(self) -> str:
         return (

@@ -20,7 +20,8 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..core.compressor import CompressorPlugin, make_compressor
+from ..compressors import make_compressor  # imports register the codecs
+from ..core.compressor import CompressorPlugin
 from ..core.data import PressioData, as_data
 from ..core.metrics import SizeMetrics, TimeMetrics, now
 from ..core.options import PressioOptions

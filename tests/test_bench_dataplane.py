@@ -9,7 +9,7 @@ import pytest
 
 from repro.bench import ChaosPlan, CheckpointStore, ExperimentRunner, Task, TaskQueue
 from repro.core.data import PressioData
-from repro.dataset import HurricaneDataset, LocalCache
+from repro.dataset import HurricaneDataset, LocalCache, SharedMemoryCache
 from repro.dataset.base import DatasetPlugin
 from repro.dataset.shm import (
     DATA_PLANES,
@@ -350,11 +350,22 @@ class TestShmLifecycle:
 
     def test_shm_plane_counts_mapped_bytes(self, tmp_path):
         runner = self._runner(tmp_path, TaskQueue(2, "process"))
+        # A worker holds a datum for all of its tasks, so inside one
+        # worker nothing is loaded twice; a datum is *mapped* when a
+        # second process loads what another published.  Publish both
+        # data from this process, then let the workers load them.
+        publisher = SharedMemoryCache(
+            runner.dataset, ledger_dir=str(tmp_path / "plane" / "shm")
+        )
+        before = PLANE_COUNTERS.snapshot()
+        nbytes = sum(publisher.load_data(i).nbytes for i in range(len(runner.dataset)))
+        published = PlaneCounters.delta(before, PLANE_COUNTERS.snapshot())
+        assert published["bytes_copied"] >= nbytes  # the one-time publishes
         _, stats, _ = runner.collect()
-        # Two tasks per datum: the second load of each datum attaches to
-        # the published segment instead of copying.
-        assert stats.bytes_mapped > 0
-        assert stats.bytes_copied > 0  # leaf loads + one-time publishes
+        # Each datum's tasks are one chunk on one worker: one attach each.
+        assert stats.bytes_mapped == nbytes
+        assert stats.bytes_copied == 0
+        publisher.close()
         runner.close()
 
 

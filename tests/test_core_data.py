@@ -54,6 +54,16 @@ class TestMetadataAndIdentity:
         buf = PressioData(np.zeros(3))
         assert buf.data_id() == buf.data_id()
 
+    def test_data_id_anonymous_is_never_reused(self):
+        """CPython hands a freed wrapper's address to the next one, so an
+        ``id()``-derived identity would repeat here; caches that outlive
+        the buffer key on it."""
+        seen = set()
+        for _ in range(32):
+            ident = PressioData(np.zeros(3)).data_id()  # wrapper freed at once
+            assert ident not in seen
+            seen.add(ident)
+
     def test_with_metadata_merges(self):
         buf = PressioData(np.zeros(3), metadata={"a": 1})
         out = buf.with_metadata(b=2)

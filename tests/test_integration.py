@@ -58,23 +58,28 @@ class TestFileBackedCampaign:
             LocalCache(FolderLoader(root, "*.npy"), cache_dir=str(tmp_path / "spill"))
         )
         store = CheckpointStore(os.path.join(str(tmp_path), "ck.db"))
+        kwargs = dict(
+            compressors=("szx",), schemes=("khan2023",), store=store, n_folds=2
+        )
         runner = ExperimentRunner(
-            dataset,
-            compressors=("szx",),
-            bounds=(1e-4, 1e-3),  # two bounds → each entry loads twice
-            schemes=("khan2023",),
-            store=store,
-            queue=TaskQueue(2, "thread"),
-            n_folds=2,
+            dataset, bounds=(1e-4, 1e-3), queue=TaskQueue(2, "thread"), **kwargs
         )
         obs, stats, _ = runner.collect()
         assert stats.failed == 0
         assert len(obs) == 20
         text = format_table2(runner.table2(obs))
         assert "szx khan2023" in text
-        # The caches actually absorbed repeat loads.
+        # A worker holds an entry for all of its tasks, so repeat loads
+        # come from the next campaign over the same loader stack: a wider
+        # sweep resumes through the checkpoint and loads from the caches.
+        wider = ExperimentRunner(
+            dataset, bounds=(1e-4, 1e-3, 1e-2), queue=TaskQueue(2, "thread"), **kwargs
+        )
+        obs, stats, _ = wider.collect()
+        assert stats.failed == 0 and stats.completed == 10
+        assert len(obs) == 30
         metrics = dataset.get_metrics_results()
-        assert metrics["memory_cache:hits"] + metrics["local_cache:hits"] > 0
+        assert metrics["memory_cache:hits"] + metrics["local_cache:hits"] >= 10
 
     def test_checkpoint_shared_between_runner_instances(self, tmp_path):
         ds = HurricaneDataset(shape=(8, 8, 4), timesteps=[0], fields=["P", "W"])

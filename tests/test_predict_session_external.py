@@ -2,6 +2,8 @@
 bridge."""
 
 import os
+import subprocess
+import sys
 import textwrap
 
 import numpy as np
@@ -39,6 +41,40 @@ class TestSessionUntrained:
         # rahman's features are all error-agnostic: nothing recomputes.
         assert session.evaluator.computed == computed_first
         assert session.evaluator.reused >= computed_first
+
+    @pytest.mark.parametrize("scheme", ["rahman2023", "khan2023"])
+    def test_anonymous_arrays_never_share_cached_metrics(
+        self, scheme, smooth_field, sparse_field
+    ):
+        """Each bare ndarray is wrapped in a fresh, metadata-less buffer;
+        the second must not be served the first's cached metrics."""
+
+        def fresh():
+            return PredictionSession.create(scheme, "sz3", options={"pressio:abs": 1e-3})
+
+        session = fresh()
+        session._evaluate_row(smooth_field)
+        second = session._evaluate_row(sparse_field)
+        assert second == fresh()._evaluate_row(sparse_field)
+        assert session.evaluator.reused == 0
+
+    def test_create_in_a_fresh_interpreter(self):
+        """Importing only ``repro.predict.session`` must register the
+        codecs: the module's own docstring example starts this way."""
+        code = (
+            "from repro.predict.session import PredictionSession\n"
+            "s = PredictionSession.create('rahman2023', 'sz3', "
+            "options={'pressio:abs': 1e-3})\n"
+            "print(s.compressor.id)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, text=True,
+            capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "sz3"
 
     def test_fit_on_noop_for_untrained(self, smooth_field):
         session = PredictionSession.create(
