@@ -91,17 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
         "per-worker dataset/compressor initialization",
     )
     run.add_argument(
-        "--data-plane", choices=["pickle", "mmap", "shm"], default="pickle",
-        help="how datum bytes reach workers: 'pickle' copies per task, "
-        "'mmap' pages read-only .npy spills, 'shm' publishes each datum "
-        "once into a shared-memory segment that workers attach by name",
-    )
-    run.add_argument(
-        "--data-plane-dir", default=None,
-        help="directory for the plane's spill/ledger files "
-        "(default: a fresh temporary directory)",
-    )
-    run.add_argument(
         "--chunk-size", type=int, default=None,
         help="process-engine dispatch granularity in tasks per datum chunk "
         "(default: whole datum groups)",
@@ -481,12 +470,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             retry_policy=policy,
             task_timeout=args.task_timeout,
             chunk_size=args.chunk_size,
-            data_plane=args.data_plane,
         ),
         n_folds=args.folds,
         protocol=args.protocol,
-        data_plane=args.data_plane,
-        data_plane_dir=args.data_plane_dir,
     )
     try:
         chaos = None
@@ -525,8 +511,6 @@ def cmd_run(args: argparse.Namespace) -> int:
                 f"retries={stats.retries} quarantined={stats.quarantined} "
                 f"timeouts={stats.timeouts} pool_rebuilds={stats.pool_rebuilds} "
                 f"commits={runner.store.commit_count} "
-                f"plane[{stats.data_plane or args.data_plane}] "
-                f"copied={stats.bytes_copied} mapped={stats.bytes_mapped} "
                 f"affinity={stats.affinity_hit_rate:.0%} steals={stats.affinity_steals}",
                 file=sys.stderr,
             )
@@ -754,7 +738,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         )
         rows = runner.table2(observations)
         # The collection pass persisted its harness statistics (stage
-        # timings, data-plane counters) with the campaign; surface them so a
+        # timings, affinity counters) with the campaign; surface them so a
         # report from the checkpoint alone tells the whole story.  A shard
         # directory instead folds every rank's stats into one campaign view.
         harness = None

@@ -51,47 +51,30 @@ def format_row(row: Table2Row) -> str:
     return " | ".join(c.ljust(w) for c, (_, w) in zip(cells, _COLUMNS))
 
 
-def _fmt_bytes(n: Any) -> str:
-    try:
-        n = float(n)
-    except (TypeError, ValueError):
-        return "N/A"
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if abs(n) < 1024.0 or unit == "GiB":
-            return f"{n:.1f} {unit}" if unit != "B" else f"{int(n)} B"
-        n /= 1024.0
-    return f"{n:.1f} GiB"  # pragma: no cover - loop always returns
+#: Engines that route chunks through an ``_AffinityMap``; the others
+#: have no affinity counters worth a footer line.
+_AFFINITY_ENGINES = ("process", "cluster")
 
 
 def harness_lines(harness: QueueStats | Mapping[str, Any] | None) -> list[str]:
     """Footer lines giving the harness the same per-stage treatment as
     the schemes: queue-wait / execute / checkpoint timings, plus the
-    data-plane byte movement and affinity counters.
+    affinity counters of the engines that route by affinity.
 
     Accepts live :class:`QueueStats` (a just-finished run) or the plain
-    mapping ``report`` restores from the checkpoint's metadata.
+    mapping ``report`` restores from the checkpoint's metadata.  Keys an
+    older build wrote and this one does not know are ignored.
     """
     if harness is None:
         return []
     if isinstance(harness, QueueStats):
-        engine = harness.engine
-        stages = harness.stage_summary()
-        plane = harness.data_plane_summary()
-    else:
-        engine = str(harness.get("engine", ""))
-        stages = harness.get("stage_summary", {}) or {}
-        plane = {
-            k: harness.get(k)
-            for k in (
-                "data_plane",
-                "bytes_copied",
-                "bytes_mapped",
-                "affinity_hits",
-                "affinity_misses",
-                "affinity_steals",
-                "affinity_hit_rate",
-            )
+        harness = {
+            "engine": harness.engine,
+            "stage_summary": harness.stage_summary(),
+            **harness.affinity_summary(),
         }
+    engine = str(harness.get("engine") or "")
+    stages = harness.get("stage_summary") or {}
     lines = []
     if stages:
         label = f"harness[{engine}]" if engine else "harness"
@@ -100,16 +83,12 @@ def harness_lines(harness: QueueStats | Mapping[str, Any] | None) -> list[str]:
             for name, seconds in stages.items()
         )
         lines.append(f"{label}: {rendered}")
-    plane_name = plane.get("data_plane")
-    if plane_name:
-        rate = plane.get("affinity_hit_rate")
+    if engine in _AFFINITY_ENGINES:
+        rate = harness.get("affinity_hit_rate")
         affinity = f"{float(rate):.0%}" if rate is not None else "N/A"
         lines.append(
-            f"data-plane[{plane_name}]: "
-            f"copied {_fmt_bytes(plane.get('bytes_copied'))} | "
-            f"mapped {_fmt_bytes(plane.get('bytes_mapped'))} | "
-            f"affinity {affinity} "
-            f"(steals {plane.get('affinity_steals', 0)})"
+            f"affinity[{engine}]: {affinity} "
+            f"(steals {harness.get('affinity_steals') or 0})"
         )
     return lines
 
@@ -123,7 +102,7 @@ def format_table2(
     """Render the rows as the paper's Table 2 layout.
 
     ``harness`` (a :class:`QueueStats` or its checkpointed mapping form)
-    appends the harness's own stage timings and data-plane counters as a
+    appends the harness's own stage timings and affinity counters as a
     footer — the run infrastructure reported in the same breath as the
     schemes it measured.
     """

@@ -25,8 +25,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
-import tempfile
 import warnings
 import time
 from dataclasses import dataclass, field
@@ -40,8 +38,6 @@ from ..core.data import PressioData
 from ..core.errors import UnsupportedError
 from ..core.metrics import ErrorStatMetrics, SizeMetrics, TimeMetrics
 from ..dataset.base import DatasetPlugin
-from ..dataset.caches import LocalCache, SharedMemoryCache
-from ..dataset.shm import DATA_PLANES
 from ..mlkit.metrics import medape
 from ..mlkit.model_selection import GroupKFold, KFold
 from ..predict.evaluator import MetricsEvaluator
@@ -166,9 +162,6 @@ class ExperimentRunner:
         replicates: int = 1,
         protocol: str = "out_of_sample",
         experiment_meta: Mapping[str, Any] | None = None,
-        data_plane: str = "pickle",
-        data_plane_dir: str | None = None,
-        data_plane_owner: bool = True,
     ) -> None:
         self.dataset = dataset
         self.compressors = list(compressors)
@@ -197,37 +190,6 @@ class ExperimentRunner:
             "schemes", sorted(s.id for s in self.schemes)
         )
         self.experiment_meta.setdefault("relative_bounds", self.relative_bounds)
-        # -- data plane: how bytes move from loader to task ----------------
-        # ``self.dataset`` stays the *bare* dataset for metadata and
-        # configuration hashing (checkpoint keys must be identical across
-        # planes — switching --data-plane must not invalidate a
-        # checkpoint); only the loading path goes through the plane stack.
-        if data_plane not in DATA_PLANES:
-            raise ValueError(
-                f"unknown data plane {data_plane!r}; expected one of {DATA_PLANES}"
-            )
-        self.data_plane = data_plane
-        self.data_plane_owner = bool(data_plane_owner)
-        if data_plane == "pickle":
-            self.data_plane_dir = data_plane_dir
-            self._plane_dataset: DatasetPlugin = dataset
-        else:
-            if data_plane_dir is None:
-                data_plane_dir = tempfile.mkdtemp(prefix="repro-data-plane-")
-            self.data_plane_dir = os.fspath(data_plane_dir)
-            if data_plane == "mmap":
-                self._plane_dataset = LocalCache(
-                    dataset,
-                    cache_dir=os.path.join(self.data_plane_dir, "spill"),
-                    mmap=True,
-                )
-            else:  # shm
-                self._plane_dataset = SharedMemoryCache(
-                    dataset,
-                    ledger_dir=os.path.join(self.data_plane_dir, "shm"),
-                    owner=self.data_plane_owner,
-                )
-        self.queue.data_plane = self.data_plane
         #: worker index -> the entry that worker is on.  Keyed by worker
         #: because the thread engine shares this runner across threads;
         #: one held field per worker bounds the memory.
@@ -279,7 +241,7 @@ class ExperimentRunner:
             if context is None or context.data_index != task.data_index:
                 context = self._contexts[worker] = _EntryContext(
                     task.data_index,
-                    self._plane_dataset.load_data(task.data_index),
+                    self.dataset.load_data(task.data_index),
                     self.relative_bounds,
                 )
             return self._run_in_context(task, context)
@@ -362,14 +324,7 @@ class ExperimentRunner:
         return context.evaluators[key]
 
     def worker_init(self):
-        """A picklable factory rebuilding :meth:`run_task` per process.
-
-        The data-plane settings ride along (with the *resolved* plane
-        directory), so every worker rebuilds the same plane stack over
-        the same spill/ledger directories — a worker is never the plane
-        owner, so it attaches and releases but cannot unlink the
-        campaign's segments out from under its siblings.
-        """
+        """A picklable factory rebuilding :meth:`run_task` per process."""
         return functools.partial(
             _rebuild_collection_fn,
             self.dataset,
@@ -380,9 +335,6 @@ class ExperimentRunner:
                 "relative_bounds": self.relative_bounds,
                 "replicates": self.replicates,
                 "experiment_meta": dict(self.experiment_meta),
-                "data_plane": self.data_plane,
-                "data_plane_dir": self.data_plane_dir,
-                "data_plane_owner": False,
             },
         )
 
@@ -505,7 +457,7 @@ class ExperimentRunner:
             )
         # Persist the harness-side statistics with the campaign, so
         # ``report --json`` on the checkpoint alone can show stage
-        # timings and data-plane counters without re-running anything.
+        # timings and affinity counters without re-running anything.
         try:
             self.store.set_meta(
                 "last_run_stats",
@@ -517,7 +469,7 @@ class ExperimentRunner:
                         "failed": stats.failed,
                         "retries": stats.retries,
                         "stage_summary": stats.stage_summary(),
-                        **stats.data_plane_summary(),
+                        **stats.affinity_summary(),
                         **(stats.cluster_summary() if stats.engine == "cluster" else {}),
                     }
                 ),
@@ -527,12 +479,6 @@ class ExperimentRunner:
         observations = [
             p for k in by_key if (p := self.store.get(k)) is not None
         ]
-        if self.data_plane == "shm" and self.data_plane_owner:
-            # Campaign-end sweep: every published segment (including any
-            # left by chaos-killed workers mid-publish) is unlinked, so a
-            # collect() never leaks /dev/shm names.  A later resume just
-            # re-publishes what it needs.
-            self._plane_dataset.unlink_all()
         return CollectionResult(observations, stats, failures)
 
     # -- publish ---------------------------------------------------------------
@@ -619,15 +565,12 @@ class ExperimentRunner:
         return published
 
     def close(self) -> None:
-        """Tear down the data plane (idempotent).
+        """Drop every held entry context (idempotent).
 
-        The owner unlinks every shared-memory segment; a non-owner (a
-        worker-side runner) only drops its attachments.  The checkpoint
-        store is left open — it has its own lifecycle.
+        The checkpoint store and the dataset are left open — they have
+        their own lifecycles.
         """
         self._contexts.clear()
-        if self._plane_dataset is not self.dataset:
-            self._plane_dataset.close()
 
     # -- evaluation ------------------------------------------------------------
     def evaluate_scheme(

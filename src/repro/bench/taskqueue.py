@@ -16,11 +16,13 @@ Engines:
   slot), for NumPy-bound collection that needs real cores.  Tasks are
   grouped by ``data_id`` and routed by a worker-id → datum affinity map
   (:class:`_AffinityMap`): a datum's chunks follow the worker that
-  loaded it, idle workers steal (ownership moves with the steal), and
-  data-plane byte counters measure what the routing saved.
+  loaded it, and idle workers steal (ownership moves with the steal);
+* ``cluster`` — worker *ranks* on one or many nodes, each writing its
+  own checkpoint shard (:mod:`repro.bench.cluster`); same affinity
+  routing, rank-level fault supervision.
 
 Serial and thread share the same :class:`LocalityScheduler` and
-retry/failure semantics.  A fourth execution model, the discrete-event
+retry/failure semantics.  A further execution model, the discrete-event
 :class:`~repro.bench.simcluster.SimulatedCluster`, reuses the scheduler
 to *measure* placement quality under a virtual clock.
 
@@ -185,10 +187,6 @@ class QueueStats:
     pool_rebuilds: int = 0
     #: Total backoff delay scheduled before retries, in seconds.
     backoff_seconds: float = 0.0
-    #: Data-plane accounting (see :mod:`repro.dataset.shm`): bytes that
-    #: reached a consumer by private copy vs zero-copy mapping/attach.
-    bytes_copied: int = 0
-    bytes_mapped: int = 0
     #: Worker-pinned affinity accounting (process engine): a hit is a
     #: task dispatched to the worker that already holds its datum, a
     #: miss is a first load, a steal is an idle worker taking over
@@ -196,8 +194,6 @@ class QueueStats:
     affinity_hits: int = 0
     affinity_misses: int = 0
     affinity_steals: int = 0
-    #: Which data plane moved the bytes (``pickle``/``mmap``/``shm``).
-    data_plane: str = ""
     #: Cluster engine: worker ranks declared dead (heartbeat timeout or
     #: connection loss) and ranks respawned after a death (spawn mode).
     rank_deaths: int = 0
@@ -228,12 +224,9 @@ class QueueStats:
             "checkpoint": self.checkpoint_seconds,
         }
 
-    def data_plane_summary(self) -> dict[str, Any]:
-        """Data-plane movement + affinity counters for reports."""
+    def affinity_summary(self) -> dict[str, Any]:
+        """Affinity counters for reports."""
         return {
-            "data_plane": self.data_plane,
-            "bytes_copied": self.bytes_copied,
-            "bytes_mapped": self.bytes_mapped,
             "affinity_hits": self.affinity_hits,
             "affinity_misses": self.affinity_misses,
             "affinity_steals": self.affinity_steals,
@@ -382,7 +375,8 @@ class TaskQueue:
         Worker count; 1 forces the serial engine (with a warning when a
         parallel engine was requested — the downgrade used to be silent).
     engine:
-        ``"serial"``, ``"thread"``, or ``"process"``.
+        One of :data:`ENGINES`: ``"serial"``, ``"thread"``, ``"process"``
+        or ``"cluster"``.
     max_retries:
         Additional attempts per task after a *transient* failure.  A
         task that still fails is reported as failed (not raised) so one
@@ -409,11 +403,6 @@ class TaskQueue:
         maximum batching; a small value interleaves datums across
         workers and lets the affinity map route later chunks back to
         whichever worker loaded the datum first.
-    data_plane:
-        Label for how bytes move between loader and worker
-        (``pickle``/``mmap``/``shm``); recorded in :class:`QueueStats`.
-        The plane itself is built by the runner's dataset stack — the
-        queue only accounts for it.
     """
 
     def __init__(
@@ -426,7 +415,6 @@ class TaskQueue:
         task_timeout: float | None = None,
         max_pool_rebuilds: int = 5,
         chunk_size: int | None = None,
-        data_plane: str = "pickle",
         lock_witness=None,
         cluster: ClusterSpec | None = None,
     ) -> None:
@@ -468,7 +456,6 @@ class TaskQueue:
         if chunk_size is not None and int(chunk_size) < 1:
             raise ValueError("chunk_size must be >= 1 (or None for whole groups)")
         self.chunk_size = None if chunk_size is None else int(chunk_size)
-        self.data_plane = data_plane
         #: Optional :class:`~repro.analysis.witness.LockOrderWitness`.
         #: Test-only instrumentation: when set, the threaded engine's
         #: condition lock is wrapped so stress suites can assert the
@@ -517,13 +504,10 @@ class TaskQueue:
                 and self.cluster.is_worker_rank
             ):
                 raise ValueError("one of task_fn or worker_init is required")
-        from ..dataset.shm import PLANE_COUNTERS, PlaneCounters
-
-        before = PLANE_COUNTERS.snapshot()
         if self.engine == "cluster":
             from .cluster.engine import run_cluster
 
-            results, stats = run_cluster(
+            return run_cluster(
                 self,
                 tasks,
                 task_fn,
@@ -532,22 +516,13 @@ class TaskQueue:
                 chaos=chaos,
                 merge_store=merge_store,
             )
-        elif self.engine == "process":
-            results, stats = self._run_process(
+        if self.engine == "process":
+            return self._run_process(
                 tasks, task_fn, on_result=on_result, worker_init=worker_init
             )
-        else:
-            if task_fn is None:
-                task_fn = worker_init()
-            results, stats = self._run_threaded(tasks, task_fn, on_result=on_result)
-        # In-process loads (serial/thread always; the process engine's
-        # parent rarely loads, and worker-side deltas are shipped back
-        # with each chunk's outcomes).
-        delta = PlaneCounters.delta(before, PLANE_COUNTERS.snapshot())
-        stats.bytes_copied += delta["bytes_copied"]
-        stats.bytes_mapped += delta["bytes_mapped"]
-        stats.data_plane = self.data_plane
-        return results, stats
+        if task_fn is None:
+            task_fn = worker_init()
+        return self._run_threaded(tasks, task_fn, on_result=on_result)
 
     # -- serial / thread engines ------------------------------------------------
     def _run_threaded(
@@ -813,10 +788,9 @@ class TaskQueue:
         :class:`_AffinityMap`: a chunk goes to the worker that owns its
         datum, an unclaimed datum is claimed by the first free worker,
         and a worker with nothing of its own *steals* — ownership moving
-        with the steal — rather than idle.  Workers holding a warm datum
-        (OS page cache, shared-memory attach, or in-process cache) serve
-        every later chunk of it without another copy; the shipped-back
-        data-plane deltas in each outcome make the saving measurable.
+        with the steal — rather than idle.  A worker holding a warm datum
+        (its entry context, or a cache in its dataset stack) serves
+        every later chunk of it without another load.
 
         Results stream back to the parent, which owns retries and the
         ``on_result`` sink (so e.g. SQLite sees a single writer).
@@ -1077,7 +1051,7 @@ class TaskQueue:
                     slot.fut = None
                     slot.chunk = None
                     try:
-                        outcomes, plane_delta = fut.result()
+                        outcomes = fut.result()
                     except BrokenProcessPool as exc:
                         # Slot-level fault: the chunk never reported, so
                         # its tasks are not charged an attempt — they
@@ -1094,10 +1068,7 @@ class TaskQueue:
                              int(Status.TASK_FAILED), 0.0)
                             for _ in chunk
                         ]
-                        plane_delta = {}
                     progressed = True
-                    stats.bytes_copied += plane_delta.get("bytes_copied", 0)
-                    stats.bytes_mapped += plane_delta.get("bytes_mapped", 0)
                     charge_outcomes(slot, chunk, outcomes)
                 if progressed:
                     rebuilds_without_progress = 0
@@ -1180,19 +1151,13 @@ def _process_worker_init(worker_init, task_fn, worker_id: int) -> None:
 
 def _process_run_chunk(
     chunk: list[Task],
-) -> tuple[list[tuple[int, dict[str, Any] | None, str | None, int, float]], dict[str, int]]:
+) -> list[tuple[int, dict[str, Any] | None, str | None, int, float]]:
     """Execute one datum chunk sequentially in a worker process.
 
     Each outcome is ``(worker_id, payload, error, status, exec_seconds)``
     — the status code rides along so the parent's retry policy can
-    classify the failure without unpickling exception objects.  The
-    second element is the worker's data-plane counter delta for the
-    chunk (bytes copied vs mapped), shipped back so the parent's
-    ``QueueStats`` can account bytes it never saw move.
+    classify the failure without unpickling exception objects.
     """
-    from ..dataset.shm import PLANE_COUNTERS, PlaneCounters
-
-    before = PLANE_COUNTERS.snapshot()
     out: list[tuple[int, dict[str, Any] | None, str | None, int, float]] = []
     for task in chunk:
         t0 = time.perf_counter()
@@ -1211,8 +1176,4 @@ def _process_run_chunk(
                     time.perf_counter() - t0,
                 )
             )
-    delta = PlaneCounters.delta(before, PLANE_COUNTERS.snapshot())
-    return out, {
-        "bytes_copied": delta["bytes_copied"],
-        "bytes_mapped": delta["bytes_mapped"],
-    }
+    return out

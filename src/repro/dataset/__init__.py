@@ -9,15 +9,8 @@ Plugins stack Figure-2 style::
 """
 
 from .base import DatasetPlugin, StackedDataset, dataset_registry, make_dataset
-from .caches import DeviceMover, LocalCache, MemoryCache, SharedMemoryCache
-from .shm import (
-    DATA_PLANES,
-    PLANE_COUNTERS,
-    PlaneCounters,
-    SegmentInfo,
-    SharedSegmentRegistry,
-    shared_memory_available,
-)
+from .caches import DeviceMover, LocalCache, MemoryCache
+from .shm import SegmentInfo, SharedSegmentRegistry, shared_memory_available
 from .folder_loader import FolderLoader, parse_field_timestep
 from .hurricane import (
     DEFAULT_SHAPE,
@@ -43,15 +36,11 @@ from .synthetic import SyntheticDataset, standard_test_fields
 __all__ = [
     "ALL_SCIENTIFIC",
     "CESMDataset",
-    "DATA_PLANES",
     "DEFAULT_SHAPE",
     "DEFAULT_TIMESTEPS",
     "DatasetPlugin",
     "DeviceMover",
-    "PLANE_COUNTERS",
-    "PlaneCounters",
     "SegmentInfo",
-    "SharedMemoryCache",
     "SharedSegmentRegistry",
     "shared_memory_available",
     "NyxDataset",

@@ -15,7 +15,6 @@ from typing import Any, Iterator
 from ..core.data import PressioData
 from ..core.options import PressioOptions
 from ..core.registry import Registry
-from .shm import PLANE_COUNTERS
 
 #: Registry of dataset plugin factories.
 dataset_registry: Registry["DatasetPlugin"] = Registry("dataset")
@@ -98,9 +97,6 @@ class DatasetPlugin:
     def _count_load(self, data: PressioData) -> PressioData:
         self._loads += 1
         self._bytes_loaded += data.nbytes
-        # A leaf load materialises a fresh private buffer: that is a copy
-        # in data-plane terms, whatever cache tiers sit above it.
-        PLANE_COUNTERS.note_copied(data.nbytes)
         return data
 
     def __repr__(self) -> str:

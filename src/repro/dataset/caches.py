@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import uuid
 from collections import OrderedDict
 from typing import Any
 
@@ -23,7 +24,6 @@ import numpy as np
 
 from ..core.data import PressioData
 from .base import StackedDataset, dataset_registry
-from .shm import PLANE_COUNTERS, SharedSegmentRegistry
 
 
 @dataset_registry.register("memory_cache")
@@ -44,10 +44,7 @@ class MemoryCache(StackedDataset):
         if index in self._store:
             self.hits += 1
             self._store.move_to_end(index)
-            hit = self._store[index]
-            # A hit hands out the one shared frozen buffer: zero copies.
-            PLANE_COUNTERS.note_mapped(hit.nbytes)
-            return hit
+            return self._store[index]
         self.misses += 1
         data = self.inner.load_data(index)
         if data.nbytes <= self.capacity_bytes:
@@ -123,15 +120,18 @@ class LocalCache(StackedDataset):
                 # mmap_mode="r" maps the file read-only: bytes reach the
                 # consumer by page fault, not by read() into a copy.
                 arr = np.load(path, mmap_mode="r")
-                PLANE_COUNTERS.note_mapped(arr.nbytes)
             else:
                 arr = np.load(path)
-                PLANE_COUNTERS.note_copied(arr.nbytes)
             return PressioData(arr, metadata=meta)
         self.misses += 1
         data = self.inner.load_data(index)
-        tmp = path + ".tmp.npy"  # np.save appends .npy to unknown suffixes
-        np.save(tmp, data.array)  # .npy header keeps dtype + fortran_order
+        # One temp file per writer: two processes missing the same entry
+        # (a stolen group, two campaigns sharing a cache dir) must not
+        # write through one name, or the first rename publishes the
+        # other's half-written file.
+        tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+        with open(tmp, "wb") as fh:
+            np.save(fh, data.array)  # .npy header keeps dtype + fortran_order
         os.replace(tmp, path)  # atomic publish: a crash never leaves half a spill
         if self.mmap:
             # Serve the spill we just wrote so the hit and miss paths hand
@@ -155,85 +155,6 @@ class LocalCache(StackedDataset):
         out = super().get_metrics_results()
         out.merge({"local_cache:hits": self.hits, "local_cache:misses": self.misses})
         return out
-
-
-@dataset_registry.register("shared_memory_cache")
-class SharedMemoryCache(StackedDataset):
-    """Publishes loaded entries into named shared-memory segments.
-
-    The cross-*process* sibling of :class:`MemoryCache`: the first loader
-    of a datum pays one copy to publish it into a
-    ``multiprocessing.shared_memory`` segment; every other consumer — in
-    this process or a sibling worker sharing the ledger directory —
-    attaches by name and reads the same physical pages.  Returned buffers
-    are read-only views over the segment (exact dtype/order restored from
-    the ledger record), so the handoff moves zero bytes.
-
-    Lifecycle: attachments are refcounted and closed by :meth:`close`;
-    the segment *names* outlive any one process and are reclaimed by the
-    campaign owner via :meth:`unlink_all` (constructed with
-    ``owner=True``, close also unlinks).  The write-intent ledger makes
-    the sweep leak-proof even when a worker dies mid-publish.
-    """
-
-    id = "shared_memory_cache"
-
-    def __init__(
-        self,
-        inner,
-        ledger_dir: str,
-        owner: bool = False,
-        registry: SharedSegmentRegistry | None = None,
-        **options: Any,
-    ) -> None:
-        super().__init__(inner, **options)
-        # Workers must not let their own resource trackers adopt the
-        # campaign's segments (see SharedSegmentRegistry's ``track``).
-        self.registry = registry or SharedSegmentRegistry(ledger_dir, track=owner)
-        self.owner = bool(owner)
-        self.hits = 0
-        self.misses = 0
-
-    def _key(self, index: int) -> str:
-        meta = self.inner.load_metadata(index)
-        return str(meta.get("data_id") or meta.get("file") or index)
-
-    def load_data(self, index: int) -> PressioData:
-        key = self._key(index)
-        meta = self.inner.load_metadata(index)
-        found = self.registry.get(key)
-        if found is not None:
-            self.hits += 1
-            return PressioData(found[0], metadata=meta)
-        self.misses += 1
-        data = self.inner.load_data(index)
-        view, info = self.registry.publish(key, data.array)
-        if not info.name:
-            # Publish raced with a publisher that then died: ``view`` is a
-            # private fallback copy; still a correct (just uncached) load.
-            return data
-        return PressioData(view, metadata=meta)
-
-    def get_metrics_results(self):
-        out = super().get_metrics_results()
-        out.merge(
-            {
-                "shared_memory_cache:hits": self.hits,
-                "shared_memory_cache:misses": self.misses,
-            }
-        )
-        return out
-
-    def unlink_all(self) -> list[str]:
-        """Unlink every campaign segment (owner-side sweep)."""
-        return self.registry.unlink_all()
-
-    def close(self) -> None:
-        if self.owner:
-            self.registry.unlink_all()
-        else:
-            self.registry.close()
-        super().close()
 
 
 @dataset_registry.register("device")

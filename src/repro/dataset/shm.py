@@ -1,23 +1,20 @@
-"""Shared-memory segment plane for zero-copy datum handoff.
+"""Named shared-memory segments with a filesystem ledger.
 
-The process engine's original data plane re-loaded (or re-pickled) every
-datum into each worker process — a per-task copy of multi-megabyte float
-arrays that the paper's Figure-2 pipeline deliberately avoids ("same
-data routed to the same worker, loaded once, cached close to the
-compute").  This module is the substrate of the fix: loaded arrays are
-published once into named ``multiprocessing.shared_memory`` segments and
-every other consumer — same process or sibling worker — *attaches* to
-the segment by name instead of receiving a copy.
+:class:`SharedSegmentRegistry` publishes arrays once into named
+``multiprocessing.shared_memory`` segments; every other consumer — same
+process or a sibling process sharing the ledger directory — *attaches*
+to the segment by name instead of receiving a copy.  The serving tier's
+featurization cache (:mod:`repro.serve.featcache`) is built on it.
 
 Design points:
 
 * **Self-describing ledger.**  Each published segment has a JSON ledger
   entry (shape, dtype, byte order flag) in a filesystem directory shared
-  by parent and workers.  Segment names are deterministic digests of the
-  datum key, so discovery needs no coordination channel: a worker that
-  wants ``hurricane/P/3`` derives the name, finds the ledger entry, and
-  attaches.  Publication is write-intent + atomic rename, so a reader
-  never attaches to a half-filled segment and a worker killed mid-publish
+  by all participants.  Segment names are deterministic digests of the
+  key, so discovery needs no coordination channel: a process that wants
+  a key derives the name, finds the ledger entry, and attaches.
+  Publication is write-intent + atomic rename, so a reader never
+  attaches to a half-filled segment and a process killed mid-publish
   leaves an intent record the owner can sweep.
 
 * **Refcounted attachment registry.**  Within a process, attachments are
@@ -27,15 +24,12 @@ Design points:
   gracefully (``BufferError`` means a view is still alive; the mapping
   then dies with the process).
 
-* **Unlink-on-close lifecycle.**  Segments are *owned by the campaign*,
-  not by whichever worker happened to publish them: ``unlink_all()``
-  sweeps the ledger (including intent records from crashed workers) and
-  unlinks every named segment — leak-proof even when a ChaosPlan kills a
-  worker between segment creation and ledger publication.
-
-* **Accounting.**  The module-global :data:`PLANE_COUNTERS` tallies
-  bytes moved by copy versus bytes served zero-copy; engines snapshot it
-  around task execution so ``QueueStats`` can report the win.
+* **Unlink-on-close lifecycle.**  Segments are *owned by whoever owns
+  the ledger directory*, not by whichever process happened to publish
+  them: ``unlink_all()`` sweeps the ledger (including intent records
+  from crashed publishers) and unlinks every named segment — leak-proof
+  even when a publisher dies between segment creation and ledger
+  publication.
 """
 
 from __future__ import annotations
@@ -55,9 +49,6 @@ try:  # pragma: no cover - stdlib, but gate for exotic builds
 except ImportError:  # pragma: no cover
     _shared_memory = None
 
-#: The three data planes the bench understands.
-DATA_PLANES = ("pickle", "mmap", "shm")
-
 #: Publish stages an injected fault hook can interrupt (chaos tests kill
 #: the publisher at each one to prove readers never see a torn segment):
 #: after the write-intent record exists, after the segment is created
@@ -69,65 +60,6 @@ SHM_FAULT_POINTS = ("intent", "segment", "filled")
 def shared_memory_available() -> bool:
     """Whether ``multiprocessing.shared_memory`` can be used here."""
     return _shared_memory is not None
-
-
-class PlaneCounters:
-    """Process-wide tally of bytes moved by copy vs served zero-copy.
-
-    ``copied`` counts bytes materialised as a private buffer (a leaf
-    load, a full ``.npy`` read, the one-time publish copy into a shared
-    segment).  ``mapped`` counts bytes served without a copy (a shared
-    in-RAM entry, an ``np.memmap`` page-in, a shared-memory attach).
-    """
-
-    __slots__ = ("_lock", "bytes_copied", "bytes_mapped", "segments_created",
-                 "segments_attached")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.bytes_copied = 0  # guarded-by: _lock
-        self.bytes_mapped = 0  # guarded-by: _lock
-        self.segments_created = 0  # guarded-by: _lock
-        self.segments_attached = 0  # guarded-by: _lock
-
-    def note_copied(self, nbytes: int) -> None:
-        with self._lock:
-            self.bytes_copied += int(nbytes)
-
-    def note_mapped(self, nbytes: int) -> None:
-        with self._lock:
-            self.bytes_mapped += int(nbytes)
-
-    def note_segment(self, *, created: bool) -> None:
-        with self._lock:
-            if created:
-                self.segments_created += 1
-            else:
-                self.segments_attached += 1
-
-    def snapshot(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "bytes_copied": self.bytes_copied,
-                "bytes_mapped": self.bytes_mapped,
-                "segments_created": self.segments_created,
-                "segments_attached": self.segments_attached,
-            }
-
-    @staticmethod
-    def delta(before: dict[str, int], after: dict[str, int]) -> dict[str, int]:
-        return {k: after[k] - before.get(k, 0) for k in after}
-
-    def reset(self) -> None:
-        with self._lock:
-            self.bytes_copied = 0
-            self.bytes_mapped = 0
-            self.segments_created = 0
-            self.segments_attached = 0
-
-
-#: One tally per process; worker processes ship deltas back to the parent.
-PLANE_COUNTERS = PlaneCounters()
 
 
 @dataclass(frozen=True)
@@ -181,7 +113,7 @@ def _array_order(array: np.ndarray) -> str:
 
 
 class SharedSegmentRegistry:
-    """Publish/attach/unlink named shared-memory segments for one campaign.
+    """Publish/attach/unlink named shared-memory segments under one ledger.
 
     Parameters
     ----------
@@ -189,14 +121,14 @@ class SharedSegmentRegistry:
         Directory (shared between parent and workers — a path, not a
         handle) holding one ``<segment>.json`` record per published
         segment plus ``<segment>.intent`` write-intent records.  The
-        directory's path also namespaces segment names, so two campaigns
+        directory's path also namespaces segment names, so two ledgers
         on one node cannot collide.
     attach_timeout:
         Seconds to wait for a concurrent publisher to finish before the
         caller falls back to loading its own copy.
     track:
         Whether segments stay registered with this process's
-        ``resource_tracker``.  The campaign *owner* keeps tracking as a
+        ``resource_tracker``.  The ledger *owner* keeps tracking as a
         crash safety net (if the owner dies, its tracker sweeps).
         Workers must pass ``False``: CPython < 3.13 registers on attach
         as well as create, each forked worker lazily spawns its *own*
@@ -209,7 +141,7 @@ class SharedSegmentRegistry:
         segment removed) so the key becomes publishable again.  Long-
         running consumers (the serving featurization cache) need this:
         without it, one crashed writer would make its key permanently
-        unpublishable until the campaign-end sweep.
+        unpublishable until the owner's final sweep.
     fault_hook:
         Test-only callable invoked at each :data:`SHM_FAULT_POINTS`
         stage of a publish; chaos tests raise/``os._exit`` from it to
@@ -265,12 +197,11 @@ class SharedSegmentRegistry:
             entry = self._attached.get(name)
             if entry is not None:
                 entry[2] += 1
-                PLANE_COUNTERS.note_mapped(entry[1].nbytes)
                 return self._view(entry[0], entry[1]), entry[1]
         info = self._read_ledger(name)
         if info is None:
             return None
-        return self._attach(info, copied=False)
+        return self._attach(info)
 
     def publish(self, key: str, array: np.ndarray) -> tuple[np.ndarray, SegmentInfo]:
         """Publish *array* under *key* (or attach if already published).
@@ -317,15 +248,13 @@ class SharedSegmentRegistry:
             os.remove(intent)
             return self._await_publisher(name, key, array)
         if not self.track:
-            # Worker-side publish: the segment belongs to the campaign
+            # Worker-side publish: the segment belongs to the ledger
             # owner's sweep, not to this process's resource tracker.
             self._tracker_call("unregister", name)
         self._fault("segment", key)
         dst = np.ndarray(info.shape, dtype=np.dtype(info.dtype),
                          buffer=seg.buf, order=info.order)
         dst[...] = array
-        PLANE_COUNTERS.note_copied(info.nbytes)  # the one-time publish copy
-        PLANE_COUNTERS.note_segment(created=True)
         self._fault("filled", key)
         # Atomic publish: the ledger record appears only once the payload
         # is fully written.
@@ -349,14 +278,13 @@ class SharedSegmentRegistry:
         while time.monotonic() < deadline:
             info = self._read_ledger(name)
             if info is not None:
-                return self._attach(info, copied=False)
+                return self._attach(info)
             time.sleep(0.005)
         # Publisher died mid-write (or is wedged): serve a private copy
         # so the task still runs.  Provably-stale intents are reclaimed
-        # here so the key becomes publishable again before the campaign-
-        # end sweep (the serving cache republishes on the next miss).
+        # here so the key becomes publishable again before the owner's
+        # final sweep (the serving cache republishes on the next miss).
         self.reclaim_stale_intent(name)
-        PLANE_COUNTERS.note_copied(array.nbytes)
         return array, SegmentInfo(
             name="", shape=tuple(array.shape), dtype=array.dtype.str,
             order=_array_order(array), nbytes=int(array.nbytes), key=key,
@@ -388,9 +316,7 @@ class SharedSegmentRegistry:
         self._unlink_segment(name)
         return True
 
-    def _attach(
-        self, info: SegmentInfo, *, copied: bool
-    ) -> tuple[np.ndarray, SegmentInfo]:
+    def _attach(self, info: SegmentInfo) -> tuple[np.ndarray, SegmentInfo]:
         seg = _shared_memory.SharedMemory(name=info.name, create=False)
         self._untrack_attachment(info.name)
         with self._lock:
@@ -402,9 +328,6 @@ class SharedSegmentRegistry:
                 seg, info = entry[0], entry[1]
             else:
                 self._attached[info.name] = [seg, info, 1]
-        if not copied:
-            PLANE_COUNTERS.note_mapped(info.nbytes)
-            PLANE_COUNTERS.note_segment(created=False)
         return self._view(seg, info), info
 
     @staticmethod
@@ -422,7 +345,7 @@ class SharedSegmentRegistry:
         CPython < 3.13 registers on *attach* as well as create.  For an
         untracked (worker-side) registry that registration must always
         go: a forked worker lazily spawns its own tracker, and a killed
-        worker's tracker would unlink the campaign's live segments.  A
+        worker's tracker would unlink live segments its siblings still use.  A
         tracked (owner-side) registry keeps fork-shared registrations as
         a crash safety net and only untracks where each attacher is
         guaranteed its own tracker (no ``fork``; bpo-39959).
@@ -574,7 +497,7 @@ class SharedSegmentRegistry:
     def unlink_all(self) -> list[str]:
         """Unlink every ledger-known segment; returns the names removed.
 
-        This is the campaign-end (and crash-sweep) path: intent records
+        This is the owner-shutdown (and crash-sweep) path: intent records
         from workers killed mid-publish are honoured too, so a chaos run
         cannot leak ``/dev/shm`` names.  Safe to call repeatedly and from
         a process that never attached anything.
@@ -599,10 +522,7 @@ class SharedSegmentRegistry:
 
 
 __all__ = [
-    "DATA_PLANES",
-    "PLANE_COUNTERS",
     "SHM_FAULT_POINTS",
-    "PlaneCounters",
     "SegmentInfo",
     "SharedSegmentRegistry",
     "shared_memory_available",

@@ -29,7 +29,7 @@ class BruteForceRunner(ExperimentRunner):
     """An :class:`ExperimentRunner` that keeps nothing between tasks."""
 
     def run_task(self, task: Task, worker: int = 0) -> dict[str, Any]:
-        data = self._plane_dataset.load_data(task.data_index)
+        data = self.dataset.load_data(task.data_index)
         eb = float(task.compressor_options["pressio:abs"])
         if self.relative_bounds:
             arr = data.array

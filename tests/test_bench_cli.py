@@ -199,6 +199,51 @@ class TestReportCommand:
         assert "no observations" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {},
+            # What a build with the three data planes persisted.
+            {"data_plane": "shm", "bytes_copied": 5242880, "bytes_mapped": 0},
+        ],
+        ids=["new-shape", "old-shape"],
+    )
+    def test_report_renders_old_and_new_last_run_stats(self, tmp_path, capsys, extra):
+        """A checkpoint's ``last_run_stats`` renders whichever build wrote
+        it: stale keys are ignored, and the affinity line appears only
+        for an engine that has an affinity map."""
+        from repro.bench import CheckpointStore, harness_lines
+
+        stats = {
+            "engine": "process",
+            "stage_summary": {"queue_wait": 0.0, "execute": 0.5, "checkpoint": 0.1},
+            "affinity_hits": 3,
+            "affinity_misses": 1,
+            "affinity_steals": 0,
+            "affinity_hit_rate": 0.75,
+            **extra,
+        }
+        lines = harness_lines(stats)
+        assert lines[0].startswith("harness[process]: ")
+        assert lines[1:] == ["affinity[process]: 75% (steals 0)"]
+        serial = harness_lines({**stats, "engine": "serial"})
+        assert len(serial) == 1 and serial[0].startswith("harness[serial]: ")
+
+        ck = str(tmp_path / "campaign.db")
+        base = ["--schemes", "khan2023", "--compressors", "szx", "--folds", "2"]
+        assert main(["run", *base, "--bounds", "1e-4", "--shape", "8", "8", "4",
+                     "--timesteps", "2", "--fields", "P", "U", "--checkpoint", ck]) == 0
+        store = CheckpointStore(ck)
+        store.set_meta("last_run_stats", json.dumps(stats))
+        store.close()
+        capsys.readouterr()
+        assert main(["report", ck, *base, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["harness"] == stats
+        assert main(["report", ck, *base]) == 0
+        out = capsys.readouterr().out
+        assert lines[0] in out and lines[1] in out and "plane" not in out
+
+
 class TestServeCommands:
     def test_serve_and_publish_flags_parse(self):
         args = build_parser().parse_args(

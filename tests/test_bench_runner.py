@@ -1,11 +1,14 @@
 """Tests for the experiment runner: collection, checkpoints, Table 2."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
 
 from repro.bench import (
+    ChaosPlan,
     CheckpointStore,
     ExperimentRunner,
     FaultInjector,
@@ -15,6 +18,7 @@ from repro.bench import (
     rows_to_records,
 )
 from repro.dataset import HurricaneDataset
+from tests.reference_runner import comparable
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +211,42 @@ class TestEvaluation:
         records = rows_to_records(rows)
         assert len(records) == len(rows)
         assert all("medape_pct" in r for r in records)
+
+
+def _names(directory, prefix):
+    try:
+        return {n for n in os.listdir(directory) if n.startswith(prefix)}
+    except FileNotFoundError:  # pragma: no cover - no tmpfs /dev/shm here
+        return set()
+
+
+@pytest.mark.parametrize("chaos_spec", [None, "crash:1.0"], ids=["normal", "crash"])
+def test_process_collect_has_one_data_path(tmp_path, chaos_spec):
+    """The worker's load is ``dataset.load_data`` and nothing else: a
+    process-engine collect() — also one whose workers are all killed
+    once — creates no shared-memory segment and no handoff directory,
+    and observes what the serial engine observes."""
+
+    def runner(queue):
+        ds = HurricaneDataset(shape=(8, 8, 4), timesteps=[0], fields=["P", "U"])
+        return ExperimentRunner(ds, compressors=("szx",), bounds=(1e-4, 1e-3),
+                                schemes=("tao2019", "khan2023"), queue=queue)
+
+    expected, _, _ = runner(TaskQueue(1, "serial")).collect()
+    shm_before = _names("/dev/shm", "psio")
+    tmp_before = _names(tempfile.gettempdir(), "repro-data-plane-")
+    chaos = None
+    if chaos_spec:
+        chaos = ChaosPlan.from_spec(chaos_spec, seed=7, state_dir=str(tmp_path))
+    observations, stats, failures = runner(
+        TaskQueue(2, "process", max_pool_rebuilds=10)
+    ).collect(chaos=chaos)
+    assert failures == [] and stats.failed == 0
+    if chaos:
+        assert stats.pool_rebuilds >= 1 and chaos.injected_counts()["crash"] >= 1
+    assert comparable(observations) == comparable(expected)
+    assert _names("/dev/shm", "psio") == shm_before
+    assert _names(tempfile.gettempdir(), "repro-data-plane-") == tmp_before
 
 
 class TestFaultDomainCollection:
