@@ -13,7 +13,7 @@ fired during the run.
 
 :class:`LocksetWitness` extends :class:`~repro.analysis.witness.
 LockOrderWitness`, so it drops into the existing ``lock_witness=``
-seams (TaskQueue, CheckpointStore, FeaturizationCache) and still does
+seams (CheckpointStore, FeaturizationCache) and still does
 cycle detection::
 
     witness = LocksetWitness()

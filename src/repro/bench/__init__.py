@@ -1,8 +1,9 @@
 """LibPressio-Predict-Bench: scalable, resilient training & evaluation.
 
 Components (§4.3): a SQLite :class:`CheckpointStore` keyed by stable
-option hashes; a :class:`TaskQueue` with locality-aware scheduling and
-retry-based fault tolerance; a discrete-event :class:`SimulatedCluster`
+option hashes; a :class:`TaskQueue` with locality-aware scheduling
+whose three engines (serial, process, cluster) share one retry/fault
+ledger; a discrete-event :class:`SimulatedCluster`
 standing in for multi-node MPI runs; and the :class:`ExperimentRunner`
 producing Table-2-shaped results under k-fold cross-validation.
 """

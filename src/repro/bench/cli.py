@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import time
-from typing import Sequence
+from typing import Any, Sequence
 
 from ..core.compressor import compressor_registry
 from ..dataset.hurricane import HurricaneDataset
@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--workers", type=int, default=1)
     run.add_argument(
-        "--engine", choices=["serial", "thread", "process"], default="serial",
+        "--engine", choices=["serial", "process"], default="serial",
         help="collection engine; 'process' uses a worker-process pool with "
         "per-worker dataset/compressor initialization",
     )
@@ -130,8 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--task-timeout", type=float, default=None,
-        help="per-task deadline in seconds; overdue thread tasks are "
-        "abandoned by a watchdog, overdue process groups recycle the pool",
+        help="per-task deadline in seconds (> 0); the serial engine interrupts "
+        "an overdue task (SIGALRM), the process engine charges an overdue "
+        "chunk a TIMEOUT attempt per task and recycles that worker's slot",
     )
     run.add_argument(
         "--chaos", default=None, metavar="SPEC",
@@ -165,10 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
     collect.add_argument("--flush-interval", type=float, default=None)
     collect.add_argument("--workers", type=int, default=2,
                          help="worker ranks to spawn (cluster spawn mode) or "
-                         "pool size (thread/process engines)")
+                         "pool size (process engine)")
     collect.add_argument(
-        "--engine", choices=["serial", "thread", "process", "cluster"],
-        default="cluster",
+        "--engine", choices=["serial", "process", "cluster"], default="cluster",
     )
     collect.add_argument("--chunk-size", type=int, default=None)
     collect.add_argument("--max-retries", type=int, default=2)
@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
         "re-collect; already-checkpointed tasks are not re-run)",
     )
     loop.add_argument("--workers", type=int, default=1)
-    loop.add_argument("--engine", choices=["serial", "thread", "process"],
+    loop.add_argument("--engine", choices=["serial", "process"],
                       default="serial")
     loop.add_argument("--verify-n", type=int, default=4,
                       help="rows for the publish-time round-trip proof")
@@ -442,17 +442,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _queue_from_args(args: argparse.Namespace, **extra: Any) -> TaskQueue:
+    """The collection queue the ``run``/``collect`` flags describe; a
+    value the queue rejects is a usage error (exit 2, like argparse)."""
+    try:
+        return TaskQueue(
+            args.workers,
+            args.engine,
+            retry_policy=RetryPolicy(
+                max_retries=args.max_retries,
+                base_delay=args.retry_base_delay,
+                seed=args.chaos_seed,
+            ),
+            task_timeout=args.task_timeout,
+            chunk_size=args.chunk_size,
+            **extra,
+        )
+    except ValueError as exc:
+        print(f"predict-bench: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     dataset = HurricaneDataset(
         shape=tuple(args.shape),
         timesteps=args.timesteps,
         fields=args.fields,
     )
-    policy = RetryPolicy(
-        max_retries=args.max_retries,
-        base_delay=args.retry_base_delay,
-        seed=args.chaos_seed,
-    )
+    queue = _queue_from_args(args)
     runner = ExperimentRunner(
         dataset,
         compressors=args.compressors,
@@ -464,13 +481,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             flush_every=args.flush_every,
             flush_interval=args.flush_interval,
         ),
-        queue=TaskQueue(
-            args.workers,
-            args.engine,
-            retry_policy=policy,
-            task_timeout=args.task_timeout,
-            chunk_size=args.chunk_size,
-        ),
+        queue=queue,
         n_folds=args.folds,
         protocol=args.protocol,
     )
@@ -562,19 +573,8 @@ def cmd_collect(args: argparse.Namespace) -> int:
             queue = TaskQueue(args.workers, "cluster", cluster=cluster)
             queue.run([], None)
             return 0
-    policy = RetryPolicy(
-        max_retries=args.max_retries,
-        base_delay=args.retry_base_delay,
-        seed=args.chaos_seed,
-    )
-    queue = TaskQueue(
-        args.workers,
-        args.engine,
-        retry_policy=policy,
-        task_timeout=args.task_timeout,
-        max_pool_rebuilds=args.max_pool_rebuilds,
-        chunk_size=args.chunk_size,
-        cluster=cluster,
+    queue = _queue_from_args(
+        args, max_pool_rebuilds=args.max_pool_rebuilds, cluster=cluster
     )
     dataset = HurricaneDataset(
         shape=tuple(args.shape), timesteps=args.timesteps, fields=args.fields

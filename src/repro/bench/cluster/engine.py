@@ -1,22 +1,18 @@
 """The rank-0 coordinator: dispatch, supervise, merge.
 
 This is the ``cluster`` engine behind the :class:`TaskQueue` seam —
-the multi-node analog of the pinned process engine, with the same
-scheduling brain (datum-affinity chunks routed by
-:class:`~repro.bench.taskqueue._AffinityMap`, uncharged requeue on
-infrastructure faults, the crash-loop cap) pointed at worker *ranks*
-instead of worker processes:
+the multi-node analog of the pinned process engine, driving the same
+:class:`~repro.bench.taskledger.TaskLedger` (datum-affinity chunks,
+retry charging, uncharged requeue on infrastructure faults, the
+crash-loop cap) with worker *ranks* instead of worker processes.  What
+lives here is the mechanics:
 
-* **dispatch** — tasks group by ``data_id``, cut into ``chunk_size``
-  batches, and route to the rank that owns the datum (idle ranks steal,
-  ownership moves with the steal);
+* **dispatch** — every idle rank takes the ledger's best-affinity chunk
+  over the transport;
 * **supervision** — a rank is declared dead on connection loss (TCP
-  EOF) or heartbeat staleness.  Its in-flight batch is requeued
-  *uncharged* — the rank failed, not the tasks — as single-task batches,
-  so chaos-heavy campaigns keep fine-grained progress.  In spawn mode
-  the dead rank is respawned; consecutive deaths without any completed
-  batch count toward ``max_pool_rebuilds`` and abort the campaign with a
-  diagnosis instead of crash-looping;
+  EOF), heartbeat staleness, or a chunk overrunning its deadline; the
+  ledger takes its in-flight chunk back and, in spawn mode, the rank is
+  respawned until the ledger's crash-loop cap aborts the campaign;
 * **merge** — when the campaign drains, the per-rank checkpoint shards
   fold into the primary store (checksum-verified, last-writer-wins,
   idempotent — see :mod:`repro.bench.cluster.shards`).
@@ -39,10 +35,9 @@ import sys
 import tempfile
 import time
 import warnings
-from collections import defaultdict, deque
 from typing import Any, Callable
 
-from ...core.errors import Status, error_status
+from ..taskledger import TaskLedger
 from ..tasks import Task
 from .shards import discover_shards, merge_shards, shard_path
 from .spec import ClusterSpec, parse_hostport
@@ -60,19 +55,6 @@ from .worker import SHARD_FLUSH_EVERY, run_worker
 #: work is drained; a rank that cannot say goodbye in this window is
 #: abandoned — its shard meta already holds its stats).
 BYE_TIMEOUT = 10.0
-
-
-class _RankSlot:
-    """Coordinator-side view of one worker rank."""
-
-    __slots__ = ("rank", "chunk", "submitted", "perf_submitted", "last_seen")
-
-    def __init__(self, rank: int) -> None:
-        self.rank = rank
-        self.chunk: list[Task] | None = None
-        self.submitted = 0.0
-        self.perf_submitted = 0.0
-        self.last_seen = time.monotonic()
 
 
 def _spawn_worker(rank: int, host: str, port: int) -> subprocess.Popen:
@@ -111,10 +93,10 @@ def _worker_transport(spec: ClusterSpec):
 
 def run_cluster(
     queue,
+    ledger: TaskLedger,
     tasks: list[Task],
     task_fn: Callable[[Task, int], dict[str, Any]] | None,
     *,
-    on_result: Callable[[Any], None] | None = None,
     worker_init: Callable[[], Callable[[Task, int], dict[str, Any]]] | None = None,
     chaos=None,
     merge_store=None,
@@ -125,13 +107,11 @@ def run_cluster(
     carry ``payload=None`` — payloads live in the rank shards and reach
     *merge_store* through the merge, keeping the control plane thin.
     """
-    from ..taskqueue import QueueStats, TaskResult
-
     spec: ClusterSpec = queue.cluster
     mode = spec.resolve()
     if mode is None:  # pragma: no cover - the queue downgrades first
         raise RuntimeError("cluster engine invoked with no resolvable deployment")
-    stats = QueueStats(engine="cluster", requested_engine=queue.requested_engine)
+    stats = ledger.stats
 
     # Launched worker rank: serve, then hand back an empty result set —
     # only rank 0 owns results, merging, and reporting.
@@ -141,10 +121,9 @@ def run_cluster(
             run_worker(transport, rank=spec.rank)
         finally:
             transport.close()
-        return [], stats
+        return ledger.outcome()
 
     # ---- coordinator side ------------------------------------------------------
-    policy = queue.retry_policy
     if spec.shard_dir is None:
         spec.shard_dir = tempfile.mkdtemp(prefix="cluster-shards-")
     shard_dir = spec.shard_dir
@@ -164,155 +143,43 @@ def run_cluster(
         for rank in sorted(worker_ranks):
             procs[rank] = _spawn_worker(rank, coordinator.host, coordinator.port)
 
-    results: list[TaskResult] = []
-    attempts: dict[str, int] = defaultdict(int)
-
-    def finish(result: TaskResult) -> None:
-        if on_result is not None:
-            t0 = time.perf_counter()
-            try:
-                on_result(result)
-            except Exception as exc:  # noqa: BLE001 - callback isolation
-                if result.ok:
-                    result = TaskResult(
-                        result.task,
-                        result.worker,
-                        error=f"on_result {type(exc).__name__}: {exc}",
-                        attempts=result.attempts,
-                        status=error_status(exc),
-                    )
-            stats.checkpoint_seconds += time.perf_counter() - t0
-        results.append(result)
-        stats.completed += result.ok
-        stats.failed += not result.ok
-        if result.worker >= 0:
-            stats.per_worker[result.worker] = stats.per_worker.get(result.worker, 0) + 1
-
-    # Group by datum, cut into dispatch chunks (same shape as the
-    # process engine so affinity behaviour is comparable across engines).
-    groups: dict[str, list[Task]] = {}
-    for task in tasks:
-        groups.setdefault(task.data_id, []).append(task)
-    pending_chunks: deque[list[Task]] = deque()
-    for group in groups.values():
-        if queue.chunk_size is None:
-            pending_chunks.append(group)
-        else:
-            for i in range(0, len(group), queue.chunk_size):
-                pending_chunks.append(group[i : i + queue.chunk_size])
-
-    from ..taskqueue import _AffinityMap
-
-    affinity = _AffinityMap()
-    slots: dict[int, _RankSlot] = {}
-    ready: set[int] = set()
-    delayed: list[tuple[float, list[Task]]] = []
-    deaths_without_progress = 0
-    aborted = False
+    # Same chunk shape as the process engine, so affinity behaviour is
+    # comparable across engines.
+    ledger.enqueue(tasks, queue.chunk_size)
+    #: rank → monotonic time of its last message (admitted ranks only).
+    last_seen: dict[int, float] = {}
     draining = False
 
-    def init_msg(rank: int) -> dict[str, Any]:
-        return {
-            "op": "init",
-            "worker_init": worker_init,
-            "task_fn": task_fn,
-            "chaos": chaos,
-            "shard_path": shard_path(shard_dir, rank),
-            "heartbeat_interval": spec.heartbeat_interval,
-            "flush_every": SHARD_FLUSH_EVERY,
-        }
-
-    def admit(rank: int) -> bool:
+    def admit(rank: int) -> None:
         """Initialise a newly connected (or respawned) rank."""
         try:
-            coordinator.send(rank, init_msg(rank))
+            coordinator.send(
+                rank,
+                {
+                    "op": "init",
+                    "worker_init": worker_init,
+                    "task_fn": task_fn,
+                    "chaos": chaos,
+                    "shard_path": shard_path(shard_dir, rank),
+                    "heartbeat_interval": spec.heartbeat_interval,
+                    "flush_every": SHARD_FLUSH_EVERY,
+                },
+            )
         except TransportError:
-            return False
-        slots.setdefault(rank, _RankSlot(rank)).last_seen = time.monotonic()
-        ready.add(rank)
-        return True
+            return
+        last_seen[rank] = time.monotonic()
 
-    def fail_remaining(diagnosis: str) -> None:
-        nonlocal aborted
-        aborted = True
-        for slot in slots.values():
-            if slot.chunk is not None:
-                pending_chunks.append(slot.chunk)
-                slot.chunk = None
-        for _, chunk in delayed:
-            pending_chunks.append(chunk)
-        delayed.clear()
-        while pending_chunks:
-            for task in pending_chunks.popleft():
-                finish(
-                    TaskResult(
-                        task,
-                        -1,
-                        error=diagnosis,
-                        attempts=max(attempts[task.key()], 1),
-                        status=int(Status.TASK_FAILED),
-                    )
-                )
-
-    def on_rank_death(rank: int, *, requeue: bool = True) -> None:
-        nonlocal deaths_without_progress
-        ready.discard(rank)
+    def on_rank_death(rank: int, cause: str) -> None:
+        del last_seen[rank]
         coordinator.drop_rank(rank)
         proc = procs.pop(rank, None)
         if proc is not None and proc.poll() is None:
             proc.terminate()  # hung rather than dead: reclaim the process
-        slot = slots.get(rank)
-        if slot is not None and slot.chunk is not None:
-            if requeue:
-                # Uncharged — the rank failed, not the tasks.  Single-task
-                # requeue keeps progress granular under heavy chaos: one
-                # completed task resets the crash-loop counter even when
-                # the original batch keeps finding new ways to die.
-                for task in slot.chunk:
-                    pending_chunks.append([task])
-            slot.chunk = None
-        affinity.forget_worker(rank)
         stats.rank_deaths += 1
-        deaths_without_progress += 1
-        if deaths_without_progress > queue.max_pool_rebuilds:
-            fail_remaining(
-                "TaskFailedError: worker ranks died "
-                f"{deaths_without_progress} consecutive times without "
-                "completing any batch; the cluster is crash-looping — "
-                "aborting the campaign"
-            )
-            return
-        if mode == "spawn" and not draining:
+        ledger.worker_died(rank, cause)
+        if mode == "spawn" and not (ledger.aborted or draining):
             procs[rank] = _spawn_worker(rank, coordinator.host, coordinator.port)
             stats.rank_restarts += 1
-
-    def charge_outcomes(slot: _RankSlot, chunk: list[Task], outcomes) -> None:
-        exec_total = 0.0
-        wall = time.perf_counter() - slot.perf_submitted
-        for task, (rank, payload, error, status, exec_s) in zip(chunk, outcomes):
-            exec_total += exec_s
-            stats.execute_seconds += exec_s
-            key = task.key()
-            attempts[key] += 1
-            if error is None:
-                finish(TaskResult(task, rank, payload=payload, attempts=attempts[key]))
-            elif policy.should_retry(status, attempts[key]):
-                stats.retries += 1
-                delay = policy.delay(key, attempts[key])
-                if delay > 0.0:
-                    stats.backoff_seconds += delay
-                    delayed.append((time.monotonic() + delay, [task]))
-                else:
-                    pending_chunks.append([task])
-            else:
-                if policy.is_permanent(status):
-                    stats.quarantined += 1
-                finish(
-                    TaskResult(
-                        task, rank, error=error, attempts=attempts[key], status=status
-                    )
-                )
-        stats.queue_wait_seconds += max(wall - exec_total, 0.0)
 
     try:
         # ---- rendezvous --------------------------------------------------------
@@ -327,130 +194,69 @@ def run_cluster(
             )
         for rank in sorted(arrived):
             admit(rank)
-        if not ready and (pending_chunks or delayed):
-            fail_remaining(
+        if not last_seen and not ledger.drained:
+            ledger.fail_remaining(
                 "TaskFailedError: no cluster worker rank arrived within "
                 f"{spec.worker_startup_timeout:g}s — campaign cannot start"
             )
 
         # ---- dispatch / supervision loop ---------------------------------------
-        while not aborted:
-            now = time.monotonic()
-            if delayed:
-                still_delayed = []
-                for ready_at, chunk in delayed:
-                    if ready_at <= now:
-                        pending_chunks.append(chunk)
-                    else:
-                        still_delayed.append((ready_at, chunk))
-                delayed = still_delayed
+        while not (ledger.aborted or ledger.drained):
+            ledger.promote_delayed()
 
             # Respawned (or late) ranks say hello asynchronously; fold
             # them in as they appear.  MPI worlds never grow.
             if mode != "mpi":
-                for rank in coordinator.connected_ranks() - ready:
+                for rank in coordinator.connected_ranks() - last_seen.keys():
                     if rank in worker_ranks:
                         admit(rank)
 
-            in_flight = any(slot.chunk is not None for slot in slots.values())
-            if not pending_chunks and not delayed and not in_flight:
-                break  # drained
-            if not ready and not procs:
-                fail_remaining(
+            if not last_seen and not procs:
+                ledger.fail_remaining(
                     "TaskFailedError: every cluster worker rank died and "
                     "none can be respawned — aborting the campaign"
                 )
                 break
 
-            for rank in sorted(ready):
-                slot = slots[rank]
-                if slot.chunk is not None or not pending_chunks:
+            for rank in sorted(last_seen):
+                if rank in ledger.in_flight:
                     continue
-                chunk = affinity.pick(rank, pending_chunks)
+                chunk = ledger.dispatch(rank)
                 if chunk is None:
-                    continue
-                slot.chunk = chunk
-                slot.submitted = time.monotonic()
-                slot.perf_submitted = time.perf_counter()
+                    break
                 try:
                     coordinator.send(rank, {"op": "run", "tasks": chunk})
-                except TransportError:
-                    on_rank_death(rank)  # requeues the chunk uncharged
+                except TransportError as exc:
+                    on_rank_death(rank, f"send failed: {exc}")
 
             event = coordinator.poll(timeout=0.05)
             if event is not None:
                 rank, msg = event
-                slot = slots.get(rank)
-                if msg is RANK_DEAD:
-                    if rank in ready or (slot is not None and slot.chunk is not None):
-                        on_rank_death(rank)
-                elif slot is not None:
-                    slot.last_seen = time.monotonic()
-                    op = msg.get("op")
-                    if op == "result":
-                        chunk = slot.chunk
-                        slot.chunk = None
-                        if chunk is not None:
-                            deaths_without_progress = 0
-                            charge_outcomes(slot, chunk, msg["outcomes"])
+                if rank not in last_seen:
+                    pass  # a rank already written off (or never admitted)
+                elif msg is RANK_DEAD:
+                    on_rank_death(rank, "connection lost")
+                else:
+                    last_seen[rank] = time.monotonic()
                     # Heartbeats only refresh last_seen; stray byes (a
                     # rank stopping early) are ignored here.
+                    if msg.get("op") == "result" and rank in ledger.in_flight:
+                        ledger.charge_chunk(rank, msg["outcomes"])
 
-            now = time.monotonic()
             # Heartbeat staleness: a silent rank is a dead rank.
-            for rank in sorted(ready):
-                slot = slots[rank]
-                if now - slot.last_seen > spec.heartbeat_timeout:
-                    on_rank_death(rank)
-                    if aborted:
-                        break
-            if aborted:
-                break
-
-            if queue.task_timeout is not None:
-                # One deadline per task plus startup grace, like the
-                # process engine.  An overrun batch is *charged* (the
-                # task may itself be the hang), then the rank is killed.
-                for rank in sorted(ready):
-                    slot = slots[rank]
-                    chunk = slot.chunk
-                    if chunk is None:
-                        continue
-                    if now - slot.submitted <= queue.task_timeout * (len(chunk) + 1):
-                        continue
-                    retry_chunk: list[Task] = []
-                    for task in chunk:
-                        key = task.key()
-                        attempts[key] += 1
-                        stats.timeouts += 1
-                        if policy.should_retry(int(Status.TIMEOUT), attempts[key]):
-                            stats.retries += 1
-                            retry_chunk.append(task)
-                        else:
-                            finish(
-                                TaskResult(
-                                    task,
-                                    -1,
-                                    error=(
-                                        "TaskTimeoutError: batch exceeded "
-                                        f"{queue.task_timeout:g}s/task deadline "
-                                        f"on rank {rank}"
-                                    ),
-                                    attempts=attempts[key],
-                                    status=int(Status.TIMEOUT),
-                                )
-                            )
-                    for task in retry_chunk:
-                        pending_chunks.append([task])
-                    slot.chunk = None  # already charged above
-                    on_rank_death(rank, requeue=False)
-                    if aborted:
-                        break
+            now = time.monotonic()
+            for rank in sorted(last_seen):
+                if now - last_seen[rank] > spec.heartbeat_timeout:
+                    on_rank_death(rank, "heartbeat timeout")
+            # An overrun chunk is *charged* (the task may itself be the
+            # hang), then the rank holding it is killed.
+            for rank in ledger.charge_overdue():
+                on_rank_death(rank, "hung rank (deadline exceeded)")
 
         # ---- drain: stop → bye -------------------------------------------------
         draining = True
         awaiting_bye: set[int] = set()
-        for rank in sorted(ready):
+        for rank in sorted(last_seen):
             try:
                 coordinator.send(rank, {"op": "stop"})
                 awaiting_bye.add(rank)
@@ -479,19 +285,13 @@ def run_cluster(
                 proc.kill()
                 proc.wait(timeout=5.0)
 
-    stats.affinity_hits = affinity.hits
-    stats.affinity_misses = affinity.misses
-    stats.affinity_steals = affinity.steals
-    stats.locality_hits = affinity.hits
-    stats.locality_misses = affinity.misses
-
     # ---- shard merge -----------------------------------------------------------
     if merge_store is not None:
         report = merge_shards(merge_store, discover_shards(shard_dir))
         stats.shards_merged = report.shards
         stats.merge_replaced = report.replaced
         stats.merge_quarantined = report.quarantined_total
-    return results, stats
+    return ledger.outcome()
 
 
 __all__ = ["BYE_TIMEOUT", "run_cluster"]

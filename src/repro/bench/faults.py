@@ -29,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
-import threading
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -137,21 +136,16 @@ class FaultInjector:
         self.seen: dict[str, int] = defaultdict(int)
         self.injected = 0
         self._counter = 0
-        self._lock = threading.Lock()
 
     def __call__(self, task: "Task", worker: int) -> dict[str, Any]:
         key = task.key()
-        with self._lock:
-            self.seen[key] += 1
-            first = self.seen[key] == 1
-            if first:
-                self._counter += 1
-                nth = self._counter
-            else:
-                nth = 0
+        self.seen[key] += 1
+        first = self.seen[key] == 1
+        if first:
+            self._counter += 1
         if key in self.poison:
             raise TaskFailedError("poisoned task (always fails)", task_key=key)
-        if first and self.every and nth % self.every == 0:
+        if first and self.every and self._counter % self.every == 0:
             self.injected += 1
             raise TaskFailedError("injected transient fault", task_key=key)
         return self.task_fn(task, worker)
@@ -325,9 +319,9 @@ class ChaosPlan:
         key = task.key()
         if self._fire_once("crash", key):
             # A worker process dying abruptly — skips atexit/finally, the
-            # exact failure mode of a segfaulting metric bridge.  In a
-            # thread or serial engine there is no process to kill safely,
-            # so degrade to an exception (the queue still sees a fault).
+            # exact failure mode of a segfaulting metric bridge.  On the
+            # serial engine there is no worker process to kill safely, so
+            # degrade to an exception (the queue still sees a fault).
             import multiprocessing
 
             if multiprocessing.current_process().name != "MainProcess":

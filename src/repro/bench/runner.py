@@ -190,10 +190,8 @@ class ExperimentRunner:
             "schemes", sorted(s.id for s in self.schemes)
         )
         self.experiment_meta.setdefault("relative_bounds", self.relative_bounds)
-        #: worker index -> the entry that worker is on.  Keyed by worker
-        #: because the thread engine shares this runner across threads;
-        #: one held field per worker bounds the memory.
-        self._contexts: dict[int, _EntryContext] = {}
+        #: The entry this worker is on: one held field bounds the memory.
+        self._context: _EntryContext | None = None
 
     # -- task construction ----------------------------------------------------
     def build_tasks(self) -> list[Task]:
@@ -231,22 +229,24 @@ class ExperimentRunner:
     def run_task(self, task: Task, worker: int = 0) -> dict[str, Any]:
         """Execute one collection task (ground truth + scheme metrics).
 
-        Runs in *worker*'s entry context: the context is replaced when
-        ``task.data_index`` differs from the previous task's, and dropped
-        when anything escapes (a deadline firing mid-compress leaves
-        metrics attached), so a retry starts from a fresh load.
+        Runs in the held entry context (every engine gives a worker its
+        own runner, so *worker* only labels the caller): the context is
+        replaced when ``task.data_index`` differs from the previous
+        task's, and dropped when anything escapes (a deadline firing
+        mid-compress leaves metrics attached), so a retry starts from a
+        fresh load.
         """
-        context = self._contexts.get(worker)
+        context = self._context
         try:
             if context is None or context.data_index != task.data_index:
-                context = self._contexts[worker] = _EntryContext(
+                context = self._context = _EntryContext(
                     task.data_index,
                     self.dataset.load_data(task.data_index),
                     self.relative_bounds,
                 )
             return self._run_in_context(task, context)
         except BaseException:
-            self._contexts.pop(worker, None)
+            self._context = None
             raise
 
     def _run_in_context(self, task: Task, context: _EntryContext) -> dict[str, Any]:
@@ -434,7 +434,7 @@ class ExperimentRunner:
             merge_store=self.store if cluster_mode else None,
         )
         # The campaign is over: no held field outlives it in this process.
-        self._contexts.clear()
+        self._context = None
         self.store.flush()
         failures = [r for r in results if not r.ok]
         for r in failures:
@@ -565,12 +565,12 @@ class ExperimentRunner:
         return published
 
     def close(self) -> None:
-        """Drop every held entry context (idempotent).
+        """Drop the held entry context (idempotent).
 
         The checkpoint store and the dataset are left open — they have
         their own lifecycles.
         """
-        self._contexts.clear()
+        self._context = None
 
     # -- evaluation ------------------------------------------------------------
     def evaluate_scheme(

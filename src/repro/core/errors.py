@@ -144,8 +144,9 @@ class TaskTimeoutError(TaskFailedError):
     """A bench task exceeded its deadline and was abandoned.
 
     Raised (or recorded by name) by the queue's supervision layer — the
-    thread-engine watchdog and the process-engine pool recycler — when a
-    task outlives ``task_timeout``.  Timeouts are transient: a hang may
+    serial engine's SIGALRM guard and the ledger's chunk-deadline charge
+    on the process and cluster engines — when a task outlives
+    ``task_timeout``.  Timeouts are transient: a hang may
     be a one-off (I/O stall, contended node), so the retry policy treats
     them like any other retriable fault.
     """

@@ -6,6 +6,15 @@ import numpy as np
 import pytest
 
 from repro.dataset import HurricaneDataset
+from tests.latch import STATE_DIR_ENV
+
+
+@pytest.fixture
+def state_dir(tmp_path, monkeypatch):
+    """Where :func:`tests.latch.once` keeps its markers; the environment
+    variable is inherited by worker processes and cluster ranks."""
+    monkeypatch.setenv(STATE_DIR_ENV, str(tmp_path))
+    return tmp_path
 
 
 @pytest.fixture(scope="session")

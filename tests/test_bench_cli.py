@@ -22,6 +22,24 @@ class TestParser:
         assert args.shape == [8, 8, 4]
 
 
+    @pytest.mark.parametrize("command", ["run", "collect", "loop"])
+    def test_thread_engine_is_not_a_choice(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, "--engine", "thread"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        assert "thread" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["run", "collect"])
+    def test_task_timeout_zero_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--engine", "serial", "--task-timeout", "0"])
+        assert exit_info.value.code == 2
+        assert "task_timeout must be > 0" in capsys.readouterr().err
+
+
 class TestCommands:
     def test_list_schemes(self, capsys):
         assert main(["list-schemes"]) == 0
@@ -242,6 +260,54 @@ class TestReportCommand:
         assert main(["report", ck, *base]) == 0
         out = capsys.readouterr().out
         assert lines[0] in out and lines[1] in out and "plane" not in out
+
+
+#: ``last_run_stats`` exactly as the last build that had a ``thread`` engine
+#: persisted it (``run --engine thread --workers 2`` on this campaign).
+THREAD_RUN_STATS = {
+    "engine": "thread", "requested_engine": "thread",
+    "completed": 4, "failed": 0, "retries": 0,
+    "stage_summary": {"queue_wait": 0.0, "execute": 0.006987102002312895,
+                      "checkpoint": 0.0011215650083613582},
+    "affinity_hits": 0, "affinity_misses": 0, "affinity_steals": 0,
+    "affinity_hit_rate": 0.0,
+}
+
+
+class TestThreadEngineCheckpoints:
+    """Checkpoints outlive engines: one written with ``--engine thread``
+    still reports its footer and resumes on the engines that remain."""
+
+    BASE = ["--schemes", "khan2023", "--compressors", "szx", "--folds", "2"]
+    CAMPAIGN = ["--bounds", "1e-4", "--shape", "8", "8", "4", "--timesteps", "2",
+                "--fields", "P", "U"]
+
+    @pytest.fixture
+    def checkpoint(self, tmp_path, capsys):
+        from repro.bench import CheckpointStore
+
+        ck = str(tmp_path / "thread.db")
+        assert main(["run", *self.BASE, *self.CAMPAIGN, "--checkpoint", ck]) == 0
+        store = CheckpointStore(ck)
+        store.set_meta("last_run_stats", json.dumps(THREAD_RUN_STATS))
+        store.close()
+        capsys.readouterr()
+        return ck
+
+    def test_report_still_renders_the_thread_footer(self, checkpoint, capsys):
+        footer = "harness[thread]: queue_wait 0.00 ms | execute 6.99 ms | checkpoint 1.12 ms"
+        assert main(["report", checkpoint, *self.BASE]) == 0
+        out = capsys.readouterr().out
+        assert footer in out and "affinity[" not in out
+        assert main(["report", checkpoint, *self.BASE, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["harness"] == THREAD_RUN_STATS
+
+    @pytest.mark.parametrize("engine,workers", [("serial", "1"), ("process", "2")])
+    def test_resumes_with_nothing_left_to_do(self, checkpoint, capsys, engine, workers):
+        assert main(["run", *self.BASE, *self.CAMPAIGN, "--checkpoint", checkpoint,
+                     "--engine", engine, "--workers", workers, "--queue-stats"]) == 0
+        err = capsys.readouterr().err
+        assert f"queue[{engine} x{workers}]" in err and "commits=0" in err
 
 
 class TestServeCommands:

@@ -6,7 +6,6 @@ reuses, its observations must equal those of ``BruteForceRunner`` (fresh
 load, compressor and evaluators per task) on every key that is not a timing.
 """
 
-import sys
 from collections import Counter
 
 import numpy as np
@@ -87,7 +86,7 @@ def reference(request):
     return replicates, comparable(observations)
 
 
-@pytest.mark.parametrize("engine", ["serial", "thread", "process"])
+@pytest.mark.parametrize("engine", ["serial", "process"])
 def test_observations_equal_the_brute_force_oracle(engine, reference):
     replicates, expected = reference
     dataset = CountingDataset(_dataset())
@@ -100,41 +99,24 @@ def test_observations_equal_the_brute_force_oracle(engine, reference):
         assert dataset.loads == Counter(range(N_ENTRIES))
 
     # The error-agnostic column marks the task that computed the metrics: a
-    # worker computes them once per (entry, compressor), so the serial and
-    # the process engine (a datum's tasks are one chunk on one worker) write
-    # it exactly once, and two threads at most once each.
-    most = 2 if engine == "thread" else 1
+    # worker computes them once per (entry, compressor), and on either engine
+    # a datum's tasks all run on one worker (the process engine sends them as
+    # one chunk), so exactly one task carries it.
     carriers = Counter((o["data_id"], o["compressor"]) for o in observations
                        if "time:rahman2023:error_agnostic" in o)
     assert len(carriers) == N_ENTRIES * len(COMPRESSORS)
-    assert max(carriers.values()) <= most
+    assert set(carriers.values()) == {1}
     # Replicates ask for fresh nondeterministic draws, so the SVD is then
     # recomputed by every task; without them it is computed once a sweep.
     svd = Counter((o["data_id"], o["compressor"]) for o in observations
                   if "time:underwood2023:error_agnostic" in o)
     if replicates == 1:
-        assert max(svd.values()) <= most
+        assert set(svd.values()) == {1}
     else:
         assert set(svd.values()) == {len(BOUNDS) * replicates}
     # A timing column is a positive number or absent, never a zero.
     assert all(v > 0 for o in observations for k, v in o.items()
                if k.startswith("time:") and k.count(":") == 2)
-
-
-def test_more_threads_than_cores_still_equal_the_oracle(reference):
-    """Contexts are per worker index and the runner is shared by the
-    threads: with more workers than cores and a short switch interval, a
-    context leaking between workers would mix entries' results."""
-    replicates, expected = reference
-    runner = _runner(ExperimentRunner, _dataset(), TaskQueue(4, "thread"), replicates)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        observations, stats, failures = runner.collect()
-    finally:
-        sys.setswitchinterval(interval)
-    assert failures == [] and stats.failed == 0
-    assert comparable(observations) == expected
 
 
 def test_replicate_hits_the_error_dependent_cache():
@@ -187,27 +169,30 @@ def test_exception_inside_run_task_drops_the_context(monkeypatch):
     with pytest.raises(RuntimeError, match="injected"):
         runner.run_task(second)
     monkeypatch.setattr(CompressorPlugin, "decompress", original)
-    assert runner._contexts == {}
+    assert runner._context is None
 
     row = runner.run_task(second)
     assert dataset.loads[0] == 2
     assert comparable([row]) == comparable([reference.run_task(second)])
 
 
-def test_contexts_are_per_worker_and_replaced_with_the_entry():
+def test_context_is_replaced_with_the_entry():
     dataset = CountingDataset(_dataset())
     runner = _runner(ExperimentRunner, dataset)
     tasks = runner.build_tasks()
     entry0 = [t for t in tasks if t.data_index == 0]
     entry1 = [t for t in tasks if t.data_index == 1]
-    runner.run_task(entry0[0], worker=0)
-    runner.run_task(entry1[0], worker=1)
-    runner.run_task(entry0[1], worker=0)
-    runner.run_task(entry1[1], worker=1)
+    runner.run_task(entry0[0])
+    runner.run_task(entry0[1])
+    assert dataset.loads == Counter({0: 1})
+    runner.run_task(entry1[0])  # the worker moves on: its field is replaced
+    runner.run_task(entry1[1])
     assert dataset.loads == Counter({0: 1, 1: 1})
-    runner.run_task(entry1[2], worker=0)  # worker 0 moves on: its field is replaced
-    assert dataset.loads == Counter({0: 1, 1: 2})
-    assert {w: c.data_index for w, c in runner._contexts.items()} == {0: 1, 1: 1}
+    assert runner._context.data_index == 1
+    runner.run_task(entry0[2])  # ... and coming back is a fresh load
+    assert dataset.loads == Counter({0: 2, 1: 1})
+    runner.close()
+    assert runner._context is None
 
 
 def test_entries_without_provenance_never_share_results():

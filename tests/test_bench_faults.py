@@ -1,5 +1,6 @@
 """Tests for fault-domain supervision: RetryPolicy, ChaosPlan, quarantine."""
 
+import os
 import time
 
 import pytest
@@ -26,6 +27,21 @@ def make_tasks(n_data=2, per_data=2):
     ]
     precompute_keys(tasks)
     return tasks
+
+
+_ATTEMPT_LOG_ENV = "REPRO_TEST_ATTEMPT_LOG"
+
+
+def _fail_twice_logging_attempts(task, worker):
+    """Appends each attempt's monotonic time (one clock system-wide) to a
+    file the parent reads back; module-level for the process engine."""
+    with open(os.environ[_ATTEMPT_LOG_ENV], "a+") as log:
+        log.write(f"{time.monotonic()!r}\n")
+        log.seek(0)
+        seen = len(log.read().split())
+    if seen < 3:
+        raise TaskFailedError("transient", task_key=task.key())
+    return {"ok": 1}
 
 
 class TestRetryPolicy:
@@ -91,23 +107,19 @@ class TestQueuePolicyIntegration:
         assert failed.attempts == 1  # no attempts burned on a lost cause
         assert failed.status == int(Status.UNSUPPORTED)
 
-    @pytest.mark.parametrize("engine,workers", [("serial", 1), ("thread", 3)])
-    def test_backoff_delays_are_respected(self, engine, workers):
+    @pytest.mark.parametrize("engine,workers", [("serial", 1), ("process", 2)])
+    def test_backoff_delays_are_respected(self, engine, workers, tmp_path, monkeypatch):
+        monkeypatch.setenv(_ATTEMPT_LOG_ENV, str(tmp_path / "attempts"))
         tasks = make_tasks(n_data=1, per_data=1)
         policy = RetryPolicy(max_retries=2, base_delay=0.05, backoff=1.0, jitter=0.0)
-        attempts_t = []
-
-        def fn(task, worker):
-            attempts_t.append(time.monotonic())
-            if len(attempts_t) < 3:
-                raise TaskFailedError("transient", task_key=task.key())
-            return {"ok": 1}
-
-        _, stats = TaskQueue(workers, engine, retry_policy=policy).run(tasks, fn)
+        _, stats = TaskQueue(workers, engine, retry_policy=policy).run(
+            tasks, _fail_twice_logging_attempts
+        )
         assert stats.failed == 0 and stats.retries == 2
         assert stats.backoff_seconds == pytest.approx(0.1)
+        attempts_t = [float(line) for line in (tmp_path / "attempts").read_text().split()]
         gaps = [b - a for a, b in zip(attempts_t, attempts_t[1:])]
-        assert all(g >= 0.045 for g in gaps), gaps
+        assert len(gaps) == 2 and all(g >= 0.045 for g in gaps), gaps
 
     def test_custom_permanent_statuses(self):
         tasks = make_tasks(n_data=1, per_data=1)

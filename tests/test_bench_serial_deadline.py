@@ -1,8 +1,9 @@
 """Serial-engine task deadlines (SIGALRM guard).
 
-The thread engine's watchdog abandons hung *other* threads; the serial
-engine has no other thread, so before this guard ``task_timeout`` was
-silently unenforced on the paper's default single-worker path.  These
+The process and cluster engines recycle the worker holding an overdue
+chunk; the serial engine has no other worker, so before this guard
+``task_timeout`` was silently unenforced on the paper's default
+single-worker path.  These
 tests pin the contract: a hung task is interrupted and classified as a
 retriable TIMEOUT on the main thread, and the guard degrades to a
 warning-once no-op where signals cannot be delivered.

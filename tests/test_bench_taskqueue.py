@@ -1,14 +1,21 @@
 """Tests for the task queue: locality scheduling, retries, fault injection."""
 
 import os
-import threading
 import time
 from collections import deque
 
 import pytest
 
-from repro.bench import FaultInjector, LocalityScheduler, Task, TaskQueue
+from repro.bench import CheckpointStore, FaultInjector, LocalityScheduler, Task, TaskQueue
 from repro.core import Status, TaskFailedError
+from tests.latch import once
+
+#: Both single-node engines; the behaviour below is engine-independent.
+ENGINES = ["serial", "process"]
+
+
+def _queue(engine, workers=2, **kwargs):
+    return TaskQueue(1 if engine == "serial" else workers, engine, **kwargs)
 
 
 def make_tasks(n_data=4, per_data=3):
@@ -58,11 +65,10 @@ class TestTaskQueue:
         assert stats.locality_hits == 16
         assert stats.locality_rate == pytest.approx(16 / 20)
 
-    def test_thread_engine_completes_all(self):
-        tasks = make_tasks(n_data=3, per_data=4)
-        results, stats = TaskQueue(3, "thread").run(tasks, lambda t, w: {"w": w})
-        assert stats.completed == 12
-        assert {r.task.key() for r in results} == {t.key() for t in tasks}
+    def test_thread_engine_is_rejected(self):
+        """Replaced, not forked: no alias or fallback for the old name."""
+        with pytest.raises(ValueError, match="unknown engine 'thread'"):
+            TaskQueue(3, "thread")
 
     def test_transient_failure_retried(self):
         tasks = make_tasks(n_data=1, per_data=3)
@@ -92,7 +98,8 @@ class TestTaskQueue:
             TaskQueue(2, "mpi")
 
     def test_single_worker_forces_serial(self):
-        q = TaskQueue(1, "thread")
+        with pytest.warns(UserWarning, match="falling back to 'serial'"):
+            q = TaskQueue(1, "process")
         assert q.engine == "serial"
 
     def test_single_worker_downgrade_warns_and_is_recorded(self):
@@ -112,142 +119,36 @@ class TestTaskQueue:
 
 
 class TestQueueStress:
-    """Worker-coordination races the condvar dispatcher must not have.
+    """What must hold under faults on either single-node engine: every
+    task is reported exactly once, and no failure is stranded."""
 
-    Before the rework, (a) workers exited as soon as the pending deque
-    drained, even while a task executing elsewhere could fail and need
-    them, and (b) the "allow anyway" fallback let a task retry on the
-    very worker it failed on while other workers were still live."""
-
-    @pytest.mark.parametrize("workers", [2, 4, 8])
-    def test_transient_faults_complete_exactly_once(self, workers):
-        from repro.analysis import LockOrderWitness
-
-        witness = LockOrderWitness()
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_transient_faults_complete_exactly_once(self, workers, state_dir):
         tasks = make_tasks(n_data=6, per_data=4)
-        attempt_log: list[tuple[str, int]] = []
-        log_lock = threading.Lock()
-
-        def traced(task, worker):
-            with log_lock:
-                attempt_log.append((task.key(), worker))
-            return {"ok": 1}
-
-        fn = FaultInjector(traced, fail_first_attempt_every=3)
-        results, stats = TaskQueue(
-            workers, "thread", max_retries=3, lock_witness=witness
-        ).run(tasks, fn)
+        engine = "serial" if workers == 1 else "process"
+        results, stats = TaskQueue(workers, engine, max_retries=3).run(
+            tasks, _fail_first_attempt_of_k0
+        )
         assert stats.failed == 0
         assert stats.completed == len(tasks)
         keys = [r.task.key() for r in results]
         assert sorted(keys) == sorted(t.key() for t in tasks)  # exactly once
         assert len(set(keys)) == len(tasks)
-        assert stats.retries == fn.injected > 0
-        witness.assert_acyclic()
+        assert stats.retries == 6  # one injected fault per datum
+        assert sorted(r.attempts for r in results) == [1] * 18 + [2] * 6
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_queue_checkpoint_lock_order_is_acyclic(self, workers, tmp_path):
-        """Witness the real dispatcher↔store interaction: the result
-        sink runs under the queue's condvar and takes the checkpoint
-        lock, so the only edge must be queue → checkpoint, never back."""
-        from repro.analysis import LockOrderWitness
-        from repro.bench import CheckpointStore
-
-        witness = LockOrderWitness()
-        store = CheckpointStore(
-            str(tmp_path / "ck.db"), flush_every=4, lock_witness=witness
-        )
-        try:
-            tasks = make_tasks(n_data=4, per_data=3)
-            fn = FaultInjector(lambda t, w: {"ok": 1}, fail_first_attempt_every=4)
-
-            def sink(result):
-                if result.ok:
-                    store.put(result.task.key(), result.payload)
-
-            results, stats = TaskQueue(
-                workers, "thread", max_retries=3, lock_witness=witness
-            ).run(tasks, fn, on_result=sink)
-            store.flush()
-            assert stats.failed == 0
-            assert len(store.query()) == len(tasks)
-            witness.assert_acyclic()
-            assert ("taskqueue.cond", "checkpoint.lock") in witness.edges()
-            assert ("checkpoint.lock", "taskqueue.cond") not in witness.edges()
-        finally:
-            store.close()
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_exclusion_honored_while_alternatives_exist(self, workers):
-        """A retry never lands on the worker it failed on when another
-        live worker exists — guaranteed, not just likely, because no
-        worker exits while a retry is queued or a task is in flight."""
-        tasks = make_tasks(n_data=5, per_data=4)
-        per_key_workers: dict[str, list[int]] = {}
-        log_lock = threading.Lock()
-        inject = FaultInjector(lambda t, w: {"ok": 1}, fail_first_attempt_every=4)
-
-        def traced(task, worker):
-            with log_lock:
-                per_key_workers.setdefault(task.key(), []).append(worker)
-            return inject(task, worker)
-
-        results, stats = TaskQueue(workers, "thread", max_retries=2).run(tasks, traced)
-        assert stats.failed == 0 and stats.retries > 0
-        assert stats.exclusion_overrides == 0
-        for key, attempt_workers in per_key_workers.items():
-            if len(attempt_workers) > 1:
-                assert attempt_workers[1] != attempt_workers[0], (
-                    f"retry of {key[:8]} reran on failed worker {attempt_workers[0]}"
-                )
-
-    def test_worker_waits_for_inflight_retry(self):
-        """The drained worker must wait for the in-flight task: if it
-        exited (the old race), the failure could only retry on the
-        worker it failed on."""
+    def test_worker_waits_for_inflight_retry(self, state_dir):
+        """The queue is not drained while a chunk is in flight: a failure
+        that arrives after every other task completed is still retried."""
         tasks = make_tasks(n_data=5, per_data=1)
-        slow_key = tasks[0].key()
-        others_done = threading.Event()
-        done_count = [0]
-        lock = threading.Lock()
-        attempt_workers: dict[str, list[int]] = {}
-
-        def fn(task, worker):
-            with lock:
-                attempt_workers.setdefault(task.key(), []).append(worker)
-            if task.key() == slow_key and len(attempt_workers[slow_key]) == 1:
-                # Fail only after every other task has completed, so the
-                # retry can only be served by a worker that waited.
-                assert others_done.wait(timeout=30)
-                raise TaskFailedError("late transient fault", task_key=task.key())
-            with lock:
-                done_count[0] += 1
-                if done_count[0] == len(tasks) - 1:
-                    others_done.set()
-            return {"ok": 1}
-
-        results, stats = TaskQueue(2, "thread", max_retries=2).run(tasks, fn)
+        results, stats = TaskQueue(2, "process", max_retries=2).run(
+            tasks, _late_failure_on_data0
+        )
         assert stats.failed == 0 and stats.completed == len(tasks)
-        assert len(attempt_workers[slow_key]) == 2
-        first, second = attempt_workers[slow_key]
-        assert second != first
-
-    def test_exclusion_lifted_only_when_no_alternative(self):
-        """A task that failed on every worker may retry anywhere (the
-        only sanctioned override), instead of deadlocking."""
-        tasks = make_tasks(n_data=2, per_data=1)
-        bad_key = tasks[0].key()
-        fails = [0]
-
-        def fn(task, worker):
-            if task.key() == bad_key and fails[0] < 2:
-                fails[0] += 1
-                raise TaskFailedError("fails everywhere once", task_key=task.key())
-            return {"ok": 1}
-
-        results, stats = TaskQueue(2, "thread", max_retries=3).run(tasks, fn)
-        assert stats.failed == 0 and stats.completed == 2
-        assert stats.retries == 2
+        assert stats.retries == 1
+        (late,) = [r for r in results if r.task.data_id == "data/0"]
+        assert late.attempts == 2
+        assert results[-1] is late
 
     def test_process_engine_completes_all(self):
         tasks = make_tasks(n_data=4, per_data=3)
@@ -273,8 +174,8 @@ class TestQueueStress:
 
     def test_timing_buckets_accumulate(self):
         tasks = make_tasks(n_data=2, per_data=2)
-        _, stats = TaskQueue(2, "thread").run(
-            tasks, lambda t, w: {"ok": 1}, on_result=lambda r: None
+        _, stats = TaskQueue(2, "process").run(
+            tasks, _echo_worker, on_result=lambda r: None
         )
         summary = stats.stage_summary()
         assert set(summary) == {"queue_wait", "execute", "checkpoint"}
@@ -303,6 +204,32 @@ def _flaky_worker(task, worker):
     if task.data_id == "data/0" and task.key() not in _FLAKY_FAILED:
         _FLAKY_FAILED.add(task.key())
         raise TaskFailedError("transient process fault", task_key=task.key())
+    return {"w": worker}
+
+
+def _is_k0(task):
+    return task.compressor_options["pressio:abs"] == 10.0 ** -2
+
+
+def _fail_first_attempt_of_k0(task, worker):
+    """Each datum's first task fails its first attempt, wherever it runs."""
+    if _is_k0(task) and once(f"flaky-{task.key()}"):
+        raise TaskFailedError("injected transient fault", task_key=task.key())
+    return {"w": worker}
+
+
+def _late_failure_on_data0(task, worker):
+    """data/0 outlasts every other task, then fails its first attempt."""
+    if task.data_id == "data/0" and once("late"):
+        time.sleep(0.5)
+        raise TaskFailedError("late transient fault", task_key=task.key())
+    return {"w": worker}
+
+
+def _poison_k0(task, worker):
+    """Each datum's first task fails on every attempt."""
+    if _is_k0(task):
+        raise TaskFailedError("poisoned task (always fails)", task_key=task.key())
     return {"w": worker}
 
 
@@ -351,24 +278,11 @@ class TestFaultInjector:
         assert fn(tasks[0], 0) == {"ok": 1}
 
 
-_CRASH_DIR_ENV = "REPRO_TEST_CRASH_DIR"
-
-
 def _crash_once_worker(task, worker):
-    """Kills its worker process on the first data/0 task ever seen.
-
-    The once-only latch is a marker file so it survives the worker's
-    death (the rebuilt pool must not crash again on the same task).
-    """
-    if task.data_id == "data/0":
-        marker = os.path.join(os.environ[_CRASH_DIR_ENV], "crashed")
-        try:
-            fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            pass
-        else:
-            os.close(fd)
-            os._exit(3)
+    """Kills its worker process on the first data/0 task ever seen (the
+    rebuilt slot must not crash again on the same task)."""
+    if task.data_id == "data/0" and once("crashed"):
+        os._exit(3)
     return {"w": worker}
 
 
@@ -378,15 +292,8 @@ def _always_crash_worker(task, worker):
 
 def _hang_once_worker(task, worker):
     """First attempt of the flagged task hangs well past any deadline."""
-    marker = os.path.join(os.environ[_CRASH_DIR_ENV], "hung")
-    if task.data_id == "data/0":
-        try:
-            fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            pass
-        else:
-            os.close(fd)
-            time.sleep(60)
+    if task.data_id == "data/0" and once("hung"):
+        time.sleep(60)
     return {"w": worker}
 
 
@@ -410,51 +317,7 @@ class TestSupervision:
         assert failed.attempts == 1
         assert failed.status == int(Status.UNSUPPORTED)
 
-    def test_thread_watchdog_abandons_hung_task(self):
-        tasks = make_tasks(n_data=3, per_data=1)
-        hung_key = tasks[0].key()
-        hangs = [0]
-        lock = threading.Lock()
-
-        def fn(task, worker):
-            if task.key() == hung_key:
-                with lock:
-                    hangs[0] += 1
-                    first = hangs[0] == 1
-                if first:
-                    time.sleep(30)  # well past the deadline
-            return {"ok": 1}
-
-        t0 = time.monotonic()
-        results, stats = TaskQueue(
-            2, "thread", max_retries=2, task_timeout=0.2
-        ).run(tasks, fn)
-        elapsed = time.monotonic() - t0
-        assert elapsed < 10  # did not wait out the 30s sleep
-        assert stats.failed == 0 and stats.completed == len(tasks)
-        assert stats.timeouts == 1 and stats.retries >= 1
-        assert {r.task.key() for r in results} == {t.key() for t in tasks}
-
-    def test_thread_watchdog_fails_task_hanging_every_attempt(self):
-        tasks = make_tasks(n_data=2, per_data=1)
-        hung_key = tasks[0].key()
-
-        def fn(task, worker):
-            if task.key() == hung_key:
-                time.sleep(30)
-            return {"ok": 1}
-
-        results, stats = TaskQueue(
-            2, "thread", max_retries=1, task_timeout=0.2
-        ).run(tasks, fn)
-        assert stats.completed == 1 and stats.failed == 1
-        failed = [r for r in results if not r.ok][0]
-        assert failed.status == int(Status.TIMEOUT)
-        assert "deadline" in failed.error
-        assert failed.attempts == 2  # original + one retried hang
-
-    def test_process_pool_crash_recovers_without_losing_tasks(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(_CRASH_DIR_ENV, str(tmp_path))
+    def test_process_pool_crash_recovers_without_losing_tasks(self, state_dir):
         tasks = make_tasks(n_data=3, per_data=2)
         results, stats = TaskQueue(2, "process").run(tasks, _crash_once_worker)
         assert stats.failed == 0 and stats.completed == len(tasks)
@@ -477,8 +340,7 @@ class TestSupervision:
         assert all("crash-looping" in r.error for r in results)
         assert all(w >= 0 for w in stats.per_worker)
 
-    def test_process_deadline_recycles_pool_on_hang(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(_CRASH_DIR_ENV, str(tmp_path))
+    def test_process_deadline_recycles_pool_on_hang(self, state_dir):
         tasks = make_tasks(n_data=2, per_data=1)
         t0 = time.monotonic()
         results, stats = TaskQueue(
@@ -491,41 +353,37 @@ class TestSupervision:
         assert stats.pool_rebuilds >= 1
 
 
-class TestPoisonKeysThreadEngine:
-    """Satellite: FaultInjector.poison_keys under the thread engine."""
+@pytest.mark.parametrize("engine", ENGINES)
+class TestPoisonKeys:
+    """Always-failing tasks exhaust their retries and never block the drain."""
 
-    def test_poison_exhausts_retries_and_overrides_exclusion(self):
+    def test_poison_exhausts_retries(self, engine):
         tasks = make_tasks(n_data=3, per_data=2)
-        poison = {tasks[0].key()}
-        fn = FaultInjector(lambda t, w: {"ok": 1}, poison_keys=poison)
-        results, stats = TaskQueue(3, "thread", max_retries=3).run(tasks, fn)
-        # The queue drains: every healthy task completes, the poison task
-        # fails after exhausting all attempts, and nothing blocks.
-        assert stats.completed == len(tasks) - 1
-        assert stats.failed == 1
+        results, stats = _queue(engine, 3, max_retries=3).run(tasks, _poison_k0)
+        # The queue drains: every healthy task completes, the poison
+        # tasks fail after exhausting all attempts, and nothing blocks.
+        assert stats.completed == 3 and stats.failed == 3
+        assert stats.retries == 9
         assert {r.task.key() for r in results} == {t.key() for t in tasks}
-        failed = [r for r in results if not r.ok][0]
-        assert failed.task.key() in poison
-        assert failed.attempts == 4  # original + max_retries
-        # Three failures land on three distinct workers (exclusion), so
-        # the fourth attempt can only run via the sanctioned override.
-        assert stats.exclusion_overrides == 1
+        for failed in (r for r in results if not r.ok):
+            assert _is_k0(failed.task)
+            assert "poisoned" in failed.error
+            assert failed.attempts == 4  # original + max_retries
 
-    def test_many_poison_tasks_never_block_drain(self):
+    def test_many_poison_tasks_never_block_drain(self, engine):
         tasks = make_tasks(n_data=4, per_data=2)
-        poison = {t.key() for t in tasks[::2]}
-        fn = FaultInjector(lambda t, w: {"ok": 1}, poison_keys=poison)
-        results, stats = TaskQueue(2, "thread", max_retries=2).run(tasks, fn)
-        assert stats.failed == len(poison)
-        assert stats.completed == len(tasks) - len(poison)
+        results, stats = _queue(engine, max_retries=2).run(tasks, _poison_k0)
+        assert stats.failed == 4
+        assert stats.completed == len(tasks) - 4
         assert len(results) == len(tasks)
         assert all(r.attempts == 3 for r in results if not r.ok)
 
 
+@pytest.mark.parametrize("engine", ENGINES)
 class TestCallbackIsolation:
-    def test_failing_on_result_marks_task_failed(self):
+    def test_failing_on_result_marks_task_failed(self, engine):
         """A broken result sink (e.g. checkpoint write error) must not
-        kill the worker; the task is recorded failed for a later rerun."""
+        kill the run; the task is recorded failed for a later rerun."""
         tasks = make_tasks(n_data=1, per_data=3)
         calls = []
 
@@ -534,26 +392,25 @@ class TestCallbackIsolation:
             if len(calls) == 2:
                 raise IOError("disk full")
 
-        results, stats = TaskQueue(1, "serial").run(
-            tasks, lambda t, w: {"ok": 1}, on_result=flaky_sink
-        )
+        results, stats = _queue(engine).run(tasks, _echo_worker, on_result=flaky_sink)
         assert stats.completed == 2
         assert stats.failed == 1
         failed = [r for r in results if not r.ok]
         assert "disk full" in failed[0].error
 
-    def test_threaded_store_writes(self, tmp_path):
-        """Checkpoint writes from multiple worker threads are safe."""
-        from repro.bench import CheckpointStore
-
-        store = CheckpointStore(str(tmp_path / "mt.db"))
+    def test_sink_writes_are_batched_by_the_store(self, engine, tmp_path):
+        """The sink is the single checkpoint writer on every engine, so a
+        buffered store commits once per flush interval, not per task."""
+        store = CheckpointStore(str(tmp_path / "ck.db"), flush_every=4)
+        base = store.commit_count
         tasks = make_tasks(n_data=4, per_data=3)
 
         def sink(result):
             store.put(result.task.key(), result.payload)
 
-        _, stats = TaskQueue(4, "thread").run(
-            tasks, lambda t, w: {"w": w}, on_result=sink
-        )
+        _, stats = _queue(engine).run(tasks, _echo_worker, on_result=sink)
         assert stats.failed == 0
+        assert store.commit_count - base == len(tasks) // 4
+        store.flush()
         assert store.count() == len(tasks)
+        store.close()

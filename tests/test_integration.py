@@ -49,7 +49,8 @@ class TestFigure4Flow:
 class TestFileBackedCampaign:
     """Materialised files → stacked loaders → bench → Table 2."""
 
-    def test_pipeline_to_table(self, tmp_path):
+    @pytest.mark.parametrize("engine", ["serial", "process"])
+    def test_pipeline_to_table(self, tmp_path, engine):
         root = str(tmp_path / "fields")
         HurricaneDataset(
             shape=(12, 12, 8), timesteps=[0, 24], fields=["P", "U", "QRAIN", "CLOUD", "TC"]
@@ -61,25 +62,35 @@ class TestFileBackedCampaign:
         kwargs = dict(
             compressors=("szx",), schemes=("khan2023",), store=store, n_folds=2
         )
+        workers = 1 if engine == "serial" else 2
         runner = ExperimentRunner(
-            dataset, bounds=(1e-4, 1e-3), queue=TaskQueue(2, "thread"), **kwargs
+            dataset, bounds=(1e-4, 1e-3), queue=TaskQueue(workers, engine), **kwargs
         )
         obs, stats, _ = runner.collect()
         assert stats.failed == 0
         assert len(obs) == 20
         text = format_table2(runner.table2(obs))
         assert "szx khan2023" in text
+        spill = str(tmp_path / "spill")
+        spilled = {name: os.stat(os.path.join(spill, name)).st_mtime_ns
+                   for name in os.listdir(spill)}
+        assert len(spilled) == 10
         # A worker holds an entry for all of its tasks, so repeat loads
         # come from the next campaign over the same loader stack: a wider
         # sweep resumes through the checkpoint and loads from the caches.
         wider = ExperimentRunner(
-            dataset, bounds=(1e-4, 1e-3, 1e-2), queue=TaskQueue(2, "thread"), **kwargs
+            dataset, bounds=(1e-4, 1e-3, 1e-2), queue=TaskQueue(workers, engine), **kwargs
         )
         obs, stats, _ = wider.collect()
         assert stats.failed == 0 and stats.completed == 10
         assert len(obs) == 30
-        metrics = dataset.get_metrics_results()
-        assert metrics["memory_cache:hits"] + metrics["local_cache:hits"] >= 10
+        if engine == "serial":
+            metrics = dataset.get_metrics_results()
+            assert metrics["memory_cache:hits"] + metrics["local_cache:hits"] >= 10
+        # The hit counters of worker processes stay in the workers; what
+        # crosses the process boundary is the spill itself, reused as is.
+        assert spilled == {name: os.stat(os.path.join(spill, name)).st_mtime_ns
+                           for name in os.listdir(spill)}
 
     def test_checkpoint_shared_between_runner_instances(self, tmp_path):
         ds = HurricaneDataset(shape=(8, 8, 4), timesteps=[0], fields=["P", "W"])

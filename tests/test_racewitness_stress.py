@@ -2,7 +2,7 @@
 
 Each suite runs a real concurrent workload with a
 :class:`~repro.analysis.racewitness.LocksetWitness` threaded through the
-``lock_witness=`` seam (TaskQueue, CheckpointStore, FeaturizationCache)
+``lock_witness=`` seam (CheckpointStore, FeaturizationCache)
 and the stores' ``# guarded-by:`` attributes instrumented, then asserts
 two things at once:
 
@@ -31,7 +31,7 @@ from repro.analysis import (
     guarded_attributes,
 )
 from repro.analysis.racewitness import merge_reports
-from repro.bench import CheckpointStore, FaultInjector, Task, TaskQueue
+from repro.bench import CheckpointStore
 from repro.serve.featcache import FeaturizationCache
 
 #: Collected per-suite witness reports, dumped at session end.
@@ -51,24 +51,6 @@ def _dump_reports():
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(merge_reports(_REPORTS), fh, indent=2, sort_keys=True)
-
-
-def make_tasks(n_data=4, per_data=3):
-    tasks = []
-    for d in range(n_data):
-        for k in range(per_data):
-            tasks.append(
-                Task(
-                    data_index=d,
-                    data_id=f"data/{d}",
-                    compressor_id="sz3",
-                    compressor_options={"pressio:abs": 10.0 ** -(k + 2)},
-                    dataset_config={"entry:data_id": f"data/{d}"},
-                    replicate=0,
-                    nbytes=1 << 20,
-                )
-            )
-    return tasks
 
 
 class RacyCounter:
@@ -216,44 +198,6 @@ class TestWitnessedCheckpointStore:
             "_last_flush",
             "commit_count",
         }
-
-
-class TestWitnessedTaskQueue:
-    """The PR-5 acyclic-order suite, upgraded to also prove locksets."""
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_queue_with_checkpoint_sink_is_race_free(self, workers, tmp_path):
-        witness = LocksetWitness()
-        store = CheckpointStore(
-            str(tmp_path / "ck.db"), flush_every=4, lock_witness=witness
-        )
-        witness.instrument(store, name="store")
-        try:
-            tasks = make_tasks(n_data=6, per_data=4)
-            fn = FaultInjector(lambda t, w: {"ok": 1}, fail_first_attempt_every=4)
-
-            def sink(result):
-                if result.ok:
-                    store.put(result.task.key(), result.payload)
-
-            results, stats = TaskQueue(
-                workers, "thread", max_retries=3, lock_witness=witness
-            ).run(tasks, fn, on_result=sink)
-            store.flush()
-            assert stats.failed == 0
-            assert stats.completed == len(tasks)
-            witness.assert_race_free()
-            witness.assert_acyclic()
-            # The sink runs under the queue condvar and takes the store
-            # lock: the edge exists, and only in that direction.
-            assert ("taskqueue.cond", "checkpoint.lock") in witness.edges()
-            assert ("checkpoint.lock", "taskqueue.cond") not in witness.edges()
-            with witness.paused():
-                assert len(store.query()) == len(tasks)
-        finally:
-            _register(f"taskqueue-stress-{workers}w", witness)
-            with witness.paused():
-                store.close()
 
 
 class TestWitnessedFeatCache:
