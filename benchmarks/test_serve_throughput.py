@@ -4,7 +4,7 @@ Two experiments share ``BENCH_serve.json``:
 
 * **Burst cell** (PR-4's original) — ``N_QUERIES`` concurrent predicts
   on precomputed feature rows against one server: zero shed, bounded
-  p99, micro-batching engaged.
+  p99, micro-batching engaged (by the load itself: no batch window).
 * **Fleet matrix** — featurize-heavy *what-if* traffic (raw fields,
   repeated across bounds and clients: the workload §5 names as the
   serving hot path) against {1 worker, ``FLEET_WORKERS`` workers} ×
@@ -89,7 +89,6 @@ def test_serve_throughput_100_concurrent(registry, observations, record_property
 
     server = PredictionServer(
         registry,
-        batch_window_ms=10.0,
         max_batch=64,
         max_in_flight=2 * N_QUERIES,
         max_queue_depth=4 * N_QUERIES,
@@ -143,7 +142,6 @@ def test_serve_throughput_100_concurrent(registry, observations, record_property
         "mean_batch_size": stats["mean_batch_size"],
         "model_loads": stats["model_loads"],
         "cache_hits": stats["cache_hits"],
-        "load_waits": stats["load_waits"],
     }
     _merge_artifact(payload)
     record_property("artifact", os.path.abspath(ARTIFACT))
@@ -268,7 +266,6 @@ def _fleet_cell(registry_root, queries, *, workers, feat_cache, chaos=False):
         workers,
         feat_cache=feat_cache,
         server_options={
-            "batch_window_ms": 2.0,
             "max_in_flight": 2 * N_QUERIES,
             "max_queue_depth": 4 * N_QUERIES,
         },

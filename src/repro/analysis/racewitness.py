@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+import itertools
 import json
 import sys
 import textwrap
@@ -164,6 +165,8 @@ class LocksetWitness(LockOrderWitness):
         self._race_list: list[RaceReport] = []
         self._vars_lock = threading.Lock()
         self._pause_depth = 0
+        #: Source of per-thread owner tokens (see :meth:`_thread_token`).
+        self._tokens = itertools.count(1)
 
     @contextmanager
     def paused(self) -> Iterator[None]:
@@ -225,8 +228,20 @@ class LocksetWitness(LockOrderWitness):
         return obj
 
     # -- the Eraser state machine ------------------------------------------------
+    def _thread_token(self) -> int:
+        """A never-reused identity for the calling thread.
+
+        ``threading.get_ident()`` is recycled once a thread exits, so
+        back-to-back short-lived writers would look like one EXCLUSIVE
+        owner and never start lockset refinement (a false negative).
+        """
+        token = getattr(self._tls, "token", None)
+        if token is None:
+            token = self._tls.token = next(self._tokens)
+        return token
+
     def _on_access(self, var: str, *, write: bool) -> None:
-        tid = threading.get_ident()
+        tid = self._thread_token()
         tname = threading.current_thread().name
         held = set(self._held())
         race: RaceReport | None = None

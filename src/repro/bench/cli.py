@@ -313,16 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0,
                        help="listening port (0 = pick an ephemeral port)")
-    serve.add_argument("--batch-window-ms", type=float, default=5.0,
-                       help="micro-batch collection window")
     serve.add_argument("--max-batch", type=int, default=32,
-                       help="flush a batch at this many queued requests")
+                       help="most rows one predict_many call may carry")
     serve.add_argument("--max-in-flight", type=int, default=64,
                        help="admission control: concurrent admitted requests")
     serve.add_argument("--max-queue-depth", type=int, default=256,
                        help="admission control: total queued rows before shedding")
-    serve.add_argument("--cache-capacity", type=int, default=8,
-                       help="warm-model LRU capacity")
+    serve.add_argument("--cache-capacity", type=int, default=64,
+                       help="warm-model LRU capacity (models)")
     serve.add_argument("--workers", type=int, default=1,
                        help="worker processes; >1 runs a ServeFleet sharing "
                        "the port via SO_REUSEPORT (or port-per-worker fallback)")
@@ -879,7 +877,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             feat_cache_bytes=args.feat_cache_bytes,
             drift_config=drift_config,
             server_options={
-                "batch_window_ms": args.batch_window_ms,
                 "max_batch": args.max_batch,
                 "max_in_flight": args.max_in_flight,
                 "max_queue_depth": args.max_queue_depth,
@@ -922,7 +919,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ModelRegistry(args.registry),
         host=args.host,
         port=args.port,
-        batch_window_ms=args.batch_window_ms,
         max_batch=args.max_batch,
         max_in_flight=args.max_in_flight,
         max_queue_depth=args.max_queue_depth,

@@ -20,12 +20,17 @@ top for the port-per-worker fallback path of
 **Zero-copy what-if resends.**  What-if traffic probes the *same* field
 over and over (different bounds, different compressors); shipping the
 multi-hundred-KB payload with every probe wastes most of the wire and
-parse budget.  When a raw-data predict response reports ``"cached":
-true`` the client remembers the payload's content fingerprint, and
-subsequent predicts of the same field send a tiny ``data_ref`` request
-instead.  A server that cannot honour the ref (evicted entry, cache
-disabled) answers ``need_data`` and the client transparently resends in
-full — callers never see the negotiation.
+parse budget.  A raw-data predict response names the featurization-cache
+scope the row was stored under (``"feat_scope"``: shared by every model
+whose features are the same function of the field — all bounds of an
+error-agnostic scheme, one bound of an error-dependent one).  The client
+remembers each model's scope and each confirmed ``(scope, fingerprint)``
+pair, and sends a tiny ``data_ref`` request exactly when the pair for the
+model it is about to ask is confirmed — so a ref is only ever sent where
+the server can honour it.  An entry evicted in between is answered
+``need_data`` and the client transparently resends in full; a server
+that names no scope (cache off, or one that predates scopes) is always
+sent the payload.  Callers never see the negotiation.
 """
 
 from __future__ import annotations
@@ -43,11 +48,21 @@ from ..core.errors import PressioError, Status
 from .codec import encode_array
 from .featcache import content_fingerprint
 
-#: Per-client LRU bounds for the zero-copy resend bookkeeping: payload
-#: fingerprints the server confirmed cached, and the payload-object →
-#: fingerprint memo that keeps repeat predicts from re-hashing the body.
+#: Per-client LRU bounds for the zero-copy resend bookkeeping: the
+#: (scope, fingerprint) pairs the server confirmed cached, the model →
+#: scope memo, and the payload-object → fingerprint memo that keeps
+#: repeat predicts from re-hashing the body.
 _KNOWN_REFS_CAP = 512
+_SCOPES_CAP = 512
 _FP_MEMO_CAP = 32
+
+
+def _remember(lru: OrderedDict, key: Any, value: Any, cap: int) -> None:
+    """Insert/refresh *key* as most recent and trim *lru* to *cap*."""
+    lru[key] = value
+    lru.move_to_end(key)
+    while len(lru) > cap:
+        lru.popitem(last=False)
 
 
 class ServerError(PressioError):
@@ -128,7 +143,8 @@ class PredictionClient:
         self.connect_count = 0
         #: Predicts served via ``data_ref`` without resending the payload.
         self.ref_hits = 0
-        self._known_refs: OrderedDict[str, None] = OrderedDict()
+        self._scopes: OrderedDict[tuple[str, str | None], str] = OrderedDict()
+        self._known_refs: OrderedDict[tuple[str, str], None] = OrderedDict()
         self._fp_memo: OrderedDict[int, tuple[Any, str]] = OrderedDict()
         self._sock: socket.socket | None = None
         self._rfile: Any = None
@@ -238,9 +254,10 @@ class PredictionClient:
         a what-if driver probing one field many times encodes it once.
         A pre-encoded payload is treated as immutable: the client
         memoises its content fingerprint by object identity, and once
-        the server confirms the field is cached, repeats go out as a
-        ``data_ref`` a few hundred bytes long instead of the payload
-        (falling back to a full resend on ``need_data``).
+        the server confirms the field is cached under this model's
+        scope, repeats go out as a ``data_ref`` a few hundred bytes long
+        instead of the payload (falling back to a full resend on
+        ``need_data``).
 
         Returns the full response (``prediction``, ``target``,
         ``version``, ``batch_size``, ``timings``).  Raises
@@ -257,26 +274,25 @@ class PredictionClient:
             return self._checked(request)
         payload = data if isinstance(data, Mapping) else encode_array(np.asarray(data))
         fingerprint = self._fingerprint(payload)
-        if fingerprint in self._known_refs:
-            self._known_refs.move_to_end(fingerprint)
+        ref = (self._scopes.get((key, version)), fingerprint)
+        if ref in self._known_refs:
+            self._known_refs.move_to_end(ref)
             try:
                 response = self._checked({**request, "data_ref": fingerprint})
             except ServerError as exc:
                 if exc.server_status != "need_data":
                     raise
-                # Evicted (or a cache-less server): forget the ref and
-                # resend in full below; a "cached" confirmation on the
-                # resend re-arms it, a cache-off server never does.
-                self._known_refs.pop(fingerprint, None)
+                # Evicted: forget the ref and resend in full below; the
+                # scope on that reply re-arms it.
+                del self._known_refs[ref]
             else:
                 self.ref_hits += 1
                 return response
         response = self._checked({**request, "data": dict(payload)})
-        if response.get("cached"):
-            self._known_refs[fingerprint] = None
-            self._known_refs.move_to_end(fingerprint)
-            while len(self._known_refs) > _KNOWN_REFS_CAP:
-                self._known_refs.popitem(last=False)
+        scope = response.get("feat_scope")
+        if scope is not None:
+            _remember(self._scopes, (key, version), scope, _SCOPES_CAP)
+            _remember(self._known_refs, (scope, fingerprint), None, _KNOWN_REFS_CAP)
         return response
 
     def _fingerprint(self, payload: Mapping[str, Any]) -> str:
@@ -290,9 +306,7 @@ class PredictionClient:
             self._fp_memo.move_to_end(id(payload))
             return memo[1]
         fingerprint = content_fingerprint(payload)
-        self._fp_memo[id(payload)] = (payload, fingerprint)
-        while len(self._fp_memo) > _FP_MEMO_CAP:
-            self._fp_memo.popitem(last=False)
+        _remember(self._fp_memo, id(payload), (payload, fingerprint), _FP_MEMO_CAP)
         return fingerprint
 
     def stats(self) -> dict[str, Any]:

@@ -69,13 +69,18 @@ def content_fingerprint(payload: Mapping[str, Any]) -> str:
     Hashing the still-encoded payload (the base64 body plus the
     dtype/shape/order tags) means a hit skips the base64 decode as well
     as the evaluator; two fields with equal bytes but different dtype,
-    shape or memory order hash apart.
+    shape or memory order hash apart.  The body — a string hundreds of
+    KB long — is hashed as its own bytes: a ``repr()`` copy of it was
+    two thirds of what a cache hit cost.
     """
     h = hashlib.sha256()
     for key in sorted(payload):
         value = payload[key]
         h.update(b"\x00" + key.encode("utf-8") + b"\x00")
-        h.update(repr(value).encode("utf-8"))
+        if isinstance(value, str):
+            h.update(b"s" + value.encode("utf-8"))
+        else:
+            h.update(b"r" + repr(value).encode("utf-8"))
     return h.hexdigest()
 
 
@@ -205,6 +210,17 @@ class FeaturizationCache:
             }
         )
 
+    def scope(self, model: LoadedModel) -> str | None:
+        """The entry family *model*'s rows live in (None: uncacheable).
+
+        Models with equal scopes share entries — every bound of an
+        error-agnostic scheme, exactly one bound of an error-dependent
+        one — which is what lets a client know, before asking, whether a
+        ``data_ref`` to this model can be honoured.
+        """
+        signature = self.model_signature(model)
+        return None if signature is None else signature[:24]
+
     def key_for(self, model: LoadedModel, payload: Mapping[str, Any]) -> str | None:
         """Full cache key for (*model*, encoded field), or None to bypass."""
         return self.key_for_fingerprint(model, content_fingerprint(payload))
@@ -217,10 +233,8 @@ class FeaturizationCache:
         The ``data_ref`` protocol path: the client already holds the
         fingerprint of a payload it sent earlier, so the key can be
         derived without the payload crossing the wire again."""
-        signature = self.model_signature(model)
-        if signature is None:
-            return None
-        return f"featrow-{signature[:24]}-{fingerprint}"
+        scope = self.scope(model)
+        return None if scope is None else f"featrow-{scope}-{fingerprint}"
 
     # -- lookup / store ------------------------------------------------------------
     def get(self, key: str) -> CachedRow | None:

@@ -181,7 +181,7 @@ class ServeFleet:
     """Spawn, supervise and address a multi-process prediction fleet.
 
     Parameters mirror :class:`PredictionServer` where they overlap;
-    extra server keywords (``batch_window_ms``, ``max_batch``, …) pass
+    extra server keywords (``max_batch``, ``cache_capacity``, …) pass
     through ``server_options``.  ``reuse_port=None`` auto-detects and
     falls back to port-per-worker; ``True`` insists (raising where
     unsupported); ``False`` forces the fallback path.
@@ -590,12 +590,12 @@ def aggregate_stats(snapshots: list[dict[str, Any]]) -> dict[str, Any]:
         return out
     summed = (
         "requests", "completed", "failed", "shed", "batches", "predict_calls",
-        "batched_rows", "cache_hits", "cache_misses", "load_waits",
+        "batched_rows", "cache_hits", "cache_misses",
         "model_loads", "refreshes", "observations", "drift_fires",
         "connections", "feat_hits", "feat_misses", "feat_bypass",
         "feat_ref_hits", "feat_ref_misses",
         "feat_bytes_saved", "feat_seconds_saved", "queue_wait_seconds",
-        "featurize_seconds", "predict_seconds",
+        "compute_wait_seconds", "featurize_seconds", "predict_seconds",
     )
     for name in summed:
         out[name] = sum(snap.get(name, 0) for snap in snapshots)

@@ -6,22 +6,25 @@ running the compressor.  The design follows the bench's own playbook —
 stage-bucketed timing, explicit counters, shed-don't-hang overload
 behaviour — applied to a latency-sensitive online path:
 
-* **micro-batching** — requests for the same model key collect for up
-  to ``batch_window_ms`` (or until ``max_batch`` arrive) and run through
-  *one* vectorised ``predict_many`` call, so a burst of K concurrent
-  queries costs far fewer than K model invocations;
-* **warm-model LRU + single-flight loading** — deserialised models live
-  in a small LRU; concurrent requests for a cold key coalesce onto one
-  loader (the blob is read and decoded exactly once), everyone else
-  awaits the same future;
+* **work-conserving micro-batching** — a request for an idle model key
+  starts that key's drain; requests arriving while its batch runs queue
+  behind it and leave as *one* ``predict_many`` call of up to
+  ``max_batch`` rows.  A lone caller is answered at wire speed; only
+  while another connection (which could add a row) is open does an idle
+  key's first batch pause for ``_COALESCE_S``;
+* **one compute lane** — batches of precomputed ``results`` rows run
+  inline on the loop thread, batches carrying raw fields on the server's
+  single compute thread: model work never fights itself for the GIL;
+* **warm-model LRU** — sized to hold a campaign's published set; one
+  drain per key, so a cold key is read and decoded exactly once;
 * **admission control** — at most ``max_in_flight`` admitted requests
   and ``max_queue_depth`` queued rows; beyond that, requests are *shed*
   with the documented ``"overloaded"`` status instead of queuing
   unboundedly (a client can back off; a hung socket cannot);
-* **stage timings** — every response carries queue-wait / featurize /
-  predict milliseconds, and the ``stats`` op exposes the aggregate
-  :class:`ServeStats` counters (the server-side analog of
-  :class:`~repro.bench.taskqueue.QueueStats`).
+* **stage timings** — every response carries queue-wait / compute-wait /
+  featurize / predict milliseconds (they add up to the server residency),
+  and the ``stats`` op exposes the aggregate :class:`ServeStats` counters
+  (the server-side analog of :class:`~repro.bench.taskqueue.QueueStats`).
 
 Wire protocol: newline-delimited JSON over TCP.  Request::
 
@@ -48,11 +51,12 @@ Response statuses (documented contract): ``"ok"``, ``"overloaded"``
 cache — resend the full ``data`` payload), ``"error"`` (internal
 failure; request was admitted but not served).
 
-Raw-data predict responses carry ``"cached": true`` when the row was
-served from or stored into the featurization cache; a client uses that
-as the server's invitation to send ``data_ref`` instead of the payload
-on subsequent what-if probes of the same field (the cheap resend path
-:class:`~repro.serve.client.PredictionClient` drives automatically).
+Raw-data predict responses carry ``"cached": true`` and ``"feat_scope"``
+when the row was served from or stored into the featurization cache.
+Models of equal scope (:meth:`FeaturizationCache.scope`) share entries,
+so a client that saw ``(scope, fingerprint)`` confirmed may send
+``data_ref`` to any key of that scope and to no other
+(:class:`~repro.serve.client.PredictionClient` does, unasked).
 
 Degradation contract: when a model's drift monitor has fired but no
 new version has started serving (the continuous-learning loop is down
@@ -68,6 +72,7 @@ import json
 import threading
 import time
 from collections import OrderedDict, deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -84,6 +89,11 @@ STATUS_NOT_FOUND = "not_found"
 STATUS_BAD_REQUEST = "bad_request"
 STATUS_NEED_DATA = "need_data"
 STATUS_ERROR = "error"
+
+#: Seconds an idle key's first batch waits for rows from other open
+#: connections: the one clock-bound share of a round trip, which keeps
+#: closed-loop throughput steady when the host is not (DESIGN.md §8).
+_COALESCE_S = 0.001
 
 
 @dataclass
@@ -102,9 +112,6 @@ class ServeStats:
     batched_rows: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Requests that awaited another request's in-flight load instead of
-    #: issuing their own (the single-flight saving).
-    load_waits: int = 0
     #: Actual blob deserialisations (cold loads).
     model_loads: int = 0
     #: ``refresh`` ops served (registry invalidation pushes).
@@ -130,7 +137,10 @@ class ServeStats:
     feat_bytes_saved: int = 0
     #: Featurize seconds avoided (original miss cost minus hit cost).
     feat_seconds_saved: float = 0.0
+    #: Admission → the request's batch detached from its key's queue.
     queue_wait_seconds: float = 0.0
+    #: Batch detached → its work started (model load, wait for the lane).
+    compute_wait_seconds: float = 0.0
     featurize_seconds: float = 0.0
     predict_seconds: float = 0.0
     #: Per-request end-to-end server latencies (ring buffer, seconds).
@@ -163,7 +173,6 @@ class ServeStats:
             "mean_batch_size": self.mean_batch_size,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
-            "load_waits": self.load_waits,
             "model_loads": self.model_loads,
             "refreshes": self.refreshes,
             "observations": self.observations,
@@ -177,6 +186,7 @@ class ServeStats:
             "feat_bytes_saved": self.feat_bytes_saved,
             "feat_seconds_saved": self.feat_seconds_saved,
             "queue_wait_seconds": self.queue_wait_seconds,
+            "compute_wait_seconds": self.compute_wait_seconds,
             "featurize_seconds": self.featurize_seconds,
             "predict_seconds": self.predict_seconds,
             "latency_p50_ms": self.latency_quantile(0.50) * 1e3,
@@ -186,12 +196,12 @@ class ServeStats:
 
 
 class _ModelCache:
-    """Warm-model LRU with single-flight cold loading.
+    """Warm-model LRU.
 
-    A cold key is deserialised exactly once no matter how many requests
-    race it: the first creates the load future, the rest await it.  The
+    Only a key's drain task asks for its model, so a cold key is
+    deserialised exactly once no matter how many requests race it.  The
     blocking registry read runs in a worker thread so the event loop
-    keeps batching other keys meanwhile.
+    keeps serving other keys meanwhile.
     """
 
     def __init__(self, registry: ModelRegistry, capacity: int, stats: ServeStats) -> None:
@@ -199,7 +209,6 @@ class _ModelCache:
         self.capacity = max(1, int(capacity))
         self.stats = stats
         self._models: OrderedDict[tuple[str, str | None], LoadedModel] = OrderedDict()
-        self._loading: dict[tuple[str, str | None], asyncio.Future] = {}
 
     async def get(self, key: str, version: str | None = None) -> LoadedModel:
         cache_key = (key, version)
@@ -208,29 +217,13 @@ class _ModelCache:
             self.stats.cache_hits += 1
             self._models.move_to_end(cache_key)
             return model
-        pending = self._loading.get(cache_key)
-        if pending is not None:
-            self.stats.load_waits += 1
-            return await asyncio.shield(pending)
         self.stats.cache_misses += 1
-        fut: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._loading[cache_key] = fut
-        try:
-            try:
-                model = await asyncio.to_thread(self.registry.load, key, version)
-            except Exception as exc:  # noqa: BLE001 - propagate to all waiters
-                fut.set_exception(exc)
-            else:
-                self.stats.model_loads += 1
-                self._models[cache_key] = model
-                while len(self._models) > self.capacity:
-                    self._models.popitem(last=False)
-                fut.set_result(model)
-            # The creator consumes the future too, so a load failure is
-            # always retrieved even with zero coalesced waiters.
-            return await asyncio.shield(fut)
-        finally:
-            self._loading.pop(cache_key, None)
+        model = await asyncio.to_thread(self.registry.load, key, version)
+        self.stats.model_loads += 1
+        self._models[cache_key] = model
+        while len(self._models) > self.capacity:
+            self._models.popitem(last=False)
+        return model
 
     def invalidate(self, key: str) -> None:
         """Drop every cached generation of *key* (after a re-publish)."""
@@ -282,8 +275,8 @@ class _Pending:
     featurize_s: float = 0.0
     #: Featurization-cache outcome for a raw-data item ("hit"/"miss"/
     #: "bypass"/"ref_hit"/"ref_miss"; None when no cache or the client
-    #: sent results).  Set on the featurize worker thread, folded into
-    #: stats on the loop thread.
+    #: sent results).  Set on the compute lane, folded into stats on the
+    #: loop thread.
     feat_outcome: str | None = None
     #: Decoded field size (bytes) a hit avoided / a miss paid.
     source_nbytes: int = 0
@@ -300,11 +293,10 @@ class PredictionServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        batch_window_ms: float = 5.0,
         max_batch: int = 32,
         max_in_flight: int = 64,
         max_queue_depth: int = 256,
-        cache_capacity: int = 8,
+        cache_capacity: int = 64,
         drift_config: DriftConfig | None = None,
         feat_cache: FeaturizationCache | None = None,
         reuse_port: bool = False,
@@ -315,7 +307,6 @@ class PredictionServer:
         self.registry = registry
         self.host = host
         self.port = int(port)  # 0 = ephemeral; real port known after start
-        self.batch_window = max(float(batch_window_ms), 0.0) / 1e3
         self.max_batch = max(1, int(max_batch))
         self.max_in_flight = max(1, int(max_in_flight))
         self.max_queue_depth = max(1, int(max_queue_depth))
@@ -340,8 +331,11 @@ class PredictionServer:
         self._monitors: dict[str, DriftMonitor] = {}
         #: key → version most recently served (predict) or known (refresh).
         self._served_versions: dict[str, str] = {}
-        self._queues: dict[tuple[str, str | None], list[_Pending]] = {}
-        self._flush_tasks: dict[tuple[str, str | None], asyncio.Task] = {}
+        #: (key, version) → its queued requests, while its drain task lives.
+        self._queues: dict[tuple[str, str | None], deque[_Pending]] = {}
+        self._drains: set[asyncio.Task] = set()
+        #: The one compute lane: two would convoy on the GIL (DESIGN.md §8).
+        self._lane = ThreadPoolExecutor(1, thread_name_prefix="serve-compute")
         self._in_flight = 0
         self._queued = 0
         self._server: asyncio.AbstractServer | None = None
@@ -383,14 +377,14 @@ class PredictionServer:
                 self._control_server.close()
                 await self._control_server.wait_closed()
             # Keep-alive clients hold connections open across requests;
-            # cancel and await their handler tasks here so teardown is
-            # quiet and deterministic.
-            for task in list(self._connection_tasks):
+            # cancel and await their handler tasks (and the drains they
+            # were waiting on) here so teardown is quiet and deterministic.
+            tasks = [*self._connection_tasks, *self._drains]
+            for task in tasks:
                 task.cancel()
-            if self._connection_tasks:
-                await asyncio.gather(
-                    *self._connection_tasks, return_exceptions=True
-                )
+            await asyncio.gather(*tasks, return_exceptions=True)
+            # The lane thread exits after the batch it is running, if any.
+            self._lane.shutdown(wait=False, cancel_futures=True)
 
     def request_stop(self) -> None:
         if self._stopping is not None:
@@ -738,52 +732,53 @@ class PredictionServer:
         cache_key = (key, version)
         queue = self._queues.get(cache_key)
         if queue is None:
-            queue = self._queues[cache_key] = []
-            self._flush_tasks[cache_key] = asyncio.get_running_loop().create_task(
-                self._flush_after_window(cache_key)
-            )
+            # Idle key: requests read in this loop iteration share its batch.
+            queue = self._queues[cache_key] = deque()
+            drain = asyncio.get_running_loop().create_task(self._drain(cache_key))
+            self._drains.add(drain)
+            drain.add_done_callback(self._drains.discard)
         queue.append(pending)
-        if len(queue) >= self.max_batch:
-            self._start_batch(cache_key)
 
-    def _start_batch(self, cache_key: tuple[str, str | None]) -> None:
-        """Detach the queued batch and run it (idempotent per batch)."""
-        batch = self._queues.pop(cache_key, None)
-        timer = self._flush_tasks.pop(cache_key, None)
-        if timer is not None and not timer.done():
-            timer.cancel()
-        if not batch:
-            return
-        self._queued -= len(batch)
-        asyncio.get_running_loop().create_task(self._run_batch(cache_key, batch))
-
-    async def _flush_after_window(self, cache_key: tuple[str, str | None]) -> None:
+    async def _drain(self, cache_key: tuple[str, str | None]) -> None:
+        """Serve *cache_key*'s queue, one batch at a time, until it is empty:
+        whatever arrived while a batch ran leaves as the next one (FIFO,
+        at most ``max_batch`` rows).  A fault stays inside its own batch."""
+        queue = self._queues[cache_key]
         try:
-            await asyncio.sleep(self.batch_window)
-        except asyncio.CancelledError:
-            return
-        self._flush_tasks.pop(cache_key, None)
-        batch = self._queues.pop(cache_key, None)
-        if not batch:
-            return
-        self._queued -= len(batch)
-        await self._run_batch(cache_key, batch)
+            if len(self._connection_tasks) > 1:
+                await asyncio.sleep(_COALESCE_S)
+            while queue:
+                batch = [queue.popleft() for _ in range(min(len(queue), self.max_batch))]
+                self._queued -= len(batch)
+                await self._run_batch(cache_key, batch)
+        finally:
+            # (No await since the emptiness test: nothing is queued behind us.)
+            del self._queues[cache_key]
 
     async def _run_batch(
         self, cache_key: tuple[str, str | None], batch: list[_Pending]
     ) -> None:
-        """Load (warm or single-flight), featurize, one predict_many."""
+        """Load the model, then featurize + one predict_many on one lane."""
         key, version = cache_key
-        t_start = time.perf_counter()
+        t_detach = time.perf_counter()
         for item in batch:
-            item.queue_wait = t_start - item.enqueued
+            item.queue_wait = t_detach - item.enqueued
             self.stats.queue_wait_seconds += item.queue_wait
         self.stats.batches += 1
         try:
             model = await self.cache.get(key, version)
-            rows = await asyncio.to_thread(self._featurize_batch, model, batch)
-            # Stats mutate only on the loop thread; _featurize_batch ran
-            # on a worker, so fold its per-item timings in here.
+            if all(item.row is not None for item in batch):
+                # Bounded by max_batch; cheaper inline than any hand-off.
+                work = self._compute(model, batch)
+            else:
+                work = await asyncio.get_running_loop().run_in_executor(
+                    self._lane, self._compute, model, batch
+                )
+            t_start, rows, preds, predict_s = work
+            compute_wait = t_start - t_detach
+            # Stats mutate only on the loop thread; fold the per-item
+            # timings and cache outcomes _compute left on the batch.
+            self.stats.compute_wait_seconds += compute_wait * len(batch)
             self.stats.featurize_seconds += sum(i.featurize_s for i in batch)
             for item in batch:
                 if item.feat_outcome in ("hit", "ref_hit"):
@@ -802,7 +797,7 @@ class PredictionServer:
                     self.stats.feat_ref_misses += 1
             # A data_ref the cache could not honour drops out of the
             # batch here with ``need_data``; the client resends in full.
-            live = [(item, row) for item, row in zip(batch, rows) if row is not None]
+            live = [item for item, row in zip(batch, rows) if row is not None]
             for item, row in zip(batch, rows):
                 if row is None and not item.future.done():
                     item.future.set_result(
@@ -818,11 +813,6 @@ class PredictionServer:
                     )
             if not live:
                 return
-            t_pred = time.perf_counter()
-            preds = await asyncio.to_thread(
-                model.predictor.predict_many, [row for _, row in live]
-            )
-            predict_s = time.perf_counter() - t_pred
             self.stats.predict_calls += 1
             self.stats.batched_rows += len(live)
             self.stats.predict_seconds += predict_s
@@ -830,33 +820,47 @@ class PredictionServer:
                 # Follow-latest traffic defines what "currently serving"
                 # means for the stale flag; pinned queries don't.
                 self._served_versions[key] = model.version
-        except Exception as exc:  # noqa: BLE001 - fail the whole batch
+            for item, pred in zip(live, preds):
+                if item.future.done():
+                    continue
+                response = {
+                    "ok": True,
+                    "status": STATUS_OK,
+                    "prediction": float(pred),
+                    "target": model.target_key,
+                    "key": key,
+                    "version": model.version,
+                    "batch_size": len(batch),
+                    "timings": {
+                        "queue_wait_ms": item.queue_wait * 1e3,
+                        "compute_wait_ms": compute_wait * 1e3,
+                        "featurize_ms": item.featurize_s * 1e3,
+                        "predict_ms": predict_s * 1e3,
+                    },
+                }
+                if item.row is None:
+                    # Tell the client whether the row now lives in the cache
+                    # and under which scope — its cue to send ``data_ref``.
+                    response["cached"] = item.feat_outcome in ("hit", "miss", "ref_hit")
+                    if response["cached"]:
+                        response["feat_scope"] = self.feat_cache.scope(model)
+                item.future.set_result(response)
+        except Exception as exc:  # noqa: BLE001 - fail what is left of the batch
             for item in batch:
                 if not item.future.done():
                     item.future.set_exception(exc)
-            return
-        for (item, _), pred in zip(live, preds):
-            if item.future.done():
-                continue
-            response = {
-                "ok": True,
-                "status": STATUS_OK,
-                "prediction": float(pred),
-                "target": model.target_key,
-                "key": key,
-                "version": model.version,
-                "batch_size": len(batch),
-                "timings": {
-                    "queue_wait_ms": item.queue_wait * 1e3,
-                    "featurize_ms": item.featurize_s * 1e3,
-                    "predict_ms": predict_s * 1e3,
-                },
-            }
-            if item.row is None:
-                # Tell the client whether the row now lives in the
-                # cache — its cue to switch to ``data_ref`` resends.
-                response["cached"] = item.feat_outcome in ("hit", "miss", "ref_hit")
-            item.future.set_result(response)
+
+    def _compute(
+        self, model: LoadedModel, batch: list[_Pending]
+    ) -> tuple[float, list[Mapping[str, Any] | None], Any, float]:
+        """A batch's model work, inline or on the lane: featurize, then one
+        ``predict_many``.  Returns (start time, rows, predictions, predict s)."""
+        t_start = time.perf_counter()
+        rows = self._featurize_batch(model, batch)
+        live = [row for row in rows if row is not None]
+        t_pred = time.perf_counter()
+        preds = model.predictor.predict_many(live) if live else ()
+        return t_start, rows, preds, time.perf_counter() - t_pred
 
     def _featurize_batch(
         self, model: LoadedModel, batch: list[_Pending]

@@ -314,10 +314,10 @@ class TestServeCommands:
     def test_serve_and_publish_flags_parse(self):
         args = build_parser().parse_args(
             ["serve", "--registry", "/tmp/reg", "--port", "7000",
-             "--batch-window-ms", "2.5", "--max-batch", "16"]
+             "--max-batch", "16"]
         )
         assert args.registry == "/tmp/reg"
-        assert args.batch_window_ms == 2.5
+        assert args.max_batch == 16
         args = build_parser().parse_args(
             ["publish", "ck.db", "--registry", "/tmp/reg",
              "--schemes", "khan2023", "--bounds", "1e-4"]

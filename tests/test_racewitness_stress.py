@@ -128,6 +128,23 @@ class TestDeliberateRace:
             "counter.lock"
         ]
 
+    def test_sequential_short_lived_threads_are_distinct_owners(self):
+        # CPython recycles threading.get_ident() once a thread exits, so
+        # back-to-back writers used to look like one EXCLUSIVE owner and
+        # refinement never started (lockset stayed unset).
+        witness = LocksetWitness()
+        counter = RacyCounter(witness.wrap(name="counter.lock"))
+        witness.instrument(counter, name="counter")
+        for _ in range(8):
+            t = threading.Thread(target=counter.add_locked, args=(1,))
+            t.start()
+            t.join(10)
+            assert not t.is_alive()
+        witness.assert_race_free()
+        variable = witness.report()["variables"]["counter.total"]
+        assert variable["state"] == "shared-modified"
+        assert variable["lockset"] == ["counter.lock"]
+
     def test_check_on_access_raises_at_the_racy_site(self):
         witness = LocksetWitness(check_on_access=True)
         counter = RacyCounter(witness.wrap(name="counter.lock"))

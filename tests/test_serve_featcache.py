@@ -93,6 +93,12 @@ class TestKeying:
         b = encode_array(field.astype(np.float64))
         assert content_fingerprint(a) != content_fingerprint(b)
 
+    def test_fingerprint_tells_a_string_from_what_it_spells(self, field):
+        # Strings are hashed as their bytes, everything else as its repr:
+        # a shape sent as the text of a list must not pass for the list.
+        a = encode_array(field)
+        assert content_fingerprint(a) != content_fingerprint({**a, "shape": repr(a["shape"])})
+
     def test_scheme_options_are_key_relevant(self, field):
         cache = FeaturizationCache()
         payload = encode_array(field)

@@ -9,8 +9,11 @@ while queries keep succeeding.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
+import socketserver
+import threading
 import time
 from types import SimpleNamespace
 
@@ -21,10 +24,14 @@ from repro.bench.runner import ExperimentRunner
 from repro.dataset import HurricaneDataset
 from repro.predict.scheme import get_scheme
 from repro.serve import (
+    FeaturizationCache,
     FleetClient,
     ModelRegistry,
     PredictionClient,
+    PredictionServer,
     ServeFleet,
+    ServerThread,
+    encode_array,
     registry_key,
     reuse_port_supported,
     scheme_params,
@@ -69,6 +76,41 @@ def campaign(tmp_path_factory):
         rows=rows,
     )
     runner.close()
+
+
+@pytest.fixture(scope="module")
+def sweep(tmp_path_factory):
+    """The what-if shape: an error-agnostic (rahman2023) and an
+    error-dependent (khan2023) scheme, each published at two bounds."""
+    dataset = HurricaneDataset(shape=SHAPE, timesteps=[0, 24], fields=["P", "U", "QRAIN"])
+    scheme = get_scheme("rahman2023", n_estimators=5, max_depth=4, augment_factor=1.0)
+    runner = ExperimentRunner(
+        dataset, compressors=["sz3"], bounds=[BOUND, 1e-4],
+        schemes=[scheme, "khan2023"], n_folds=2,
+    )
+    registry = ModelRegistry(str(tmp_path_factory.mktemp("sweep-registry")))
+    receipts = runner.publish(registry, runner.collect().observations)
+    runner.close()
+    keys = [
+        r.key
+        for r in sorted(
+            receipts,
+            key=lambda r: (r.manifest["scheme"] != "rahman2023",
+                           r.manifest["compressor_options"]["pressio:abs"]),
+        )
+    ]
+    assert len(keys) == 4
+    return SimpleNamespace(registry=registry, keys=keys)
+
+
+class CountingClient(PredictionClient):
+    """Counts round trips through the public ``request`` method."""
+
+    round_trips = 0
+
+    def request(self, payload):
+        self.round_trips += 1
+        return super().request(payload)
 
 
 def fleet(campaign, workers=2, **kwargs):
@@ -201,55 +243,111 @@ class TestZeroCopyResend:
                 by_payload = client.predict(campaign.key, data=encode_array(arr))
         assert by_payload["prediction"] == by_array["prediction"]
 
-    def test_need_data_falls_back_to_full_resend(self, campaign):
-        """A ref the server cannot honour (evicted entry, fresh worker)
-        is renegotiated transparently: the caller just sees the answer."""
-        rng = np.random.default_rng(10)
-        arr = rng.standard_normal(SHAPE).astype(np.float32)
-        from repro.serve import encode_array
+    def test_sweep_sends_refs_only_where_the_scope_allows(self, sweep):
+        """rahman@b1, rahman@b2, khan@b1, khan@b2 on one field: the
+        error-agnostic second bound rides a ref, the error-dependent
+        keys never send one the server could not honour."""
+        rng = np.random.default_rng(13)
+        first, second = (
+            encode_array(rng.standard_normal(SHAPE).astype(np.float32)) for _ in range(2)
+        )
+        server = PredictionServer(sweep.registry, feat_cache=FeaturizationCache())
+        with ServerThread(server) as thread, CountingClient(*thread.address) as client:
+            for key in sweep.keys:  # every key's scope is learned here
+                client.predict(key, data=first)
+            assert client.ref_hits == 0
+            before = client.stats()
+            trips = client.round_trips
+            for key in sweep.keys:
+                client.predict(key, data=second)
+            trips = client.round_trips - trips
+            after = client.stats()
+        assert trips == 4
+        assert client.ref_hits == 1
+        assert after["feat_ref_hits"] - before["feat_ref_hits"] == 1
+        assert after["feat_ref_misses"] == 0
+        hits = after["feat_hits"] - before["feat_hits"]
+        misses = after["feat_misses"] - before["feat_misses"]
+        assert (hits, misses) == (1, 3)  # hit share exactly 1/4
 
-        payload = encode_array(arr)
-        with fleet(campaign, workers=1, feat_cache="shared") as f:
-            client = PredictionClient(*f.address)
-            try:
-                # Simulate a stale ref memory (e.g. the entry was evicted
-                # between probes): the client believes the field is cached.
-                client._known_refs[client._fingerprint(payload)] = None
-                response = client.predict(campaign.key, data=payload)
-                aggregate = f.stats()["aggregate"]
-            finally:
-                client.close()
+    def test_need_data_falls_back_to_full_resend(self, campaign):
+        """A ref whose entry was evicted between probes is renegotiated
+        transparently: the caller just sees the answer."""
+        rng = np.random.default_rng(10)
+        kept, evictor = (
+            encode_array(rng.standard_normal(SHAPE).astype(np.float32)) for _ in range(2)
+        )
+        server = PredictionServer(
+            campaign.registry, feat_cache=FeaturizationCache(capacity=1)
+        )
+        with ServerThread(server) as thread, PredictionClient(*thread.address) as client:
+            first = client.predict(campaign.key, data=kept)
+            client.predict(campaign.key, data=evictor)  # capacity 1: drops `kept`
+            response = client.predict(campaign.key, data=kept)
+            stats = client.stats()
+            assert client.ref_hits == 0
+            # The full resend stored the row again, which re-arms the ref.
+            client.predict(campaign.key, data=kept)
+            assert client.ref_hits == 1
+            # On the wire, an unhonourable ref is named by its key.
+            refused = client.request({"op": "predict", "key": campaign.key, "data_ref": "0" * 64})
+        assert (refused["status"], refused["key"]) == ("need_data", campaign.key)
         assert response["status"] == "ok"
-        assert client.ref_hits == 0
-        assert aggregate["feat_ref_misses"] == 1
-        assert aggregate["feat_misses"] == 1
+        assert response["prediction"] == first["prediction"]
+        assert stats["feat_ref_misses"] == 1
+        assert stats["feat_misses"] == 3
         # The renegotiated full send is the one real request served.
-        assert aggregate["failed"] == 0
+        assert stats["failed"] == 0
 
     def test_cache_off_server_answers_need_data(self, campaign):
-        rng = np.random.default_rng(12)
-        arr = rng.standard_normal(SHAPE).astype(np.float32)
-        from repro.serve import encode_array
-
-        payload = encode_array(arr)
-        with fleet(campaign, workers=1, feat_cache="off") as f:
-            client = PredictionClient(*f.address)
-            try:
-                # A cache-off server never reports "cached", so a well
-                # behaved client never sends refs — prime one anyway.
-                client._known_refs[client._fingerprint(payload)] = None
-                response = client.predict(campaign.key, data=payload)
-                again = client.predict(campaign.key, data=payload)
-                aggregate = f.stats()["aggregate"]
-            finally:
-                client.close()
-        assert response["status"] == "ok"
+        """A ref learned from a cache-on server, sent to its cache-off
+        successor on the same port: one ``need_data``, then payloads."""
+        payload = encode_array(
+            np.random.default_rng(12).standard_normal(SHAPE).astype(np.float32)
+        )
+        cached = PredictionServer(campaign.registry, feat_cache=FeaturizationCache())
+        with ServerThread(cached) as thread:
+            client = PredictionClient(*thread.address)
+            response = client.predict(campaign.key, data=payload)
+            assert response["feat_scope"]
+        uncached = PredictionServer(campaign.registry, port=cached.port, feat_cache=None)
+        with ServerThread(uncached), client:
+            again = client.predict(campaign.key, data=payload)  # redials
+            assert "feat_scope" not in again
+            client.predict(campaign.key, data=payload)
+            stats = client.stats()
         assert again["prediction"] == response["prediction"]
         assert client.ref_hits == 0
-        assert aggregate["feat_ref_misses"] == 1
-        # The fallback full send got no "cached" confirmation, so the
-        # second predict went straight to a full payload: no more refs.
-        assert aggregate["feat_ref_hits"] == 0
+        assert stats["feat_ref_misses"] == 1
+        # The fallback full send named no scope, so the next predict
+        # went straight to a full payload: no more refs.
+        assert stats["feat_ref_hits"] == 0
+        assert stats["completed"] == 2
+
+    def test_server_without_scopes_is_always_sent_the_payload(self):
+        """A server that predates ``feat_scope`` still says ``cached``;
+        the client must not guess a scope from that."""
+        seen: list[dict] = []
+
+        class OldServer(socketserver.StreamRequestHandler):
+            def handle(self):
+                for line in self.rfile:
+                    seen.append(json.loads(line))
+                    reply = {"ok": True, "status": "ok", "prediction": 1.0, "cached": True}
+                    self.wfile.write((json.dumps(reply) + "\n").encode())
+
+        payload = encode_array(np.zeros(SHAPE, dtype=np.float32))
+        with socketserver.ThreadingTCPServer(("127.0.0.1", 0), OldServer) as old:
+            old.daemon_threads = True
+            threading.Thread(target=old.serve_forever, daemon=True).start()
+            try:
+                with PredictionClient(*old.server_address) as client:
+                    for _ in range(3):
+                        client.predict("some-key", data=payload)
+            finally:
+                old.shutdown()
+        assert client.ref_hits == 0
+        assert len(seen) == 3 and all("data" in request for request in seen)
 
 
 class TestSupervision:

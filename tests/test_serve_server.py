@@ -2,15 +2,21 @@
 
 The acceptance demo for the online service: a trained model queried over
 the wire returns exactly what the deserialized predictor returns when
-called directly; a burst of K concurrent requests coalesces into fewer
-than K vectorised predict calls; overload sheds with the documented
+called directly; requests that arrive while their key's batch is running
+leave as one vectorised predict call; overload sheds with the documented
 status instead of hanging.
+
+The batching and admission tests are deterministic, not timed: a gated
+predictor holds one key's batch on the compute lane until the test has
+queued exactly the requests it wants behind it.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,6 +35,7 @@ from repro.serve import (
     registry_key,
     scheme_params,
 )
+from repro.serve import server as server_module
 
 # Fires fast: tiny calibration + window, two breaching evaluations.
 FAST_DRIFT = DriftConfig(
@@ -89,26 +96,130 @@ def serve(campaign, **kwargs):
     return ServerThread(PredictionServer(campaign.registry, **kwargs))
 
 
-def burst(address, key, rows, n, **client_kwargs):
+def wait_until(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never became true"
+        time.sleep(0.002)
+
+
+def burst(address, key, rows, n):
     """Fire *n* predicts from *n* connections released simultaneously."""
-    out: list = [None] * n
     barrier = threading.Barrier(n)
 
     def worker(i):
-        with PredictionClient(*address, **client_kwargs) as client:
-            barrier.wait()
-            try:
-                out[i] = client.predict(key, results=rows[i % len(rows)])
-            except ServerError as exc:
-                out[i] = exc
+        with PredictionClient(*address) as client:
+            client.ping()  # dialled before the release, not as part of it
+            barrier.wait(30)
+            return client.predict(key, results=rows[i % len(rows)])
 
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(n)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(30)
-    assert all(r is not None for r in out), "a request hung without a response"
-    return out
+    with ThreadPoolExecutor(n) as pool:
+        return [reply.result(30) for reply in [pool.submit(worker, i) for i in range(n)]]
+
+
+class Gate:
+    """Holds the gated key's ``predict_many`` until the test opens it.
+
+    ``calls`` logs the ``tag`` of every row of every gated call, in
+    order: which requests shared a batch, and in what order they left.
+    A call carrying a ``poisoned`` tag answers with something no reply
+    can be built from — a fault *after* the model work.
+    """
+
+    def __init__(self):
+        self.open = threading.Event()
+        self.open.set()
+        self.calls: list[list] = []
+        self.poisoned: set = set()
+
+
+class GatedRegistry:
+    """The campaign registry, with *key*'s predictor behind a :class:`Gate`."""
+
+    def __init__(self, registry, key, gate):
+        self._registry, self._key, self._gate = registry, key, gate
+
+    def __getattr__(self, name):
+        return getattr(self._registry, name)
+
+    def load(self, key, version=None):
+        model = self._registry.load(key, version)
+        if key == self._key:
+            inner, gate = model.predictor.predict_many, self._gate
+
+            def predict_many(rows):
+                tags = [row.get("tag") for row in rows]
+                gate.calls.append(tags)
+                assert gate.open.wait(30), "the test never opened the gate"
+                if gate.poisoned.intersection(tags):
+                    return ["not a number"] * len(rows)
+                return inner(rows)
+
+            model.predictor.predict_many = predict_many
+        return model
+
+
+class Held:
+    """A server whose ``campaign.key`` batch is held on the compute lane.
+
+    Entering sends one raw-field predict (raw fields run on the lane, so
+    the loop stays free to admit and queue) and returns once it is inside
+    the gated ``predict_many``; :meth:`ask` then admits one request at a
+    time, so arrival order is the order of the calls; :meth:`release`
+    opens the gate and returns every reply in that order.
+    """
+
+    def __init__(self, campaign, **server_kwargs):
+        self.campaign = campaign
+        self.gate = Gate()
+        self.server = PredictionServer(
+            GatedRegistry(campaign.registry, campaign.key, self.gate), **server_kwargs
+        )
+        self.thread = ServerThread(self.server)
+        self.pool = ThreadPoolExecutor(32)
+        self.replies = []
+
+    def __enter__(self):
+        self.thread.start()
+        self.gate.open.clear()
+        field = np.random.default_rng(3).standard_normal((16, 16, 8))
+        self.ask(self.campaign.key, data=field.astype(np.float32))
+        wait_until(lambda: self.gate.calls)
+        return self
+
+    def __exit__(self, *exc):
+        self.gate.open.set()
+        self.pool.shutdown()
+        self.thread.stop()
+
+    def _predict(self, key, client_kwargs, **kwargs):
+        with PredictionClient(*self.thread.address, **client_kwargs) as client:
+            try:
+                return client.predict(key, **kwargs)
+            except ServerError as err:
+                return err
+
+    def ask(self, key, client_kwargs=None, **kwargs):
+        """Send one predict from its own connection; return once admitted
+        (or shed) — ``stats.requests`` counts both."""
+        seen = self.server.stats.requests
+        self.replies.append(
+            self.pool.submit(self._predict, key, client_kwargs or {}, **kwargs)
+        )
+        wait_until(lambda: self.server.stats.requests > seen)
+
+    def release(self):
+        self.gate.open.set()
+        return [reply.result(30) for reply in self.replies]
+
+    def stats(self):
+        with PredictionClient(*self.thread.address) as client:
+            return client.stats()
+
+
+def tagged(campaign, n):
+    """*n* campaign rows, each carrying its arrival index as ``tag``."""
+    return [{**campaign.rows[i % len(campaign.rows)], "tag": i} for i in range(n)]
 
 
 class TestPublishHook:
@@ -140,6 +251,7 @@ class TestEndToEnd:
         assert response["version"] == direct.version
         assert set(response["timings"]) == {
             "queue_wait_ms",
+            "compute_wait_ms",
             "featurize_ms",
             "predict_ms",
         }
@@ -176,7 +288,12 @@ class TestEndToEnd:
         assert stats["predict_calls"] == 1
         assert stats["model_loads"] == 1
         assert stats["latency_p99_ms"] > 0
-        for stage in ("queue_wait_seconds", "featurize_seconds", "predict_seconds"):
+        for stage in (
+            "queue_wait_seconds",
+            "compute_wait_seconds",
+            "featurize_seconds",
+            "predict_seconds",
+        ):
             assert stats[stage] >= 0
 
     def test_shutdown_op_stops_server(self, campaign):
@@ -188,40 +305,127 @@ class TestEndToEnd:
 
 
 class TestMicroBatching:
+    def test_idle_request_is_served_alone_and_at_once(self, campaign):
+        with serve(campaign) as thread:
+            with PredictionClient(*thread.address) as client:
+                client.predict(campaign.key, results=campaign.rows[0])  # cold load
+                response = client.predict(campaign.key, results=campaign.rows[1])
+        assert response["batch_size"] == 1
+        # A lone connection has nobody to share a batch with, so nothing is
+        # waited for: the batch leaves on the next loop iteration.
+        assert response["timings"]["queue_wait_ms"] < 1.0
+
+    def test_idle_key_pauses_for_company_only_while_another_connection_is_open(
+        self, campaign, monkeypatch
+    ):
+        # The pause stretched to where two released-together requests are
+        # certain to land inside it: what is pinned is who waits and who
+        # shares, not how long a millisecond is.
+        monkeypatch.setattr(server_module, "_COALESCE_S", 0.25)
+        with serve(campaign) as thread:
+            with PredictionClient(*thread.address) as client:
+                client.predict(campaign.key, results=campaign.rows[0])  # cold load
+                lone = client.predict(campaign.key, results=campaign.rows[0])
+            pair = burst(thread.address, campaign.key, campaign.rows, 2)
+        assert lone["batch_size"] == 1 and lone["timings"]["queue_wait_ms"] < 250
+        assert [r["batch_size"] for r in pair] == [2, 2]
+        assert max(r["timings"]["queue_wait_ms"] for r in pair) >= 250
+
     def test_burst_coalesces_into_fewer_predict_calls(self, campaign):
         k = 12
-        with serve(campaign, batch_window_ms=250, max_batch=64) as thread:
-            results = burst(thread.address, campaign.key, campaign.rows, k)
-            with PredictionClient(*thread.address) as client:
-                stats = client.stats()
-        assert all(isinstance(r, dict) and r["status"] == "ok" for r in results)
-        assert stats["completed"] == k
-        assert stats["predict_calls"] < k, "burst did not batch"
-        assert stats["mean_batch_size"] > 1.0
-        assert stats["batched_rows"] == k
+        with Held(campaign, max_batch=64) as held:
+            for row in tagged(campaign, k):
+                held.ask(campaign.key, results=row)
+            results = held.release()
+            stats = held.stats()
+        assert all(r["status"] == "ok" for r in results)
+        assert held.gate.calls == [[None], list(range(k))]
+        assert {r["batch_size"] for r in results[1:]} == {k}
+        assert stats["completed"] == k + 1
+        assert stats["predict_calls"] == 2
+        assert stats["batched_rows"] == k + 1
+        assert stats["queue_wait_seconds"] > 0  # they did wait behind the holder
 
     def test_batch_answers_agree_with_direct(self, campaign):
         direct = campaign.registry.load(campaign.key)
-        with serve(campaign, batch_window_ms=100, max_batch=64) as thread:
-            results = burst(thread.address, campaign.key, campaign.rows, 8)
-        for i, response in enumerate(results):
-            row = campaign.rows[i % len(campaign.rows)]
+        rows = tagged(campaign, 8)
+        with Held(campaign) as held:
+            for row in rows:
+                held.ask(campaign.key, results=row)
+            results = held.release()
+        for row, response in zip(rows, results[1:]):
             assert response["prediction"] == float(direct.predictor.predict(row))
 
-    def test_max_batch_flushes_before_window(self, campaign):
-        # window far beyond test patience: only the size trigger can
-        # flush, so a full batch completing proves it fires.
-        k = 4
-        with serve(campaign, batch_window_ms=60_000, max_batch=k) as thread:
-            results = burst(thread.address, campaign.key, campaign.rows, k)
-        assert all(r["status"] == "ok" for r in results)
-        assert {r["batch_size"] for r in results} == {k}
+    def test_max_batch_caps_followup_and_remainder_is_fifo(self, campaign):
+        with Held(campaign, max_batch=2) as held:
+            for row in tagged(campaign, 5):
+                held.ask(campaign.key, results=row)
+            results = held.release()
+        assert held.gate.calls == [[None], [0, 1], [2, 3], [4]]
+        assert [r["batch_size"] for r in results] == [1, 2, 2, 2, 2, 1]
+
+    def test_fault_in_one_batch_does_not_strand_those_behind_it(self, campaign):
+        with Held(campaign, max_batch=2) as held:
+            held.gate.poisoned = {0}
+            for row in tagged(campaign, 4):
+                held.ask(campaign.key, results=row)
+            results = held.release()
+            stats = held.stats()
+        statuses = [
+            r.server_status if isinstance(r, ServerError) else r["status"] for r in results
+        ]
+        assert statuses == ["ok", "error", "error", "ok", "ok"]
+        assert stats["failed"] == 2 and stats["completed"] == 3
+
+    def test_held_key_does_not_delay_another_keys_rows(self, campaign):
+        other = next(r.key for r in campaign.receipts if r.key != campaign.key)
+        with Held(campaign) as held:
+            with PredictionClient(*held.thread.address) as client:
+                response = client.predict(other, results=campaign.rows[0])
+            assert response["status"] == "ok"
+            assert not held.replies[0].done(), "the held batch was not held"
+            assert held.release()[0]["status"] == "ok"
+
+    def test_raw_batches_never_featurize_concurrently(self, campaign):
+        # The guard against reintroducing the GIL convoy: raw-field
+        # batches of different keys share one compute lane.
+        other = next(r.key for r in campaign.receipts if r.key != campaign.key)
+        server = PredictionServer(campaign.registry)
+        inner, lock = server._featurize_batch, threading.Lock()
+        active = entries = peak = 0
+
+        def counting(model, batch):
+            nonlocal active, entries, peak
+            with lock:
+                active += 1
+                entries += 1
+                peak = max(peak, active)
+            try:
+                time.sleep(0.05)  # a second lane would be inside by now
+                return inner(model, batch)
+            finally:
+                with lock:
+                    active -= 1
+
+        server._featurize_batch = counting
+        field = np.random.default_rng(5).standard_normal((16, 16, 8))
+        barrier = threading.Barrier(2)
+
+        def ask(key):
+            with PredictionClient(*thread.address) as client:
+                barrier.wait(10)
+                return client.predict(key, data=field.astype(np.float32))
+
+        with ServerThread(server) as thread, ThreadPoolExecutor(2) as pool:
+            replies = [r.result(30) for r in [pool.submit(ask, k) for k in (campaign.key, other)]]
+        assert all(r["status"] == "ok" for r in replies)
+        assert entries == 2 and peak == 1
 
     def test_cold_load_is_single_flight(self, campaign):
-        # window 0: every request flushes its own batch, so concurrent
-        # batches race the cold load — the blob must deserialise once.
+        # a burst racing a cold key: the first request's drain loads the
+        # model, the rest queue behind it — the blob deserialises once.
         k = 8
-        with serve(campaign, batch_window_ms=0) as thread:
+        with serve(campaign) as thread:
             results = burst(thread.address, campaign.key, campaign.rows, k)
             with PredictionClient(*thread.address) as client:
                 stats = client.stats()
@@ -229,55 +433,53 @@ class TestMicroBatching:
         assert stats["model_loads"] == 1, "cold load was not single-flight"
         assert stats["cache_misses"] == 1
 
+    def test_stop_leaves_no_compute_thread(self, campaign):
+        def lanes():
+            return [t for t in threading.enumerate() if t.name.startswith("serve-compute")]
+
+        field = np.zeros((16, 16, 8), dtype=np.float32)
+        with serve(campaign) as thread:
+            with PredictionClient(*thread.address) as client:
+                client.predict(campaign.key, data=field)
+            assert len(lanes()) == 1
+        wait_until(lambda: not lanes())
+
 
 class TestAdmissionControl:
     def test_overload_sheds_with_documented_status(self, campaign):
         # overload_retries=0 turns client retries off: the raw shed
         # must surface with the documented status.
-        k = 8
-        with serve(
-            campaign, batch_window_ms=300, max_in_flight=2, max_queue_depth=1
-        ) as thread:
-            results = burst(
-                thread.address, campaign.key, campaign.rows, k, overload_retries=0
-            )
-            with PredictionClient(*thread.address) as client:
-                stats = client.stats()
-        ok = [r for r in results if isinstance(r, dict)]
-        shed = [r for r in results if isinstance(r, ServerError)]
-        assert ok, "every request was shed"
-        assert shed, "admission limits admitted the whole burst"
+        raw = {"overload_retries": 0}
+        with Held(campaign, max_in_flight=2, max_queue_depth=1) as held:
+            # The held batch is in flight; one more fills both limits.
+            for row in tagged(campaign, 5):
+                held.ask(campaign.key, raw, results=row)
+            results = held.release()
+            stats = held.stats()
+        ok, shed = results[:2], results[2:]
+        assert all(isinstance(r, dict) and r["status"] == "ok" for r in ok)
         for exc in shed:
+            assert isinstance(exc, ServerError)
             assert exc.server_status == "overloaded"
             assert "retry with backoff" in str(exc)
-        assert stats["shed"] == len(shed)
+        assert stats["shed"] == len(shed) == 4
         assert stats["completed"] == len(ok)
 
     def test_default_client_retries_through_overload(self, campaign):
-        # The same burst that sheds above completes without a single
-        # client-visible error when the default retry-with-backoff is
-        # left on — the server's "overloaded" answer is advice the
-        # client now follows.
-        k = 8
-        with serve(
-            campaign, batch_window_ms=50, max_in_flight=2, max_queue_depth=1
-        ) as thread:
-            results = burst(
-                thread.address,
-                campaign.key,
-                campaign.rows,
-                k,
-                overload_retries=12,
-                retry_base_delay=0.02,
-                retry_seed=7,
-            )
-            with PredictionClient(*thread.address) as client:
-                stats = client.stats()
+        # The same requests that are shed above complete without a single
+        # client-visible error when retry-with-backoff is left on — the
+        # server's "overloaded" answer is advice the client follows.
+        retrying = {"overload_retries": 12, "retry_base_delay": 0.02, "retry_seed": 7}
+        with Held(campaign, max_in_flight=2, max_queue_depth=1) as held:
+            for row in tagged(campaign, 5):
+                held.ask(campaign.key, retrying, results=row)
+            results = held.release()
+            stats = held.stats()
         errors = [r for r in results if isinstance(r, ServerError)]
         assert not errors, f"retrying clients still saw errors: {errors[:2]}"
         assert all(r["status"] == "ok" for r in results)
         # the server really did shed — the retries are what hid it
-        assert stats["shed"] > 0
+        assert stats["shed"] >= 4
 
     def test_backoff_schedule_is_bounded_and_deterministic(self):
         import random
