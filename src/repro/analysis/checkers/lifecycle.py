@@ -1,8 +1,8 @@
 """Resource lifecycle: OS-backed handles must reach close/unlink.
 
-PR 3's shared-memory ledger exists because a crashed publisher leaks
-named segments the OS never reclaims; the same failure shape applies to
-sqlite connections (WAL files held open) and memmaps.  This checker
+A named shared-memory segment whose creator crashes is never reclaimed
+by the OS; the same failure shape applies to sqlite connections (WAL
+files held open) and memmaps.  This checker
 tracks function-local names bound to a resource constructor and flags
 those that provably never escape the function nor reach a release call.
 
@@ -45,15 +45,13 @@ RESOURCE_FINAL_NAMES = frozenset(
         "FleetClient",
         "ServerThread",
         "ServeFleet",
-        "SharedSegmentRegistry",
-        "FeaturizationCache",
         "create_connection",
     }
 )
 RESOURCE_DOTTED = frozenset({"sqlite3.connect"})
 
 RELEASE_METHODS = frozenset(
-    {"close", "unlink", "shutdown", "terminate", "stop", "unlink_all", "sweep"}
+    {"close", "unlink", "shutdown", "terminate", "stop"}
 )
 
 

@@ -327,10 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--feat-cache", choices=["off", "local", "shared"],
                        default="shared",
                        help="featurization cache tier: off, per-worker local, "
-                       "or shm-shared across the fleet")
+                       "or row files in a directory shared across the fleet")
     serve.add_argument("--feat-cache-dir", default=None,
-                       help="ledger directory for the shared tier "
-                       "(default: a private temp dir swept at exit)")
+                       help="directory of the shared tier's row files "
+                       "(default: a private temp dir removed at exit); a "
+                       "single-process server leaves its rows for the next "
+                       "start on the same directory, a fleet sweeps them at stop")
     serve.add_argument("--feat-cache-capacity", type=int, default=1024,
                        help="per-worker L1 entries in the featurization cache")
     serve.add_argument("--feat-cache-bytes", type=int, default=64 * 1024 * 1024,
@@ -903,9 +905,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.feat_cache == "local":
         feat_cache = FeaturizationCache(capacity=args.feat_cache_capacity)
     elif args.feat_cache == "shared":
-        # One process: the shared tier still works (and persists across
-        # restarts when --feat-cache-dir names a stable directory), but
-        # with no explicit directory "local" semantics are what's meant.
+        # One process: the shared tier is only worth its file writes when
+        # --feat-cache-dir names a stable directory, whose rows the next
+        # server started on it reads back (nothing sweeps them here);
+        # with no directory "local" semantics are what's meant.
         if args.feat_cache_dir is not None:
             feat_cache = FeaturizationCache(
                 capacity=args.feat_cache_capacity,
@@ -936,9 +939,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         asyncio.run(_serve())
     except KeyboardInterrupt:
         pass
-    finally:
-        if feat_cache is not None:
-            feat_cache.close()
     return 0
 
 

@@ -155,9 +155,9 @@ class FaultInjector:
 #: the collection harness (task execution, checkpoint, result sink);
 #: the next three hit the continuous-learning loop (trainer killed at a
 #: publish fault point, at-rest corruption of a freshly published blob,
-#: a dropped server refresh); ``cache_kill`` kills a serving worker at a
-#: shared-featurization-cache publish fault point (mid-write crash
-#: safety of the shm tier); ``rank_kill`` abruptly kills a whole
+#: a dropped server refresh); ``cache_kill`` kills a serving worker in
+#: the middle of a shared-featurization-cache store (row written to its
+#: temp file, not yet renamed); ``rank_kill`` abruptly kills a whole
 #: cluster worker rank at a selected task — the node-loss fault the
 #: coordinator's heartbeat supervision and shard merge must absorb.
 CHAOS_CLASSES = (

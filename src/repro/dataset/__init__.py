@@ -10,7 +10,6 @@ Plugins stack Figure-2 style::
 
 from .base import DatasetPlugin, StackedDataset, dataset_registry, make_dataset
 from .caches import DeviceMover, LocalCache, MemoryCache
-from .shm import SegmentInfo, SharedSegmentRegistry, shared_memory_available
 from .folder_loader import FolderLoader, parse_field_timestep
 from .hurricane import (
     DEFAULT_SHAPE,
@@ -40,9 +39,6 @@ __all__ = [
     "DEFAULT_TIMESTEPS",
     "DatasetPlugin",
     "DeviceMover",
-    "SegmentInfo",
-    "SharedSegmentRegistry",
-    "shared_memory_available",
     "NyxDataset",
     "S3DDataset",
     "TurbulenceDataset",

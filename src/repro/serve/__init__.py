@@ -10,8 +10,8 @@ continuous-learning loop (:class:`ContinuousLearner`) closes the
 circle: drift detection (:class:`DriftMonitor`) → incremental
 re-collect → republish → zero-restart refresh of every live server.
 :class:`ServeFleet` scales the tier to the hardware: one worker process
-per core behind a shared ``SO_REUSEPORT`` data port, all sharing one
-shm-backed :class:`FeaturizationCache`.
+per core behind a shared ``SO_REUSEPORT`` data port, all sharing the
+row files of one :class:`FeaturizationCache` directory.
 """
 
 from .codec import (

@@ -26,41 +26,73 @@ Two tiers:
 * **L1** — a per-process ``OrderedDict`` LRU of decoded rows
   (capacity-bounded by entry count), shared by nothing, paid for by
   nobody.
-* **L2** — named shared-memory segments in a
-  :class:`~repro.dataset.shm.SharedSegmentRegistry`, so every worker of
-  a :class:`~repro.serve.fleet.ServeFleet` shares one feature store: a
+* **L2** — a directory of row files (the paper's ``local_cache``
+  pattern, Figure 2: node-local files), so every worker of a
+  :class:`~repro.serve.fleet.ServeFleet` shares one feature store: a
   row featurized by worker 0 is a hit for worker 3 without either
-  re-running the evaluator.  Rows ride the exact-round-trip state codec
+  re-running the evaluator, and a server restarted on the same
+  directory starts warm.  Rows ride the exact-round-trip state codec
   (:func:`~repro.serve.codec.encode_state`), so an L2 hit is
-  bit-identical to the evaluator output that produced it.  The
-  registry's write-intent ledger provides crash safety for free: a
-  worker killed mid-store leaves an intent record, readers never see
-  the torn segment, and the stale-intent reclaim re-opens the key.
+  bit-identical to the evaluator output that produced it.  A store
+  writes a uniquely named temp file and renames it (``os.replace``) onto
+  ``<sha256 of the cache key>.row``: a reader sees a whole row or
+  nothing, and a writer killed at any instant leaves at most a temp
+  file in the directory the owner sweeps.  The name is a digest, never
+  the key, because a client-supplied ``data_ref`` reaches :meth:`get`
+  unvalidated.  No ``fsync``: it is a cache — a file torn by power loss
+  (cut short, or blocks read back as zeros) is not the strict JSON the
+  codec parses, so it reads as a miss and the next store renames over
+  it.
 
-Capacity on L2 is byte-bounded: before a store would exceed
-``shared_capacity_bytes``, the oldest ledger entries are unlinked
-(readers attached to an evicted segment keep their mapping; POSIX
-unlink removes the name, not live maps).
+Capacity on L2 is byte-bounded (file sizes, not allocated blocks),
+oldest publish first (file mtime), and a store costs the same, amortised,
+however many rows the directory holds: each process spends a
+*headroom* — ``min(budget - bytes found, budget // _SCAN_FRACTION)`` as
+of its last ``os.scandir`` pass — and lists the directory again only
+once that is written.  A pass that finds the budget exceeded evicts
+down to ``budget - budget // _SCAN_FRACTION`` so the next one is a
+headroom away.  One writer therefore never exceeds
+``shared_capacity_bytes``; *W* processes writing one directory can
+overshoot it by at most ``(W - 1) * (budget // _SCAN_FRACTION)`` bytes,
+the headroom the others took before the latest pass.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import threading
+import time
+import uuid
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-import numpy as np
-
 from ..core.hashing import options_hash
 from ..core.metrics import ERROR_AGNOSTIC, NONDETERMINISTIC
-from ..dataset.shm import SharedSegmentRegistry
 from .codec import decode_state, encode_state
 from .registry import LoadedModel, scheme_params
 
 #: L2 payload wrapper version (bump when the wrapper layout changes).
 _WRAPPER_VERSION = 1
+
+_ROW_SUFFIX = ".row"
+_TMP_SUFFIX = ".tmp"
+#: A process lists the shared directory again after writing this
+#: fraction of the byte budget (see the module docstring for the
+#: eviction rule and the overshoot bound that follow from it).
+_SCAN_FRACTION = 8
+#: A temp file this old has no writer behind it (a store is one small
+#: write); directory passes reclaim it.
+_STALE_TMP_SECONDS = 60.0
+
+
+def _remove(path: str) -> bool:
+    try:
+        os.remove(path)
+    except FileNotFoundError:  # a sibling's pass got there first
+        return False
+    return True
 
 
 def content_fingerprint(payload: Mapping[str, Any]) -> str:
@@ -102,22 +134,17 @@ class FeaturizationCache:
     capacity:
         Max L1 entries (row dicts) held per process.
     shared_dir:
-        Ledger directory for the shm L2 tier; ``None`` disables L2
-        (per-process "local" mode).  Every fleet worker pointing at the
-        same directory shares one store.
+        Directory of the L2 row files; ``None`` disables L2
+        (per-process "local" mode).  Every process pointing at the same
+        directory shares one store, and the rows outlive the process
+        (whoever owns the directory calls :meth:`sweep`).
     shared_capacity_bytes:
-        Byte budget for L2 segments; oldest entries are evicted first.
-    attach_timeout:
-        How long a reader waits on a concurrent in-flight store before
-        treating it as a miss.  Short by design: featurizing afresh is
-        always correct, so serving must never stall on a dead writer.
-    track:
-        Passed to :class:`SharedSegmentRegistry` — fleet workers use
-        ``False`` (the fleet owner sweeps), standalone servers the
-        default ``True``.
+        Byte budget for L2 rows; oldest publishes are evicted first
+        (the module docstring states the rule and its bound).
     fault_hook:
-        Forwarded to the shm registry's publish fault points
-        (chaos-test injection; see :data:`~repro.dataset.shm.SHM_FAULT_POINTS`).
+        Chaos-test seam: called as ``fault_hook(key)`` between the temp
+        write and the rename of every L2 store — the one instant a
+        killed writer leaves anything behind; tests ``os._exit`` from it.
     lock_witness:
         A :class:`~repro.analysis.witness.LockOrderWitness` (or the
         lockset-tracking :class:`~repro.analysis.racewitness.LocksetWitness`)
@@ -131,9 +158,6 @@ class FeaturizationCache:
         capacity: int = 1024,
         shared_dir: str | None = None,
         shared_capacity_bytes: int = 64 * 1024 * 1024,
-        attach_timeout: float = 0.25,
-        stale_intent_seconds: float = 5.0,
-        track: bool = True,
         fault_hook: Any = None,
         lock_witness: Any = None,
     ) -> None:
@@ -148,15 +172,6 @@ class FeaturizationCache:
         self._l1: OrderedDict[str, tuple[dict[str, Any], float, int]] = OrderedDict()  # guarded-by: _lock
         #: (model key, version) -> feature signature (None = uncacheable)
         self._signatures: dict[tuple[str, str], str | None] = {}  # guarded-by: _lock
-        self._shm: SharedSegmentRegistry | None = None
-        if shared_dir is not None:
-            self._shm = SharedSegmentRegistry(
-                shared_dir,
-                attach_timeout=attach_timeout,
-                track=track,
-                stale_intent_seconds=stale_intent_seconds,
-                fault_hook=fault_hook,
-            )
         self.counters = {  # guarded-by: _lock
             "l1_hits": 0,
             "l2_hits": 0,
@@ -166,6 +181,14 @@ class FeaturizationCache:
             "l1_evictions": 0,
             "l2_evictions": 0,
         }
+        self.shared_dir = None if shared_dir is None else os.fspath(shared_dir)
+        self.fault_hook = fault_hook
+        #: bytes this process may still store before it must list
+        #: ``shared_dir`` again
+        self._l2_headroom = 0  # guarded-by: _lock
+        if self.shared_dir is not None:
+            os.makedirs(self.shared_dir, exist_ok=True)
+            self._make_room(0)
 
     # -- keying ------------------------------------------------------------------
     def model_signature(self, model: LoadedModel) -> str | None:
@@ -246,24 +269,13 @@ class FeaturizationCache:
                 self.counters["l1_hits"] += 1
                 row, cost_s, nbytes = entry
                 return CachedRow(dict(row), cost_s, nbytes, "l1")
-        if self._shm is not None:
-            attached = self._shm.get(key)
-            if attached is not None:
-                view, info = attached
-                try:
-                    blob = bytes(view.view(np.uint8))
-                finally:
-                    if info.name:
-                        self._shm.release(key)
-                wrapper = self._decode_wrapper(blob)
-                if wrapper is not None:
-                    row = wrapper["row"]
-                    cost_s = float(wrapper["cost_s"])
-                    nbytes = int(wrapper["source_nbytes"])
-                    self._l1_store(key, row, cost_s, nbytes)
-                    with self._lock:
-                        self.counters["l2_hits"] += 1
-                    return CachedRow(dict(row), cost_s, nbytes, "l2")
+        stored = self._read_row(key) if self.shared_dir is not None else None
+        if stored is not None:
+            row, cost_s, nbytes = stored
+            self._l1_store(key, row, cost_s, nbytes)
+            with self._lock:
+                self.counters["l2_hits"] += 1
+            return CachedRow(dict(row), cost_s, nbytes, "l2")
         with self._lock:
             self.counters["misses"] += 1
         return None
@@ -278,15 +290,15 @@ class FeaturizationCache:
     ) -> None:
         """Store a freshly featurized row in both tiers.
 
-        L2 stores ride the shm registry's write-intent + atomic-rename
-        protocol: a reader either sees the complete encoded row or
-        nothing, and a writer killed mid-store cannot poison the tier.
+        The L2 store is a temp file renamed onto the row's name: a
+        reader either sees the complete encoded row or nothing, and a
+        writer killed mid-store cannot poison the tier.
         """
         row = dict(row)
         self._l1_store(key, row, float(cost_s), int(source_nbytes))
         with self._lock:
             self.counters["stores"] += 1
-        if self._shm is None:
+        if self.shared_dir is None:
             return
         blob = encode_state(
             {
@@ -296,13 +308,17 @@ class FeaturizationCache:
                 "source_nbytes": int(source_nbytes),
             }
         ).encode("utf-8")
-        self._evict_l2(incoming=len(blob))
-        payload = np.frombuffer(blob, dtype=np.uint8)
-        _, info = self._shm.publish(key, payload)
-        if info.name:
-            # publish() leaves the registry attached (refcounted); the
-            # cache reads rows back through get(), so drop ours now.
-            self._shm.release(key)
+        with self._lock:
+            self._l2_headroom -= len(blob)
+            crowded = self._l2_headroom < 0
+        if crowded:
+            self._make_room(len(blob))
+        tmp = os.path.join(self.shared_dir, uuid.uuid4().hex + _TMP_SUFFIX)
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+        if self.fault_hook is not None:
+            self.fault_hook(key)
+        os.replace(tmp, self._row_path(key))
 
     def _l1_store(self, key: str, row: dict[str, Any], cost_s: float, nbytes: int) -> None:
         with self._lock:
@@ -312,61 +328,100 @@ class FeaturizationCache:
                 self._l1.popitem(last=False)
                 self.counters["l1_evictions"] += 1
 
-    def _evict_l2(self, *, incoming: int) -> None:
-        assert self._shm is not None
-        entries = self._shm.entries()
-        used = sum(info.nbytes for info, _ in entries)
-        for info, _mtime in entries:
-            if used + incoming <= self.shared_capacity_bytes:
-                break
-            self._shm.unlink(info.key)
-            used -= info.nbytes
-            with self._lock:
-                self.counters["l2_evictions"] += 1
+    def _row_path(self, key: str) -> str:
+        digest = hashlib.sha256(key.encode("utf-8", "surrogatepass")).hexdigest()
+        return os.path.join(self.shared_dir, digest + _ROW_SUFFIX)
 
-    @staticmethod
-    def _decode_wrapper(blob: bytes) -> dict[str, Any] | None:
+    def _read_row(self, key: str) -> tuple[dict[str, Any], float, int] | None:
+        """*key*'s L2 row as ``(row, cost_s, source_nbytes)``; a missing,
+        torn or alien file is a miss."""
+        try:
+            with open(self._row_path(key), "rb") as fh:
+                blob = fh.read()
+        except OSError:  # never stored, or evicted since
+            return None
         try:
             wrapper = decode_state(blob.decode("utf-8"))
-        except Exception:  # noqa: BLE001 - a torn/alien blob is a miss
+            row = wrapper["row"]
+            if wrapper["wrapper_version"] != _WRAPPER_VERSION or not isinstance(row, dict):
+                return None
+            return row, float(wrapper["cost_s"]), int(wrapper["source_nbytes"])
+        except Exception:  # noqa: BLE001 - whatever else the bytes are, they are no row
             return None
-        if wrapper.get("wrapper_version") != _WRAPPER_VERSION:
-            return None
-        if not isinstance(wrapper.get("row"), dict):
-            return None
-        return wrapper
+
+    def _scan_rows(self) -> list[tuple[int, int, str]]:
+        """One ``scandir`` pass: ``(publish time, size, path)`` per row.
+
+        Everything comes from ``stat``; no file is opened.  Temp files
+        older than ``_STALE_TMP_SECONDS`` are what writers killed
+        mid-store left behind and are reclaimed on the way.
+        """
+        rows: list[tuple[int, int, str]] = []
+        stale_before = time.time() - _STALE_TMP_SECONDS
+        with os.scandir(self.shared_dir) as entries:
+            for entry in entries:
+                try:
+                    st = entry.stat()
+                except FileNotFoundError:  # renamed or evicted mid-pass
+                    continue
+                if entry.name.endswith(_ROW_SUFFIX):
+                    rows.append((st.st_mtime_ns, st.st_size, entry.path))
+                elif entry.name.endswith(_TMP_SUFFIX) and st.st_mtime < stale_before:
+                    _remove(entry.path)
+        return rows
+
+    def _make_room(self, incoming: int) -> None:
+        """List the directory, evict if *incoming* bytes would break the
+        budget, and take a new headroom (rule: module docstring)."""
+        rows = self._scan_rows()
+        used = sum(size for _, size, _ in rows)
+        slack = self.shared_capacity_bytes // _SCAN_FRACTION
+        evicted = 0
+        if used + incoming > self.shared_capacity_bytes:
+            rows.sort()
+            for _, size, path in rows:
+                if used + incoming <= self.shared_capacity_bytes - slack:
+                    break
+                evicted += _remove(path)
+                used -= size
+        with self._lock:
+            self.counters["l2_evictions"] += evicted
+            self._l2_headroom = (
+                min(self.shared_capacity_bytes - used, slack) - incoming
+            )
 
     # -- introspection / lifecycle --------------------------------------------------
     def stats(self) -> dict[str, Any]:
         with self._lock:
             out = dict(self.counters)
             out["l1_entries"] = len(self._l1)
-        if self._shm is not None:
-            entries = self._shm.entries()
-            out["l2_entries"] = len(entries)
-            out["l2_bytes"] = sum(info.nbytes for info, _ in entries)
+        if self.shared_dir is not None:
+            rows = self._scan_rows()
+            out["l2_entries"] = len(rows)
+            out["l2_bytes"] = sum(size for _, size, _ in rows)
         return out
 
     @property
     def shared(self) -> bool:
-        return self._shm is not None
-
-    def close(self) -> None:
-        """Detach from the L2 tier (no unlink; the owner sweeps)."""
-        if self._shm is not None:
-            self._shm.close()
+        return self.shared_dir is not None
 
     def sweep(self) -> list[str]:
-        """Owner-side cleanup: unlink every L2 segment this cache knows."""
-        if self._shm is None:
+        """Owner-side cleanup: remove every row and temp file of the
+        L2 directory (the directory itself stays); returns their names."""
+        if self.shared_dir is None:
             return []
-        return self._shm.unlink_all()
+        return [
+            name
+            for name in os.listdir(self.shared_dir)
+            if name.endswith((_ROW_SUFFIX, _TMP_SUFFIX))
+            and _remove(os.path.join(self.shared_dir, name))
+        ]
 
     def __enter__(self) -> "FeaturizationCache":
         return self
 
     def __exit__(self, *exc: Any) -> None:
-        self.close()
+        """Nothing to release: no OS handle is held between calls."""
 
 
 __all__ = [

@@ -21,17 +21,19 @@ every worker running the *same* server code:
   skipped.
 * **Shared model + feature state** — all workers read one on-disk
   :class:`~repro.serve.registry.ModelRegistry` (per-worker warm LRUs on
-  top) and, with ``feat_cache="shared"``, one shm-backed
-  :class:`~repro.serve.featcache.FeaturizationCache` L2 tier: a field
-  featurized by any worker is a cache hit for all of them.
+  top) and, with ``feat_cache="shared"``, one directory of row files
+  behind every worker's :class:`~repro.serve.featcache.FeaturizationCache`
+  (its L2 tier): a field featurized by any worker is a cache hit for
+  all of them.
 * **Supervision** — a thread watches worker processes and restarts
   crashed ones under the same crash-loop cap discipline the collection
   harness uses (``max_restarts`` per worker, then the worker is parked
   as crash-looped and the rest of the fleet keeps serving).
 
-The fleet owns shared resources' lifecycles: the shm feature store is
-swept (``unlink_all``) at :meth:`stop`, so a chaos-killed worker cannot
-leak ``/dev/shm`` names past the fleet's lifetime.
+The fleet owns shared resources' lifecycles: the feature store's
+directory is swept at :meth:`stop` (removed, when the fleet made it), so
+a chaos-killed worker cannot leave a row or temp file past the fleet's
+lifetime.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
-from ..dataset.shm import SharedSegmentRegistry
 from .client import FleetClient, PredictionClient, ServerError
 from .drift import DriftConfig
 from .featcache import FeaturizationCache
@@ -94,10 +95,6 @@ def _build_feat_cache(spec: Mapping[str, Any]) -> FeaturizationCache | None:
         capacity=spec["feat_cache_capacity"],
         shared_dir=spec["feat_cache_dir"],
         shared_capacity_bytes=spec["feat_cache_bytes"],
-        # Workers never own the shm tier: the fleet parent sweeps at
-        # stop, and a worker's resource tracker must not unlink live
-        # segments out from under its siblings when chaos kills it.
-        track=False,
     )
 
 
@@ -151,11 +148,7 @@ def _fleet_worker_main(spec: dict[str, Any], ready_queue: Any) -> None:
         )
         await server.serve_until_stopped()
 
-    try:
-        asyncio.run(amain())
-    finally:
-        if feat_cache is not None:
-            feat_cache.close()
+    asyncio.run(amain())
 
 
 @dataclass
@@ -296,11 +289,11 @@ class ServeFleet:
             self._ready_queue.close()
             self._ready_queue = None
         if self.feat_cache == "shared" and self.feat_cache_dir is not None:
-            sweeper = SharedSegmentRegistry(self.feat_cache_dir, track=True)
-            sweeper.unlink_all()
             if self._feat_dir_owned:
                 shutil.rmtree(self.feat_cache_dir, ignore_errors=True)
                 self.feat_cache_dir = None
+            else:
+                FeaturizationCache(shared_dir=self.feat_cache_dir).sweep()
 
     def __enter__(self) -> "ServeFleet":
         return self.start()

@@ -1,11 +1,13 @@
 """Tests for the dataset substrate: loaders, caches, sampling, hurricane."""
 
 import os
+import threading
 
 import numpy as np
 import pytest
 
 from repro.core import OptionError
+from repro.core.data import PressioData
 from repro.dataset import (
     FIELDS,
     SPARSE_THRESHOLDS,
@@ -26,6 +28,7 @@ from repro.dataset import (
     standard_test_fields,
     write_array,
 )
+from repro.dataset.base import DatasetPlugin
 
 
 class TestIOLoader:
@@ -155,6 +158,35 @@ class TestCaches:
         cache.load_data(0)
         assert cache.misses == 2
 
+    def test_local_cache_mmap_preserves_dtype_and_order(self, tmp_path):
+        """No silent float64 upcast or C/F re-layout through a spill."""
+
+        class FortranDataset(DatasetPlugin):
+            id = "fortran"
+
+            def __len__(self):
+                return 1
+
+            def load_metadata(self, index):
+                return {"data_id": "fortran/0", "shape": (6, 5), "dtype": "float32"}
+
+            def load_data(self, index):
+                arr = np.asfortranarray(
+                    np.arange(30, dtype=np.float32).reshape(6, 5)
+                )
+                return PressioData(arr, metadata=self.load_metadata(index))
+
+        cache = LocalCache(FortranDataset(), cache_dir=str(tmp_path), mmap=True)
+        first = cache.load_data(0).array  # miss: spilled, served via mmap
+        second = cache.load_data(0).array  # hit: mapped from the spill
+        for arr in (first, second):
+            assert isinstance(arr, np.memmap)
+            assert not arr.flags.writeable
+            assert arr.dtype == np.float32  # no float64 upcast
+            assert arr.flags["F_CONTIGUOUS"]  # no re-layout copy
+        np.testing.assert_array_equal(second, np.arange(30).reshape(6, 5))
+        assert cache.hits == 1 and cache.misses == 1
+
     def test_device_mover_tags(self, tiny_hurricane):
         mover = DeviceMover(tiny_hurricane)
         assert mover.load_data(0).domain == "device"
@@ -164,6 +196,44 @@ class TestCaches:
         stack.load_data(0)
         res = stack.get_metrics_results()
         assert "memory_cache:hits" in res and "local_cache:hits" in res
+
+
+class TestLocalCacheConcurrentMiss:
+    def test_two_concurrent_misses_publish_one_whole_spill(self, tmp_path, monkeypatch):
+        """Two writers missing one entry at once (a stolen group, two
+        campaigns sharing a cache dir) each spill through their own temp
+        file: both loads succeed, the published spill is the leaf's exact
+        array and no temp file is left."""
+        ds = HurricaneDataset(shape=(8, 8, 4), timesteps=[0], fields=["P"])
+        expected = ds.load_data(0).array
+        both_saved = threading.Barrier(2, timeout=10)
+        real_save = np.save
+
+        def save_then_meet(file, arr, *args, **kwargs):
+            real_save(file, arr, *args, **kwargs)
+            both_saved.wait()  # neither writer renames before both wrote
+
+        monkeypatch.setattr(np, "save", save_then_meet)
+        caches = [LocalCache(ds, cache_dir=str(tmp_path)) for _ in range(2)]
+        errors = []
+
+        def miss(cache):
+            try:
+                np.testing.assert_array_equal(cache.load_data(0).array, expected)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=miss, args=(c,)) for c in caches]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == []
+        assert [c.misses for c in caches] == [1, 1]
+        (spill,) = os.listdir(tmp_path)
+        loaded = np.load(tmp_path / spill)
+        assert loaded.dtype == expected.dtype
+        np.testing.assert_array_equal(loaded, expected)
 
 
 class TestSampler:

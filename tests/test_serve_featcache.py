@@ -5,13 +5,17 @@ bit-identical to what the evaluator would produce (golden tests), keys
 must move exactly when a feature-relevant option moves (sensitivity in
 both directions, derived from the invalidation vocabulary), and a
 worker killed mid-store must leave the shared tier serving misses, not
-torn rows (chaos tests over the shm write-intent fault points).
+torn rows (a chaos test at the one instant the row-file publish has).
 """
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 import os
+import re
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +25,8 @@ from repro.bench.faults import ChaosPlan
 from repro.core.compressor import compressor_registry
 from repro.core.data import as_data
 from repro.predict.scheme import get_scheme
-from repro.serve import decode_array, encode_array
+from repro.serve import decode_array, decode_state, encode_array, encode_state
+from repro.serve import featcache
 from repro.serve.featcache import FeaturizationCache, content_fingerprint
 
 
@@ -46,6 +51,11 @@ def field():
 def featurize(model, arr):
     evaluator = model.scheme.req_metrics_opts(model.compressor)
     return dict(evaluator.evaluate(as_data(arr)))
+
+
+def row_path(shared_dir, key):
+    """Where the shared tier keeps *key*: the documented digest name."""
+    return os.path.join(shared_dir, hashlib.sha256(key.encode()).hexdigest() + ".row")
 
 
 class TestKeying:
@@ -138,9 +148,36 @@ class TestGoldenHits:
         assert hit.source_nbytes == field.nbytes
         # Promoted into the reader's L1: the next hit is local.
         assert reader.get(key).tier == "l1"
-        reader.close()
         writer.sweep()
-        writer.close()
+
+    def test_restarted_process_hits_what_its_predecessor_stored(self, field, tmp_path):
+        """``--feat-cache-dir`` on a stable directory: one interpreter
+        stores and exits, the next one — nothing inherited, no L1 — reads
+        the row back bit-identical and can store the key again."""
+        shared = str(tmp_path / "store")
+        model = make_model("rahman2023")
+        fresh = featurize(model, field)
+        key = FeaturizationCache().key_for(model, encode_array(field))
+        script = (
+            "import sys\n"
+            "from repro.serve import decode_state, encode_state\n"
+            "from repro.serve.featcache import FeaturizationCache\n"
+            "cache = FeaturizationCache(shared_dir=sys.argv[1])\n"
+            "hit = cache.get(sys.argv[2])\n"
+            "cache.put(sys.argv[2], decode_state(sys.stdin.read()), cost_s=0.02, source_nbytes=7)\n"
+            "print(hit and encode_state({'tier': hit.tier, 'row': hit.row}))\n"
+        )
+
+        def server_lifetime():
+            done = subprocess.run(
+                [sys.executable, "-c", script, shared, key],
+                input=encode_state(fresh), capture_output=True, text=True, timeout=60,
+            )
+            assert done.returncode == 0, done.stderr
+            return done.stdout.strip()
+
+        assert server_lifetime() == "None"
+        assert decode_state(server_lifetime()) == {"tier": "l2", "row": fresh}
 
     def test_miss_and_store_counters(self, field):
         cache = FeaturizationCache()
@@ -165,25 +202,74 @@ class TestCapacity:
         assert cache.get("k3").row == {"m": 3.0}
 
     def test_l2_byte_budget_evicts_oldest(self, tmp_path):
-        cache = FeaturizationCache(
-            shared_dir=str(tmp_path / "store"), shared_capacity_bytes=2048
-        )
+        shared = str(tmp_path / "store")
+        cache = FeaturizationCache(shared_dir=shared, shared_capacity_bytes=2048)
         big_row = {"m": 0.0, "pad": "x" * 400}
         for i in range(8):
             cache.put(f"k{i}", dict(big_row, m=float(i)), cost_s=0.0, source_nbytes=1)
+            # Publish order is the files' mtime, which the kernel stamps
+            # from a coarse clock: spell it out instead of sleeping.
+            os.utime(row_path(shared, f"k{i}"), ns=(i * 10**9, i * 10**9))
+            assert cache.stats()["l2_bytes"] <= 2048  # one writer: exact
         stats = cache.stats()
         assert stats["l2_evictions"] > 0
-        assert stats["l2_bytes"] <= 2048
+        assert stats["l2_entries"] == 8 - stats["l2_evictions"]
+        reader = FeaturizationCache(shared_dir=shared)
+        survivors = [i for i in range(8) if reader.get(f"k{i}") is not None]
+        assert survivors == list(range(8 - stats["l2_entries"], 8))  # the newest
         cache.sweep()
-        cache.close()
+
+    def test_put_does_not_list_the_store_while_the_budget_is_far(
+        self, tmp_path, monkeypatch
+    ):
+        """The cost of a store must not grow with the store: with the
+        budget never at stake, 2000 puts list the directory zero times."""
+        cache = FeaturizationCache(shared_dir=str(tmp_path / "store"))
+        listings = []
+        for name in ("scandir", "listdir"):
+            real = getattr(os, name)
+            monkeypatch.setattr(
+                os, name,
+                lambda *a, _real=real, **kw: listings.append(a) or _real(*a, **kw),
+            )
+        for i in range(2000):
+            cache.put(f"k{i}", {"m": float(i)}, cost_s=0.0, source_nbytes=1)
+        assert listings == []
+        assert cache.stats()["l2_entries"] == 2000  # (this one does list)
+        assert len(listings) == 1
+        cache.sweep()
+
+    def test_two_writers_stay_within_the_documented_overshoot(self, tmp_path):
+        """Each writer spends a headroom of at most budget/_SCAN_FRACTION
+        between directory passes, so W writers overshoot the budget by at
+        most (W - 1) of those; an evicted key reads as a miss."""
+        shared = str(tmp_path / "store")
+        budget = 16 * 1024
+        bound = budget + budget // featcache._SCAN_FRACTION
+        writers = [
+            FeaturizationCache(shared_dir=shared, shared_capacity_bytes=budget)
+            for _ in range(2)
+        ]
+        row = {"m": 0.0, "pad": "x" * 100}
+        peak = 0
+        for i in range(400):
+            writers[i % 2].put(f"k{i}", dict(row, m=float(i)), cost_s=0.0, source_nbytes=1)
+            peak = max(peak, sum(e.stat().st_size for e in os.scandir(shared)))
+        assert budget // 2 < peak <= bound
+        assert sum(w.counters["l2_evictions"] for w in writers) > 0
+        reader = FeaturizationCache(shared_dir=shared)
+        assert reader.get("k0") is None  # evicted long ago: a miss, no exception
+        assert reader.get("k399").row == dict(row, m=399.0)
+        writers[0].sweep()
 
 
 class TestCrashSafety:
-    @pytest.mark.parametrize("point", ["intent", "segment", "filled"])
-    def test_writer_killed_mid_store_does_not_poison(self, field, tmp_path, point):
-        """Kill a worker process at each shm publish fault point: the
-        survivors must see clean misses (never torn rows), and the key
-        must become publishable again after the stale-intent window."""
+    def test_writer_killed_mid_store_does_not_poison(self, field, tmp_path):
+        """Kill a worker process between the temp write and the rename —
+        the one instant a store has anything on disk that is not yet a
+        row.  The survivor sees a clean miss (never a torn row), its
+        first store republishes, and the owner's sweep takes the dead
+        writer's temp file with everything else."""
         shared = str(tmp_path / "store")
         plan = ChaosPlan(
             cache_kill_rate=1.0, seed=3, state_dir=str(tmp_path / "chaos")
@@ -193,13 +279,11 @@ class TestCrashSafety:
         fresh = featurize(model, decode_array(payload))
 
         def victim():
-            def hook(at, key):
-                if at == point and plan.loop_fault("cache_kill", f"{at}:{key}"):
+            def hook(key):
+                if plan.loop_fault("cache_kill", key):
                     os._exit(1)
 
-            cache = FeaturizationCache(
-                shared_dir=shared, track=False, fault_hook=hook
-            )
+            cache = FeaturizationCache(shared_dir=shared, fault_hook=hook)
             key = cache.key_for(model, payload)
             cache.put(key, fresh, cost_s=0.01, source_nbytes=field.nbytes)
             os._exit(0)  # fault did not fire (should not happen)
@@ -208,35 +292,86 @@ class TestCrashSafety:
         proc.start()
         proc.join(30)
         assert proc.exitcode == 1, "victim must die at the fault point"
+        (orphan,) = os.listdir(shared)
+        assert orphan.endswith(".tmp")
 
-        survivor = FeaturizationCache(
-            shared_dir=shared, stale_intent_seconds=0.0, attach_timeout=0.1
-        )
+        survivor = FeaturizationCache(shared_dir=shared)
         key = survivor.key_for(model, payload)
-        # Never a torn row: either a clean miss or (point == "filled",
-        # where the ledger rename never happened) still a miss.
         assert survivor.get(key) is None
-        # The key recovers: the first store after the crash reclaims the
-        # dead writer's stale intent (serving a private copy meanwhile),
-        # and the next store republishes into the shared tier.
         survivor.put(key, fresh, cost_s=0.01, source_nbytes=field.nbytes)
-        survivor.put(key, fresh, cost_s=0.01, source_nbytes=field.nbytes)
-        survivor._l1.clear()  # force the next read through L2
-        hit = survivor.get(key)
+        reader = FeaturizationCache(shared_dir=shared)  # empty L1: reads L2
+        hit = reader.get(key)
         assert hit is not None and hit.tier == "l2"
         assert hit.row == fresh
-        survivor.sweep()
-        survivor.close()
+        assert sorted(survivor.sweep()) == sorted([orphan, os.path.basename(row_path(shared, key))])
+        assert os.listdir(shared) == []
 
     def test_alien_blob_is_a_miss(self, tmp_path):
-        """A segment holding bytes the wrapper cannot decode (torn write,
-        foreign writer) must read as a miss, not an exception."""
-        cache = FeaturizationCache(shared_dir=str(tmp_path / "store"))
-        garbage = np.frombuffer(b"not json at all", dtype=np.uint8)
-        _, info = cache._shm.publish("poisoned", garbage)
-        if info.name:
-            cache._shm.release("poisoned")
-        assert cache.get("poisoned") is None
-        assert cache.counters["misses"] == 1
+        """Bytes the wrapper cannot decode — a row cut short or read
+        back as zeros (power loss without fsync), a foreign writer's
+        file, another codec's JSON — read as a miss, not an exception,
+        and the next store renames a good row over them."""
+        shared = str(tmp_path / "store")
+        cache = FeaturizationCache(shared_dir=shared)
+        cache.put("whole", {"m": 1.0}, cost_s=0.0, source_nbytes=1)
+        with open(row_path(shared, "whole"), "rb") as fh:
+            whole = fh.read()
+        aliens = {
+            "truncated": whole[: len(whole) // 2],
+            "zeroed": whole[:40] + bytes(len(whole) - 40),
+            "foreign": b"not json at all",
+            "other-codec": b'{"codec_version": 1, "state": []}',
+            "empty": b"",
+        }
+        for key, blob in aliens.items():
+            with open(row_path(shared, key), "wb") as fh:
+                fh.write(blob)
+        # What a kill in the middle of the temp write leaves: a stray,
+        # half-written temp file.  No reader ever looks at it.
+        with open(os.path.join(shared, "0" * 32 + ".tmp"), "wb") as fh:
+            fh.write(whole[:17])
+        reader = FeaturizationCache(shared_dir=shared)
+        for key in aliens:
+            assert reader.get(key) is None, key
+        assert reader.counters["misses"] == len(aliens)
+        assert reader.get("whole").row == {"m": 1.0}
+        reader.put("truncated", {"m": 2.0}, cost_s=0.0, source_nbytes=1)
+        assert FeaturizationCache(shared_dir=shared).get("truncated").row == {"m": 2.0}
+        assert reader.stats()["l2_entries"] == 1 + len(aliens)  # the temp is no row
         cache.sweep()
-        cache.close()
+        assert os.listdir(shared) == []
+
+    def test_stale_temp_files_are_reclaimed_by_a_directory_pass(self, tmp_path):
+        """A long-running owner does not wait for its final sweep: any
+        pass over the directory drops temp files too old to have a
+        writer, and leaves a young one (a store in flight) alone."""
+        shared = tmp_path / "store"
+        shared.mkdir()
+        old, young = shared / ("a" * 32 + ".tmp"), shared / ("b" * 32 + ".tmp")
+        for path in (old, young):
+            path.write_bytes(b"{")
+        long_ago = os.stat(old).st_mtime - 2 * featcache._STALE_TMP_SECONDS
+        os.utime(old, (long_ago, long_ago))
+        FeaturizationCache(shared_dir=str(shared))  # construction is one pass
+        assert os.listdir(shared) == [young.name]
+
+    def test_row_files_are_named_by_a_digest_never_by_the_key(self, tmp_path):
+        """A ``data_ref`` is client-supplied text that ends up inside the
+        cache key: whatever it spells, get and put touch one flat,
+        digest-named file inside the shared directory."""
+        root = tmp_path / "root"
+        shared = root / "a" / "b" / "store"
+        shared.mkdir(parents=True)
+        cache = FeaturizationCache(shared_dir=str(shared))
+        hostile = ["../../x", "/etc/passwd", "a/b", "..", "nul\x00byte", "\ud800", "x" * 5000]
+        for ref in hostile:
+            key = f"featrow-{'0' * 24}-{ref}"
+            assert cache.get(key) is None
+            cache.put(key, {"m": 1.0}, cost_s=0.0, source_nbytes=1)
+        names = os.listdir(shared)
+        assert len(names) == len(hostile)
+        assert all(re.fullmatch(r"[0-9a-f]{64}\.row", name) for name in names)
+        assert sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_dir()) == [
+            "a", "a/b", "a/b/store",
+        ]
+        assert [p for p in root.rglob("*") if p.is_file() and p.parent != shared] == []

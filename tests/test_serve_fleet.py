@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
 import socketserver
 import threading
@@ -36,6 +37,7 @@ from repro.serve import (
     reuse_port_supported,
     scheme_params,
 )
+from repro.serve import featcache
 
 BOUND = 1e-3
 SHAPE = (16, 16, 8)
@@ -116,6 +118,13 @@ class CountingClient(PredictionClient):
 def fleet(campaign, workers=2, **kwargs):
     kwargs.setdefault("ready_timeout", 60.0)
     return ServeFleet(campaign.registry_root, workers, **kwargs)
+
+
+def _shm_names():
+    try:
+        return {n for n in os.listdir("/dev/shm") if n.startswith("psio")}
+    except FileNotFoundError:  # pragma: no cover - no tmpfs /dev/shm here
+        return set()
 
 
 def wait_for(predicate, timeout=20.0, interval=0.05):
@@ -299,6 +308,36 @@ class TestZeroCopyResend:
         # The renegotiated full send is the one real request served.
         assert stats["failed"] == 0
 
+    def test_hostile_data_ref_is_need_data_and_never_a_path(
+        self, campaign, tmp_path, monkeypatch
+    ):
+        """``data_ref`` is client text that reaches the shared tier
+        unvalidated: whatever it spells, the server answers ``need_data``
+        and the only files it tries are digest-named ones directly inside
+        the cache directory."""
+        shared = tmp_path / "a" / "b" / "store"
+        opened = []
+        monkeypatch.setattr(
+            featcache, "open",
+            lambda path, *a, **kw: opened.append(path) or open(path, *a, **kw),
+            raising=False,
+        )
+        server = PredictionServer(
+            campaign.registry, feat_cache=FeaturizationCache(shared_dir=str(shared))
+        )
+        refs = ["../../x", "/etc/hostname", "..", "\ud800"]
+        with ServerThread(server) as thread, PredictionClient(*thread.address) as client:
+            replies = [
+                client.request({"op": "predict", "key": campaign.key, "data_ref": ref})
+                for ref in refs
+            ]
+        assert [r["status"] for r in replies] == ["need_data"] * len(refs)
+        assert len(set(opened)) == len(refs)
+        for path in opened:
+            assert os.path.dirname(path) == str(shared)
+            assert re.fullmatch(r"[0-9a-f]{64}\.row", os.path.basename(path))
+        assert [p.name for p in tmp_path.rglob("*")] == ["a", "b", "store"]
+
     def test_cache_off_server_answers_need_data(self, campaign):
         """A ref learned from a cache-on server, sent to its cache-off
         successor on the same port: one ``need_data``, then payloads."""
@@ -368,6 +407,59 @@ class TestSupervision:
                 assert f.worker_pids()[0] != victim
                 # And the restarted worker serves again.
                 assert f.ping()
+
+    @pytest.mark.parametrize("own_dir", [True, False], ids=["fleet-dir", "given-dir"])
+    def test_stop_after_a_worker_kill_leaves_nothing(
+        self, campaign, tmp_path, own_dir
+    ):
+        """SIGKILL a worker of a shared-cache fleet under raw-field
+        traffic, then stop(): no row or temp file outlives the fleet (a
+        directory the fleet made is gone altogether) and no shared-memory
+        name was ever created."""
+        shm_before = _shm_names()
+        rng = np.random.default_rng(14)
+        fields = [rng.standard_normal(SHAPE).astype(np.float32) for _ in range(6)]
+        stop_traffic = threading.Event()
+        answered, errors = [], []
+
+        def traffic(client):
+            while not stop_traffic.is_set():
+                try:
+                    reply = client.predict(campaign.key, data=fields[len(answered) % 6] + len(answered))
+                    answered.append(reply["prediction"])
+                except Exception as exc:  # noqa: BLE001 - asserted empty below
+                    errors.append(exc)
+                    return
+
+        f = fleet(
+            campaign, reuse_port=False, feat_cache="shared",
+            feat_cache_dir=None if own_dir else str(tmp_path / "store"),
+        ).start()
+        try:
+            cache_dir = f.feat_cache_dir
+            with f.connect() as client:
+                thread = threading.Thread(target=traffic, args=(client,), daemon=True)
+                thread.start()
+                assert wait_for(lambda: len(answered) >= 4)
+                os.kill(f.worker_pids()[0], signal.SIGKILL)
+                seen = len(answered)
+                assert wait_for(lambda: f.live_workers() == 2 and len(answered) >= seen + 4)
+                stop_traffic.set()
+                thread.join(30)
+                assert not thread.is_alive()
+            assert errors == []
+            assert any(name.endswith(".row") for name in os.listdir(cache_dir))
+            # What a worker killed inside a store leaves (TestCrashSafety
+            # in test_serve_featcache.py pins that it is exactly this).
+            with open(os.path.join(cache_dir, "f" * 32 + ".tmp"), "wb") as fh:
+                fh.write(b'{"codec_ver')
+        finally:
+            f.stop()
+        if own_dir:
+            assert not os.path.exists(cache_dir) and f.feat_cache_dir is None
+        else:
+            assert os.listdir(cache_dir) == []
+        assert _shm_names() == shm_before
 
     def test_crash_loop_cap_parks_worker(self, campaign):
         with fleet(campaign, reuse_port=False, max_restarts=1) as f:
