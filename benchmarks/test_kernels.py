@@ -1,9 +1,10 @@
-"""Kernel benchmark: the vectorized LZ77/Huffman hot path vs the
-interpreted reference loops, plus per-stage compressor timings.
+"""Kernel benchmark: the vectorized LZ77/Huffman hot path and the
+forest kernels vs the interpreted reference loops, plus per-stage
+compressor timings.
 
 The collection wall-clock path of every campaign runs through the
 encoding kernels, so their speed is tracked like the data-plane and
-serve benchmarks.  Three sections land in ``BENCH_kernels.json``:
+serve benchmarks.  Four sections land in ``BENCH_kernels.json``:
 
 * ``lz77`` — the hash-chain encoder and list-ranking decoder against
   the byte-at-a-time reference implementations on a 1 MiB payload of
@@ -20,6 +21,12 @@ serve benchmarks.  Three sections land in ``BENCH_kernels.json``:
   escape split on a 512 KiB field: ~131 k codes over a ~10 k-symbol
   alphabet) and on a 64-code one (the ``campaign_many_small`` regime).
   Byte equality is asserted, and "not slower" at both sizes.
+* ``forest`` — the lock-step forest builder and the all-trees descent
+  of ``repro.mlkit.tree`` against the recursive builder and the per-tree
+  predict loop in ``tests/reference_kernels.py``, at the campaign's
+  shape (24 x 11) and EXPERIMENTS.md's (300 x 11), ``predict`` at batch
+  1 and 32.  Every tree's arrays, the out-of-bag predictions and the
+  predictions must be byte-equal, and the new kernels not slower.
 * ``stage_times`` — per-kernel wall-clock (quantize / predict /
   huffman / lossless, etc.) for each compressor via the
   ``stage_times`` introspection hooks, so a regression in any single
@@ -42,6 +49,7 @@ from repro.encoding.lz import (
     _lz77_decompress,
     _lz77_decompress_ref,
 )
+from repro.mlkit import RandomForestRegressor
 from tests import reference_kernels as ref
 
 ARTIFACT = "BENCH_kernels.json"
@@ -145,6 +153,37 @@ def _bench_huffman_kernels(symbols: np.ndarray, reps: int) -> dict:
     }
 
 
+def _bench_forest(rows: int, reps: int) -> dict:
+    """Fit and predict of one 30-tree forest, new kernels vs oracle."""
+    rng = np.random.default_rng(rows)
+    X = rng.standard_normal((rows, 11))
+    y = X[:, 0] + 0.1 * rng.standard_normal(rows)
+    t_fit_ref, (trees, oob) = _best(ref.forest_fit_loop, X, y, reps=reps)
+    t_fit, forest = _best(lambda: RandomForestRegressor().fit(X, y), reps=reps)
+    for got, want in zip(forest.trees_, trees):
+        for name in ("feature_", "threshold_", "left_", "right_", "value_"):
+            assert getattr(got, name).tobytes() == want[name].tobytes(), name
+    assert forest.oob_prediction_.tobytes() == oob.tobytes()
+    row = {
+        "rows": rows,
+        "nodes": int(sum(t.feature_.size for t in forest.trees_)),
+        "fit_ref_s": round(t_fit_ref, 6),
+        "fit_s": round(t_fit, 6),
+        "fit_speedup": round(t_fit_ref / t_fit, 2),
+    }
+    queries = rng.standard_normal((32, 11))
+    queries[0, 0] = np.nan
+    for batch in (1, 32):
+        Q = queries[:batch]
+        t_ref, out_ref = _best(ref.forest_predict_loop, trees, Q, reps=50)
+        t_new, out = _best(forest.predict, Q, reps=50)
+        assert out.tobytes() == out_ref.tobytes()
+        row[f"predict_b{batch}_ref_s"] = round(t_ref, 7)
+        row[f"predict_b{batch}_s"] = round(t_new, 7)
+        row[f"predict_b{batch}_speedup"] = round(t_ref / t_new, 2)
+    return row
+
+
 class TestKernelSpeed:
     def test_kernels_meet_speed_bar(self, record_property):
         report: dict = {}
@@ -182,6 +221,13 @@ class TestKernelSpeed:
         }
         record_property("huffman_tables", report["huffman_tables"])
 
+        # -- forest fit / predict vs the test-only oracles ----------------
+        report["forest"] = {
+            "rows_24": _bench_forest(24, reps=5),
+            "rows_300": _bench_forest(300, reps=3),
+        }
+        record_property("forest", report["forest"])
+
         # -- per-stage compressor timings -------------------------------
         from repro.core.compressor import compressor_registry
         import repro.compressors  # noqa: F401
@@ -216,6 +262,11 @@ class TestKernelSpeed:
         # not lose on tiny ones (thousands of 2 KiB fields per campaign).
         for size, row in report["huffman_tables"]["kernels"].items():
             for kernel in ("build", "pack", "decode"):
+                assert row[f"{kernel}_speedup"] >= 1.0, (size, kernel, row)
+        # The forest kernels must not lose at either training-set size or
+        # either batch size (byte equality was asserted while timing).
+        for size, row in report["forest"].items():
+            for kernel in ("fit", "predict_b1", "predict_b32"):
                 assert row[f"{kernel}_speedup"] >= 1.0, (size, kernel, row)
         for label, row in stage_rows.items():
             assert row["total"] > 0.0, label

@@ -268,11 +268,9 @@ def run_cluster(
             if event is None:
                 continue
             rank, msg = event
-            if msg is RANK_DEAD:
-                awaiting_bye.discard(rank)
-            elif msg.get("op") == "bye":
-                bye_stats = msg.get("stats") or {}
-                stats.execute_seconds += float(bye_stats.get("execute_seconds", 0.0))
+            # A bye's execute_seconds total is not added: charge_chunk
+            # booked every outcome's seconds as the results came in.
+            if msg is RANK_DEAD or msg.get("op") == "bye":
                 awaiting_bye.discard(rank)
     finally:
         stats.wire_bytes_sent = coordinator.bytes_sent

@@ -28,7 +28,7 @@ from .mlp import MLPRegressor
 from .model_selection import GroupKFold, KFold, cross_val_predict, train_test_split
 from .preprocessing import PolynomialFeatures, StandardScaler, TargetTransform
 from .splines import NaturalSplineRegression, natural_cubic_basis, quantile_knots
-from .tree import DecisionTreeRegressor, best_split_for_feature
+from .tree import DecisionTreeRegressor
 
 _ESTIMATORS = {
     cls.__name__: cls
@@ -74,7 +74,6 @@ __all__ = [
     "StandardScaler",
     "TargetTransform",
     "absolute_percentage_errors",
-    "best_split_for_feature",
     "check_X",
     "check_X_y",
     "coverage",

@@ -9,11 +9,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import BaseEstimator, check_X, check_X_y
-from .tree import DecisionTreeRegressor
+from .base import check_X_y
+from .tree import DecisionTreeRegressor, PackedTreeModel, grow_trees, n_candidate_features
 
 
-class RandomForestRegressor(BaseEstimator):
+def tree_order_sum(per_tree: np.ndarray) -> np.ndarray:
+    """Sum ``(trees, rows)`` over trees as ``out = zeros; out += row`` does:
+    sequentially (``np.sum`` is pairwise) and from a positive zero."""
+    return np.cumsum(per_tree, axis=0)[-1] + 0.0
+
+
+class RandomForestRegressor(PackedTreeModel):
     """An ensemble of bootstrap-trained regression trees."""
 
     def __init__(
@@ -35,41 +41,37 @@ class RandomForestRegressor(BaseEstimator):
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
         X, y = check_X_y(X, y)
         rng = np.random.default_rng(self.random_state)
-        n = X.shape[0]
-        trees: list[DecisionTreeRegressor] = []
-        oob_sum = np.zeros(n)
-        oob_count = np.zeros(n)
-        for t in range(self.n_estimators):
-            seed = int(rng.integers(0, 2**31 - 1))
-            tree = DecisionTreeRegressor(
+        n, n_features = X.shape
+        seeds, samples = [], []
+        for _ in range(self.n_estimators):
+            seeds.append(int(rng.integers(0, 2**31 - 1)))
+            samples.append(rng.integers(0, n, size=n) if self.bootstrap else np.arange(n))
+        grown = grow_trees(X, y, samples, seeds, self.max_depth, self.min_samples_leaf,
+                           n_candidate_features(self.max_features, n_features))
+        self.trees_ = [
+            DecisionTreeRegressor(
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
                 max_features=self.max_features,
                 random_state=seed,
-            )
-            if self.bootstrap:
-                idx = rng.integers(0, n, size=n)
-            else:
-                idx = np.arange(n)
-            tree.fit(X[idx], y[idx])
-            trees.append(tree)
-            if self.bootstrap:
-                oob = np.setdiff1d(np.arange(n), idx, assume_unique=False)
-                if oob.size:
-                    oob_sum[oob] += tree.predict(X[oob])
-                    oob_count[oob] += 1
-        self.trees_ = trees
-        self.n_features_ = X.shape[1]
-        seen = oob_count > 0
-        self.oob_prediction_ = np.where(seen, oob_sum / np.maximum(oob_count, 1), np.nan)
+            )._adopt(arrays, n_features)
+            for seed, arrays in zip(seeds, grown)
+        ]
+        self.n_features_ = n_features
+        self._table = None
+        self.oob_prediction_ = np.full(n, np.nan)
+        if self.bootstrap:
+            # Every tree scores every row in the one descent; a row counts
+            # for the trees whose bootstrap sample missed it.
+            oob = np.ones((self.n_estimators, n), dtype=bool)
+            oob[np.arange(self.n_estimators)[:, None], np.array(samples)] = False
+            votes = oob.sum(axis=0)
+            total = tree_order_sum(np.where(oob, self._leaf_values(self.trees_, X), 0.0))
+            np.divide(total, votes, out=self.oob_prediction_, where=votes > 0)
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = check_X(X, self.n_features_)
-        out = np.zeros(X.shape[0])
-        for tree in self.trees_:
-            out += tree.predict(X)
-        return out / len(self.trees_)
+        return tree_order_sum(self._leaf_values(self.trees_, X)) / len(self.trees_)
 
     def feature_importances(self) -> np.ndarray:
         """Average split-count importances over the ensemble."""

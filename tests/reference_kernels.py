@@ -3,6 +3,14 @@ the profile-led pass (ISSUE 12), kept verbatim so the differential tests
 in ``test_kernel_vectorization.py`` and the timings in
 ``benchmarks/test_kernels.py`` have something to compare against.
 
+The second half (ISSUE 21) is the random forest as it shipped before the
+lock-step builder and the all-trees descent: ``best_split_for_feature``,
+the recursive per-tree builder, the level-by-level per-tree predict loop
+and the forest's tree-by-tree fit / OOB / sum, verbatim apart from
+living in functions instead of estimator methods.  ``tests/
+test_forest_kernels.py`` and ``benchmarks/test_kernels.py`` hold the
+kernels in ``repro.mlkit.tree`` to them node for node and bit for bit.
+
 Nothing under ``src/`` imports this module.  The functions are the
 heap-based Huffman length builder, the bit-plane code packer, the
 full-lifting decoder (sliding-window matmul, int64 tables, one T-sized
@@ -23,6 +31,7 @@ import numpy as np
 from repro.core.errors import CorruptStreamError
 from repro.encoding.bitio import unpack_bits
 from repro.encoding.huffman import _STREAM_HEADER, HuffmanCode, canonical_codes
+from repro.mlkit.base import check_X, check_X_y
 
 
 def huffman_code_lengths_heap(counts: np.ndarray) -> np.ndarray:
@@ -147,3 +156,167 @@ def decode_tables_scatter_loop(code: HuffmanCode) -> tuple[np.ndarray, np.ndarra
         sym_table[b : b + s] = i
         len_table[b : b + s] = l
     return sym_table, len_table
+
+
+# -- the random forest before ISSUE 21 -------------------------------------------
+
+
+def best_split_for_feature(
+    x: np.ndarray, y: np.ndarray, min_leaf: int, *, square_total=lambda t: t**2
+) -> tuple[float, float]:
+    """Best (SSE reduction, threshold) for one feature of one node.
+
+    Sorts once, then evaluates the sum of squared errors of every
+    prefix/suffix partition with cumulative sums.  Returns
+    ``(-inf, nan)`` when no valid split exists (constant feature or
+    min_leaf infeasible).  ``total**2`` is a NumPy *scalar* power (libm
+    ``pow``), ``left_sum**2`` an *array* power (``square``): the two
+    differ in the last ulp now and then, and the production kernel
+    reproduces exactly this mix.  ``square_total`` exists so a test can
+    swap in ``np.square`` and show a pinned near-tie is one.
+    """
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    ys = y[order]
+    n = xs.size
+    if n < 2 * min_leaf:
+        return -np.inf, np.nan
+    csum = np.cumsum(ys)
+    csum2 = np.cumsum(ys * ys)
+    total = csum[-1]
+    total2 = csum2[-1]
+    # Candidate split after position i (1-based prefix length k = i+1).
+    k = np.arange(1, n)
+    left_sum = csum[:-1]
+    left_sse = csum2[:-1] - left_sum**2 / k
+    right_n = n - k
+    right_sum = total - left_sum
+    right_sse = (total2 - csum2[:-1]) - right_sum**2 / right_n
+    parent_sse = total2 - square_total(total) / n
+    gain = parent_sse - (left_sse + right_sse)
+    # A split is valid only between distinct x values with both sides
+    # holding at least min_leaf samples.
+    valid = (xs[1:] != xs[:-1]) & (k >= min_leaf) & (right_n >= min_leaf)
+    if not valid.any():
+        return -np.inf, np.nan
+    gain = np.where(valid, gain, -np.inf)
+    best = int(np.argmax(gain))
+    threshold = 0.5 * (xs[best] + xs[best + 1])
+    return float(gain[best]), float(threshold)
+
+
+def n_candidate_features(max_features, n_features: int) -> int:
+    if max_features is None:
+        return n_features
+    if max_features == "sqrt":
+        return max(1, int(np.sqrt(n_features)))
+    if isinstance(max_features, float):
+        return max(1, int(max_features * n_features))
+    return min(int(max_features), n_features)
+
+
+def tree_fit_recursive(X, y, *, max_depth=12, min_samples_leaf=1, max_features=None,
+                       random_state=None) -> dict[str, np.ndarray]:
+    """The recursive closure of ``DecisionTreeRegressor.fit``; returns the
+    five flat arrays (plus ``max_depth``, which bounded the old predict)."""
+    X, y = check_X_y(X, y)
+    rng = np.random.default_rng(random_state)
+    n_features = X.shape[1]
+    k = n_candidate_features(max_features, n_features)
+
+    features: list[int] = []
+    thresholds: list[float] = []
+    lefts: list[int] = []
+    rights: list[int] = []
+    values: list[float] = []
+
+    def build(idx: np.ndarray, depth: int) -> int:
+        node = len(features)
+        features.append(-1)
+        thresholds.append(np.nan)
+        lefts.append(-1)
+        rights.append(-1)
+        values.append(float(y[idx].mean()) if idx.size else 0.0)
+        if depth >= max_depth or idx.size < 2 * min_samples_leaf:
+            return node
+        if np.ptp(y[idx]) == 0:
+            return node
+        cand = (
+            np.arange(n_features)
+            if k == n_features
+            else rng.choice(n_features, size=k, replace=False)
+        )
+        best_gain, best_feat, best_thr = 0.0, -1, np.nan
+        for j in cand:
+            gain, thr = best_split_for_feature(X[idx, j], y[idx], min_samples_leaf)
+            if gain > best_gain:
+                best_gain, best_feat, best_thr = gain, int(j), thr
+        if best_feat < 0:
+            return node
+        mask = X[idx, best_feat] <= best_thr
+        left_idx, right_idx = idx[mask], idx[~mask]
+        features[node] = best_feat
+        thresholds[node] = best_thr
+        lefts[node] = build(left_idx, depth + 1)
+        rights[node] = build(right_idx, depth + 1)
+        return node
+
+    build(np.arange(X.shape[0]), 0)
+    return {
+        "feature_": np.asarray(features, dtype=np.int64),
+        "threshold_": np.asarray(thresholds, dtype=np.float64),
+        "left_": np.asarray(lefts, dtype=np.int64),
+        "right_": np.asarray(rights, dtype=np.int64),
+        "value_": np.asarray(values, dtype=np.float64),
+        "max_depth": int(max_depth),
+    }
+
+
+def tree_predict_loop(tree: dict[str, np.ndarray], X) -> np.ndarray:
+    """One tree, level by level, with an active mask (the old predict)."""
+    X = check_X(X)
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    for _ in range(tree["max_depth"] + 1):
+        active = tree["feature_"][node] >= 0
+        if not active.any():
+            break
+        feat = tree["feature_"][node[active]]
+        thr = tree["threshold_"][node[active]]
+        go_left = X[active, feat] <= thr
+        nxt = np.where(go_left, tree["left_"][node[active]], tree["right_"][node[active]])
+        node[active] = nxt
+    return tree["value_"][node]
+
+
+def forest_fit_loop(X, y, *, n_estimators=30, max_depth=12, min_samples_leaf=1,
+                    max_features="sqrt", bootstrap=True, random_state=0):
+    """Tree-by-tree ``RandomForestRegressor.fit``: ``(trees, oob_prediction)``."""
+    X, y = check_X_y(X, y)
+    rng = np.random.default_rng(random_state)
+    n = X.shape[0]
+    trees = []
+    oob_sum = np.zeros(n)
+    oob_count = np.zeros(n)
+    for _ in range(n_estimators):
+        seed = int(rng.integers(0, 2**31 - 1))
+        idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        tree = tree_fit_recursive(X[idx], y[idx], max_depth=max_depth,
+                                  min_samples_leaf=min_samples_leaf,
+                                  max_features=max_features, random_state=seed)
+        trees.append(tree)
+        if bootstrap:
+            oob = np.setdiff1d(np.arange(n), idx, assume_unique=False)
+            if oob.size:
+                oob_sum[oob] += tree_predict_loop(tree, X[oob])
+                oob_count[oob] += 1
+    seen = oob_count > 0
+    return trees, np.where(seen, oob_sum / np.maximum(oob_count, 1), np.nan)
+
+
+def forest_predict_loop(trees, X) -> np.ndarray:
+    """``out += tree.predict(X)`` in tree order, then the mean."""
+    X = check_X(X)
+    out = np.zeros(X.shape[0])
+    for tree in trees:
+        out += tree_predict_loop(tree, X)
+    return out / len(trees)

@@ -9,10 +9,12 @@ supervision, and the final merge.  MPI tests run only where mpi4py and
 a launcher exist; everywhere else they skip with a notice.
 """
 
+import json
 import shutil
 import subprocess
 import sys
 import textwrap
+import time
 from collections import deque
 
 import pytest
@@ -46,6 +48,11 @@ def make_tasks(n_data=2, per_data=2):
 def _echo_task(task, worker):
     """Module-level so spawned worker ranks can unpickle it."""
     return {"data_id": task.data_id, "bound": task.compressor_options["pressio:abs"]}
+
+
+def _slow_echo_task(task, worker):
+    time.sleep(0.01)  # seconds large enough that counting them twice shows
+    return _echo_task(task, worker)
 
 
 def _fail_on_data0(task, worker):
@@ -260,6 +267,22 @@ class TestTcpSpawnEndToEnd:
         assert sorted(store.keys()) == sorted(t.key() for t in tasks)
         assert store.verify() == []
         store.close()
+
+    def test_execute_seconds_are_the_ranks_task_seconds_once(self, tmp_path):
+        # The ledger books every outcome's seconds as results arrive; the
+        # ranks' own totals (shard meta, also sent with "bye") are the
+        # same numbers and must not be added a second time.
+        tasks = make_tasks(2, 3)
+        spec = ClusterSpec(shard_dir=str(tmp_path / "shards"))
+        q = TaskQueue(2, "cluster", cluster=spec)
+        _, stats = q.run(tasks, _slow_echo_task)
+        assert stats.completed == len(tasks)
+        reported = 0.0
+        for _, shard in discover_shards(str(tmp_path / "shards")):
+            with CheckpointStore(shard) as store:
+                reported += json.loads(store.get_meta("last_run_stats"))["execute_seconds"]
+        assert reported >= 0.01 * len(tasks)
+        assert stats.execute_seconds == pytest.approx(reported, rel=1e-9)
 
     def test_failures_travel_with_rank_origin(self, tmp_path):
         tasks = make_tasks(2, 1)

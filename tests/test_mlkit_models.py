@@ -18,7 +18,7 @@ from repro.mlkit import (
     r2_score,
 )
 from repro.mlkit.splines import natural_cubic_basis, quantile_knots
-from repro.mlkit.tree import best_split_for_feature
+from repro.mlkit.tree import split_search
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +93,12 @@ class TestSplines:
         y = X[:, 0] * 2
         model = NaturalSplineRegression(n_knots=5).fit(X, y)
         assert model.predict(np.array([[1.0]]))[0] == pytest.approx(2.0, abs=1e-3)
+
+
+def best_split_for_feature(x, y, min_leaf):
+    """One node, one column through the forest-wide split kernel."""
+    gain, thr = split_search(x[None, None, :], y[None, :], np.array([x.size]), min_leaf)
+    return float(gain[0, 0]), float(thr[0, 0])
 
 
 class TestTree:
