@@ -4,7 +4,7 @@ compressor timings.
 
 The collection wall-clock path of every campaign runs through the
 encoding kernels, so their speed is tracked like the data-plane and
-serve benchmarks.  Four sections land in ``BENCH_kernels.json``:
+serve benchmarks.  Five sections land in ``BENCH_kernels.json``:
 
 * ``lz77`` — the hash-chain encoder and list-ranking decoder against
   the byte-at-a-time reference implementations on a 1 MiB payload of
@@ -27,6 +27,12 @@ serve benchmarks.  Four sections land in ``BENCH_kernels.json``:
   shape (24 x 11) and EXPERIMENTS.md's (300 x 11), ``predict`` at batch
   1 and 32.  Every tree's arrays, the out-of-bag predictions and the
   predictions must be byte-equal, and the new kernels not slower.
+* ``hashing`` — ``ExperimentRunner.build_tasks()`` on the
+  ``campaign_many_small`` cycle (52 entries x 4 configurations x 2
+  replicates = 416 tasks), whose parts are encoded once each, against
+  the per-task hashing in ``tests/reference_kernels.py`` (six structure
+  encodings a task).  Every key and column digest must be equal, and
+  the build not slower than the oracle's hashing alone.
 * ``stage_times`` — per-kernel wall-clock (quantize / predict /
   huffman / lossless, etc.) for each compressor via the
   ``stage_times`` introspection hooks, so a regression in any single
@@ -41,7 +47,9 @@ import time
 
 import numpy as np
 
+from repro.bench import ExperimentRunner
 from repro.compressors.sz3 import lorenzo_forward, quantize, split_escapes
+from repro.dataset import HurricaneDataset
 from repro.encoding import huffman, pack_codes
 from repro.encoding.lz import (
     _lz77_compress,
@@ -184,6 +192,29 @@ def _bench_forest(rows: int, reps: int) -> dict:
     return row
 
 
+def _bench_hashing(reps: int) -> dict:
+    """``build_tasks()`` at 416 tasks vs hashing every task on its own."""
+    dataset = HurricaneDataset(shape=(8, 8, 8), timesteps=4)
+    runner = ExperimentRunner(
+        dataset, compressors=("sz3", "zfp"), bounds=(1e-6, 1e-4), replicates=2
+    )
+    t_new, tasks = _best(runner.build_tasks, reps=reps)
+    t_ref, want = _best(lambda: [ref.task_hashes_per_task(t) for t in tasks], reps=reps)
+    got = [
+        (t.key(), t.compressor_hash(), t.dataset_hash(), t.experiment_hash()) for t in tasks
+    ]
+    assert got == want
+    return {
+        "tasks": len(tasks),
+        "distinct_parts": len(dataset) + 4 + 1,
+        "hash_ref_s": round(t_ref, 6),
+        "build_tasks_s": round(t_new, 6),
+        "speedup": round(t_ref / t_new, 2),
+        "per_task_ref_us": round(t_ref / len(tasks) * 1e6, 2),
+        "per_task_us": round(t_new / len(tasks) * 1e6, 2),
+    }
+
+
 class TestKernelSpeed:
     def test_kernels_meet_speed_bar(self, record_property):
         report: dict = {}
@@ -228,6 +259,10 @@ class TestKernelSpeed:
         }
         record_property("forest", report["forest"])
 
+        # -- task hashing vs the test-only per-task oracle ----------------
+        report["hashing"] = {"tasks_416": _bench_hashing(reps=10)}
+        record_property("hashing", report["hashing"])
+
         # -- per-stage compressor timings -------------------------------
         from repro.core.compressor import compressor_registry
         import repro.compressors  # noqa: F401
@@ -268,5 +303,8 @@ class TestKernelSpeed:
         for size, row in report["forest"].items():
             for kernel in ("fit", "predict_b1", "predict_b32"):
                 assert row[f"{kernel}_speedup"] >= 1.0, (size, kernel, row)
+        # Hashing a campaign's parts once must not lose to hashing every
+        # task on its own (key equality was asserted while timing).
+        assert report["hashing"]["tasks_416"]["speedup"] >= 1.0, report["hashing"]
         for label, row in stage_rows.items():
             assert row["total"] > 0.0, label

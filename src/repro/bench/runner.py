@@ -36,6 +36,7 @@ from ..compressors import make_compressor  # imports register the codecs
 from ..core.compressor import CompressorPlugin
 from ..core.data import PressioData
 from ..core.errors import UnsupportedError
+from ..core.hashing import HashedOptions
 from ..core.metrics import ErrorStatMetrics, SizeMetrics, TimeMetrics
 from ..dataset.base import DatasetPlugin
 from ..mlkit.metrics import medape
@@ -44,7 +45,7 @@ from ..predict.evaluator import MetricsEvaluator
 from ..predict.scheme import SchemePlugin, get_scheme
 from .checkpoint import CheckpointStore
 from .faults import ChaosPlan, chaos_worker_init
-from .tasks import Task, precompute_keys
+from .tasks import Task, compressor_part, precompute_keys
 from .taskqueue import QueueStats, TaskQueue, TaskResult
 
 
@@ -195,33 +196,46 @@ class ExperimentRunner:
 
     # -- task construction ----------------------------------------------------
     def build_tasks(self) -> list[Task]:
-        """Enumerate all collection tasks with precomputed hashes."""
+        """Enumerate all collection tasks with precomputed hashes.
+
+        Each distinct part — one per dataset entry, one per compressor
+        configuration, the experiment mapping — is encoded once, here;
+        its tasks share the mapping and are sealed from the hashed part.
+        """
         tasks: list[Task] = []
         metas = self.dataset.load_metadata_all()
         ds_conf = self.dataset.get_configuration().to_dict()
+        experiment_part = HashedOptions.of(self.experiment_meta)
+        configs = []
+        for comp_id in self.compressors:
+            for eb in self.bounds:
+                options = {
+                    "pressio:abs": eb,
+                    "pressio:abs_is_relative": self.relative_bounds,
+                }
+                part = HashedOptions.of(compressor_part(comp_id, options))
+                configs.append((comp_id, options, part))
         for idx, meta in enumerate(metas):
             shape = meta.get("shape")
             itemsize = np.dtype(meta.get("dtype", "float32")).itemsize
             nbytes = int(np.prod(shape)) * itemsize if shape else 0
+            data_id = str(meta.get("data_id", idx))
             entry_conf = {**ds_conf, "entry:data_id": meta.get("data_id", idx)}
-            for comp_id in self.compressors:
-                for eb in self.bounds:
-                    for rep in range(self.replicates):
-                        tasks.append(
-                            Task(
-                                data_index=idx,
-                                data_id=str(meta.get("data_id", idx)),
-                                compressor_id=comp_id,
-                                compressor_options={
-                                    "pressio:abs": eb,
-                                    "pressio:abs_is_relative": self.relative_bounds,
-                                },
-                                dataset_config=entry_conf,
-                                experiment=self.experiment_meta,
-                                replicate=rep,
-                                nbytes=nbytes,
-                            )
-                        )
+            entry_part = HashedOptions.of(entry_conf)
+            for comp_id, options, config_part in configs:
+                for rep in range(self.replicates):
+                    task = Task(
+                        data_index=idx,
+                        data_id=data_id,
+                        compressor_id=comp_id,
+                        compressor_options=options,
+                        dataset_config=entry_conf,
+                        experiment=self.experiment_meta,
+                        replicate=rep,
+                        nbytes=nbytes,
+                    )
+                    task.seal(config_part, entry_part, experiment_part)
+                    tasks.append(task)
         precompute_keys(tasks)
         return tasks
 
@@ -458,24 +472,27 @@ class ExperimentRunner:
         # Persist the harness-side statistics with the campaign, so
         # ``report --json`` on the checkpoint alone can show stage
         # timings and affinity counters without re-running anything.
-        try:
-            self.store.set_meta(
-                "last_run_stats",
-                json.dumps(
-                    {
-                        "engine": stats.engine,
-                        "requested_engine": stats.requested_engine,
-                        "completed": stats.completed,
-                        "failed": stats.failed,
-                        "retries": stats.retries,
-                        "stage_summary": stats.stage_summary(),
-                        **stats.affinity_summary(),
-                        **(stats.cluster_summary() if stats.engine == "cluster" else {}),
-                    }
-                ),
-            )
-        except Exception:  # noqa: BLE001 - stats are advisory, never fatal
-            pass
+        # A pass that dispatched nothing has nothing to say: the numbers
+        # of the pass that did the work stay (and the commit is saved).
+        if todo:
+            try:
+                self.store.set_meta(
+                    "last_run_stats",
+                    json.dumps(
+                        {
+                            "engine": stats.engine,
+                            "requested_engine": stats.requested_engine,
+                            "completed": stats.completed,
+                            "failed": stats.failed,
+                            "retries": stats.retries,
+                            "stage_summary": stats.stage_summary(),
+                            **stats.affinity_summary(),
+                            **(stats.cluster_summary() if stats.engine == "cluster" else {}),
+                        }
+                    ),
+                )
+            except Exception:  # noqa: BLE001 - stats are advisory, never fatal
+                pass
         observations = [
             p for k in by_key if (p := self.store.get(k)) is not None
         ]

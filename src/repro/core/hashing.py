@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from collections.abc import Mapping
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -83,6 +84,29 @@ def _encode(value: Any, out: list[bytes]) -> None:
         raise TypeError(f"cannot canonically encode value of type {type(value).__name__}")
 
 
+@dataclass(frozen=True, slots=True)
+class HashedOptions:
+    """An option structure that has been hashed.
+
+    Holds the canonical bytes and their ``options_hash`` digest, both
+    derived once by :meth:`of`.  :func:`combined_hash` accepts it where
+    it accepts a mapping and feeds the stored bytes instead of walking
+    the structure again, so a part shared by many keys (one compressor
+    configuration, one dataset entry) is encoded once however many keys
+    it goes into.  It is a snapshot: later edits to the source mapping
+    are not seen.
+    """
+
+    canonical: bytes
+    digest: str
+
+    @classmethod
+    def of(cls, options: PressioOptions | Mapping[str, Any]) -> "HashedOptions":
+        """Encode and hash *options* — the one place a structure is walked."""
+        canonical = canonical_bytes(options)
+        return cls(canonical, hashlib.sha256(canonical).hexdigest())
+
+
 def canonical_bytes(options: PressioOptions | Mapping[str, Any]) -> bytes:
     """Serialise an option structure into its canonical byte form.
 
@@ -107,17 +131,22 @@ def options_hash(options: PressioOptions | Mapping[str, Any]) -> str:
     return hashlib.sha256(canonical_bytes(options)).hexdigest()
 
 
-def combined_hash(*parts: PressioOptions | Mapping[str, Any] | str) -> str:
+def combined_hash(*parts: PressioOptions | Mapping[str, Any] | HashedOptions | str) -> str:
     """Hash several structures/strings into one key.
 
     Bench results are uniquely identified by their compressor
     configuration, dataset configuration, experimental metadata, and
-    replicate id (§4.3); this helper combines those four digests.
+    replicate id (§4.3); this helper combines those four digests.  A
+    :class:`HashedOptions` part feeds the bytes it already holds, so the
+    key is the same whether a part arrives raw or hashed.
     """
     h = hashlib.sha256()
     for part in parts:
         if isinstance(part, str):
             h.update(b"\x00str\x00" + part.encode("utf-8"))
         else:
-            h.update(b"\x00opt\x00" + canonical_bytes(part))
+            canonical = (
+                part.canonical if isinstance(part, HashedOptions) else canonical_bytes(part)
+            )
+            h.update(b"\x00opt\x00" + canonical)
     return h.hexdigest()

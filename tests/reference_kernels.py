@@ -11,6 +11,12 @@ living in functions instead of estimator methods.  ``tests/
 test_forest_kernels.py`` and ``benchmarks/test_kernels.py`` hold the
 kernels in ``repro.mlkit.tree`` to them node for node and bit for bit.
 
+The last section (ISSUE 24) is the per-task hashing ``bench.tasks.Task``
+did before a campaign's parts were hashed once: all three structures of
+every task canonically re-encoded for the key, and again for the three
+column digests.  ``tests/test_task_keys.py`` and ``benchmarks/
+test_kernels.py`` hold ``build_tasks()`` to it key for key.
+
 Nothing under ``src/`` imports this module.  The functions are the
 heap-based Huffman length builder, the bit-plane code packer, the
 full-lifting decoder (sliding-window matmul, int64 tables, one T-sized
@@ -29,6 +35,8 @@ from heapq import heapify, heappop, heappush
 import numpy as np
 
 from repro.core.errors import CorruptStreamError
+from repro.core.hashing import combined_hash, options_hash
+from repro.core.options import PressioOptions
 from repro.encoding.bitio import unpack_bits
 from repro.encoding.huffman import _STREAM_HEADER, HuffmanCode, canonical_codes
 from repro.mlkit.base import check_X, check_X_y
@@ -320,3 +328,22 @@ def forest_predict_loop(trees, X) -> np.ndarray:
     for tree in trees:
         out += tree_predict_loop(tree, X)
     return out / len(trees)
+
+
+def task_hashes_per_task(task) -> tuple[str, str, str, str]:
+    """``(key, compressor_hash, dataset_hash, experiment_hash)`` of one
+    task from its plain mappings alone — six structure encodings a task."""
+    key = combined_hash(
+        {**dict(task.compressor_options), "pressio:id": task.compressor_id},
+        dict(task.dataset_config),
+        dict(task.experiment),
+        str(task.replicate),
+    )
+    opts = PressioOptions(dict(task.compressor_options))
+    opts["pressio:id"] = task.compressor_id
+    return (
+        key,
+        options_hash(opts),
+        options_hash(dict(task.dataset_config)),
+        options_hash(dict(task.experiment)),
+    )

@@ -1,5 +1,6 @@
 """Tests for the experiment runner: collection, checkpoints, Table 2."""
 
+import json
 import math
 import os
 import tempfile
@@ -96,6 +97,28 @@ class TestCollection:
         first = len(calls)
         runner.collect(task_fn=counting)
         assert len(calls) == first  # nothing re-ran
+
+    def test_resume_that_runs_nothing_keeps_the_harness_statistics(self):
+        """``report`` on a checkpoint that was merely re-opened must still
+        show the pass that did the work: a no-op resume used to overwrite
+        ``completed: 4, execute: ...`` with ``completed: 0, execute: 0.0``."""
+        ds = HurricaneDataset(shape=(8, 8, 4), timesteps=[0], fields=["P", "U"])
+        store = CheckpointStore(":memory:")
+        runner = ExperimentRunner(
+            ds, compressors=("szx",), bounds=(1e-4, 1e-3), schemes=("tao2019",), store=store
+        )
+        assert store.get_meta("last_run_stats") is None
+        runner.collect()
+        written = store.get_meta("last_run_stats")
+        stats = json.loads(written)
+        assert stats["completed"] == 4
+        assert stats["stage_summary"]["execute"] > 0
+        assert runner.collect().stats.completed == 0
+        assert store.get_meta("last_run_stats") == written
+        # A pass that ran anything overwrites, as before.
+        store.delete(runner.build_tasks()[0].key())
+        assert runner.collect().stats.completed == 1
+        assert json.loads(store.get_meta("last_run_stats"))["completed"] == 1
 
     def test_nbytes_respects_dtype(self):
         """The scheduler's byte estimate must honor the entry dtype —
