@@ -1,16 +1,13 @@
-"""Figure 2 ablation: the dataset pipeline's cache tiers and the
-locality-aware scheduler.
+"""Figure 2 ablation: the dataset pipeline's cache tiers.
 
 §4.1 motivates multi-tier caching ("deep memory tiers on modern
-supercomputers") and §4.3 locality placement ("schedule as many jobs
-with the same data to the same workers").  These benches measure both:
-cold vs. warm loads through the disk/RAM tiers, and the virtual-cluster
-makespan with and without locality awareness.
+supercomputers").  These benches measure cold vs. warm loads through the
+disk/RAM tiers.  Locality placement across real ranks is measured by
+``benchmarks/test_cluster_scaleout.py``.
 """
 
 import pytest
 
-from repro.bench import SimulatedCluster
 from repro.dataset import HurricaneDataset, LocalCache, MemoryCache
 
 
@@ -86,37 +83,3 @@ def test_generation_vs_cached_load(benchmark, tmp_path_factory):
     assert warm_s < raw_s
     benchmark.extra_info["speedup"] = round(raw_s / max(warm_s, 1e-9), 1)
 
-
-def test_locality_scheduling_makespan(benchmark, runner):
-    """Virtual cluster: locality-aware vs naive placement (4 nodes)."""
-    tasks = runner.build_tasks()
-    cost = lambda t: 0.02  # noqa: E731 - constant compute model
-
-    def measure():
-        aware = SimulatedCluster(4, locality_aware=True).run(list(tasks), cost)
-        naive = SimulatedCluster(4, locality_aware=False).run(list(tasks), cost)
-        return aware, naive
-
-    aware, naive = benchmark.pedantic(measure, rounds=1, iterations=1)
-    assert aware.total_load_seconds <= naive.total_load_seconds
-    benchmark.extra_info["aware_makespan_s"] = round(aware.makespan, 3)
-    benchmark.extra_info["naive_makespan_s"] = round(naive.makespan, 3)
-    benchmark.extra_info["aware_cache_hits"] = aware.cache_hits
-    benchmark.extra_info["naive_cache_hits"] = naive.cache_hits
-
-
-def test_strong_scaling_curve(benchmark, runner):
-    """Virtual strong scaling 1..16 nodes (the paper's 'at scale' claim)."""
-    tasks = runner.build_tasks()
-    cost = lambda t: 0.02  # noqa: E731
-
-    def measure():
-        return {
-            n: SimulatedCluster(n).run(list(tasks), cost).makespan
-            for n in (1, 2, 4, 8, 16)
-        }
-
-    curve = benchmark.pedantic(measure, rounds=1, iterations=1)
-    assert curve[16] < curve[1] / 8, curve  # at least 8x from 16 nodes
-    for n, makespan in curve.items():
-        benchmark.extra_info[f"makespan_{n}_nodes"] = round(makespan, 3)

@@ -41,7 +41,6 @@ def make_tasks(n_data: int = N_DATA, per_data: int = PER_DATA) -> list[Task]:
                     compressor_options={"pressio:abs": 10.0 ** -(k + 2)},
                     dataset_config={"entry:data_id": f"data/{d}"},
                     replicate=0,
-                    nbytes=1 << 20,
                 )
             )
     return tasks

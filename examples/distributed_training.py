@@ -1,15 +1,15 @@
 #!/usr/bin/env python
 """LibPressio-Predict-Bench at work: resilient distributed training (§4.3).
 
-Demonstrates the bench's three headline behaviours on one machine:
+Demonstrates the bench's two headline behaviours on one machine:
 
 1. **checkpointed collection** — a campaign is interrupted by injected
    faults, then *resumed*; only the missing task keys re-run;
 2. **locality-aware scheduling** — tasks touching the same field land on
-   the worker that already loaded it;
-3. **virtual-cluster scaling** — the same campaign is replayed through
-   the discrete-event simulator at 1..16 nodes to show how locality
-   placement shapes the makespan the paper targets on real clusters.
+   the worker that already loaded it.
+
+For real multi-rank scaling, run ``predict-bench collect --engine
+cluster`` (``benchmarks/test_cluster_scaleout.py`` measures 1/2/4 ranks).
 
 Run:  python examples/distributed_training.py
 """
@@ -22,7 +22,6 @@ from repro.bench import (
     CheckpointStore,
     ExperimentRunner,
     FaultInjector,
-    SimulatedCluster,
     TaskQueue,
     format_table2,
 )
@@ -59,7 +58,7 @@ def main() -> None:
         # -- 2. the restart: only the poisoned keys re-run ------------------
         _, stats2, _ = runner.collect()  # no fault injection this time
         print(f"restart   : re-ran {stats2.completed} missing tasks "
-              f"(locality rate {stats2.locality_rate:.0%}); "
+              f"(affinity hit rate {stats2.affinity_hit_rate:.0%}); "
               f"checkpoint now {store.count()} rows")
 
         # -- 3. evaluate & report ------------------------------------------
@@ -67,17 +66,6 @@ def main() -> None:
         rows = runner.table2(obs)
         print()
         print(format_table2(rows, title="Hurricane (synthetic) — Table-2 layout"))
-
-        # -- 4. replay the campaign through the virtual cluster -------------
-        mean_compute = sum(o.get("time:compress", 0.05) for o in obs) / max(len(obs), 1)
-        print("\nvirtual strong scaling (same tasks, simulated nodes):")
-        print(f"{'nodes':>5s} {'makespan(s)':>12s} {'util':>6s} {'cache hits':>11s}")
-        for nodes in (1, 2, 4, 8, 16):
-            report = SimulatedCluster(nodes).run(
-                runner.build_tasks(), lambda t: mean_compute
-            )
-            print(f"{nodes:5d} {report.makespan:12.2f} {report.utilisation:6.0%} "
-                  f"{report.cache_hits:11d}")
 
 
 if __name__ == "__main__":

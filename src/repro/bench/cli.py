@@ -261,33 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list-schemes", help="enumerate registered schemes")
     sub.add_parser("list-compressors", help="enumerate registered compressors")
 
-    sim = sub.add_parser(
-        "simulate", help="virtual-cluster strong-scaling sweep for a campaign"
-    )
-    sim.add_argument("--nodes", nargs="+", type=int, default=[1, 2, 4, 8, 16])
-    sim.add_argument("--shape", nargs=3, type=int, default=[64, 64, 32])
-    sim.add_argument("--timesteps", type=int, default=48)
-    sim.add_argument("--compressors", nargs="+", default=["sz3", "zfp"])
-    sim.add_argument("--bounds", nargs="+", type=float, default=[1e-6, 1e-4])
-    sim.add_argument("--compute-ms", type=float, default=50.0,
-                     help="per-task compute cost model (milliseconds)")
-    sim.add_argument("--checkpoint-ms", type=float, default=0.0,
-                     help="per-commit checkpoint cost model (milliseconds)")
-    sim.add_argument("--flush-every", type=int, default=1,
-                     help="results per simulated checkpoint commit")
-    sim.add_argument("--no-locality", action="store_true")
-    sim.add_argument(
-        "--chaos", default=None, metavar="SPEC",
-        help="model seeded faults in the simulation, e.g. 'crash:0.05,hang:0.02' "
-        "(classes: crash, hang, exception) — same selection draw as the live "
-        "harness, so the sweep shows recovery overhead at scale",
-    )
-    sim.add_argument("--chaos-seed", type=int, default=0)
-    sim.add_argument(
-        "--recovery-s", type=float, default=1.0,
-        help="virtual seconds a crashed node spends restarting",
-    )
-
     publish = sub.add_parser(
         "publish",
         help="fit final models from a checkpoint and publish them to a registry",
@@ -518,8 +491,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
             print(
                 f"queue[{engine}{requested} x{runner.queue.n_workers}] "
-                f"{stages} locality={stats.locality_rate:.0%} "
-                f"retries={stats.retries} quarantined={stats.quarantined} "
+                f"{stages} retries={stats.retries} quarantined={stats.quarantined} "
                 f"timeouts={stats.timeouts} pool_rebuilds={stats.pool_rebuilds} "
                 f"commits={runner.store.commit_count} "
                 f"affinity={stats.affinity_hit_rate:.0%} steals={stats.affinity_steals}",
@@ -768,48 +740,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         return 0
     finally:
         store.close()
-
-
-def cmd_simulate(args: argparse.Namespace) -> int:
-    from .runner import ExperimentRunner
-    from .simcluster import SimulatedCluster
-
-    dataset = HurricaneDataset(shape=tuple(args.shape), timesteps=args.timesteps)
-    runner = ExperimentRunner(
-        dataset, compressors=args.compressors, bounds=args.bounds, schemes=()
-    )
-    tasks = runner.build_tasks()
-    cost = args.compute_ms / 1e3
-    chaos = None
-    if args.chaos:
-        chaos = ChaosPlan.from_spec(args.chaos, seed=args.chaos_seed)
-    print(f"{len(tasks)} tasks, {args.compute_ms:.0f} ms compute model")
-    header = f"{'nodes':>5s} {'makespan(s)':>12s} {'speedup':>8s} {'util':>6s} {'hits':>6s}"
-    if chaos is not None:
-        header += f" {'faults':>7s} {'wasted(s)':>10s}"
-    print(header)
-    base = None
-    for n in args.nodes:
-        report = SimulatedCluster(
-            n,
-            locality_aware=not args.no_locality,
-            checkpoint_seconds=args.checkpoint_ms / 1e3,
-            flush_every=args.flush_every,
-        ).run(
-            list(tasks), lambda t: cost, chaos=chaos, recovery_seconds=args.recovery_s
-        )
-        base = base or report.makespan
-        line = (
-            f"{n:5d} {report.makespan:12.2f} {base / report.makespan:8.2f} "
-            f"{report.utilisation:6.0%} {report.cache_hits:6d}"
-        )
-        if chaos is not None:
-            line += (
-                f" {sum(report.injected_faults.values()):7d}"
-                f" {report.wasted_seconds + report.recovery_seconds_total:10.2f}"
-            )
-        print(line)
-    return 0
 
 
 def cmd_publish(args: argparse.Namespace) -> int:
@@ -1105,8 +1035,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return cmd_sbatch(args)
     if args.command == "report":
         return cmd_report(args)
-    if args.command == "simulate":
-        return cmd_simulate(args)
     if args.command == "publish":
         return cmd_publish(args)
     if args.command == "serve":

@@ -51,8 +51,9 @@ def format_row(row: Table2Row) -> str:
     return " | ".join(c.ljust(w) for c, (_, w) in zip(cells, _COLUMNS))
 
 
-#: Engines that route chunks through an ``_AffinityMap``; the others
-#: have no affinity counters worth a footer line.
+#: Engines whose affinity counters are worth a footer line: with one
+#: worker (serial) every datum is one miss and the rest hits, by
+#: construction.
 _AFFINITY_ENGINES = ("process", "cluster")
 
 

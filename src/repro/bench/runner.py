@@ -216,9 +216,6 @@ class ExperimentRunner:
                 part = HashedOptions.of(compressor_part(comp_id, options))
                 configs.append((comp_id, options, part))
         for idx, meta in enumerate(metas):
-            shape = meta.get("shape")
-            itemsize = np.dtype(meta.get("dtype", "float32")).itemsize
-            nbytes = int(np.prod(shape)) * itemsize if shape else 0
             data_id = str(meta.get("data_id", idx))
             entry_conf = {**ds_conf, "entry:data_id": meta.get("data_id", idx)}
             entry_part = HashedOptions.of(entry_conf)
@@ -232,7 +229,6 @@ class ExperimentRunner:
                         dataset_config=entry_conf,
                         experiment=self.experiment_meta,
                         replicate=rep,
-                        nbytes=nbytes,
                     )
                     task.seal(config_part, entry_part, experiment_part)
                     tasks.append(task)

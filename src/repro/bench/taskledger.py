@@ -72,8 +72,6 @@ class QueueStats:
     completed: int = 0
     failed: int = 0
     retries: int = 0
-    locality_hits: int = 0
-    locality_misses: int = 0
     per_worker: dict[int, int] = field(default_factory=dict)
     queue_wait_seconds: float = 0.0
     execute_seconds: float = 0.0
@@ -92,10 +90,10 @@ class QueueStats:
     pool_rebuilds: int = 0
     #: Total backoff delay scheduled before retries, in seconds.
     backoff_seconds: float = 0.0
-    #: Worker-pinned affinity accounting (process and cluster engines):
-    #: a hit is a task dispatched to the worker that already holds its
-    #: datum, a miss is a first load, a steal is an idle worker taking
-    #: over another worker's datum (ownership transfers with the steal).
+    #: Worker-pinned affinity accounting (every engine): a hit is a task
+    #: dispatched to the worker that already holds its datum, a miss is
+    #: a first load, a steal is an idle worker taking over another
+    #: worker's datum (ownership transfers with the steal).
     affinity_hits: int = 0
     affinity_misses: int = 0
     affinity_steals: int = 0
@@ -110,11 +108,6 @@ class QueueStats:
     shards_merged: int = 0
     merge_replaced: int = 0
     merge_quarantined: int = 0
-
-    @property
-    def locality_rate(self) -> float:
-        total = self.locality_hits + self.locality_misses
-        return self.locality_hits / total if total else 0.0
 
     @property
     def affinity_hit_rate(self) -> float:
@@ -156,11 +149,14 @@ class QueueStats:
 
 
 class _AffinityMap:
-    """Worker-id → datum ownership for the pinned process/cluster engines.
+    """Worker-id → datum ownership, the one placement policy.
 
-    The chunk-level analog of :class:`LocalityScheduler`'s ownership
-    claims: every datum is owned by the worker that first loaded it, and
-    dispatch routes that datum's chunks back to the owner.  An idle
+    Every datum is owned by the worker that first loaded it, and
+    dispatch routes that datum's chunks back to the owner; on a miss a
+    worker claims a datum *no other worker owns* — without this, N
+    workers pulling from a FIFO of N-task-per-datum batches scatter
+    every datum across every worker and locality drops to zero exactly
+    when it matters most.  An idle
     worker with no owned or unclaimed work *steals* — ownership moves
     with the steal, so subsequent chunks of the stolen datum follow the
     thief instead of ping-ponging.
@@ -421,12 +417,11 @@ class TaskLedger:
                 )
 
     def outcome(self) -> tuple[list[TaskResult], QueueStats]:
-        """``(results, stats)`` with the affinity counters folded in —
-        mirrored into the locality counters so ``--queue-stats`` reads
-        alike on every engine (hit = served from a warm worker, miss = a
-        load somewhere paid for it)."""
+        """``(results, stats)`` with the affinity counters folded in
+        (hit = served from a warm worker, miss = a load somewhere paid
+        for it)."""
         stats, affinity = self.stats, self.affinity
-        stats.affinity_hits = stats.locality_hits = affinity.hits
-        stats.affinity_misses = stats.locality_misses = affinity.misses
+        stats.affinity_hits = affinity.hits
+        stats.affinity_misses = affinity.misses
         stats.affinity_steals = affinity.steals
         return self.results, stats

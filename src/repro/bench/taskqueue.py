@@ -11,23 +11,21 @@ Engines:
 * ``serial`` — single worker on the calling thread, deterministic order
   (the paper's single-node fallback);
 * ``process`` — N *pinned* single-process executors (one per worker
-  slot), for NumPy-bound collection that needs real cores.  Tasks are
-  grouped by ``data_id`` and routed by a worker-id → datum affinity map:
-  a datum's chunks follow the worker that loaded it, and idle workers
-  steal (ownership moves with the steal);
+  slot), for NumPy-bound collection that needs real cores;
 * ``cluster`` — worker *ranks* on one or many nodes, each writing its
-  own checkpoint shard (:mod:`repro.bench.cluster`); same affinity
-  routing, rank-level fault supervision.
+  own checkpoint shard (:mod:`repro.bench.cluster`), with rank-level
+  fault supervision.
 
 Each engine is only its mechanics (the loop; slots, pools and futures;
-rendezvous, transport and heartbeats).  What a task outcome *costs* —
-attempts, retries with backoff, quarantine, deadline charges, the
-crash-loop cap — is decided in one place, the
-:class:`~repro.bench.taskledger.TaskLedger` every engine drives.  A
-further execution model, the discrete-event
-:class:`~repro.bench.simcluster.SimulatedCluster`, reuses
-:class:`LocalityScheduler` to *measure* placement quality under a
-virtual clock.
+rendezvous, transport and heartbeats).  Placement and what a task
+outcome *costs* — attempts, retries with backoff, quarantine, deadline
+charges, the crash-loop cap — are decided in one place, the
+:class:`~repro.bench.taskledger.TaskLedger` every engine drives: tasks
+are grouped by ``data_id`` and routed by a worker-id → datum affinity
+map, so a datum's chunks follow the worker that loaded it and idle
+workers steal (ownership moves with the steal).  The serial engine is
+the one-worker case of the same backlog: single-task chunks, so it runs
+one datum's tasks back to back, datums in order of first appearance.
 
 Fault domains supervised (see :mod:`repro.bench.faults`):
 
@@ -54,7 +52,6 @@ import signal
 import threading
 import time
 import warnings
-from collections import defaultdict, deque
 from typing import Any, Callable
 
 from ..core.errors import Status, TaskTimeoutError, error_status
@@ -119,61 +116,16 @@ def _serial_deadline(seconds: float | None, task_key: str):
         signal.signal(signal.SIGALRM, previous)
 
 
-class LocalityScheduler:
-    """Greedy data-affinity assignment with ownership claims.
-
-    Each worker remembers the data ids it has already loaded (its local
-    cache).  A free worker prefers a pending task whose data it holds.
-    On a miss it prefers a task whose data *no other worker has claimed*
-    — without this, N workers pulling from a FIFO of N-task-per-datum
-    batches scatter every datum across every worker and locality drops
-    to zero exactly when it matters most.
-    """
-
-    def __init__(self) -> None:
-        self.worker_cache: dict[int, set[str]] = defaultdict(set)
-        self.data_owner: dict[str, int] = {}
-        self.stats_hits = 0
-        self.stats_misses = 0
-
-    def pick(self, worker: int, pending: deque[Task]) -> Task | None:
-        if not pending:
-            return None
-        cache = self.worker_cache[worker]
-        for i, task in enumerate(pending):
-            if task.data_id in cache:
-                del pending[i]
-                self.stats_hits += 1
-                return task
-        # Miss: claim an unowned datum if one exists, so each worker
-        # builds its own partition instead of stealing another's.
-        chosen = 0
-        for i, task in enumerate(pending):
-            if task.data_id not in self.data_owner:
-                chosen = i
-                break
-        task = pending[chosen]
-        del pending[chosen]
-        self.stats_misses += 1
-        cache.add(task.data_id)
-        self.data_owner.setdefault(task.data_id, worker)
-        return task
-
-    def note_loaded(self, worker: int, data_id: str) -> None:
-        self.worker_cache[worker].add(data_id)
-        self.data_owner.setdefault(data_id, worker)
-
-    def note_assigned(self, worker: int, data_id: str) -> None:
-        """Record a placement made outside :meth:`pick` (e.g. a retry)."""
-        if data_id in self.worker_cache[worker]:
-            self.stats_hits += 1
-        else:
-            self.stats_misses += 1
-            self.note_loaded(worker, data_id)
-
-
 class TaskQueue:
     """Run tasks through a callable with retries and locality placement.
+
+    Every engine places work through the run's
+    :class:`~repro.bench.taskledger.TaskLedger`: a worker is handed the
+    pending chunk of a datum it already owns before it claims a new one.
+    A task retried after a transient failure therefore runs after the
+    rest of its datum's tasks and before the next datum, on the serial
+    engine as on the others (a retry still backing off joins the backlog
+    when its delay has elapsed).
 
     Parameters
     ----------
@@ -337,26 +289,22 @@ class TaskQueue:
         tasks: list[Task],
         task_fn: Callable[[Task, int], dict[str, Any]],
     ) -> tuple[list[TaskResult], QueueStats]:
-        """One worker, the calling thread: pick, run under the deadline
-        guard, charge.  Retries run ahead of never-tried tasks; while
-        one is backing off the loop keeps working through the rest."""
-        scheduler = LocalityScheduler()
-        fresh: deque[Task] = deque(tasks)
-        stats = ledger.stats
+        """One worker, the calling thread: dispatch a single-task chunk
+        from the ledger, run it under the deadline guard, charge it.
+        While a retry is backing off the loop keeps working through the
+        rest."""
+        ledger.enqueue(tasks, 1)
         while True:
             ledger.promote_delayed()
-            if ledger.pending:
-                (task,) = ledger.pending.popleft()  # retries are single-task chunks
-                scheduler.note_assigned(0, task.data_id)
-            elif fresh:
-                task = scheduler.pick(0, fresh)
-            elif ledger.delayed:
+            chunk = ledger.dispatch(0)
+            if chunk is None:
+                if not ledger.delayed:
+                    break
                 t0 = time.perf_counter()
                 ledger.sleep_until_promotable()
-                stats.queue_wait_seconds += time.perf_counter() - t0
+                ledger.stats.queue_wait_seconds += time.perf_counter() - t0
                 continue
-            else:
-                break
+            (task,) = chunk
             payload: dict[str, Any] | None = None
             error: str | None = None
             status = int(Status.SUCCESS)
@@ -367,11 +315,8 @@ class TaskQueue:
             except Exception as exc:  # noqa: BLE001 - fault isolation boundary
                 error = f"{type(exc).__name__}: {exc}"
                 status = error_status(exc)
-            stats.execute_seconds += time.perf_counter() - t0
-            ledger.charge(task, 0, payload, error, status)
-        stats.locality_hits = scheduler.stats_hits
-        stats.locality_misses = scheduler.stats_misses
-        return ledger.results, stats
+            ledger.charge_chunk(0, [(0, payload, error, status, time.perf_counter() - t0)])
+        return ledger.outcome()
 
     # -- process engine ----------------------------------------------------------
     def _run_process(

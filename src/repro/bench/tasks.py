@@ -54,8 +54,6 @@ class Task:
     experiment: Mapping[str, Any] = field(default_factory=dict)
     #: Replicate id for nondeterministic metrics.
     replicate: int = 0
-    #: Estimated payload bytes (cost model input for the simulator).
-    nbytes: int = 0
 
     #: (key, compressor hash, dataset hash, experiment hash) once sealed.
     #: Not a constructor argument, so a ``replace()``d task starts

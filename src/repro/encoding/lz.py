@@ -4,15 +4,18 @@ SZ3 finishes with a general-purpose lossless pass (zstd upstream).  We
 provide two interchangeable backends behind one two-byte-tagged format:
 
 * ``"lz77"`` — a from-scratch hash-chain LZ77 with greedy matching and a
-  simple literal/match token stream.  The encoder is a NumPy hash-chain
+  simple literal/match token stream.  One implementation per direction,
+  each the faster on the payload this stage sees in production (Huffman
+  streams, i.e. high-entropy bytes).  The encoder is a NumPy hash-chain
   matcher (rolling 4-byte keys from strided views, previous-occurrence
   chains from one stable argsort, match extension as chunked whole-slice
-  compares); the decoder resolves the token list and the overlapping
-  match copies with the same list-ranking/binary-lifting trick the
-  Huffman decoder uses.  Both are bit-exact with the original
-  interpreted loops — kept here as ``_lz77_compress_ref`` /
-  ``_lz77_decompress_ref`` — which the golden-stream tests and the
-  kernel benchmark hold them to.
+  compares): on a 1 MiB Huffman stream it runs ~26x faster than the
+  byte-at-a-time loop it is bit-exact with, which lives on as the
+  test-only referee in ``tests/reference_kernels.py``.  The decoder is
+  the plain token loop: on the same payload it beats a vectorised
+  list-ranking decoder ~25x (1.6 vs 40 ms on a 2-core host), because a
+  high-entropy stream is mostly long literal runs that one slice copy
+  handles.  The golden-stream fixtures pin both directions.
 * ``"zlib"`` — the C-speed DEFLATE from the Python standard library,
   the default production backend.  DEFLATE is itself LZ77 + Huffman,
   i.e. the same algorithm family as zstd's literal path, so the residual
@@ -59,55 +62,14 @@ def _flush_literals(out: bytearray, literals: bytearray) -> None:
     literals.clear()
 
 
-def _lz77_compress_ref(data: bytes) -> bytes:
-    """Reference greedy hash-chain LZ77 (interpreted, byte at a time).
+def _lz77_decompress(stream: bytes, expected_size: int) -> bytes:
+    """Token-at-a-time LZ77 decoder.
 
-    This is the original implementation the vectorized encoder must
-    match byte for byte; it is exercised only by the golden-stream tests
-    and as the kernel benchmark baseline.
+    A corrupt stream raises :class:`CorruptStreamError` naming the first
+    bad token in stream order; output grows by at most 259 bytes per
+    4-byte token, so a damaged stream cannot make it allocate or loop
+    beyond a small multiple of its own length.
     """
-    n = len(data)
-    out = bytearray()
-    literals = bytearray()
-    head: dict[bytes, int] = {}
-    i = 0
-
-    while i < n:
-        match_len = 0
-        match_dist = 0
-        if i + _MIN_MATCH <= n:
-            key = data[i : i + _MIN_MATCH]
-            cand = head.get(key)
-            # NB: strictly less than _WINDOW — the distance field is a
-            # 16-bit integer, so a match at distance exactly 2^16 would
-            # overflow struct.pack (a crash the original `<=` had).
-            if cand is not None and i - cand < _WINDOW:
-                # Extend the candidate match as far as it goes.
-                length = _MIN_MATCH
-                limit = min(_MAX_MATCH, n - i)
-                while length < limit and data[cand + length] == data[i + length]:
-                    length += 1
-                match_len = length
-                match_dist = i - cand
-            head[key] = i
-        if match_len >= _MIN_MATCH:
-            _flush_literals(out, literals)
-            out.append(0x01)
-            out.extend(struct.pack("<HB", match_dist, match_len - _MIN_MATCH))
-            # Insert hash entries sparsely inside the match to bound cost.
-            step = max(1, match_len // 8)
-            for k in range(i + 1, min(i + match_len, n - _MIN_MATCH), step):
-                head[data[k : k + _MIN_MATCH]] = k
-            i += match_len
-        else:
-            literals.append(data[i])
-            i += 1
-    _flush_literals(out, literals)
-    return bytes(out)
-
-
-def _lz77_decompress_ref(stream: bytes, expected_size: int) -> bytes:
-    """Reference token-at-a-time decoder (see :func:`_lz77_compress_ref`)."""
     out = bytearray()
     i = 0
     n = len(stream)
@@ -145,8 +107,9 @@ def _lz77_decompress_ref(stream: bytes, expected_size: int) -> bytes:
 def _lz77_compress(data: bytes) -> bytes:
     """Vectorized greedy hash-chain LZ77, bit-exact with the reference.
 
-    The sequential dictionary of the reference encoder is replaced by
-    three precomputed whole-array structures:
+    The reference is the byte-at-a-time matcher this replaced (kept in
+    ``tests/reference_kernels.py``).  Its sequential dictionary is
+    replaced by three precomputed whole-array structures:
 
     * ``keys[i]`` — the 4-byte rolling key at every position (strided
       uint32 arithmetic, no per-position slicing);
@@ -290,142 +253,6 @@ def _lz77_compress(data: bytes) -> bytes:
         i += length
     _flush_literals(out, literals)
     return bytes(out)
-
-
-def _range_mask(starts: np.ndarray, ends: np.ndarray, size: int) -> np.ndarray:
-    """Boolean mask of ``size`` selecting the union of ``[start, end)``.
-
-    The ranges come from non-overlapping token regions, so a +1/-1
-    difference array followed by one cumulative sum marks every covered
-    index.  A range's end may coincide with the next range's start
-    (adjacent tokens); the start writes happen first, so the decrement
-    lands on top and the running sum stays in {0, 1}.  Zero-length
-    ranges must be filtered by the caller.
-    """
-    diff = np.zeros(size + 1, dtype=np.int8)
-    diff[starts] = 1
-    diff[ends] -= 1
-    return np.cumsum(diff[:size], dtype=np.int8).astype(bool)
-
-
-def _lz77_decompress(stream: bytes, expected_size: int) -> bytes:
-    """Vectorized LZ77 decoder (list-ranking over tokens and matches).
-
-    Token starts are found without a sequential walk: a per-byte jump
-    array ``J[p] = p + size-of-token-at-p`` is evaluated everywhere at
-    once, and the token-start list is grown by binary lifting, exactly
-    like the Huffman decoder's code-boundary ranking — each round
-    composes ``J`` with itself and doubles the number of known starts,
-    so a stream of T tokens needs ``log2(T)`` whole-array rounds.
-    Literal runs become one masked copy from stream to output;
-    overlapping match copies are resolved by pointer doubling on the
-    ``output-position → source-position`` reference array (every chain
-    strictly decreases until it hits a literal byte, so ``log2`` rounds
-    of ``ref = ref[ref]`` reach the fixpoint).
-    """
-    n = len(stream)
-    if n == 0:
-        if expected_size:
-            raise CorruptStreamError("lz77 output size mismatch")
-        return b""
-    s = np.frombuffer(stream, dtype=np.uint8)
-    lit_mask = s == 0
-    match_mask = s == 1
-    next_byte = np.empty(n, dtype=np.int64)
-    next_byte[:-1] = s[1:]
-    next_byte[-1] = 0
-    size_at = np.ones(n, dtype=np.int64)
-    size_at[lit_mask] = next_byte[lit_mask] + 2
-    size_at[match_mask] = 4
-    jump = np.arange(n + 1, dtype=np.int64)
-    jump[:n] += size_at
-    np.minimum(jump, n, out=jump)  # clamp into the sink (n maps to n)
-    # Binary lifting: after round j the first 2^j token starts are known
-    # and `step` equals jump^(2^j); appending step[tok] doubles the list.
-    # Tokens found past the first sink hit are clipped, so the loop runs
-    # ceil(log2(T)) rounds for a T-token stream.
-    tok = np.zeros(1, dtype=np.int64)
-    step = jump
-    while True:
-        nxt = step[tok]
-        alive = nxt < n
-        if not alive.all():
-            tok = np.concatenate([tok, nxt[alive]])
-            break
-        tok = np.concatenate([tok, nxt])
-        step = step[step]
-    # Classify per-token corruption and honour the reference decoder's
-    # first-error-in-stream-order semantics.
-    tok_tags = s[tok]
-    bad_tag = tok_tags > 1
-    lit_tok = tok_tags == 0
-    match_tok = tok_tags == 1
-    lit_trunc = lit_tok & (tok == n - 1)
-    counts = np.where(lit_tok & ~lit_trunc, next_byte[tok], 0)
-    lit_overrun = lit_tok & ~lit_trunc & (tok + 2 + counts > n)
-    match_trunc = match_tok & (tok + 4 > n)
-    # Decode headers for the non-truncated matches (the only ones whose
-    # bytes are all in range) so underflow checks can join the ordered
-    # failure resolution: offsets are exact for every token before the
-    # earliest failure, which is the only one the reference reports.
-    valid_match = match_tok & ~match_trunc
-    mpos = tok[valid_match]
-    dists = s[mpos + 1].astype(np.int64) + (s[mpos + 2].astype(np.int64) << 8)
-    mlens = s[mpos + 3].astype(np.int64) + _MIN_MATCH
-    out_sizes = np.where(lit_tok, counts, 0)
-    out_sizes[valid_match] = mlens
-    out_offsets = np.concatenate(([0], np.cumsum(out_sizes)[:-1]))
-    total = int(out_sizes.sum())
-    match_out = out_offsets[valid_match]
-    match_bad = (dists == 0) | (match_out < dists)
-    failures = [
-        (int(tok[mask][0]), message)
-        for mask, message in (
-            (bad_tag, None),
-            (lit_trunc, "lz77 literal header truncated"),
-            (lit_overrun, "lz77 literal run truncated"),
-            (match_trunc, "lz77 match token truncated"),
-        )
-        if mask.any()
-    ]
-    if match_bad.any():
-        failures.append(
-            (int(mpos[match_bad][0]), "lz77 match reaches before stream start")
-        )
-    if failures:
-        first, message = min(failures)
-        if message is None:
-            raise CorruptStreamError(f"unknown lz77 token {int(s[first])}")
-        raise CorruptStreamError(message)
-    if total != expected_size:
-        raise CorruptStreamError("lz77 output size mismatch")
-    if total == 0:
-        return b""
-    out = np.empty(total, dtype=np.uint8)
-    lp = tok[lit_tok]
-    lc = counts[lit_tok]
-    nz = lc > 0
-    if nz.any():
-        # The k-th literal byte in stream order is the k-th literal byte
-        # in output order, so two range masks give one aligned copy.
-        lit_out = out_offsets[lit_tok][nz]
-        src_starts = lp[nz] + 2
-        out[_range_mask(lit_out, lit_out + lc[nz], total)] = s[
-            _range_mask(src_starts, src_starts + lc[nz], n)
-        ]
-    if mpos.size:
-        ref = np.arange(total, dtype=np.int64)
-        dst_mask = _range_mask(match_out, match_out + mlens, total)
-        ref[dst_mask] -= np.repeat(dists, mlens)
-        # Pointer doubling: every chain strictly decreases through match
-        # bytes until it lands on a literal byte (a fixpoint).
-        while True:
-            hop = ref[ref]
-            if np.array_equal(hop, ref):
-                break
-            ref = hop
-        out = out[ref]
-    return out.tobytes()
 
 
 def lossless_compress(data: bytes | np.ndarray, backend: str = "zlib", level: int = 6) -> bytes:

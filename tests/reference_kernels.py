@@ -17,6 +17,12 @@ every task canonically re-encoded for the key, and again for the three
 column digests.  ``tests/test_task_keys.py`` and ``benchmarks/
 test_kernels.py`` hold ``build_tasks()`` to it key for key.
 
+``lz77_compress_loop`` is the interpreted greedy LZ77 encoder the
+vectorised one in ``repro.encoding.lz`` replaced; ``tests/
+test_golden_streams.py``, ``tests/test_kernel_vectorization.py`` and
+``benchmarks/test_kernels.py`` hold the production encoder to it byte
+for byte.
+
 Nothing under ``src/`` imports this module.  The functions are the
 heap-based Huffman length builder, the bit-plane code packer, the
 full-lifting decoder (sliding-window matmul, int64 tables, one T-sized
@@ -30,6 +36,7 @@ bytes and code table are intact.
 
 from __future__ import annotations
 
+import struct
 from heapq import heapify, heappop, heappush
 
 import numpy as np
@@ -39,6 +46,7 @@ from repro.core.hashing import combined_hash, options_hash
 from repro.core.options import PressioOptions
 from repro.encoding.bitio import unpack_bits
 from repro.encoding.huffman import _STREAM_HEADER, HuffmanCode, canonical_codes
+from repro.encoding.lz import _MAX_MATCH, _MIN_MATCH, _WINDOW, _flush_literals
 from repro.mlkit.base import check_X, check_X_y
 
 
@@ -347,3 +355,47 @@ def task_hashes_per_task(task) -> tuple[str, str, str, str]:
         options_hash(dict(task.dataset_config)),
         options_hash(dict(task.experiment)),
     )
+
+
+def lz77_compress_loop(data: bytes) -> bytes:
+    """Greedy hash-chain LZ77, interpreted, byte at a time: the encoder
+    ``repro.encoding.lz._lz77_compress`` replaced and must match byte for
+    byte."""
+    n = len(data)
+    out = bytearray()
+    literals = bytearray()
+    head: dict[bytes, int] = {}
+    i = 0
+
+    while i < n:
+        match_len = 0
+        match_dist = 0
+        if i + _MIN_MATCH <= n:
+            key = data[i : i + _MIN_MATCH]
+            cand = head.get(key)
+            # NB: strictly less than _WINDOW — the distance field is a
+            # 16-bit integer, so a match at distance exactly 2^16 would
+            # overflow struct.pack (a crash the original `<=` had).
+            if cand is not None and i - cand < _WINDOW:
+                # Extend the candidate match as far as it goes.
+                length = _MIN_MATCH
+                limit = min(_MAX_MATCH, n - i)
+                while length < limit and data[cand + length] == data[i + length]:
+                    length += 1
+                match_len = length
+                match_dist = i - cand
+            head[key] = i
+        if match_len >= _MIN_MATCH:
+            _flush_literals(out, literals)
+            out.append(0x01)
+            out.extend(struct.pack("<HB", match_dist, match_len - _MIN_MATCH))
+            # Insert hash entries sparsely inside the match to bound cost.
+            step = max(1, match_len // 8)
+            for k in range(i + 1, min(i + match_len, n - _MIN_MATCH), step):
+                head[data[k : k + _MIN_MATCH]] = k
+            i += match_len
+        else:
+            literals.append(data[i])
+            i += 1
+    _flush_literals(out, literals)
+    return bytes(out)

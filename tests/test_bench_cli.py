@@ -39,6 +39,12 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "task_timeout must be > 0" in capsys.readouterr().err
 
+    def test_simulate_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "--nodes", "1", "4"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'simulate'" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list_schemes(self, capsys):
@@ -113,6 +119,9 @@ class TestCommands:
         assert any(r["method"] == "tao2019" for r in records)
         assert "queue[process x2]" in captured.err
         assert "checkpoint=" in captured.err
+        # One placement figure, the ledger's affinity map.
+        assert captured.err.count("affinity=") == 1
+        assert "locality=" not in captured.err
 
     def test_checkpoint_file_resume(self, tmp_path, capsys):
         argv = [
@@ -129,38 +138,6 @@ class TestCommands:
         assert main(argv) == 0
         capsys.readouterr()
         assert main(argv) == 0  # resumes from the checkpoint cleanly
-
-
-class TestSimulateCommand:
-    def test_scaling_table_printed(self, capsys):
-        code = main(
-            [
-                "simulate",
-                "--nodes", "1", "4",
-                "--shape", "8", "8", "4",
-                "--timesteps", "2",
-                "--compressors", "szx",
-                "--bounds", "1e-4",
-                "--compute-ms", "10",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "makespan" in out and "speedup" in out
-
-    def test_no_locality_flag(self, capsys):
-        code = main(
-            [
-                "simulate",
-                "--nodes", "2",
-                "--shape", "8", "8", "4",
-                "--timesteps", "1",
-                "--compressors", "szx",
-                "--bounds", "1e-4",
-                "--no-locality",
-            ]
-        )
-        assert code == 0
 
 
 class TestGenerateCommand:
@@ -223,8 +200,10 @@ class TestReportCommand:
             {},
             # What a build with the three data planes persisted.
             {"data_plane": "shm", "bytes_copied": 5242880, "bytes_mapped": 0},
+            # The locality counters that once mirrored the affinity ones.
+            {"locality_hits": 3, "locality_misses": 1, "locality_rate": 0.75},
         ],
-        ids=["new-shape", "old-shape"],
+        ids=["new-shape", "old-shape", "locality-keys"],
     )
     def test_report_renders_old_and_new_last_run_stats(self, tmp_path, capsys, extra):
         """A checkpoint's ``last_run_stats`` renders whichever build wrote
@@ -443,24 +422,6 @@ class TestChaosFlags:
         store = CheckpointStore(db)
         assert store.verify() == []
         assert store.failed_keys() == set()
-
-    def test_simulate_chaos_columns(self, capsys):
-        code = main(
-            [
-                "simulate",
-                "--nodes", "1", "2",
-                "--shape", "8", "8", "4",
-                "--timesteps", "2",
-                "--compressors", "szx",
-                "--bounds", "1e-4",
-                "--chaos", "crash:0.3,hang:0.1",
-                "--chaos-seed", "5",
-                "--recovery-s", "0.5",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "faults" in out and "wasted(s)" in out
 
     def test_report_failures_flag(self, tmp_path, capsys):
         from repro.bench import CheckpointStore

@@ -39,7 +39,6 @@ def make_tasks(n_data=2, per_data=2):
                     compressor_options={"pressio:abs": 10.0 ** -(k + 2)},
                     dataset_config={"entry:data_id": f"data/{d}"},
                     replicate=0,
-                    nbytes=1 << 10,
                 )
             )
     return tasks
@@ -343,7 +342,6 @@ MPI_SMOKE = textwrap.dedent(
             compressor_options={"pressio:abs": 1e-4},
             dataset_config={"entry:data_id": f"data/{d}"},
             replicate=0,
-            nbytes=1,
         )
         for d in range(4)
     ]

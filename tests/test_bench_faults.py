@@ -20,7 +20,6 @@ def make_tasks(n_data=2, per_data=2):
             compressor_options={"pressio:abs": 10.0 ** -(k + 2)},
             dataset_config={"entry:data_id": f"data/{d}"},
             replicate=0,
-            nbytes=1 << 20,
         )
         for d in range(n_data)
         for k in range(per_data)

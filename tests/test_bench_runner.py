@@ -120,41 +120,6 @@ class TestCollection:
         assert runner.collect().stats.completed == 1
         assert json.loads(store.get_meta("last_run_stats"))["completed"] == 1
 
-    def test_nbytes_respects_dtype(self):
-        """The scheduler's byte estimate must honor the entry dtype —
-        4 bytes/element was hardcoded before."""
-        from repro.core.data import PressioData
-        from repro.dataset.base import DatasetPlugin
-
-        class TypedDataset(DatasetPlugin):
-            id = "typed"
-            dtypes = ("float64", "int16", "float32")
-
-            def __len__(self):
-                return len(self.dtypes)
-
-            def load_metadata(self, index):
-                return {
-                    "data_id": f"typed/{index}",
-                    "shape": (4, 4, 2),
-                    "dtype": self.dtypes[index],
-                }
-
-            def load_data(self, index):
-                return PressioData(
-                    np.zeros((4, 4, 2), dtype=self.dtypes[index]),
-                    metadata=self.load_metadata(index),
-                )
-
-        runner = ExperimentRunner(
-            TypedDataset(), compressors=("szx",), bounds=(1e-4,), schemes=()
-        )
-        tasks = runner.build_tasks()
-        by_id = {t.data_id: t.nbytes for t in tasks}
-        assert by_id["typed/0"] == 4 * 4 * 2 * 8  # float64
-        assert by_id["typed/1"] == 4 * 4 * 2 * 2  # int16
-        assert by_id["typed/2"] == 4 * 4 * 2 * 4  # float32
-
     def test_process_engine_collection(self, tmp_path):
         """Collection through worker processes: per-worker dataset init,
         checkpoint writes in the parent, buffered flush."""

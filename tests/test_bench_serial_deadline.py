@@ -30,7 +30,6 @@ def make_tasks(n=3):
             compressor_options={"pressio:abs": 1e-4},
             dataset_config={"entry:data_id": f"data/{d}"},
             replicate=0,
-            nbytes=1 << 20,
         )
         for d in range(n)
     ]

@@ -41,7 +41,6 @@ def make_tasks(kinds, per_kind=PER_KIND):
             compressor_options={"pressio:abs": 10.0 ** -(k + 2)},
             dataset_config={"entry:data_id": kind},
             replicate=0,
-            nbytes=1 << 10,
         )
         for d, kind in enumerate(kinds)
         for k in range(per_kind)
@@ -92,6 +91,17 @@ def test_every_engine_charges_the_same_fault_mix_alike(engine, state_dir):
     assert stats.timeouts == 0
     sink_errors = {r.error for r in results if r.task.data_id == "sink"}
     assert sink_errors == {"on_result OSError: disk full"}
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_every_engine_counts_placement_alike(engine, state_dir):
+    """One placement policy: whole-datum chunks leave nothing to steal,
+    so each datum costs one miss and its other tasks are hits on every
+    engine, the serial one included."""
+    tasks = make_tasks(["a", "b", "c", "d"], per_kind=3)
+    _, stats = _queue(engine, state_dir).run(tasks, _by_kind)
+    assert stats.completed == len(tasks)
+    assert (stats.affinity_hits, stats.affinity_misses, stats.affinity_steals) == (8, 4, 0)
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -1,12 +1,12 @@
 """Tests for the task queue: locality scheduling, retries, fault injection."""
 
 import os
+import random
 import time
-from collections import deque
 
 import pytest
 
-from repro.bench import CheckpointStore, FaultInjector, LocalityScheduler, Task, TaskQueue
+from repro.bench import CheckpointStore, FaultInjector, Task, TaskQueue
 from repro.core import Status, TaskFailedError
 from tests.latch import once
 
@@ -30,24 +30,71 @@ def make_tasks(n_data=4, per_data=3):
                     compressor_options={"pressio:abs": 10.0 ** -(k + 2)},
                     dataset_config={"entry:data_id": f"data/{d}"},
                     replicate=0,
-                    nbytes=1 << 20,
                 )
             )
     return tasks
 
 
-class TestLocalityScheduler:
-    def test_prefers_cached_data(self):
-        sched = LocalityScheduler()
-        tasks = make_tasks(n_data=2, per_data=2)
-        pending = deque(tasks)
-        first = sched.pick(0, pending)  # miss, caches data/0
-        second = sched.pick(0, pending)  # should hit data/0 again
-        assert first.data_id == second.data_id == "data/0"
-        assert sched.stats_hits == 1 and sched.stats_misses == 1
+def shuffled_campaign():
+    """A grouped campaign of 4 datums x 3 replicates (task ``(d, k)``
+    reads datum ``d``) in a seeded shuffled order."""
+    tasks = [
+        Task(
+            data_index=d,
+            data_id=f"data/{d}",
+            compressor_id="sz3",
+            compressor_options={"pressio:abs": 1e-3},
+            dataset_config={"entry:data_id": f"data/{d}"},
+            replicate=k,
+        )
+        for d in range(4)
+        for k in range(3)
+    ]
+    random.Random(25).shuffle(tasks)
+    return tasks
 
-    def test_empty_pending(self):
-        assert LocalityScheduler().pick(0, deque()) is None
+
+class TestSerialOrder:
+    """The serial engine runs a datum's tasks back to back, datums in
+    order of first appearance, each datum's tasks in submission order."""
+
+    def test_shuffled_grouped_campaign_runs_in_a_fixed_order(self):
+        ran = []
+
+        def fn(task, worker):
+            ran.append((task.data_index, task.replicate))
+            return {}
+
+        results, _ = TaskQueue(1, "serial").run(shuffled_campaign(), fn)
+        assert ran == [
+            (2, 2), (2, 1), (2, 0), (0, 1), (0, 2), (0, 0),
+            (3, 0), (3, 2), (3, 1), (1, 2), (1, 1), (1, 0),
+        ]
+        assert [(r.task.data_index, r.task.replicate) for r in results] == ran
+
+    def test_each_result_reaches_the_sink_before_the_next_task(self):
+        events = []
+        TaskQueue(1, "serial").run(
+            shuffled_campaign(),
+            lambda task, worker: events.append("run") or {},
+            on_result=lambda result: events.append("sink"),
+        )
+        assert events == ["run", "sink"] * 12
+
+    def test_retry_runs_after_its_datum_and_before_the_next(self):
+        ran = []
+
+        def fn(task, worker):
+            ran.append((task.data_index, task.replicate))
+            if (task.data_index, task.replicate) == (2, 2) and len(ran) == 1:
+                raise TaskFailedError("fails once", task_key=task.key())
+            return {}
+
+        results, stats = TaskQueue(1, "serial", max_retries=1).run(shuffled_campaign(), fn)
+        assert ran[:5] == [(2, 2), (2, 1), (2, 0), (2, 2), (0, 1)]
+        assert stats.completed == 12 and stats.retries == 1
+        # The retry rides the warm datum: one load per datum, still.
+        assert (stats.affinity_hits, stats.affinity_misses) == (9, 4)
 
 
 class TestTaskQueue:
@@ -62,8 +109,8 @@ class TestTaskQueue:
         tasks = make_tasks(n_data=4, per_data=5)
         _, stats = TaskQueue(1, "serial").run(tasks, lambda t, w: {})
         # 4 misses (first touch per datum), 16 hits.
-        assert stats.locality_hits == 16
-        assert stats.locality_rate == pytest.approx(16 / 20)
+        assert stats.affinity_hits == 16
+        assert stats.affinity_hit_rate == pytest.approx(16 / 20)
 
     def test_thread_engine_is_rejected(self):
         """Replaced, not forked: no alias or fallback for the old name."""
@@ -260,9 +307,6 @@ class TestAffinityDispatch:
         assert {r.task.key() for r in results} == {t.key() for t in tasks}
         assert stats.affinity_hits + stats.affinity_misses == len(tasks)
         assert stats.affinity_hits > 0
-        # The affinity counters mirror into the locality stats so both
-        # engines report locality through one vocabulary.
-        assert stats.locality_hits == stats.affinity_hits
 
     def test_chunk_size_validation(self):
         with pytest.raises(ValueError):

@@ -36,6 +36,15 @@ def test_compressor_selection(capsys):
     assert int(matched) >= int(total) * 0.7
 
 
+def test_distributed_training(capsys):
+    out = run_example("distributed_training.py", capsys)
+    assert "first run" in out
+    # The restart re-runs exactly the tasks the first run failed.
+    failed = int(out.split(" ok, ")[1].split(" failed")[0])
+    assert f"re-ran {failed} missing tasks (affinity hit rate" in out
+    assert "Table-2 layout" in out
+
+
 @pytest.mark.parametrize(
     "name",
     [

@@ -27,9 +27,7 @@ from repro.compressors.zfp import pack_width_groups, unpack_width_groups
 from repro.encoding import huffman, pack_codes, uint_bit_length, windows_at_every_position
 from repro.encoding.lz import (
     _lz77_compress,
-    _lz77_compress_ref,
     _lz77_decompress,
-    _lz77_decompress_ref,
     lossless_compress,
     lossless_decompress,
 )
@@ -154,17 +152,16 @@ class TestLZ77WindowEdge:
     def test_distance_65535_still_matches(self):
         payload = self._payload(65535 - len(self.MARKER))
         stream = _lz77_compress(payload)
-        assert stream == _lz77_compress_ref(payload)
+        assert stream == ref.lz77_compress_loop(payload)
         assert b"\x01\xff\xff" in stream  # match token at dist 0xFFFF
         assert _lz77_decompress(stream, len(payload)) == payload
 
     def test_distance_65536_is_rejected_not_crashed(self):
         payload = self._payload(65536 - len(self.MARKER))
         stream = _lz77_compress(payload)
-        assert stream == _lz77_compress_ref(payload)
+        assert stream == ref.lz77_compress_loop(payload)
         assert b"\x01\x00\x00" not in stream  # no wrapped-distance token
         assert _lz77_decompress(stream, len(payload)) == payload
-        assert _lz77_decompress_ref(stream, len(payload)) == payload
 
 
 class TestDecodeTables:
@@ -213,7 +210,7 @@ class TestVectorizedReferenceEquivalence:
     @given(st.binary(max_size=2000))
     def test_encode_matches_reference(self, payload):
         stream = _lz77_compress(payload)
-        assert stream == _lz77_compress_ref(payload)
+        assert stream == ref.lz77_compress_loop(payload)
         assert _lz77_decompress(stream, len(payload)) == payload
 
     @settings(max_examples=30, deadline=None)
@@ -224,9 +221,8 @@ class TestVectorizedReferenceEquivalence:
     def test_repetitive_payloads_match_reference(self, motif, reps):
         payload = motif * reps
         stream = _lz77_compress(payload)
-        assert stream == _lz77_compress_ref(payload)
+        assert stream == ref.lz77_compress_loop(payload)
         assert _lz77_decompress(stream, len(payload)) == payload
-        assert _lz77_decompress_ref(stream, len(payload)) == payload
 
 
 # -- ISSUE 12: entropy-stage kernels against their retired implementations -----------

@@ -46,7 +46,6 @@ def by_hand(task: Task) -> Task:
         dataset_config=dict(task.dataset_config),
         experiment=dict(task.experiment),
         replicate=task.replicate,
-        nbytes=task.nbytes,
     )
 
 
