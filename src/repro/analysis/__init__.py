@@ -1,28 +1,30 @@
-"""repro-lint: static enforcement of the harness's correctness contracts.
+"""repro-lint: static checks for the bug classes this harness has shipped.
 
-The runtime layers (task queue, checkpoint store, shared-memory plane,
-serving stack) each rest on invariants that, until now, only failed
-under load or chaos: lock discipline around shared state, deterministic
-inputs to the stable option hash, codec-encodable predictor state, the
-fixed ``predictors:*`` invalidation vocabulary, and close/unlink
-lifecycles for OS-backed resources.  This package checks those
-contracts *statically* over the AST, so a violation fails in CI instead
-of in a 3 a.m. chaos run.
+Each rule here exists because replaying it over the repository's
+history found a real bug that a later commit fixed (DESIGN §9 has the
+replay table):
+
+* RL301 — a predictor's ``get_state`` ships raw ``get_params()`` output,
+  which the exact state codec cannot round-trip;
+* RL601 — blocking disk/socket work on the serving event-loop thread;
+* RL603 — a ``# loop-owned`` attribute touched from a function shipped
+  to a worker thread;
+* RL702 — a child process forked while the parent holds live state.
 
 Entry points:
 
-* ``python -m repro.analysis src/`` — CLI with text/JSON output and a
-  zero-findings exit code, also exposed as ``predict-bench lint``;
+* ``python -m repro.analysis src/`` — CLI with text/JSON/GitHub output
+  and a zero-findings exit code;
 * :func:`run_paths` — the same engine as a library call;
-* :class:`LockOrderWitness` — the runtime companion: wraps locks during
-  stress tests, records the acquisition graph, fails on cycles;
-* :class:`LocksetWitness` — the Eraser-style lockset sanitizer: also
-  instruments ``# guarded-by:`` attributes and reports any whose
-  candidate lockset goes empty (a data race no schedule needs to fire).
+* :class:`LocksetWitness` — the Eraser-style runtime lockset sanitizer:
+  instruments ``# guarded-by:`` attributes during stress tests and
+  reports any whose candidate lockset goes empty (a data race no
+  schedule needs to fire).
 
-Suppressions: ``# repro-lint: disable=RL101  # reason`` on (or directly
-above) the offending line, or ``# repro-lint: disable-file=RL102`` once
-anywhere in a file.  Every suppression should carry a justification.
+Suppressions: a ``repro-lint: disable=RL702`` comment (then ``# reason``)
+on or directly above the offending line, or ``repro-lint:
+disable-file=RL601`` once anywhere in a file.  Every suppression should
+carry a justification; one naming an unknown rule fails the run.
 """
 
 from .engine import AnalysisReport, run_paths
@@ -33,14 +35,11 @@ from .racewitness import (
     RaceReport,
     guarded_attributes,
 )
-from .witness import LockOrderViolation, LockOrderWitness
 
 __all__ = [
     "AnalysisReport",
     "DataRaceViolation",
     "Finding",
-    "LockOrderViolation",
-    "LockOrderWitness",
     "LocksetWitness",
     "RaceReport",
     "Rule",

@@ -12,30 +12,21 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .findings import Finding, Suppressions, parse_suppressions
 
-#: Marks a function as a root of the hash-stability reachability walk
-#: even outside ``core/hashing.py`` (used by fixtures and downstream
-#: code that feeds the canonical encoder).
-HASH_CRITICAL_MARK = re.compile(r"#\s*(?:repro-lint:\s*)?hash-critical\b")
-
-#: ``self.attr = ...  # guarded-by: _lock`` declares that every later
-#: mutation of ``self.attr`` must hold ``self._lock``.
-GUARDED_BY_MARK = re.compile(r"#\s*guarded-by:\s*(?:self\.)?(?P<lock>\w+)")
-
 #: ``self.attr = ...  # loop-owned`` declares that the attribute belongs
 #: to the event-loop thread: any access from a function shipped to a
 #: worker thread (``to_thread``/``run_in_executor``/``Thread``) is a
-#: data race (the ServeStats bug class from PR 5, as a rule).
+#: data race (the ServeStats bug class, as RL603).
 LOOP_OWNED_MARK = re.compile(r"#\s*loop-owned\b")
 
 #: Method names so common on builtin containers/str/bytes that following
-#: a bare-name edge through them would connect the hashing roots to half
-#: the codebase (``h.update`` is hashlib, not ``SomeCache.update``).
-#: Only module-local definitions of these names are followed.
+#: a bare-name edge through them would connect a call site to half the
+#: codebase (``q.put`` is a queue, not ``CheckpointStore.put``).  Only
+#: module-local definitions of these names are followed.
 UBIQUITOUS_METHOD_NAMES = frozenset(
     {
         "add", "append", "clear", "close", "copy", "decode", "digest",
@@ -45,13 +36,72 @@ UBIQUITOUS_METHOD_NAMES = frozenset(
     }
 )
 
+_LOCKY = ("lock", "cond", "mutex", "sem")
+
+
+def is_locky(name: str) -> bool:
+    """Does *name* read like a lock/condition/semaphore?"""
+    low = name.lower()
+    return any(tok in low for tok in _LOCKY)
+
+
+def final_name(node: ast.AST) -> str:
+    """Last name segment of an expression (``a.b.c(...)`` -> ``c``)."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Call):
+        return final_name(node.func)
+    return ""
+
+
+def own_calls(fn: ast.AST) -> Iterator[ast.Call]:
+    """Call nodes in *fn*'s body, excluding nested function definitions."""
+    nested: set[int] = set()
+    for node in ast.walk(fn):
+        if node is not fn and isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+        ):
+            for sub in ast.walk(node):
+                nested.add(id(sub))
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call) and id(node) not in nested:
+            yield node
+
+
+def call_edge(
+    node: ast.Call, module: "ModuleInfo", index: "ProjectIndex"
+) -> tuple[str, list["FunctionRecord"]] | None:
+    """Conservative call-graph edge: bare names and ``self.<method>`` only.
+
+    Module-local definitions win; otherwise every same-named function in
+    the tree is a target, except for :data:`UBIQUITOUS_METHOD_NAMES`.
+    """
+    func = node.func
+    if isinstance(func, ast.Name):
+        name = func.id
+    elif (
+        isinstance(func, ast.Attribute)
+        and isinstance(func.value, ast.Name)
+        and func.value.id == "self"
+    ):
+        name = func.attr
+    else:
+        return None
+    candidates = index.functions.get(name, ())
+    local = [c for c in candidates if c.module is module]
+    if not local and name in UBIQUITOUS_METHOD_NAMES:
+        return None
+    targets = local or list(candidates)
+    return (name, targets) if targets else None
+
 
 @dataclass
 class ModuleInfo:
     """One parsed source file plus its comment-derived metadata."""
 
     path: str
-    source: str
     tree: ast.Module | None
     lines: list[str]
     suppressions: Suppressions
@@ -69,7 +119,6 @@ class ModuleInfo:
             error = f"{exc.msg} (line {exc.lineno})"
         return cls(
             path=path,
-            source=source,
             tree=tree,
             lines=lines,
             suppressions=suppressions,
@@ -80,28 +129,6 @@ class ModuleInfo:
         if 1 <= lineno <= len(self.lines):
             return self.lines[lineno - 1]
         return ""
-
-    def normalized_path(self) -> str:
-        return self.path.replace("\\", "/")
-
-
-def iter_functions(
-    tree: ast.AST,
-) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
-def iter_classes(tree: ast.AST) -> Iterator[ast.ClassDef]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            yield node
-
-
-def call_name(node: ast.Call) -> str:
-    """Dotted text of a call's callee (best effort)."""
-    return expr_text(node.func)
 
 
 def expr_text(node: ast.AST) -> str:
@@ -122,149 +149,31 @@ def base_names(cls: ast.ClassDef) -> list[str]:
     return out
 
 
-def docstring_node(body: list[ast.stmt]) -> ast.Expr | None:
-    if body and isinstance(body[0], ast.Expr) and isinstance(
-        body[0].value, ast.Constant
-    ) and isinstance(body[0].value.value, str):
-        return body[0]
-    return None
-
-
 @dataclass
 class FunctionRecord:
     """Index entry for one function/method definition."""
 
     module: ModuleInfo
     node: ast.FunctionDef | ast.AsyncFunctionDef
-    qualname: str
-    called_names: set[str] = field(default_factory=set)
 
 
 class ProjectIndex:
-    """Cross-module facts the checkers share.
+    """Bare-name index of every function in the scanned tree.
 
-    * a bare-name function index and call graph (for hash-stability
-      reachability);
-    * the set of metric ids declared anywhere in the scanned tree (for
-      the unknown-metric-request rule).
+    The call-graph walks of RL601 (blocking work behind sync helpers) and
+    RL702 (spawns behind ``self._spawn(...)``) resolve edges through it.
     """
 
     def __init__(self, modules: Iterable[ModuleInfo]) -> None:
-        self.modules = [m for m in modules]
         self.functions: dict[str, list[FunctionRecord]] = {}
-        self.metric_ids: set[str] = set()
-        for module in self.modules:
+        for module in modules:
             if module.tree is None:
                 continue
-            self._index_module(module)
-
-    def _index_module(self, module: ModuleInfo) -> None:
-        assert module.tree is not None
-        # Functions and the names they call (bare-name call graph).
-        stack: list[tuple[ast.AST, str]] = [(module.tree, module.path)]
-        while stack:
-            node, prefix = stack.pop()
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    qual = f"{prefix}::{child.name}"
-                    record = FunctionRecord(module=module, node=child, qualname=qual)
-                    for sub in ast.walk(child):
-                        if isinstance(sub, ast.Call):
-                            callee = sub.func
-                            if isinstance(callee, ast.Name):
-                                record.called_names.add(callee.id)
-                            elif isinstance(callee, ast.Attribute):
-                                record.called_names.add(callee.attr)
-                    self.functions.setdefault(child.name, []).append(record)
-                    stack.append((child, qual))
-                elif isinstance(child, ast.ClassDef):
-                    stack.append((child, f"{prefix}::{child.name}"))
-        # Metric ids: classes that look like metrics plugins — they
-        # either subclass a *Metric* base or declare ``invalidations``.
-        for cls in iter_classes(module.tree):
-            is_metric = any("Metric" in b for b in base_names(cls))
-            declared_id: str | None = None
-            has_invalidations = False
-            for stmt in cls.body:
-                if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                    target = stmt.targets[0]
-                    if isinstance(target, ast.Name):
-                        if (
-                            target.id == "id"
-                            and isinstance(stmt.value, ast.Constant)
-                            and isinstance(stmt.value.value, str)
-                        ):
-                            declared_id = stmt.value.value
-                        elif target.id == "invalidations":
-                            has_invalidations = True
-                elif isinstance(stmt, ast.AnnAssign) and isinstance(
-                    stmt.target, ast.Name
-                ):
-                    if (
-                        stmt.target.id == "id"
-                        and isinstance(stmt.value, ast.Constant)
-                        and isinstance(stmt.value.value, str)
-                    ):
-                        declared_id = stmt.value.value
-                    elif stmt.target.id == "invalidations":
-                        has_invalidations = True
-            if not (is_metric or has_invalidations):
-                continue
-            if declared_id:
-                self.metric_ids.add(declared_id)
-            # Variants re-id themselves at runtime (``self.id = "sz3probe_sampled"``).
-            for node in ast.walk(cls):
-                if (
-                    isinstance(node, ast.Assign)
-                    and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Attribute)
-                    and isinstance(node.targets[0].value, ast.Name)
-                    and node.targets[0].value.id == "self"
-                    and node.targets[0].attr == "id"
-                    and isinstance(node.value, ast.Constant)
-                    and isinstance(node.value.value, str)
-                ):
-                    self.metric_ids.add(node.value.value)
-
-    # -- hash-stability reachability -------------------------------------------
-    def hash_critical_functions(self) -> set[int]:
-        """ids() of function nodes reachable from the hashing roots.
-
-        Roots are every function defined in a ``core/hashing.py`` module
-        plus any function marked ``# hash-critical`` on its ``def`` line
-        (or the line above).  Edges follow the bare-name call graph —
-        module-local definitions win; otherwise every same-named
-        function in the tree is considered reachable (over-approximate,
-        which for a determinism lint is the safe direction).
-        """
-        roots: list[FunctionRecord] = []
-        for records in self.functions.values():
-            for record in records:
-                norm = record.module.normalized_path()
-                if norm.endswith("core/hashing.py"):
-                    roots.append(record)
-                    continue
-                node = record.node
-                for lineno in (node.lineno, node.lineno - 1):
-                    if HASH_CRITICAL_MARK.search(record.module.line_text(lineno)):
-                        roots.append(record)
-                        break
-        reachable: set[int] = set()
-        queue = list(roots)
-        while queue:
-            record = queue.pop()
-            if id(record.node) in reachable:
-                continue
-            reachable.add(id(record.node))
-            for name in record.called_names:
-                candidates = self.functions.get(name, ())
-                local = [c for c in candidates if c.module is record.module]
-                if not local and name in UBIQUITOUS_METHOD_NAMES:
-                    continue
-                for target in local or candidates:
-                    if id(target.node) not in reachable:
-                        queue.append(target)
-        return reachable
+            for node in ast.walk(module.tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    self.functions.setdefault(node.name, []).append(
+                        FunctionRecord(module=module, node=node)
+                    )
 
 
 class Checker:

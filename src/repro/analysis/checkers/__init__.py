@@ -1,20 +1,12 @@
-"""The seven checker implementations behind repro-lint."""
+"""The three checker implementations behind repro-lint."""
 
 from .asyncdiscipline import AsyncDisciplineChecker
 from .forksafety import ForkSafetyChecker
-from .hashstab import HashStabilityChecker
-from .invalidation import InvalidationVocabularyChecker
-from .lifecycle import ResourceLifecycleChecker
-from .locks import LockDisciplineChecker
 from .statecodec import StateCodecChecker
 
 #: Instantiation order is also report-grouping order.
 ALL_CHECKERS = (
-    LockDisciplineChecker,
-    HashStabilityChecker,
     StateCodecChecker,
-    InvalidationVocabularyChecker,
-    ResourceLifecycleChecker,
     AsyncDisciplineChecker,
     ForkSafetyChecker,
 )
@@ -23,9 +15,5 @@ __all__ = [
     "ALL_CHECKERS",
     "AsyncDisciplineChecker",
     "ForkSafetyChecker",
-    "HashStabilityChecker",
-    "InvalidationVocabularyChecker",
-    "LockDisciplineChecker",
-    "ResourceLifecycleChecker",
     "StateCodecChecker",
 ]

@@ -1,6 +1,6 @@
-"""Async discipline: the event loop must never block, coroutines must run.
+"""Async discipline: the event loop must never block or share its state.
 
-Three contracts over ``async def`` code and the helpers it reaches:
+Two contracts over ``async def`` code and the helpers it reaches:
 
 * **RL601** — a blocking call (``time.sleep``, synchronous socket or
   sqlite I/O, registry/store disk methods, ``subprocess``, an untimed
@@ -11,13 +11,7 @@ Three contracts over ``async def`` code and the helpers it reaches:
   down.  Work shipped off the loop with ``asyncio.to_thread``/
   ``run_in_executor`` is naturally exempt: the callable is an
   *argument* there, not a call.
-* **RL602** — a coroutine function called as a bare expression
-  statement.  The call builds a coroutine object and drops it; the body
-  never runs and Python's "never awaited" warning only fires if GC
-  happens to notice.  Only statement-position calls are flagged —
-  coroutines passed to ``create_task``/``gather`` or awaited are
-  consumed.
-* **RL603** — the PR-5 ServeStats bug class as a rule: an attribute
+* **RL603** — the ServeStats bug class as a rule: an attribute
   annotated ``# loop-owned`` is touched inside a function shipped to a
   worker thread (``to_thread``, ``run_in_executor``, ``Thread(target=)``,
   executor ``submit``).  Loop-owned state is single-threaded by design;
@@ -27,29 +21,27 @@ Call-graph edges are followed conservatively — only bare names and
 ``self.<method>`` calls, module-local definitions first — so a
 ``queue.put`` on some other object never aliases into
 ``CheckpointStore.put``.  The price is false negatives (documented in
-DESIGN §14), never a speculative finding.
+DESIGN §9), never a speculative finding.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from ..base import (
     LOOP_OWNED_MARK,
-    UBIQUITOUS_METHOD_NAMES,
     Checker,
     FunctionRecord,
     ModuleInfo,
     ProjectIndex,
+    call_edge,
     expr_text,
+    final_name,
+    is_locky,
+    own_calls,
 )
-from ..findings import (
-    ASYNC_BLOCKING_CALL,
-    LOOP_OWNED_CROSS_THREAD,
-    UNAWAITED_COROUTINE,
-    Finding,
-)
+from ..findings import ASYNC_BLOCKING_CALL, LOOP_OWNED_CROSS_THREAD, Finding
 
 #: Dotted callee spellings that always block the calling thread.
 BLOCKING_DOTTED = frozenset(
@@ -107,26 +99,13 @@ THREAD_SHIP_CALLS = frozenset(
     {"to_thread", "run_in_executor", "submit", "Thread"}
 )
 
-_LOCKY = ("lock", "cond", "mutex", "sem")
-
-
-def _final_name(node: ast.AST) -> str:
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Call):
-        return _final_name(node.func)
-    return ""
-
 
 def _untimed_acquire(node: ast.Call) -> bool:
     """``lock.acquire()`` with no timeout/blocking bound -> blocks forever."""
     func = node.func
     if not isinstance(func, ast.Attribute) or func.attr != "acquire":
         return False
-    recv = _final_name(func.value).lower()
-    if not any(tok in recv for tok in _LOCKY):
+    if not is_locky(final_name(func.value)):
         return False
     if node.args or node.keywords:
         return False  # blocking=False / timeout=... bound the wait
@@ -144,7 +123,7 @@ def _blocking_reason(node: ast.Call) -> str | None:
     if _untimed_acquire(node):
         return f"untimed '{dotted}()'"
     if isinstance(func, ast.Attribute):
-        recv = _final_name(func.value).lower()
+        recv = final_name(func.value).lower()
         if func.attr in SOCKET_METHODS and any(t in recv for t in _SOCKETISH):
             return f"socket I/O '{dotted}()'"
         if func.attr in DISK_METHODS and any(t in recv for t in _DISKISH):
@@ -152,45 +131,8 @@ def _blocking_reason(node: ast.Call) -> str | None:
     return None
 
 
-def _own_calls(fn: ast.AST) -> Iterator[ast.Call]:
-    """Call nodes in *fn*'s body, excluding nested function definitions."""
-    nested: set[int] = set()
-    for node in ast.walk(fn):
-        if node is not fn and isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-        ):
-            for sub in ast.walk(node):
-                nested.add(id(sub))
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Call) and id(node) not in nested:
-            yield node
-
-
-def _edge(
-    node: ast.Call, module: ModuleInfo, index: ProjectIndex
-) -> tuple[str, list[FunctionRecord]] | None:
-    """Conservative call-graph edge: bare names and ``self.<method>`` only."""
-    func = node.func
-    if isinstance(func, ast.Name):
-        name = func.id
-    elif (
-        isinstance(func, ast.Attribute)
-        and isinstance(func.value, ast.Name)
-        and func.value.id == "self"
-    ):
-        name = func.attr
-    else:
-        return None
-    candidates = index.functions.get(name, ())
-    local = [c for c in candidates if c.module is module]
-    if not local and name in UBIQUITOUS_METHOD_NAMES:
-        return None
-    targets = local or list(candidates)
-    return (name, targets) if targets else None
-
-
 class AsyncDisciplineChecker(Checker):
-    rules = (ASYNC_BLOCKING_CALL, UNAWAITED_COROUTINE, LOOP_OWNED_CROSS_THREAD)
+    rules = (ASYNC_BLOCKING_CALL, LOOP_OWNED_CROSS_THREAD)
 
     def __init__(self) -> None:
         #: function-node id -> blocking reason (memoised across modules;
@@ -206,7 +148,6 @@ class AsyncDisciplineChecker(Checker):
         for node in ast.walk(module.tree):
             if isinstance(node, ast.AsyncFunctionDef):
                 self._check_async_body(module, index, node, findings)
-        self._check_unawaited(module, index, findings)
         self._check_loop_owned(module, index, findings)
         return findings
 
@@ -218,11 +159,11 @@ class AsyncDisciplineChecker(Checker):
         fn: ast.AsyncFunctionDef,
         findings: list[Finding],
     ) -> None:
-        for call in _own_calls(fn):
+        for call in own_calls(fn):
             reason = _blocking_reason(call)
             via = ""
             if reason is None:
-                edge = _edge(call, module, index)
+                edge = call_edge(call, module, index)
                 if edge is None:
                     continue
                 name, targets = edge
@@ -258,13 +199,13 @@ class AsyncDisciplineChecker(Checker):
         self._blocking_memo[key] = None  # cycle guard
         if isinstance(record.node, ast.AsyncFunctionDef):
             return None
-        for call in _own_calls(record.node):
+        for call in own_calls(record.node):
             reason = _blocking_reason(call)
             if reason is not None:
                 self._blocking_memo[key] = reason
                 return reason
-        for call in _own_calls(record.node):
-            edge = _edge(call, record.module, index)
+        for call in own_calls(record.node):
+            edge = call_edge(call, record.module, index)
             if edge is None:
                 continue
             name, targets = edge
@@ -276,35 +217,6 @@ class AsyncDisciplineChecker(Checker):
                     self._blocking_memo[key] = sub
                     return sub
         return self._blocking_memo[key]
-
-    # -- RL602: dropped coroutines ----------------------------------------------
-    def _check_unawaited(
-        self, module: ModuleInfo, index: ProjectIndex, findings: list[Finding]
-    ) -> None:
-        assert module.tree is not None
-        for node in ast.walk(module.tree):
-            if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)):
-                continue
-            call = node.value
-            edge = _edge(call, module, index)
-            if edge is None:
-                continue
-            name, targets = edge
-            if not all(isinstance(t.node, ast.AsyncFunctionDef) for t in targets):
-                continue
-            findings.append(
-                Finding(
-                    rule=UNAWAITED_COROUTINE,
-                    path=module.path,
-                    line=call.lineno,
-                    message=(
-                        f"'{name}()' is a coroutine function; calling it as a "
-                        "bare statement creates a coroutine that never runs"
-                    ),
-                    hint="await it, or hand it to asyncio.create_task(...) / "
-                    "run_coroutine_threadsafe(...)",
-                )
-            )
 
     # -- RL603: loop-owned state touched off-loop -------------------------------
     def _check_loop_owned(
@@ -334,7 +246,7 @@ class AsyncDisciplineChecker(Checker):
                 if name in off_loop:
                     continue
                 off_loop[name] = ship
-                for call in _own_calls(methods[name]):
+                for call in own_calls(methods[name]):
                     func = call.func
                     if (
                         isinstance(func, ast.Attribute)
@@ -394,7 +306,7 @@ class AsyncDisciplineChecker(Checker):
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            ship = _final_name(node.func)
+            ship = final_name(node.func)
             if ship not in THREAD_SHIP_CALLS:
                 continue
             values = list(node.args) + [kw.value for kw in node.keywords]

@@ -6,27 +6,20 @@ and sqlite connections become two handles to one kernel object, other
 threads simply do not exist in the child.  The bugs this breeds — a
 child deadlocked on a lock its parent held, a placeholder socket kept
 alive by every worker, two processes writing one sqlite handle — only
-fire under chaos schedules, so they are checked statically here:
-
-* **RL701** — a live OS handle is *explicitly passed* to the child:
-  a name bound to a socket/sqlite/SharedMemory/file/CheckpointStore
-  constructor appears in a ``Process``/``ProcessPoolExecutor`` argument
-  list.  Handles do not survive pickling (spawn) and alias the parent's
-  kernel object (fork); the child must open its own.
-* **RL702** — the spawn site itself sits inside live parent state: a
-  lock-like ``with`` block or unreleased ``.acquire``, a started and
-  unjoined thread, an open sensitive handle in the same function, or an
-  ``async def`` (forking with a running event loop clones a loop that
-  will never be scheduled).  Spawn sites are found directly and through
-  the call graph (``self._spawn(...)`` counts), so extracting the
-  ``Process`` call into a helper does not hide the hazard.
+fire under chaos schedules, so RL702 checks them statically: the spawn
+site sits inside live parent state — a lock-like ``with`` block or
+unreleased ``.acquire``, a started and unjoined thread, an open
+socket/sqlite/file/``CheckpointStore`` handle in the same function, or
+an ``async def`` (forking with a running event loop clones a loop that
+will never be scheduled).  Spawn sites are found directly and through
+the call graph (``self._spawn(...)`` counts), so extracting the
+``Process`` call into a helper does not hide the hazard.
 
 ``subprocess`` is deliberately *not* a spawn site: it forks-and-execs
 with ``close_fds=True``, so the child never sees the parent's heap or
 descriptors — which is exactly why the cluster engine's worker launch
 is safe where a fork would not be.  State tracking is lexical (source
-order within one function), the same envelope as RL501's escape
-analysis.
+order within one function).
 """
 
 from __future__ import annotations
@@ -35,14 +28,17 @@ import ast
 from typing import Iterable, Iterator
 
 from ..base import (
-    UBIQUITOUS_METHOD_NAMES,
     Checker,
     FunctionRecord,
     ModuleInfo,
     ProjectIndex,
+    call_edge,
     expr_text,
+    final_name,
+    is_locky,
+    own_calls,
 )
-from ..findings import FORK_UNSAFE_HANDLE, FORK_WITH_LIVE_STATE, Finding
+from ..findings import FORK_WITH_LIVE_STATE, Finding
 
 #: Constructor final names whose result must not cross a fork boundary,
 #: mapped to the kind named in the finding message.
@@ -50,10 +46,8 @@ FORK_SENSITIVE_CTORS = {
     "socket": "socket",
     "create_connection": "socket",
     "connect": "sqlite connection",
-    "SharedMemory": "shared-memory handle",
     "CheckpointStore": "checkpoint store",
     "open": "file handle",
-    "memmap": "memory map",
 }
 
 #: Callee final names that create a child process from the live heap.
@@ -65,46 +59,15 @@ RELEASING_METHODS = frozenset(
     {"close", "join", "release", "shutdown", "stop", "terminate", "unlink"}
 )
 
-_LOCKY = ("lock", "cond", "mutex", "sem")
-
-
-def _final_name(node: ast.AST) -> str:
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Call):
-        return _final_name(node.func)
-    return ""
-
-
-def _is_locky(name: str) -> bool:
-    low = name.lower()
-    return any(tok in low for tok in _LOCKY)
-
 
 def _is_spawn_call(node: ast.Call) -> bool:
     if expr_text(node.func) in SPAWN_DOTTED:
         return True
-    return _final_name(node.func) in SPAWN_CTORS
-
-
-def _own_calls(fn: ast.AST) -> Iterator[ast.Call]:
-    """Call nodes in *fn*, excluding nested function definitions."""
-    nested: set[int] = set()
-    for node in ast.walk(fn):
-        if node is not fn and isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-        ):
-            for sub in ast.walk(node):
-                nested.add(id(sub))
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Call) and id(node) not in nested:
-            yield node
+    return final_name(node.func) in SPAWN_CTORS
 
 
 class ForkSafetyChecker(Checker):
-    rules = (FORK_UNSAFE_HANDLE, FORK_WITH_LIVE_STATE)
+    rules = (FORK_WITH_LIVE_STATE,)
 
     def __init__(self) -> None:
         #: function-node id -> does it (transitively) spawn a process?
@@ -127,12 +90,12 @@ class ForkSafetyChecker(Checker):
         if key in self._spawns_memo:
             return self._spawns_memo[key]
         self._spawns_memo[key] = False  # cycle guard
-        for call in _own_calls(record.node):
+        for call in own_calls(record.node):
             if _is_spawn_call(call):
                 self._spawns_memo[key] = True
                 return True
-        for call in _own_calls(record.node):
-            edge = self._edge(call, record.module, index)
+        for call in own_calls(record.node):
+            edge = call_edge(call, record.module, index)
             if edge is None:
                 continue
             _, targets = edge
@@ -140,28 +103,6 @@ class ForkSafetyChecker(Checker):
                 self._spawns_memo[key] = True
                 return True
         return False
-
-    @staticmethod
-    def _edge(
-        node: ast.Call, module: ModuleInfo, index: ProjectIndex
-    ) -> tuple[str, list[FunctionRecord]] | None:
-        func = node.func
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and func.value.id == "self"
-        ):
-            name = func.attr
-        else:
-            return None
-        candidates = index.functions.get(name, ())
-        local = [c for c in candidates if c.module is module]
-        if not local and name in UBIQUITOUS_METHOD_NAMES:
-            return None
-        targets = local or list(candidates)
-        return (name, targets) if targets else None
 
     # -- per-function lexical walk ----------------------------------------------
     def _check_function(
@@ -190,16 +131,16 @@ class ForkSafetyChecker(Checker):
                 entered_locks: list[str] = []
                 entered_handles: list[str] = []
                 for item in stmt.items:
-                    name = _final_name(item.context_expr)
-                    if _is_locky(name):
+                    name = final_name(item.context_expr)
+                    if is_locky(name):
                         entered_locks.append(name)
                         continue
                     if (
                         isinstance(item.context_expr, ast.Call)
-                        and _final_name(item.context_expr.func) in FORK_SENSITIVE_CTORS
+                        and final_name(item.context_expr.func) in FORK_SENSITIVE_CTORS
                         and isinstance(item.optional_vars, ast.Name)
                     ):
-                        kind = FORK_SENSITIVE_CTORS[_final_name(item.context_expr.func)]
+                        kind = FORK_SENSITIVE_CTORS[final_name(item.context_expr.func)]
                         state.handles[item.optional_vars.id] = kind
                         entered_handles.append(item.optional_vars.id)
                 state.held_locks.extend(entered_locks)
@@ -232,14 +173,12 @@ class ForkSafetyChecker(Checker):
         findings: list[Finding],
     ) -> None:
         # Spawn-site checks run against the state *before* this statement
-        # also registers new handles (a ctor in the same statement as the
-        # spawn is still visible through the call-argument check).
+        # registers new handles.
         for call in self._statement_calls(stmt):
             if _is_spawn_call(call):
-                self._check_spawn_args(module, call, state, findings)
                 self._report_live_state(module, call, "", state, findings)
                 continue
-            edge = self._edge(call, module, index)
+            edge = call_edge(call, module, index)
             if edge is not None:
                 name, targets = edge
                 if any(self._spawns(t, index) for t in targets):
@@ -273,7 +212,7 @@ class ForkSafetyChecker(Checker):
                 stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
             )
             value = stmt.value
-            ctor = _final_name(value) if isinstance(value, ast.Call) else ""
+            ctor = final_name(value) if isinstance(value, ast.Call) else ""
             for target in targets:
                 if not isinstance(target, ast.Name):
                     continue
@@ -293,7 +232,7 @@ class ForkSafetyChecker(Checker):
                 recv = func.value.id
                 if func.attr == "start" and recv in state.thread_vars:
                     state.started_threads.add(recv)
-                elif func.attr == "acquire" and _is_locky(recv):
+                elif func.attr == "acquire" and is_locky(recv):
                     state.held_locks.append(recv)
                 elif func.attr == "release" and recv in state.held_locks:
                     state.held_locks.remove(recv)
@@ -306,40 +245,6 @@ class ForkSafetyChecker(Checker):
                     state.handles.pop(target.id, None)
 
     # -- findings ----------------------------------------------------------------
-    def _check_spawn_args(
-        self,
-        module: ModuleInfo,
-        call: ast.Call,
-        state: "_LiveState",
-        findings: list[Finding],
-    ) -> None:
-        values = list(call.args) + [kw.value for kw in call.keywords]
-        seen: set[str] = set()
-        for value in values:
-            for node in ast.walk(value):
-                if (
-                    isinstance(node, ast.Name)
-                    and node.id in state.handles
-                    and node.id not in seen
-                ):
-                    seen.add(node.id)
-                    kind = state.handles[node.id]
-                    findings.append(
-                        Finding(
-                            rule=FORK_UNSAFE_HANDLE,
-                            path=module.path,
-                            line=call.lineno,
-                            message=(
-                                f"'{node.id}' ({kind}) is passed into "
-                                f"'{expr_text(call.func)}(...)'; the child "
-                                "aliases the parent's kernel object under "
-                                "fork and cannot unpickle it under spawn"
-                            ),
-                            hint="pass the path/address and open the handle "
-                            "inside the child (see _fleet_worker_main)",
-                        )
-                    )
-
     def _report_live_state(
         self,
         module: ModuleInfo,

@@ -5,14 +5,11 @@ The serving registry publishes ``get_state()`` through the exact codec
 lists/tuples/dicts of those, and numpy arrays/scalars — nothing else.
 PR 4's production bug was precisely a predictor whose state carried raw
 ``estimator.get_params()`` output (estimator *objects* as values); it
-failed at first publish.  Two rules catch that class at lint time, for
+failed at first publish.  RL301 catches that class at lint time, for
 every class whose name or bases mention ``Predictor`` or ``Estimator``:
-
-* RL301 — ``get_state`` calls ``.get_params()`` directly.  Estimator
-  params must go through ``get_plain_params()`` / ``params_to_plain()``
-  so nested estimators become plain constructor descriptions.
-* RL302 — ``get_state`` builds values the codec cannot encode: set
-  literals/comprehensions and lambdas.
+``get_state`` must not call ``.get_params()`` directly.  Estimator
+params go through ``get_plain_params()`` / ``params_to_plain()`` so
+nested estimators become plain constructor descriptions.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ import ast
 from typing import Iterable
 
 from ..base import Checker, ModuleInfo, ProjectIndex, base_names
-from ..findings import STATE_GET_PARAMS, STATE_UNPLAIN, Finding
+from ..findings import STATE_GET_PARAMS, Finding
 
 _TARGET_MARKERS = ("Predictor", "Estimator")
 
@@ -32,7 +29,7 @@ def _is_state_bearing(cls: ast.ClassDef) -> bool:
 
 
 class StateCodecChecker(Checker):
-    rules = (STATE_GET_PARAMS, STATE_UNPLAIN)
+    rules = (STATE_GET_PARAMS,)
 
     def check_module(
         self, module: ModuleInfo, index: ProjectIndex
@@ -76,23 +73,5 @@ class StateCodecChecker(Checker):
                         ),
                         hint="use get_plain_params() or route through "
                         "params_to_plain()/params_from_plain()",
-                    )
-                )
-            elif isinstance(node, (ast.Set, ast.SetComp, ast.Lambda)):
-                kind = "lambda" if isinstance(node, ast.Lambda) else "set"
-                findings.append(
-                    Finding(
-                        rule=STATE_UNPLAIN,
-                        path=module.path,
-                        line=node.lineno,
-                        message=(
-                            f"{cls_name}.get_state builds a {kind} value; the "
-                            "exact codec only encodes "
-                            "None/bool/int/float/str/bytes/list/tuple/dict/"
-                            "ndarray"
-                        ),
-                        hint="use a sorted list instead of a set; replace "
-                        "callables with a named-formula id resolved in "
-                        "set_state",
                     )
                 )

@@ -1,6 +1,7 @@
 """``python -m repro.analysis`` — the repro-lint command line.
 
-Exit codes: 0 clean, 1 active findings, 2 usage/environment error.
+Exit codes: 0 clean, 1 active findings or a suppression naming an
+unknown rule, 2 usage error.
 """
 
 from __future__ import annotations
@@ -9,16 +10,15 @@ import argparse
 import sys
 from typing import Sequence
 
-from .engine import changed_files, render_json, run_paths
+from .engine import render_json, run_paths
 from .findings import all_rules
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
-        description="Static checks for the harness's concurrency, "
-        "hash-stability, serialization, invalidation, and resource "
-        "lifecycle contracts.",
+        description="Static checks for the harness's state-codec, "
+        "event-loop and fork-safety contracts.",
     )
     parser.add_argument(
         "paths",
@@ -37,16 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated rule ids, names or family prefixes "
         "(e.g. RL6,RL7) to run (default: all)",
-    )
-    parser.add_argument(
-        "--changed",
-        nargs="?",
-        const="HEAD",
-        default=None,
-        metavar="BASE",
-        help="only report findings in files changed vs BASE "
-        "(git diff --name-only; default HEAD) plus untracked files; "
-        "the whole tree is still indexed for cross-module rules",
     )
     parser.add_argument(
         "--show-suppressed",
@@ -71,15 +61,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     rules = None
     if args.rules:
         rules = [tok for tok in args.rules.split(",") if tok.strip()]
-    only = None
-    if args.changed is not None:
-        try:
-            only = changed_files(args.changed)
-        except RuntimeError as exc:
-            print(f"repro-lint: --changed: {exc}", file=sys.stderr)
-            return 2
     try:
-        report = run_paths(args.paths, rules=rules, only=only)
+        report = run_paths(args.paths, rules=rules)
     except FileNotFoundError as exc:
         print(f"repro-lint: no such path: {exc}", file=sys.stderr)
         return 2

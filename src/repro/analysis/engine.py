@@ -15,41 +15,6 @@ from .findings import RULES, SYNTAX_ERROR, Finding, Severity, resolve_rule_token
 _SKIP_DIRS = frozenset({"__pycache__", ".git", ".venv", "node_modules"})
 
 
-def changed_files(base: str, cwd: str | None = None) -> set[str]:
-    """Absolute paths of ``.py`` files changed vs *base* (plus untracked).
-
-    The incremental-lint work list: committed, staged and worktree
-    changes against *base*, plus untracked files (a brand-new module is
-    always "changed").  Raises ``RuntimeError`` when git is unusable —
-    the CLI maps that to exit code 2 rather than silently linting
-    nothing.
-    """
-    import subprocess
-
-    def run(cmd: list[str]) -> str:
-        proc = subprocess.run(
-            cmd, cwd=cwd, capture_output=True, text=True, check=False
-        )
-        if proc.returncode != 0:
-            raise RuntimeError(
-                f"{' '.join(cmd)} failed: {proc.stderr.strip() or proc.returncode}"
-            )
-        return proc.stdout
-
-    root = run(["git", "rev-parse", "--show-toplevel"]).strip()
-    out: set[str] = set()
-    listings = [
-        run(["git", "diff", "--name-only", base, "--"]),
-        run(["git", "ls-files", "--others", "--exclude-standard"]),
-    ]
-    for listing in listings:
-        for rel in listing.splitlines():
-            rel = rel.strip()
-            if rel.endswith(".py"):
-                out.add(os.path.abspath(os.path.join(root, rel)))
-    return out
-
-
 def collect_files(paths: Sequence[str]) -> list[str]:
     """Expand files/directories into a sorted list of ``.py`` paths."""
     out: set[str] = set()
@@ -75,8 +40,6 @@ class AnalysisReport:
 
     findings: list[Finding] = field(default_factory=list)
     files: int = 0
-    #: files actually reported on under ``--changed`` (None = all of them)
-    scoped: int | None = None
     #: (path, line, token) suppression directives naming no known rule
     unknown_suppressions: list[tuple[str, int, str]] = field(default_factory=list)
 
@@ -88,13 +51,13 @@ class AnalysisReport:
 
     @property
     def clean(self) -> bool:
-        return not self.active()
+        """No active finding and no suppression naming an unknown rule."""
+        return not self.active() and not self.unknown_suppressions
 
     def to_json(self, show_suppressed: bool = False) -> dict[str, Any]:
         shown = self.findings if show_suppressed else self.active()
         return {
             "files": self.files,
-            "scoped": self.scoped,
             "findings": [f.to_record() for f in shown],
             "counts": {
                 "active": len(self.active()),
@@ -115,15 +78,15 @@ class AnalysisReport:
                 lines.append(f"{f.render()}  [suppressed]")
         for path, lineno, token in self.unknown_suppressions:
             lines.append(
-                f"{path}:{lineno}: warning: suppression names unknown rule "
-                f"{token!r}"
+                f"{path}:{lineno}: suppression names unknown rule {token!r}"
             )
         n_active = len(self.active())
         n_sup = len(self.suppressed())
-        scope = f" ({self.scoped} in scope)" if self.scoped is not None else ""
+        n_unknown = len(self.unknown_suppressions)
         lines.append(
-            f"repro-lint: {self.files} file(s){scope}, {n_active} finding(s)"
+            f"repro-lint: {self.files} file(s), {n_active} finding(s)"
             + (f", {n_sup} suppressed" if n_sup else "")
+            + (f", {n_unknown} unknown suppression(s)" if n_unknown else "")
         )
         return "\n".join(lines)
 
@@ -140,33 +103,24 @@ class AnalysisReport:
                 f"::{level} file={f.path},line={f.line},"
                 f"title={f.rule.id} {f.rule.name}::{message}"
             )
+        for path, lineno, token in self.unknown_suppressions:
+            lines.append(
+                f"::error file={path},line={lineno},title=unknown suppression::"
+                f"suppression names unknown rule {token!r}"
+            )
         lines.append(self.render_text().splitlines()[-1])
         return "\n".join(lines)
 
 
 def run_modules(
-    modules: Iterable[ModuleInfo],
-    rules: set[str] | None = None,
-    report_only: set[str] | None = None,
+    modules: Iterable[ModuleInfo], rules: set[str] | None = None
 ) -> AnalysisReport:
-    """Run every checker over pre-parsed modules (the testable core).
-
-    *report_only* (absolute paths) scopes which modules may *emit*
-    findings; every module still feeds the :class:`ProjectIndex`, so
-    cross-module rules (RL201 reachability, RL402's metric registry,
-    RL502's callee analysis) see the whole tree in ``--changed`` mode.
-    """
+    """Run every checker over pre-parsed modules (the testable core)."""
     modules = list(modules)
     report = AnalysisReport(files=len(modules))
-    index = ProjectIndex(m for m in modules if m.tree is not None)
+    index = ProjectIndex(modules)
     checkers = [cls() for cls in ALL_CHECKERS]
-    if report_only is not None:
-        report.scoped = 0
     for module in modules:
-        if report_only is not None:
-            if os.path.abspath(module.path) not in report_only:
-                continue
-            report.scoped += 1
         raw: list[Finding] = []
         if module.syntax_error is not None:
             raw.append(
@@ -192,16 +146,9 @@ def run_modules(
 
 
 def run_paths(
-    paths: Sequence[str],
-    rules: Sequence[str] | None = None,
-    only: Iterable[str] | None = None,
+    paths: Sequence[str], rules: Sequence[str] | None = None
 ) -> AnalysisReport:
-    """Lint files/directories; *rules* optionally restricts by id or name.
-
-    *only* (paths, any spelling) restricts which files may report
-    findings — the ``--changed`` work list — while the full *paths* set
-    is still parsed and indexed.
-    """
+    """Lint files/directories; *rules* optionally restricts by id or name."""
     selected: set[str] | None = None
     if rules is not None:
         selected = set()
@@ -218,10 +165,7 @@ def run_paths(
         with open(path, "r", encoding="utf-8") as fh:
             source = fh.read()
         modules.append(ModuleInfo.parse(path, source))
-    report_only = None
-    if only is not None:
-        report_only = {os.path.abspath(p) for p in only}
-    return run_modules(modules, selected, report_only)
+    return run_modules(modules, selected)
 
 
 def render_json(report: AnalysisReport, show_suppressed: bool = False) -> str:

@@ -1,18 +1,17 @@
 """Findings model: rules, severities, and suppression comments.
 
-A *rule* is a stable id (``RL101``) plus a human name
-(``guarded-attr-unlocked``); a *finding* anchors one rule violation to
-``file:line`` with a message and a fix hint.  Suppressions reference
-rules by id or name::
-
-    self._cache.pop(key)  # repro-lint: disable=RL101  # swept by owner
-
-    # repro-lint: disable-file=blocking-call-under-lock  # single-writer design
+A *rule* is a stable id (``RL702``) plus a human name
+(``fork-with-live-state``); a *finding* anchors one rule violation to
+``file:line`` with a message and a fix hint.  Suppressions are comments
+that reference rules by id or name — ``repro-lint: disable=RL702`` or
+``repro-lint: disable-file=blocking-call-in-async`` after the ``#``,
+followed by a second ``#`` and the reason.
 
 Line-level suppressions apply to findings on the commented line or the
 line directly below a standalone suppression comment; file-level
 suppressions apply everywhere in the file.  ``disable=all`` silences
-every rule.
+every rule.  A suppression naming no known rule fails the run: a rule
+that is deleted or renamed cannot leave a silent directive behind.
 """
 
 from __future__ import annotations
@@ -88,51 +87,10 @@ def _rule(id: str, name: str, summary: str, severity: Severity = Severity.ERROR)
 SYNTAX_ERROR = _rule(
     "RL000", "syntax-error", "file does not parse; nothing else can be checked"
 )
-GUARDED_ATTR_UNLOCKED = _rule(
-    "RL101",
-    "guarded-attr-unlocked",
-    "a '# guarded-by:' annotated attribute is mutated outside its lock",
-)
-BLOCKING_UNDER_LOCK = _rule(
-    "RL102",
-    "blocking-call-under-lock",
-    "a blocking call (sleep, I/O, commit, Future.result) runs with a lock held",
-)
-HASH_NONDETERMINISM = _rule(
-    "RL201",
-    "hash-nondeterminism",
-    "a nondeterminism source is reachable from the stable option hash",
-)
 STATE_GET_PARAMS = _rule(
     "RL301",
     "state-codec-get-params",
     "get_state() ships raw get_params() output (estimator objects leak into state)",
-)
-STATE_UNPLAIN = _rule(
-    "RL302",
-    "state-codec-unplain",
-    "predictor state carries a value the exact codec cannot encode",
-)
-INVALIDATION_VOCAB = _rule(
-    "RL401",
-    "invalidation-vocabulary",
-    "a predictors:* key is outside the fixed invalidation vocabulary",
-)
-UNKNOWN_METRIC = _rule(
-    "RL402",
-    "unknown-metric-request",
-    "a scheme requests a metric id no registered metric provides",
-)
-RESOURCE_LEAK = _rule(
-    "RL501",
-    "resource-leak",
-    "an OS-backed resource never reaches close/unlink in its owning function",
-)
-RESOURCE_LEAK_ACROSS_CALL = _rule(
-    "RL502",
-    "resource-leak-across-call",
-    "an OS-backed resource's only escape is a call whose callee neither "
-    "releases nor stores the received handle",
 )
 ASYNC_BLOCKING_CALL = _rule(
     "RL601",
@@ -140,29 +98,17 @@ ASYNC_BLOCKING_CALL = _rule(
     "a blocking call (sleep, disk/socket I/O, subprocess, untimed acquire) "
     "runs on the event-loop thread inside an async def",
 )
-UNAWAITED_COROUTINE = _rule(
-    "RL602",
-    "unawaited-coroutine",
-    "a coroutine function is called as a bare statement; the coroutine is "
-    "created and dropped, its body never runs",
-)
 LOOP_OWNED_CROSS_THREAD = _rule(
     "RL603",
     "loop-owned-cross-thread",
     "a '# loop-owned' annotated attribute is touched from a function shipped "
     "to a worker thread (to_thread/run_in_executor/Thread)",
 )
-FORK_UNSAFE_HANDLE = _rule(
-    "RL701",
-    "fork-unsafe-handle-to-child",
-    "a live OS handle (socket, sqlite, shm, file, store) is passed as a "
-    "child-process argument across the fork/spawn boundary",
-)
 FORK_WITH_LIVE_STATE = _rule(
     "RL702",
     "fork-with-live-state",
     "a child process is forked while the parent function holds live state "
-    "(running thread, held lock, open socket/sqlite/shm/file handle)",
+    "(running thread, held lock, open socket/sqlite/file handle)",
 )
 
 
@@ -173,7 +119,7 @@ def all_rules() -> list[Rule]:
 def resolve_rule_token(token: str) -> set[str]:
     """Map a suppression/selection token to rule ids (empty if unknown).
 
-    Accepts exact ids (``RL101``), names (``guarded-attr-unlocked``),
+    Accepts exact ids (``RL601``), names (``blocking-call-in-async``),
     ``all``, and family prefixes (``RL6`` selects every RL6xx rule).
     """
     token = token.strip()
@@ -206,7 +152,7 @@ class Suppressions:
     lines: dict[int, set[str]] = field(default_factory=dict)
     #: rule ids silenced for the whole file
     file_wide: set[str] = field(default_factory=set)
-    #: (line, token) pairs that named no known rule — surfaced as a hint
+    #: (line, token) pairs that named no known rule — they fail the run
     unknown: list[tuple[int, str]] = field(default_factory=list)
 
     def matches(self, finding: Finding) -> bool:

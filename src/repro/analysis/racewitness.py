@@ -1,26 +1,24 @@
-"""Runtime lockset sanitizer: the dynamic companion to RL101/RL603.
+"""Runtime lockset sanitizer: data races no static rule can see.
 
-Static lock discipline (RL101) checks that annotated attributes are
-*mutated* under their lock; it cannot see aliasing, reads, or code
-paths assembled at runtime.  This module closes that gap with the
-classic Eraser lockset algorithm (Savage et al., SOSP '97): every
-witnessed access to a ``# guarded-by:`` attribute intersects the set of
-witness-wrapped locks the accessing thread currently holds into the
-attribute's *candidate lockset*.  A shared, written attribute whose
-candidate lockset goes empty has no lock that consistently protects it
-— a data race report, even if the racy interleaving never actually
-fired during the run.
+A ``# guarded-by: _lock`` annotation states which lock protects a
+shared attribute; no static rule checks it, because aliasing, reads and
+code paths assembled at runtime are out of an AST's reach.  This module
+checks it dynamically with the classic Eraser lockset algorithm (Savage
+et al., SOSP '97): every witnessed access to a ``# guarded-by:``
+attribute intersects the set of witness-wrapped locks the accessing
+thread currently holds into the attribute's *candidate lockset*.  A
+shared, written attribute whose candidate lockset goes empty has no
+lock that consistently protects it — a data race report, even if the
+racy interleaving never actually fired during the run.
 
-:class:`LocksetWitness` extends :class:`~repro.analysis.witness.
-LockOrderWitness`, so it drops into the existing ``lock_witness=``
-seams (CheckpointStore, FeaturizationCache) and still does
-cycle detection::
+:meth:`LocksetWitness.wrap` builds the locks it tracks, which is what
+the ``lock_witness=`` seams (CheckpointStore, FeaturizationCache) call::
 
     witness = LocksetWitness()
     store = CheckpointStore(path, lock_witness=witness)
     witness.instrument(store, name="store")   # auto-finds guarded attrs
     ... hammer it from threads ...
-    witness.assert_race_free()                # and witness.assert_acyclic()
+    witness.assert_race_free()
 
 Per-variable state machine (Eraser's, unmodified): *virgin* →
 *exclusive* (single thread, lockset untracked — init needs no locks) →
@@ -31,7 +29,7 @@ shared-modified variable's lockset empties.
 
 ``REPRO_RACE_WITNESS_REPORT=<path>`` makes the stress suites dump a
 merged JSON report (see ``tests/test_racewitness_stress.py`` and the
-CI ``sanitizer`` job).
+CI ``analysis`` job).
 """
 
 from __future__ import annotations
@@ -40,6 +38,7 @@ import ast
 import inspect
 import itertools
 import json
+import re
 import sys
 import textwrap
 import threading
@@ -47,8 +46,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
-from .base import GUARDED_BY_MARK
-from .witness import LockOrderWitness
+#: ``self.attr = ...  # guarded-by: _lock`` declares that every access
+#: of ``self.attr`` holds ``self._lock``.
+GUARDED_BY_MARK = re.compile(r"#\s*guarded-by:\s*(?:self\.)?(?P<lock>\w+)")
 
 #: Eraser variable states.
 VIRGIN = "virgin"
@@ -111,8 +111,8 @@ class _VarState:
 def guarded_attributes(cls: type) -> dict[str, str]:
     """``# guarded-by:`` annotated attribute -> lock name, from source.
 
-    Parses the class source the same way RL101 does, so the static and
-    dynamic checkers watch the identical attribute set.
+    The annotations are read from the class source, so the attribute
+    set the witness watches is the one the code declares.
     """
     try:
         source = textwrap.dedent(inspect.getsource(cls))
@@ -145,28 +145,72 @@ def guarded_attributes(cls: type) -> dict[str, str]:
     return guarded
 
 
-class LocksetWitness(LockOrderWitness):
-    """Lock-order witness plus Eraser lockset race detection.
+class _WitnessedLock:
+    """Lock proxy that tracks which witnessed locks each thread holds."""
+
+    def __init__(self, witness: "LocksetWitness", inner: Any, name: str) -> None:
+        self._witness = witness
+        self._inner = inner
+        self.name = name
+
+    def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
+        got = self._inner.acquire(blocking, timeout)
+        if got:
+            self._witness._held().append(self.name)
+        return got
+
+    def release(self) -> None:
+        self._inner.release()
+        held = self._witness._held()
+        # Drop the innermost matching acquisition (out-of-order release
+        # is legal; RLock re-entry pushes the name more than once).
+        for i in range(len(held) - 1, -1, -1):
+            if held[i] == self.name:
+                del held[i]
+                break
+
+    def locked(self) -> bool:
+        return self._inner.locked()
+
+    def __enter__(self) -> "_WitnessedLock":
+        self.acquire()
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.release()
+
+    def __repr__(self) -> str:
+        return f"_WitnessedLock({self.name!r})"
+
+
+class LocksetWitness:
+    """Eraser lockset race detection over ``# guarded-by:`` attributes.
 
     ``check_on_access=True`` raises :class:`DataRaceViolation` at the
     access that empties a lockset (pinning the racy stack in the
     traceback) instead of deferring to :meth:`assert_race_free`.
     """
 
-    def __init__(
-        self,
-        check_on_acquire: bool = False,
-        *,
-        check_on_access: bool = False,
-    ) -> None:
-        super().__init__(check_on_acquire)
+    def __init__(self, *, check_on_access: bool = False) -> None:
         self.check_on_access = check_on_access
+        self._tls = threading.local()
         self._vars: dict[str, _VarState] = {}
         self._race_list: list[RaceReport] = []
         self._vars_lock = threading.Lock()
         self._pause_depth = 0
         #: Source of per-thread owner tokens (see :meth:`_thread_token`).
         self._tokens = itertools.count(1)
+
+    def wrap(self, lock: Any = None, *, name: str) -> _WitnessedLock:
+        """Wrap *lock* (a fresh ``threading.Lock()`` if omitted)."""
+        return _WitnessedLock(self, lock if lock is not None else threading.Lock(), name)
+
+    def _held(self) -> list[str]:
+        """Names of the witnessed locks the calling thread holds."""
+        held = getattr(self._tls, "held", None)
+        if held is None:
+            held = self._tls.held = []
+        return held
 
     @contextmanager
     def paused(self) -> Iterator[None]:
@@ -319,11 +363,7 @@ class LocksetWitness(LockOrderWitness):
                 for var, st in sorted(self._vars.items())
             }
             races = [r.to_record() for r in self._race_list]
-        return {
-            "variables": variables,
-            "races": races,
-            "lock_order_edges": sorted(self.edges()),
-        }
+        return {"variables": variables, "races": races}
 
     def dump(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -26,7 +26,6 @@ which makes the commit itself cheaper and lets readers overlap writers.
 # by self._lock — the commit *is* the critical section (single-writer
 # by design; WAL keeps readers unblocked).  Committing outside the lock
 # would let two threads interleave executemany/commit pairs.
-# repro-lint: disable-file=RL102
 
 from __future__ import annotations
 
@@ -134,9 +133,10 @@ class CheckpointStore:
         maximum data loss to one interval.  A daemon timer drives the
         periodic flush, so the bound holds even while no ``put`` arrives.
     lock_witness:
-        Optional :class:`~repro.analysis.witness.LockOrderWitness`;
-        when given, the store lock is wrapped for lock-order recording
-        (test-only instrumentation, zero overhead when ``None``).
+        Optional :class:`~repro.analysis.racewitness.LocksetWitness`;
+        when given, the store lock is wrapped so the witness knows which
+        thread holds it (test-only instrumentation, zero overhead when
+        ``None``).
 
     Writes use ``INSERT OR REPLACE`` inside explicit batch transactions,
     so a crash mid-write never leaves a partial row; readers see either
@@ -168,8 +168,8 @@ class CheckpointStore:
         # default to thread affinity, so share one connection guarded by
         # our own lock instead.
         self._db = sqlite3.connect(path, check_same_thread=False)
-        # Test-only: a LockOrderWitness wraps the store lock so stress
-        # suites can prove the queue→checkpoint lock order is acyclic.
+        # Test-only: a LocksetWitness wraps the store lock so stress
+        # suites can check every '# guarded-by: _lock' access holds it.
         if lock_witness is not None:
             self._lock = lock_witness.wrap(name="checkpoint.lock")
         else:

@@ -401,17 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--shape", nargs=3, type=int, default=[64, 64, 32])
     gen.add_argument("--timesteps", type=int, default=48)
     gen.add_argument("--fields", nargs="+", default=None)
-
-    lint = sub.add_parser(
-        "lint",
-        help="run repro-lint (static invariant checks) over source paths",
-    )
-    lint.add_argument("paths", nargs="*", default=["src"])
-    lint.add_argument("--format", choices=("text", "json", "github"), default="text")
-    lint.add_argument("--rules", default=None)
-    lint.add_argument("--changed", nargs="?", const="HEAD", default=None, metavar="BASE")
-    lint.add_argument("--show-suppressed", action="store_true")
-    lint.add_argument("--list-rules", action="store_true")
     return parser
 
 
@@ -1008,23 +997,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    """Delegate to repro-lint with the already-parsed options."""
-    from ..analysis.cli import main as lint_main
-
-    argv: list[str] = list(args.paths)
-    argv += ["--format", args.format]
-    if args.rules:
-        argv += ["--rules", args.rules]
-    if args.changed is not None:
-        argv += ["--changed", args.changed]
-    if args.show_suppressed:
-        argv.append("--show-suppressed")
-    if args.list_rules:
-        argv.append("--list-rules")
-    return lint_main(argv)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "run":
@@ -1045,8 +1017,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return cmd_query(args)
     if args.command == "generate":
         return cmd_generate(args)
-    if args.command == "lint":
-        return cmd_lint(args)
     if args.command == "list-schemes":
         print("\n".join(available_schemes()))
         return 0

@@ -301,8 +301,10 @@ class MpiWorkerTransport:
         self._send_lock = threading.Lock()
 
     def send(self, msg: dict[str, Any]) -> int:
+        # Heartbeat and results share the channel; mpi4py sends are not
+        # thread-safe without serialisation, so the send runs under the lock.
         with self._send_lock:
-            self._comm.send(msg, dest=0, tag=MPI_TAG)  # repro-lint: disable=RL102  # heartbeat + results share the channel; mpi4py sends are not thread-safe without serialisation
+            self._comm.send(msg, dest=0, tag=MPI_TAG)
             nbytes = _pickled_size(msg)
             self.bytes_sent += nbytes
         return nbytes

@@ -146,10 +146,10 @@ class FeaturizationCache:
         write and the rename of every L2 store — the one instant a
         killed writer leaves anything behind; tests ``os._exit`` from it.
     lock_witness:
-        A :class:`~repro.analysis.witness.LockOrderWitness` (or the
-        lockset-tracking :class:`~repro.analysis.racewitness.LocksetWitness`)
-        that wraps the internal lock during stress tests; ``None`` (the
-        default) uses a plain ``threading.Lock``.
+        A :class:`~repro.analysis.racewitness.LocksetWitness` that wraps
+        the internal lock during stress tests, so it can check every
+        ``# guarded-by: _lock`` access holds it; ``None`` (the default)
+        uses a plain ``threading.Lock``.
     """
 
     def __init__(
