@@ -16,7 +16,9 @@ row files of one :class:`FeaturizationCache` directory.
 
 from .codec import (
     CODEC_VERSION,
+    EncodedArray,
     StateSerializationError,
+    check_array_header,
     decode_array,
     decode_state,
     encode_array,
@@ -75,6 +77,7 @@ __all__ = [
     "ContinuousLearner",
     "DriftConfig",
     "DriftMonitor",
+    "EncodedArray",
     "FEAT_CACHE_MODES",
     "FeaturizationCache",
     "FleetClient",
@@ -104,6 +107,7 @@ __all__ = [
     "StateSerializationError",
     "TrainerKilledError",
     "aggregate_stats",
+    "check_array_header",
     "content_fingerprint",
     "decode_array",
     "decode_state",

@@ -1,6 +1,7 @@
 """Synchronous clients for the prediction server and fleet.
 
-Thin blocking wrappers over the newline-delimited JSON protocol —
+Thin blocking wrappers over the newline-delimited JSON protocol (a raw
+field rides as its JSON header on the request line, then its bytes) —
 applications (and the ``query`` CLI) get predictions without touching
 asyncio.  One :class:`PredictionClient` = one TCP connection, opened
 lazily on the first request and **reused across calls** (dial-per-query
@@ -19,8 +20,8 @@ top for the port-per-worker fallback path of
 
 **Zero-copy what-if resends.**  What-if traffic probes the *same* field
 over and over (different bounds, different compressors); shipping the
-multi-hundred-KB payload with every probe wastes most of the wire and
-parse budget.  A raw-data predict response names the featurization-cache
+field's bytes with every probe wastes most of the wire, and the server's
+fingerprint pass over them.  A raw-data predict response names the featurization-cache
 scope the row was stored under (``"feat_scope"``: shared by every model
 whose features are the same function of the field — all bounds of an
 error-agnostic scheme, one bound of an error-dependent one).  The client
@@ -45,7 +46,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..core.errors import PressioError, Status
-from .codec import encode_array
+from .codec import EncodedArray, encode_array
 from .featcache import content_fingerprint
 
 #: Per-client LRU bounds for the zero-copy resend bookkeeping: the
@@ -177,6 +178,11 @@ class PredictionClient:
     def request(self, payload: Mapping[str, Any]) -> dict[str, Any]:
         """Send one request object, return the raw response object.
 
+        A ``data`` entry that is an :class:`~repro.serve.codec.EncodedArray`
+        goes out as its JSON header inside the line, its ``body`` right
+        after the newline (one send: a second small write would wait on
+        Nagle's algorithm for the server's delayed ACK).
+
         The connection is dialed lazily on first use and reused across
         requests.  A drop (reset, broken pipe, server-side close) is
         retried on a fresh connection up to ``reconnects`` times — safe
@@ -184,14 +190,17 @@ class PredictionClient:
         silently retried: the request may still be in flight, and
         resending would double-submit against a live connection.
         """
-        line = (json.dumps(dict(payload)) + "\n").encode("utf-8")
+        message = (json.dumps(dict(payload)) + "\n").encode("utf-8")
+        data = payload.get("data")
+        if isinstance(data, EncodedArray):
+            message += data.body
         attempts = 1 + self.reconnects
         last_error: Exception | None = None
         for _ in range(attempts):
             try:
                 self._ensure_connected()
                 assert self._sock is not None
-                self._sock.sendall(line)
+                self._sock.sendall(message)
                 raw = self._rfile.readline()
             except socket.timeout:
                 raise
@@ -244,13 +253,13 @@ class PredictionClient:
         key: str,
         *,
         results: Mapping[str, Any] | None = None,
-        data: np.ndarray | Mapping[str, Any] | None = None,
+        data: np.ndarray | EncodedArray | None = None,
         version: str | None = None,
     ) -> dict[str, Any]:
         """Predict for precomputed metric ``results`` or a raw field.
 
         ``data`` takes either an ndarray or an already-encoded wire
-        payload (the :func:`~repro.serve.codec.encode_array` mapping) —
+        payload (the :func:`~repro.serve.codec.encode_array` result) —
         a what-if driver probing one field many times encodes it once.
         A pre-encoded payload is treated as immutable: the client
         memoises its content fingerprint by object identity, and once
@@ -272,7 +281,7 @@ class PredictionClient:
             request["results"] = dict(results)
         if data is None:
             return self._checked(request)
-        payload = data if isinstance(data, Mapping) else encode_array(np.asarray(data))
+        payload = data if isinstance(data, EncodedArray) else encode_array(data)
         fingerprint = self._fingerprint(payload)
         ref = (self._scopes.get((key, version)), fingerprint)
         if ref in self._known_refs:
@@ -288,14 +297,14 @@ class PredictionClient:
             else:
                 self.ref_hits += 1
                 return response
-        response = self._checked({**request, "data": dict(payload)})
+        response = self._checked({**request, "data": payload})
         scope = response.get("feat_scope")
         if scope is not None:
             _remember(self._scopes, (key, version), scope, _SCOPES_CAP)
             _remember(self._known_refs, (scope, fingerprint), None, _KNOWN_REFS_CAP)
         return response
 
-    def _fingerprint(self, payload: Mapping[str, Any]) -> str:
+    def _fingerprint(self, payload: EncodedArray) -> str:
         """Content fingerprint, memoised by payload object identity.
 
         The strong reference kept in the memo guarantees a stored id()

@@ -23,6 +23,14 @@ Anything else — closures, lambdas, live compressor handles, open files —
 raises :class:`StateSerializationError` naming the offending path, which
 is how ``publish`` fails loudly instead of shipping a blob that explodes
 at first query.
+
+The state codec (registry blobs, featurization-cache rows) stays base64
+inside JSON: it is written once and read rarely.  The *query* wire does
+not: :func:`encode_array` yields an :class:`EncodedArray`, a JSON header
+``{dtype, shape, order, nbytes}`` whose raw body travels as bytes right
+after the request line, and :func:`check_array_header` is the one gate a
+client-supplied header passes before the server reads or allocates
+anything from it.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -149,16 +158,101 @@ def state_checksum(blob: str) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def encode_array(array: np.ndarray) -> dict[str, Any]:
+#: The dtypes a query field may travel as: numeric, little-endian or
+#: single-byte.  The server looks a header's dtype up here and never hands
+#: client text to ``np.dtype``.
+_WIRE_DTYPES = {
+    dtype.str: dtype
+    for dtype in (
+        np.dtype(code).newbyteorder("<")
+        for code in ("i1", "u1", "i2", "u2", "i4", "u4", "i8", "u8", "f2", "f4", "f8")
+    )
+}
+_HEADER_KEYS = frozenset(("dtype", "shape", "order", "nbytes"))
+#: More dimensions than any field has; bounds the header's shape walk.
+_MAX_NDIM = 32
+
+
+class EncodedArray(dict):
+    """One ndarray on the query wire: the JSON header is the mapping,
+    ``body`` the raw bytes that follow the request line.
+
+    Only the header is JSON-serialised, so ``json.dumps`` of a request
+    carrying one writes the header alone; the client sends ``body``
+    after the newline.  Treat it as immutable: the client memoises its
+    fingerprint by identity.
+    """
+
+    __slots__ = ("body",)
+
+    def __init__(self, header: dict[str, Any], body: bytes) -> None:
+        super().__init__(header)
+        self.body = body
+
+
+def check_array_header(header: Any, limit: int | None = None) -> dict[str, Any]:
+    """Validate a client-supplied array header; return its canonical form.
+
+    Every check runs on the header alone, before a byte of the body is
+    read: exactly the keys ``dtype``/``shape``/``order``/``nbytes``, a
+    dtype from the closed wire table, a shape of at most ``_MAX_NDIM``
+    non-negative ints (bools refused), ``nbytes`` equal to the shape's
+    product times the item size and, with *limit*, at most *limit*.
+    """
+    if not isinstance(header, dict) or header.keys() != _HEADER_KEYS:
+        raise StateSerializationError(
+            "an array header has exactly the keys dtype, shape, order, nbytes"
+        )
+    dtype = _WIRE_DTYPES.get(header["dtype"]) if isinstance(header["dtype"], str) else None
+    if dtype is None:
+        raise StateSerializationError(f"unsupported wire dtype {header['dtype']!r}")
+    shape, nbytes, order = header["shape"], header["nbytes"], header["order"]
+    if not (
+        isinstance(shape, list)
+        and len(shape) <= _MAX_NDIM
+        and all(type(dim) is int and dim >= 0 for dim in shape)
+    ):
+        raise StateSerializationError(
+            f"shape must be a list of at most {_MAX_NDIM} non-negative ints"
+        )
+    if order not in ("C", "F"):
+        raise StateSerializationError("order must be 'C' or 'F'")
+    if type(nbytes) is not int or nbytes < 0:
+        raise StateSerializationError("nbytes must be a non-negative int")
+    if limit is not None and nbytes > limit:
+        raise StateSerializationError(f"nbytes {nbytes} exceeds the {limit}-byte limit")
+    if math.prod(shape) * dtype.itemsize != nbytes:
+        raise StateSerializationError(
+            f"shape {shape} of {dtype.str} is not {nbytes} bytes"
+        )
+    return {"dtype": dtype.str, "shape": shape, "order": order, "nbytes": nbytes}
+
+
+def encode_array(array: np.ndarray) -> EncodedArray:
     """Wire encoding of one ndarray (the query payload of a field)."""
-    return _encode(np.asarray(array), "array")
+    arr = np.asarray(array)
+    dtype = arr.dtype.newbyteorder("<")
+    if dtype.str not in _WIRE_DTYPES:
+        raise StateSerializationError(f"unsupported wire dtype {arr.dtype.str!r}")
+    order = "F" if (arr.flags.f_contiguous and not arr.flags.c_contiguous) else "C"
+    body = arr.astype(dtype, copy=False).tobytes(order=order)
+    header = {
+        "dtype": dtype.str,
+        "shape": [int(dim) for dim in arr.shape],
+        "order": order,
+        "nbytes": len(body),
+    }
+    return EncodedArray(header, body)
 
 
 def decode_array(value: Any) -> np.ndarray:
-    """Inverse of :func:`encode_array`; validates the tag."""
-    if not (isinstance(value, dict) and _TAG_ARRAY in value):
+    """Inverse of :func:`encode_array`: a read-only view over the body."""
+    if not isinstance(value, EncodedArray):
         raise StateSerializationError("expected an encoded ndarray payload")
-    out = _decode(value)
-    if not isinstance(out, np.ndarray):
-        raise StateSerializationError("encoded payload did not decode to an array")
-    return out
+    header = check_array_header(value)
+    if len(value.body) != header["nbytes"]:
+        raise StateSerializationError(
+            f"body is {len(value.body)} bytes, header says {header['nbytes']}"
+        )
+    arr = np.frombuffer(value.body, dtype=_WIRE_DTYPES[header["dtype"]])
+    return arr.reshape(header["shape"], order=header["order"])

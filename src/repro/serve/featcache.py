@@ -8,9 +8,9 @@ metrics actually depend on, derived from the invalidation vocabulary the
 schemes already declare (§4.2's ``predictors:*`` classes):
 
 * **Content hash** — a SHA-256 over the wire payload of the field (the
-  base64 body plus dtype/shape/order tags), computed *before* any
-  decode, so a cache hit skips both the ndarray decode and the
-  evaluator.
+  canonical dtype/shape/order/nbytes header, then the raw body),
+  computed *before* any decode, so a cache hit skips both the ndarray
+  view and the evaluator.
 * **Feature-relevant options** — schemes whose metrics are all
   ``predictors:error_agnostic`` (FXRZ: value stats, sparsity, spatial
   correlation) get keys that *exclude* the compressor's declared
@@ -60,6 +60,7 @@ the headroom the others took before the latest pass.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import threading
 import time
@@ -70,7 +71,7 @@ from typing import Any, Mapping
 
 from ..core.hashing import options_hash
 from ..core.metrics import ERROR_AGNOSTIC, NONDETERMINISTIC
-from .codec import decode_state, encode_state
+from .codec import EncodedArray, decode_state, encode_state
 from .registry import LoadedModel, scheme_params
 
 #: L2 payload wrapper version (bump when the wrapper layout changes).
@@ -95,24 +96,19 @@ def _remove(path: str) -> bool:
     return True
 
 
-def content_fingerprint(payload: Mapping[str, Any]) -> str:
-    """SHA-256 over an encoded-ndarray wire payload (no decode needed).
+def content_fingerprint(payload: EncodedArray) -> str:
+    """SHA-256 over an encoded field: the canonical header JSON, then the
+    raw body (no decode needed).
 
-    Hashing the still-encoded payload (the base64 body plus the
-    dtype/shape/order tags) means a hit skips the base64 decode as well
-    as the evaluator; two fields with equal bytes but different dtype,
-    shape or memory order hash apart.  The body — a string hundreds of
-    KB long — is hashed as its own bytes: a ``repr()`` copy of it was
-    two thirds of what a cache hit cost.
+    Two fields with equal bytes but a different dtype, shape or memory
+    order hash apart, because the header is hashed first; the client
+    and the server derive the same canonical header, so a fingerprint
+    the client memoised names the row the server stored.
     """
-    h = hashlib.sha256()
-    for key in sorted(payload):
-        value = payload[key]
-        h.update(b"\x00" + key.encode("utf-8") + b"\x00")
-        if isinstance(value, str):
-            h.update(b"s" + value.encode("utf-8"))
-        else:
-            h.update(b"r" + repr(value).encode("utf-8"))
+    header = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    h = hashlib.sha256(header.encode("utf-8"))
+    h.update(b"\n")
+    h.update(payload.body)
     return h.hexdigest()
 
 
@@ -180,6 +176,9 @@ class FeaturizationCache:
             "stores": 0,
             "l1_evictions": 0,
             "l2_evictions": 0,
+            #: L2 row writes that raised; each is a later miss, never a
+            #: failed reply.
+            "l2_write_errors": 0,
         }
         self.shared_dir = None if shared_dir is None else os.fspath(shared_dir)
         self.fault_hook = fault_hook
@@ -244,7 +243,7 @@ class FeaturizationCache:
         signature = self.model_signature(model)
         return None if signature is None else signature[:24]
 
-    def key_for(self, model: LoadedModel, payload: Mapping[str, Any]) -> str | None:
+    def key_for(self, model: LoadedModel, payload: EncodedArray) -> str | None:
         """Full cache key for (*model*, encoded field), or None to bypass."""
         return self.key_for_fingerprint(model, content_fingerprint(payload))
 
@@ -288,37 +287,61 @@ class FeaturizationCache:
         cost_s: float,
         source_nbytes: int,
     ) -> None:
-        """Store a freshly featurized row in both tiers.
+        """Store a freshly featurized row in both tiers, L1 then L2."""
+        self.put_l2(*self.put_l1(key, row, cost_s=cost_s, source_nbytes=source_nbytes))
 
-        The L2 store is a temp file renamed onto the row's name: a
-        reader either sees the complete encoded row or nothing, and a
-        writer killed mid-store cannot poison the tier.
+    def put_l1(
+        self,
+        key: str,
+        row: Mapping[str, Any],
+        *,
+        cost_s: float,
+        source_nbytes: int,
+    ) -> tuple[str, dict[str, Any], float, int]:
+        """Store *row* in this process's L1; return the arguments of the
+        :meth:`put_l2` that publishes it to the shared tier.
+
+        The server calls the two halves apart: L1 before a miss's reply
+        (so ``cached: true`` holds for the next request), L2 after it.
         """
-        row = dict(row)
-        self._l1_store(key, row, float(cost_s), int(source_nbytes))
+        entry = (key, dict(row), float(cost_s), int(source_nbytes))
+        self._l1_store(*entry)
         with self._lock:
             self.counters["stores"] += 1
+        return entry
+
+    def put_l2(self, key: str, row: dict[str, Any], cost_s: float, nbytes: int) -> None:
+        """Publish a row file: a temp file renamed onto the row's name, so
+        a reader sees the complete encoded row or nothing, and a writer
+        killed mid-store cannot poison the tier.  A write that raises is
+        counted in ``l2_write_errors`` and is otherwise a later miss.
+        """
         if self.shared_dir is None:
             return
         blob = encode_state(
             {
                 "wrapper_version": _WRAPPER_VERSION,
                 "row": row,
-                "cost_s": float(cost_s),
-                "source_nbytes": int(source_nbytes),
+                "cost_s": cost_s,
+                "source_nbytes": nbytes,
             }
         ).encode("utf-8")
         with self._lock:
             self._l2_headroom -= len(blob)
             crowded = self._l2_headroom < 0
-        if crowded:
-            self._make_room(len(blob))
         tmp = os.path.join(self.shared_dir, uuid.uuid4().hex + _TMP_SUFFIX)
-        with open(tmp, "wb") as fh:
-            fh.write(blob)
-        if self.fault_hook is not None:
-            self.fault_hook(key)
-        os.replace(tmp, self._row_path(key))
+        try:
+            if crowded:
+                self._make_room(len(blob))
+            with open(tmp, "wb") as fh:
+                fh.write(blob)
+            if self.fault_hook is not None:
+                self.fault_hook(key)
+            os.replace(tmp, self._row_path(key))
+        except Exception:  # noqa: BLE001 - a cache write never fails its caller
+            _remove(tmp)
+            with self._lock:
+                self.counters["l2_write_errors"] += 1
 
     def _l1_store(self, key: str, row: dict[str, Any], cost_s: float, nbytes: int) -> None:
         with self._lock:

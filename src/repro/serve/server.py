@@ -30,8 +30,11 @@ Wire protocol: newline-delimited JSON over TCP.  Request::
 
     {"op": "predict", "key": "<registry key>",
      "results": {...}}                  # precomputed metric features
-    {"op": "predict", "key": "...",
-     "data": {"__ndarray__": ...}}      # raw field; server featurizes
+    {"op": "predict", "key": "...",     # raw field; server featurizes.
+     "data": {"dtype": "<f4",           # The line is followed by exactly
+              "shape": [32, 32, 16],    # ``nbytes`` raw bytes of the
+              "order": "C",             # field (codec.EncodedArray);
+              "nbytes": 65536}}         # nothing else is binary
     {"op": "predict", "key": "...",
      "data_ref": "<sha256>"}            # zero-copy what-if repeat: the
                                         # content fingerprint of a field
@@ -46,7 +49,10 @@ Wire protocol: newline-delimited JSON over TCP.  Request::
 
 Response statuses (documented contract): ``"ok"``, ``"overloaded"``
 (shed by admission control — retry after backoff), ``"not_found"``
-(unknown/unpublished key), ``"bad_request"`` (malformed request),
+(unknown/unpublished key), ``"bad_request"`` (malformed request; after
+a line that is not JSON or an array header that fails
+:func:`~repro.serve.codec.check_array_header`, the server cannot find the
+next request in the byte stream and closes the connection),
 ``"need_data"`` (a ``data_ref`` fingerprint is not in the featurization
 cache — resend the full ``data`` payload), ``"error"`` (internal
 failure; request was admitted but not served).
@@ -77,7 +83,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from ..core.data import as_data
-from .codec import decode_array
+from .codec import EncodedArray, StateSerializationError, check_array_header, decode_array
 from .drift import DriftConfig, DriftMonitor
 from .featcache import FeaturizationCache
 from .registry import LoadedModel, ModelNotFoundError, ModelRegistry
@@ -282,6 +288,9 @@ class _Pending:
     source_nbytes: int = 0
     #: The original featurize cost a hit inherited from its stored row.
     cached_cost_s: float = 0.0
+    #: A miss's row, stored in L1 on the lane; its L2 row file is
+    #: written there too, once the batch's replies are out.
+    l2_write: tuple | None = None
 
 
 class PredictionServer:
@@ -314,10 +323,9 @@ class PredictionServer:
         self.cache = _ModelCache(registry, cache_capacity, self.stats)
         #: Shared/local featurization cache; None disables (see featcache.py).
         self.feat_cache = feat_cache
-        #: Max request-line bytes asyncio will buffer.  The default
-        #: 64 KiB stream limit truncates raw-field predicts (a 32³ float
-        #: field is already ~85 KiB base64-encoded), killing the
-        #: connection with LimitOverrunError instead of an error reply.
+        #: Max bytes of one request line, and of one field body after it
+        #: (a 32³ float32 field is 128 KiB).  A longer line is answered
+        #: ``bad_request``; a larger body is refused from its header.
         self.stream_limit = int(stream_limit)
         #: Bind with SO_REUSEPORT so fleet siblings share one data port.
         self.reuse_port = bool(reuse_port)
@@ -404,9 +412,12 @@ class PredictionServer:
                 line = await reader.readline()
                 if not line:
                     break
-                response = await self._dispatch(line)
+                request, refusal = await self._read_request(line, reader)
+                response = refusal or await self._dispatch(request)
                 writer.write((json.dumps(response) + "\n").encode("utf-8"))
                 await writer.drain()
+                if refusal is not None:  # the next request cannot be found
+                    break
                 if response.get("op") == "shutdown":
                     self.request_stop()
                     break
@@ -442,11 +453,38 @@ class PredictionServer:
             except Exception:  # noqa: BLE001 - teardown best-effort
                 pass
 
-    async def _dispatch(self, line: bytes) -> dict[str, Any]:
+    async def _read_request(
+        self, line: bytes, reader: asyncio.StreamReader
+    ) -> tuple[Any, dict[str, Any] | None]:
+        """Parse one request line, and read the field body a predict's
+        array header announces.
+
+        Returns ``(request, None)``, or ``(None, refusal)`` when the
+        stream can no longer be trusted — a line that is not JSON, or an
+        array header that fails validation (checked before any body byte
+        is read) — and the connection must close after the refusal.
+        """
         try:
             request = json.loads(line)
         except ValueError:
-            return {"ok": False, "status": STATUS_BAD_REQUEST, "error": "invalid JSON"}
+            return None, {"ok": False, "status": STATUS_BAD_REQUEST, "error": "invalid JSON"}
+        if (
+            isinstance(request, dict)
+            and request.get("op", "predict") == "predict"
+            and request.get("data") is not None
+        ):
+            try:
+                header = check_array_header(request["data"], self.stream_limit)
+            except StateSerializationError as exc:
+                return None, {
+                    "ok": False,
+                    "status": STATUS_BAD_REQUEST,
+                    "error": f"bad array header: {exc}",
+                }
+            request["data"] = EncodedArray(header, await reader.readexactly(header["nbytes"]))
+        return request, None
+
+    async def _dispatch(self, request: Any) -> dict[str, Any]:
         if not isinstance(request, dict):
             return {
                 "ok": False,
@@ -849,6 +887,15 @@ class PredictionServer:
             for item in batch:
                 if not item.future.done():
                     item.future.set_exception(exc)
+        # The replies are resolved: the row files go on the lane behind
+        # them.  A sibling worker misses them for one lane turn longer.
+        writes = [item.l2_write for item in batch if item.l2_write is not None]
+        if writes:
+            self._lane.submit(self._write_rows, writes)
+
+    def _write_rows(self, writes: list[tuple]) -> None:
+        for write in writes:
+            self.feat_cache.put_l2(*write)
 
     def _compute(
         self, model: LoadedModel, batch: list[_Pending]
@@ -943,12 +990,14 @@ class PredictionServer:
         if cache_key is not None:
             item.feat_outcome = "miss"
             item.source_nbytes = int(data.nbytes)
-            cache.put(
+            entry = cache.put_l1(
                 cache_key,
                 row,
                 cost_s=time.perf_counter() - t0,
                 source_nbytes=int(data.nbytes),
             )
+            if cache.shared:
+                item.l2_write = entry
         return row
 
 

@@ -17,9 +17,14 @@ the *values*:
   cache key.
 
 ``tests/golden/task_keys_v1.json`` was written at the commit *before*
-the task layer stopped re-encoding shared parts (ISSUE 24) and must not
-be regenerated to paper over a diff: a diff means ``HASH_VERSION``
-should have been bumped.  The entry point exists for that day only::
+the task layer stopped re-encoding shared parts and must not be
+regenerated to paper over a diff: a diff in a task key, a column digest
+or ``options_hash`` means ``HASH_VERSION`` should have been bumped.  The
+one value regenerated on purpose is ``featcache_key``: its fingerprint
+half hashes the query wire's encoding of the field, which moved from a
+base64 body to a JSON header plus raw bytes (its scope half, the model
+signature, did not move).  The rows it addresses live in a serving
+cache, never in a checkpoint.  The entry point::
 
     PYTHONPATH=src python -m tests.golden_task_keys
 """

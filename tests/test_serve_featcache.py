@@ -25,7 +25,7 @@ from repro.bench.faults import ChaosPlan
 from repro.core.compressor import compressor_registry
 from repro.core.data import as_data
 from repro.predict.scheme import get_scheme
-from repro.serve import decode_array, decode_state, encode_array, encode_state
+from repro.serve import EncodedArray, decode_array, decode_state, encode_array, encode_state
 from repro.serve import featcache
 from repro.serve.featcache import FeaturizationCache, content_fingerprint
 
@@ -104,10 +104,24 @@ class TestKeying:
         assert content_fingerprint(a) != content_fingerprint(b)
 
     def test_fingerprint_tells_a_string_from_what_it_spells(self, field):
-        # Strings are hashed as their bytes, everything else as its repr:
-        # a shape sent as the text of a list must not pass for the list.
+        # The header is hashed as canonical JSON: a shape sent as the
+        # text of a list must not pass for the list.
         a = encode_array(field)
-        assert content_fingerprint(a) != content_fingerprint({**a, "shape": repr(a["shape"])})
+        spelt = EncodedArray({**a, "shape": repr(a["shape"])}, a.body)
+        assert content_fingerprint(a) != content_fingerprint(spelt)
+
+    def test_equal_bytes_in_another_dtype_shape_or_order_fingerprint_apart(self):
+        base = np.arange(16, dtype=np.float32).reshape(4, 4)
+        variants = {
+            "base": encode_array(base),
+            "dtype": encode_array(base.view(np.int32)),
+            "shape": encode_array(base.reshape(2, 8)),
+            # F-order bytes of the transpose are the C-order bytes of base.
+            "order": encode_array(np.asfortranarray(base.T)),
+        }
+        assert {v.body for v in variants.values()} == {variants["base"].body}
+        fingerprints = {name: content_fingerprint(v) for name, v in variants.items()}
+        assert len(set(fingerprints.values())) == len(variants), fingerprints
 
     def test_scheme_options_are_key_relevant(self, field):
         cache = FeaturizationCache()

@@ -182,6 +182,10 @@ class TestSharedFeatureCache:
             (a0, a1) = f.data_addresses()
             with PredictionClient(*a0) as c0:
                 first = c0.predict(campaign.key, data=arr)
+            # Worker 0 writes the row file after its reply is out.
+            assert wait_for(
+                lambda: f.stats()["workers"][0]["featcache"]["l2_entries"] == 1
+            )
             with PredictionClient(*a1) as c1:
                 second = c1.predict(campaign.key, data=arr)
             aggregate = f.stats()["aggregate"]
@@ -372,6 +376,7 @@ class TestZeroCopyResend:
             def handle(self):
                 for line in self.rfile:
                     seen.append(json.loads(line))
+                    self.rfile.read(seen[-1]["data"]["nbytes"])  # the field body
                     reply = {"ok": True, "status": "ok", "prediction": 1.0, "cached": True}
                     self.wfile.write((json.dumps(reply) + "\n").encode())
 
