@@ -198,7 +198,7 @@ def _whatif_traffic(hurricane):
     return queries
 
 
-def _run_cell(addresses, queries, *, mid_run=None):
+def _run_cell(address, queries, *, mid_run=None):
     """Fire *queries* over WHATIF_CLIENTS persistent connections.
 
     Returns (wall_seconds, failures).  ``mid_run()`` — the chaos hook —
@@ -210,7 +210,6 @@ def _run_cell(addresses, queries, *, mid_run=None):
     barrier = threading.Barrier(WHATIF_CLIENTS + 1)
 
     def worker(i: int) -> None:
-        address = addresses[i % len(addresses)]
         with PredictionClient(*address, reconnects=6) as client:
             barrier.wait()
             for key, arr in shares[i]:
@@ -271,7 +270,6 @@ def _fleet_cell(registry_root, queries, *, workers, feat_cache, chaos=False):
         },
     )
     with fleet:
-        addresses = fleet.data_addresses()
         baseline = fleet.stats()["aggregate"]
         runs = {}
         # Cold pass, then (cache cells only) a warm pass over the same
@@ -285,7 +283,7 @@ def _fleet_cell(registry_root, queries, *, workers, feat_cache, chaos=False):
                     victims = sorted(fleet.worker_pids().values())
                     os.kill(victims[0], signal.SIGKILL)
                     fleet.refresh()
-            wall, failures = _run_cell(addresses, queries, mid_run=mid_run)
+            wall, failures = _run_cell(fleet.address, queries, mid_run=mid_run)
             accrued, baseline = _cell_stats(fleet, baseline)
             runs[label] = {
                 "wall_seconds": wall,

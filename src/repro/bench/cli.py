@@ -195,11 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
         "campaigns need a shared filesystem path; spawn mode defaults to "
         "a temp dir)",
     )
-    collect.add_argument("--cluster-backend", choices=["auto", "tcp", "mpi"],
-                         default="auto")
     collect.add_argument("--coord", default=None, metavar="HOST:PORT",
                          help="TCP rendezvous for launched campaigns "
-                         "(REPRO_CLUSTER_COORD overrides)")
+                         "(default: REPRO_CLUSTER_COORD)")
     collect.add_argument("--no-spawn", action="store_true",
                          help="never fork local worker ranks; without a "
                          "launcher environment this downgrades to 'process'")
@@ -296,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="warm-model LRU capacity (models)")
     serve.add_argument("--workers", type=int, default=1,
                        help="worker processes; >1 runs a ServeFleet sharing "
-                       "the port via SO_REUSEPORT (or port-per-worker fallback)")
+                       "the port via SO_REUSEPORT (required for >1)")
     serve.add_argument("--feat-cache", choices=["off", "local", "shared"],
                        default="shared",
                        help="featurization cache tier: off, per-worker local, "
@@ -512,7 +510,8 @@ def cmd_collect(args: argparse.Namespace) -> int:
     """Collection only: run (or resume) a campaign into the checkpoint.
 
     With ``--engine cluster`` this is the symmetric multi-node entry
-    point: a launched worker rank (``SLURM_PROCID`` / ``MPI`` rank > 0)
+    point: a launched worker rank (``SLURM_PROCID`` / ``OMPI_COMM_WORLD_RANK``
+    / ``PMI_RANK`` > 0)
     short-circuits into the worker loop — no dataset initialisation, no
     primary-store access — while rank 0 coordinates, merges the shards
     into ``--checkpoint``, and prints the campaign summary.  On a
@@ -522,7 +521,6 @@ def cmd_collect(args: argparse.Namespace) -> int:
     cluster = None
     if args.engine == "cluster":
         cluster = ClusterSpec(
-            backend=args.cluster_backend,
             spawn=not args.no_spawn,
             shard_dir=args.shard_dir,
             coord=args.coord,
@@ -805,14 +803,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
             },
         )
         with fleet:
-            mode = "SO_REUSEPORT" if fleet.reuse_port else "port-per-worker"
-            for host, port in fleet.data_addresses():
-                print(
-                    f"serving {args.registry} on {host}:{port} "
-                    f"({fleet.workers} workers, {mode}, "
-                    f"feat-cache={args.feat_cache})",
-                    flush=True,
-                )
+            host, port = fleet.address
+            print(
+                f"serving {args.registry} on {host}:{port} "
+                f"({fleet.workers} workers, feat-cache={args.feat_cache})",
+                flush=True,
+            )
             try:
                 while True:
                     time.sleep(1.0)

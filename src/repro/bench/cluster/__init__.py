@@ -3,12 +3,12 @@
 The subsystem splits along the coordinator/worker seam:
 
 * :mod:`~repro.bench.cluster.spec` — deployment description and
-  environment detection (spawn / launched-TCP / MPI), import-light so
-  the task queue can resolve (and honestly downgrade) before dataset
-  initialisation is paid for;
+  environment detection (spawned or launcher-started ranks, both over
+  TCP), import-light so the task queue can resolve (and honestly
+  downgrade) before dataset initialisation is paid for;
 * :mod:`~repro.bench.cluster.wire` + :mod:`~repro.bench.cluster.transport`
-  — the length-prefixed checksummed frame codec and the two transports
-  (pure-socket TCP and mpi4py) carrying identical message objects;
+  — the length-prefixed checksummed frame codec and the pure-socket TCP
+  transport that carries it;
 * :mod:`~repro.bench.cluster.worker` — the rank loop: execute batches,
   persist to the rank's own SQLite shard, flush *before* acking;
 * :mod:`~repro.bench.cluster.engine` — the rank-0 coordinator: datum
@@ -18,7 +18,8 @@ The subsystem splits along the coordinator/worker seam:
 * :mod:`~repro.bench.cluster.shards` — shard discovery and the merge
   itself (idempotent; corrupt rows quarantined per shard);
 * :mod:`~repro.bench.cluster.sbatch` — SLURM batch-script generation
-  for launched-TCP campaigns.
+  for launched-TCP campaigns (``mpirun``-started ranks need no script:
+  the Open MPI/PMI rank variables are read directly).
 
 The engine and worker halves import heavy machinery and are loaded
 lazily by :meth:`TaskQueue.run`; this package export surface stays
@@ -34,7 +35,7 @@ from .shards import (
     merged_run_stats,
     shard_path,
 )
-from .spec import ClusterSpec, detect_launch_env, mpi_available, mpi_world_size
+from .spec import ClusterSpec, detect_launch_env
 
 __all__ = [
     "ClusterSpec",
@@ -44,7 +45,5 @@ __all__ = [
     "generate_sbatch",
     "merge_shards",
     "merged_run_stats",
-    "mpi_available",
-    "mpi_world_size",
     "shard_path",
 ]

@@ -17,14 +17,15 @@ lives here is the mechanics:
   fold into the primary store (checksum-verified, last-writer-wins,
   idempotent — see :mod:`repro.bench.cluster.shards`).
 
-Deployment modes (decided by :meth:`ClusterSpec.resolve`): ``spawn``
-forks local worker subprocesses over loopback TCP; ``launched-tcp``
-expects an external launcher to have started every rank of the same
-entry point (rank 0 becomes the coordinator, the rest call straight
-into the worker loop); ``mpi`` rides ``MPI.COMM_WORLD``.  On a launched
-worker rank :func:`run_cluster` runs the worker loop and returns an
-empty result list — so ``mpirun python script.py`` invoking
-``queue.run(...)`` on every rank works transparently.
+Deployment modes (decided by :meth:`ClusterSpec.resolve`), both over
+TCP: ``spawn`` forks local worker subprocesses on loopback;
+``launched-tcp`` expects an external launcher (``srun``, ``mpirun``) to
+have started every rank of the same entry point (rank 0 becomes the
+coordinator at ``REPRO_CLUSTER_COORD``, the rest call straight into the
+worker loop).  On a launched worker rank :func:`run_cluster` runs the
+worker loop and returns an empty result list — so ``mpirun python
+script.py`` invoking ``queue.run(...)`` on every rank works
+transparently.
 """
 
 from __future__ import annotations
@@ -41,14 +42,7 @@ from ..taskledger import TaskLedger
 from ..tasks import Task
 from .shards import discover_shards, merge_shards, shard_path
 from .spec import ClusterSpec, parse_hostport
-from .transport import (
-    RANK_DEAD,
-    MpiCoordinator,
-    MpiWorkerTransport,
-    TcpCoordinator,
-    TcpWorkerTransport,
-    TransportError,
-)
+from .transport import RANK_DEAD, TcpCoordinator, TcpWorkerTransport, TransportError
 from .worker import SHARD_FLUSH_EVERY, run_worker
 
 #: Seconds granted to the stop → bye handshake per campaign (after the
@@ -82,15 +76,6 @@ def _spawn_worker(rank: int, host: str, port: int) -> subprocess.Popen:
     )
 
 
-def _worker_transport(spec: ClusterSpec):
-    if spec.mode == "mpi":
-        return MpiWorkerTransport()
-    host, port = parse_hostport(spec.coord or "")
-    return TcpWorkerTransport(
-        host, port, spec.rank, connect_timeout=spec.worker_startup_timeout
-    )
-
-
 def run_cluster(
     queue,
     ledger: TaskLedger,
@@ -116,7 +101,10 @@ def run_cluster(
     # Launched worker rank: serve, then hand back an empty result set —
     # only rank 0 owns results, merging, and reporting.
     if spec.is_worker_rank:
-        transport = _worker_transport(spec)
+        host, port = parse_hostport(spec.coord or "")
+        transport = TcpWorkerTransport(
+            host, port, spec.rank, connect_timeout=spec.worker_startup_timeout
+        )
         try:
             run_worker(transport, rank=spec.rank)
         finally:
@@ -130,10 +118,7 @@ def run_cluster(
     os.makedirs(shard_dir, exist_ok=True)
 
     procs: dict[int, subprocess.Popen] = {}
-    if mode == "mpi":
-        coordinator = MpiCoordinator()
-        worker_ranks = set(range(1, spec.world))
-    elif mode == "launched-tcp":
+    if mode == "launched-tcp":
         host, port = parse_hostport(spec.coord or "")
         coordinator = TcpCoordinator(host, port)
         worker_ranks = set(range(1, spec.world))
@@ -205,11 +190,10 @@ def run_cluster(
             ledger.promote_delayed()
 
             # Respawned (or late) ranks say hello asynchronously; fold
-            # them in as they appear.  MPI worlds never grow.
-            if mode != "mpi":
-                for rank in coordinator.connected_ranks() - last_seen.keys():
-                    if rank in worker_ranks:
-                        admit(rank)
+            # them in as they appear.
+            for rank in coordinator.connected_ranks() - last_seen.keys():
+                if rank in worker_ranks:
+                    admit(rank)
 
             if not last_seen and not procs:
                 ledger.fail_remaining(

@@ -1,25 +1,24 @@
 """Cluster deployment description and environment detection.
 
 A :class:`ClusterSpec` answers one question for the ``cluster`` engine:
-*how does this process find its peers?*  Three answers exist:
+*how does this process find its peers?*  Ranks always talk over TCP;
+two answers exist:
 
 * ``spawn`` — no launcher: the coordinator forks its own worker
   subprocesses on this host and hands them a TCP rendezvous address.
   This is what tests and CI use, and what ``--engine cluster`` means on
   a laptop.
-* ``launched-tcp`` — an external launcher (``srun``, ``mpirun`` without
-  mpi4py, a shell loop) started every rank of the same CLI entry point;
-  the environment tells each process its rank, the world size, and the
-  coordinator's ``host:port``.
-* ``mpi`` — mpi4py is importable and the process was launched inside an
-  MPI world of size > 1; messages ride ``MPI.COMM_WORLD`` instead of
-  sockets (the paper's LibDistributed deployment).
+* ``launched-tcp`` — an external launcher (``srun``, ``mpirun``, a
+  shell loop) started every rank of the same CLI entry point; the
+  environment tells each process its rank and the world size (SLURM,
+  Open MPI and PMI variables are all read), and ``REPRO_CLUSTER_COORD``
+  or ``--coord`` names the coordinator's ``host:port``.
 
-When none of the three apply — no launcher environment, spawning
-disabled, no mpi4py — :meth:`ClusterSpec.resolve` returns ``None`` and
-the :class:`~repro.bench.taskqueue.TaskQueue` downgrades to the
-``process`` engine with a warning instead of raising after the caller
-already paid for dataset initialisation.
+When neither applies — no launcher environment and spawning disabled —
+:meth:`ClusterSpec.resolve` returns ``None`` and the
+:class:`~repro.bench.taskqueue.TaskQueue` downgrades to the ``process``
+engine with a warning instead of raising after the caller already paid
+for dataset initialisation.
 
 This module must stay import-light (no taskqueue/engine imports): the
 queue imports it at module scope, while the heavy engine half of the
@@ -30,24 +29,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-
-
-def mpi_available() -> bool:
-    """Whether mpi4py imports (the package may legitimately be absent)."""
-    try:
-        import mpi4py  # noqa: F401 - availability probe only
-    except ImportError:
-        return False
-    return True
-
-
-def mpi_world_size() -> int:
-    """COMM_WORLD size, or 0 when mpi4py is unavailable."""
-    if not mpi_available():
-        return 0
-    from mpi4py import MPI
-
-    return int(MPI.COMM_WORLD.Get_size())
 
 
 def _env_int(*names: str) -> int | None:
@@ -64,9 +45,8 @@ def detect_launch_env() -> dict[str, object]:
     Recognised, in priority order: the subsystem's own
     ``REPRO_CLUSTER_RANK`` / ``REPRO_CLUSTER_WORLD`` /
     ``REPRO_CLUSTER_COORD`` (what the generated sbatch script exports),
-    then SLURM (``SLURM_PROCID`` / ``SLURM_NTASKS``), then Open MPI /
-    PMI rank variables (useful when ranks were launched by ``mpirun``
-    but mpi4py is not importable).
+    then SLURM (``SLURM_PROCID`` / ``SLURM_NTASKS``), then the Open MPI
+    / PMI rank variables ``mpirun`` sets.
     """
     rank = _env_int("REPRO_CLUSTER_RANK", "SLURM_PROCID",
                     "OMPI_COMM_WORLD_RANK", "PMI_RANK")
@@ -90,9 +70,6 @@ class ClusterSpec:
 
     Parameters
     ----------
-    backend:
-        ``"auto"`` (prefer MPI when launched inside one, else TCP),
-        ``"tcp"``, or ``"mpi"``.
     spawn:
         Allow the coordinator to fork local worker subprocesses when no
         launcher environment is present.  ``False`` turns a
@@ -103,7 +80,7 @@ class ClusterSpec:
         engine create a temporary one (spawn mode only — launched ranks
         must agree on a shared path).
     coord:
-        ``"host:port"`` rendezvous for the TCP backend.  In spawn mode
+        ``"host:port"`` TCP rendezvous.  In spawn mode
         ``None`` means an ephemeral port on localhost; in launched mode
         it is required (the sbatch generator exports it).
     heartbeat_interval / heartbeat_timeout:
@@ -114,7 +91,6 @@ class ClusterSpec:
         giving up on the missing ones.
     """
 
-    backend: str = "auto"
     spawn: bool = True
     shard_dir: str | None = None
     coord: str | None = None
@@ -122,18 +98,13 @@ class ClusterSpec:
     heartbeat_timeout: float = 10.0
     worker_startup_timeout: float = 30.0
     #: Filled by :meth:`resolve`: ``"spawn"`` / ``"launched-tcp"`` /
-    #: ``"mpi"`` / ``None`` (downgrade).
+    #: ``None`` (downgrade).
     mode: str | None = field(default=None, repr=False)
     #: Launched-mode identity (rank 0 coordinates; ranks 1..world-1 work).
     rank: int = 0
     world: int = 0
 
     def __post_init__(self) -> None:
-        if self.backend not in ("auto", "tcp", "mpi"):
-            raise ValueError(
-                f"unknown cluster backend {self.backend!r}; "
-                "choose auto, tcp, or mpi"
-            )
         if self.heartbeat_interval <= 0.0:
             raise ValueError("heartbeat_interval must be positive")
         if self.heartbeat_timeout <= self.heartbeat_interval:
@@ -147,18 +118,6 @@ class ClusterSpec:
         """
         if self.mode is not None:
             return self.mode
-        if self.backend in ("auto", "mpi") and mpi_world_size() > 1:
-            from mpi4py import MPI
-
-            self.mode = "mpi"
-            self.rank = int(MPI.COMM_WORLD.Get_rank())
-            self.world = int(MPI.COMM_WORLD.Get_size())
-            return self.mode
-        if self.backend == "mpi":
-            # Explicitly requested MPI without a usable MPI world: this
-            # is a deployment error worth downgrading on, not raising —
-            # the caller may already hold an initialised dataset.
-            return None
         env = detect_launch_env()
         if env["rank"] is not None and env["world"] is not None and int(env["world"]) > 1:
             if env["coord"] or self.coord:
@@ -178,13 +137,11 @@ class ClusterSpec:
     def is_worker_rank(self) -> bool:
         """True for a launched rank > 0 (runs the worker loop, not the
         coordinator — and must not pay for dataset initialisation)."""
-        return self.resolve() in ("launched-tcp", "mpi") and self.rank > 0
+        return self.resolve() == "launched-tcp" and self.rank > 0
 
 
 __all__ = [
     "ClusterSpec",
     "detect_launch_env",
-    "mpi_available",
-    "mpi_world_size",
     "parse_hostport",
 ]

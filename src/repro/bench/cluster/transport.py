@@ -1,11 +1,12 @@
-"""Coordinator/worker transports: pure-socket TCP and mpi4py.
+"""Coordinator/worker transport: pure-socket TCP.
 
-Both backends move the *same* picklable message dicts; the engine and
-worker loop never know which one is underneath.  Message vocabulary:
+Every rank, spawned or started by a launcher (``srun``, ``mpirun``),
+talks to rank 0 over one TCP connection carrying picklable message
+dicts.  Message vocabulary:
 
-* worker → coordinator: ``{"op": "hello", "rank": r}`` (TCP only —
-  MPI ranks are known from the communicator), ``{"op": "heartbeat"}``,
-  ``{"op": "result", "outcomes": [...]}``, ``{"op": "bye", "stats": …}``;
+* worker → coordinator: ``{"op": "hello", "rank": r}``,
+  ``{"op": "heartbeat"}``, ``{"op": "result", "outcomes": [...]}``,
+  ``{"op": "bye", "stats": …}``;
 * coordinator → worker: ``{"op": "init", ...}``,
   ``{"op": "run", "tasks": [...]}``, ``{"op": "stop"}``.
 
@@ -41,7 +42,7 @@ class TransportError(ConnectionError):
 
 
 class TcpCoordinator:
-    """Rank-0 side of the TCP backend.
+    """Rank-0 side of the transport.
 
     Accepts worker connections, demultiplexes their messages onto one
     inbox, and sends to ranks by id.  ``send`` is only called from the
@@ -166,7 +167,7 @@ class TcpCoordinator:
 
 
 class TcpWorkerTransport:
-    """Worker side of the TCP backend (one connection, two senders).
+    """Worker side of the transport (one connection, two senders).
 
     ``send`` is serialised by an internal lock because the worker's main
     loop (results) and its heartbeat thread write the same socket and
@@ -224,104 +225,7 @@ class TcpWorkerTransport:
         self._sock.close()
 
 
-# -- MPI backend ----------------------------------------------------------------
-
-#: One tag for the whole control plane: message dicts carry their own
-#: ``op`` discriminator, so tag-based demultiplexing adds nothing.
-MPI_TAG = 77
-
-
-def _pickled_size(obj: Any) -> int:
-    import pickle
-
-    return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
-
-
-class MpiCoordinator:
-    """Rank-0 side over ``MPI.COMM_WORLD`` (mpi4py pickles for us).
-
-    Matches :class:`TcpCoordinator`'s poll/send surface.  MPI has no
-    EOF, so rank death is detected only by the engine's heartbeat
-    staleness check — an aborted MPI job usually takes the whole world
-    with it anyway.
-    """
-
-    def __init__(self) -> None:
-        from mpi4py import MPI
-
-        self._mpi = MPI
-        self._comm = MPI.COMM_WORLD
-        self.bytes_sent = 0
-        self.bytes_received = 0
-
-    def wait_for_ranks(self, ranks: set[int], timeout: float) -> set[int]:
-        return set(ranks)  # the launcher already materialised the world
-
-    def connected_ranks(self) -> set[int]:
-        return set(range(1, self._comm.Get_size()))
-
-    def poll(self, timeout: float) -> tuple[int, dict[str, Any] | None] | None:
-        deadline = time.monotonic() + timeout
-        status = self._mpi.Status()
-        while True:
-            if self._comm.iprobe(
-                source=self._mpi.ANY_SOURCE, tag=MPI_TAG, status=status
-            ):
-                msg = self._comm.recv(source=status.Get_source(), tag=MPI_TAG)
-                self.bytes_received += _pickled_size(msg)
-                return status.Get_source(), msg
-            if time.monotonic() >= deadline:
-                return None
-            time.sleep(0.001)
-
-    def send(self, rank: int, msg: dict[str, Any]) -> int:
-        self._comm.send(msg, dest=rank, tag=MPI_TAG)
-        nbytes = _pickled_size(msg)
-        self.bytes_sent += nbytes
-        return nbytes
-
-    def drop_rank(self, rank: int) -> None:
-        pass  # MPI ranks cannot be disconnected individually
-
-    def close(self) -> None:
-        pass  # COMM_WORLD outlives the engine
-
-
-class MpiWorkerTransport:
-    """Worker side over ``MPI.COMM_WORLD``; sends go to rank 0."""
-
-    def __init__(self) -> None:
-        from mpi4py import MPI
-
-        self._mpi = MPI
-        self._comm = MPI.COMM_WORLD
-        self.rank = int(self._comm.Get_rank())
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self._send_lock = threading.Lock()
-
-    def send(self, msg: dict[str, Any]) -> int:
-        # Heartbeat and results share the channel; mpi4py sends are not
-        # thread-safe without serialisation, so the send runs under the lock.
-        with self._send_lock:
-            self._comm.send(msg, dest=0, tag=MPI_TAG)
-            nbytes = _pickled_size(msg)
-            self.bytes_sent += nbytes
-        return nbytes
-
-    def recv(self) -> dict[str, Any]:
-        msg = self._comm.recv(source=0, tag=MPI_TAG)
-        self.bytes_received += _pickled_size(msg)
-        return msg
-
-    def close(self) -> None:
-        pass
-
-
 __all__ = [
-    "MPI_TAG",
-    "MpiCoordinator",
-    "MpiWorkerTransport",
     "RANK_DEAD",
     "TcpCoordinator",
     "TcpWorkerTransport",

@@ -1,10 +1,9 @@
-"""Length-prefixed checksummed frame codec for the TCP cluster backend.
+"""Length-prefixed checksummed frame codec for the cluster transport.
 
 The serve tier speaks newline-delimited JSON because its payloads are
 small and human-debuggable; the cluster control plane ships pickled
 :class:`~repro.bench.tasks.Task` batches and chaos plans, so it gets its
-own binary framing (mirroring mpi4py, whose sends are pickle underneath
-— the two backends therefore accept exactly the same message objects).
+own binary framing.
 
 Frame layout::
 

@@ -1,7 +1,9 @@
 """The worker-rank loop: execute task batches, persist to the local shard.
 
-One process per rank.  The loop is transport-agnostic (TCP or MPI — see
-:mod:`repro.bench.cluster.transport`) and deliberately dumb: the
+One process per rank.  The loop takes any object with the
+:class:`~repro.bench.cluster.transport.TcpWorkerTransport` ``send`` /
+``recv`` surface (the tests script one in-process) and is deliberately
+dumb: the
 coordinator owns scheduling, retries, and fault charging; the worker
 owns exactly two things —
 

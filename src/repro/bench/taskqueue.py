@@ -182,16 +182,15 @@ class TaskQueue:
         self.cluster = cluster
         if engine == "cluster":
             # Resolve the deployment *now*, not after the caller has
-            # paid for dataset init: no launcher environment, no MPI
-            # world, and spawning disabled means there is no cluster to
-            # run on — downgrade to the process engine with a warning
-            # (and let QueueStats stay truthful via requested_engine).
+            # paid for dataset init: no launcher environment and spawning
+            # disabled means there is no cluster to run on — downgrade
+            # to the process engine with a warning (and let QueueStats
+            # stay truthful via requested_engine).
             self.cluster = cluster or ClusterSpec()
             if self.cluster.resolve() is None:
                 warnings.warn(
-                    "engine 'cluster' found no launcher environment, no "
-                    "usable MPI world, and spawning is disabled; falling "
-                    "back to 'process'",
+                    "engine 'cluster' found no launcher environment and "
+                    "spawning is disabled; falling back to 'process'",
                     stacklevel=2,
                 )
                 engine = "process"

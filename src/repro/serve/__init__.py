@@ -27,7 +27,6 @@ from .codec import (
 )
 from .client import (
     ConnectionClosedError,
-    FleetClient,
     PredictionClient,
     ServerError,
     overload_backoff,
@@ -39,7 +38,6 @@ from .fleet import (
     FleetRefreshError,
     ServeFleet,
     aggregate_stats,
-    reuse_port_supported,
 )
 from .loop import (
     ContinuousLearner,
@@ -80,7 +78,6 @@ __all__ = [
     "EncodedArray",
     "FEAT_CACHE_MODES",
     "FeaturizationCache",
-    "FleetClient",
     "FleetRefreshError",
     "INTENT_NAME",
     "LoadedModel",
@@ -115,7 +112,6 @@ __all__ = [
     "encode_state",
     "overload_backoff",
     "registry_key",
-    "reuse_port_supported",
     "scheme_params",
     "state_checksum",
 ]

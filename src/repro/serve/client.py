@@ -1,6 +1,6 @@
-"""Synchronous clients for the prediction server and fleet.
+"""Synchronous client for the prediction server and fleet.
 
-Thin blocking wrappers over the newline-delimited JSON protocol (a raw
+A thin blocking wrapper over the newline-delimited JSON protocol (a raw
 field rides as its JSON header on the request line, then its bytes) —
 applications (and the ``query`` CLI) get predictions without touching
 asyncio.  One :class:`PredictionClient` = one TCP connection, opened
@@ -14,9 +14,9 @@ A broken connection (server restarted, fleet worker killed) is redialed
 transparently up to ``reconnects`` times per request.  Every op the
 protocol offers is idempotent on the server (predict is pure; observe
 at worst duplicates one residual), so a resend after a connection drop
-is safe.  :class:`FleetClient` stacks round-robin address balancing on
-top for the port-per-worker fallback path of
-:class:`~repro.serve.fleet.ServeFleet`.
+is safe.  A :class:`~repro.serve.fleet.ServeFleet` needs no client of
+its own: its workers share one ``SO_REUSEPORT`` data port, so a redial
+after a worker dies reaches a live sibling.
 
 **Zero-copy what-if resends.**  What-if traffic probes the *same* field
 over and over (different bounds, different compressors); shipping the
@@ -388,128 +388,8 @@ class PredictionClient:
         self.close()
 
 
-class FleetClient:
-    """Round-robin client over the data addresses of a serving fleet.
-
-    With ``SO_REUSEPORT`` the fleet exposes one address and the kernel
-    balances connections, so this class mostly wraps a single
-    :class:`PredictionClient`.  On the port-per-worker fallback path it
-    does the balancing itself: per-request ops (:meth:`predict`,
-    :meth:`observe`) rotate across addresses and step past workers that
-    are mid-restart; fan-out ops (:meth:`stats`, :meth:`refresh`,
-    :meth:`ping`, :meth:`drift`) visit every address.
-
-    ``addresses`` is either a static ``[(host, port), ...]`` list or a
-    zero-argument callable returning the current list —
-    :meth:`ServeFleet.connect <repro.serve.fleet.ServeFleet.connect>`
-    passes the fleet's live ``data_addresses`` method so a restarted
-    worker's fresh port is picked up without re-creating the client.
-    """
-
-    def __init__(
-        self,
-        addresses: Any,
-        **client_options: Any,
-    ) -> None:
-        if callable(addresses):
-            self._resolve = addresses
-        else:
-            static = [(host, int(port)) for host, port in addresses]
-            if not static:
-                raise ValueError("FleetClient needs at least one address")
-            self._resolve = lambda: static
-        self._client_options = dict(client_options)
-        self._clients: dict[tuple[str, int], PredictionClient] = {}
-        self._cursor = 0
-
-    # -- address management ------------------------------------------------------
-    def addresses(self) -> list[tuple[str, int]]:
-        return [(host, int(port)) for host, port in self._resolve()]
-
-    def _client_for(self, address: tuple[str, int]) -> PredictionClient:
-        client = self._clients.get(address)
-        if client is None:
-            client = PredictionClient(*address, **self._client_options)
-            self._clients[address] = client
-        return client
-
-    def _prune(self, live: list[tuple[str, int]]) -> None:
-        for address in list(self._clients):
-            if address not in live:
-                self._clients.pop(address).close()
-
-    # -- per-request ops (round-robin) --------------------------------------------
-    def _rotate(self, op_name: str, call: Any) -> Any:
-        addresses = self.addresses()
-        if not addresses:
-            raise ConnectionClosedError(f"no live fleet workers for {op_name!r}")
-        self._prune(addresses)
-        last_error: Exception | None = None
-        for step in range(len(addresses)):
-            address = addresses[(self._cursor + step) % len(addresses)]
-            try:
-                result = call(self._client_for(address))
-            except (ConnectionClosedError, OSError) as exc:
-                # Worker mid-restart: drop its client and try the next.
-                self._clients.pop(address, None)
-                last_error = exc
-                continue
-            self._cursor = (self._cursor + step + 1) % len(addresses)
-            return result
-        raise ConnectionClosedError(
-            f"all {len(addresses)} fleet address(es) failed for "
-            f"{op_name!r}: {last_error}"
-        )
-
-    def predict(self, key: str, **kwargs: Any) -> dict[str, Any]:
-        return self._rotate("predict", lambda c: c.predict(key, **kwargs))
-
-    def observe(self, key: str, prediction: float, truth: float, **kwargs: Any) -> dict[str, Any]:
-        return self._rotate(
-            "observe", lambda c: c.observe(key, prediction, truth, **kwargs)
-        )
-
-    # -- fan-out ops ---------------------------------------------------------------
-    def _fanout(self, call: Any) -> list[Any]:
-        addresses = self.addresses()
-        self._prune(addresses)
-        results = []
-        for address in addresses:
-            try:
-                results.append(call(self._client_for(address)))
-            except (ConnectionClosedError, OSError):
-                self._clients.pop(address, None)
-        return results
-
-    def stats(self) -> list[dict[str, Any]]:
-        return self._fanout(lambda c: c.stats())
-
-    def refresh(self, key: str | None = None) -> list[dict[str, str | None]]:
-        return self._fanout(lambda c: c.refresh(key))
-
-    def drift(self, *, configure: Mapping[str, Any] | None = None) -> list[dict[str, Any]]:
-        return self._fanout(lambda c: c.drift(configure=configure))
-
-    def ping(self) -> bool:
-        pongs = self._fanout(lambda c: c.ping())
-        return bool(pongs) and all(pongs)
-
-    # -- lifecycle -------------------------------------------------------------------
-    def close(self) -> None:
-        for client in self._clients.values():
-            client.close()
-        self._clients.clear()
-
-    def __enter__(self) -> "FleetClient":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-
 __all__ = [
     "ConnectionClosedError",
-    "FleetClient",
     "PredictionClient",
     "ServerError",
     "overload_backoff",

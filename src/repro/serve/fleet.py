@@ -7,10 +7,10 @@ every worker running the *same* server code:
 
 * **One data port** — workers bind the shared ``(host, port)`` with
   ``SO_REUSEPORT``; the kernel balances incoming connections across the
-  listening sockets, so clients keep dialing one address.  Where the
-  option is unavailable (or ``reuse_port=False``), the fleet falls back
-  to a port per worker and :class:`~repro.serve.client.FleetClient`
-  round-robins — same API, software balancing.
+  listening sockets, so clients dial one address with a plain
+  :class:`~repro.serve.client.PredictionClient`.  There is no
+  port-per-worker fallback: on a host without the option the workers'
+  own bind fails and :meth:`ServeFleet.start` raises at once.
 * **Private control ports** — each worker opens a second, ephemeral
   listener serving the same op set.  The kernel decides which worker a
   data-port connection reaches, so anything that must reach *every*
@@ -50,7 +50,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
-from .client import FleetClient, PredictionClient, ServerError
+from .client import PredictionClient, ServerError
 from .drift import DriftConfig
 from .featcache import FeaturizationCache
 from .registry import ModelRegistry
@@ -58,31 +58,6 @@ from .server import PredictionServer
 
 #: Featurization-cache deployment modes a fleet understands.
 FEAT_CACHE_MODES = ("off", "local", "shared")
-
-
-def reuse_port_supported(host: str = "127.0.0.1") -> bool:
-    """Whether two sockets can share one TCP port on this host.
-
-    Probes by actually double-binding: ``SO_REUSEPORT`` existing as a
-    constant does not guarantee the kernel honours it (WSL1, some
-    container seccomp profiles), and the fleet's fallback decision must
-    be made from evidence, not version sniffing.
-    """
-    if not hasattr(socket, "SO_REUSEPORT"):
-        return False
-    first = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    second = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    try:
-        first.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        first.bind((host, 0))
-        second.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        second.bind((host, first.getsockname()[1]))
-    except OSError:
-        return False
-    finally:
-        first.close()
-        second.close()
-    return True
 
 
 def _build_feat_cache(spec: Mapping[str, Any]) -> FeaturizationCache | None:
@@ -123,7 +98,7 @@ def _fleet_worker_main(spec: dict[str, Any], ready_queue: Any) -> None:
         registry,
         spec["host"],
         spec["port"],
-        reuse_port=spec["reuse_port"],
+        reuse_port=True,
         control_port=0,
         worker_id=spec["worker_id"],
         feat_cache=feat_cache,
@@ -142,7 +117,6 @@ def _fleet_worker_main(spec: dict[str, Any], ready_queue: Any) -> None:
             {
                 "worker": spec["worker_id"],
                 "pid": os.getpid(),
-                "port": server.port,
                 "control_port": server.control_port,
             }
         )
@@ -158,7 +132,6 @@ class _WorkerRecord:
     spec: dict[str, Any]
     proc: Any = None
     pid: int | None = None
-    port: int | None = None
     control_port: int | None = None
     ready: bool = False
     restarts: int = 0
@@ -175,9 +148,7 @@ class ServeFleet:
 
     Parameters mirror :class:`PredictionServer` where they overlap;
     extra server keywords (``max_batch``, ``cache_capacity``, …) pass
-    through ``server_options``.  ``reuse_port=None`` auto-detects and
-    falls back to port-per-worker; ``True`` insists (raising where
-    unsupported); ``False`` forces the fallback path.
+    through ``server_options``.
     """
 
     def __init__(
@@ -187,7 +158,6 @@ class ServeFleet:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        reuse_port: bool | None = None,
         feat_cache: str = "shared",
         feat_cache_dir: str | None = None,
         feat_cache_capacity: int = 1024,
@@ -195,7 +165,6 @@ class ServeFleet:
         max_restarts: int = 3,
         drift_config: DriftConfig | Mapping[str, Any] | None = None,
         server_options: Mapping[str, Any] | None = None,
-        mp_context: str | None = None,
         ready_timeout: float = 60.0,
     ) -> None:
         if feat_cache not in FEAT_CACHE_MODES:
@@ -206,8 +175,6 @@ class ServeFleet:
         self.workers = max(1, int(workers if workers is not None else os.cpu_count() or 1))
         self.host = host
         self.port = int(port)
-        self._reuse_port_requested = reuse_port
-        self.reuse_port = False  # resolved at start()
         self.feat_cache = feat_cache
         self._feat_dir_owned = feat_cache == "shared" and feat_cache_dir is None
         self.feat_cache_dir = feat_cache_dir
@@ -218,7 +185,6 @@ class ServeFleet:
             drift_config = dataclasses.asdict(drift_config)
         self.drift_config = dict(drift_config) if drift_config else None
         self.server_options = dict(server_options or {})
-        self._ctx = multiprocessing.get_context(mp_context)
         self.ready_timeout = float(ready_timeout)
         self._records: dict[int, _WorkerRecord] = {}  # guarded-by: _lock
         self._lock = threading.Lock()
@@ -236,23 +202,19 @@ class ServeFleet:
             raise RuntimeError("fleet already started")
         self._started = True
         self._stop_event.clear()
-        self._ready_queue = self._ctx.Queue()
+        self._ready_queue = multiprocessing.Queue()
         if self.feat_cache == "shared" and self.feat_cache_dir is None:
             self.feat_cache_dir = tempfile.mkdtemp(prefix="featcache-")
-        self.reuse_port = self._resolve_reuse_port()
-        placeholder: socket.socket | None = None
+        # Reserve the shared port before any worker binds it: a bound,
+        # never-listening SO_REUSEPORT socket holds the number (TCP only
+        # routes to LISTEN sockets) without receiving connections,
+        # closing the pick-then-bind race for port=0.
+        placeholder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
-            if self.reuse_port:
-                # Reserve the shared port before any worker binds it: a
-                # bound, never-listening SO_REUSEPORT socket holds the
-                # number (TCP only routes to LISTEN sockets) without
-                # receiving connections, closing the pick-then-bind race
-                # for port=0.
-                placeholder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-                placeholder.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-                placeholder.bind((self.host, self.port))
-                self.port = placeholder.getsockname()[1]
-                self._placeholder_fd = placeholder.fileno()
+            placeholder.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+            placeholder.bind((self.host, self.port))
+            self.port = placeholder.getsockname()[1]
+            self._placeholder_fd = placeholder.fileno()
             for worker_id in range(self.workers):
                 # The placeholder must stay bound while workers spawn —
                 # closing it first reopens the port-0 race it exists to
@@ -264,11 +226,11 @@ class ServeFleet:
         except Exception:
             self._started = False
             self._terminate_all()
+            self._sweep_feat_cache()
             raise
         finally:
             self._placeholder_fd = None
-            if placeholder is not None:
-                placeholder.close()
+            placeholder.close()
         self._supervisor = threading.Thread(
             target=self._supervise, name="fleet-supervisor", daemon=True
         )
@@ -288,6 +250,9 @@ class ServeFleet:
         if self._ready_queue is not None:
             self._ready_queue.close()
             self._ready_queue = None
+        self._sweep_feat_cache()
+
+    def _sweep_feat_cache(self) -> None:
         if self.feat_cache == "shared" and self.feat_cache_dir is not None:
             if self._feat_dir_owned:
                 shutil.rmtree(self.feat_cache_dir, ignore_errors=True)
@@ -302,24 +267,12 @@ class ServeFleet:
         self.stop()
 
     # -- spawn / supervise -------------------------------------------------------
-    def _resolve_reuse_port(self) -> bool:
-        if self._reuse_port_requested is False:
-            return False
-        supported = reuse_port_supported(self.host)
-        if self._reuse_port_requested is True and not supported:
-            raise RuntimeError(
-                "reuse_port=True requested but SO_REUSEPORT is unavailable "
-                "on this host; pass reuse_port=None for automatic fallback"
-            )
-        return supported
-
     def _spawn(self, worker_id: int) -> None:
         spec = {
             "worker_id": worker_id,
             "registry_root": self.registry_root,
             "host": self.host,
-            "port": self.port if self.reuse_port else 0,
-            "reuse_port": self.reuse_port,
+            "port": self.port,
             "feat_cache": self.feat_cache,
             "feat_cache_dir": self.feat_cache_dir,
             "feat_cache_capacity": self.feat_cache_capacity,
@@ -332,11 +285,11 @@ class ServeFleet:
             "inherited_fds": (
                 [self._placeholder_fd]
                 if self._placeholder_fd is not None
-                and self._ctx.get_start_method() == "fork"
+                and multiprocessing.get_start_method() == "fork"
                 else []
             ),
         }
-        proc = self._ctx.Process(
+        proc = multiprocessing.Process(
             target=_fleet_worker_main,
             args=(spec, self._ready_queue),
             name=f"serve-fleet-{worker_id}",
@@ -363,26 +316,41 @@ class ServeFleet:
             record = self._records.get(msg["worker"])
             if record is not None:
                 record.pid = msg["pid"]
-                record.port = msg["port"]
                 record.control_port = msg["control_port"]
                 record.ready = True
         return True
 
     def _await_ready(self, timeout: float) -> None:
+        """Wait for every worker's readiness report.
+
+        A worker that exits before reporting (a bad server option, a
+        failed bind) fails the start at once rather than at *timeout*.
+        """
         deadline = time.monotonic() + timeout
         while True:
+            while self._consume_ready(timeout=0.0):
+                pass
             with self._lock:
-                missing = [
-                    wid
+                missing = {
+                    wid: rec.proc.exitcode
                     for wid, rec in self._records.items()
-                    if not rec.ready and not rec.crash_looped
-                ]
+                    if not rec.ready
+                }
+            dead = [
+                f"worker {wid} (exit code {code})"
+                for wid, code in sorted(missing.items())
+                if code is not None
+            ]
+            if dead:
+                raise RuntimeError(
+                    f"fleet {', '.join(dead)} exited before reporting ready"
+                )
             if not missing:
                 return
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise TimeoutError(
-                    f"fleet workers {missing} failed to report ready "
+                    f"fleet workers {sorted(missing)} failed to report ready "
                     f"within {timeout:.1f}s"
                 )
             self._consume_ready(min(remaining, 0.25))
@@ -429,24 +397,8 @@ class ServeFleet:
     # -- addressing -------------------------------------------------------------
     @property
     def address(self) -> tuple[str, int]:
-        """The data address clients dial (shared port under reuse_port)."""
-        if self.reuse_port:
-            return (self.host, self.port)
-        addresses = self.data_addresses()
-        if not addresses:
-            raise RuntimeError("no live fleet workers")
-        return addresses[0]
-
-    def data_addresses(self) -> list[tuple[str, int]]:
-        """Every data address currently accepting queries."""
-        if self.reuse_port:
-            return [(self.host, self.port)]
-        with self._lock:
-            return [
-                (self.host, rec.port)
-                for rec in self._records.values()
-                if rec.ready and rec.port is not None and rec.proc.is_alive()
-            ]
+        """The shared data address every client dials."""
+        return (self.host, self.port)
 
     def control_addresses(self) -> list[tuple[str, int]]:
         """Per-worker private addresses, re-resolved on every call.
@@ -486,9 +438,14 @@ class ServeFleet:
         with self._lock:
             return {wid: rec.restarts for wid, rec in self._records.items()}
 
-    def connect(self, **client_kwargs: Any) -> FleetClient:
-        """A client balanced over the fleet's current data addresses."""
-        return FleetClient(self.data_addresses, **client_kwargs)
+    def connect(self, **client_kwargs: Any) -> PredictionClient:
+        """A client on the shared data port (the kernel picks the worker).
+
+        Per-request ops only: ``refresh``/``stats`` on it reach one
+        worker — use the fleet's own :meth:`refresh` and :meth:`stats`,
+        which fan out over every control port.
+        """
+        return PredictionClient(*self.address, **client_kwargs)
 
     # -- fleet-wide operations -----------------------------------------------------
     def _fanout(
@@ -608,5 +565,4 @@ __all__ = [
     "FleetRefreshError",
     "ServeFleet",
     "aggregate_stats",
-    "reuse_port_supported",
 ]

@@ -391,8 +391,11 @@ class PredictionServer:
             for task in tasks:
                 task.cancel()
             await asyncio.gather(*tasks, return_exceptions=True)
-            # The lane thread exits after the batch it is running, if any.
-            self._lane.shutdown(wait=False, cancel_futures=True)
+            # Cancelling the drains above cancelled their queued batches;
+            # what is left on the lane are row writes behind replies
+            # already sent, and they must land (a restarted server on the
+            # same directory reads them), so they are not cancelled.
+            self._lane.shutdown(wait=False)
 
     def request_stop(self) -> None:
         if self._stopping is not None:

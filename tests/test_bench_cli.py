@@ -1,10 +1,30 @@
 """Tests for the predict-bench CLI."""
 
 import json
+import os
+import re
+import shlex
 
 import pytest
 
 from repro.bench.cli import build_parser, main
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def documented_commands():
+    """Every ``predict-bench`` command in the bash blocks of README.md and
+    EXPERIMENTS.md, ``\\`` continuations joined and ``#`` comments dropped."""
+    commands = []
+    for name in ("README.md", "EXPERIMENTS.md"):
+        with open(os.path.join(REPO_ROOT, name), encoding="utf-8") as fh:
+            text = fh.read()
+        for block in re.findall(r"^```bash\n(.*?)^```", text, re.M | re.S):
+            for line in block.replace("\\\n", " ").splitlines():
+                argv = shlex.split(line, comments=True)
+                if argv[:1] == ["predict-bench"]:
+                    commands.append(argv[1:])
+    return commands
 
 
 class TestParser:
@@ -44,6 +64,27 @@ class TestParser:
             main(["simulate", "--nodes", "1", "4"])
         assert exit_info.value.code == 2
         assert "invalid choice: 'simulate'" in capsys.readouterr().err
+
+    def test_documented_commands_parse(self, capsys):
+        """The docs' commands are what users paste: each must parse,
+        including the collect command quoted inside ``sbatch``."""
+        pending = documented_commands()
+        assert len(pending) >= 10
+        parsed, failed = 0, []
+        while pending:
+            argv = pending.pop()
+            try:
+                args = build_parser().parse_args(argv)
+            except SystemExit:
+                failed.append(shlex.join(argv))
+                continue
+            parsed += 1
+            if args.command == "sbatch":
+                inner = shlex.split(args.collect_command)
+                assert inner[0] == "predict-bench"
+                pending.append(inner[1:])
+        assert failed == [], capsys.readouterr().err
+        assert parsed >= 11
 
 
 class TestCommands:

@@ -1,16 +1,19 @@
 """The cluster engine end to end: spec resolution, the worker loop, TCP
-spawn campaigns, rank_kill chaos, and the CLI seams.
+spawn campaigns, launched-TCP campaigns, rank_kill chaos, and the CLI
+seams.
 
 The TCP tests fork real worker subprocesses over loopback — the same
 path CI's cluster job exercises — so they prove the whole chain:
 rendezvous, init shipping (pickled task functions resolve through the
 propagated ``PYTHONPATH``), durable-before-ack shard writes, rank
-supervision, and the final merge.  MPI tests run only where mpi4py and
-a launcher exist; everywhere else they skip with a notice.
+supervision, and the final merge.  The launched test starts every rank
+itself with the environment ``mpirun`` would set, so an ``mpirun``-
+launched campaign runs the exact code it does.
 """
 
 import json
-import shutil
+import os
+import socket
 import subprocess
 import sys
 import textwrap
@@ -20,7 +23,7 @@ from collections import deque
 import pytest
 
 from repro.bench import CheckpointStore, Task, TaskQueue
-from repro.bench.cluster import ClusterSpec, discover_shards, mpi_available, shard_path
+from repro.bench.cluster import ClusterSpec, discover_shards, shard_path
 from repro.bench.cluster.spec import detect_launch_env, parse_hostport
 from repro.bench.cluster.wire import FrameError
 from repro.bench.cluster.worker import run_worker
@@ -90,13 +93,6 @@ class TestClusterSpec:
     def test_no_spawn_no_launcher_downgrades(self):
         assert ClusterSpec(spawn=False).resolve() is None
 
-    def test_mpi_backend_without_world_downgrades(self):
-        # mpi4py absent, or present with a world of 1: either way an
-        # explicit backend="mpi" has no cluster to run on.
-        spec = ClusterSpec(backend="mpi")
-        if not mpi_available():
-            assert spec.resolve() is None
-
     def test_launched_env_detected(self, monkeypatch):
         monkeypatch.setenv("REPRO_CLUSTER_RANK", "2")
         monkeypatch.setenv("REPRO_CLUSTER_WORLD", "4")
@@ -114,6 +110,16 @@ class TestClusterSpec:
         assert spec.resolve() == "launched-tcp"
         assert not spec.is_worker_rank
 
+    def test_pmi_launch_env_detected(self, monkeypatch):
+        # MPICH/Hydra-style launchers export PMI_RANK / PMI_SIZE.
+        monkeypatch.setenv("PMI_RANK", "1")
+        monkeypatch.setenv("PMI_SIZE", "3")
+        monkeypatch.setenv("REPRO_CLUSTER_COORD", "127.0.0.1:7621")
+        spec = ClusterSpec()
+        assert spec.resolve() == "launched-tcp"
+        assert (spec.rank, spec.world) == (1, 3)
+        assert spec.is_worker_rank
+
     def test_launched_env_without_coord_spawns_instead(self, monkeypatch):
         monkeypatch.setenv("SLURM_PROCID", "1")
         monkeypatch.setenv("SLURM_NTASKS", "4")
@@ -125,8 +131,6 @@ class TestClusterSpec:
         assert detect_launch_env()["rank"] == 1
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="backend"):
-            ClusterSpec(backend="carrier-pigeon")
         with pytest.raises(ValueError, match="heartbeat_timeout"):
             ClusterSpec(heartbeat_interval=1.0, heartbeat_timeout=0.5)
 
@@ -318,13 +322,7 @@ class TestTcpSpawnEndToEnd:
         store.close()
 
 
-MPI_SKIP_REASON = None
-if not mpi_available():
-    MPI_SKIP_REASON = "mpi4py is not installed"
-elif shutil.which("mpirun") is None:
-    MPI_SKIP_REASON = "no mpirun launcher on PATH"
-
-MPI_SMOKE = textwrap.dedent(
+LAUNCHED_RANK = textwrap.dedent(
     """
     import sys
 
@@ -345,43 +343,62 @@ MPI_SMOKE = textwrap.dedent(
         )
         for d in range(4)
     ]
-    spec = ClusterSpec(backend="mpi", shard_dir=sys.argv[1])
+    spec = ClusterSpec(shard_dir=sys.argv[1])
     queue = TaskQueue(2, "cluster", cluster=spec)
     if spec.is_worker_rank:
         queue.run([], None)
     else:
         store = CheckpointStore(sys.argv[2])
         results, stats = queue.run(tasks, fn, merge_store=store)
-        assert stats.completed == len(tasks), stats
+        assert spec.mode == "launched-tcp", spec.mode
+        assert stats.completed == len(tasks) and stats.failed == 0, stats
         assert stats.shards_merged == 2, stats
+        assert sorted(store.keys()) == sorted(t.key() for t in tasks)
         assert store.verify() == []
-        print("MPI_SMOKE_OK")
+        print("LAUNCHED_OK")
     """
 )
 
 
-@pytest.mark.skipif(MPI_SKIP_REASON is not None, reason=MPI_SKIP_REASON or "")
-class TestMpiBackend:
-    def test_mpi_world_smoke(self, tmp_path):
-        script = tmp_path / "mpi_smoke.py"
-        script.write_text(MPI_SMOKE, encoding="utf-8")
-        proc = subprocess.run(
-            [
-                "mpirun",
-                "--oversubscribe",
-                "-n",
-                "3",
-                sys.executable,
-                str(script),
-                str(tmp_path / "shards"),
-                str(tmp_path / "merged.db"),
-            ],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "MPI_SMOKE_OK" in proc.stdout
+def _free_port():
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+class TestLaunchedTcpEndToEnd:
+    def test_mpirun_style_ranks_complete_and_merge(self, tmp_path):
+        """Three plain processes carrying the variables ``mpirun -n 3``
+        sets: rank 0 coordinates at REPRO_CLUSTER_COORD, ranks 1-2 dial
+        it, and the campaign merges two shards cleanly."""
+        script = tmp_path / "launched_rank.py"
+        script.write_text(LAUNCHED_RANK, encoding="utf-8")
+        env = {k: v for k, v in os.environ.items() if k not in CLUSTER_ENV}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+        env["OMPI_COMM_WORLD_SIZE"] = "3"
+        env["REPRO_CLUSTER_COORD"] = f"127.0.0.1:{_free_port()}"
+        ranks = [
+            subprocess.Popen(
+                [sys.executable, str(script), str(tmp_path / "shards"),
+                 str(tmp_path / "merged.db")],
+                env={**env, "OMPI_COMM_WORLD_RANK": str(rank)},
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for rank in range(3)
+        ]
+        try:
+            outputs = [proc.communicate(timeout=120) for proc in ranks]
+        finally:
+            for proc in ranks:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+        for proc, (_, err) in zip(ranks, outputs):
+            assert proc.returncode == 0, err
+        assert "LAUNCHED_OK" in outputs[0][0]
+        assert len(discover_shards(str(tmp_path / "shards"))) == 2
 
 
 class TestClusterCli:

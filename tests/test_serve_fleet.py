@@ -1,15 +1,17 @@
 """Fleet serving: multi-process workers, shared cache, supervision.
 
-The serving tier's scale-out contract: N workers behind one address (or
-a round-robined address list where ``SO_REUSEPORT`` is unavailable),
-one shared featurization store, fleet-wide refresh that provably
-reaches every worker, and a supervisor that restarts crashed workers
-while queries keep succeeding.
+The serving tier's scale-out contract: N workers behind one
+``SO_REUSEPORT`` address (the only data path — every test here runs on
+it), one shared featurization store, fleet-wide refresh that provably
+reaches every worker, a supervisor that restarts crashed workers while
+queries keep succeeding, and a start that fails fast when a worker dies
+before reporting ready.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import re
 import signal
@@ -26,7 +28,6 @@ from repro.dataset import HurricaneDataset
 from repro.predict.scheme import get_scheme
 from repro.serve import (
     FeaturizationCache,
-    FleetClient,
     ModelRegistry,
     PredictionClient,
     PredictionServer,
@@ -34,7 +35,6 @@ from repro.serve import (
     ServerThread,
     encode_array,
     registry_key,
-    reuse_port_supported,
     scheme_params,
 )
 from repro.serve import featcache
@@ -146,30 +146,30 @@ class TestFleetLifecycle:
             assert set(stats["workers"]) == {0, 1}
             assert len(f.control_addresses()) == 2
 
-    @pytest.mark.skipif(
-        not reuse_port_supported(), reason="SO_REUSEPORT unavailable on this host"
-    )
     def test_reuse_port_single_shared_address(self, campaign):
         with fleet(campaign) as f:
-            assert f.reuse_port
-            assert f.data_addresses() == [f.address]
+            assert f.address == (f.host, f.port) and f.port > 0
             with f.connect() as client:
+                assert isinstance(client, PredictionClient)
+                assert (client.host, client.port) == f.address
                 response = client.predict(campaign.key, results=campaign.rows[0])
             assert response["prediction"] > 0
 
-    def test_forced_fallback_round_robins(self, campaign):
-        with fleet(campaign, reuse_port=False) as f:
-            assert not f.reuse_port
-            addresses = f.data_addresses()
-            assert len(addresses) == 2
-            with f.connect() as client:
-                for i in range(6):
-                    client.predict(
-                        campaign.key, results=campaign.rows[i % len(campaign.rows)]
-                    )
-            per_worker = f.stats()["workers"]
-            # Round-robin spreads the 6 requests over both workers.
-            assert all(s["requests"] >= 2 for s in per_worker.values())
+    def test_worker_dying_at_boot_fails_start_fast(self, campaign):
+        """A worker that exits before reporting ready (here: a server
+        option its constructor rejects) fails start() at once — not at
+        ready_timeout — naming the worker and its exit code, and leaves
+        no worker process or owned cache directory behind."""
+        f = fleet(campaign, server_options={"bogus": 1}, ready_timeout=60.0)
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match=r"worker \d \(exit code 1\)"):
+            f.start()
+        assert time.monotonic() - t0 < 5.0
+        assert [
+            p for p in multiprocessing.active_children()
+            if p.name.startswith("serve-fleet-")
+        ] == []
+        assert f.feat_cache_dir is None
 
 
 class TestSharedFeatureCache:
@@ -178,8 +178,10 @@ class TestSharedFeatureCache:
         bit-identical prediction, evaluator skipped."""
         rng = np.random.default_rng(5)
         arr = rng.standard_normal(SHAPE).astype(np.float32)
-        with fleet(campaign, reuse_port=False, feat_cache="shared") as f:
-            (a0, a1) = f.data_addresses()
+        with fleet(campaign, feat_cache="shared") as f:
+            # The data port lets the kernel choose; each worker's control
+            # port serves the same ops and pins the worker.
+            (a0, a1) = f.control_addresses()
             with PredictionClient(*a0) as c0:
                 first = c0.predict(campaign.key, data=arr)
             # Worker 0 writes the row file after its reply is out.
@@ -396,12 +398,13 @@ class TestZeroCopyResend:
 
 class TestSupervision:
     def test_killed_worker_restarts_and_queries_keep_succeeding(self, campaign):
-        with fleet(campaign, reuse_port=False) as f:
+        with fleet(campaign) as f:
             victim = f.worker_pids()[0]
-            with f.connect() as client:
+            with PredictionClient(*f.address, reconnects=4) as client:
                 os.kill(victim, signal.SIGKILL)
                 # Every query during the kill/restart window must succeed:
-                # the fleet client rotates past the dead worker.
+                # a dropped connection redials the shared port, which the
+                # kernel routes to a live worker.
                 for i in range(20):
                     response = client.predict(
                         campaign.key, results=campaign.rows[i % len(campaign.rows)]
@@ -437,12 +440,12 @@ class TestSupervision:
                     return
 
         f = fleet(
-            campaign, reuse_port=False, feat_cache="shared",
+            campaign, feat_cache="shared",
             feat_cache_dir=None if own_dir else str(tmp_path / "store"),
         ).start()
         try:
             cache_dir = f.feat_cache_dir
-            with f.connect() as client:
+            with PredictionClient(*f.address, reconnects=4) as client:
                 thread = threading.Thread(target=traffic, args=(client,), daemon=True)
                 thread.start()
                 assert wait_for(lambda: len(answered) >= 4)
@@ -467,7 +470,7 @@ class TestSupervision:
         assert _shm_names() == shm_before
 
     def test_crash_loop_cap_parks_worker(self, campaign):
-        with fleet(campaign, reuse_port=False, max_restarts=1) as f:
+        with fleet(campaign, max_restarts=1) as f:
             # Kill worker 0 every time it comes back until the cap trips.
             assert wait_for(
                 lambda: self._kill_once(f, 0) and f.crash_looped_workers() == [0],
@@ -478,7 +481,7 @@ class TestSupervision:
             # exclude the parked slot instead of hanging on it.
             assert f.live_workers() == 1
             assert f.ping()
-            with f.connect() as client:
+            with PredictionClient(*f.address, reconnects=4) as client:
                 assert client.predict(campaign.key, results=campaign.rows[0])
 
     @staticmethod
@@ -533,8 +536,6 @@ class TestClientConnectionReuse:
         """A client holding a dead connection transparently redials —
         under SO_REUSEPORT the kernel routes the new connection to a
         live worker, so the query succeeds mid-restart."""
-        if not reuse_port_supported():
-            pytest.skip("SO_REUSEPORT unavailable on this host")
         with fleet(campaign, workers=2) as f:
             client = PredictionClient(*f.address, reconnects=4)
             try:
