@@ -275,7 +275,7 @@ class AsyncDisciplineChecker(Checker):
                                     f"(shipped via {off_loop[name]})"
                                 ),
                                 hint="return the value and let the loop thread "
-                                "apply it, as _featurize_batch does with its "
+                                "apply it, as _featurize does with its "
                                 "per-item results",
                             )
                         )

@@ -228,6 +228,14 @@ class HuffmanCode:
         return sym_table, len_table
 
 
+def code_lengths(counts: np.ndarray, max_length: int = DEFAULT_MAX_LENGTH) -> np.ndarray:
+    """The code lengths :func:`build_code` assigns to *counts*: optimal,
+    then limited to *max_length* (never beyond ``MAX_CODE_LENGTH``).
+    All a size estimate needs; the code values are left unbuilt."""
+    lengths = huffman_code_lengths(np.asarray(counts, dtype=np.int64))
+    return limit_code_lengths(lengths, min(max_length, MAX_CODE_LENGTH))
+
+
 def build_code(values: np.ndarray | None = None, *, counts: np.ndarray | None = None,
                symbols: np.ndarray | None = None,
                max_length: int = DEFAULT_MAX_LENGTH) -> HuffmanCode:
@@ -237,9 +245,7 @@ def build_code(values: np.ndarray | None = None, *, counts: np.ndarray | None = 
     if symbols is None or counts is None:
         raise ValueError("provide either values or (symbols, counts)")
     symbols = np.asarray(symbols, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.int64)
-    lengths = huffman_code_lengths(counts)
-    lengths = limit_code_lengths(lengths, min(max_length, MAX_CODE_LENGTH))
+    lengths = code_lengths(counts, max_length)
     return HuffmanCode(symbols=symbols, lengths=lengths, codes=canonical_codes(lengths))
 
 

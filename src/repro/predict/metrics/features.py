@@ -33,6 +33,20 @@ from ...encoding.entropy import coding_gain
 from ...encoding.rle import zero_run_ratio
 
 
+def _lagged(arr: np.ndarray, axis: int, lag: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of *arr* without its last / first *lag* planes along *axis*.
+
+    Basic slices, not copies; the callers' differences are written in C
+    order, as the copies they replaced were, so each reduction adds the
+    same values in the same order and the results are bit-identical.
+    """
+    head = [slice(None)] * arr.ndim
+    tail = list(head)
+    head[axis] = slice(0, arr.shape[axis] - lag)
+    tail[axis] = slice(lag, None)
+    return arr[tuple(head)], arr[tuple(tail)]
+
+
 def lag_correlations(array: np.ndarray, lag: int = 1) -> float:
     """Mean lag-*lag* Pearson autocorrelation across all axes."""
     arr = np.asarray(array, dtype=np.float64)
@@ -44,8 +58,9 @@ def lag_correlations(array: np.ndarray, lag: int = 1) -> float:
     for axis in range(arr.ndim):
         if arr.shape[axis] <= lag:
             continue
-        a = np.take(arr, range(0, arr.shape[axis] - lag), axis=axis) - mean
-        b = np.take(arr, range(lag, arr.shape[axis]), axis=axis) - mean
+        head, tail = _lagged(arr, axis, lag)
+        a = np.subtract(head, mean, order="C")
+        b = np.subtract(tail, mean, order="C")
         denom = np.sqrt((a * a).mean() * (b * b).mean())
         if denom > 0:
             cors.append(float((a * b).mean() / denom))
@@ -99,9 +114,8 @@ def variogram_slope(array: np.ndarray, max_lag: int = 4) -> float:
         vals = []
         for axis in range(arr.ndim):
             if arr.shape[axis] > h:
-                d = np.take(arr, range(h, arr.shape[axis]), axis=axis) - np.take(
-                    arr, range(0, arr.shape[axis] - h), axis=axis
-                )
+                head, tail = _lagged(arr, axis, h)
+                d = np.subtract(tail, head, order="C")
                 vals.append(float((d * d).mean() * 0.5))
         if vals:
             g = float(np.mean(vals))

@@ -20,7 +20,14 @@ from ...core.metrics import ERROR_DEPENDENT, NONDETERMINISTIC, RUNTIME, MetricsP
 from ...core.options import PressioOptions
 from ...dataset.sampler import sample_blocks
 from ...encoding.entropy import huffman_expected_length, quantized_entropy
-from ...encoding.huffman import build_code
+from ...encoding.huffman import code_lengths
+
+
+def _huffman_bits_exact(counts: np.ndarray) -> float:
+    """Mean bits per value under the Huffman code ``build_code`` would
+    make for *counts*: its limited code lengths are all this needs."""
+    weights = np.asarray(counts, dtype=np.float64)
+    return float((weights * code_lengths(counts)).sum() / weights.sum())
 
 
 def _abs_bound(options: PressioOptions) -> float:
@@ -229,8 +236,7 @@ class SZ3StageProbeMetric(MetricsPlugin):
             symbols, counts = np.unique(inside, return_counts=True)
             probs = counts / counts.sum()
             est_bits = huffman_expected_length(probs)
-            code = build_code(symbols=symbols, counts=counts)
-            exact_bits = code.expected_bits_per_symbol(counts)
+            exact_bits = _huffman_bits_exact(counts)
             table_symbols = int(symbols.size)
             entropy_bits = float(-np.sum(probs * np.log2(probs)))
         else:
@@ -394,8 +400,7 @@ class SperrStageProbeMetric(MetricsPlugin):
         if inside.size:
             symbols, counts = np.unique(inside, return_counts=True)
             probs = counts / counts.sum()
-            code = build_code(symbols=symbols, counts=counts)
-            exact_bits = code.expected_bits_per_symbol(counts)
+            exact_bits = _huffman_bits_exact(counts)
             entropy_bits = float(-np.sum(probs * np.log2(probs)))
             table_symbols = int(symbols.size)
         else:

@@ -12,9 +12,10 @@ behaviour — applied to a latency-sensitive online path:
   ``max_batch`` rows.  A lone caller is answered at wire speed; only
   while another connection (which could add a row) is open does an idle
   key's first batch pause for ``_COALESCE_S``;
-* **one compute lane** — batches of precomputed ``results`` rows run
-  inline on the loop thread, batches carrying raw fields on the server's
-  single compute thread: model work never fights itself for the GIL;
+* **one compute lane** — a raw field is featurized on the server's one
+  compute thread from its admission, so during the pause; a batch's one
+  ``predict_many`` runs there too, or inline on the loop thread for
+  ``results`` rows: model work never fights itself for the GIL;
 * **warm-model LRU** — sized to hold a campaign's published set; one
   drain per key, so a cold key is read and decoded exactly once;
 * **admission control** — at most ``max_in_flight`` admitted requests
@@ -22,7 +23,8 @@ behaviour — applied to a latency-sensitive online path:
   with the documented ``"overloaded"`` status instead of queuing
   unboundedly (a client can back off; a hung socket cannot);
 * **stage timings** — every response carries queue-wait / compute-wait /
-  featurize / predict milliseconds (they add up to the server residency),
+  featurize / predict ms, summing to at most the server residency (the
+  featurization hidden in the queue wait is ``featurize_hidden_ms``),
   and the ``stats`` op exposes the aggregate :class:`ServeStats` counters
   (the server-side analog of :class:`~repro.bench.taskqueue.QueueStats`).
 
@@ -78,7 +80,7 @@ import json
 import threading
 import time
 from collections import OrderedDict, deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -145,8 +147,9 @@ class ServeStats:
     feat_seconds_saved: float = 0.0
     #: Admission → the request's batch detached from its key's queue.
     queue_wait_seconds: float = 0.0
-    #: Batch detached → its work started (model load, wait for the lane).
+    #: Batch detached → its predict started, less its own featurization.
     compute_wait_seconds: float = 0.0
+    #: The lane's total, hidden in the queue wait or not.
     featurize_seconds: float = 0.0
     predict_seconds: float = 0.0
     #: Per-request end-to-end server latencies (ring buffer, seconds).
@@ -278,6 +281,14 @@ class _Pending:
     #: request is answered ``need_data``.
     data_ref: str | None = None
     queue_wait: float = 0.0
+    #: A raw item's featurization, put on the lane at admission.
+    featurizing: Future | None = None
+    #: Featurization's row (None: an unhonourable data_ref) or the exception
+    #: that fails this request alone; its end; its part after the detach.
+    features: Mapping[str, Any] | None = None
+    error: Exception | None = None
+    featurized_at: float | None = None
+    exposed_s: float = 0.0
     featurize_s: float = 0.0
     #: Featurization-cache outcome for a raw-data item ("hit"/"miss"/
     #: "bypass"/"ref_hit"/"ref_miss"; None when no cache or the client
@@ -341,6 +352,8 @@ class PredictionServer:
         self._served_versions: dict[str, str] = {}
         #: (key, version) → its queued requests, while its drain task lives.
         self._queues: dict[tuple[str, str | None], deque[_Pending]] = {}
+        #: (key, version) → the model its drain holds: admission featurizes with it.
+        self._held: dict[tuple[str, str | None], LoadedModel] = {}
         self._drains: set[asyncio.Task] = set()
         #: The one compute lane: two would convoy on the GIL (DESIGN.md §8).
         self._lane = ThreadPoolExecutor(1, thread_name_prefix="serve-compute")
@@ -391,10 +404,10 @@ class PredictionServer:
             for task in tasks:
                 task.cancel()
             await asyncio.gather(*tasks, return_exceptions=True)
-            # Cancelling the drains above cancelled their queued batches;
-            # what is left on the lane are row writes behind replies
-            # already sent, and they must land (a restarted server on the
-            # same directory reads them), so they are not cancelled.
+            # Cancelling the drains above cancelled their queued batches
+            # and unstarted featurizations; what is left on the lane are
+            # row writes behind replies already sent, and they must land
+            # (a restarted server on the same directory reads them).
             self._lane.shutdown(wait=False)
 
     def request_stop(self) -> None:
@@ -779,27 +792,47 @@ class PredictionServer:
             self._drains.add(drain)
             drain.add_done_callback(self._drains.discard)
         queue.append(pending)
+        self._admit(cache_key, pending)
+
+    def _admit(self, cache_key: tuple[str, str | None], item: _Pending) -> None:
+        """Put a raw field's featurization on the lane once its drain holds the model."""
+        model = self._held.get(cache_key)
+        if model is not None and item.row is None and item.featurizing is None:
+            item.featurizing = self._lane.submit(self._featurize, model, item)
 
     async def _drain(self, cache_key: tuple[str, str | None]) -> None:
         """Serve *cache_key*'s queue, one batch at a time, until it is empty:
         whatever arrived while a batch ran leaves as the next one (FIFO,
-        at most ``max_batch`` rows).  A fault stays inside its own batch."""
+        at most ``max_batch`` rows).  Each turn first takes the model and
+        admits the queued raw fields.  A fault stays inside its own batch."""
         queue = self._queues[cache_key]
+        batch: list[_Pending] = []
         try:
-            if len(self._connection_tasks) > 1:
-                await asyncio.sleep(_COALESCE_S)
             while queue:
+                try:
+                    model = self._held[cache_key] = await self.cache.get(*cache_key)
+                    for item in queue:
+                        self._admit(cache_key, item)
+                except Exception as exc:  # noqa: BLE001 - fails the batch it was loaded for
+                    model = exc
+                if not batch and len(self._connection_tasks) > 1:  # the first turn only
+                    await asyncio.sleep(_COALESCE_S)
                 batch = [queue.popleft() for _ in range(min(len(queue), self.max_batch))]
                 self._queued -= len(batch)
-                await self._run_batch(cache_key, batch)
+                await self._run_batch(cache_key, model, batch)
         finally:
             # (No await since the emptiness test: nothing is queued behind us.)
             del self._queues[cache_key]
+            self._held.pop(cache_key, None)
+            for item in (*batch, *queue):  # stopped: drop unstarted featurizations
+                if item.featurizing is not None:
+                    item.featurizing.cancel()
 
     async def _run_batch(
-        self, cache_key: tuple[str, str | None], batch: list[_Pending]
+        self, cache_key: tuple[str, str | None], model: LoadedModel | Exception,
+        batch: list[_Pending],
     ) -> None:
-        """Load the model, then featurize + one predict_many on one lane."""
+        """Gather the batch's rows and run its one ``predict_many``."""
         key, version = cache_key
         t_detach = time.perf_counter()
         for item in batch:
@@ -807,21 +840,22 @@ class PredictionServer:
             self.stats.queue_wait_seconds += item.queue_wait
         self.stats.batches += 1
         try:
-            model = await self.cache.get(key, version)
+            if isinstance(model, Exception):  # the drain could not load it
+                raise model
             if all(item.row is not None for item in batch):
                 # Bounded by max_batch; cheaper inline than any hand-off.
-                work = self._compute(model, batch)
+                work = self._predict(model, batch)
             else:
                 work = await asyncio.get_running_loop().run_in_executor(
-                    self._lane, self._compute, model, batch
+                    self._lane, self._predict, model, batch
                 )
-            t_start, rows, preds, predict_s = work
-            compute_wait = t_start - t_detach
+            t_pred, live, preds, predict_s = work
             # Stats mutate only on the loop thread; fold the per-item
-            # timings and cache outcomes _compute left on the batch.
-            self.stats.compute_wait_seconds += compute_wait * len(batch)
+            # timings and cache outcomes featurization left on the batch.
             self.stats.featurize_seconds += sum(i.featurize_s for i in batch)
             for item in batch:
+                item.exposed_s = min(item.featurize_s, max(item.featurized_at - t_detach, 0.0))
+                self.stats.compute_wait_seconds += t_pred - t_detach - item.exposed_s
                 if item.feat_outcome in ("hit", "ref_hit"):
                     self.stats.feat_hits += 1
                     self.stats.feat_bytes_saved += item.source_nbytes
@@ -836,11 +870,12 @@ class PredictionServer:
                     self.stats.feat_bypass += 1
                 elif item.feat_outcome == "ref_miss":
                     self.stats.feat_ref_misses += 1
-            # A data_ref the cache could not honour drops out of the
-            # batch here with ``need_data``; the client resends in full.
-            live = [item for item, row in zip(batch, rows) if row is not None]
-            for item, row in zip(batch, rows):
-                if row is None and not item.future.done():
+            # A featurization that raised fails its request alone; a data_ref
+            # the cache could not honour gets ``need_data`` (client resends).
+            for item in batch:
+                if item.error is not None and not item.future.done():
+                    item.future.set_exception(item.error)
+                elif item.features is None and not item.future.done():
                     item.future.set_result(
                         {
                             "ok": False,
@@ -874,8 +909,9 @@ class PredictionServer:
                     "batch_size": len(batch),
                     "timings": {
                         "queue_wait_ms": item.queue_wait * 1e3,
-                        "compute_wait_ms": compute_wait * 1e3,
-                        "featurize_ms": item.featurize_s * 1e3,
+                        "compute_wait_ms": (t_pred - t_detach - item.exposed_s) * 1e3,
+                        "featurize_ms": item.exposed_s * 1e3,
+                        "featurize_hidden_ms": (item.featurize_s - item.exposed_s) * 1e3,
                         "predict_ms": predict_s * 1e3,
                     },
                 }
@@ -900,22 +936,22 @@ class PredictionServer:
         for write in writes:
             self.feat_cache.put_l2(*write)
 
-    def _compute(
+    def _predict(
         self, model: LoadedModel, batch: list[_Pending]
-    ) -> tuple[float, list[Mapping[str, Any] | None], Any, float]:
-        """A batch's model work, inline or on the lane: featurize, then one
-        ``predict_many``.  Returns (start time, rows, predictions, predict s)."""
-        t_start = time.perf_counter()
-        rows = self._featurize_batch(model, batch)
-        live = [row for row in rows if row is not None]
+    ) -> tuple[float, list[_Pending], Any, float]:
+        """A batch's one ``predict_many``, after its raw fields' featurizations
+        (lane FIFO).  Returns (predict start, items, predictions, predict s)."""
+        for item in batch:
+            if item.featurized_at is None:
+                self._featurize(model, item)
+        live = [item for item in batch if item.features is not None]
         t_pred = time.perf_counter()
-        preds = model.predictor.predict_many(live) if live else ()
-        return t_start, rows, preds, time.perf_counter() - t_pred
+        preds = model.predictor.predict_many([i.features for i in live]) if live else ()
+        return t_pred, live, preds, time.perf_counter() - t_pred
 
-    def _featurize_batch(
-        self, model: LoadedModel, batch: list[_Pending]
-    ) -> list[Mapping[str, Any]]:
-        """Turn each pending request into a metric-feature row.
+    def _featurize(self, model: LoadedModel, item: _Pending) -> None:
+        """Turn one pending request into a metric-feature row left on the
+        item; an exception there fails this request alone.
 
         Requests carrying precomputed ``results`` only gain the scheme's
         zero-cost config features; raw ``data`` payloads run through the
@@ -929,28 +965,21 @@ class PredictionServer:
         the cache, never stored: they encode the error configuration,
         which error-agnostic cache keys deliberately exclude.
         """
-        config = model.scheme.config_features(model.compressor)
-        rows: list[Mapping[str, Any] | None] = []
-        for item in batch:
-            t0 = time.perf_counter()
-            if item.row is not None:
-                row = dict(item.row)
-            else:
-                row = self._featurize_raw(model, item)
-            if row is None:
-                # Unhonourable data_ref — answered ``need_data`` by the
-                # batch runner; nothing to featurize.
-                item.featurize_s = time.perf_counter() - t0
-                rows.append(None)
-                continue
-            # Fill in zero-cost config features without clobbering any
-            # the client computed itself (training rows carry per-field
-            # effective bounds when range-relative mode was on).
-            for ck, cv in config.items():
-                row.setdefault(ck, cv)
-            item.featurize_s = time.perf_counter() - t0
-            rows.append(row)
-        return rows
+        t0 = time.perf_counter()
+        try:
+            config = model.scheme.config_features(model.compressor)
+            row = dict(item.row) if item.row is not None else self._featurize_raw(model, item)
+            if row is not None:  # None: an unhonourable data_ref
+                # Fill in zero-cost config features without clobbering any
+                # the client computed itself (training rows carry per-field
+                # effective bounds when range-relative mode was on).
+                for ck, cv in config.items():
+                    row.setdefault(ck, cv)
+            item.features = row
+        except Exception as exc:  # noqa: BLE001 - fault isolation boundary
+            item.error = exc
+        item.featurized_at = time.perf_counter()
+        item.featurize_s = item.featurized_at - t0
 
     def _featurize_raw(
         self, model: LoadedModel, item: _Pending

@@ -23,6 +23,13 @@ test_golden_streams.py``, ``tests/test_kernel_vectorization.py`` and
 ``benchmarks/test_kernels.py`` hold the production encoder to it byte
 for byte.
 
+``lag_correlations_take``, ``variogram_slope_take`` and
+``huffman_bits_exact_built`` are the serve-side featurizers as they were
+before the trim: the lagged planes copied out with ``np.take`` over a
+``range``, and the stage probes' exact Huffman bits read off a whole
+canonical code book.  ``tests/test_featurizer_kernels.py`` holds the
+basic-slice forms and ``huffman.code_lengths`` to them bit for bit.
+
 Nothing under ``src/`` imports this module.  The functions are the
 heap-based Huffman length builder, the bit-plane code packer, the
 full-lifting decoder (sliding-window matmul, int64 tables, one T-sized
@@ -45,7 +52,7 @@ from repro.core.errors import CorruptStreamError
 from repro.core.hashing import combined_hash, options_hash
 from repro.core.options import PressioOptions
 from repro.encoding.bitio import unpack_bits
-from repro.encoding.huffman import _STREAM_HEADER, HuffmanCode, canonical_codes
+from repro.encoding.huffman import _STREAM_HEADER, HuffmanCode, build_code, canonical_codes
 from repro.encoding.lz import _MAX_MATCH, _MIN_MATCH, _WINDOW, _flush_literals
 from repro.mlkit.base import check_X, check_X_y
 
@@ -399,3 +406,55 @@ def lz77_compress_loop(data: bytes) -> bytes:
             i += 1
     _flush_literals(out, literals)
     return bytes(out)
+
+
+def lag_correlations_take(array: np.ndarray, lag: int = 1) -> float:
+    """Mean lag-*lag* Pearson autocorrelation across all axes."""
+    arr = np.asarray(array, dtype=np.float64)
+    std = arr.std()
+    if std == 0 or arr.size < 2:
+        return 1.0
+    mean = arr.mean()
+    cors = []
+    for axis in range(arr.ndim):
+        if arr.shape[axis] <= lag:
+            continue
+        a = np.take(arr, range(0, arr.shape[axis] - lag), axis=axis) - mean
+        b = np.take(arr, range(lag, arr.shape[axis]), axis=axis) - mean
+        denom = np.sqrt((a * a).mean() * (b * b).mean())
+        if denom > 0:
+            cors.append(float((a * b).mean() / denom))
+    return float(np.mean(cors)) if cors else 1.0
+
+
+def variogram_slope_take(array: np.ndarray, max_lag: int = 4) -> float:
+    """Log-log slope of the empirical variogram over small lags."""
+    arr = np.asarray(array, dtype=np.float64)
+    lags = []
+    gammas = []
+    for h in range(1, max_lag + 1):
+        vals = []
+        for axis in range(arr.ndim):
+            if arr.shape[axis] > h:
+                d = np.take(arr, range(h, arr.shape[axis]), axis=axis) - np.take(
+                    arr, range(0, arr.shape[axis] - h), axis=axis
+                )
+                vals.append(float((d * d).mean() * 0.5))
+        if vals:
+            g = float(np.mean(vals))
+            if g > 0:
+                lags.append(h)
+                gammas.append(g)
+    if len(lags) < 2:
+        return 0.0
+    x = np.log(np.asarray(lags, dtype=np.float64))
+    y = np.log(np.asarray(gammas, dtype=np.float64))
+    slope = float(np.polyfit(x, y, 1)[0])
+    return slope
+
+
+def huffman_bits_exact_built(symbols: np.ndarray, counts: np.ndarray) -> float:
+    """The stage probes' ``huffman_bits_exact``: a whole canonical code
+    book built, then its expected bits per symbol under *counts*."""
+    code = build_code(symbols=symbols, counts=counts)
+    return code.expected_bits_per_symbol(counts)

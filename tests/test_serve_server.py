@@ -32,6 +32,7 @@ from repro.serve import (
     PredictionServer,
     ServerError,
     ServerThread,
+    decode_array,
     registry_key,
     scheme_params,
 )
@@ -103,15 +104,20 @@ def wait_until(predicate, timeout=30.0):
         time.sleep(0.002)
 
 
-def burst(address, key, rows, n):
-    """Fire *n* predicts from *n* connections released simultaneously."""
+def burst(address, key, rows, n, kind="results"):
+    """Fire *n* predicts from *n* connections released simultaneously,
+    each carrying ``rows[i % len(rows)]`` as its *kind* (``results`` or
+    ``data``); a refused one returns its :class:`ServerError`."""
     barrier = threading.Barrier(n)
 
     def worker(i):
         with PredictionClient(*address) as client:
             client.ping()  # dialled before the release, not as part of it
             barrier.wait(30)
-            return client.predict(key, results=rows[i % len(rows)])
+            try:
+                return client.predict(key, **{kind: rows[i % len(rows)]})
+            except ServerError as err:
+                return err
 
     with ThreadPoolExecutor(n) as pool:
         return [reply.result(30) for reply in [pool.submit(worker, i) for i in range(n)]]
@@ -222,6 +228,11 @@ def tagged(campaign, n):
     return [{**campaign.rows[i % len(campaign.rows)], "tag": i} for i in range(n)]
 
 
+def raw_field(seed):
+    """A fresh raw field the size of the campaign's."""
+    return np.random.default_rng(seed).standard_normal((16, 16, 8)).astype(np.float32)
+
+
 class TestPublishHook:
     def test_publish_covers_every_combination(self, campaign):
         assert len(campaign.receipts) == 2  # (rahman2023 + khan2023) x sz3 x 1 bound
@@ -253,6 +264,7 @@ class TestEndToEnd:
             "queue_wait_ms",
             "compute_wait_ms",
             "featurize_ms",
+            "featurize_hidden_ms",
             "predict_ms",
         }
 
@@ -387,14 +399,15 @@ class TestMicroBatching:
             assert held.release()[0]["status"] == "ok"
 
     def test_raw_batches_never_featurize_concurrently(self, campaign):
-        # The guard against reintroducing the GIL convoy: raw-field
-        # batches of different keys share one compute lane.
+        # The guard against reintroducing the GIL convoy: raw fields of
+        # different keys, each featurized from its admission, share one
+        # compute lane.
         other = next(r.key for r in campaign.receipts if r.key != campaign.key)
         server = PredictionServer(campaign.registry)
-        inner, lock = server._featurize_batch, threading.Lock()
+        inner, lock = server._featurize, threading.Lock()
         active = entries = peak = 0
 
-        def counting(model, batch):
+        def counting(model, item):
             nonlocal active, entries, peak
             with lock:
                 active += 1
@@ -402,24 +415,111 @@ class TestMicroBatching:
                 peak = max(peak, active)
             try:
                 time.sleep(0.05)  # a second lane would be inside by now
-                return inner(model, batch)
+                return inner(model, item)
             finally:
                 with lock:
                     active -= 1
 
-        server._featurize_batch = counting
-        field = np.random.default_rng(5).standard_normal((16, 16, 8))
+        server._featurize = counting
+        field = raw_field(5)
         barrier = threading.Barrier(2)
 
         def ask(key):
             with PredictionClient(*thread.address) as client:
                 barrier.wait(10)
-                return client.predict(key, data=field.astype(np.float32))
+                return client.predict(key, data=field)
 
         with ServerThread(server) as thread, ThreadPoolExecutor(2) as pool:
             replies = [r.result(30) for r in [pool.submit(ask, k) for k in (campaign.key, other)]]
         assert all(r["status"] == "ok" for r in replies)
         assert entries == 2 and peak == 1
+
+    def test_raw_featurization_overlaps_the_pause(self, campaign, monkeypatch):
+        # With a second connection open, a raw field is featurized while
+        # its batch waits out the pause, not after the batch detaches.
+        monkeypatch.setattr(server_module, "_COALESCE_S", 0.25)
+        server = PredictionServer(campaign.registry)
+        events = []
+        featurize, run_batch = server._featurize, server._run_batch
+
+        def logged_featurize(model, item):
+            events.append("featurize")
+            featurize(model, item)
+
+        async def logged_run_batch(*args):
+            events.append("detach")
+            await run_batch(*args)
+
+        server._featurize, server._run_batch = logged_featurize, logged_run_batch
+        with ServerThread(server) as thread, PredictionClient(*thread.address) as idle:
+            idle.ping()  # the open connection that could add a row
+            with PredictionClient(*thread.address) as client:
+                reply = client.predict(campaign.key, data=raw_field(6))
+        assert events == ["featurize", "detach"]
+        timings = reply["timings"]
+        assert timings["queue_wait_ms"] >= 250
+        assert timings["featurize_ms"] == 0 and timings["featurize_hidden_ms"] > 0
+
+    def test_reply_timings_sum_to_at_most_the_residency(self, campaign, monkeypatch):
+        # Raw fields on two connections: the featurization hidden in the
+        # queue wait is reported beside the four stages, not inside them.
+        monkeypatch.setattr(server_module, "_COALESCE_S", 0.05)
+        server = PredictionServer(campaign.registry)
+        with ServerThread(server) as thread:
+            replies = burst(thread.address, campaign.key, [raw_field(7), raw_field(8)], 2, "data")
+        stages = ("queue_wait_ms", "compute_wait_ms", "featurize_ms", "predict_ms")
+        sums = sorted(sum(r["timings"][s] for s in stages) for r in replies)
+        # Each reply's sum fits its own residency, so the k-th smallest sum
+        # fits the k-th smallest residency.
+        residencies = sorted(s * 1e3 for s in server.stats.latencies)
+        assert len(residencies) == 2
+        assert all(s <= r for s, r in zip(sums, residencies))
+        assert all(r["timings"]["featurize_hidden_ms"] > 0 for r in replies)
+
+    def test_a_featurization_fault_fails_only_its_own_request(self, campaign, monkeypatch):
+        monkeypatch.setattr(server_module, "_COALESCE_S", 0.25)
+        server = PredictionServer(campaign.registry)
+        inner, poison = server._featurize_raw, -12345.0
+
+        def evaluator(model, item):
+            if decode_array(item.array).flat[0] == poison:
+                raise ValueError("poisoned field")
+            return inner(model, item)
+
+        server._featurize_raw = evaluator
+        poisoned = raw_field(9)
+        poisoned.flat[0] = poison
+        with ServerThread(server) as thread:
+            bad, good = burst(thread.address, campaign.key, [poisoned, raw_field(10)], 2, "data")
+            with PredictionClient(*thread.address) as client:
+                stats = client.stats()
+        assert isinstance(bad, ServerError) and bad.server_status == "error"
+        assert "poisoned field" in str(bad)
+        assert good["status"] == "ok" and good["batch_size"] == 2
+        assert (stats["failed"], stats["completed"], stats["predict_calls"]) == (1, 1, 1)
+
+    def test_stop_drops_featurizations_that_have_not_started(self, campaign):
+        held = Held(campaign).__enter__()  # the lane is inside the held predict
+        server, started = held.server, []
+        inner = server._featurize
+
+        def logged(model, item):
+            started.append(item)
+            inner(model, item)
+
+        server._featurize = logged
+        try:
+            for seed in (11, 12):
+                held.ask(campaign.key, data=raw_field(seed))  # queued on the busy lane
+            with PredictionClient(*held.thread.address) as client:
+                client.shutdown()
+            held.thread._thread.join(10)
+            assert not held.thread._thread.is_alive()
+        finally:
+            held.gate.open.set()
+            held.pool.shutdown()
+        server._lane.shutdown(wait=True)
+        assert started == []
 
     def test_cold_load_is_single_flight(self, campaign):
         # a burst racing a cold key: the first request's drain loads the
