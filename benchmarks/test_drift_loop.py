@@ -118,8 +118,7 @@ def test_ten_chaos_rollovers_zero_failed_queries(tmp_path, record_property):
             registry,
             factory,
             servers=[(host, port)],
-            retry_policy=RetryPolicy(max_retries=32, base_delay=0.0, seed=0),
-            max_stage_attempts=32,
+            retry_policy=RetryPolicy(max_retries=31, base_delay=0.0, seed=0),
             chaos=chaos,
             verify_n=2,
         )

@@ -15,6 +15,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -26,10 +27,91 @@ from ..dataset.hurricane import HurricaneDataset
 from ..predict.scheme import available_schemes
 from .checkpoint import CheckpointStore
 from .cluster import ClusterSpec, discover_shards, generate_sbatch, merge_shards, merged_run_stats
+from .cluster.spec import parse_hostport
 from .faults import ChaosPlan, RetryPolicy
 from .report import format_table2, rows_to_records
-from .runner import ExperimentRunner
+from .runner import CollectionResult, ExperimentRunner
 from .taskqueue import TaskQueue
+
+
+def _add_sweep_flags(
+    sub: argparse.ArgumentParser, schemes: Sequence[str] = ("khan2023", "jin2022", "rahman2023"),
+    compressors: Sequence[str] = ("sz3", "zfp"), bounds: Sequence[float] | None = (1e-6, 1e-4),
+    *, bound_flags: bool = True,
+) -> None:
+    """What a campaign sweeps; ``report`` takes no bound flags."""
+    sub.add_argument("--schemes", nargs="+", default=list(schemes))
+    sub.add_argument("--compressors", nargs="+", default=list(compressors))
+    if not bound_flags:
+        return
+    sub.add_argument("--bounds", nargs="+", type=float,
+                     default=None if bounds is None else list(bounds),
+                     help=None if bounds else "default: every bound in the checkpoint")
+    sub.add_argument("--absolute-bounds", action="store_true",
+                     help="interpret bounds as absolute instead of range-relative")
+
+
+def _add_dataset_flags(
+    sub: argparse.ArgumentParser, shape: Sequence[int], timesteps: int | None
+) -> None:
+    """The synthetic Hurricane; ``loop`` grows its timesteps per round."""
+    sub.add_argument("--shape", nargs=3, type=int, default=list(shape))
+    if timesteps is not None:
+        sub.add_argument("--timesteps", type=int, default=timesteps)
+    sub.add_argument("--fields", nargs="+", default=None)
+
+
+def _add_queue_flags(
+    sub: argparse.ArgumentParser, workers: int, engines: Sequence[str] = ("serial", "process"),
+    engine: str = "serial", retry_base_delay: float = 0.0, *, task_flags: bool = True,
+) -> None:
+    """The collection queue.  ``loop`` has no per-task flags: its
+    retries are rollover stages."""
+    sub.add_argument("--workers", type=int, default=workers,
+                     help="pool size, or worker ranks to spawn (cluster)")
+    sub.add_argument("--engine", choices=list(engines), default=engine,
+                     help="'process' runs a worker pool with per-worker "
+                     "dataset/compressor initialization")
+    sub.add_argument("--retry-base-delay", type=float, default=retry_base_delay,
+                     help="first-retry backoff in seconds (0 retries at once); "
+                     "later retries back off exponentially with seeded jitter")
+    if not task_flags:
+        return
+    sub.add_argument("--chunk-size", type=int, default=None,
+                     help="tasks per dispatched datum chunk (default: whole datums)")
+    sub.add_argument("--max-retries", type=int, default=2,
+                     help="extra attempts per task after a transient failure")
+    sub.add_argument("--task-timeout", type=float, default=None,
+                     help="per-task deadline in seconds (> 0)")
+    sub.add_argument("--queue-stats", action="store_true",
+                     help="print the harness's own stage timings to stderr")
+
+
+def _add_store_flags(sub: argparse.ArgumentParser, checkpoint: str, flush_every: int) -> None:
+    """The checkpoint a collection writes and resumes from."""
+    sub.add_argument("--checkpoint", default=checkpoint)
+    sub.add_argument("--flush-every", type=int, default=flush_every,
+                     help="checkpoint writes per SQLite commit (1 = the safest)")
+    sub.add_argument("--flush-interval", type=float, default=None,
+                     help="also flush every this many seconds of wall clock")
+
+
+def _add_chaos_flags(sub: argparse.ArgumentParser, example: str) -> None:
+    """Seeded fault injection."""
+    sub.add_argument("--chaos", default=None, metavar="SPEC",
+                     help=f"inject seeded faults, e.g. '{example}'")
+    sub.add_argument("--chaos-seed", type=int, default=0,
+                     help="same seed + spec => same faults on the same tasks")
+
+
+def _add_evaluation_flags(sub: argparse.ArgumentParser) -> None:
+    """How Table 2 is evaluated and printed."""
+    sub.add_argument("--folds", type=int, default=10)
+    sub.add_argument("--protocol", choices=["out_of_sample", "in_sample"],
+                     default="out_of_sample",
+                     help="out_of_sample groups CV folds by field (the paper's "
+                     "protocol); in_sample is the best-case variant")
+    sub.add_argument("--json", action="store_true", help="emit JSON records")
 
 
 def _add_drift_flags(sub: argparse.ArgumentParser) -> None:
@@ -69,126 +151,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run the Table-2 evaluation")
-    run.add_argument("--schemes", nargs="+", default=["khan2023", "jin2022", "rahman2023"])
-    run.add_argument("--compressors", nargs="+", default=["sz3", "zfp"])
-    run.add_argument("--bounds", nargs="+", type=float, default=[1e-6, 1e-4])
-    run.add_argument("--shape", nargs=3, type=int, default=[64, 64, 32])
-    run.add_argument("--timesteps", type=int, default=48)
-    run.add_argument("--fields", nargs="+", default=None)
-    run.add_argument("--folds", type=int, default=10)
-    run.add_argument(
-        "--protocol",
-        choices=["out_of_sample", "in_sample"],
-        default="out_of_sample",
-        help="out_of_sample groups CV folds by field (the paper's protocol); "
-        "in_sample is the best-case variant of future work 1",
-    )
-    run.add_argument("--workers", type=int, default=1)
-    run.add_argument(
-        "--engine", choices=["serial", "process"], default="serial",
-        help="collection engine; 'process' uses a worker-process pool with "
-        "per-worker dataset/compressor initialization",
-    )
-    run.add_argument(
-        "--chunk-size", type=int, default=None,
-        help="process-engine dispatch granularity in tasks per datum chunk "
-        "(default: whole datum groups)",
-    )
-    run.add_argument("--checkpoint", default=":memory:")
-    run.add_argument(
-        "--flush-every", type=int, default=1,
-        help="buffer this many checkpoint writes per SQLite commit "
-        "(1 = commit each result, the safest; larger batches scale collection)",
-    )
-    run.add_argument(
-        "--flush-interval", type=float, default=None,
-        help="also flush the checkpoint every this many seconds of wall "
-        "clock (whichever of count/interval trips first); bounds data "
-        "loss for sparse campaigns with a large --flush-every",
-    )
-    run.add_argument(
-        "--queue-stats", action="store_true",
-        help="print the harness's own per-stage timings "
-        "(queue wait / execute / checkpoint) to stderr",
-    )
-    run.add_argument("--json", action="store_true", help="emit JSON records")
-    run.add_argument(
-        "--absolute-bounds",
-        action="store_true",
-        help="interpret bounds as absolute instead of range-relative",
-    )
-    run.add_argument(
-        "--max-retries", type=int, default=2,
-        help="extra attempts per task after a transient failure "
-        "(permanent failures are quarantined immediately)",
-    )
-    run.add_argument(
-        "--retry-base-delay", type=float, default=0.0,
-        help="first-retry backoff in seconds (0 retries immediately); "
-        "subsequent retries back off exponentially with seeded jitter",
-    )
-    run.add_argument(
-        "--task-timeout", type=float, default=None,
-        help="per-task deadline in seconds (> 0); the serial engine interrupts "
-        "an overdue task (SIGALRM), the process engine charges an overdue "
-        "chunk a TIMEOUT attempt per task and recycles that worker's slot",
-    )
-    run.add_argument(
-        "--chaos", default=None, metavar="SPEC",
-        help="inject seeded faults during collection, e.g. "
-        "'crash:0.1,hang:0.05,exception:0.2,corrupt:0.1,sink:0.1' "
-        "(bare class name = rate 1.0); after the chaotic pass the run "
-        "verifies the checkpoint and re-collects to prove recovery",
-    )
-    run.add_argument(
-        "--chaos-seed", type=int, default=0,
-        help="seed for the deterministic chaos plan (same seed + spec "
-        "=> same faults on the same tasks)",
-    )
+    def command(name: str, func: Any, **kwargs: Any) -> argparse.ArgumentParser:
+        cmd = sub.add_parser(name, **kwargs)
+        cmd.set_defaults(func=func)
+        return cmd
 
-    collect = sub.add_parser(
-        "collect",
+    run = command("run", cmd_run, help="run the Table-2 evaluation")
+    _add_sweep_flags(run)
+    _add_dataset_flags(run, shape=(64, 64, 32), timesteps=48)
+    _add_queue_flags(run, workers=1)
+    _add_store_flags(run, checkpoint=":memory:", flush_every=1)
+    _add_chaos_flags(run, example="crash:0.1,hang:0.05,exception:0.2,corrupt:0.1,sink:0.1")
+    _add_evaluation_flags(run)
+
+    collect = command(
+        "collect", cmd_collect,
         help="run (or resume) the collection phase only — no evaluation; "
         "the entry point for the multi-node 'cluster' engine (every "
         "launched rank runs this same command; rank 0 coordinates)",
     )
-    collect.add_argument("--schemes", nargs="+", default=["khan2023", "jin2022", "rahman2023"])
-    collect.add_argument("--compressors", nargs="+", default=["sz3", "zfp"])
-    collect.add_argument("--bounds", nargs="+", type=float, default=[1e-6, 1e-4])
-    collect.add_argument("--shape", nargs=3, type=int, default=[32, 32, 16])
-    collect.add_argument("--timesteps", type=int, default=8)
-    collect.add_argument("--fields", nargs="+", default=None)
-    collect.add_argument("--absolute-bounds", action="store_true")
-    collect.add_argument("--checkpoint", default="bench.db",
-                         help="primary checkpoint the rank shards merge into")
-    collect.add_argument("--flush-every", type=int, default=32)
-    collect.add_argument("--flush-interval", type=float, default=None)
-    collect.add_argument("--workers", type=int, default=2,
-                         help="worker ranks to spawn (cluster spawn mode) or "
-                         "pool size (process engine)")
-    collect.add_argument(
-        "--engine", choices=["serial", "process", "cluster"], default="cluster",
-    )
-    collect.add_argument("--chunk-size", type=int, default=None)
-    collect.add_argument("--max-retries", type=int, default=2)
-    collect.add_argument("--retry-base-delay", type=float, default=0.0)
-    collect.add_argument("--task-timeout", type=float, default=None)
+    _add_sweep_flags(collect)
+    _add_dataset_flags(collect, shape=(32, 32, 16), timesteps=8)
+    _add_queue_flags(collect, workers=2, engines=("serial", "process", "cluster"),
+                     engine="cluster")
+    _add_store_flags(collect, checkpoint="bench.db", flush_every=32)
+    _add_chaos_flags(collect, example="rank_kill:0.1")
     collect.add_argument(
         "--max-pool-rebuilds", type=int, default=5,
         help="consecutive no-progress rank deaths (or pool rebuilds) "
         "tolerated before the campaign aborts with a diagnosis",
     )
-    collect.add_argument("--chaos", default=None, metavar="SPEC",
-                         help="seeded fault injection, e.g. 'rank_kill:0.1' "
-                         "(cluster ranks bind the plan worker-side)")
-    collect.add_argument("--chaos-seed", type=int, default=0)
     collect.add_argument(
         "--chaos-state-dir", default=None,
         help="shared directory for once-only injection markers (must be "
         "reachable by every rank; default: a host-local temp dir)",
     )
-    collect.add_argument("--queue-stats", action="store_true")
     collect.add_argument(
         "--shard-dir", default=None,
         help="directory for the per-rank checkpoint shards (launched "
@@ -206,8 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     collect.add_argument("--startup-timeout", type=float, default=30.0,
                          help="seconds rank 0 waits for worker hellos")
 
-    sbatch = sub.add_parser(
-        "sbatch",
+    sbatch = command(
+        "sbatch", cmd_sbatch,
         help="generate a SLURM batch script for a launched-TCP cluster "
         "campaign (every rank runs the given collect command; shard "
         "paths derive from SLURM_PROCID)",
@@ -234,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     sbatch.add_argument("--output", default=None,
                         help="write the script here instead of stdout")
 
-    report = sub.add_parser(
-        "report",
+    report = command(
+        "report", cmd_report,
         help="re-evaluate from an existing checkpoint without recollecting "
         "(§4.3: query and partially restore the key state)",
     )
@@ -244,42 +241,30 @@ def build_parser() -> argparse.ArgumentParser:
         help="checkpoint database, or a shard *directory* from a cluster "
         "campaign (per-rank shards are merged in memory for the report)",
     )
-    report.add_argument("--schemes", nargs="+", default=["khan2023", "jin2022", "rahman2023"])
-    report.add_argument("--compressors", nargs="+", default=["sz3", "zfp"])
-    report.add_argument("--folds", type=int, default=10)
-    report.add_argument("--protocol", choices=["out_of_sample", "in_sample"],
-                        default="out_of_sample")
-    report.add_argument("--json", action="store_true")
+    _add_sweep_flags(report, bound_flags=False)
+    _add_evaluation_flags(report)
     report.add_argument(
         "--failures", action="store_true",
         help="also print the checkpoint's persistent failure ledger "
         "(task key, error, status, attempts, originating rank)",
     )
 
-    sub.add_parser("list-schemes", help="enumerate registered schemes")
-    sub.add_parser("list-compressors", help="enumerate registered compressors")
+    for listed in ("schemes", "compressors"):
+        command(f"list-{listed}", cmd_list, help=f"enumerate registered {listed}")
 
-    publish = sub.add_parser(
-        "publish",
+    publish = command(
+        "publish", cmd_publish,
         help="fit final models from a checkpoint and publish them to a registry",
     )
     publish.add_argument("checkpoint")
     publish.add_argument("--registry", required=True, help="registry root directory")
-    publish.add_argument("--schemes", nargs="+", default=["khan2023", "jin2022", "rahman2023"])
-    publish.add_argument("--compressors", nargs="+", default=["sz3", "zfp"])
-    publish.add_argument(
-        "--bounds", nargs="+", type=float, default=None,
-        help="bounds to publish (default: every bound found in the checkpoint)",
-    )
-    publish.add_argument("--absolute-bounds", action="store_true")
+    _add_sweep_flags(publish, bounds=None)
     publish.add_argument(
         "--verify-n", type=int, default=8,
         help="training rows used for the publish-time round-trip proof",
     )
 
-    serve = sub.add_parser(
-        "serve", help="serve predictions from a registry over TCP"
-    )
+    serve = command("serve", cmd_serve, help="serve predictions from a registry over TCP")
     serve.add_argument("--registry", required=True)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0,
@@ -310,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="byte budget for the shared featurization tier")
     _add_drift_flags(serve)
 
-    loop = sub.add_parser(
-        "loop",
+    loop = command(
+        "loop", cmd_loop,
         help="continuous learning: drift-triggered recollect → republish → "
         "refresh rollovers against live servers",
     )
@@ -325,12 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loop.add_argument("--rounds", type=int, default=1,
                       help="rollovers to perform before exiting")
-    loop.add_argument("--schemes", nargs="+", default=["rahman2023"])
-    loop.add_argument("--compressors", nargs="+", default=["sz3"])
-    loop.add_argument("--bounds", nargs="+", type=float, default=[1e-4])
-    loop.add_argument("--absolute-bounds", action="store_true")
-    loop.add_argument("--shape", nargs=3, type=int, default=[16, 16, 8])
-    loop.add_argument("--fields", nargs="+", default=None)
+    _add_sweep_flags(loop, schemes=["rahman2023"], compressors=["sz3"], bounds=[1e-4])
+    _add_dataset_flags(loop, shape=(16, 16, 8), timesteps=None)
     loop.add_argument(
         "--base-timesteps", type=int, default=4,
         help="timesteps in the round-1 campaign",
@@ -340,18 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="extra timesteps each later round adds (the incremental "
         "re-collect; already-checkpointed tasks are not re-run)",
     )
-    loop.add_argument("--workers", type=int, default=1)
-    loop.add_argument("--engine", choices=["serial", "process"],
-                      default="serial")
+    _add_queue_flags(loop, workers=1, retry_base_delay=0.05, task_flags=False)
     loop.add_argument("--verify-n", type=int, default=4,
                       help="rows for the publish-time round-trip proof")
     loop.add_argument(
         "--max-stage-attempts", type=int, default=12,
         help="crash-loop cap: supervised attempts per rollover",
-    )
-    loop.add_argument(
-        "--retry-base-delay", type=float, default=0.05,
-        help="first-retry backoff between rollover stage attempts",
     )
     loop.add_argument(
         "--poll-interval", type=float, default=1.0,
@@ -361,18 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-polls", type=int, default=10_000,
         help="give up after this many idle polls",
     )
-    loop.add_argument(
-        "--chaos", default=None, metavar="SPEC",
-        help="inject seeded loop faults, e.g. "
-        "'trainer_kill:0.5,publish_corrupt:0.3,refresh_drop:0.2' "
-        "(collection classes like crash/hang compose in the same spec)",
+    _add_chaos_flags(
+        loop, example="trainer_kill:0.5,publish_corrupt:0.3,refresh_drop:0.2"
     )
-    loop.add_argument("--chaos-seed", type=int, default=0)
     _add_drift_flags(loop)
 
-    query = sub.add_parser(
-        "query", help="query a running prediction server"
-    )
+    query = command("query", cmd_query, help="query a running prediction server")
     query.add_argument("--host", default="127.0.0.1")
     query.add_argument("--port", type=int, required=True)
     query.add_argument("--key", default=None, help="registry key to query")
@@ -392,30 +361,64 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--stats", action="store_true", help="print server stats")
     query.add_argument("--models", action="store_true", help="list published models")
 
-    gen = sub.add_parser(
-        "generate", help="materialise the synthetic Hurricane as .npy files"
-    )
+    gen = command("generate", cmd_generate,
+                  help="materialise the synthetic Hurricane as .npy files")
     gen.add_argument("output_dir")
-    gen.add_argument("--shape", nargs=3, type=int, default=[64, 64, 32])
-    gen.add_argument("--timesteps", type=int, default=48)
-    gen.add_argument("--fields", nargs="+", default=None)
+    _add_dataset_flags(gen, shape=(64, 64, 32), timesteps=48)
     return parser
 
 
+# -- builders -------------------------------------------------------------------
+def _dataset(args: argparse.Namespace, timesteps: int | None = None) -> HurricaneDataset:
+    """The synthetic Hurricane the dataset flags describe."""
+    return HurricaneDataset(
+        shape=tuple(args.shape),
+        timesteps=args.timesteps if timesteps is None else timesteps,
+        fields=args.fields,
+    )
+
+
+def _store(args: argparse.Namespace, path: str | None = None) -> CheckpointStore:
+    """The checkpoint ``args.checkpoint`` (or *path*) names, batched as
+    the store flags say where a command has them."""
+    flags = vars(args)
+    return CheckpointStore(
+        path or args.checkpoint,
+        flush_every=flags.get("flush_every", 1),
+        flush_interval=flags.get("flush_interval"),
+    )
+
+
+def _retry_policy(args: argparse.Namespace, max_retries: int) -> RetryPolicy:
+    """``--retry-base-delay`` backoff, jittered by ``--chaos-seed``."""
+    return RetryPolicy(
+        max_retries=max_retries, base_delay=args.retry_base_delay, seed=args.chaos_seed
+    )
+
+
 def _queue_from_args(args: argparse.Namespace, **extra: Any) -> TaskQueue:
-    """The collection queue the ``run``/``collect`` flags describe; a
-    value the queue rejects is a usage error (exit 2, like argparse)."""
+    """The collection queue the queue flags (and, on the ``cluster``
+    engine, the cluster flags) describe.  A value the queue rejects — a
+    malformed coordinator address included — is a usage error (exit 2,
+    like argparse), reported before any dataset is built."""
     try:
+        cluster = None
+        if args.engine == "cluster":
+            cluster = ClusterSpec(
+                spawn=not args.no_spawn,
+                shard_dir=args.shard_dir,
+                coord=args.coord,
+                heartbeat_interval=args.heartbeat_interval,
+                heartbeat_timeout=args.heartbeat_timeout,
+                worker_startup_timeout=args.startup_timeout,
+            )
         return TaskQueue(
             args.workers,
             args.engine,
-            retry_policy=RetryPolicy(
-                max_retries=args.max_retries,
-                base_delay=args.retry_base_delay,
-                seed=args.chaos_seed,
-            ),
+            retry_policy=_retry_policy(args, args.max_retries),
             task_timeout=args.task_timeout,
             chunk_size=args.chunk_size,
+            cluster=cluster,
             **extra,
         )
     except ValueError as exc:
@@ -423,86 +426,124 @@ def _queue_from_args(args: argparse.Namespace, **extra: Any) -> TaskQueue:
         raise SystemExit(2) from None
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    dataset = HurricaneDataset(
-        shape=tuple(args.shape),
-        timesteps=args.timesteps,
-        fields=args.fields,
-    )
-    queue = _queue_from_args(args)
-    runner = ExperimentRunner(
-        dataset,
+def _runner(
+    args: argparse.Namespace, store: CheckpointStore,
+    dataset: HurricaneDataset | None = None, **extra: Any,
+) -> ExperimentRunner:
+    """The campaign the sweep (and evaluation) flags describe.  Without a
+    dataset it evaluates or publishes stored observations only, for
+    which an empty stand-in suffices."""
+    from ..dataset.synthetic import SyntheticDataset
+
+    flags = vars(args)
+    if flags.get("bounds") is not None:
+        extra["bounds"] = args.bounds
+    if "absolute_bounds" in flags:
+        extra["relative_bounds"] = not args.absolute_bounds
+    if "folds" in flags:
+        extra.update(n_folds=args.folds, protocol=args.protocol)
+    return ExperimentRunner(
+        SyntheticDataset([]) if dataset is None else dataset,
         compressors=args.compressors,
-        bounds=args.bounds,
         schemes=args.schemes,
-        relative_bounds=not args.absolute_bounds,
-        store=CheckpointStore(
-            args.checkpoint,
-            flush_every=args.flush_every,
-            flush_interval=args.flush_interval,
-        ),
-        queue=queue,
-        n_folds=args.folds,
-        protocol=args.protocol,
+        store=store,
+        **extra,
     )
-    try:
-        chaos = None
-        if args.chaos:
-            chaos = ChaosPlan.from_spec(args.chaos, seed=args.chaos_seed)
-        observations, stats, failures = runner.collect(chaos=chaos)
+
+
+def _chaos(args: argparse.Namespace) -> ChaosPlan | None:
+    """The seeded fault plan ``--chaos`` names, if any."""
+    if not args.chaos:
+        return None
+    state_dir = vars(args).get("chaos_state_dir")
+    return ChaosPlan.from_spec(args.chaos, seed=args.chaos_seed, state_dir=state_dir)
+
+
+# -- printers -------------------------------------------------------------------
+def _print_chaos(args: argparse.Namespace, chaos: ChaosPlan, tail: str = "") -> None:
+    fired = ",".join(f"{kind}={n}" for kind, n in chaos.injected_counts().items() if n)
+    print(f"chaos[seed={args.chaos_seed}] injected {fired or 'nothing'}{tail}",
+          file=sys.stderr)
+
+
+def _print_failures(store: CheckpointStore, keys: set[str] | None = None) -> int:
+    """``failed[...]`` lines from the store's failure ledger (only *keys*,
+    a collection pass's failures, when given); returns how many."""
+    entries = [e for e in store.failures() if keys is None or e["key"] in keys]
+    for entry in entries:
+        origin = f" on {entry['origin']}" if entry.get("origin") else ""
+        print(
+            f"failed[{entry['status']}] {entry['key']} "
+            f"after {entry['attempts']} attempt(s){origin}: {entry['error']}",
+            file=sys.stderr,
+        )
+    return len(entries)
+
+
+def _engine_label(summary: dict[str, Any]) -> str:
+    """The engine that ran, plus the one asked for when they differ."""
+    engine, requested = summary["engine"], summary["requested_engine"]
+    return f"{engine} (requested {requested})" if requested not in ("", engine) else engine
+
+
+def _print_table2(
+    args: argparse.Namespace, runner: ExperimentRunner, observations: Sequence[Any],
+    title: str, harness: dict[str, Any] | None,
+) -> None:
+    """Table 2 for ``run`` and ``report``; ``--json`` prints the records
+    (``report`` wraps them with the harness statistics)."""
+    rows = runner.table2(observations)
+    if not args.json:
+        print(format_table2(rows, title=title, harness=harness))
+    elif args.command == "report":
+        print(json.dumps({"rows": rows_to_records(rows), "harness": harness}, indent=2))
+    else:
+        print(json.dumps(rows_to_records(rows), indent=2))
+
+
+# -- commands -------------------------------------------------------------------
+def _collection_pass(
+    args: argparse.Namespace, store: CheckpointStore, queue: TaskQueue
+) -> tuple[ExperimentRunner, ChaosPlan | None, CollectionResult]:
+    """The pass ``run`` shares with ``collect``: build the campaign and
+    collect it (under ``--chaos``); ``--queue-stats`` prints the pass's
+    summary plus its fault counters as one ``queue[...]`` line."""
+    runner = _runner(args, store, _dataset(args), queue=queue)
+    chaos = _chaos(args)
+    result = runner.collect(chaos=chaos)
+    if args.queue_stats:
+        stats, summary = result.stats, result.stats.summary()
+        stages = " ".join(
+            f"{name}={seconds:.3f}s" for name, seconds in summary["stage_summary"].items()
+        )
+        print(
+            f"queue[{_engine_label(summary)} x{queue.n_workers}] "
+            f"{stages} retries={summary['retries']} quarantined={stats.quarantined} "
+            f"timeouts={stats.timeouts} pool_rebuilds={stats.pool_rebuilds} "
+            f"commits={store.commit_count} affinity={summary['affinity_hit_rate']:.0%} "
+            f"steals={summary['affinity_steals']}",
+            file=sys.stderr,
+        )
+    return runner, chaos, result
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    """``collect``'s collection pass, a chaos-recovery pass, then Table 2."""
+    queue = _queue_from_args(args)
+    with _store(args) as store:
+        runner, chaos, result = _collection_pass(args, store, queue)
+        harness = result.stats.summary()
         if chaos is not None:
             # Prove recovery, not just survival: damage the checkpoint as
             # planned, then re-collect — verify() quarantines corrupt rows
             # and the queue recomputes whatever the chaotic pass lost.
-            corrupted = chaos.corrupt_checkpoint(runner.store)
-            observations, recovery_stats, failures = runner.collect()
-            fired = ",".join(
-                f"{kind}={n}" for kind, n in chaos.injected_counts().items() if n
-            )
-            print(
-                f"chaos[seed={args.chaos_seed}] injected {fired or 'nothing'} "
-                f"corrupted={len(corrupted)} "
-                f"recovery: completed={recovery_stats.completed} "
-                f"failed={recovery_stats.failed}",
-                file=sys.stderr,
-            )
-        if args.queue_stats:
-            stages = " ".join(
-                f"{name}={seconds:.3f}s" for name, seconds in stats.stage_summary().items()
-            )
-            engine = stats.engine or runner.queue.engine
-            requested = (
-                f" (requested {stats.requested_engine})"
-                if stats.requested_engine and stats.requested_engine != engine
-                else ""
-            )
-            print(
-                f"queue[{engine}{requested} x{runner.queue.n_workers}] "
-                f"{stages} retries={stats.retries} quarantined={stats.quarantined} "
-                f"timeouts={stats.timeouts} pool_rebuilds={stats.pool_rebuilds} "
-                f"commits={runner.store.commit_count} "
-                f"affinity={stats.affinity_hit_rate:.0%} steals={stats.affinity_steals}",
-                file=sys.stderr,
-            )
-        for failure in failures:
-            print(
-                f"failed[{failure.status}] {failure.task.key()} "
-                f"after {failure.attempts} attempt(s): {failure.error}",
-                file=sys.stderr,
-            )
-        rows = runner.table2(observations)
-        if args.json:
-            print(json.dumps(rows_to_records(rows), indent=2))
-        else:
-            print(
-                format_table2(
-                    rows,
-                    title="Hurricane performance results",
-                    harness=stats,
-                )
-            )
-    finally:
-        runner.close()
+            corrupted = chaos.corrupt_checkpoint(store)
+            result = runner.collect()
+            _print_chaos(args, chaos, f" corrupted={len(corrupted)} recovery: "
+                         f"completed={result.stats.completed} failed={result.stats.failed}")
+        _print_failures(store, {f.task.key() for f in result.failures})
+        _print_table2(args, runner, result.observations, "Hurricane performance results",
+                      harness)
     return 0
 
 
@@ -511,122 +552,42 @@ def cmd_collect(args: argparse.Namespace) -> int:
 
     With ``--engine cluster`` this is the symmetric multi-node entry
     point: a launched worker rank (``SLURM_PROCID`` / ``OMPI_COMM_WORLD_RANK``
-    / ``PMI_RANK`` > 0)
-    short-circuits into the worker loop — no dataset initialisation, no
-    primary-store access — while rank 0 coordinates, merges the shards
-    into ``--checkpoint``, and prints the campaign summary.  On a
-    laptop (no launcher) the coordinator simply spawns local worker
-    ranks over loopback TCP.
+    / ``PMI_RANK`` > 0) short-circuits into the worker loop — no dataset
+    initialisation, no primary-store access — while rank 0 coordinates,
+    merges the shards into ``--checkpoint``, and prints the campaign
+    summary.  On a laptop (no launcher) the coordinator simply spawns
+    local worker ranks over loopback TCP.
     """
-    cluster = None
-    if args.engine == "cluster":
-        cluster = ClusterSpec(
-            spawn=not args.no_spawn,
-            shard_dir=args.shard_dir,
-            coord=args.coord,
-            heartbeat_interval=args.heartbeat_interval,
-            heartbeat_timeout=args.heartbeat_timeout,
-            worker_startup_timeout=args.startup_timeout,
-        )
-        if cluster.is_worker_rank:
-            queue = TaskQueue(args.workers, "cluster", cluster=cluster)
-            queue.run([], None)
-            return 0
-    queue = _queue_from_args(
-        args, max_pool_rebuilds=args.max_pool_rebuilds, cluster=cluster
-    )
-    dataset = HurricaneDataset(
-        shape=tuple(args.shape), timesteps=args.timesteps, fields=args.fields
-    )
-    store = CheckpointStore(
-        args.checkpoint,
-        flush_every=args.flush_every,
-        flush_interval=args.flush_interval,
-    )
-    runner = ExperimentRunner(
-        dataset,
-        compressors=args.compressors,
-        bounds=args.bounds,
-        schemes=args.schemes,
-        relative_bounds=not args.absolute_bounds,
-        store=store,
-        queue=queue,
-    )
-    chaos = None
-    if args.chaos:
-        chaos = ChaosPlan.from_spec(
-            args.chaos, seed=args.chaos_seed, state_dir=args.chaos_state_dir
-        )
-    try:
-        observations, stats, failures = runner.collect(chaos=chaos)
-        for failure in failures:
-            origin = f" on rank{failure.worker}" if failure.worker > 0 else ""
-            print(
-                f"failed[{failure.status}] {failure.task.key()} "
-                f"after {failure.attempts} attempt(s){origin}: {failure.error}",
-                file=sys.stderr,
-            )
-        engine = stats.engine or queue.engine
-        requested = (
-            f" (requested {stats.requested_engine})"
-            if stats.requested_engine and stats.requested_engine != engine
-            else ""
-        )
+    queue = _queue_from_args(args, max_pool_rebuilds=args.max_pool_rebuilds)
+    if queue.cluster is not None and queue.cluster.is_worker_rank:
+        queue.run([], None)
+        return 0
+    with _store(args) as store:
+        _, chaos, (observations, stats, failures) = _collection_pass(args, store, queue)
+        _print_failures(store, {f.task.key() for f in failures})
+        summary = stats.summary()
         print(
             f"collected {len(observations)} observation(s) into "
-            f"{args.checkpoint} [{engine}{requested}]: "
+            f"{args.checkpoint} [{_engine_label(summary)}]: "
             f"completed={stats.completed} failed={stats.failed} "
             f"retries={stats.retries}"
         )
-        if engine == "cluster":
-            cs = stats.cluster_summary()
-            print(
-                f"cluster: shards_merged={cs['shards_merged']} "
-                f"merge_replaced={cs['merge_replaced']} "
-                f"merge_quarantined={cs['merge_quarantined']} "
-                f"rank_deaths={cs['rank_deaths']} "
-                f"rank_restarts={cs['rank_restarts']} "
-                f"wire_bytes_per_task={cs['wire_bytes_per_task']:.0f}"
-            )
-        if args.queue_stats:
-            stages = " ".join(
-                f"{name}={seconds:.3f}s"
-                for name, seconds in stats.stage_summary().items()
-            )
-            print(
-                f"queue[{engine}{requested} x{queue.n_workers}] {stages} "
-                f"quarantined={stats.quarantined} timeouts={stats.timeouts} "
-                f"commits={store.commit_count}",
-                file=sys.stderr,
-            )
+        if stats.engine == "cluster":
+            counters = ("shards_merged", "merge_replaced", "merge_quarantined",
+                        "rank_deaths", "rank_restarts")
+            print("cluster: " + " ".join(f"{name}={summary[name]}" for name in counters)
+                  + f" wire_bytes_per_task={summary['wire_bytes_per_task']:.0f}")
         if chaos is not None:
-            fired = ",".join(
-                f"{kind}={n}" for kind, n in chaos.injected_counts().items() if n
-            )
-            print(
-                f"chaos[seed={args.chaos_seed}] injected {fired or 'nothing'}",
-                file=sys.stderr,
-            )
+            _print_chaos(args, chaos)
         return 0 if stats.failed == 0 else 1
-    finally:
-        runner.close()
-        store.close()
 
 
 def cmd_sbatch(args: argparse.Namespace) -> int:
     """Emit the SLURM batch script for a launched cluster campaign."""
-    script = generate_sbatch(
-        args.collect_command,
-        job_name=args.job_name,
-        ntasks=args.ntasks,
-        nodes=args.nodes,
-        time_limit=args.time_limit,
-        partition=args.partition,
-        account=args.account,
-        shard_dir=args.shard_dir,
-        coord_port=args.coord_port,
-        extra_directives=args.directive,
-    )
+    names = ("job_name", "ntasks", "nodes", "time_limit", "partition", "account",
+             "shard_dir", "coord_port")
+    script = generate_sbatch(args.collect_command, extra_directives=args.directive,
+                             **{name: vars(args)[name] for name in names})
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(script)
@@ -652,109 +613,48 @@ def cmd_report(args: argparse.Namespace) -> int:
     coordinator performs), per-rank run stats combine into one harness
     view, and ``--failures`` shows which rank recorded each entry.
     """
-    from ..dataset.synthetic import SyntheticDataset
-
     shards = None
     if os.path.isdir(args.checkpoint):
         shards = discover_shards(args.checkpoint)
         if not shards:
-            print(
-                f"directory {args.checkpoint!r} holds no shard-*.db files",
-                file=sys.stderr,
-            )
+            print(f"directory {args.checkpoint!r} holds no shard-*.db files", file=sys.stderr)
             return 1
-        store = CheckpointStore(":memory:")
-        merge_report = merge_shards(store, shards)
-        print(merge_report.summary(), file=sys.stderr)
-    else:
-        store = CheckpointStore(args.checkpoint)
-    try:
-        if args.failures:
-            ledger = store.failures()
-            if not ledger:
-                print("no recorded failures", file=sys.stderr)
-            for entry in ledger:
-                origin = f" on {entry['origin']}" if entry.get("origin") else ""
-                print(
-                    f"failed[{entry['status']}] {entry['key']} "
-                    f"after {entry['attempts']} attempt(s){origin}: "
-                    f"{entry['error']}",
-                    file=sys.stderr,
-                )
+    with _store(args, ":memory:" if shards else None) as store:
+        if shards:
+            print(merge_shards(store, shards).summary(), file=sys.stderr)
+        if args.failures and not _print_failures(store):
+            print("no recorded failures", file=sys.stderr)
         observations = store.query()
         if not observations:
             print(f"checkpoint {args.checkpoint!r} holds no observations")
             return 1
-        # The runner only needs a dataset for collection; evaluation works
-        # purely from the stored observations, so an empty stand-in suffices.
-        runner = ExperimentRunner(
-            SyntheticDataset([]),
-            compressors=args.compressors,
-            schemes=args.schemes,
-            store=store,
-            n_folds=args.folds,
-            protocol=args.protocol,
-        )
-        rows = runner.table2(observations)
         # The collection pass persisted its harness statistics (stage
         # timings, affinity counters) with the campaign; surface them so a
         # report from the checkpoint alone tells the whole story.  A shard
         # directory instead folds every rank's stats into one campaign view.
-        harness = None
-        if shards is not None:
-            harness = merged_run_stats(shards)
-        else:
-            raw_stats = store.get_meta("last_run_stats")
-            if raw_stats is not None:
-                try:
-                    harness = json.loads(raw_stats)
-                except ValueError:
-                    harness = None
-        if args.json:
-            print(
-                json.dumps(
-                    {"rows": rows_to_records(rows), "harness": harness}, indent=2
-                )
-            )
-        else:
-            print(
-                format_table2(
-                    rows,
-                    title=f"Report from {args.checkpoint} ({len(observations)} observations)",
-                    harness=harness,
-                )
-            )
+        harness = merged_run_stats(shards) if shards else None
+        if not shards and (raw_stats := store.get_meta("last_run_stats")) is not None:
+            with contextlib.suppress(ValueError):
+                harness = json.loads(raw_stats)
+        title = f"Report from {args.checkpoint} ({len(observations)} observations)"
+        _print_table2(args, _runner(args, store), observations, title, harness)
         return 0
-    finally:
-        store.close()
 
 
 def cmd_publish(args: argparse.Namespace) -> int:
     """Fit final models from checkpointed observations and publish them."""
-    from ..dataset.synthetic import SyntheticDataset
     from ..serve import ModelRegistry
 
-    store = CheckpointStore(args.checkpoint)
-    try:
+    with _store(args) as store:
         observations = store.query()
         if not observations:
             print(f"checkpoint {args.checkpoint!r} holds no observations")
             return 1
-        bounds = args.bounds
-        if bounds is None:
-            bounds = sorted(
-                {float(o["bound"]) for o in observations if o.get("bound") is not None}
-            )
-        runner = ExperimentRunner(
-            SyntheticDataset([]),
-            compressors=args.compressors,
-            bounds=bounds,
-            schemes=args.schemes,
-            relative_bounds=not args.absolute_bounds,
-            store=store,
+        # Every stored bound, unless --bounds names some (they win).
+        stored = {float(o["bound"]) for o in observations if o.get("bound") is not None}
+        receipts = _runner(args, store, bounds=sorted(stored)).publish(
+            ModelRegistry(args.registry), observations, verify_n=args.verify_n
         )
-        registry = ModelRegistry(args.registry)
-        receipts = runner.publish(registry, observations, verify_n=args.verify_n)
         for receipt in receipts:
             m = receipt.manifest
             print(
@@ -767,22 +667,20 @@ def cmd_publish(args: argparse.Namespace) -> int:
             print("nothing published (no usable observations)", file=sys.stderr)
             return 1
         return 0
-    finally:
-        store.close()
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the prediction server (or a multi-worker fleet) until interrupted."""
     import asyncio
 
-    from ..serve import (
-        DriftConfig,
-        FeaturizationCache,
-        ModelRegistry,
-        PredictionServer,
-        ServeFleet,
-    )
+    from ..serve import DriftConfig, ModelRegistry, PredictionServer, ServeFleet
+    from ..serve.fleet import build_feat_cache
 
+    # The server and cache flags are named as the keywords they feed.
+    flags = vars(args)
+    server_options = {k: flags[k] for k in ("max_batch", "max_in_flight", "max_queue_depth",
+                                            "cache_capacity")}
+    feat_cache = {k: v for k, v in flags.items() if k.startswith("feat_cache")}
     drift_config = DriftConfig(**_drift_config_kwargs(args))
     if args.workers > 1:
         fleet = ServeFleet(
@@ -790,17 +688,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
             args.workers,
             host=args.host,
             port=args.port,
-            feat_cache=args.feat_cache,
-            feat_cache_dir=args.feat_cache_dir,
-            feat_cache_capacity=args.feat_cache_capacity,
-            feat_cache_bytes=args.feat_cache_bytes,
             drift_config=drift_config,
-            server_options={
-                "max_batch": args.max_batch,
-                "max_in_flight": args.max_in_flight,
-                "max_queue_depth": args.max_queue_depth,
-                "cache_capacity": args.cache_capacity,
-            },
+            server_options=server_options,
+            **feat_cache,
         )
         with fleet:
             host, port = fleet.address
@@ -809,40 +699,20 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 f"({fleet.workers} workers, feat-cache={args.feat_cache})",
                 flush=True,
             )
-            try:
+            with contextlib.suppress(KeyboardInterrupt):
                 while True:
                     time.sleep(1.0)
-            except KeyboardInterrupt:
-                pass
         return 0
-
-    feat_cache = None
-    if args.feat_cache == "local":
-        feat_cache = FeaturizationCache(capacity=args.feat_cache_capacity)
-    elif args.feat_cache == "shared":
-        # One process: the shared tier is only worth its file writes when
-        # --feat-cache-dir names a stable directory, whose rows the next
-        # server started on it reads back (nothing sweeps them here);
-        # with no directory "local" semantics are what's meant.
-        if args.feat_cache_dir is not None:
-            feat_cache = FeaturizationCache(
-                capacity=args.feat_cache_capacity,
-                shared_dir=args.feat_cache_dir,
-                shared_capacity_bytes=args.feat_cache_bytes,
-            )
-        else:
-            feat_cache = FeaturizationCache(capacity=args.feat_cache_capacity)
 
     server = PredictionServer(
         ModelRegistry(args.registry),
         host=args.host,
         port=args.port,
-        max_batch=args.max_batch,
-        max_in_flight=args.max_in_flight,
-        max_queue_depth=args.max_queue_depth,
-        cache_capacity=args.cache_capacity,
-        drift_config=DriftConfig(**_drift_config_kwargs(args)),
-        feat_cache=feat_cache,
+        drift_config=drift_config,
+        # One process: nothing sweeps a shared tier's rows at exit, so the
+        # next server started on the same --feat-cache-dir reads them back.
+        feat_cache=build_feat_cache(feat_cache),
+        **server_options,
     )
 
     async def _serve() -> None:
@@ -850,10 +720,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(f"serving {args.registry} on {server.host}:{server.port}", flush=True)
         await server.serve_until_stopped()
 
-    try:
+    with contextlib.suppress(KeyboardInterrupt):
         asyncio.run(_serve())
-    except KeyboardInterrupt:
-        pass
     return 0
 
 
@@ -861,45 +729,25 @@ def cmd_loop(args: argparse.Namespace) -> int:
     """Run the continuous-learning loop: drift → retrain → refresh."""
     from ..serve import ContinuousLearner, ModelRegistry, RolloverFailedError
 
-    servers = []
-    for spec in args.servers:
-        host, _, port = spec.rpartition(":")
-        if not host or not port.isdigit():
-            print(f"--servers wants HOST:PORT, got {spec!r}", file=sys.stderr)
-            return 2
-        servers.append((host, int(port)))
-    chaos = None
-    if args.chaos:
-        chaos = ChaosPlan.from_spec(args.chaos, seed=args.chaos_seed)
-    store = CheckpointStore(args.checkpoint)
+    try:
+        servers = [parse_hostport(spec) for spec in args.servers]
+    except ValueError as exc:
+        print(f"predict-bench: error: --servers: {exc}", file=sys.stderr)
+        return 2
+    chaos = _chaos(args)
+    store = _store(args)
 
     def runner_factory(round_no: int) -> ExperimentRunner:
-        dataset = HurricaneDataset(
-            shape=tuple(args.shape),
-            timesteps=args.base_timesteps
-            + max(round_no - 1, 0) * args.timesteps_per_round,
-            fields=args.fields,
-        )
-        return ExperimentRunner(
-            dataset,
-            compressors=args.compressors,
-            bounds=args.bounds,
-            schemes=args.schemes,
-            relative_bounds=not args.absolute_bounds,
-            store=store,
-            queue=TaskQueue(args.workers, args.engine),
+        timesteps = args.base_timesteps + max(round_no - 1, 0) * args.timesteps_per_round
+        return _runner(
+            args, store, _dataset(args, timesteps), queue=TaskQueue(args.workers, args.engine)
         )
 
     learner = ContinuousLearner(
         ModelRegistry(args.registry),
         runner_factory,
         servers=servers,
-        retry_policy=RetryPolicy(
-            max_retries=args.max_stage_attempts,
-            base_delay=args.retry_base_delay,
-            seed=args.chaos_seed,
-        ),
-        max_stage_attempts=args.max_stage_attempts,
+        retry_policy=_retry_policy(args, args.max_stage_attempts - 1),
         chaos=chaos,
         verify_n=args.verify_n,
         drift_config=_drift_config_kwargs(args),
@@ -924,25 +772,20 @@ def cmd_loop(args: argparse.Namespace) -> int:
     for report in reports:
         print(report.summary())
     if chaos is not None:
-        fired = ",".join(
-            f"{kind}={n}" for kind, n in chaos.injected_counts().items() if n
-        )
-        print(f"chaos[seed={args.chaos_seed}] injected {fired or 'nothing'}",
-              file=sys.stderr)
+        _print_chaos(args, chaos)
     return 0 if len(reports) == args.rounds else 1
 
 
 def cmd_query(args: argparse.Namespace) -> int:
     """One-shot client: stats, model listing, or a prediction."""
+    import numpy as np
+
     from ..predict.scheme import get_scheme
     from ..serve import PredictionClient, ServerError, registry_key, scheme_params
 
     with PredictionClient(args.host, args.port) as client:
-        if args.stats:
-            print(json.dumps(client.stats(), indent=2))
-            return 0
-        if args.models:
-            print(json.dumps(client.models(), indent=2))
+        if args.stats or args.models:
+            print(json.dumps(client.stats() if args.stats else client.models(), indent=2))
             return 0
         key = args.key
         if key is None:
@@ -964,11 +807,7 @@ def cmd_query(args: argparse.Namespace) -> int:
                 scheme_params(scheme),
             )
         results = json.loads(args.results) if args.results else None
-        data = None
-        if args.npy:
-            import numpy as np
-
-            data = np.load(args.npy)
+        data = np.load(args.npy) if args.npy else None
         if results is None and data is None:
             print("query needs --results JSON or --npy PATH", file=sys.stderr)
             return 2
@@ -984,42 +823,21 @@ def cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
+def cmd_list(args: argparse.Namespace) -> int:
+    schemes = args.command == "list-schemes"
+    print("\n".join(available_schemes() if schemes else compressor_registry.names()))
+    return 0
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
-    dataset = HurricaneDataset(
-        shape=tuple(args.shape), timesteps=args.timesteps, fields=args.fields
-    )
-    paths = dataset.write_to_directory(args.output_dir)
+    paths = _dataset(args).write_to_directory(args.output_dir)
     print(f"wrote {len(paths)} files under {args.output_dir}")
     return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "collect":
-        return cmd_collect(args)
-    if args.command == "sbatch":
-        return cmd_sbatch(args)
-    if args.command == "report":
-        return cmd_report(args)
-    if args.command == "publish":
-        return cmd_publish(args)
-    if args.command == "serve":
-        return cmd_serve(args)
-    if args.command == "loop":
-        return cmd_loop(args)
-    if args.command == "query":
-        return cmd_query(args)
-    if args.command == "generate":
-        return cmd_generate(args)
-    if args.command == "list-schemes":
-        print("\n".join(available_schemes()))
-        return 0
-    if args.command == "list-compressors":
-        print("\n".join(compressor_registry.names()))
-        return 0
-    return 1  # pragma: no cover - argparse enforces choices
+    return args.func(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -114,18 +114,21 @@ class ClusterSpec:
         """Decide (and record) the deployment mode for this process.
 
         Returns the mode, or ``None`` when no cluster deployment is
-        possible — the queue's cue to downgrade.  Idempotent.
+        possible — the queue's cue to downgrade.  Idempotent.  Raises
+        ValueError when a launched deployment's coordinator address is
+        not ``HOST:PORT``, before the caller has built anything.
         """
         if self.mode is not None:
             return self.mode
         env = detect_launch_env()
         if env["rank"] is not None and env["world"] is not None and int(env["world"]) > 1:
             if env["coord"] or self.coord:
+                coord = self.coord or str(env["coord"])
+                parse_hostport(coord)  # raises before the caller builds anything
                 self.mode = "launched-tcp"
                 self.rank = int(env["rank"])
                 self.world = int(env["world"])
-                if env["coord"] and not self.coord:
-                    self.coord = str(env["coord"])
+                self.coord = coord
                 return self.mode
         if self.spawn:
             self.mode = "spawn"

@@ -57,23 +57,17 @@ def format_row(row: Table2Row) -> str:
 _AFFINITY_ENGINES = ("process", "cluster")
 
 
-def harness_lines(harness: QueueStats | Mapping[str, Any] | None) -> list[str]:
+def harness_lines(harness: Mapping[str, Any] | None) -> list[str]:
     """Footer lines giving the harness the same per-stage treatment as
     the schemes: queue-wait / execute / checkpoint timings, plus the
     affinity counters of the engines that route by affinity.
 
-    Accepts live :class:`QueueStats` (a just-finished run) or the plain
-    mapping ``report`` restores from the checkpoint's metadata.  Keys an
-    older build wrote and this one does not know are ignored.
+    Takes a :meth:`QueueStats.summary` mapping — a just-finished run's,
+    or the one ``report`` restores from the checkpoint's metadata.  Keys
+    an older build wrote and this one does not know are ignored.
     """
     if harness is None:
         return []
-    if isinstance(harness, QueueStats):
-        harness = {
-            "engine": harness.engine,
-            "stage_summary": harness.stage_summary(),
-            **harness.affinity_summary(),
-        }
     engine = str(harness.get("engine") or "")
     stages = harness.get("stage_summary") or {}
     lines = []
@@ -115,7 +109,7 @@ def format_table2(
     lines.append("-" * len(header))
     for row in rows:
         lines.append(format_row(row))
-    footer = harness_lines(harness)
+    footer = harness_lines(harness.summary() if isinstance(harness, QueueStats) else harness)
     if footer:
         lines.append("-" * len(header))
         lines.extend(footer)

@@ -472,21 +472,7 @@ class ExperimentRunner:
         # of the pass that did the work stay (and the commit is saved).
         if todo:
             try:
-                self.store.set_meta(
-                    "last_run_stats",
-                    json.dumps(
-                        {
-                            "engine": stats.engine,
-                            "requested_engine": stats.requested_engine,
-                            "completed": stats.completed,
-                            "failed": stats.failed,
-                            "retries": stats.retries,
-                            "stage_summary": stats.stage_summary(),
-                            **stats.affinity_summary(),
-                            **(stats.cluster_summary() if stats.engine == "cluster" else {}),
-                        }
-                    ),
-                )
+                self.store.set_meta("last_run_stats", json.dumps(stats.summary()))
             except Exception:  # noqa: BLE001 - stats are advisory, never fatal
                 pass
         observations = [

@@ -147,6 +147,21 @@ class QueueStats:
             "merge_quarantined": self.merge_quarantined,
         }
 
+    def summary(self) -> dict[str, Any]:
+        """The run as one plain mapping: what the runner persists as a
+        checkpoint's ``last_run_stats``, what ``report`` renders, and what
+        ``--queue-stats`` prints (the cluster counters on that engine only)."""
+        return {
+            "engine": self.engine,
+            "requested_engine": self.requested_engine,
+            "completed": self.completed,
+            "failed": self.failed,
+            "retries": self.retries,
+            "stage_summary": self.stage_summary(),
+            **self.affinity_summary(),
+            **(self.cluster_summary() if self.engine == "cluster" else {}),
+        }
+
 
 class _AffinityMap:
     """Worker-id → datum ownership, the one placement policy.

@@ -205,8 +205,6 @@ class TaskQueue:
             )
         self.engine = engine if (self.n_workers > 1 or engine in ("serial", "cluster")) else "serial"
         self.retry_policy = retry_policy or RetryPolicy(max_retries=int(max_retries))
-        #: Kept in sync with the policy for backward compatibility.
-        self.max_retries = self.retry_policy.max_retries
         if task_timeout is not None and not float(task_timeout) > 0.0:
             raise ValueError("task_timeout must be > 0 (or None to disable deadlines)")
         self.task_timeout = None if task_timeout is None else float(task_timeout)

@@ -60,7 +60,11 @@ from .server import PredictionServer
 FEAT_CACHE_MODES = ("off", "local", "shared")
 
 
-def _build_feat_cache(spec: Mapping[str, Any]) -> FeaturizationCache | None:
+def build_feat_cache(spec: Mapping[str, Any]) -> FeaturizationCache | None:
+    """The cache ``spec["feat_cache"]`` names, sized by the ``feat_cache_*``
+    settings.  ``shared`` without a directory is a per-process cache: a
+    lone server's shared tier is only worth its file writes on a stable
+    directory, whose rows the next server started on it reads back."""
     mode = spec["feat_cache"]
     if mode == "off":
         return None
@@ -88,7 +92,7 @@ def _fleet_worker_main(spec: dict[str, Any], ready_queue: Any) -> None:
             pass
 
     registry = ModelRegistry(spec["registry_root"])
-    feat_cache = _build_feat_cache(spec)
+    feat_cache = build_feat_cache(spec)
     drift_config = (
         DriftConfig.from_mapping(spec["drift_config"])
         if spec.get("drift_config")

@@ -112,12 +112,11 @@ class ContinuousLearner:
         ``(host, port)`` pairs of live :class:`PredictionServer`\\ s to
         refresh after each publish.
     retry_policy:
-        Backoff schedule between stage retries (defaults to immediate
-        retries, matching the queue's default).
-    max_stage_attempts:
-        Crash-loop cap: a rollover that cannot converge within this
-        many supervised attempts raises :class:`RolloverFailedError`
-        instead of spinning forever.
+        Backoff schedule between stage retries, and the crash-loop cap:
+        a rollover that cannot converge within ``max_retries + 1``
+        supervised attempts raises :class:`RolloverFailedError` instead
+        of spinning forever.  The default retries immediately, up to 12
+        attempts.
     chaos:
         Optional :class:`~repro.bench.faults.ChaosPlan` with
         ``trainer_kill``/``publish_corrupt``/``refresh_drop`` rates.
@@ -130,7 +129,6 @@ class ContinuousLearner:
         *,
         servers: Sequence[tuple[str, int]] = (),
         retry_policy: Any | None = None,
-        max_stage_attempts: int = 12,
         chaos: Any | None = None,
         verify_n: int = 4,
         drift_config: Mapping[str, Any] | None = None,
@@ -147,8 +145,7 @@ class ContinuousLearner:
             entry if hasattr(entry, "control_addresses") else (entry[0], int(entry[1]))
             for entry in servers
         ]
-        self.retry_policy = retry_policy or RetryPolicy(max_retries=0)
-        self.max_stage_attempts = max(1, int(max_stage_attempts))
+        self.retry_policy = retry_policy or RetryPolicy(max_retries=11)
         self.chaos = chaos
         self.verify_n = int(verify_n)
         self.drift_config = dict(drift_config) if drift_config else None
@@ -225,8 +222,9 @@ class ContinuousLearner:
         observations = None
         receipts: list[PublishedModel] | None = None
         last_error: BaseException | None = None
+        max_attempts = max(self.retry_policy.max_retries, 0) + 1
         try:
-            for attempt in range(1, self.max_stage_attempts + 1):
+            for attempt in range(1, max_attempts + 1):
                 report.attempts = attempt
                 try:
                     stage_attempts["recover"] += 1
@@ -293,7 +291,7 @@ class ContinuousLearner:
                 runner.close()
         raise RolloverFailedError(
             f"round {round_no}: rollover did not converge within "
-            f"{self.max_stage_attempts} attempts (crash-loop cap); "
+            f"{max_attempts} attempts (crash-loop cap); "
             f"last error: {last_error}"
         ) from last_error
 

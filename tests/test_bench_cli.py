@@ -478,3 +478,119 @@ class TestChaosFlags:
         captured = capsys.readouterr()
         assert code == 0
         assert "failed[5] deadkey" in captured.err
+
+
+class TestCliSurface:
+    def test_parser_matches_the_golden_surface(self):
+        """Every option of every subcommand — dest, default, arity,
+        choices, type, required — as pinned before the flag groups."""
+        from tests import golden_cli_surface as golden
+
+        live = json.loads(json.dumps(golden.current()))
+        pinned = golden.load()
+        assert sorted(live) == sorted(pinned)
+        for command in pinned:
+            assert live[command] == pinned[command], command
+
+    def test_every_subcommand_help_renders(self):
+        """A stray ``%`` in a help string only fails when help renders."""
+        from tests.golden_cli_surface import subparsers
+
+        parser = build_parser()
+        assert "predict-bench" in parser.format_help()
+        for name, sub in subparsers(parser).items():
+            assert sub.format_help().startswith("usage: "), name
+
+
+#: Launcher variables a cluster test sets or must not inherit.
+LAUNCH_ENV = (
+    "REPRO_CLUSTER_RANK", "REPRO_CLUSTER_WORLD", "REPRO_CLUSTER_COORD",
+    "SLURM_PROCID", "SLURM_NTASKS", "OMPI_COMM_WORLD_RANK",
+    "OMPI_COMM_WORLD_SIZE", "PMI_RANK", "PMI_SIZE",
+)
+
+#: One timestep of two 8x8x4 fields, one scheme, one configuration.
+SMALL_CAMPAIGN = ["--schemes", "tao2019", "--compressors", "szx", "--bounds", "1e-4",
+                  "--shape", "8", "8", "4", "--timesteps", "1", "--fields", "P", "U"]
+
+
+@pytest.fixture
+def launch_env(monkeypatch):
+    for name in LAUNCH_ENV:
+        monkeypatch.delenv(name, raising=False)
+    return monkeypatch
+
+
+class TestCollectCommand:
+    @pytest.mark.parametrize(
+        "engine,workers", [("serial", "1"), ("process", "2"), ("cluster", "2")]
+    )
+    def test_collect_then_resume(self, tmp_path, capsys, launch_env, engine, workers):
+        db = str(tmp_path / "collect.db")
+        argv = ["collect", *SMALL_CAMPAIGN, "--checkpoint", db,
+                "--engine", engine, "--workers", workers, "--queue-stats"]
+        if engine == "cluster":
+            argv += ["--shard-dir", str(tmp_path / "shards")]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert re.search(r"^collected 2 observation\(s\) into ", captured.out, re.M)
+        assert "completed=2 failed=0" in captured.out
+        assert f"queue[{engine} x{workers}]" in captured.err
+        if engine == "cluster":
+            assert "cluster: shards_merged=2 " in captured.out
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "collected 2 observation(s)" in captured.out
+        assert "completed=0 " in captured.out and "commits=0" in captured.err
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_bad_coordinator_is_a_usage_error_before_any_work(
+        self, tmp_path, capsys, launch_env, source
+    ):
+        """A launched rank 0 with a malformed HOST:PORT exits 2 before
+        the dataset is built, whether the address came from ``--coord``
+        or from the launcher environment."""
+        import repro.bench.cli as cli
+
+        def no_dataset(*args, **kwargs):
+            raise AssertionError("the dataset was built before the usage check")
+
+        launch_env.setattr(cli, "HurricaneDataset", no_dataset)
+        launch_env.setenv("OMPI_COMM_WORLD_RANK", "0")
+        launch_env.setenv("OMPI_COMM_WORLD_SIZE", "2")
+        argv = ["collect", *SMALL_CAMPAIGN, "--checkpoint", str(tmp_path / "c.db")]
+        if source == "flag":
+            argv += ["--coord", "nonsense"]
+        else:
+            launch_env.setenv("REPRO_CLUSTER_COORD", "nonsense")
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "HOST:PORT" in capsys.readouterr().err
+
+
+LOOP_CAMPAIGN = ["--schemes", "khan2023", "--compressors", "szx", "--bounds", "1e-4",
+                 "--shape", "8", "8", "4", "--fields", "P", "U", "--base-timesteps", "1",
+                 "--verify-n", "2"]
+
+
+class TestLoopCommand:
+    def test_rounds_without_servers(self, tmp_path, capsys):
+        argv = ["loop", str(tmp_path / "loop.db"), "--registry", str(tmp_path / "reg"),
+                *LOOP_CAMPAIGN, "--rounds", "2"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert re.findall(r"^round (\d+): published ", out, re.M) == ["1", "2"]
+
+    def test_crash_loop_cap_fails_the_command(self, tmp_path, capsys):
+        argv = ["loop", str(tmp_path / "loop.db"), "--registry", str(tmp_path / "reg"),
+                *LOOP_CAMPAIGN, "--chaos", "trainer_kill:1.0",
+                "--max-stage-attempts", "2", "--retry-base-delay", "0"]
+        assert main(argv) == 1
+        assert "rollover failed" in capsys.readouterr().err
+
+    def test_malformed_server_is_a_usage_error(self, tmp_path, capsys):
+        argv = ["loop", str(tmp_path / "loop.db"), "--registry", str(tmp_path / "reg"),
+                "--servers", "nonsense"]
+        assert main(argv) == 2
+        assert "HOST:PORT" in capsys.readouterr().err

@@ -57,9 +57,8 @@ class LoopEnv:
 
     def learner(self, **kwargs):
         kwargs.setdefault(
-            "retry_policy", RetryPolicy(max_retries=16, base_delay=0.0, seed=0)
+            "retry_policy", RetryPolicy(max_retries=15, base_delay=0.0, seed=0)
         )
-        kwargs.setdefault("max_stage_attempts", 16)
         kwargs.setdefault("verify_n", 2)
         return ContinuousLearner(self.registry, self.runner_factory, **kwargs)
 
@@ -131,17 +130,28 @@ class TestRolloverUnderChaos:
 
     def test_crash_loop_cap_surfaces_instead_of_spinning(self, env):
         chaos = ChaosPlan.from_spec("trainer_kill:1.0", seed=3)
-        learner = env.learner(chaos=chaos, max_stage_attempts=3)
+        learner = env.learner(chaos=chaos, retry_policy=RetryPolicy(max_retries=2))
         with pytest.raises(RolloverFailedError, match="crash-loop cap"):
             learner.rollover(1)
         # the failed rollover still left a recoverable registry
         env.registry.recover()
         assert env.registry.verify() == []
 
+    def test_retry_policy_is_the_one_cap(self, env):
+        """``max_retries=1`` allows exactly two supervised attempts."""
+        chaos = ChaosPlan.from_spec("trainer_kill:1.0", seed=5)
+        learner = ContinuousLearner(
+            env.registry, env.runner_factory, chaos=chaos, verify_n=2,
+            retry_policy=RetryPolicy(max_retries=1, base_delay=0.0, seed=0),
+        )
+        with pytest.raises(RolloverFailedError, match="within 2 attempts"):
+            learner.rollover(1)
+        assert chaos.injected_counts()["trainer_kill"] == 2
+
     def test_rollover_after_failed_rollover_succeeds(self, env):
         chaos = ChaosPlan.from_spec("trainer_kill:1.0", seed=4)
         with pytest.raises(RolloverFailedError):
-            env.learner(chaos=chaos, max_stage_attempts=2).rollover(1)
+            env.learner(chaos=chaos, retry_policy=RetryPolicy(max_retries=1)).rollover(1)
         # same chaos plan: its sites are burned, so the retry sails
         report = env.learner(chaos=chaos).rollover(1)
         assert env.registry.latest(env.key) == report.published[env.key]
