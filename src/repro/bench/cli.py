@@ -528,7 +528,8 @@ def _collection_pass(
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    """``collect``'s collection pass, a chaos-recovery pass, then Table 2."""
+    """``collect``'s collection pass, a chaos-recovery pass, then Table 2;
+    exits 1 when the campaign holds no observation at all."""
     queue = _queue_from_args(args)
     with _store(args) as store:
         runner, chaos, result = _collection_pass(args, store, queue)
@@ -544,7 +545,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         _print_failures(store, {f.task.key() for f in result.failures})
         _print_table2(args, runner, result.observations, "Hurricane performance results",
                       harness)
-    return 0
+    return 0 if result.observations else 1
 
 
 def cmd_collect(args: argparse.Namespace) -> int:

@@ -25,9 +25,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.errors import CorruptStreamError
+from ..core.errors import CorruptStreamError, OptionError
 
 DEFAULT_MAX_STRIDE = 16
+
+#: Grid codes at or past 2**53 are not exact in float64: rounding a value
+#: onto a grid that fine no longer lands within the bound.
+GRID_LIMIT = 2.0**53
+
+
+def check_grid(values: np.ndarray, step: float) -> None:
+    """Refuse a grid *step* too fine for *values* (``max|x|/step ≥ 2**53``).
+
+    A zero-range field under ``pressio:rel`` resolves to ``eb = rel·1e-30``;
+    without this check its codes overflow and it decodes to garbage.
+    """
+    if not values.size:
+        return
+    peak = max(float(values.max()), -float(values.min()))
+    if peak / step >= GRID_LIMIT:
+        raise OptionError(
+            f"error bound {step / 2:g} is too fine for values up to {peak:g}: "
+            "the quantization grid would need 2**53 steps or more"
+        )
 
 
 def _stage_plan(shape: tuple[int, ...], max_stride: int) -> list[tuple[int, int, tuple]]:
@@ -96,6 +116,7 @@ def interp_encode(
         data = data.reshape(1)
     recon = np.empty_like(data)
     step = 2.0 * abs_bound
+    check_grid(data, step)
     out: list[np.ndarray] = []
     # Anchors: direct quantization of the coarse grid.
     anchor_slices = tuple(slice(None, None, max_stride) for _ in range(data.ndim))
@@ -157,7 +178,6 @@ def interp_symbol_count(shape: tuple[int, ...], max_stride: int = DEFAULT_MAX_ST
     total = 1
     for dim in work_shape:
         total *= len(range(0, dim, max_stride))
-    probe = np.lib.stride_tricks.as_strided  # noqa: F841 (documentation only)
     count = total
     dummy = np.empty(work_shape, dtype=np.int8)
     for _s, _axis, slices in _stage_plan(work_shape, max_stride):

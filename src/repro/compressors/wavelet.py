@@ -9,7 +9,8 @@ same quantize-first construction as our SZ3: values are quantized to the
 ``2·eb`` grid, then transformed with the *reversible* integer CDF 5/3
 (LeGall) lifting of JPEG 2000, which is losslessly invertible on
 integers, and finally entropy coded (Huffman + lossless pass with the
-escape mechanism shared across the codecs).
+escape mechanism shared across the codecs).  That tail is SZ3's own
+(:func:`~repro.compressors.sz3.encode_tail`), not a copy of it.
 
 Each lifting pass is expressed with strided slices (no per-element
 loops); odd lengths use symmetric boundary extension exactly as the
@@ -23,19 +24,12 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.compressor import CompressorPlugin, compressor_registry
-from ..core.errors import CorruptStreamError, OptionError
+from ..core.compressor import CompressorPlugin, Lap, compressor_registry, no_lap
+from ..core.errors import CorruptStreamError
 from ..core.options import PressioOptions
-from ..encoding import huffman
-from ..encoding.lz import lossless_compress, lossless_decompress
-from .sz3 import ESCAPE_LIMIT, dequantize, quantize, split_escapes
+from .sz3 import decode_tail, dequantize, encode_tail, quantize
 
 DEFAULT_LEVELS = 3
-
-
-def _axis_views(arr: np.ndarray, axis: int):
-    """Move *axis* first so lifting code reads naturally."""
-    return np.moveaxis(arr, axis, 0)
 
 
 def dwt53_forward_axis(arr: np.ndarray, axis: int) -> None:
@@ -44,7 +38,7 @@ def dwt53_forward_axis(arr: np.ndarray, axis: int) -> None:
     After the call the axis holds ``[approx | detail]`` concatenated
     (approx = ceil(n/2) entries).
     """
-    v = _axis_views(arr, axis)
+    v = np.moveaxis(arr, axis, 0)  # axis first, as a view
     n = v.shape[0]
     if n < 2:
         return
@@ -69,7 +63,7 @@ def dwt53_forward_axis(arr: np.ndarray, axis: int) -> None:
 
 def dwt53_inverse_axis(arr: np.ndarray, axis: int) -> None:
     """Exact inverse of :func:`dwt53_forward_axis` (in place)."""
-    v = _axis_views(arr, axis)
+    v = np.moveaxis(arr, axis, 0)  # axis first, as a view
     n = v.shape[0]
     if n < 2:
         return
@@ -148,84 +142,36 @@ class SperrCompressor(CompressorPlugin):
             }
         )
 
+    stages = ("quantize", "transform", "huffman", "lossless")
+
     def levels(self) -> int:
         return int(self._options.get("sperr:levels", DEFAULT_LEVELS))
 
-    def transform_coefficients(self, array: np.ndarray) -> np.ndarray:
+    def transform_coefficients(self, array: np.ndarray, lap: Lap = no_lap) -> np.ndarray:
         """Quantize + transform only (exposed for prediction probes)."""
-        return wavelet_forward(quantize(array, self.abs_bound), self.levels())
-
-    def stage_times(self, array: np.ndarray) -> dict[str, float]:
-        """Wall-clock seconds per kernel stage: quantize, the CDF 5/3
-        lifting transform, Huffman, and the final lossless pass."""
-        from time import perf_counter
-
-        eb = self.abs_bound
-        if eb <= 0:
-            raise OptionError("pressio:abs must be positive")
-        t0 = perf_counter()
-        codes = quantize(np.asarray(array), eb)
-        t1 = perf_counter()
+        codes = quantize(array, self.abs_bound)
+        lap("quantize")
         coeffs = wavelet_forward(codes, self.levels())
-        t2 = perf_counter()
-        symbols, escaped = split_escapes(coeffs.reshape(-1))
-        hstream = huffman.encode(
-            symbols, max_length=int(self._options.get("sperr:huffman_max_length", 16))
-        )
-        t3 = perf_counter()
-        backend = self._options.get("sperr:lossless", "zlib")
-        if backend != "none":
-            lossless_compress(hstream, backend=backend)
-        lossless_compress(escaped.astype("<i8").tobytes(), backend="zlib")
-        t4 = perf_counter()
-        return {
-            "quantize": t1 - t0,
-            "transform": t2 - t1,
-            "huffman": t3 - t2,
-            "lossless": t4 - t3,
-            "total": t4 - t0,
-        }
+        lap("transform")
+        return coeffs
 
-    def compress_impl(self, array: np.ndarray) -> bytes:
-        eb = self.abs_bound
-        if eb <= 0:
-            raise OptionError("pressio:abs must be positive")
-        coeffs = self.transform_coefficients(np.asarray(array))
-        symbols, escaped = split_escapes(coeffs.reshape(-1))
-        hstream = huffman.encode(
-            symbols, max_length=int(self._options.get("sperr:huffman_max_length", 16))
+    def compress_impl(self, array: np.ndarray, lap: Lap = no_lap) -> bytes:
+        coeffs = self.transform_coefficients(np.asarray(array), lap)
+        stream, side = encode_tail(
+            coeffs.reshape(-1),
+            int(self._options.get("sperr:huffman_max_length", 16)),
+            self._options.get("sperr:lossless", "zlib"),
+            lap,
         )
-        backend = self._options.get("sperr:lossless", "zlib")
-        if backend != "none":
-            hstream = b"\x01" + lossless_compress(hstream, backend=backend)
-        else:
-            hstream = b"\x00" + hstream
-        esc = lossless_compress(escaped.astype("<i8").tobytes(), backend="zlib")
-        head = struct.pack("<BQQd", self.levels(), len(hstream), len(esc), eb)
-        return head + hstream + esc
+        head = struct.pack("<BQQd", self.levels(), len(stream), len(side), self.abs_bound)
+        return head + stream + side
 
     def decompress_impl(self, payload: bytes, dtype: np.dtype, shape: tuple[int, ...]) -> np.ndarray:
         hdr = struct.calcsize("<BQQd")
         if len(payload) < hdr:
             raise CorruptStreamError("sperr payload too short")
         levels, hsize, esc_size, eb = struct.unpack_from("<BQQd", payload, 0)
-        off = hdr
-        hstream = payload[off : off + hsize]
-        esc = payload[off + hsize : off + hsize + esc_size]
-        if len(hstream) != hsize or len(esc) != esc_size:
-            raise CorruptStreamError("sperr stream truncated")
-        if hstream[:1] == b"\x01":
-            hstream = lossless_decompress(hstream[1:])
-        else:
-            hstream = hstream[1:]
-        symbols = huffman.decode(hstream)
-        escaped = np.frombuffer(lossless_decompress(esc), dtype="<i8").astype(np.int64)
-        mask = symbols == ESCAPE_LIMIT
-        if int(mask.sum()) != escaped.size:
-            raise CorruptStreamError("sperr escape count mismatch")
-        if escaped.size:
-            symbols = symbols.copy()
-            symbols[mask] = escaped
+        symbols = decode_tail(payload, hdr, hsize, esc_size)
         work_shape = shape if shape else (1,)
         codes = wavelet_inverse(symbols.reshape(work_shape), levels)
         return dequantize(codes, eb, dtype).reshape(shape)

@@ -23,6 +23,10 @@ Reproduces ZFP's structure at laptop scale:
    each block's minimal width; DC coefficients are delta coded across
    blocks.  A final lossless pass removes residual redundancy.
 
+Stage 1 is :func:`to_blocks`, stages 2–3 :func:`block_coefficients`
+(independent of the bound), stage 4 :func:`accuracy_shift` plus
+:func:`quantize_coefficients`; the ZFP stage probe calls the same three.
+
 Skipping Huffman entirely is what makes ZFP decisively faster than SZ3 —
 the contrast the paper's Table 2 baseline row reports (65 ms vs 323 ms
 compression on Hurricane) — while the transform keeps it competitive on
@@ -31,15 +35,16 @@ smooth blocks.
 
 from __future__ import annotations
 
+import functools
 import struct
 from typing import Sequence
 
 import numpy as np
 
-from ..core.compressor import CompressorPlugin, compressor_registry
+from ..core.compressor import CompressorPlugin, Lap, compressor_registry, no_lap
 from ..core.errors import CorruptStreamError, OptionError
 from ..core.options import PressioOptions
-from ..encoding.bitio import read_uint_array, uint_bit_length, write_uint_array
+from ..encoding.bitio import pack_width_groups, uint_bit_length, unpack_width_groups
 from ..encoding.lz import lossless_compress, lossless_decompress
 
 BLOCK = 4
@@ -59,13 +64,7 @@ def _lift_axis_forward(t: np.ndarray, axis: int) -> None:
         w += y; w >>= 1; y -= w
         w += y >> 1; y -= w >> 1
     """
-    idx = [slice(None)] * t.ndim
-
-    def at(i: int) -> np.ndarray:
-        idx[axis] = i
-        return t[tuple(idx)]
-
-    x, y, z, w = (at(0), at(1), at(2), at(3))
+    x, y, z, w = np.moveaxis(t, axis, 0)  # views: the updates land in t
     x += w
     x >>= 1
     w -= x
@@ -84,13 +83,7 @@ def _lift_axis_forward(t: np.ndarray, axis: int) -> None:
 
 def _lift_axis_inverse(t: np.ndarray, axis: int) -> None:
     """Exact inverse of :func:`_lift_axis_forward`."""
-    idx = [slice(None)] * t.ndim
-
-    def at(i: int) -> np.ndarray:
-        idx[axis] = i
-        return t[tuple(idx)]
-
-    x, y, z, w = (at(0), at(1), at(2), at(3))
+    x, y, z, w = np.moveaxis(t, axis, 0)
     y += w >> 1
     w -= y >> 1
     y += w
@@ -125,25 +118,20 @@ def block_transform_inverse(blocks: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def inverse_gain(ndim: int) -> float:
     """Numerically measured L∞ gain of the inverse transform.
 
     A unit perturbation of one (any) coefficient changes reconstructed
     values by at most this factor; derived by pushing scaled unit vectors
     through the integer inverse and taking the max response.  Computed
-    once per dimensionality and cached.
+    once per dimensionality.
     """
-    if ndim not in _GAIN_CACHE:
-        n = BLOCK**ndim
-        scale = 1 << 20  # large scale so integer rounding is negligible
-        probes = np.eye(n, dtype=np.int64) * scale
-        blocks = probes.reshape((n,) + (BLOCK,) * ndim)
-        recon = block_transform_inverse(blocks).reshape(n, n)
-        _GAIN_CACHE[ndim] = float(np.abs(recon).sum(axis=0).max()) / scale
-    return _GAIN_CACHE[ndim]
-
-
-_GAIN_CACHE: dict[int, float] = {}
+    n = BLOCK**ndim
+    scale = 1 << 20  # large scale so integer rounding is negligible
+    probes = np.eye(n, dtype=np.int64) * scale
+    recon = block_transform_inverse(probes.reshape((n,) + (BLOCK,) * ndim)).reshape(n, n)
+    return float(np.abs(recon).sum(axis=0).max()) / scale
 
 
 def zigzag(values: np.ndarray) -> np.ndarray:
@@ -156,59 +144,6 @@ def unzigzag(values: np.ndarray) -> np.ndarray:
     """Inverse of :func:`zigzag`."""
     u = values.astype(np.uint64)
     return ((u >> np.uint64(1)).astype(np.int64)) ^ -((u & np.uint64(1)).astype(np.int64))
-
-
-def pack_width_groups(codes: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """Bit-pack rows of unsigned *codes* at each row's minimal width.
-
-    Rows are grouped by width so each group packs in one vectorised call
-    (the loop below runs at most 64 times — once per distinct width —
-    regardless of the number of rows); returns the concatenated payload
-    (groups in ascending width order) and the per-row widths.  Width-0
-    rows (all zero) emit nothing.  Widths come from the exact integer
-    bit length: the float-``log2`` idiom this replaced merely
-    over-allocated here (unlike szx, where it truncated), but it is the
-    same >= 2**53 rounding trap.
-    """
-    codes = np.asarray(codes, dtype=np.uint64)
-    if codes.size == 0:
-        return b"", np.zeros(codes.shape[0] if codes.ndim else 0, dtype=np.uint8)
-    rowmax = codes.max(axis=1)
-    widths = uint_bit_length(rowmax).astype(np.uint8)
-    parts: list[bytes] = []
-    for width in np.unique(widths):
-        if width == 0:
-            continue
-        sel = widths == width
-        parts.append(write_uint_array(codes[sel].reshape(-1), int(width)))
-    return b"".join(parts), widths
-
-
-def unpack_width_groups(payload: bytes, widths: np.ndarray, row_len: int) -> np.ndarray:
-    """Inverse of :func:`pack_width_groups`."""
-    widths = np.asarray(widths, dtype=np.int64)
-    out = np.zeros((widths.size, row_len), dtype=np.uint64)
-    cursor = 0
-    for width in np.unique(widths):
-        if width == 0:
-            continue
-        sel = widths == width
-        count = int(sel.sum()) * row_len
-        nbytes = (int(width) * count + 7) // 8
-        chunk = payload[cursor : cursor + nbytes]
-        if len(chunk) != nbytes:
-            raise CorruptStreamError("zfp coefficient payload truncated")
-        out[sel] = read_uint_array(chunk, int(width), count).reshape(-1, row_len)
-        cursor += nbytes
-    return out
-
-
-def pad_to_blocks(array: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Edge-pad each dimension up to a multiple of 4."""
-    pads = [(0, (-s) % BLOCK) for s in array.shape]
-    if any(p[1] for p in pads):
-        return np.pad(array, pads, mode="edge"), tuple(array.shape)
-    return array, tuple(array.shape)
 
 
 def split_blocks(array: np.ndarray) -> np.ndarray:
@@ -236,6 +171,53 @@ def join_blocks(blocks: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return t.transpose(order).reshape(shape)
 
 
+def to_blocks(array: np.ndarray) -> np.ndarray:
+    """Blocking: edge-pad each axis to a multiple of 4, stack the ``4^d`` blocks."""
+    pads = [(0, (-s) % BLOCK) for s in array.shape]
+    return split_blocks(np.pad(array, pads, mode="edge") if any(p for _, p in pads) else array)
+
+
+def block_coefficients(
+    blocks: np.ndarray, lap: Lap = no_lap
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bound-independent prefix of the encoder on stacked float blocks.
+
+    Fixed point: each block's common exponent ``e`` scales it by
+    ``2^(FRAC_BITS - e)`` so its max maps near ``2^FRAC_BITS``, rounded
+    to int64.  Transform: the lifting transform along every block axis.
+    Returns ``(exps, scale, coeffs)`` with ``coeffs`` as ``(B, 4^d)``;
+    laps ``fixed_point`` and ``transform``.
+    """
+    nblocks = blocks.shape[0]
+    flat = blocks.reshape(nblocks, -1)
+    maxabs = np.abs(flat).max(axis=1)
+    exps = np.zeros(nblocks, dtype=np.int64)
+    nz = maxabs > 0
+    exps[nz] = np.ceil(np.log2(maxabs[nz])).astype(np.int64)
+    scale = np.ldexp(1.0, (FRAC_BITS - exps).astype(np.int64))  # 2^(FRAC-e)
+    fixed = np.round(flat * scale[:, None]).astype(np.int64)
+    lap("fixed_point")
+    coeffs = block_transform_forward(fixed.reshape(blocks.shape)).reshape(nblocks, -1)
+    lap("transform")
+    return exps, scale, coeffs
+
+
+def accuracy_shift(scale: np.ndarray, abs_bound: float, ndim: int) -> np.ndarray:
+    """Per-block quantization step, as a power-of-two shift, that honours
+    *abs_bound*: the tolerance in fixed point over the inverse-transform
+    gain, floored to a power of two.  Round-to-nearest then errs by at
+    most step/2 per coefficient, so the reconstruction error is bounded
+    by ``gain * step/2 <= eb/2`` (plus negligible fixed-point rounding)."""
+    tol_fixed = abs_bound * scale
+    return np.floor(np.log2(np.maximum(tol_fixed / inverse_gain(ndim), 1.0))).astype(np.int64)
+
+
+def quantize_coefficients(coeffs: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Round each block's coefficients to nearest on its ``2^shift`` grid."""
+    half = np.where(shift > 0, np.int64(1) << np.maximum(shift - 1, 0), 0)
+    return (coeffs + half[:, None]) >> shift[:, None]
+
+
 @compressor_registry.register("zfp")
 class ZFPCompressor(CompressorPlugin):
     """Fixed-accuracy ZFP-style block transform codec."""
@@ -257,50 +239,31 @@ class ZFPCompressor(CompressorPlugin):
             }
         )
 
-    def compress_impl(self, array: np.ndarray) -> bytes:
+    stages = ("fixed_point", "transform", "pack", "lossless")
+
+    def compress_impl(self, array: np.ndarray, lap: Lap = no_lap) -> bytes:
         eb = self.abs_bound
         if eb <= 0:
             raise OptionError("pressio:abs must be positive")
+        mode = self._options.get("zfp:mode", "accuracy")
+        if mode not in ("accuracy", "rate"):
+            raise OptionError(f"unknown zfp:mode {mode!r}")
         data = np.asarray(array, dtype=np.float64)
         if data.ndim == 0:
             data = data.reshape(1)
         if data.size == 0:
             return struct.pack("<dQQQQ", eb, 0, 0, 0, 0)
-        padded, orig_shape = pad_to_blocks(data)
-        blocks = split_blocks(padded)  # (B, 4, ..., 4)
-        nblocks = blocks.shape[0]
-        d = blocks.ndim - 1
-        flat = blocks.reshape(nblocks, -1)
-        # Per-block common exponent: scale so the block max maps near 2^FRAC.
-        maxabs = np.abs(flat).max(axis=1)
-        exps = np.zeros(nblocks, dtype=np.int64)
-        nz = maxabs > 0
-        exps[nz] = np.ceil(np.log2(maxabs[nz])).astype(np.int64)
-        scale = np.ldexp(1.0, (FRAC_BITS - exps).astype(np.int64))  # 2^(FRAC-e)
-        fixed = np.round(flat * scale[:, None]).astype(np.int64)
-        coeffs = block_transform_forward(fixed.reshape(blocks.shape)).reshape(nblocks, -1)
-        # Quantization step per block: tolerance in fixed point divided by
-        # the inverse-transform gain; floor to a power of two (shift).
-        gain = inverse_gain(d)
-        # Round-to-nearest with a power-of-two step: per-coefficient error
-        # is at most step/2, so the reconstruction error is bounded by
-        # gain * step/2 <= eb/2 (plus negligible fixed-point rounding).
-        mode = self._options.get("zfp:mode", "accuracy")
+        blocks = to_blocks(data)  # (B, 4, ..., 4)
+        exps, scale, coeffs = block_coefficients(blocks, lap)
         if mode == "rate":
             # Fixed-rate: choose each block's shift so its packed AC
             # width lands on the requested bits/value budget.
-            rate = float(self._options.get("zfp:rate", 8.0))
-            target_width = max(int(round(rate)), 1)
-            zz0 = zigzag(coeffs[:, 1:])
-            width0 = uint_bit_length(zz0.max(axis=1))
+            target_width = max(int(round(float(self._options.get("zfp:rate", 8.0)))), 1)
+            width0 = uint_bit_length(zigzag(coeffs[:, 1:]).max(axis=1))
             shift = np.maximum(width0 - target_width, 0)
-        elif mode == "accuracy":
-            tol_fixed = eb * scale
-            shift = np.floor(np.log2(np.maximum(tol_fixed / gain, 1.0))).astype(np.int64)
         else:
-            raise OptionError(f"unknown zfp:mode {mode!r}")
-        half = np.where(shift > 0, np.int64(1) << np.maximum(shift - 1, 0), 0)
-        q = (coeffs + half[:, None]) >> shift[:, None]
+            shift = accuracy_shift(scale, eb, blocks.ndim - 1)
+        q = quantize_coefficients(coeffs, shift)
         # DC coefficients track block means: large but spatially smooth,
         # so delta-code them across blocks; AC coefficients are zigzag
         # mapped and bit-packed at each block's minimal width (real ZFP's
@@ -308,63 +271,17 @@ class ZFPCompressor(CompressorPlugin):
         dc = q[:, 0]
         dc_delta = np.concatenate(([dc[0]], np.diff(dc)))
         ac_payload, widths = pack_width_groups(zigzag(q[:, 1:]))
-        backend = self._options.get("zfp:lossless", "zlib")
-        body = lossless_compress(ac_payload, backend=backend)
+        lap("pack")
+        body = lossless_compress(ac_payload, backend=self._options.get("zfp:lossless", "zlib"))
         side = lossless_compress(
             dc_delta.astype("<i8").tobytes()
             + np.concatenate([exps, shift]).astype("<i2").tobytes()
             + widths.tobytes(),
             backend="zlib",
         )
-        head = struct.pack("<dQQQQ", eb, nblocks, len(body), len(side), 0)
+        lap("lossless")
+        head = struct.pack("<dQQQQ", eb, len(blocks), len(body), len(side), 0)
         return head + body + side
-
-    def stage_times(self, array: np.ndarray) -> dict[str, float]:
-        """Wall-clock seconds per kernel stage (``stage_sizes``-style
-        introspection): blocking + fixed point, the lifting transform,
-        quantize + width-group packing, and the lossless pass.
-        """
-        from time import perf_counter
-
-        eb = self.abs_bound
-        if eb <= 0:
-            raise OptionError("pressio:abs must be positive")
-        data = np.asarray(array, dtype=np.float64)
-        if data.ndim == 0:
-            data = data.reshape(1)
-        timings = {"fixed_point": 0.0, "transform": 0.0, "pack": 0.0, "lossless": 0.0}
-        if data.size == 0:
-            timings["total"] = 0.0
-            return timings
-        t0 = perf_counter()
-        padded, _ = pad_to_blocks(data)
-        blocks = split_blocks(padded)
-        nblocks = blocks.shape[0]
-        d = blocks.ndim - 1
-        flat = blocks.reshape(nblocks, -1)
-        maxabs = np.abs(flat).max(axis=1)
-        exps = np.zeros(nblocks, dtype=np.int64)
-        nz = maxabs > 0
-        exps[nz] = np.ceil(np.log2(maxabs[nz])).astype(np.int64)
-        scale = np.ldexp(1.0, (FRAC_BITS - exps).astype(np.int64))
-        fixed = np.round(flat * scale[:, None]).astype(np.int64)
-        t1 = perf_counter()
-        coeffs = block_transform_forward(fixed.reshape(blocks.shape)).reshape(nblocks, -1)
-        t2 = perf_counter()
-        tol_fixed = eb * scale
-        shift = np.floor(np.log2(np.maximum(tol_fixed / inverse_gain(d), 1.0))).astype(np.int64)
-        half = np.where(shift > 0, np.int64(1) << np.maximum(shift - 1, 0), 0)
-        q = (coeffs + half[:, None]) >> shift[:, None]
-        ac_payload, _widths = pack_width_groups(zigzag(q[:, 1:]))
-        t3 = perf_counter()
-        lossless_compress(ac_payload, backend=self._options.get("zfp:lossless", "zlib"))
-        t4 = perf_counter()
-        timings["fixed_point"] = t1 - t0
-        timings["transform"] = t2 - t1
-        timings["pack"] = t3 - t2
-        timings["lossless"] = t4 - t3
-        timings["total"] = t4 - t0
-        return timings
 
     def decompress_impl(self, payload: bytes, dtype: np.dtype, shape: tuple[int, ...]) -> np.ndarray:
         hdr = struct.calcsize("<dQQQQ")

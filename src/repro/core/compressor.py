@@ -5,6 +5,7 @@ over raw bytes; this base class adds the framework responsibilities:
 
 * option handling (``pressio:abs`` etc.) with introspection;
 * metrics lifecycle hooks (begin/end compress/decompress) with timing;
+* per-stage timing of the one encoder (:meth:`CompressorPlugin.stage_times`);
 * a self-describing stream header so decompression needs no template;
 * the registry other components use to look codecs up by id.
 """
@@ -12,7 +13,7 @@ over raw bytes; this base class adds the framework responsibilities:
 from __future__ import annotations
 
 import struct
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -24,6 +25,14 @@ from .registry import Registry
 
 #: Global registry of compressor plugins ("sz3", "zfp", "szx", "noop").
 compressor_registry: Registry["CompressorPlugin"] = Registry("compressor")
+
+#: ``lap(stage)`` marks the end of *stage* inside ``compress_impl``.
+Lap = Callable[[str], None]
+
+
+def no_lap(stage: str) -> None:
+    """The ``lap`` a plain :meth:`CompressorPlugin.compress` runs with."""
+
 
 _MAGIC = b"RPRC"
 _HEADER = struct.Struct("<4sB3xQ")  # magic, ndim, payload length
@@ -74,6 +83,10 @@ class CompressorPlugin:
     """
 
     id: str = "compressor"
+
+    #: The encoder's stages in order: ``compress_impl`` calls ``lap(name)``
+    #: as each one ends, and :meth:`stage_times` reports one time per name.
+    stages: tuple[str, ...] = ()
 
     #: Option keys that affect the error of the reconstruction.  Consulted
     #: by the invalidation machinery: a change to one of these keys
@@ -177,9 +190,32 @@ class CompressorPlugin:
         stream = self.compress(data)
         return stream, self.decompress(stream)
 
+    def stage_times(self, array: np.ndarray) -> dict[str, float]:
+        """Wall-clock seconds per declared stage of one ``compress_impl``
+        run, plus ``"total"`` for the whole call.
+
+        This times the encoder :meth:`compress` runs — the codec reports
+        its stage boundaries through ``lap`` — so a stage can neither be
+        skipped nor drift from the stream it claims to describe.  Uses
+        the configured ``pressio:abs`` as is (no ``pressio:rel`` resolution).
+        """
+        times = dict.fromkeys(self.stages, 0.0)
+        start = mark = now()
+
+        def lap(stage: str) -> None:
+            nonlocal mark
+            t = now()
+            times[stage] += t - mark
+            mark = t
+
+        self.compress_impl(np.asarray(array), lap)
+        times["total"] = now() - start
+        return times
+
     # -- codec hooks ------------------------------------------------------------
-    def compress_impl(self, array: np.ndarray) -> bytes:
-        """Encode *array* into a byte payload (header added by caller)."""
+    def compress_impl(self, array: np.ndarray, lap: Lap = no_lap) -> bytes:
+        """Encode *array* into a byte payload (header added by caller),
+        calling ``lap(stage)`` as each of :attr:`stages` ends."""
         raise NotImplementedError
 
     def decompress_impl(
@@ -206,7 +242,7 @@ class NoopCompressor(CompressorPlugin):
     def abs_bound(self) -> float:  # noop is lossless
         return 0.0
 
-    def compress_impl(self, array: np.ndarray) -> bytes:
+    def compress_impl(self, array: np.ndarray, lap: Lap = no_lap) -> bytes:
         return np.ascontiguousarray(array).tobytes()
 
     def decompress_impl(self, payload, dtype, shape):

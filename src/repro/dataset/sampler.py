@@ -71,29 +71,25 @@ def sample_blocks(
 ) -> np.ndarray:
     """Sample multidimensional blocks of side *block* from an array.
 
-    Returns the sampled blocks stacked as ``(k, block**d)`` rows.  The
+    Returns the sampled blocks stacked as ``(k, *block_shape)`` with
+    ``block_shape[i] = min(block, shape[i])``: an axis shorter than the
+    block is taken whole, so every row is a real spatial block.  The
     grid of non-overlapping blocks is enumerated and a seeded subset
     chosen — the sampling style of Tao 2019 (whose block size "was based
     on the internals of compressors") and of SECRE's coupled sampling.
     Partial edge blocks are excluded, matching those designs.
     """
     array = np.asarray(array)
+    block_shape = tuple(min(block, s) for s in array.shape)
     if array.ndim == 0 or array.size == 0:
-        return np.zeros((0, 0), dtype=np.float64)
-    grid = [s // block for s in array.shape]
+        return np.zeros((0,) + block_shape, dtype=np.float64)
+    grid = [s // b for s, b in zip(array.shape, block_shape)]
     total = int(np.prod(grid))
-    if total == 0:
-        # Array smaller than one block: fall back to the whole array.
-        return array.reshape(1, -1).astype(np.float64)
-    k = max(min_blocks, int(round(fraction * total)))
-    k = min(k, total)
+    k = min(max(min_blocks, int(round(fraction * total))), total)
     rng = np.random.default_rng(seed)
-    chosen = rng.permutation(total)[:k]
-    coords = np.unravel_index(chosen, grid)
-    out = np.empty((k, block ** array.ndim), dtype=np.float64)
+    coords = np.unravel_index(rng.permutation(total)[:k], grid)
+    out = np.empty((k,) + block_shape, dtype=np.float64)
     for row in range(k):
-        slices = tuple(
-            slice(int(c[row]) * block, (int(c[row]) + 1) * block) for c in coords
-        )
-        out[row] = array[slices].reshape(-1)
+        corner = [int(c[row]) * b for c, b in zip(coords, block_shape)]
+        out[row] = array[tuple(slice(lo, lo + b) for lo, b in zip(corner, block_shape))]
     return out

@@ -152,3 +152,44 @@ def read_uint_array(payload: bytes, bit_width: int, count: int) -> np.ndarray:
     mat = bits.reshape(count, bit_width).astype(np.uint64)
     weights = (np.uint64(1) << np.arange(bit_width - 1, -1, -1, dtype=np.uint64))
     return mat @ weights
+
+
+def pack_width_groups(codes: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """Bit-pack rows of unsigned *codes* at each row's minimal width.
+
+    Rows are grouped by width so each group packs in one vectorised call
+    (the loop runs at most 64 times — once per distinct width — whatever
+    the number of rows); returns the concatenated payload (groups in
+    ascending width order) and the per-row widths.  Width-0 rows (all
+    zero) emit nothing.  Widths are exact integer bit lengths
+    (:func:`uint_bit_length`), never float ``log2``.
+    """
+    codes = np.asarray(codes, dtype=np.uint64)
+    if codes.size == 0:
+        return b"", np.zeros(codes.shape[0] if codes.ndim else 0, dtype=np.uint8)
+    widths = uint_bit_length(codes.max(axis=1)).astype(np.uint8)
+    parts = [
+        write_uint_array(codes[widths == width].reshape(-1), int(width))
+        for width in np.unique(widths)
+        if width
+    ]
+    return b"".join(parts), widths
+
+
+def unpack_width_groups(payload: bytes, widths: np.ndarray, row_len: int) -> np.ndarray:
+    """Inverse of :func:`pack_width_groups`: ``(len(widths), row_len)`` uint64."""
+    widths = np.asarray(widths, dtype=np.int64)
+    out = np.zeros((widths.size, row_len), dtype=np.uint64)
+    cursor = 0
+    for width in np.unique(widths):
+        if width == 0:
+            continue
+        sel = widths == width
+        count = int(sel.sum()) * row_len
+        nbytes = (int(width) * count + 7) // 8
+        chunk = payload[cursor : cursor + nbytes]
+        if len(chunk) != nbytes:
+            raise CorruptStreamError("width-group payload truncated")
+        out[sel] = read_uint_array(chunk, int(width), count).reshape(-1, row_len)
+        cursor += nbytes
+    return out

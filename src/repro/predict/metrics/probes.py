@@ -19,6 +19,7 @@ from ...core.errors import MissingOptionError
 from ...core.metrics import ERROR_DEPENDENT, NONDETERMINISTIC, RUNTIME, MetricsPlugin
 from ...core.options import PressioOptions
 from ...dataset.sampler import sample_blocks
+from ...encoding.bitio import uint_bit_length
 from ...encoding.entropy import huffman_expected_length, quantized_entropy
 from ...encoding.huffman import code_lengths
 
@@ -125,7 +126,61 @@ class DistortionMetric(MetricsPlugin):
         return self._prefixed(dict(self._results))
 
 
-class SampledTrialMetric(MetricsPlugin):
+class _CompressorProbe(MetricsPlugin):
+    """What every compressor probe shares: a private codec to run, a
+    seeded sampling fraction (and block side, for the block samplers),
+    and the results of the last observation."""
+
+    invalidations = (ERROR_DEPENDENT,)
+    fraction = 0.05
+    block = 8
+
+    def __init__(
+        self,
+        compressor: CompressorPlugin,
+        *,
+        fraction: float | None = None,
+        block: int | None = None,
+        seed: int = 0,
+        **options: Any,
+    ) -> None:
+        super().__init__(**options)
+        self.compressor = compressor
+        self.fraction = float(self.fraction if fraction is None else fraction)
+        self.block = int(self.block if block is None else block)
+        self.seed = int(seed)
+        self.reset()
+
+    def reset(self) -> None:
+        self._results: dict[str, Any] = {}
+
+    def get_metrics_results(self) -> PressioOptions:
+        return self._prefixed(dict(self._results))
+
+
+def _code_stats(codes: np.ndarray) -> tuple[dict[str, Any], np.ndarray]:
+    """The escape fraction plus the Huffman and entropy statistics of the
+    in-window codes — what the entropy stage would see.  Also returns
+    the in-window symbol probabilities (empty when every code escapes)."""
+    from ...compressors.sz3 import ESCAPE_LIMIT  # local to avoid cycle
+
+    escaped = np.abs(codes) >= ESCAPE_LIMIT
+    stats = {"escape_fraction": float(escaped.mean()), "huffman_bits_exact": 0.0,
+             "entropy_bits": 0.0, "table_symbols": 0}
+    inside = codes[~escaped]
+    if not inside.size:
+        return stats, np.zeros(0)
+    symbols, counts = np.unique(inside, return_counts=True)
+    probs = counts / counts.sum()
+    stats.update(
+        huffman_bits_exact=_huffman_bits_exact(counts),
+        entropy_bits=float(-np.sum(probs * np.log2(probs))),
+        table_symbols=int(symbols.size),
+    )
+    return stats, probs
+
+
+class SampledTrialMetric(_CompressorProbe):
     """Tao 2019's trial-based estimate: run the *real* compressor on
     sampled blocks and report the sample compression ratio.
 
@@ -136,25 +191,6 @@ class SampledTrialMetric(MetricsPlugin):
 
     id = "trial"
     invalidations = (ERROR_DEPENDENT, RUNTIME, NONDETERMINISTIC)
-
-    def __init__(
-        self,
-        compressor: CompressorPlugin,
-        *,
-        block: int = 8,
-        fraction: float = 0.05,
-        seed: int = 0,
-        **options: Any,
-    ) -> None:
-        super().__init__(**options)
-        self.compressor = compressor
-        self.block = int(block)
-        self.fraction = float(fraction)
-        self.seed = int(seed)
-        self.reset()
-
-    def reset(self) -> None:
-        self._results: dict[str, Any] = {}
 
     def begin_compress_impl(self, input_data: PressioData, options: PressioOptions) -> None:
         blocks = sample_blocks(
@@ -171,126 +207,66 @@ class SampledTrialMetric(MetricsPlugin):
             "sample_count": int(blocks.shape[0]),
         }
 
-    def get_metrics_results(self) -> PressioOptions:
-        return self._prefixed(dict(self._results))
 
-
-class SZ3StageProbeMetric(MetricsPlugin):
+class SZ3StageProbeMetric(_CompressorProbe):
     """Jin 2022 / SECRE-style probe of SZ3's first pipeline stages.
 
-    Runs prediction + quantization (cheap, vectorised; no encoding) and
-    summarises the residual-code distribution: its Huffman-efficiency
-    estimate, the escape fraction, and the zero-residual fraction.  With
-    ``fraction < 1`` only sampled blocks are probed (SECRE's tightly
-    coupled sampling); with ``fraction = 1`` the whole array is used
-    (Jin's full numerical model).
+    Runs the codec's prediction + quantization (``predict_residuals``:
+    cheap, vectorised; no encoding) and summarises the residual-code
+    distribution: its Huffman-efficiency estimate, the escape fraction,
+    and the zero-residual fraction.  With ``fraction < 1`` only sampled
+    blocks are probed (SECRE's tightly coupled sampling); with
+    ``fraction = 1`` (the default) the whole array is used (Jin's full
+    numerical model).
     """
 
     id = "sz3probe"
-    invalidations = (ERROR_DEPENDENT,)
+    fraction = 1.0
 
-    def __init__(
-        self,
-        compressor: CompressorPlugin,
-        *,
-        fraction: float = 1.0,
-        block: int = 8,
-        seed: int = 0,
-        **options: Any,
-    ) -> None:
-        super().__init__(**options)
-        self.compressor = compressor
-        self.fraction = float(fraction)
-        self.block = int(block)
-        self.seed = int(seed)
+    def __init__(self, compressor: CompressorPlugin, **kwargs: Any) -> None:
+        super().__init__(compressor, **kwargs)
         # Sampled and full-data probes are *different observations* of
         # the same stages; distinct ids keep their results from
         # colliding when several schemes share one result namespace.
         if self.fraction < 1.0:
             self.id = "sz3probe_sampled"
-        self.reset()
-
-    def reset(self) -> None:
-        self._results: dict[str, Any] = {}
 
     def begin_compress_impl(self, input_data: PressioData, options: PressioOptions) -> None:
-        from ...compressors.sz3 import ESCAPE_LIMIT  # local to avoid cycle
-
         self.compressor.set_options({"pressio:abs": _abs_bound(options)})
         if self.fraction >= 1.0:
             target = np.asarray(input_data.array, dtype=np.float64)
         else:
-            blocks = sample_blocks(
+            target = sample_blocks(
                 input_data.array, block=self.block, fraction=self.fraction, seed=self.seed
             )
-            side = self.block
-            target = blocks.reshape((-1,) + (side,) * input_data.ndim) if blocks.size else blocks
-        resid = self.compressor.predict_residuals(target)
-        flat = resid.reshape(-1)
+        flat = self.compressor.predict_residuals(target).reshape(-1)
         if flat.size == 0:
             self._results = {}
             return
-        escape_fraction = float((np.abs(flat) >= ESCAPE_LIMIT).mean())
-        inside = flat[np.abs(flat) < ESCAPE_LIMIT]
-        if inside.size:
-            symbols, counts = np.unique(inside, return_counts=True)
-            probs = counts / counts.sum()
-            est_bits = huffman_expected_length(probs)
-            exact_bits = _huffman_bits_exact(counts)
-            table_symbols = int(symbols.size)
-            entropy_bits = float(-np.sum(probs * np.log2(probs)))
-        else:
-            est_bits = exact_bits = entropy_bits = 0.0
-            table_symbols = 0
+        stats, probs = _code_stats(flat)
         self._results = {
-            "huffman_bits_estimate": est_bits,
-            "huffman_bits_exact": exact_bits,
-            "entropy_bits": entropy_bits,
-            "escape_fraction": escape_fraction,
+            "huffman_bits_estimate": huffman_expected_length(probs) if probs.size else 0.0,
+            **stats,
             "zero_residual_fraction": float((flat == 0).mean()),
-            "table_symbols": table_symbols,
             "probed_values": int(flat.size),
             "element_bits": int(input_data.dtype.itemsize * 8),
             "total_values": int(input_data.size),
         }
 
-    def get_metrics_results(self) -> PressioOptions:
-        return self._prefixed(dict(self._results))
 
-
-class ZFPStageProbeMetric(MetricsPlugin):
+class ZFPStageProbeMetric(_CompressorProbe):
     """SECRE-style probe of the ZFP pipeline on sampled blocks.
 
-    Runs fixed-point conversion, the lifting transform, and coefficient
+    Runs the codec's own fixed point, lifting transform and coefficient
     quantization on sampled 4^d blocks, then reports the bits/value the
     fixed-width packer would spend — the dominant term of the ZFP stream.
     """
 
     id = "zfpprobe"
-    invalidations = (ERROR_DEPENDENT,)
-
-    def __init__(
-        self,
-        compressor: CompressorPlugin,
-        *,
-        fraction: float = 0.05,
-        seed: int = 0,
-        **options: Any,
-    ) -> None:
-        super().__init__(**options)
-        self.compressor = compressor
-        self.fraction = float(fraction)
-        self.seed = int(seed)
-        self.reset()
-
-    def reset(self) -> None:
-        self._results: dict[str, Any] = {}
 
     def begin_compress_impl(self, input_data: PressioData, options: PressioOptions) -> None:
         from ...compressors import zfp as zfpmod
 
-        eb = _abs_bound(options)
-        d = max(input_data.ndim, 1)
         blocks = sample_blocks(
             input_data.array, block=zfpmod.BLOCK, fraction=self.fraction,
             min_blocks=8, seed=self.seed,
@@ -298,88 +274,45 @@ class ZFPStageProbeMetric(MetricsPlugin):
         if blocks.size == 0:
             self._results = {}
             return
-        stacked = blocks.reshape((-1,) + (zfpmod.BLOCK,) * d)
-        nblocks = stacked.shape[0]
-        flat = stacked.reshape(nblocks, -1)
-        maxabs = np.abs(flat).max(axis=1)
-        exps = np.zeros(nblocks, dtype=np.int64)
-        nz = maxabs > 0
-        exps[nz] = np.ceil(np.log2(maxabs[nz])).astype(np.int64)
-        scale = np.ldexp(1.0, (zfpmod.FRAC_BITS - exps).astype(np.int64))
-        fixed = np.round(flat * scale[:, None]).astype(np.int64)
-        coeffs = zfpmod.block_transform_forward(
-            fixed.reshape(stacked.shape)
-        ).reshape(nblocks, -1)
-        gain = zfpmod.inverse_gain(d)
-        shift = np.floor(
-            np.log2(np.maximum(eb * scale / gain, 1.0))
-        ).astype(np.int64)
-        half = np.where(shift > 0, np.int64(1) << np.maximum(shift - 1, 0), 0)
-        q = (coeffs + half[:, None]) >> shift[:, None]
-        zz = zfpmod.zigzag(q[:, 1:])
-        rowmax = zz.max(axis=1)
-        widths = np.zeros(nblocks, dtype=np.int64)
-        wnz = rowmax > 0
-        widths[wnz] = np.floor(np.log2(rowmax[wnz].astype(np.float64))).astype(np.int64) + 1
-        ncoef = flat.shape[1]
-        ac_bits = float((widths * (ncoef - 1)).mean())
+        # A short axis gives short blocks: edge-pad them as to_blocks pads the array.
+        pads = [(0, 0)] + [(0, zfpmod.BLOCK - side) for side in blocks.shape[1:]]
+        blocks = np.pad(blocks, pads, mode="edge")
+        _, scale, coeffs = zfpmod.block_coefficients(blocks)
+        shift = zfpmod.accuracy_shift(scale, _abs_bound(options), blocks.ndim - 1)
+        q = zfpmod.quantize_coefficients(coeffs, shift)
+        widths = uint_bit_length(zfpmod.zigzag(q[:, 1:]).max(axis=1))
+        ncoef = coeffs.shape[1]
         # Per-block side-channel cost in the real stream: exponent,
         # shift, width (5 bytes) + amortised DC delta.
         dc_mag = np.abs(np.diff(q[:, 0], prepend=q[0, 0]))
-        dc_bits = float(np.log2(dc_mag.astype(np.float64) + 2.0).mean() + 1.0)
         self._results = {
-            "ac_bits_per_block": ac_bits,
-            "dc_bits_per_block": dc_bits,
+            "ac_bits_per_block": float((widths * (ncoef - 1)).mean()),
+            "dc_bits_per_block": float(np.log2(dc_mag.astype(np.float64) + 2.0).mean() + 1.0),
             "mean_width": float(widths.mean()),
-            "zero_block_fraction": float((~wnz).mean()),
-            "probed_blocks": int(nblocks),
+            "zero_block_fraction": float((widths == 0).mean()),
+            "probed_blocks": len(blocks),
             "block_values": int(ncoef),
             "element_bits": int(input_data.dtype.itemsize * 8),
         }
 
-    def get_metrics_results(self) -> PressioOptions:
-        return self._prefixed(dict(self._results))
 
-
-class SperrStageProbeMetric(MetricsPlugin):
+class SperrStageProbeMetric(_CompressorProbe):
     """SECRE-style probe of the SPERR-like wavelet pipeline.
 
     §2.2: SECRE "applies it to two additional compressors SZx ... and to
-    SPERR a leading compressor based on wavelets".  The probe runs
-    quantization + the multilevel integer wavelet on sampled sub-blocks
-    and summarises the coefficient distribution the entropy stage would
-    code — the same statistics as the SZ3 probe, measured after a
-    different decorrelating stage.
+    SPERR a leading compressor based on wavelets".  The probe runs the
+    codec's quantize + multilevel integer wavelet
+    (``transform_coefficients``) on sampled sub-blocks and summarises
+    the coefficient distribution the entropy stage would code — the same
+    statistics as the SZ3 probe, measured after a different
+    decorrelating stage.
     """
 
     id = "sperrprobe"
-    invalidations = (ERROR_DEPENDENT,)
-
-    def __init__(
-        self,
-        compressor: CompressorPlugin,
-        *,
-        fraction: float = 0.05,
-        block: int = 16,
-        seed: int = 0,
-        **options: Any,
-    ) -> None:
-        super().__init__(**options)
-        self.compressor = compressor
-        self.fraction = float(fraction)
-        self.block = int(block)
-        self.seed = int(seed)
-        self.reset()
-
-    def reset(self) -> None:
-        self._results: dict[str, Any] = {}
+    block = 16
 
     def begin_compress_impl(self, input_data: PressioData, options: PressioOptions) -> None:
-        from ...compressors.sz3 import ESCAPE_LIMIT, quantize
-        from ...compressors.wavelet import wavelet_forward
-
-        eb = _abs_bound(options)
-        d = max(input_data.ndim, 1)
+        self.compressor.set_options({"pressio:abs": _abs_bound(options)})
         blocks = sample_blocks(
             input_data.array, block=self.block, fraction=self.fraction,
             min_blocks=2, seed=self.seed,
@@ -387,62 +320,23 @@ class SperrStageProbeMetric(MetricsPlugin):
         if blocks.size == 0:
             self._results = {}
             return
-        side = self.block if blocks.shape[1] == self.block**d else None
-        levels = int(self.compressor.get_options().get("sperr:levels", 3))
-        coeffs_list = []
-        for row in blocks:
-            sub = row.reshape((side,) * d) if side else row
-            codes = quantize(sub, eb)
-            coeffs_list.append(wavelet_forward(codes, levels).reshape(-1))
-        flat = np.concatenate(coeffs_list)
-        escape_fraction = float((np.abs(flat) >= ESCAPE_LIMIT).mean())
-        inside = flat[np.abs(flat) < ESCAPE_LIMIT]
-        if inside.size:
-            symbols, counts = np.unique(inside, return_counts=True)
-            probs = counts / counts.sum()
-            exact_bits = _huffman_bits_exact(counts)
-            entropy_bits = float(-np.sum(probs * np.log2(probs)))
-            table_symbols = int(symbols.size)
-        else:
-            exact_bits = entropy_bits = 0.0
-            table_symbols = 0
+        flat = np.concatenate(
+            [self.compressor.transform_coefficients(b).reshape(-1) for b in blocks]
+        )
         self._results = {
-            "huffman_bits_exact": exact_bits,
-            "entropy_bits": entropy_bits,
-            "escape_fraction": escape_fraction,
-            "table_symbols": table_symbols,
+            **_code_stats(flat)[0],
             "probed_values": int(flat.size),
             "total_values": int(input_data.size),
             "element_bits": int(input_data.dtype.itemsize * 8),
         }
 
-    def get_metrics_results(self) -> PressioOptions:
-        return self._prefixed(dict(self._results))
 
-
-class SZXStageProbeMetric(MetricsPlugin):
+class SZXStageProbeMetric(_CompressorProbe):
     """Probe SZx's classification on sampled blocks: constant-block
     fraction and the mean non-constant code width."""
 
     id = "szxprobe"
-    invalidations = (ERROR_DEPENDENT,)
-
-    def __init__(
-        self,
-        compressor: CompressorPlugin,
-        *,
-        fraction: float = 0.1,
-        seed: int = 0,
-        **options: Any,
-    ) -> None:
-        super().__init__(**options)
-        self.compressor = compressor
-        self.fraction = float(fraction)
-        self.seed = int(seed)
-        self.reset()
-
-    def reset(self) -> None:
-        self._results: dict[str, Any] = {}
+    fraction = 0.1
 
     def begin_compress_impl(self, input_data: PressioData, options: PressioOptions) -> None:
         from ...compressors.szx import classify_blocks
@@ -461,17 +355,12 @@ class SZXStageProbeMetric(MetricsPlugin):
             [flat[p * block : (p + 1) * block] for p in picks if (p + 1) * block <= flat.size]
         ) if nblocks > 1 else flat[: block][None, :]
         _, lo, const = classify_blocks(rows.reshape(-1), rows.shape[1], eb)
-        mat = rows
-        hi = mat.max(axis=1)
-        span = np.maximum((hi - mat.min(axis=1)) / (2 * eb), 1.0)
+        span = np.maximum((rows.max(axis=1) - lo) / (2 * eb), 1.0)
         widths = np.ceil(np.log2(span + 1.0))
         self._results = {
             "constant_fraction": float(const.mean()),
             "mean_width": float(widths[~const].mean()) if (~const).any() else 0.0,
-            "probed_blocks": int(mat.shape[0]),
+            "probed_blocks": int(rows.shape[0]),
             "block_size": int(block),
             "element_bits": int(input_data.dtype.itemsize * 8),
         }
-
-    def get_metrics_results(self) -> PressioOptions:
-        return self._prefixed(dict(self._results))

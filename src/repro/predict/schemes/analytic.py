@@ -221,9 +221,7 @@ class ZPerfProbeMetric(MetricsPlugin):
         data = as_data(input_data)
         eb = float(options.get("pressio:abs"))
         blocks = sample_blocks(data.array, block=8, fraction=self.fraction, seed=self.seed)
-        side = 8
-        stacked = blocks.reshape((-1,) + (side,) * data.ndim) if blocks.size else blocks
-        codes = quantize(stacked, eb)
+        codes = quantize(blocks, eb)
         out: dict[str, Any] = {"element_bits": int(data.dtype.itemsize * 8)}
         for order in self.orders:
             resid = lorenzo_forward(codes, order).reshape(-1)

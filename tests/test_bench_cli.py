@@ -180,6 +180,30 @@ class TestCommands:
         capsys.readouterr()
         assert main(argv) == 0  # resumes from the checkpoint cleanly
 
+    def test_run_exits_1_when_nothing_was_collected(self, monkeypatch, capsys):
+        from repro.bench.runner import ExperimentRunner
+
+        def fail(self, task, worker=0):
+            raise RuntimeError("every task fails")
+
+        monkeypatch.setattr(ExperimentRunner, "run_task", fail)
+        with pytest.warns(UserWarning, match="failed after retries"):
+            code = main(
+                [
+                    "run",
+                    "--schemes", "tao2019",
+                    "--compressors", "szx",
+                    "--bounds", "1e-4",
+                    "--shape", "8", "8", "4",
+                    "--timesteps", "1",
+                    "--fields", "P",
+                    "--folds", "2",
+                    "--max-retries", "0",
+                ]
+            )
+        assert code == 1
+        assert "every task fails" in capsys.readouterr().err
+
 
 class TestGenerateCommand:
     def test_writes_files(self, tmp_path, capsys):

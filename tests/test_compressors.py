@@ -192,6 +192,42 @@ class TestSZ3Internals:
         assert max_err(small, recon) <= bound_tol(1e-2, small)
 
 
+class TestGridOverflow:
+    """Quantize-first codecs must refuse a bound whose ``2·eb`` grid cannot
+    hold the data: past ``2**53`` steps float64 rounding no longer lands
+    on the grid, and past ``2**63`` the int64 cast wraps.  A constant
+    non-zero field under ``pressio:rel`` resolves to ``eb = rel·1e-30``."""
+
+    @pytest.mark.parametrize(
+        "comp_id,options",
+        [
+            ("sz3", {"sz3:predictor": "lorenzo"}),
+            ("sz3", {"sz3:predictor": "lorenzo2"}),
+            ("sz3", {"sz3:predictor": "interp"}),
+            ("sperr", {}),
+        ],
+    )
+    def test_constant_field_under_rel_raises(self, comp_id, options):
+        comp = make_compressor(comp_id)
+        comp.set_options({**options, "pressio:rel": 1e-4})
+        with pytest.raises(OptionError):
+            comp.compress(np.full((8, 8, 8), 3.25))
+
+    def test_quantize_refuses_the_first_unrepresentable_step(self):
+        eb = 0.5  # grid step 1.0: codes are the values themselves
+        assert quantize(np.array([2.0**53 - 1]), eb).tolist() == [2**53 - 1]
+        with pytest.raises(OptionError):
+            quantize(np.array([-(2.0**53)]), eb)
+
+    def test_constant_field_under_rel_still_roundtrips_elsewhere(self):
+        for comp_id in ("zfp", "szx"):
+            comp = make_compressor(comp_id)
+            comp.set_options({"pressio:rel": 1e-4})
+            field = np.full((8, 8, 8), 3.25)
+            recon = comp.decompress(comp.compress(field)).array
+            assert np.array_equal(recon, field), comp_id
+
+
 class TestZFPInternals:
     @pytest.mark.parametrize("ndim", [1, 2, 3])
     def test_transform_near_invertible(self, ndim):
