@@ -9,12 +9,12 @@ SLURM-launched campaign runs, minus the network:
   ranks.  Spawned ranks pay real process startup, so the floor asserted
   is modest (4 ranks beat 1); the interesting number is the curve in the
   artifact;
-* **wire bytes per task** — payloads stay in the rank shards, so the
-  control-plane cost per task must be flat and small (bounded here at
-  64 KiB/task, two orders below the payloads themselves);
+* **wire bytes per task** — payloads ride the acks to rank 0, so the
+  control-plane cost per task must stay flat and small (bounded here at
+  64 KiB/task);
 * **rank_kill chaos** — a campaign where worker ranks are abruptly
   killed (``os._exit``, no flush, no ack) mid-batch must still complete
-  every task after requeue + respawn, and the merged store must verify
+  every task after requeue + respawn, and rank 0's store must verify
   clean: the zero-lost-tasks guarantee.
 
 Emits ``BENCH_cluster.json``.
@@ -68,14 +68,18 @@ def simulated_collection_task(task: Task, worker: int) -> dict:
 
 def _run_cell(n_workers: int, tmp_path, chaos=None, max_pool_rebuilds: int = 16,
               per_data: int = PER_DATA):
-    spec = ClusterSpec(shard_dir=str(tmp_path / f"shards-{n_workers}"))
-    queue = TaskQueue(n_workers, "cluster", cluster=spec,
+    queue = TaskQueue(n_workers, "cluster", cluster=ClusterSpec(),
                       max_pool_rebuilds=max_pool_rebuilds)
-    store = CheckpointStore(str(tmp_path / f"merged-{n_workers}.db"))
+    store = CheckpointStore(str(tmp_path / f"ckpt-{n_workers}.db"))
     tasks = make_tasks(per_data=per_data)
+
+    def on_result(result):
+        if result.ok:
+            store.put(result.task.key(), result.payload)
+
     t0 = time.perf_counter()
     results, stats = queue.run(
-        tasks, simulated_collection_task, chaos=chaos, merge_store=store
+        tasks, simulated_collection_task, chaos=chaos, on_result=on_result
     )
     elapsed = time.perf_counter() - t0
     assert stats.failed == 0, [r.error for r in results if not r.ok][:3]
@@ -105,16 +109,14 @@ class TestClusterScaleout:
                     "workers": n,
                     "seconds": round(elapsed, 4),
                     "speedup_vs_1": round(timings[WORKER_COUNTS[0]] / elapsed, 3),
-                    "shards_merged": cs["shards_merged"],
                     "wire_bytes_per_task": round(cs["wire_bytes_per_task"], 1),
                     "rank_deaths": cs["rank_deaths"],
                 }
             )
             record_property(f"cluster_{n}w_s", round(elapsed, 4))
-            # Payloads ride the shards, not the ack channel: the control
-            # plane must stay flat and cheap per task.
+            # Payloads ride the acks: the control plane must stay flat
+            # and cheap per task.
             assert cs["wire_bytes_per_task"] < 64 * 1024, cs
-            assert cs["shards_merged"] == n
 
         assert timings[4] < timings[1], (
             f"4 ranks ({timings[4]:.2f}s) must beat 1 rank ({timings[1]:.2f}s) "
@@ -122,7 +124,7 @@ class TestClusterScaleout:
         )
 
         # Chaos cell: kill the hosting rank of ~25% of tasks, first
-        # attempt each.  Zero lost tasks after requeue + merge is the
+        # attempt each.  Zero lost tasks after requeue is the
         # acceptance criterion, not a statistical outcome.
         chaos = ChaosPlan(
             rank_kill_rate=0.25, seed=13, state_dir=str(tmp_path / "chaos")
@@ -139,8 +141,6 @@ class TestClusterScaleout:
             "rank_restarts": cs["rank_restarts"],
             "tasks_completed": stats.completed,
             "tasks_lost": N_DATA * CHAOS_PER_DATA - stats.completed,
-            "merge_replaced": cs["merge_replaced"],
-            "merge_quarantined": cs["merge_quarantined"],
         }
         record_property("chaos_rank_deaths", cs["rank_deaths"])
         assert report["rank_kill_chaos"]["tasks_lost"] == 0

@@ -83,7 +83,6 @@ DISK_METHODS = frozenset(
         "keys",
         "latest",
         "load",
-        "merge_shards",
         "publish",
         "put",
         "record_failure",

@@ -491,76 +491,6 @@ class CheckpointStore:
             self._db.commit()
         return damaged
 
-    # -- shard merge -------------------------------------------------------------
-    def dump_rows(self) -> list[tuple]:
-        """Every committed result row, raw (the shard-merge export).
-
-        Unlike :meth:`query`, timestamps and checksums ride along —
-        the merge needs ``created_at`` for last-writer-wins ordering and
-        ``checksum`` to re-verify each row before it enters the merged
-        store.  Column order matches ``_INSERT_SQL``.
-        """
-        self.flush()
-        with self._lock:
-            cur = self._db.execute(
-                "SELECT key, compressor_hash, dataset_hash, experiment_hash,"
-                " replicate, payload, created_at, checksum FROM results"
-            )
-            return cur.fetchall()
-
-    def merge_rows(self, rows: Iterable[tuple]) -> dict[str, int]:
-        """Fold raw result rows (from :meth:`dump_rows`) into this store.
-
-        Last-writer-wins on duplicate keys, by ``created_at``: an
-        incoming row replaces an existing one only when it is strictly
-        newer, or equally old with different payload bytes (a tie
-        between shards — later shard in merge order wins, so re-merging
-        the same shards in the same order is a no-op).  Original
-        timestamps and checksums are preserved — a merge is a move, not
-        a rewrite, and re-running it is idempotent.
-
-        Returns ``{"inserted": …, "replaced": …, "skipped": …}``.
-        """
-        inserted = replaced = skipped = 0
-        to_write: list[tuple] = []
-        rows = list(rows)
-        if not rows:
-            return {"inserted": 0, "replaced": 0, "skipped": 0}
-        with self._lock:
-            self._flush_locked()
-            existing: dict[str, tuple[float, str]] = {}
-            keys = [row[0] for row in rows]
-            for i in range(0, len(keys), _IN_CHUNK):
-                chunk = keys[i : i + _IN_CHUNK]
-                marks = ",".join("?" * len(chunk))
-                cur = self._db.execute(
-                    f"SELECT key, created_at, checksum FROM results "
-                    f"WHERE key IN ({marks})",
-                    chunk,
-                )
-                existing.update(
-                    (k, (float(ts), cs)) for k, ts, cs in cur.fetchall()
-                )
-            for row in rows:
-                key, created_at, checksum = row[0], float(row[6]), row[7]
-                prior = existing.get(key)
-                if prior is None:
-                    inserted += 1
-                elif created_at > prior[0] or (
-                    created_at == prior[0] and checksum != prior[1]
-                ):
-                    replaced += 1
-                else:
-                    skipped += 1
-                    continue
-                existing[key] = (created_at, checksum)
-                to_write.append(tuple(row))
-            if to_write:
-                self._db.executemany(_INSERT_SQL, to_write)
-                self._db.commit()
-                self.commit_count += 1
-        return {"inserted": inserted, "replaced": replaced, "skipped": skipped}
-
     # -- failure ledger ----------------------------------------------------------
     def record_failure(
         self, key: str, error: str, *, status: int = 1, attempts: int = 1,
@@ -570,8 +500,8 @@ class CheckpointStore:
         inspectable after the process exits (``collect()`` returns these,
         ``report --failures`` prints them) and resumes can skip tasks
         whose failure is permanent.  ``origin`` names where the failure
-        happened (e.g. ``"rank3"`` in a cluster shard); empty means this
-        process."""
+        happened (e.g. ``"rank3"``, a cluster worker rank); empty means
+        this process."""
         with self._lock:
             self._db.execute(
                 "INSERT OR REPLACE INTO failures "

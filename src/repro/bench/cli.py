@@ -1,8 +1,10 @@
 """``predict-bench`` command-line interface.
 
-Configuration is converted into option structures through the same
-introspection path the library uses (§4.3): ``-o key=value`` flags flow
-through :func:`repro.core.config.parse_flags`.
+Each subcommand's flags name what a campaign sweeps (schemes,
+compressors, bounds), its dataset, queue and checkpoint; the
+:class:`~repro.bench.runner.ExperimentRunner` turns them into option
+structures the way a library caller's runner does.  There is no generic
+``-o key=value`` flag.
 
 Examples::
 
@@ -26,7 +28,7 @@ from ..core.compressor import compressor_registry
 from ..dataset.hurricane import HurricaneDataset
 from ..predict.scheme import available_schemes
 from .checkpoint import CheckpointStore
-from .cluster import ClusterSpec, discover_shards, generate_sbatch, merge_shards, merged_run_stats
+from .cluster import ClusterSpec, generate_sbatch
 from .cluster.spec import parse_hostport
 from .faults import ChaosPlan, RetryPolicy
 from .report import format_table2, rows_to_records
@@ -186,12 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shared directory for once-only injection markers (must be "
         "reachable by every rank; default: a host-local temp dir)",
     )
-    collect.add_argument(
-        "--shard-dir", default=None,
-        help="directory for the per-rank checkpoint shards (launched "
-        "campaigns need a shared filesystem path; spawn mode defaults to "
-        "a temp dir)",
-    )
     collect.add_argument("--coord", default=None, metavar="HOST:PORT",
                          help="TCP rendezvous for launched campaigns "
                          "(default: REPRO_CLUSTER_COORD)")
@@ -206,14 +202,14 @@ def build_parser() -> argparse.ArgumentParser:
     sbatch = command(
         "sbatch", cmd_sbatch,
         help="generate a SLURM batch script for a launched-TCP cluster "
-        "campaign (every rank runs the given collect command; shard "
-        "paths derive from SLURM_PROCID)",
+        "campaign (every rank runs the given collect command; rank "
+        "identity derives from SLURM_PROCID)",
     )
     sbatch.add_argument(
         "collect_command",
         metavar="COMMAND",
-        help="collection invocation to run on every rank, without engine/"
-        "shard flags — e.g. 'predict-bench collect --checkpoint bench.db'",
+        help="collection invocation to run on every rank, without an "
+        "engine flag — e.g. 'predict-bench collect --checkpoint bench.db'",
     )
     sbatch.add_argument("--job-name", default="predict-bench")
     sbatch.add_argument("--ntasks", type=int, default=4,
@@ -222,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     sbatch.add_argument("--time", dest="time_limit", default="01:00:00")
     sbatch.add_argument("--partition", default=None)
     sbatch.add_argument("--account", default=None)
-    sbatch.add_argument("--shard-dir", default="cluster-shards")
     sbatch.add_argument("--coord-port", type=int, default=7621)
     sbatch.add_argument(
         "--directive", action="append", default=[], metavar="FLAG",
@@ -236,11 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-evaluate from an existing checkpoint without recollecting "
         "(§4.3: query and partially restore the key state)",
     )
-    report.add_argument(
-        "checkpoint",
-        help="checkpoint database, or a shard *directory* from a cluster "
-        "campaign (per-rank shards are merged in memory for the report)",
-    )
+    report.add_argument("checkpoint", help="checkpoint database")
     _add_sweep_flags(report, bound_flags=False)
     _add_evaluation_flags(report)
     report.add_argument(
@@ -378,12 +369,12 @@ def _dataset(args: argparse.Namespace, timesteps: int | None = None) -> Hurrican
     )
 
 
-def _store(args: argparse.Namespace, path: str | None = None) -> CheckpointStore:
-    """The checkpoint ``args.checkpoint`` (or *path*) names, batched as
-    the store flags say where a command has them."""
+def _store(args: argparse.Namespace) -> CheckpointStore:
+    """The checkpoint ``args.checkpoint`` names, batched as the store
+    flags say where a command has them."""
     flags = vars(args)
     return CheckpointStore(
-        path or args.checkpoint,
+        args.checkpoint,
         flush_every=flags.get("flush_every", 1),
         flush_interval=flags.get("flush_interval"),
     )
@@ -406,7 +397,6 @@ def _queue_from_args(args: argparse.Namespace, **extra: Any) -> TaskQueue:
         if args.engine == "cluster":
             cluster = ClusterSpec(
                 spawn=not args.no_spawn,
-                shard_dir=args.shard_dir,
                 coord=args.coord,
                 heartbeat_interval=args.heartbeat_interval,
                 heartbeat_timeout=args.heartbeat_timeout,
@@ -554,10 +544,10 @@ def cmd_collect(args: argparse.Namespace) -> int:
     With ``--engine cluster`` this is the symmetric multi-node entry
     point: a launched worker rank (``SLURM_PROCID`` / ``OMPI_COMM_WORLD_RANK``
     / ``PMI_RANK`` > 0) short-circuits into the worker loop — no dataset
-    initialisation, no primary-store access — while rank 0 coordinates,
-    merges the shards into ``--checkpoint``, and prints the campaign
-    summary.  On a laptop (no launcher) the coordinator simply spawns
-    local worker ranks over loopback TCP.
+    initialisation, no database — while rank 0 coordinates, writes every
+    acked result into ``--checkpoint``, and prints the campaign summary.
+    On a laptop (no launcher) the coordinator simply spawns local worker
+    ranks over loopback TCP.
     """
     queue = _queue_from_args(args, max_pool_rebuilds=args.max_pool_rebuilds)
     if queue.cluster is not None and queue.cluster.is_worker_rank:
@@ -574,10 +564,9 @@ def cmd_collect(args: argparse.Namespace) -> int:
             f"retries={stats.retries}"
         )
         if stats.engine == "cluster":
-            counters = ("shards_merged", "merge_replaced", "merge_quarantined",
-                        "rank_deaths", "rank_restarts")
-            print("cluster: " + " ".join(f"{name}={summary[name]}" for name in counters)
-                  + f" wire_bytes_per_task={summary['wire_bytes_per_task']:.0f}")
+            print(f"cluster: rank_deaths={summary['rank_deaths']} "
+                  f"rank_restarts={summary['rank_restarts']} "
+                  f"wire_bytes_per_task={summary['wire_bytes_per_task']:.0f}")
         if chaos is not None:
             _print_chaos(args, chaos)
         return 0 if stats.failed == 0 else 1
@@ -586,7 +575,7 @@ def cmd_collect(args: argparse.Namespace) -> int:
 def cmd_sbatch(args: argparse.Namespace) -> int:
     """Emit the SLURM batch script for a launched cluster campaign."""
     names = ("job_name", "ntasks", "nodes", "time_limit", "partition", "account",
-             "shard_dir", "coord_port")
+             "coord_port")
     script = generate_sbatch(args.collect_command, extra_directives=args.directive,
                              **{name: vars(args)[name] for name in names})
     if args.output:
@@ -607,22 +596,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     restored") and the k-fold evaluation replays over it.  Useful after
     a long campaign to try different fold counts, protocols, or scheme
     subsets without touching the metrics.
-
-    Pointing it at a *directory* reports on a cluster campaign's shard
-    set directly: the per-rank shards merge into an in-memory store
-    (checksum-verified, last-writer-wins — the same fold the
-    coordinator performs), per-rank run stats combine into one harness
-    view, and ``--failures`` shows which rank recorded each entry.
     """
-    shards = None
-    if os.path.isdir(args.checkpoint):
-        shards = discover_shards(args.checkpoint)
-        if not shards:
-            print(f"directory {args.checkpoint!r} holds no shard-*.db files", file=sys.stderr)
-            return 1
-    with _store(args, ":memory:" if shards else None) as store:
-        if shards:
-            print(merge_shards(store, shards).summary(), file=sys.stderr)
+    with _store(args) as store:
         if args.failures and not _print_failures(store):
             print("no recorded failures", file=sys.stderr)
         observations = store.query()
@@ -631,10 +606,9 @@ def cmd_report(args: argparse.Namespace) -> int:
             return 1
         # The collection pass persisted its harness statistics (stage
         # timings, affinity counters) with the campaign; surface them so a
-        # report from the checkpoint alone tells the whole story.  A shard
-        # directory instead folds every rank's stats into one campaign view.
-        harness = merged_run_stats(shards) if shards else None
-        if not shards and (raw_stats := store.get_meta("last_run_stats")) is not None:
+        # report from the checkpoint alone tells the whole story.
+        harness = None
+        if (raw_stats := store.get_meta("last_run_stats")) is not None:
             with contextlib.suppress(ValueError):
                 harness = json.loads(raw_stats)
         title = f"Report from {args.checkpoint} ({len(observations)} observations)"

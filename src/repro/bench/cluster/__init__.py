@@ -1,4 +1,4 @@
-"""Multi-node scale-out: the rank-sharded ``cluster`` collection engine.
+"""Multi-node scale-out: the ``cluster`` collection engine.
 
 The subsystem splits along the coordinator/worker seam:
 
@@ -9,14 +9,14 @@ The subsystem splits along the coordinator/worker seam:
 * :mod:`~repro.bench.cluster.wire` + :mod:`~repro.bench.cluster.transport`
   — the length-prefixed checksummed frame codec and the pure-socket TCP
   transport that carries it;
-* :mod:`~repro.bench.cluster.worker` — the rank loop: execute batches,
-  persist to the rank's own SQLite shard, flush *before* acking;
+* :mod:`~repro.bench.cluster.worker` — the rank loop: execute batches
+  and ack each one with its outcomes, payloads included (a worker rank
+  opens no database);
 * :mod:`~repro.bench.cluster.engine` — the rank-0 coordinator: datum
   affinity dispatch, heartbeat/EOF rank supervision with uncharged
-  requeue and respawn, then the checksum-verified last-writer-wins
-  shard merge;
-* :mod:`~repro.bench.cluster.shards` — shard discovery and the merge
-  itself (idempotent; corrupt rows quarantined per shard);
+  requeue and respawn; every acked outcome is charged through the task
+  ledger, so results reach the caller's ``on_result`` sink exactly as
+  on the other engines;
 * :mod:`~repro.bench.cluster.sbatch` — SLURM batch-script generation
   for launched-TCP campaigns (``mpirun``-started ranks need no script:
   the Open MPI/PMI rank variables are read directly).
@@ -28,22 +28,10 @@ transports in.
 """
 
 from .sbatch import generate_sbatch
-from .shards import (
-    MergeReport,
-    discover_shards,
-    merge_shards,
-    merged_run_stats,
-    shard_path,
-)
 from .spec import ClusterSpec, detect_launch_env
 
 __all__ = [
     "ClusterSpec",
-    "MergeReport",
     "detect_launch_env",
-    "discover_shards",
     "generate_sbatch",
-    "merge_shards",
-    "merged_run_stats",
-    "shard_path",
 ]

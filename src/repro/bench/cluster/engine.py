@@ -1,4 +1,4 @@
-"""The rank-0 coordinator: dispatch, supervise, merge.
+"""The rank-0 coordinator: dispatch and supervise.
 
 This is the ``cluster`` engine behind the :class:`TaskQueue` seam —
 the multi-node analog of the pinned process engine, driving the same
@@ -12,10 +12,12 @@ lives here is the mechanics:
 * **supervision** — a rank is declared dead on connection loss (TCP
   EOF), heartbeat staleness, or a chunk overrunning its deadline; the
   ledger takes its in-flight chunk back and, in spawn mode, the rank is
-  respawned until the ledger's crash-loop cap aborts the campaign;
-* **merge** — when the campaign drains, the per-rank checkpoint shards
-  fold into the primary store (checksum-verified, last-writer-wins,
-  idempotent — see :mod:`repro.bench.cluster.shards`).
+  respawned until the ledger's crash-loop cap aborts the campaign.
+
+Results take the one path every engine shares: a rank acks each batch
+with its outcomes, payloads included, and the coordinator charges them
+through the ledger, whose ``on_result`` sink (the runner's checkpoint
+write) runs here on rank 0 — the single SQLite writer.
 
 Deployment modes (decided by :meth:`ClusterSpec.resolve`), both over
 TCP: ``spawn`` forks local worker subprocesses on loopback;
@@ -33,21 +35,19 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-import tempfile
 import time
 import warnings
 from typing import Any, Callable
 
 from ..taskledger import TaskLedger
 from ..tasks import Task
-from .shards import discover_shards, merge_shards, shard_path
 from .spec import ClusterSpec, parse_hostport
 from .transport import RANK_DEAD, TcpCoordinator, TcpWorkerTransport, TransportError
-from .worker import SHARD_FLUSH_EVERY, run_worker
+from .worker import run_worker
 
 #: Seconds granted to the stop → bye handshake per campaign (after the
 #: work is drained; a rank that cannot say goodbye in this window is
-#: abandoned — its shard meta already holds its stats).
+#: abandoned — every result it acked is already charged).
 BYE_TIMEOUT = 10.0
 
 
@@ -84,13 +84,11 @@ def run_cluster(
     *,
     worker_init: Callable[[], Callable[[Task, int], dict[str, Any]]] | None = None,
     chaos=None,
-    merge_store=None,
 ):
     """Run *tasks* across the cluster described by ``queue.cluster``.
 
-    Returns ``(results, stats)`` like every engine.  Successful results
-    carry ``payload=None`` — payloads live in the rank shards and reach
-    *merge_store* through the merge, keeping the control plane thin.
+    Returns ``(results, stats)`` like every engine; each result reached
+    the ledger's ``on_result`` sink as its ack was charged.
     """
     spec: ClusterSpec = queue.cluster
     mode = spec.resolve()
@@ -99,7 +97,7 @@ def run_cluster(
     stats = ledger.stats
 
     # Launched worker rank: serve, then hand back an empty result set —
-    # only rank 0 owns results, merging, and reporting.
+    # only rank 0 owns results and reporting.
     if spec.is_worker_rank:
         host, port = parse_hostport(spec.coord or "")
         transport = TcpWorkerTransport(
@@ -112,11 +110,6 @@ def run_cluster(
         return ledger.outcome()
 
     # ---- coordinator side ------------------------------------------------------
-    if spec.shard_dir is None:
-        spec.shard_dir = tempfile.mkdtemp(prefix="cluster-shards-")
-    shard_dir = spec.shard_dir
-    os.makedirs(shard_dir, exist_ok=True)
-
     procs: dict[int, subprocess.Popen] = {}
     if mode == "launched-tcp":
         host, port = parse_hostport(spec.coord or "")
@@ -145,9 +138,7 @@ def run_cluster(
                     "worker_init": worker_init,
                     "task_fn": task_fn,
                     "chaos": chaos,
-                    "shard_path": shard_path(shard_dir, rank),
                     "heartbeat_interval": spec.heartbeat_interval,
-                    "flush_every": SHARD_FLUSH_EVERY,
                 },
             )
         except TransportError:
@@ -252,8 +243,6 @@ def run_cluster(
             if event is None:
                 continue
             rank, msg = event
-            # A bye's execute_seconds total is not added: charge_chunk
-            # booked every outcome's seconds as the results came in.
             if msg is RANK_DEAD or msg.get("op") == "bye":
                 awaiting_bye.discard(rank)
     finally:
@@ -266,13 +255,6 @@ def run_cluster(
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait(timeout=5.0)
-
-    # ---- shard merge -----------------------------------------------------------
-    if merge_store is not None:
-        report = merge_shards(merge_store, discover_shards(shard_dir))
-        stats.shards_merged = report.shards
-        stats.merge_replaced = report.replaced
-        stats.merge_quarantined = report.quarantined_total
     return ledger.outcome()
 
 

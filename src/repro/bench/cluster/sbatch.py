@@ -4,11 +4,10 @@
 *every* rank runs the same ``collect`` entry point:
 
 * rank 0 (the first task on the first node) resolves the deployment as
-  the coordinator and owns dispatch, supervision, and the shard merge;
-* ranks 1..N-1 short-circuit into the worker loop — they never pay for
-  dataset initialisation and write only their own
-  ``shard-<rank>.db`` inside the shared shard directory, the rank
-  taken from ``SLURM_PROCID``.
+  the coordinator and owns dispatch, supervision, and the checkpoint;
+* ranks 1..N-1 (the rank taken from ``SLURM_PROCID``) short-circuit
+  into the worker loop — they never pay for dataset initialisation and
+  open no database: their results ride the acks to rank 0.
 
 The generator is a pure function of its arguments (no clocks, no
 hostnames), so the emitted script is golden-testable byte for byte.
@@ -28,16 +27,15 @@ def generate_sbatch(
     time_limit: str = "01:00:00",
     partition: str | None = None,
     account: str | None = None,
-    shard_dir: str = "cluster-shards",
     coord_port: int = 7621,
     extra_directives: Sequence[str] = (),
 ) -> str:
     """Render the SBATCH script launching *command* on every rank.
 
-    *command* is the collection invocation **without** engine or shard
-    arguments (e.g. ``predict-bench collect --config bench.json``) —
-    the script appends ``--engine cluster --shard-dir ...`` itself so
-    the two halves cannot drift apart.  ``ntasks`` counts *all* ranks:
+    *command* is the collection invocation **without** an engine
+    argument (e.g. ``predict-bench collect --config bench.json``) —
+    the script appends ``--engine cluster`` itself so the two halves
+    cannot drift apart.  ``ntasks`` counts *all* ranks:
     one coordinator plus ``ntasks - 1`` workers.
     """
     if int(ntasks) < 2:
@@ -52,9 +50,7 @@ def generate_sbatch(
         )
     lines = [
         "#!/bin/bash",
-        "# Generated by predict-bench sbatch: rank-sharded cluster collection.",
-        "# Rank 0 coordinates and merges; ranks 1..N-1 execute tasks into",
-        "# per-rank checkpoint shards named from SLURM_PROCID.",
+        "# Generated by predict-bench sbatch: cluster collection.",
         f"#SBATCH --job-name={job_name}",
         f"#SBATCH --ntasks={int(ntasks)}",
     ]
@@ -71,13 +67,6 @@ def generate_sbatch(
         "",
         "set -euo pipefail",
         "",
-        "# Shared shard directory: every rank writes only its own",
-        '# shard-$(printf \'%05d\' "${SLURM_PROCID}").db inside it, and the',
-        "# coordinator merges them when the campaign drains — so the path",
-        "# must live on a filesystem all ranks can reach.",
-        f'export SHARD_DIR="{shard_dir}"',
-        'mkdir -p "${SHARD_DIR}"',
-        "",
         "# Workers find the coordinator (rank 0, on the first node of the",
         "# allocation) through REPRO_CLUSTER_COORD.",
         'COORD_HOST="$(scontrol show hostnames "${SLURM_JOB_NODELIST}" | head -n 1)"',
@@ -85,10 +74,10 @@ def generate_sbatch(
         'export REPRO_CLUSTER_WORLD="${SLURM_NTASKS}"',
         "",
         "# Every rank runs the same entry point; SLURM_PROCID decides who",
-        "# coordinates (rank 0) and which shard each worker owns.",
+        "# coordinates (rank 0).",
         "srun --export=ALL bash -c '",
         '    export REPRO_CLUSTER_RANK="${SLURM_PROCID}"',
-        f'    exec {command} --engine cluster --shard-dir "${{SHARD_DIR}}"',
+        f"    exec {command} --engine cluster",
         "'",
         "",
     ]

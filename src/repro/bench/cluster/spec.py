@@ -75,10 +75,6 @@ class ClusterSpec:
         launcher environment is present.  ``False`` turns a
         launcher-less ``--engine cluster`` into a ``process``-engine
         downgrade instead.
-    shard_dir:
-        Directory for the per-rank checkpoint shards; ``None`` lets the
-        engine create a temporary one (spawn mode only — launched ranks
-        must agree on a shared path).
     coord:
         ``"host:port"`` TCP rendezvous.  In spawn mode
         ``None`` means an ephemeral port on localhost; in launched mode
@@ -92,7 +88,6 @@ class ClusterSpec:
     """
 
     spawn: bool = True
-    shard_dir: str | None = None
     coord: str | None = None
     heartbeat_interval: float = 0.5
     heartbeat_timeout: float = 10.0

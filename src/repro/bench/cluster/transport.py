@@ -6,7 +6,7 @@ dicts.  Message vocabulary:
 
 * worker → coordinator: ``{"op": "hello", "rank": r}``,
   ``{"op": "heartbeat"}``, ``{"op": "result", "outcomes": [...]}``,
-  ``{"op": "bye", "stats": …}``;
+  ``{"op": "bye"}``;
 * coordinator → worker: ``{"op": "init", ...}``,
   ``{"op": "run", "tasks": [...]}``, ``{"op": "stop"}``.
 

@@ -159,7 +159,7 @@ class FaultInjector:
 #: the middle of a shared-featurization-cache store (row written to its
 #: temp file, not yet renamed); ``rank_kill`` abruptly kills a whole
 #: cluster worker rank at a selected task — the node-loss fault the
-#: coordinator's heartbeat supervision and shard merge must absorb.
+#: coordinator's heartbeat supervision and requeue must absorb.
 CHAOS_CLASSES = (
     "crash",
     "hang",
@@ -243,7 +243,8 @@ class ChaosPlan:
 
         Classes: ``crash``, ``hang``, ``exception``, ``corrupt``,
         ``sink``, ``trainer_kill``, ``publish_corrupt``,
-        ``refresh_drop``.  A bare class name means rate 1.0.
+        ``refresh_drop``, ``cache_kill``, ``rank_kill``.  A bare class
+        name means rate 1.0.
         """
         rates: dict[str, float] = {}
         for part in spec.split(","):
@@ -351,7 +352,7 @@ class ChaosPlan:
     # -- cluster-rank faults -----------------------------------------------------
     def fire_rank_kill(self, key: str) -> bool:
         """True exactly once per selected *key*: the worker rank hosting
-        this task must die abruptly (``os._exit``, no flush, no ack).
+        this task must die abruptly (``os._exit``, no ack).
 
         The once-only marker lives in the shared ``state_dir``, so a
         respawned rank — or a different rank the coordinator requeues

@@ -369,8 +369,8 @@ class ExperimentRunner:
         never succeed just burns the campaign's time again.
 
         Checkpoint writes always happen in this process (the queue's
-        ``on_result`` sink), so the process engine keeps SQLite
-        single-writer; with a buffered store they batch into one commit
+        ``on_result`` sink), whatever the engine, so SQLite keeps a
+        single writer; with a buffered store they batch into one commit
         per flush interval, and the tail flushes before returning.
 
         A :class:`~repro.bench.faults.ChaosPlan` (``chaos=``) wraps the
@@ -379,10 +379,8 @@ class ExperimentRunner:
 
         On the ``cluster`` engine the plan ships to the worker ranks
         unwrapped (each rank binds its own task function — the
-        ``rank_kill`` class only makes sense there), payloads travel
-        through the rank shards instead of the ack channel (the store is
-        handed to the queue as the merge target), and recorded failures
-        carry the originating rank.
+        ``rank_kill`` class only makes sense there), and recorded
+        failures carry the originating rank.
         """
         tasks = self.build_tasks()
         by_key = {t.key(): t for t in tasks}
@@ -417,10 +415,7 @@ class ExperimentRunner:
                 fn = chaos.bind(fn)
 
         def on_result(result) -> None:
-            # Cluster successes arrive payload-less (the payload's home
-            # is the rank shard; it reaches this store via the merge) —
-            # writing the ack's None here would shadow the merged row.
-            if result.ok and result.payload is not None:
+            if result.ok:
                 task = result.task
                 self.store.put(
                     task.key(),
@@ -441,7 +436,6 @@ class ExperimentRunner:
             on_result=on_result,
             worker_init=worker_init,
             chaos=chaos if cluster_mode else None,
-            merge_store=self.store if cluster_mode else None,
         )
         # The campaign is over: no held field outlives it in this process.
         self._context = None

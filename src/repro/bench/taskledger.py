@@ -104,10 +104,6 @@ class QueueStats:
     #: Control-plane bytes the coordinator put on / took off the wire.
     wire_bytes_sent: int = 0
     wire_bytes_received: int = 0
-    #: Shard-merge accounting (cluster engine, rank-0 side).
-    shards_merged: int = 0
-    merge_replaced: int = 0
-    merge_quarantined: int = 0
 
     @property
     def affinity_hit_rate(self) -> float:
@@ -132,7 +128,7 @@ class QueueStats:
         }
 
     def cluster_summary(self) -> dict[str, Any]:
-        """Rank fault-domain + wire + merge counters for reports."""
+        """Rank fault-domain + wire counters for reports."""
         tasks = max(self.completed + self.failed, 1)
         return {
             "rank_deaths": self.rank_deaths,
@@ -142,9 +138,6 @@ class QueueStats:
             "wire_bytes_per_task": (
                 (self.wire_bytes_sent + self.wire_bytes_received) / tasks
             ),
-            "shards_merged": self.shards_merged,
-            "merge_replaced": self.merge_replaced,
-            "merge_quarantined": self.merge_quarantined,
         }
 
     def summary(self) -> dict[str, Any]:

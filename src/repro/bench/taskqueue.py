@@ -12,9 +12,11 @@ Engines:
   (the paper's single-node fallback);
 * ``process`` — N *pinned* single-process executors (one per worker
   slot), for NumPy-bound collection that needs real cores;
-* ``cluster`` — worker *ranks* on one or many nodes, each writing its
-  own checkpoint shard (:mod:`repro.bench.cluster`), with rank-level
-  fault supervision.
+* ``cluster`` — worker *ranks* on one or many nodes
+  (:mod:`repro.bench.cluster`), with rank-level fault supervision.
+
+On every engine results come back to the calling process, which runs
+the one ``on_result`` sink (so e.g. SQLite sees a single writer).
 
 Each engine is only its mechanics (the loop; slots, pools and futures;
 rendezvous, transport and heartbeats).  Placement and what a task
@@ -195,8 +197,8 @@ class TaskQueue:
                 )
                 engine = "process"
         # A single-worker parallel engine is pointless *except* for the
-        # cluster engine, whose one worker is still a separate rank with
-        # its own shard (the 1-rank cell of a scaling sweep).
+        # cluster engine, whose one worker is still a separate rank (the
+        # 1-rank cell of a scaling sweep).
         if self.n_workers == 1 and engine not in ("serial", "cluster"):
             warnings.warn(
                 f"engine {engine!r} requires more than one worker; "
@@ -221,7 +223,6 @@ class TaskQueue:
         on_result: Callable[[TaskResult], None] | None = None,
         worker_init: Callable[[], Callable[[Task, int], dict[str, Any]]] | None = None,
         chaos=None,
-        merge_store=None,
     ) -> tuple[list[TaskResult], QueueStats]:
         """Execute all tasks; returns (results, stats).
 
@@ -232,15 +233,10 @@ class TaskQueue:
         dataset/compressor setup) instead of pickling ``task_fn``; the
         serial engine calls it once up front when ``task_fn`` is None.
 
-        Cluster-engine extras (ignored elsewhere): ``chaos`` is a
+        Cluster-engine extra (ignored elsewhere): ``chaos`` is a
         picklable :class:`~repro.bench.faults.ChaosPlan` shipped to the
         worker ranks (each rank binds its own task function — including
-        the ``rank_kill`` class, which only makes sense worker-side),
-        and ``merge_store`` is the :class:`CheckpointStore` the rank
-        shards are folded into when the campaign drains.  Successful
-        cluster results carry ``payload=None`` — the payload's home is
-        the rank's shard, and it reaches ``merge_store`` via the merge,
-        not the ack.
+        the ``rank_kill`` class, which only makes sense worker-side).
         """
         if task_fn is None and worker_init is None:
             # A launched cluster *worker* rank receives its task function
@@ -271,7 +267,6 @@ class TaskQueue:
                 task_fn,
                 worker_init=worker_init,
                 chaos=chaos,
-                merge_store=merge_store,
             )
         if self.engine == "process":
             return self._run_process(ledger, tasks, task_fn, worker_init)

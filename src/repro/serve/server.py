@@ -234,11 +234,6 @@ class _ModelCache:
             self._models.popitem(last=False)
         return model
 
-    def invalidate(self, key: str) -> None:
-        """Drop every cached generation of *key* (after a re-publish)."""
-        for cached in [ck for ck in self._models if ck[0] == key]:
-            self._models.pop(cached, None)
-
     def refresh(
         self, key: str, latest: str | None, intact: list[str] | None = None
     ) -> int:
@@ -800,6 +795,18 @@ class PredictionServer:
         if model is not None and item.row is None and item.featurizing is None:
             item.featurizing = self._lane.submit(self._featurize, model, item)
 
+    async def _take(self, cache_key: tuple[str, str | None]) -> LoadedModel | Exception:
+        """The model the cache holds for *cache_key* now, with the queued
+        raw fields admitted under it; a load fault fails the batch it was
+        taken for."""
+        try:
+            model = self._held[cache_key] = await self.cache.get(*cache_key)
+            for item in self._queues[cache_key]:
+                self._admit(cache_key, item)
+        except Exception as exc:  # noqa: BLE001 - fails the batch it was loaded for
+            return exc
+        return model
+
     async def _drain(self, cache_key: tuple[str, str | None]) -> None:
         """Serve *cache_key*'s queue, one batch at a time, until it is empty:
         whatever arrived while a batch ran leaves as the next one (FIFO,
@@ -809,14 +816,14 @@ class PredictionServer:
         batch: list[_Pending] = []
         try:
             while queue:
-                try:
-                    model = self._held[cache_key] = await self.cache.get(*cache_key)
-                    for item in queue:
-                        self._admit(cache_key, item)
-                except Exception as exc:  # noqa: BLE001 - fails the batch it was loaded for
-                    model = exc
+                model = await self._take(cache_key)
                 if not batch and len(self._connection_tasks) > 1:  # the first turn only
                     await asyncio.sleep(_COALESCE_S)
+                    # A refresh handled during the pause may have evicted
+                    # that model: the batch predicts with what the cache
+                    # holds at detach.  Rows featurized meanwhile stay
+                    # valid, as featurization does not depend on the version.
+                    model = await self._take(cache_key)
                 batch = [queue.popleft() for _ in range(min(len(queue), self.max_batch))]
                 self._queued -= len(batch)
                 await self._run_batch(cache_key, model, batch)

@@ -1,7 +1,5 @@
 #!/bin/bash
-# Generated by predict-bench sbatch: rank-sharded cluster collection.
-# Rank 0 coordinates and merges; ranks 1..N-1 execute tasks into
-# per-rank checkpoint shards named from SLURM_PROCID.
+# Generated by predict-bench sbatch: cluster collection.
 #SBATCH --job-name=cluster-demo
 #SBATCH --ntasks=4
 #SBATCH --nodes=2
@@ -12,13 +10,6 @@
 
 set -euo pipefail
 
-# Shared shard directory: every rank writes only its own
-# shard-$(printf '%05d' "${SLURM_PROCID}").db inside it, and the
-# coordinator merges them when the campaign drains — so the path
-# must live on a filesystem all ranks can reach.
-export SHARD_DIR="/scratch/shards"
-mkdir -p "${SHARD_DIR}"
-
 # Workers find the coordinator (rank 0, on the first node of the
 # allocation) through REPRO_CLUSTER_COORD.
 COORD_HOST="$(scontrol show hostnames "${SLURM_JOB_NODELIST}" | head -n 1)"
@@ -26,8 +17,8 @@ export REPRO_CLUSTER_COORD="${COORD_HOST}:7621"
 export REPRO_CLUSTER_WORLD="${SLURM_NTASKS}"
 
 # Every rank runs the same entry point; SLURM_PROCID decides who
-# coordinates (rank 0) and which shard each worker owns.
+# coordinates (rank 0).
 srun --export=ALL bash -c '
     export REPRO_CLUSTER_RANK="${SLURM_PROCID}"
-    exec predict-bench collect --checkpoint bench.db --engine cluster --shard-dir "${SHARD_DIR}"
+    exec predict-bench collect --checkpoint bench.db --engine cluster
 '

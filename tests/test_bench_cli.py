@@ -553,15 +553,13 @@ class TestCollectCommand:
         db = str(tmp_path / "collect.db")
         argv = ["collect", *SMALL_CAMPAIGN, "--checkpoint", db,
                 "--engine", engine, "--workers", workers, "--queue-stats"]
-        if engine == "cluster":
-            argv += ["--shard-dir", str(tmp_path / "shards")]
         assert main(argv) == 0
         captured = capsys.readouterr()
         assert re.search(r"^collected 2 observation\(s\) into ", captured.out, re.M)
         assert "completed=2 failed=0" in captured.out
         assert f"queue[{engine} x{workers}]" in captured.err
         if engine == "cluster":
-            assert "cluster: shards_merged=2 " in captured.out
+            assert "cluster: rank_deaths=0 rank_restarts=0 " in captured.out
         assert main(argv) == 0
         captured = capsys.readouterr()
         assert "collected 2 observation(s)" in captured.out

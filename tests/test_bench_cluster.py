@@ -5,13 +5,12 @@ seams.
 The TCP tests fork real worker subprocesses over loopback — the same
 path CI's cluster job exercises — so they prove the whole chain:
 rendezvous, init shipping (pickled task functions resolve through the
-propagated ``PYTHONPATH``), durable-before-ack shard writes, rank
-supervision, and the final merge.  The launched test starts every rank
-itself with the environment ``mpirun`` would set, so an ``mpirun``-
-launched campaign runs the exact code it does.
+propagated ``PYTHONPATH``), payloads acked to rank 0 and written there
+by the one ``on_result`` sink, and rank supervision.  The launched test
+starts every rank itself with the environment ``mpirun`` would set, so
+an ``mpirun``-launched campaign runs the exact code it does.
 """
 
-import json
 import os
 import socket
 import subprocess
@@ -23,7 +22,7 @@ from collections import deque
 import pytest
 
 from repro.bench import CheckpointStore, Task, TaskQueue
-from repro.bench.cluster import ClusterSpec, discover_shards, shard_path
+from repro.bench.cluster import ClusterSpec
 from repro.bench.cluster.spec import detect_launch_env, parse_hostport
 from repro.bench.cluster.wire import FrameError
 from repro.bench.cluster.worker import run_worker
@@ -52,15 +51,33 @@ def _echo_task(task, worker):
     return {"data_id": task.data_id, "bound": task.compressor_options["pressio:abs"]}
 
 
-def _slow_echo_task(task, worker):
-    time.sleep(0.01)  # seconds large enough that counting them twice shows
-    return _echo_task(task, worker)
+def _timed_echo_task(task, worker):
+    """Reports the seconds it spent, large enough that counting them
+    twice shows."""
+    t0 = time.perf_counter()
+    time.sleep(0.01)
+    return {"seconds": time.perf_counter() - t0}
 
 
 def _fail_on_data0(task, worker):
     if task.data_id == "data/0":
         raise ValueError("planned failure for data/0")
     return {"ok": 1}
+
+
+class StoreSink:
+    """The ``on_result`` sink a runner passes: successes go to *store*;
+    ``writes`` counts them per key."""
+
+    def __init__(self, store):
+        self.store = store
+        self.writes: dict[str, int] = {}
+
+    def __call__(self, result):
+        if result.ok:
+            key = result.task.key()
+            self.writes[key] = self.writes.get(key, 0) + 1
+            self.store.put(key, result.payload)
 
 
 CLUSTER_ENV = (
@@ -157,8 +174,8 @@ class TestEngineDowngrade:
         assert stats.requested_engine == "cluster"
 
     def test_single_worker_cluster_stays_cluster(self):
-        # One worker rank is still a separate process with its own
-        # shard — the 1-rank cell of a scaling sweep, not a downgrade.
+        # One worker rank is still a separate process — the 1-rank
+        # cell of a scaling sweep, not a downgrade.
         q = TaskQueue(1, "cluster", cluster=ClusterSpec())
         assert q.engine == "cluster"
 
@@ -188,9 +205,8 @@ class FakeTransport:
 
 
 class TestWorkerLoop:
-    def test_executes_flushes_and_acks_without_payload(self, tmp_path):
+    def test_executes_and_acks_with_payloads(self):
         tasks = make_tasks(1, 2)
-        shard = shard_path(str(tmp_path), 1)
         transport = FakeTransport(
             [
                 {
@@ -198,31 +214,22 @@ class TestWorkerLoop:
                     "worker_init": None,
                     "task_fn": _echo_task,
                     "chaos": None,
-                    "shard_path": shard,
                     "heartbeat_interval": 30.0,
-                    "flush_every": 2,
                 },
                 {"op": "run", "tasks": tasks},
                 {"op": "stop"},
             ]
         )
         assert run_worker(transport, rank=1) == 0
-        results = [m for m in transport.sent if m["op"] == "result"]
-        assert len(results) == 1
-        for rank, payload, error, status, elapsed in results[0]["outcomes"]:
+        (result,) = [m for m in transport.sent if m["op"] == "result"]
+        for task, (rank, payload, error, status, elapsed) in zip(tasks, result["outcomes"]):
             assert rank == 1
-            assert payload is None  # payloads live in the shard, not the ack
-            assert error is None
-        bye = [m for m in transport.sent if m["op"] == "bye"]
-        assert bye and bye[0]["stats"]["completed"] == 2
-        with CheckpointStore(shard) as store:
-            assert sorted(store.keys()) == sorted(t.key() for t in tasks)
-            assert store.verify() == []
-            assert store.get_meta("last_run_stats") is not None
+            assert payload == _echo_task(task, 1)  # the payload rides the ack
+            assert error is None and status == 0 and elapsed >= 0.0
+        assert transport.sent[-1] == {"op": "bye"}
 
-    def test_task_exception_recorded_with_rank_origin(self, tmp_path):
+    def test_task_exception_recorded_with_rank_origin(self):
         tasks = make_tasks(2, 1)
-        shard = shard_path(str(tmp_path), 3)
         transport = FakeTransport(
             [
                 {
@@ -230,9 +237,7 @@ class TestWorkerLoop:
                     "worker_init": None,
                     "task_fn": _fail_on_data0,
                     "chaos": None,
-                    "shard_path": shard,
                     "heartbeat_interval": 30.0,
-                    "flush_every": 4,
                 },
                 {"op": "run", "tasks": tasks},
                 {"op": "stop"},
@@ -240,13 +245,10 @@ class TestWorkerLoop:
         )
         assert run_worker(transport, rank=3) == 0
         (result,) = [m for m in transport.sent if m["op"] == "result"]
-        errors = [o[2] for o in result["outcomes"]]
-        assert any(e and "planned failure" in e for e in errors)
-        assert any(e is None for e in errors)
-        with CheckpointStore(shard) as store:
-            ledger = store.failures()
-            assert len(ledger) == 1
-            assert ledger[0]["origin"] == "rank3"
+        failed, ok = result["outcomes"]
+        assert failed[0] == 3 and failed[1] is None
+        assert "planned failure" in failed[2] and failed[3] != 0
+        assert ok[0] == 3 and ok[1] == {"ok": 1} and ok[2] is None
 
     def test_lost_coordinator_is_exit_1(self, tmp_path):
         transport = FakeTransport([])
@@ -254,72 +256,61 @@ class TestWorkerLoop:
 
 
 class TestTcpSpawnEndToEnd:
-    def test_campaign_completes_and_merges(self, tmp_path):
+    def test_campaign_completes_into_one_store(self, tmp_path):
         tasks = make_tasks(2, 2)
-        spec = ClusterSpec(shard_dir=str(tmp_path / "shards"))
-        q = TaskQueue(2, "cluster", cluster=spec)
-        store = CheckpointStore(str(tmp_path / "merged.db"))
-        results, stats = q.run(tasks, _echo_task, merge_store=store)
-        assert stats.engine == "cluster"
-        assert stats.completed == len(tasks) and stats.failed == 0
-        assert all(r.ok and r.payload is None for r in results)
-        assert {r.worker for r in results} <= {1, 2}
-        assert stats.shards_merged == len(discover_shards(str(tmp_path / "shards")))
-        assert stats.shards_merged >= 1
-        assert stats.wire_bytes_sent > 0 and stats.wire_bytes_received > 0
-        assert sorted(store.keys()) == sorted(t.key() for t in tasks)
-        assert store.verify() == []
-        store.close()
+        q = TaskQueue(2, "cluster", cluster=ClusterSpec())
+        with CheckpointStore(str(tmp_path / "ckpt.db")) as store:
+            sink = StoreSink(store)
+            results, stats = q.run(tasks, _echo_task, on_result=sink)
+            assert stats.engine == "cluster"
+            assert stats.completed == len(tasks) and stats.failed == 0
+            assert all(r.ok and r.payload == _echo_task(r.task, r.worker) for r in results)
+            assert {r.worker for r in results} <= {1, 2}
+            assert stats.wire_bytes_sent > 0 and stats.wire_bytes_received > 0
+            assert sink.writes == {t.key(): 1 for t in tasks}
+            assert store.verify() == []
 
-    def test_execute_seconds_are_the_ranks_task_seconds_once(self, tmp_path):
+    def test_execute_seconds_are_the_ranks_task_seconds_once(self):
         # The ledger books every outcome's seconds as results arrive; the
-        # ranks' own totals (shard meta, also sent with "bye") are the
-        # same numbers and must not be added a second time.
+        # task reports the seconds it spent inside the rank's timing, so
+        # the two agree unless something counts them twice.
         tasks = make_tasks(2, 3)
-        spec = ClusterSpec(shard_dir=str(tmp_path / "shards"))
-        q = TaskQueue(2, "cluster", cluster=spec)
-        _, stats = q.run(tasks, _slow_echo_task)
+        q = TaskQueue(2, "cluster", cluster=ClusterSpec())
+        results, stats = q.run(tasks, _timed_echo_task)
         assert stats.completed == len(tasks)
-        reported = 0.0
-        for _, shard in discover_shards(str(tmp_path / "shards")):
-            with CheckpointStore(shard) as store:
-                reported += json.loads(store.get_meta("last_run_stats"))["execute_seconds"]
+        reported = sum(r.payload["seconds"] for r in results)
         assert reported >= 0.01 * len(tasks)
-        assert stats.execute_seconds == pytest.approx(reported, rel=1e-9)
+        assert reported <= stats.execute_seconds < 1.5 * reported
 
-    def test_failures_travel_with_rank_origin(self, tmp_path):
+    def test_failures_travel_with_rank_origin(self):
         tasks = make_tasks(2, 1)
-        spec = ClusterSpec(shard_dir=str(tmp_path / "shards"))
-        q = TaskQueue(2, "cluster", max_retries=0, cluster=spec)
-        store = CheckpointStore(str(tmp_path / "merged.db"))
-        results, stats = q.run(tasks, _fail_on_data0, merge_store=store)
+        q = TaskQueue(2, "cluster", max_retries=0, cluster=ClusterSpec())
+        reported = []
+        results, stats = q.run(tasks, _fail_on_data0, on_result=reported.append)
         assert stats.completed == 1 and stats.failed == 1
         (failure,) = [r for r in results if not r.ok]
         assert failure.worker in (1, 2)
         assert "planned failure" in failure.error
-        ledger = store.failures()
-        assert len(ledger) == 1 and ledger[0]["origin"].startswith("rank")
-        store.close()
+        assert failure in reported  # the sink sees failures too, rank attached
 
     def test_rank_kill_chaos_loses_zero_tasks(self, tmp_path):
         # Every task's first hosting rank dies abruptly (rate 1.0, no
-        # flush, no ack); the once-only marker lets the requeued task
-        # run to completion on the next rank.  Zero lost tasks is the
-        # subsystem's headline guarantee.
+        # ack); the once-only marker lets the requeued task run to
+        # completion on the next rank.  Zero lost tasks is the
+        # subsystem's headline guarantee, and no key is written twice.
         tasks = make_tasks(2, 2)
         chaos = ChaosPlan(
             rank_kill_rate=1.0, seed=11, state_dir=str(tmp_path / "chaos")
         )
-        spec = ClusterSpec(shard_dir=str(tmp_path / "shards"))
-        q = TaskQueue(2, "cluster", max_pool_rebuilds=16, cluster=spec)
-        store = CheckpointStore(str(tmp_path / "merged.db"))
-        results, stats = q.run(tasks, _echo_task, chaos=chaos, merge_store=store)
-        assert stats.completed == len(tasks) and stats.failed == 0
-        assert stats.rank_deaths >= 1
-        assert stats.rank_restarts >= 1
-        assert sorted(store.keys()) == sorted(t.key() for t in tasks)
-        assert store.verify() == []
-        store.close()
+        q = TaskQueue(2, "cluster", max_pool_rebuilds=16, cluster=ClusterSpec())
+        with CheckpointStore(str(tmp_path / "ckpt.db")) as store:
+            sink = StoreSink(store)
+            _, stats = q.run(tasks, _echo_task, chaos=chaos, on_result=sink)
+            assert stats.completed == len(tasks) and stats.failed == 0
+            assert stats.rank_deaths >= 1
+            assert stats.rank_restarts >= 1
+            assert sink.writes == {t.key(): 1 for t in tasks}
+            assert store.verify() == []
 
 
 LAUNCHED_RANK = textwrap.dedent(
@@ -343,17 +334,23 @@ LAUNCHED_RANK = textwrap.dedent(
         )
         for d in range(4)
     ]
-    spec = ClusterSpec(shard_dir=sys.argv[1])
+    spec = ClusterSpec()
     queue = TaskQueue(2, "cluster", cluster=spec)
     if spec.is_worker_rank:
         queue.run([], None)
     else:
-        store = CheckpointStore(sys.argv[2])
-        results, stats = queue.run(tasks, fn, merge_store=store)
+        store = CheckpointStore(sys.argv[1])
+        writes = []
+
+        def sink(result):
+            writes.append(result.task.key())
+            store.put(result.task.key(), result.payload)
+
+        results, stats = queue.run(tasks, fn, on_result=sink)
         assert spec.mode == "launched-tcp", spec.mode
         assert stats.completed == len(tasks) and stats.failed == 0, stats
-        assert stats.shards_merged == 2, stats
-        assert sorted(store.keys()) == sorted(t.key() for t in tasks)
+        assert {r.worker for r in results} == {1, 2}, results
+        assert sorted(writes) == sorted(t.key() for t in tasks)
         assert store.verify() == []
         print("LAUNCHED_OK")
     """
@@ -367,10 +364,10 @@ def _free_port():
 
 
 class TestLaunchedTcpEndToEnd:
-    def test_mpirun_style_ranks_complete_and_merge(self, tmp_path):
+    def test_mpirun_style_ranks_complete_into_rank0_store(self, tmp_path):
         """Three plain processes carrying the variables ``mpirun -n 3``
         sets: rank 0 coordinates at REPRO_CLUSTER_COORD, ranks 1-2 dial
-        it, and the campaign merges two shards cleanly."""
+        it, and rank 0 writes every key once; the workers write nothing."""
         script = tmp_path / "launched_rank.py"
         script.write_text(LAUNCHED_RANK, encoding="utf-8")
         env = {k: v for k, v in os.environ.items() if k not in CLUSTER_ENV}
@@ -379,8 +376,7 @@ class TestLaunchedTcpEndToEnd:
         env["REPRO_CLUSTER_COORD"] = f"127.0.0.1:{_free_port()}"
         ranks = [
             subprocess.Popen(
-                [sys.executable, str(script), str(tmp_path / "shards"),
-                 str(tmp_path / "merged.db")],
+                [sys.executable, str(script), str(tmp_path / "ckpt.db")],
                 env={**env, "OMPI_COMM_WORLD_RANK": str(rank)},
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
@@ -398,22 +394,19 @@ class TestLaunchedTcpEndToEnd:
         for proc, (_, err) in zip(ranks, outputs):
             assert proc.returncode == 0, err
         assert "LAUNCHED_OK" in outputs[0][0]
-        assert len(discover_shards(str(tmp_path / "shards"))) == 2
+        assert sorted(os.listdir(tmp_path)) == ["ckpt.db", "launched_rank.py"]
 
 
 class TestClusterCli:
-    def test_report_on_empty_shard_dir(self, tmp_path, capsys):
-        from repro.bench.cli import main
-
-        assert main(["report", str(tmp_path)]) == 1
-        assert "no shard" in capsys.readouterr().err
-
     def test_report_failures_show_origin(self, tmp_path, capsys):
         from repro.bench.cli import main
 
-        with CheckpointStore(shard_path(str(tmp_path), 2)) as shard:
-            shard.record_failure("deadbeef", "IOError: node fell over", status=1)
-        rc = main(["report", str(tmp_path), "--failures"])
+        db = str(tmp_path / "ckpt.db")
+        with CheckpointStore(db) as store:
+            store.record_failure(
+                "deadbeef", "IOError: node fell over", status=1, origin="rank2"
+            )
+        rc = main(["report", db, "--failures"])
         captured = capsys.readouterr()
         assert rc == 1  # failures only, no observations to evaluate
         assert "on rank2" in captured.err

@@ -66,18 +66,18 @@ def _failing_sink(result):
         raise OSError("disk full")
 
 
-def _queue(engine, tmp_path, **kwargs):
+def _queue(engine, **kwargs):
     if engine == "serial":
         return TaskQueue(1, "serial", **kwargs)
     if engine == "cluster":
-        kwargs["cluster"] = ClusterSpec(shard_dir=str(tmp_path / "shards"))
+        kwargs["cluster"] = ClusterSpec()
     return TaskQueue(2, engine, **kwargs)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_every_engine_charges_the_same_fault_mix_alike(engine, state_dir):
     tasks = make_tasks(EXPECTED)
-    results, stats = _queue(engine, state_dir, max_retries=2).run(
+    results, stats = _queue(engine, max_retries=2).run(
         tasks, _by_kind, on_result=_failing_sink
     )
     assert sorted(r.task.key() for r in results) == sorted(t.key() for t in tasks)
@@ -99,7 +99,7 @@ def test_every_engine_counts_placement_alike(engine, state_dir):
     so each datum costs one miss and its other tasks are hits on every
     engine, the serial one included."""
     tasks = make_tasks(["a", "b", "c", "d"], per_kind=3)
-    _, stats = _queue(engine, state_dir).run(tasks, _by_kind)
+    _, stats = _queue(engine).run(tasks, _by_kind)
     assert stats.completed == len(tasks)
     assert (stats.affinity_hits, stats.affinity_misses, stats.affinity_steals) == (8, 4, 0)
 
@@ -120,7 +120,7 @@ def test_dead_workers_chunk_is_requeued_as_single_tasks(engine, state_dir):
     the crash-loop cap.  (The process engine used to requeue the chunk
     whole, so all three tasks went down together.)"""
     tasks = make_tasks(["crash"], per_kind=3)
-    results, stats = _queue(engine, state_dir, max_pool_rebuilds=2).run(tasks, _by_kind)
+    results, stats = _queue(engine, max_pool_rebuilds=2).run(tasks, _by_kind)
     assert stats.completed == 2 and stats.failed == 1
     (failed,) = [r for r in results if not r.ok]
     assert failed.task.compressor_options["pressio:abs"] == 1e-3

@@ -1,27 +1,26 @@
-"""Shard-merge edge cases, the wire codec, and the sbatch generator.
+"""The cluster engine's one result path, the wire codec, and the sbatch
+generator.
 
-The merge invariants under test are the ones the zero-lost-tasks
-guarantee rests on: duplicate keys resolve last-writer-wins with the
-checksum re-verified, corrupt rows are quarantined per shard instead of
-poisoning the campaign, re-merging the same shards is a no-op, and a
-resume from a partial shard set recomputes exactly the missing work.
+Worker ranks ack every batch with its outcomes, payloads included, and
+rank 0 charges them through the task ledger into the campaign's one
+``on_result`` sink — the path the serial and process engines take.  The
+tests below pin what the rank shards and their merge used to provide —
+a retried task leaving no failure row, failures attributed to their
+rank, a resume recomputing exactly the missing keys — and that a
+campaign leaves no temporary files behind.  No lost work under
+``rank_kill`` and every key written once by rank 0 are pinned in
+``tests/test_bench_cluster.py``.
 """
 
 import io
-import json
-import sqlite3
+import os
+import tempfile
 
 import pytest
 
-from repro.bench.checkpoint import CheckpointStore, payload_checksum
-from repro.bench.cluster import (
-    MergeReport,
-    discover_shards,
-    generate_sbatch,
-    merge_shards,
-    merged_run_stats,
-    shard_path,
-)
+from repro.bench import CheckpointStore, Task, TaskQueue
+from repro.bench.cli import main
+from repro.bench.cluster import ClusterSpec, generate_sbatch
 from repro.bench.cluster.wire import (
     MAX_FRAME,
     ConnectionClosed,
@@ -29,34 +28,115 @@ from repro.bench.cluster.wire import (
     encode_frame,
     recv_frame,
 )
+from repro.bench.runner import ExperimentRunner
+from repro.dataset import HurricaneDataset
+from tests.latch import once
+
+LAUNCH_ENV = (
+    "REPRO_CLUSTER_RANK", "REPRO_CLUSTER_WORLD", "REPRO_CLUSTER_COORD",
+    "SLURM_PROCID", "SLURM_NTASKS", "OMPI_COMM_WORLD_RANK",
+    "OMPI_COMM_WORLD_SIZE", "PMI_RANK", "PMI_SIZE",
+)
 
 
-def _make_shard(path, rows, failures=(), stats=None):
-    """Build one shard db: ``rows`` is ``{key: payload}``."""
-    with CheckpointStore(path) as store:
-        for key, payload in rows.items():
-            store.put(key, payload)
-        for key, error in failures:
-            store.record_failure(key, error, status=1)
-        if stats is not None:
-            store.set_meta("last_run_stats", json.dumps(stats))
-        store.flush()
-    return path
+@pytest.fixture(autouse=True)
+def _clean_launch_env(monkeypatch):
+    """No launcher environment: every campaign here spawns its ranks."""
+    for name in LAUNCH_ENV:
+        monkeypatch.delenv(name, raising=False)
 
 
-def _set_created_at(path, key, created_at):
-    db = sqlite3.connect(path)
-    db.execute("UPDATE results SET created_at=? WHERE key=?", (created_at, key))
-    db.commit()
-    db.close()
+def make_tasks(n_data=2, per_data=2):
+    return [
+        Task(
+            data_index=d,
+            data_id=f"data/{d}",
+            compressor_id="sz3",
+            compressor_options={"pressio:abs": 10.0 ** -(k + 2)},
+            dataset_config={"entry:data_id": f"data/{d}"},
+            replicate=0,
+        )
+        for d in range(n_data)
+        for k in range(per_data)
+    ]
 
 
-def _corrupt_payload(path, key):
-    """Damage a row's payload bytes without touching its checksum."""
-    db = sqlite3.connect(path)
-    db.execute("UPDATE results SET payload=? WHERE key=?", ('{"tampered": 1}', key))
-    db.commit()
-    db.close()
+def _echo(task, worker):
+    """Module-level so spawned worker ranks can unpickle it."""
+    return {"data_id": task.data_id, "worker": worker}
+
+
+def _fails_once(task, worker):
+    """Fails the first attempt of every task, on whichever rank runs it."""
+    if once(task.key()):
+        raise OSError(f"transient fault on rank {worker}")
+    return _echo(task, worker)
+
+
+def _runner(store, **queue_kwargs):
+    """A six-task campaign on two spawned ranks (task functions stand in
+    for the collection, so the fields are never loaded)."""
+    return ExperimentRunner(
+        HurricaneDataset(shape=(8, 8, 4), timesteps=[0], fields=["P", "U", "V"]),
+        compressors=["szx"], bounds=[1e-3, 1e-4], schemes=["tao2019"], store=store,
+        queue=TaskQueue(2, "cluster", cluster=ClusterSpec(), **queue_kwargs),
+    )
+
+
+class TestOneResultPath:
+    def test_spawned_campaign_leaves_nothing_in_tmpdir(self, tmp_path, monkeypatch):
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        monkeypatch.setenv("TMPDIR", str(tmp))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+        tasks = make_tasks()
+        _, stats = TaskQueue(2, "cluster", cluster=ClusterSpec()).run(tasks, _echo)
+        assert stats.completed == len(tasks)
+        assert os.listdir(tmp) == []
+
+    def test_failure_then_retry_success_leaves_no_failure_row(self, tmp_path, state_dir):
+        with CheckpointStore(str(tmp_path / "ckpt.db")) as store:
+            runner = _runner(store, max_retries=1)
+            keys = sorted(t.key() for t in runner.build_tasks())
+            result = runner.collect(task_fn=_fails_once)
+            assert result.stats.retries == len(keys)
+            assert result.stats.completed == len(keys) and not result.failures
+            assert sorted(store.keys()) == keys
+            assert store.failures() == []
+
+    def test_resume_recomputes_only_the_missing_keys(self, tmp_path):
+        # A campaign cut short (a lost rank 0, say) left some rows and a
+        # failure; the resume runs exactly the rest and clears the failure.
+        with CheckpointStore(str(tmp_path / "ckpt.db")) as store:
+            runner = _runner(store)
+            tasks = runner.build_tasks()
+            done, lost = tasks[:2], tasks[2:]
+            for task in done:
+                store.put(task.key(), {"data_id": task.data_id, "worker": -1})
+            store.record_failure(lost[0].key(), "OSError: rank fell over", status=1)
+            result = runner.collect(task_fn=_echo)
+            assert result.stats.completed == len(lost)
+            assert sorted(store.keys()) == sorted(t.key() for t in tasks)
+            assert all(store.get(t.key())["worker"] == -1 for t in done)
+            assert store.failures() == []
+            assert store.verify() == []
+
+    def test_report_failures_name_the_rank(self, tmp_path, capsys):
+        db = str(tmp_path / "ckpt.db")
+        campaign = ["--schemes", "tao2019", "--compressors", "szx", "--bounds", "1e-4",
+                    "--shape", "8", "8", "4", "--timesteps", "1", "--fields", "P", "U"]
+        argv = ["collect", *campaign, "--checkpoint", db, "--engine", "cluster",
+                "--workers", "2", "--chaos", "exception:1.0", "--max-retries", "0",
+                "--chaos-state-dir", str(tmp_path / "chaos")]
+        with pytest.warns(UserWarning, match="failed after retries"):
+            assert main(argv) == 1
+        capsys.readouterr()
+        assert main(["report", db, "--failures"]) == 1  # failures, no observations
+        err = capsys.readouterr().err
+        assert err.count("chaos: injected exception") == 2
+        origins = {line.split(" on ")[1].split(":")[0] for line in err.splitlines()
+                   if "injected" in line}
+        assert origins and origins <= {"rank1", "rank2"}
 
 
 class TestWireCodec:
@@ -89,189 +169,6 @@ class TestWireCodec:
             recv_frame(io.BytesIO(forged))
 
 
-class TestShardDiscovery:
-    def test_canonical_names_only_rank_ordered(self, tmp_path):
-        (tmp_path / "shard-00002.db").touch()
-        (tmp_path / "shard-00000.db").touch()
-        (tmp_path / "shard-00002.db-wal").touch()
-        (tmp_path / "notes.txt").touch()
-        found = discover_shards(str(tmp_path))
-        assert [rank for rank, _ in found] == [0, 2]
-        assert all(path.endswith(".db") for _, path in found)
-
-    def test_missing_directory_is_empty(self, tmp_path):
-        assert discover_shards(str(tmp_path / "nope")) == []
-
-    def test_shard_path_is_stable(self, tmp_path):
-        p = shard_path(str(tmp_path), 3)
-        assert p.endswith("shard-00003.db")
-        assert discover_shards(str(tmp_path)) == []  # not created by naming
-
-
-class TestMergeShards:
-    def test_disjoint_shards_all_inserted(self, tmp_path):
-        s1 = _make_shard(shard_path(str(tmp_path), 1), {"a": {"v": 1}})
-        s2 = _make_shard(shard_path(str(tmp_path), 2), {"b": {"v": 2}})
-        dest = CheckpointStore(":memory:")
-        report = merge_shards(dest, [(1, s1), (2, s2)])
-        assert report.shards == 2
-        assert report.inserted == 2 and report.replaced == 0
-        assert report.quarantined_total == 0
-        assert sorted(dest.keys()) == ["a", "b"]
-        dest.close()
-
-    def test_duplicate_key_last_writer_wins(self, tmp_path):
-        # The requeue-after-unacked-flush scenario: the same task ran on
-        # two ranks; the newer row must win regardless of merge order.
-        s1 = _make_shard(shard_path(str(tmp_path), 1), {"k": {"v": "old"}})
-        s2 = _make_shard(shard_path(str(tmp_path), 2), {"k": {"v": "new"}})
-        _set_created_at(s1, "k", 100.0)
-        _set_created_at(s2, "k", 200.0)
-        for order in ([(1, s1), (2, s2)], [(2, s2), (1, s1)]):
-            dest = CheckpointStore(":memory:")
-            report = merge_shards(dest, order)
-            assert report.merged >= 1
-            assert dest.get("k")["v"] == "new"
-            dest.close()
-
-    def test_equal_timestamp_tie_later_shard_wins(self, tmp_path):
-        s1 = _make_shard(shard_path(str(tmp_path), 1), {"k": {"v": 1}})
-        s2 = _make_shard(shard_path(str(tmp_path), 2), {"k": {"v": 2}})
-        _set_created_at(s1, "k", 50.0)
-        _set_created_at(s2, "k", 50.0)
-        dest = CheckpointStore(":memory:")
-        merge_shards(dest, [(1, s1), (2, s2)])
-        assert dest.get("k")["v"] == 2
-        dest.close()
-
-    def test_corrupt_row_quarantined_not_merged(self, tmp_path):
-        s1 = _make_shard(
-            shard_path(str(tmp_path), 1), {"good": {"v": 1}, "bad": {"v": 2}}
-        )
-        _corrupt_payload(s1, "bad")
-        dest = CheckpointStore(":memory:")
-        report = merge_shards(dest, [(1, s1)])
-        assert report.quarantined_total == 1
-        assert list(report.quarantined.values()) == [["bad"]]
-        assert dest.keys() == ["good"]
-        # The merged row still passes the destination's own audit.
-        assert dest.verify() == []
-        dest.close()
-
-    def test_merge_is_idempotent(self, tmp_path):
-        shards = [
-            (1, _make_shard(shard_path(str(tmp_path), 1), {"a": {"v": 1}})),
-            (2, _make_shard(shard_path(str(tmp_path), 2), {"b": {"v": 2}})),
-        ]
-        dest = CheckpointStore(":memory:")
-        first = merge_shards(dest, shards)
-        assert first.inserted == 2
-        again = merge_shards(dest, shards)
-        assert again.inserted == 0 and again.replaced == 0
-        assert again.skipped == 2
-        assert sorted(dest.keys()) == ["a", "b"]
-        dest.close()
-
-    def test_resume_from_partial_shards_after_rank_loss(self, tmp_path):
-        # Rank 2 died mid-campaign: only its partial shard survives.  The
-        # merge must fold what exists; pending() over the merged store
-        # then names exactly the lost work for the resumed campaign.
-        all_keys = {f"k{i}" for i in range(6)}
-        s1 = _make_shard(
-            shard_path(str(tmp_path), 1), {k: {"v": k} for k in ["k0", "k1", "k2"]}
-        )
-        s2 = _make_shard(shard_path(str(tmp_path), 2), {"k3": {"v": "k3"}})
-        dest = CheckpointStore(":memory:")
-        merge_shards(dest, discover_shards(str(tmp_path)))
-        missing = set(dest.pending(all_keys))
-        assert missing == {"k4", "k5"}
-        # The "resumed" campaign recomputes only the missing keys into a
-        # fresh shard; a second merge completes the set.
-        s3 = _make_shard(
-            shard_path(str(tmp_path), 3), {k: {"v": k} for k in missing}
-        )
-        merge_shards(dest, discover_shards(str(tmp_path)))
-        assert set(dest.keys()) == all_keys
-        assert dest.verify() == []
-        dest.close()
-
-    def test_failure_import_is_success_aware(self, tmp_path):
-        # key "flaky" failed on rank 1 but succeeded on rank 2: the
-        # merged ledger must not show it.  "poison" failed everywhere:
-        # it must surface, labelled with its originating rank.
-        s1 = _make_shard(
-            shard_path(str(tmp_path), 1),
-            {},
-            failures=[("flaky", "IOError: transient"), ("poison", "ValueError: bad")],
-        )
-        s2 = _make_shard(shard_path(str(tmp_path), 2), {"flaky": {"v": 1}})
-        dest = CheckpointStore(":memory:")
-        report = merge_shards(dest, [(1, s1), (2, s2)])
-        assert report.failures_imported == 1
-        ledger = dest.failures()
-        assert [e["key"] for e in ledger] == ["poison"]
-        assert ledger[0]["origin"] == "rank1"
-        dest.close()
-
-    def test_prior_failure_cleared_when_a_shard_succeeded(self, tmp_path):
-        # The destination store already holds a failure from a previous
-        # partial campaign; a shard that finally succeeded clears it.
-        dest = CheckpointStore(":memory:")
-        dest.record_failure("k", "IOError: was down", status=1)
-        s1 = _make_shard(shard_path(str(tmp_path), 1), {"k": {"v": 1}})
-        merge_shards(dest, [(1, s1)])
-        assert dest.failures() == []
-        dest.close()
-
-    def test_empty_report_summary_reads_sanely(self):
-        report = MergeReport()
-        assert "0 shard(s)" in report.summary()
-        assert report.merged == 0 and report.quarantined_total == 0
-
-
-class TestMergedRunStats:
-    def test_numeric_fields_sum_with_per_rank_breakdown(self, tmp_path):
-        s1 = _make_shard(
-            shard_path(str(tmp_path), 1), {},
-            stats={"completed": 3, "execute_seconds": 1.5, "engine": "cluster"},
-        )
-        s2 = _make_shard(
-            shard_path(str(tmp_path), 2), {},
-            stats={"completed": 4, "execute_seconds": 0.5},
-        )
-        merged = merged_run_stats(discover_shards(str(tmp_path)))
-        assert merged["engine"] == "cluster"
-        assert merged["ranks"] == 2
-        assert merged["completed"] == 7
-        assert merged["execute_seconds"] == pytest.approx(2.0)
-        assert set(merged["per_rank"]) == {"rank1", "rank2"}
-
-    def test_no_stats_anywhere_is_none(self, tmp_path):
-        _make_shard(shard_path(str(tmp_path), 1), {"a": {"v": 1}})
-        assert merged_run_stats(discover_shards(str(tmp_path))) is None
-
-
-class TestRowChecksumReverify:
-    def test_unchecksummed_garbage_row_quarantined(self, tmp_path):
-        # Legacy rows (empty checksum) are validated as JSON at least.
-        s1 = _make_shard(shard_path(str(tmp_path), 1), {"k": {"v": 1}})
-        db = sqlite3.connect(s1)
-        db.execute("UPDATE results SET payload='not json', checksum='' WHERE key='k'")
-        db.commit()
-        db.close()
-        dest = CheckpointStore(":memory:")
-        report = merge_shards(dest, [(1, s1)])
-        assert report.quarantined_total == 1
-        assert dest.keys() == []
-        dest.close()
-
-    def test_payload_checksum_matches_store_rows(self, tmp_path):
-        s1 = _make_shard(shard_path(str(tmp_path), 1), {"k": {"v": 1}})
-        with CheckpointStore(s1) as shard:
-            rows = shard.dump_rows()
-        (row,) = rows
-        assert payload_checksum(row[5]) == row[7]
-
 
 class TestSbatchGenerator:
     def test_golden_script(self, tmp_path):
@@ -285,7 +182,6 @@ class TestSbatchGenerator:
             time_limit="02:30:00",
             partition="batch",
             account="csc999",
-            shard_dir="/scratch/shards",
             coord_port=7621,
             extra_directives=["--mem=16G"],
         )
@@ -297,7 +193,7 @@ class TestSbatchGenerator:
         assert 'export REPRO_CLUSTER_RANK="${SLURM_PROCID}"' in script
         assert 'export REPRO_CLUSTER_WORLD="${SLURM_NTASKS}"' in script
         assert "--engine cluster" in script
-        assert '--shard-dir "${SHARD_DIR}"' in script
+        assert "--shard-dir" not in script
 
     def test_single_rank_rejected(self):
         with pytest.raises(ValueError, match="ntasks"):

@@ -13,6 +13,7 @@ queued exactly the requests it wants behind it.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import threading
 import time
@@ -679,6 +680,46 @@ class TestRefreshOp:
                 fresh = client.predict(campaign.key, results=row)
                 assert fresh["version"] == receipt.version
                 assert client.stats()["refreshes"] == 1
+
+    @pytest.mark.parametrize("kind", ["results", "data"])
+    def test_refresh_during_the_pause_reaches_that_batch(
+        self, campaign, tmp_path, monkeypatch, kind
+    ):
+        # A predict admitted before a refresh and detached after it is
+        # answered by the refreshed version.  The coalescing pause is
+        # gated on events: it lasts exactly until the refresh has replied.
+        registry = self._copied_registry(campaign, tmp_path)
+        model = registry.load(campaign.key)
+        paused, resume = threading.Event(), threading.Event()
+        sleep = asyncio.sleep
+
+        async def gated(delay, result=None):
+            if delay != server_module._COALESCE_S:
+                return await sleep(delay, result)
+            paused.set()
+            await asyncio.to_thread(resume.wait, 30)
+            return result
+
+        query = {kind: campaign.rows[0] if kind == "results" else raw_field(9)}
+        with ServerThread(PredictionServer(registry)) as thread:
+            with PredictionClient(*thread.address) as client:
+                # A lone connection: warmed without a pause.
+                assert client.predict(campaign.key, **query)["version"] == model.version
+                receipt = registry.publish(
+                    model.scheme,
+                    model.manifest["compressor"],
+                    model.manifest["compressor_options"],
+                    model.predictor,
+                )
+                monkeypatch.setattr(asyncio, "sleep", gated)
+                with PredictionClient(*thread.address) as control, \
+                        ThreadPoolExecutor(1) as pool:
+                    control.ping()  # a second open connection: the drain pauses
+                    reply = pool.submit(client.predict, campaign.key, **query)
+                    assert paused.wait(30), "the drain never paused"
+                    assert control.refresh()[campaign.key] == receipt.version
+                    resume.set()
+                    assert reply.result(30)["version"] == receipt.version
 
     def test_refresh_without_republish_keeps_warm_model(self, campaign):
         with serve(campaign) as thread:

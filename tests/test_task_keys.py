@@ -10,8 +10,10 @@ iteration order is the one input a key must not see.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import pickle
+import sqlite3
 
 import pytest
 from hypothesis import given, settings
@@ -247,6 +249,15 @@ class TestExactCounts:
                              "total": 2 * parts + evaluator_calls}
 
 
+def _hash_columns(path: str) -> list[tuple]:
+    """Every stored row's key and hash columns, read from the file."""
+    with contextlib.closing(sqlite3.connect(path)) as db:
+        return sorted(db.execute(
+            "SELECT key, compressor_hash, dataset_hash, experiment_hash, replicate"
+            " FROM results"
+        ))
+
+
 def _campaign(store: CheckpointStore, queue: TaskQueue) -> ExperimentRunner:
     dataset = HurricaneDataset(shape=(8, 8, 8), timesteps=[0], fields=["P", "CLOUD"])
     return ExperimentRunner(
@@ -263,14 +274,12 @@ def _campaign(store: CheckpointStore, queue: TaskQueue) -> ExperimentRunner:
 class TestAcrossEngines:
     def test_hash_columns_equal_on_every_engine(self, tmp_path):
         """The three hash columns exist for partial restore; every engine
-        (the cluster one through its shard merge) must store the same
+        (the cluster one through its acks to rank 0) must store the same
         digests — ``options_hash`` of the part — under the same keys."""
         queues = {
             "serial": TaskQueue(1, "serial"),
             "process": TaskQueue(2, "process"),
-            "cluster": TaskQueue(
-                2, "cluster", cluster=ClusterSpec(shard_dir=str(tmp_path / "shards"))
-            ),
+            "cluster": TaskQueue(2, "cluster", cluster=ClusterSpec()),
         }
         columns = {}
         for engine, queue in queues.items():
@@ -278,7 +287,7 @@ class TestAcrossEngines:
                 runner = _campaign(store, queue)
                 result = runner.collect()
                 assert result.stats.engine == engine and not result.failures
-                columns[engine] = sorted(row[:5] for row in store.dump_rows())
+                columns[engine] = _hash_columns(str(tmp_path / f"{engine}.db"))
                 tasks = runner.build_tasks()
                 sz3_loose = [
                     t for t in tasks
