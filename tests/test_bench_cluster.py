@@ -256,7 +256,9 @@ class TestWorkerLoop:
 
 
 class TestTcpSpawnEndToEnd:
-    def test_campaign_completes_into_one_store(self, tmp_path):
+    def test_campaign_completes_and_merges(self, tmp_path):
+        """Every rank's acked payloads merge into rank 0's one store,
+        each key written once."""
         tasks = make_tasks(2, 2)
         q = TaskQueue(2, "cluster", cluster=ClusterSpec())
         with CheckpointStore(str(tmp_path / "ckpt.db")) as store:
@@ -364,7 +366,7 @@ def _free_port():
 
 
 class TestLaunchedTcpEndToEnd:
-    def test_mpirun_style_ranks_complete_into_rank0_store(self, tmp_path):
+    def test_mpirun_style_ranks_complete_and_merge(self, tmp_path):
         """Three plain processes carrying the variables ``mpirun -n 3``
         sets: rank 0 coordinates at REPRO_CLUSTER_COORD, ranks 1-2 dial
         it, and rank 0 writes every key once; the workers write nothing."""

@@ -6,8 +6,11 @@ rank 0 charges them through the task ledger into the campaign's one
 ``on_result`` sink — the path the serial and process engines take.  The
 tests below pin what the rank shards and their merge used to provide —
 a retried task leaving no failure row, failures attributed to their
-rank, a resume recomputing exactly the missing keys — and that a
-campaign leaves no temporary files behind.  No lost work under
+rank, a resume recomputing exactly the missing keys, every rank's
+results landing in rank 0's store, the newer write of a key winning, a
+prior failure cleared by a later success, a rerun of a finished
+campaign changing nothing — and that a campaign leaves no temporary
+files behind.  No lost work under
 ``rank_kill`` and every key written once by rank 0 are pinned in
 ``tests/test_bench_cluster.py``.
 """
@@ -71,6 +74,13 @@ def _fails_once(task, worker):
     if once(task.key()):
         raise OSError(f"transient fault on rank {worker}")
     return _echo(task, worker)
+
+
+def _poison_field_p(task, worker):
+    """Every attempt on field P fails; every other task fails once."""
+    if task.data_id.startswith("hurricane/P/"):
+        raise ValueError(f"bad field on rank {worker}")
+    return _fails_once(task, worker)
 
 
 def _runner(store, **queue_kwargs):
@@ -137,6 +147,109 @@ class TestOneResultPath:
         origins = {line.split(" on ")[1].split(":")[0] for line in err.splitlines()
                    if "injected" in line}
         assert origins and origins <= {"rank1", "rank2"}
+
+
+class TestMergeShards:
+    """What the shard merge guaranteed, on the path that replaced it:
+    every rank's acked results merge into rank 0's one store."""
+
+    def test_disjoint_shards_all_inserted(self, tmp_path):
+        # Each rank runs its own share of the tasks; every share reaches
+        # rank 0's store, and every row passes the store's audit.
+        with CheckpointStore(str(tmp_path / "ckpt.db")) as store:
+            runner = _runner(store)
+            keys = sorted(t.key() for t in runner.build_tasks())
+            result = runner.collect(task_fn=_echo)
+            assert result.stats.completed == len(keys)
+            assert sorted(store.keys()) == keys
+            assert {store.get(k)["worker"] for k in keys} <= {1, 2}
+            assert store.verify() == []
+
+    def test_duplicate_key_last_writer_wins(self, tmp_path):
+        # Rows an earlier campaign left for the same keys: the campaign
+        # that writes them again holds the newer payloads, checksums valid.
+        tasks = make_tasks()
+        with CheckpointStore(str(tmp_path / "ckpt.db")) as store:
+            for task in tasks:
+                store.put(task.key(), {"data_id": task.data_id, "worker": -1})
+            store.flush()
+
+            def sink(result):
+                if result.ok:
+                    store.put(result.task.key(), result.payload)
+
+            queue = TaskQueue(2, "cluster", cluster=ClusterSpec())
+            _, stats = queue.run(tasks, _echo, on_result=sink)
+            assert stats.completed == len(tasks)
+            assert sorted(store.keys()) == sorted(t.key() for t in tasks)
+            assert all(store.get(t.key())["worker"] in (1, 2) for t in tasks)
+            assert store.verify() == []
+
+    def test_merge_is_idempotent(self, tmp_path):
+        # Running the finished campaign again dispatches nothing and
+        # leaves every row as it was.
+        with CheckpointStore(str(tmp_path / "ckpt.db")) as store:
+            runner = _runner(store)
+            first = runner.collect(task_fn=_echo)
+            rows = {k: store.get(k) for k in store.keys()}
+            assert len(rows) == first.stats.completed == len(runner.build_tasks())
+            again = runner.collect(task_fn=_echo)
+            assert again.stats.completed == 0
+            assert {k: store.get(k) for k in store.keys()} == rows
+            assert store.verify() == []
+
+    def test_failure_import_is_success_aware(self, tmp_path, state_dir):
+        # The flaky keys failed on one attempt and succeeded on the retry:
+        # the failure ledger does not show them.  The poison keys failed
+        # on every attempt: they surface, labelled with their rank.
+        with CheckpointStore(str(tmp_path / "ckpt.db")) as store:
+            runner = _runner(store, max_retries=1)
+            tasks = runner.build_tasks()
+            poison = sorted(t.key() for t in tasks if t.data_id.startswith("hurricane/P/"))
+            with pytest.warns(UserWarning, match="failed after retries"):
+                runner.collect(task_fn=_poison_field_p)
+            ledger = store.failures()
+            assert sorted(e["key"] for e in ledger) == poison
+            assert {e["origin"] for e in ledger} <= {"rank1", "rank2"}
+            assert sorted(store.keys()) == sorted(
+                t.key() for t in tasks if t.key() not in poison
+            )
+
+    def test_prior_failure_cleared_when_a_shard_succeeded(self, tmp_path):
+        # The store already holds a failure from a previous partial
+        # campaign; a rank that finally completes the key clears it.
+        with CheckpointStore(str(tmp_path / "ckpt.db")) as store:
+            runner = _runner(store)
+            flaky = runner.build_tasks()[0].key()
+            store.record_failure(flaky, "IOError: was down", status=1)
+            result = runner.collect(task_fn=_echo)
+            assert not result.failures
+            assert flaky in store.keys()
+            assert store.failures() == []
+
+    def test_resume_from_partial_shards_after_rank_loss(self, tmp_path):
+        # The ranks acked part of the campaign before it was lost: pending()
+        # over rank 0's store names exactly the lost work, and the resumed
+        # campaign recomputes only that, completing the set.
+        with CheckpointStore(str(tmp_path / "ckpt.db")) as store:
+            runner = _runner(store)
+            tasks = runner.build_tasks()
+            all_keys = {t.key() for t in tasks}
+
+            def sink(result):
+                if result.ok:
+                    store.put(result.task.key(), result.payload)
+
+            acked = tasks[:4]
+            queue = TaskQueue(2, "cluster", cluster=ClusterSpec())
+            queue.run(acked, _echo, on_result=sink)
+            store.flush()
+            missing = set(store.pending(all_keys))
+            assert missing == all_keys - {t.key() for t in acked}
+            result = runner.collect(task_fn=_echo)
+            assert result.stats.completed == len(missing)
+            assert set(store.keys()) == all_keys
+            assert store.verify() == []
 
 
 class TestWireCodec:
