@@ -14,11 +14,10 @@ import pytest
 from repro.bench import (
     CheckpointStore,
     ExperimentRunner,
-    FaultInjector,
     TaskQueue,
 )
 from repro.bench.tasks import precompute_keys
-from repro.core import options_hash
+from repro.core import TaskFailedError, options_hash
 from repro.dataset import HurricaneDataset
 
 
@@ -71,7 +70,12 @@ def test_restart_replays_only_missing(benchmark, small_runner):
 
     tasks = small_runner.build_tasks()
     poison = {t.key() for i, t in enumerate(tasks) if i % 3 == 0}
-    faulty = FaultInjector(small_runner.run_task, poison_keys=poison)
+
+    def faulty(task, worker):
+        if task.key() in poison:
+            raise TaskFailedError("poisoned task", task_key=task.key())
+        return small_runner.run_task(task, worker)
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         _, stats1, _ = small_runner.collect(task_fn=faulty)

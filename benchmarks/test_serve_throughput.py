@@ -237,25 +237,50 @@ def _run_cell(address, queries, *, mid_run=None):
     return wall, sum(failures)
 
 
+#: Per-worker ServeStats counters a matrix cell reports per pass.
+CELL_COUNTERS = (
+    "completed",
+    "failed",
+    "shed",
+    "feat_hits",
+    "feat_misses",
+    "feat_bypass",
+    "feat_ref_hits",
+    "feat_ref_misses",
+    "feat_bytes_saved",
+    "featurize_seconds",
+    "predict_seconds",
+)
+
+
+def _snapshot(fleet):
+    """(restart counts, per-worker stats, restart counts): the counts
+    bracket the stats fan-out, so a restart during it is seen."""
+    return fleet.restart_counts(), fleet.stats()["workers"], fleet.restart_counts()
+
+
 def _cell_stats(fleet, before):
-    """Aggregate counters accrued since the *before* snapshot."""
-    now = fleet.stats()["aggregate"]
-    return {
-        name: now.get(name, 0) - before.get(name, 0)
-        for name in (
-            "completed",
-            "failed",
-            "shed",
-            "feat_hits",
-            "feat_misses",
-            "feat_bypass",
-            "feat_ref_hits",
-            "feat_ref_misses",
-            "feat_bytes_saved",
-            "featurize_seconds",
-            "predict_seconds",
-        )
-    }, now
+    """Counters accrued since the *before* snapshot, diffed per worker.
+
+    A worker restarted since *before* counts from zero in its new
+    process, so its whole current count is what the pass accrued there
+    (what the killed process served after *before* is lost) and it is
+    listed under ``restarted_workers``; every other worker is diffed
+    against itself, so no counter can go negative.
+    """
+    now = _snapshot(fleet)
+    old_restarts, old_workers, _ = before
+    _, workers, restarts = now
+    restarted = sorted(
+        wid for wid, count in restarts.items() if count != old_restarts.get(wid, 0)
+    )
+    accrued = dict.fromkeys(CELL_COUNTERS, 0)
+    for wid, snap in workers.items():
+        base = {} if wid in restarted else old_workers.get(wid, {})
+        for name in CELL_COUNTERS:
+            accrued[name] += snap.get(name, 0) - base.get(name, 0)
+    accrued["restarted_workers"] = restarted
+    return accrued, now
 
 
 def _fleet_cell(registry_root, queries, *, workers, feat_cache, chaos=False):
@@ -270,7 +295,7 @@ def _fleet_cell(registry_root, queries, *, workers, feat_cache, chaos=False):
         },
     )
     with fleet:
-        baseline = fleet.stats()["aggregate"]
+        baseline = _snapshot(fleet)
         runs = {}
         # Cold pass, then (cache cells only) a warm pass over the same
         # traffic: the warm pass is what a steady-state what-if service
@@ -348,6 +373,8 @@ def test_fleet_whatif_matrix(registry, hurricane, record_property):
             if label in cell:
                 assert cell[label]["failures"] == 0, f"{name}/{label} dropped queries"
                 assert cell[label]["failed"] == 0
+                for counter in CELL_COUNTERS:
+                    assert cell[label][counter] >= 0, f"{name}/{label} {counter}"
     assert matrix["fleet_chaos"]["restarts"] >= 1
     assert matrix["fleet_chaos"]["crash_looped"] == []
     # The warm shared cell actually served from the cache.

@@ -19,12 +19,13 @@ import tempfile
 import warnings
 
 from repro.bench import (
+    ChaosPlan,
     CheckpointStore,
     ExperimentRunner,
-    FaultInjector,
     TaskQueue,
     format_table2,
 )
+from repro.core import TaskFailedError
 from repro.dataset import HurricaneDataset
 
 
@@ -42,13 +43,19 @@ def main() -> None:
             n_folds=5,
         )
 
-        # -- 1. a faulty first run: every 4th task crashes once and is
-        # retried; every 9th is poisoned and genuinely fails ---------------
+        # -- 1. a faulty first run: a seeded quarter of the tasks fails once
+        # and is retried; every 9th is poisoned and genuinely fails --------
         tasks = runner.build_tasks()
         poison = {t.key() for i, t in enumerate(tasks) if i % 9 == 4}
-        faulty = FaultInjector(
-            runner.run_task, fail_first_attempt_every=4, poison_keys=poison
-        )
+
+        def poisoned(task, worker):
+            if task.key() in poison:
+                raise TaskFailedError("poisoned task", task_key=task.key())
+            return runner.run_task(task, worker)
+
+        chaos = ChaosPlan(exception_rate=0.25, seed=3,
+                          state_dir=os.path.join(tmp, "chaos"))
+        faulty = chaos.bind(poisoned)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # failures are the point
             _, stats, _ = runner.collect(task_fn=faulty)

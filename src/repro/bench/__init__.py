@@ -8,7 +8,7 @@ producing Table-2-shaped results under k-fold cross-validation.
 """
 
 from .checkpoint import CheckpointStore
-from .faults import CHAOS_CLASSES, ChaosPlan, FaultInjector, RetryPolicy
+from .faults import CHAOS_CLASSES, ChaosPlan, RetryPolicy
 from .report import format_table2, harness_lines, rows_to_records
 from .runner import CollectionResult, ExperimentRunner, StageStat, Table2Row
 from .tasks import Task, precompute_keys
@@ -20,7 +20,6 @@ __all__ = [
     "CheckpointStore",
     "CollectionResult",
     "ExperimentRunner",
-    "FaultInjector",
     "QueueStats",
     "RetryPolicy",
     "StageStat",

@@ -22,10 +22,13 @@ recomputes exactly those keys.  File-backed stores run in WAL mode,
 which makes the commit itself cheaper and lets readers overlap writers.
 """
 
-# The store shares ONE sqlite connection across worker threads, guarded
-# by self._lock — the commit *is* the critical section (single-writer
-# by design; WAL keeps readers unblocked).  Committing outside the lock
-# would let two threads interleave executemany/commit pairs.
+# The store shares ONE sqlite connection between two threads, guarded by
+# self._lock: the thread that owns the store (the queue's on_result sink,
+# rank 0's on the cluster engine, plus every read) and, with
+# flush_interval set, the timer thread that flushes the buffer.  The
+# commit *is* the critical section (single writer by design; WAL keeps
+# readers unblocked): committing outside the lock would let the timer's
+# flush interleave with a put's executemany/commit pair.
 
 from __future__ import annotations
 
@@ -164,9 +167,9 @@ class CheckpointStore:
         self.commit_count = 0  # guarded-by: _lock
         if path != ":memory:":
             os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        # Worker threads write results concurrently; SQLite connections
-        # default to thread affinity, so share one connection guarded by
-        # our own lock instead.
+        # The flush_interval timer commits from its own thread; SQLite
+        # connections default to thread affinity, so share one connection
+        # guarded by our own lock instead.
         self._db = sqlite3.connect(path, check_same_thread=False)
         # Test-only: a LocksetWitness wraps the store lock so stress
         # suites can check every '# guarded-by: _lock' access holds it.
@@ -288,36 +291,6 @@ class CheckpointStore:
             if len(self._buffer) >= self.flush_every or interval_due:
                 self._flush_locked()
 
-    def put_many(
-        self,
-        entries: Iterable[Mapping[str, Any]],
-    ) -> None:
-        """Store many results in one transaction (single commit).
-
-        Each entry is a mapping with ``key`` and ``payload`` plus the
-        optional ``compressor_hash`` / ``dataset_hash`` /
-        ``experiment_hash`` / ``replicate`` columns.
-        """
-        rows = [
-            self._encode_row(
-                e["key"],
-                e["payload"],
-                e.get("compressor_hash", ""),
-                e.get("dataset_hash", ""),
-                e.get("experiment_hash", ""),
-                int(e.get("replicate", 0)),
-            )
-            for e in entries
-        ]
-        if not rows:
-            return
-        with self._lock:
-            self._db.executemany(_INSERT_SQL, rows)
-            self._db.commit()
-            self.commit_count += 1
-            for row in rows:
-                self._buffer.pop(row[0], None)  # committed row supersedes
-
     def flush(self) -> None:
         """Commit all buffered results as one atomic batch."""
         with self._lock:
@@ -332,20 +305,7 @@ class CheckpointStore:
         self.commit_count += 1
         self._buffer.clear()
 
-    def delete(self, key: str) -> None:
-        with self._lock:
-            self._buffer.pop(key, None)
-            self._db.execute("DELETE FROM results WHERE key=?", (key,))
-            self._db.commit()
-
     # -- reads -----------------------------------------------------------------
-    def has(self, key: str) -> bool:
-        with self._lock:
-            if key in self._buffer:
-                return True
-            cur = self._db.execute("SELECT 1 FROM results WHERE key=?", (key,))
-            return cur.fetchone() is not None
-
     def get(self, key: str) -> dict[str, Any] | None:
         with self._lock:
             row = self._buffer.get(key)

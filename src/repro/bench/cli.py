@@ -117,33 +117,10 @@ def _add_evaluation_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_drift_flags(sub: argparse.ArgumentParser) -> None:
-    """Drift-detection thresholds, shared by ``serve`` and ``loop``."""
-    sub.add_argument("--drift-window", type=int, default=64,
-                     help="sliding residual window per model")
-    sub.add_argument("--drift-min-observations", type=int, default=16,
-                     help="windowed residuals required before evaluating drift")
-    sub.add_argument("--drift-calibration", type=int, default=32,
-                     help="residuals used to calibrate the conformal radius")
+    """The drift threshold ``serve`` and ``loop`` expose; every other
+    :class:`~repro.serve.drift.DriftConfig` field keeps its default."""
     sub.add_argument("--drift-medape", type=float, default=25.0,
                      help="windowed MedAPE (%%) above which drift breaches")
-    sub.add_argument("--drift-alpha", type=float, default=0.1,
-                     help="conformal miscoverage level the radius targets")
-    sub.add_argument("--drift-slack", type=float, default=5.0,
-                     help="fire when the miss rate exceeds alpha x slack")
-    sub.add_argument("--drift-hysteresis", type=int, default=3,
-                     help="consecutive breaching evaluations before firing")
-
-
-def _drift_config_kwargs(args: argparse.Namespace) -> dict:
-    return {
-        "window": args.drift_window,
-        "min_observations": args.drift_min_observations,
-        "calibration": args.drift_calibration,
-        "medape_threshold": args.drift_medape,
-        "coverage_alpha": args.drift_alpha,
-        "coverage_slack": args.drift_slack,
-        "hysteresis": args.drift_hysteresis,
-    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -656,7 +633,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     server_options = {k: flags[k] for k in ("max_batch", "max_in_flight", "max_queue_depth",
                                             "cache_capacity")}
     feat_cache = {k: v for k, v in flags.items() if k.startswith("feat_cache")}
-    drift_config = DriftConfig(**_drift_config_kwargs(args))
+    drift_config = DriftConfig(medape_threshold=args.drift_medape)
     if args.workers > 1:
         fleet = ServeFleet(
             args.registry,
@@ -725,7 +702,7 @@ def cmd_loop(args: argparse.Namespace) -> int:
         retry_policy=_retry_policy(args, args.max_stage_attempts - 1),
         chaos=chaos,
         verify_n=args.verify_n,
-        drift_config=_drift_config_kwargs(args),
+        drift_config={"medape_threshold": args.drift_medape},
     )
     try:
         if servers:

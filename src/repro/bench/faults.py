@@ -10,8 +10,6 @@ fault classes:
   which :class:`~repro.core.errors.Status` codes are *permanent* (a task
   asking for an unsupported scheme will never succeed; quarantine it on
   the first failure instead of burning attempts);
-* :class:`FaultInjector` — the original single-class injector (transient
-  exceptions + always-failing poison keys), kept for targeted tests;
 * :class:`ChaosPlan` — the multi-class, seeded chaos harness: worker
   crashes (``os._exit``), hangs, checkpoint payload corruption, and
   result-sink failures, each fired deterministically per task key and at
@@ -30,7 +28,6 @@ import hashlib
 import os
 import tempfile
 import time
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, TYPE_CHECKING
 
@@ -111,44 +108,6 @@ class RetryPolicy:
             return raw
         frac = _stable_unit_interval(self.seed, key, attempt)
         return raw * (1.0 - self.jitter + 2.0 * self.jitter * frac)
-
-
-class FaultInjector:
-    """Deterministically fail chosen (task, attempt) pairs.
-
-    Wraps a task function for the fault-tolerance tests/benches: e.g.
-    ``FaultInjector(fn, fail_first_attempt_every=5)`` makes every fifth
-    task's first attempt raise, exercising retry + checkpoint replay.
-    ``poison_keys`` name tasks that fail on *every* attempt (the
-    always-broken configuration the retry policy must give up on).
-    """
-
-    def __init__(
-        self,
-        task_fn: Callable[["Task", int], dict[str, Any]],
-        *,
-        fail_first_attempt_every: int = 0,
-        poison_keys: set[str] | None = None,
-    ) -> None:
-        self.task_fn = task_fn
-        self.every = int(fail_first_attempt_every)
-        self.poison = poison_keys or set()
-        self.seen: dict[str, int] = defaultdict(int)
-        self.injected = 0
-        self._counter = 0
-
-    def __call__(self, task: "Task", worker: int) -> dict[str, Any]:
-        key = task.key()
-        self.seen[key] += 1
-        first = self.seen[key] == 1
-        if first:
-            self._counter += 1
-        if key in self.poison:
-            raise TaskFailedError("poisoned task (always fails)", task_key=key)
-        if first and self.every and self._counter % self.every == 0:
-            self.injected += 1
-            raise TaskFailedError("injected transient fault", task_key=key)
-        return self.task_fn(task, worker)
 
 
 #: Fault classes a :class:`ChaosPlan` can inject.  The first five hit
@@ -409,7 +368,6 @@ def chaos_worker_init(
 __all__ = [
     "CHAOS_CLASSES",
     "ChaosPlan",
-    "FaultInjector",
     "RetryPolicy",
     "chaos_worker_init",
 ]

@@ -58,7 +58,7 @@ from typing import Any, Callable
 
 from ..core.errors import Status, TaskTimeoutError, error_status
 from .cluster.spec import ClusterSpec
-from .faults import FaultInjector, RetryPolicy  # noqa: F401 - re-exported
+from .faults import RetryPolicy
 from .taskledger import Outcome, QueueStats, TaskLedger, TaskResult  # noqa: F401 - re-exported
 from .tasks import Task
 

@@ -17,7 +17,6 @@ from .compressor import (
     compressor_registry,
     make_compressor,
 )
-from .config import coerce_scalar, options_from_mapping, parse_flags
 from .data import PressioData, as_data
 from .errors import (
     PERMANENT_STATUSES,
@@ -79,13 +78,10 @@ __all__ = [
     "UnsupportedError",
     "as_data",
     "as_options",
-    "coerce_scalar",
     "combined_hash",
     "compressor_registry",
     "error_status",
     "is_permanent_status",
     "make_compressor",
-    "options_from_mapping",
     "options_hash",
-    "parse_flags",
 ]

@@ -1,4 +1,4 @@
-"""Lossless coding substrate: bit I/O, Huffman, RLE, LZ, entropy math."""
+"""Lossless coding substrate: bit I/O, Huffman, LZ, entropy math, sparsity."""
 
 from .bitio import (
     pack_codes,
@@ -19,7 +19,7 @@ from .entropy import (
 )
 from .huffman import HuffmanCode, build_code, decode, encode
 from .lz import lossless_compress, lossless_decompress
-from .rle import find_runs, longest_run, rle_decode, rle_encode, zero_run_ratio
+from .rle import zero_run_ratio
 
 __all__ = [
     "HuffmanCode",
@@ -29,17 +29,13 @@ __all__ = [
     "decode",
     "empirical_entropy",
     "encode",
-    "find_runs",
     "histogram_probabilities",
     "huffman_expected_length",
-    "longest_run",
     "lossless_compress",
     "lossless_decompress",
     "pack_codes",
     "quantized_entropy",
     "read_uint_array",
-    "rle_decode",
-    "rle_encode",
     "shannon_entropy",
     "uint_bit_length",
     "unpack_bits",

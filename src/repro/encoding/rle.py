@@ -1,59 +1,12 @@
-"""Run-length encoding utilities (vectorised).
+"""Sparsity of a field: the share of elements at one value.
 
-Sparse scientific fields (the Hurricane moisture variables) contain long
-constant runs — usually zeros — that dominate their compressibility.
-These helpers find runs with ``np.diff``/``np.flatnonzero`` (no Python
-loop over elements) and are used by the SZx-style codec, by the sparsity
-feature metrics, and as an optional pre-stage for the Huffman coder.
+Sparse scientific fields (the Hurricane moisture variables) are mostly
+zeros, and that share dominates their compressibility.
 """
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
-
-from ..core.errors import CorruptStreamError
-
-
-def find_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decompose a 1-D array into maximal constant runs.
-
-    Returns ``(starts, lengths, run_values)`` such that
-    ``values[starts[i]:starts[i]+lengths[i]] == run_values[i]``.
-    """
-    values = np.asarray(values).reshape(-1)
-    if values.size == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, values[:0]
-    change = np.flatnonzero(values[1:] != values[:-1]) + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [values.size]))
-    return starts.astype(np.int64), (ends - starts).astype(np.int64), values[starts]
-
-
-def rle_encode(values: np.ndarray) -> bytes:
-    """Serialise an int64 array as (count, run_values, run_lengths)."""
-    values = np.asarray(values, dtype=np.int64).reshape(-1)
-    _, lengths, run_values = find_runs(values)
-    head = struct.pack("<QQ", values.size, lengths.size)
-    return head + run_values.astype("<i8").tobytes() + lengths.astype("<i8").tobytes()
-
-
-def rle_decode(stream: bytes) -> np.ndarray:
-    """Inverse of :func:`rle_encode` using ``np.repeat``."""
-    if len(stream) < 16:
-        raise CorruptStreamError("rle stream too short")
-    total, nruns = struct.unpack_from("<QQ", stream, 0)
-    need = 16 + 16 * nruns
-    if len(stream) < need:
-        raise CorruptStreamError("rle stream truncated")
-    run_values = np.frombuffer(stream, dtype="<i8", count=nruns, offset=16)
-    lengths = np.frombuffer(stream, dtype="<i8", count=nruns, offset=16 + 8 * nruns)
-    out = np.repeat(run_values, lengths)
-    if out.size != total:
-        raise CorruptStreamError("rle length mismatch")
-    return out.astype(np.int64)
 
 
 def zero_run_ratio(values: np.ndarray, zero: float = 0.0, atol: float = 0.0) -> float:
@@ -70,9 +23,3 @@ def zero_run_ratio(values: np.ndarray, zero: float = 0.0, atol: float = 0.0) -> 
     else:
         mask = values == zero
     return float(mask.mean())
-
-
-def longest_run(values: np.ndarray) -> int:
-    """Length of the longest constant run (any value)."""
-    _, lengths, _ = find_runs(values)
-    return int(lengths.max(initial=0))

@@ -25,8 +25,7 @@ from .metrics import (
 )
 from .mixture import MixtureLinearRegression
 from .mlp import MLPRegressor
-from .model_selection import GroupKFold, KFold, cross_val_predict, train_test_split
-from .preprocessing import PolynomialFeatures, StandardScaler, TargetTransform
+from .model_selection import GroupKFold, KFold
 from .splines import NaturalSplineRegression, natural_cubic_basis, quantile_knots
 from .tree import DecisionTreeRegressor
 
@@ -40,11 +39,8 @@ _ESTIMATORS = {
         MLPRegressor,
         MixtureLinearRegression,
         NaturalSplineRegression,
-        PolynomialFeatures,
         RandomForestRegressor,
         Ridge,
-        StandardScaler,
-        TargetTransform,
     )
 }
 
@@ -68,16 +64,12 @@ __all__ = [
     "MLPRegressor",
     "MixtureLinearRegression",
     "NaturalSplineRegression",
-    "PolynomialFeatures",
     "RandomForestRegressor",
     "Ridge",
-    "StandardScaler",
-    "TargetTransform",
     "absolute_percentage_errors",
     "check_X",
     "check_X_y",
     "coverage",
-    "cross_val_predict",
     "interpolation_augment",
     "mae",
     "mape",
@@ -89,5 +81,4 @@ __all__ = [
     "r2_score",
     "rbf_kernel",
     "rmse",
-    "train_test_split",
 ]

@@ -1,4 +1,4 @@
-"""Cross-validation utilities: K-fold, grouped K-fold, train/test split.
+"""Cross-validation splitters: K-fold and grouped K-fold.
 
 The paper's Table 2 uses 10-fold cross-validation (§4.3, footnote 3);
 the *grouped* variant matters because its evaluation is explicitly
@@ -73,38 +73,3 @@ class GroupKFold:
             train = np.flatnonzero(sample_fold != i)
             yield train, val
 
-
-def train_test_split(
-    n_samples: int, test_fraction: float = 0.25, random_state: int | None = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Shuffled index split; returns (train_idx, test_idx)."""
-    if not 0 < test_fraction < 1:
-        raise ValueError("test_fraction must be in (0, 1)")
-    idx = np.random.default_rng(random_state).permutation(n_samples)
-    n_test = max(1, int(round(test_fraction * n_samples)))
-    n_test = min(n_test, n_samples - 1)
-    return np.sort(idx[n_test:]), np.sort(idx[:n_test])
-
-
-def cross_val_predict(estimator, X: np.ndarray, y: np.ndarray, *,
-                      cv: KFold | None = None,
-                      groups: np.ndarray | None = None) -> np.ndarray:
-    """Out-of-fold predictions for every sample.
-
-    Each sample's prediction comes from the model trained without its
-    fold — the protocol behind the paper's MedAPE numbers.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    out = np.empty_like(y)
-    if groups is not None:
-        splitter = GroupKFold(cv.n_splits if cv else 10)
-        split_iter = splitter.split(np.asarray(groups))
-    else:
-        splitter = cv or KFold(10)
-        split_iter = splitter.split(y.size)
-    for train, val in split_iter:
-        model = estimator.clone()
-        model.fit(X[train], y[train])
-        out[val] = model.predict(X[val])
-    return out

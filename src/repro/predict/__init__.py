@@ -36,14 +36,12 @@ from .predictor import (
     feature_vector,
 )
 from .scheme import SchemePlugin, available_schemes, get_scheme, scheme_registry
-from .session import PredictionSession
 
 __all__ = [
     "ALL_INVALIDATIONS",
     "EstimatorPredictor",
     "IdentityPredictor",
     "MetricsEvaluator",
-    "PredictionSession",
     "PredictorPlugin",
     "SchemePlugin",
     "available_schemes",

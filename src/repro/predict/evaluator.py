@@ -11,7 +11,7 @@ bounds, compressors or data.
 Validity is carried by the key: ``evaluate(data, changed=())`` serves
 every metric whose data and dependency options are unchanged and
 computes the rest, so a caller that keeps an evaluator alive across a
-bound sweep (the collection worker, a :class:`PredictionSession`) needs
+bound sweep (the collection worker, the server's featurization) needs
 no hand-tracked change-set.
 
 Per-metric wall time is recorded and bucketed into the paper's timing

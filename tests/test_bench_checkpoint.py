@@ -56,7 +56,7 @@ class TestCheckpointStore:
     def test_has_and_pending(self):
         store = CheckpointStore(":memory:")
         store.put("a", {})
-        assert store.has("a") and not store.has("b")
+        assert store.get("a") is not None and store.get("b") is None
         assert store.pending(["a", "b", "c"]) == ["b", "c"]
 
     def test_replace_semantics(self):
@@ -65,12 +65,6 @@ class TestCheckpointStore:
         store.put("a", {"v": 2})
         assert store.get("a") == {"v": 2}
         assert store.count() == 1
-
-    def test_delete(self):
-        store = CheckpointStore(":memory:")
-        store.put("a", {"v": 1})
-        store.delete("a")
-        assert not store.has("a")
 
     def test_numpy_payloads_serialised(self):
         store = CheckpointStore(":memory:")
@@ -140,7 +134,6 @@ class TestBufferedFlush:
     def test_buffered_results_visible_to_reads(self, tmp_path):
         store = CheckpointStore(str(tmp_path / "b.db"), flush_every=100)
         store.put("a", {"v": 1})
-        assert store.has("a")
         assert store.get("a") == {"v": 1}
         assert store.pending(["a", "b"]) == ["b"]
         store.put("a", {"v": 2})  # replace while buffered
@@ -148,19 +141,21 @@ class TestBufferedFlush:
         assert store.count() == 1  # count flushes first, still one row
 
     def test_put_many_single_commit(self, tmp_path):
-        store = CheckpointStore(str(tmp_path / "m.db"))
+        """A batch of puts commits once: the flush_every-th put flushes."""
+        store = CheckpointStore(str(tmp_path / "m.db"), flush_every=50)
         base = store.commit_count
-        store.put_many(
-            [{"key": f"k{i}", "payload": {"v": i}, "replicate": i} for i in range(50)]
-        )
+        for i in range(50):
+            store.put(f"k{i}", {"v": i}, replicate=i)
         assert store.commit_count - base == 1
         assert store.count() == 50
         assert store.get("k7") == {"v": 7}
 
     def test_pending_batched_query_matches_per_key(self, tmp_path):
-        store = CheckpointStore(str(tmp_path / "p.db"))
+        store = CheckpointStore(str(tmp_path / "p.db"), flush_every=1000)
         keys = [f"key-{i:04d}" for i in range(1200)]  # spans >1 IN-chunk
-        store.put_many([{"key": k, "payload": {}} for k in keys[::2]])
+        for k in keys[::2]:
+            store.put(k, {})
+        store.flush()
         missing = store.pending(keys)
         assert missing == keys[1::2]
 

@@ -12,12 +12,12 @@ from repro.bench import (
     ChaosPlan,
     CheckpointStore,
     ExperimentRunner,
-    FaultInjector,
     StageStat,
     TaskQueue,
     format_table2,
     rows_to_records,
 )
+from repro.core import TaskFailedError
 from repro.dataset import HurricaneDataset
 from tests.reference_runner import comparable
 
@@ -116,9 +116,12 @@ class TestCollection:
         assert runner.collect().stats.completed == 0
         assert store.get_meta("last_run_stats") == written
         # A pass that ran anything overwrites, as before.
-        store.delete(runner.build_tasks()[0].key())
-        assert runner.collect().stats.completed == 1
-        assert json.loads(store.get_meta("last_run_stats"))["completed"] == 1
+        wider = ExperimentRunner(
+            ds, compressors=("szx",), bounds=(1e-4, 1e-3, 1e-2), schemes=("tao2019",),
+            store=store,
+        )
+        assert wider.collect().stats.completed == 2
+        assert json.loads(store.get_meta("last_run_stats"))["completed"] == 2
 
     def test_process_engine_collection(self, tmp_path):
         """Collection through worker processes: per-worker dataset init,
@@ -150,7 +153,16 @@ class TestCollection:
             schemes=("tao2019",),
             queue=TaskQueue(1, "serial", max_retries=2),
         )
-        fn = FaultInjector(runner.run_task, fail_first_attempt_every=2)
+        tasks = runner.build_tasks()
+        fail_first = {t.key() for t in tasks[1::2]}
+        seen = set()
+
+        def fn(task, worker):
+            if task.key() in fail_first and task.key() not in seen:
+                seen.add(task.key())
+                raise TaskFailedError("injected transient fault", task_key=task.key())
+            return runner.run_task(task, worker)
+
         obs, stats, _ = runner.collect(task_fn=fn)
         assert stats.failed == 0
         assert stats.retries > 0

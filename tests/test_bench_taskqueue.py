@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.bench import CheckpointStore, FaultInjector, Task, TaskQueue
+from repro.bench import CheckpointStore, Task, TaskQueue
 from repro.core import Status, TaskFailedError
 from tests.latch import once
 
@@ -16,6 +16,25 @@ ENGINES = ["serial", "process"]
 
 def _queue(engine, workers=2, **kwargs):
     return TaskQueue(1 if engine == "serial" else workers, engine, **kwargs)
+
+
+def flaky(fail_first=(), poison=()):
+    """A task function whose *fail_first* keys fail their first attempt
+    and whose *poison* keys fail every attempt; ``fn.attempts`` counts
+    the attempts per key."""
+    attempts = {}
+
+    def fn(task, worker):
+        key = task.key()
+        attempts[key] = attempts.get(key, 0) + 1
+        if key in poison:
+            raise TaskFailedError("poisoned task (always fails)", task_key=key)
+        if key in fail_first and attempts[key] == 1:
+            raise TaskFailedError("injected transient fault", task_key=key)
+        return {"ok": 1}
+
+    fn.attempts = attempts
+    return fn
 
 
 def make_tasks(n_data=4, per_data=3):
@@ -119,15 +138,16 @@ class TestTaskQueue:
 
     def test_transient_failure_retried(self):
         tasks = make_tasks(n_data=1, per_data=3)
-        fn = FaultInjector(lambda t, w: {"ok": 1}, fail_first_attempt_every=2)
+        fn = flaky(fail_first={tasks[1].key()})
         results, stats = TaskQueue(1, "serial", max_retries=2).run(tasks, fn)
         assert stats.completed == 3
-        assert stats.retries == fn.injected > 0
+        assert stats.retries == 1
+        assert {r.task.key(): r.attempts for r in results} == fn.attempts
 
     def test_poisoned_task_reported_not_raised(self):
         tasks = make_tasks(n_data=1, per_data=2)
         poison = {tasks[0].key()}
-        fn = FaultInjector(lambda t, w: {"ok": 1}, poison_keys=poison)
+        fn = flaky(poison=poison)
         results, stats = TaskQueue(1, "serial", max_retries=1).run(tasks, fn)
         assert stats.completed == 1 and stats.failed == 1
         failed = [r for r in results if not r.ok][0]
@@ -315,11 +335,17 @@ class TestAffinityDispatch:
 
 class TestFaultInjector:
     def test_fails_only_first_attempt(self):
+        """A task whose first attempt fails succeeds on its retry: the
+        queue runs it exactly twice and reports it completed."""
         tasks = make_tasks(n_data=1, per_data=1)
-        fn = FaultInjector(lambda t, w: {"ok": 1}, fail_first_attempt_every=1)
+        fn = flaky(fail_first={tasks[0].key()})
         with pytest.raises(TaskFailedError):
             fn(tasks[0], 0)
         assert fn(tasks[0], 0) == {"ok": 1}
+        fn = flaky(fail_first={tasks[0].key()})
+        results, stats = TaskQueue(1, "serial", max_retries=1).run(tasks, fn)
+        assert results[0].ok and results[0].attempts == 2
+        assert stats.completed == 1 and stats.retries == 1
 
 
 def _crash_once_worker(task, worker):

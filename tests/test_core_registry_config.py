@@ -1,9 +1,8 @@
-"""Tests for the plugin registry and configuration introspection."""
+"""Tests for the plugin registry and typed option casting."""
 
 import pytest
 
-from repro.core import OptionError, Registry, coerce_scalar, parse_flags
-from repro.core.config import options_from_mapping, parse_assignment, split_component_options
+from repro.core import OptionError, Registry
 from repro.core.options import PressioOptions
 
 
@@ -41,6 +40,9 @@ class TestRegistry:
 
 
 class TestCoercion:
+    """A flag string becomes an option value of the option's declared
+    type (§4.3's flag -> options conversion by introspection)."""
+
     @pytest.mark.parametrize(
         "raw,expected",
         [
@@ -51,48 +53,11 @@ class TestCoercion:
             ("true", True),
             ("off", False),
             ("hello", "hello"),
-            ("'42'", "42"),
-            ('"on"', "on"),
         ],
     )
     def test_coerce_scalar(self, raw, expected):
-        assert coerce_scalar(raw) == expected
-        assert type(coerce_scalar(raw)) is type(expected)
-
-
-class TestFlagParsing:
-    def test_parse_flags(self):
-        opts = parse_flags(["-o", "pressio:abs=1e-4", "-o", "sz3:predictor=lorenzo"])
-        assert opts["pressio:abs"] == 1e-4
-        assert opts["sz3:predictor"] == "lorenzo"
-
-    def test_bare_assignments_accepted(self):
-        opts = parse_flags(["pressio:abs=0.5"])
-        assert opts["pressio:abs"] == 0.5
-
-    def test_missing_argument_raises(self):
-        with pytest.raises(OptionError):
-            parse_flags(["-o"])
-
-    def test_unknown_token_raises(self):
-        with pytest.raises(OptionError):
-            parse_flags(["--weird"])
-
-    def test_parse_assignment_empty_key(self):
-        with pytest.raises(OptionError):
-            parse_assignment("=3")
-
-    def test_options_from_mapping_coerces_strings(self):
-        opts = options_from_mapping({"a:x": "2", "a:y": 3.5})
-        assert opts["a:x"] == 2 and opts["a:y"] == 3.5
-
-
-class TestComponentSplit:
-    def test_split_by_prefix(self):
-        opts = PressioOptions(
-            {"pressio:abs": 1e-4, "sz3:p": "l", "hurricane:seed": 1, "oops:x": 9}
-        )
-        parts = split_component_options(opts, ["sz3", "hurricane"])
-        assert parts["sz3"].to_dict() == {"pressio:abs": 1e-4, "sz3:p": "l"}
-        assert parts["hurricane"].to_dict() == {"pressio:abs": 1e-4, "hurricane:seed": 1}
-        assert parts["extra"].to_dict() == {"oops:x": 9}
+        opts = PressioOptions()
+        opts.set_type("demo:x", type(expected))
+        opts.cast_set("demo:x", raw)
+        assert opts["demo:x"] == expected
+        assert type(opts["demo:x"]) is type(expected)

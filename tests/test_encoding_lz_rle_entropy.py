@@ -1,4 +1,4 @@
-"""Tests for RLE, LZ backends, and entropy math."""
+"""Tests for the sparsity ratio, LZ backends, and entropy math."""
 
 import numpy as np
 import pytest
@@ -9,14 +9,10 @@ from repro.core import CorruptStreamError, OptionError
 from repro.encoding import (
     coding_gain,
     empirical_entropy,
-    find_runs,
     huffman_expected_length,
-    longest_run,
     lossless_compress,
     lossless_decompress,
     quantized_entropy,
-    rle_decode,
-    rle_encode,
     shannon_entropy,
     zero_run_ratio,
 )
@@ -24,31 +20,6 @@ from repro.encoding.entropy import cross_entropy_bits, histogram_probabilities
 
 
 class TestRuns:
-    def test_find_runs_basic(self):
-        starts, lengths, values = find_runs(np.array([1, 1, 2, 2, 2, 3]))
-        assert starts.tolist() == [0, 2, 5]
-        assert lengths.tolist() == [2, 3, 1]
-        assert values.tolist() == [1, 2, 3]
-
-    def test_find_runs_empty(self):
-        starts, lengths, values = find_runs(np.array([], dtype=np.int64))
-        assert starts.size == lengths.size == values.size == 0
-
-    def test_longest_run(self):
-        assert longest_run(np.array([0, 0, 0, 1, 1])) == 3
-        assert longest_run(np.array([], dtype=np.int64)) == 0
-
-    @given(st.lists(st.integers(min_value=-3, max_value=3), max_size=300))
-    @settings(max_examples=50, deadline=None)
-    def test_rle_roundtrip(self, values):
-        arr = np.asarray(values, dtype=np.int64)
-        assert np.array_equal(rle_decode(rle_encode(arr)), arr)
-
-    def test_rle_truncated_raises(self):
-        stream = rle_encode(np.array([1, 1, 2]))
-        with pytest.raises(CorruptStreamError):
-            rle_decode(stream[:10])
-
     def test_zero_run_ratio(self):
         arr = np.array([0.0, 0.0, 1.0, 0.0])
         assert zero_run_ratio(arr) == pytest.approx(0.75)

@@ -9,7 +9,7 @@ from repro.bench import CheckpointStore, ExperimentRunner, TaskQueue, format_tab
 from repro.compressors import make_compressor
 from repro.core import SizeMetrics, options_hash
 from repro.dataset import FolderLoader, HurricaneDataset, LocalCache, MemoryCache
-from repro.predict import PredictionSession, get_scheme
+from repro.predict import get_scheme
 
 
 class TestFigure4Flow:
@@ -115,19 +115,19 @@ class TestFileBackedCampaign:
 
 class TestSessionAcrossCompressors:
     def test_one_session_per_codec_share_nothing(self, smooth_field):
-        sessions = {
-            name: PredictionSession.create(
-                "tao2019", name, options={"pressio:abs": 1e-3}
-            )
-            for name in ("sz3", "zfp", "szx", "sperr")
-        }
-        estimates = {name: s.predict(smooth_field) for name, s in sessions.items()}
+        scheme = get_scheme("tao2019")
+        estimates = {}
+        for name in ("sz3", "zfp", "szx", "sperr"):
+            comp = make_compressor(name, pressio__abs=1e-3)
+            results = scheme.req_metrics_opts(comp).evaluate(smooth_field)
+            results.merge(scheme.config_features(comp))
+            estimates[name] = scheme.get_predictor(comp).predict(results.to_dict())
         assert all(v > 0 for v in estimates.values())
         # The estimated winner is a near-winner in reality (Tao's goal is
         # preserving the *ranking*; with sz3 and sperr within a few
         # percent of each other, picking either is a correct outcome).
         truths = {}
-        for name in sessions:
+        for name in estimates:
             comp = make_compressor(name, pressio__abs=1e-3)
             size = SizeMetrics()
             comp.set_metrics([size])

@@ -1,4 +1,4 @@
-"""Tests for mlkit support modules: base, metrics, CV, preprocessing,
+"""Tests for mlkit support modules: base, metrics, CV splitters,
 augmentation."""
 
 import numpy as np
@@ -10,13 +10,9 @@ from repro.mlkit import (
     GroupKFold,
     KFold,
     LinearRegression,
-    PolynomialFeatures,
     RandomForestRegressor,
     Ridge,
-    StandardScaler,
-    TargetTransform,
     absolute_percentage_errors,
-    cross_val_predict,
     interpolation_augment,
     mae,
     mape,
@@ -24,7 +20,6 @@ from repro.mlkit import (
     medape,
     r2_score,
     rmse,
-    train_test_split,
 )
 
 
@@ -139,68 +134,6 @@ class TestGroupKFold:
     def test_too_few_groups(self):
         with pytest.raises(ValueError):
             list(GroupKFold(4).split(np.array([0, 0, 1, 1])))
-
-
-class TestCrossValPredict:
-    def test_every_sample_predicted(self):
-        rng = np.random.default_rng(3)
-        X = rng.standard_normal((60, 2))
-        y = X[:, 0] + 0.01 * rng.standard_normal(60)
-        oof = cross_val_predict(LinearRegression(), X, y, cv=KFold(5))
-        assert r2_score(y, oof) > 0.9
-
-    def test_grouped_variant(self):
-        rng = np.random.default_rng(4)
-        X = rng.standard_normal((40, 2))
-        y = X[:, 0]
-        groups = np.repeat(np.arange(10), 4)
-        oof = cross_val_predict(LinearRegression(), X, y, cv=KFold(5), groups=groups)
-        assert np.isfinite(oof).all()
-
-
-class TestTrainTestSplit:
-    def test_disjoint_and_complete(self):
-        train, test = train_test_split(20, test_fraction=0.25, random_state=0)
-        assert len(train) + len(test) == 20
-        assert np.intersect1d(train, test).size == 0
-        assert len(test) == 5
-
-    def test_invalid_fraction(self):
-        with pytest.raises(ValueError):
-            train_test_split(10, test_fraction=1.5)
-
-
-class TestPreprocessing:
-    def test_standard_scaler(self):
-        rng = np.random.default_rng(5)
-        X = rng.normal(5, 3, size=(100, 2))
-        scaler = StandardScaler()
-        Z = scaler.fit_transform(X)
-        assert np.allclose(Z.mean(axis=0), 0, atol=1e-12)
-        assert np.allclose(Z.std(axis=0), 1, atol=1e-12)
-        assert np.allclose(scaler.inverse_transform(Z), X)
-
-    def test_scaler_constant_feature(self):
-        X = np.column_stack([np.ones(10), np.arange(10.0)])
-        Z = StandardScaler().fit_transform(X)
-        assert np.allclose(Z[:, 0], 0)
-
-    def test_polynomial_features_degree2(self):
-        X = np.array([[2.0, 3.0]])
-        out = PolynomialFeatures(degree=2).fit_transform(X)
-        assert sorted(out[0].tolist()) == sorted([2.0, 3.0, 4.0, 6.0, 9.0])
-
-    def test_target_transform_log(self):
-        rng = np.random.default_rng(6)
-        X = rng.uniform(0, 2, size=(80, 1))
-        y = np.exp(1.0 + 2.0 * X[:, 0])
-        model = TargetTransform(LinearRegression(), transform="log").fit(X, y)
-        pred = model.predict(np.array([[1.0]]))[0]
-        assert pred == pytest.approx(np.exp(3.0), rel=0.05)
-
-    def test_target_transform_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            TargetTransform(LinearRegression()).fit(np.ones((3, 1)), np.array([1.0, -1.0, 2.0]))
 
 
 class TestAugmentation:

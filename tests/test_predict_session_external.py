@@ -1,5 +1,6 @@
-"""Tests for the high-level PredictionSession and the external-metrics
-bridge."""
+"""Tests for a prediction session — Figure 4's walk (get scheme -> get
+predictor -> req_metrics_opts -> evaluate -> predict) held across calls
+— and for the external-metrics bridge."""
 
 import os
 import subprocess
@@ -9,63 +10,74 @@ import textwrap
 import numpy as np
 import pytest
 
+from repro.bench import ExperimentRunner
+from repro.compressors import make_compressor
 from repro.core import PressioData, UnsupportedError
 from repro.dataset import HurricaneDataset
-from repro.predict import PredictionSession
+from repro.predict import get_scheme
 from repro.predict.metrics import ExternalMetric, parse_output, python_external_command
+
+
+def predict(scheme, comp, predictor, evaluator, data, changed=None):
+    """One Figure-4 prediction; *changed* narrows the evaluator's work."""
+    kwargs = {} if changed is None else {"changed": changed}
+    results = evaluator.evaluate(data, **kwargs)
+    results.merge(scheme.config_features(comp))
+    return float(predictor.predict(results.to_dict()))
 
 
 class TestSessionUntrained:
     def test_predict_formula_scheme(self, smooth_field):
-        session = PredictionSession.create(
-            "jin2022", "sz3", options={"pressio:abs": 1e-3}
-        )
+        comp = make_compressor("sz3", pressio__abs=1e-3)
+        scheme = get_scheme("jin2022")
         data = PressioData(smooth_field, metadata={"data_id": "s"})
-        cr = session.predict(data)
+        cr = predict(scheme, comp, scheme.get_predictor(comp),
+                     scheme.req_metrics_opts(comp), data)
         assert cr > 0
-        assert session.timings["last_predict_s"] > 0
 
     def test_unsupported_pairing_raises_at_creation(self):
         with pytest.raises(UnsupportedError):
-            PredictionSession.create("jin2022", "zfp", options={"pressio:abs": 1e-3})
+            get_scheme("jin2022").get_predictor(make_compressor("zfp", pressio__abs=1e-3))
 
     def test_option_change_triggers_minimal_invalidation(self, smooth_field):
-        session = PredictionSession.create(
-            "rahman2023", "sz3", options={"pressio:abs": 1e-3}
-        )
+        comp = make_compressor("sz3", pressio__abs=1e-3)
+        evaluator = get_scheme("rahman2023").req_metrics_opts(comp)
         data = PressioData(smooth_field, metadata={"data_id": "s"})
-        session._evaluate_row(data)
-        computed_first = session.evaluator.computed
-        session.set_options({"pressio:abs": 1e-4})
-        session._evaluate_row(data)
+        evaluator.evaluate(data)
+        computed_first = evaluator.computed
+        comp.set_options({"pressio:abs": 1e-4})
+        evaluator.evaluate(data, changed=["pressio:abs"])
         # rahman's features are all error-agnostic: nothing recomputes.
-        assert session.evaluator.computed == computed_first
-        assert session.evaluator.reused >= computed_first
+        assert evaluator.computed == computed_first
+        assert evaluator.reused >= computed_first
 
     @pytest.mark.parametrize("scheme", ["rahman2023", "khan2023"])
     def test_anonymous_arrays_never_share_cached_metrics(
         self, scheme, smooth_field, sparse_field
     ):
         """Each bare ndarray is wrapped in a fresh, metadata-less buffer;
-        the second must not be served the first's cached metrics."""
+        the second must not be served the first's cached metrics, even
+        when the caller says nothing changed."""
 
         def fresh():
-            return PredictionSession.create(scheme, "sz3", options={"pressio:abs": 1e-3})
+            comp = make_compressor("sz3", pressio__abs=1e-3)
+            return get_scheme(scheme).req_metrics_opts(comp)
 
-        session = fresh()
-        session._evaluate_row(smooth_field)
-        second = session._evaluate_row(sparse_field)
-        assert second == fresh()._evaluate_row(sparse_field)
-        assert session.evaluator.reused == 0
+        evaluator = fresh()
+        evaluator.evaluate(smooth_field)
+        second = evaluator.evaluate(sparse_field, changed=()).to_dict()
+        assert second == fresh().evaluate(sparse_field).to_dict()
+        assert evaluator.reused == 0
 
     def test_create_in_a_fresh_interpreter(self):
-        """Importing only ``repro.predict.session`` must register the
-        codecs: the module's own docstring example starts this way."""
+        """The walk's documented imports (examples/quickstart.py) register
+        the codecs: a fresh interpreter needs nothing else."""
         code = (
-            "from repro.predict.session import PredictionSession\n"
-            "s = PredictionSession.create('rahman2023', 'sz3', "
-            "options={'pressio:abs': 1e-3})\n"
-            "print(s.compressor.id)\n"
+            "from repro.compressors import make_compressor\n"
+            "from repro.predict import get_scheme\n"
+            "comp = make_compressor('sz3', pressio__abs=1e-3)\n"
+            "get_scheme('rahman2023').req_metrics_opts(comp)\n"
+            "print(comp.id)\n"
         )
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
@@ -77,59 +89,69 @@ class TestSessionUntrained:
         assert proc.stdout.strip() == "sz3"
 
     def test_fit_on_noop_for_untrained(self, smooth_field):
-        session = PredictionSession.create(
-            "tao2019", "szx", options={"pressio:abs": 1e-3}
-        )
-        out = session.fit_on([smooth_field])
-        assert out is session
-        assert "fit_s" not in session.timings
+        """A formula scheme predicts without any fit."""
+        comp = make_compressor("szx", pressio__abs=1e-3)
+        scheme = get_scheme("tao2019")
+        predictor = scheme.get_predictor(comp)
+        assert not predictor.needs_training
+        data = PressioData(smooth_field, metadata={"data_id": "s"})
+        assert predict(scheme, comp, predictor, scheme.req_metrics_opts(comp), data) > 0
+
+
+def trained_predictor(scheme_name, compressor, dataset, bounds):
+    """Fit *scheme_name* on a collected campaign's observations, as
+    ``ExperimentRunner.publish`` and Table 2 do."""
+    runner = ExperimentRunner(
+        dataset, compressors=(compressor,), bounds=tuple(bounds), schemes=(scheme_name,)
+    )
+    observations = runner.collect().observations
+    scheme = get_scheme(scheme_name)
+    rows = [o for o in observations if o.get(scheme.target_key) is not None]
+    predictor = scheme.get_predictor(make_compressor(compressor))
+    predictor.fit(rows, np.asarray([float(o[scheme.target_key]) for o in rows]))
+    return runner, observations, scheme, predictor
 
 
 class TestSessionTrained:
     @pytest.fixture(scope="class")
     def trained(self):
         ds = HurricaneDataset(shape=(12, 12, 8), timesteps=[0, 20])
-        session = PredictionSession.create(
-            "rahman2023", "sz3", options={"pressio:abs": 1e-3}
-        )
-        session.fit_on(list(ds), bounds=[1e-5, 1e-4, 1e-3], relative=True)
-        return session, ds
+        return ds, *trained_predictor("rahman2023", "sz3", ds, [1e-5, 1e-4, 1e-3])
 
     def test_fit_records_timings(self, trained):
-        session, _ = trained
-        assert session.timings["training_s"] > 0
-        assert session.timings["fit_s"] > 0
+        _, runner, observations, scheme, _ = trained
+        row = runner.evaluate_scheme(scheme, "sz3", observations)
+        assert row.training.available and row.training.mean > 0
+        assert row.fit.available and row.fit.mean > 0
 
     def test_predict_after_fit(self, trained):
-        session, ds = trained
+        _, _, _, scheme, predictor = trained
         data = HurricaneDataset(shape=(12, 12, 8), timesteps=[40]).load_data(2)
         arr = data.array
-        session.set_options(
-            {"pressio:abs": 1e-4 * float(arr.max() - arr.min())}
-        )
-        cr = session.predict(data)
+        comp = make_compressor("sz3", pressio__abs=1e-4 * float(arr.max() - arr.min()))
+        cr = predict(scheme, comp, predictor, scheme.req_metrics_opts(comp), data)
         assert 1.0 < cr < 1000.0
 
     def test_state_roundtrip_through_session(self, trained):
-        session, ds = trained
-        state = session.get_state()
+        ds, _, _, scheme, predictor = trained
+        state = predictor.get_state()
         assert state  # non-empty
-        clone = PredictionSession.create(
-            "rahman2023", "sz3", options={"pressio:abs": 1e-3}, state=state
-        )
-        # Earlier tests may have reconfigured the shared session: align
-        # the options before comparing predictions.
-        session.set_options({"pressio:abs": 1e-3})
+        comp = make_compressor("sz3", pressio__abs=1e-3)
+        clone = scheme.get_predictor(comp)
+        clone.set_options({"predictors:state": state})
         data = ds.load_data(0)
-        assert clone.predict(data) == pytest.approx(session.predict(data), rel=1e-9)
+        evaluator = scheme.req_metrics_opts(comp)
+        assert predict(scheme, comp, clone, evaluator, data) == pytest.approx(
+            predict(scheme, comp, predictor, evaluator, data), rel=1e-9
+        )
 
     def test_bandwidth_target_session(self):
         ds = HurricaneDataset(shape=(12, 12, 8), timesteps=[0])
-        session = PredictionSession.create(
-            "rahman2023_bandwidth", "szx", options={"pressio:abs": 1e-3}
+        *_, scheme, predictor = trained_predictor(
+            "rahman2023_bandwidth", "szx", ds, [1e-4, 1e-3]
         )
-        session.fit_on(list(ds), bounds=[1e-4, 1e-3], relative=True)
-        bw = session.predict(ds.load_data(0))
+        comp = make_compressor("szx", pressio__abs=1e-3)
+        bw = predict(scheme, comp, predictor, scheme.req_metrics_opts(comp), ds.load_data(0))
         assert bw > 1e5  # bytes/second; szx runs at many MB/s here
 
 
