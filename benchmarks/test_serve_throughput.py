@@ -9,7 +9,7 @@ Two experiments share ``BENCH_serve.json``:
   repeated across bounds and clients: the workload §5 names as the
   serving hot path) against {1 worker, ``FLEET_WORKERS`` workers} ×
   {cache off, shared cache cold, shared cache warm}, plus a chaos cell
-  that SIGKILLs a worker and fans out a fleet-wide refresh mid-run.
+  that SIGKILLs a worker and re-publishes the served model mid-run.
   Headlines asserted here: warm-fleet QPS ≥ ``QPS_SPEEDUP_FLOOR``× the
   single-worker cache-off baseline, featurize-seconds reduction ≥
   ``FEAT_REDUCTION_FLOOR``, and zero failed queries through the chaos
@@ -307,7 +307,16 @@ def _fleet_cell(registry_root, queries, *, workers, feat_cache, chaos=False):
                 def mid_run():
                     victims = sorted(fleet.worker_pids().values())
                     os.kill(victims[0], signal.SIGKILL)
-                    fleet.refresh()
+                    # The live version flips under the kill: every worker's
+                    # next batch follows the registry's new LATEST.
+                    reg = ModelRegistry(registry_root)
+                    model = reg.load(queries[0][0])
+                    runs["republished"] = reg.publish(
+                        model.scheme,
+                        model.manifest["compressor"],
+                        model.manifest["compressor_options"],
+                        model.predictor,
+                    ).version
             wall, failures = _run_cell(fleet.address, queries, mid_run=mid_run)
             accrued, baseline = _cell_stats(fleet, baseline)
             runs[label] = {
@@ -317,6 +326,17 @@ def _fleet_cell(registry_root, queries, *, workers, feat_cache, chaos=False):
                 **accrued,
             }
         if chaos:
+            # Every worker, the one restarted after the kill included, now
+            # serves the re-published version: address each on its control
+            # port (a data-port dial reaches whichever worker the kernel picks).
+            deadline = time.monotonic() + 30.0
+            while len(fleet.control_addresses()) < workers and time.monotonic() < deadline:
+                time.sleep(0.05)
+            key, payload = queries[0]
+            runs["served_after"] = []
+            for address in fleet.control_addresses():
+                with PredictionClient(*address) as client:
+                    runs["served_after"].append(client.predict(key, data=payload)["version"])
             runs["restarts"] = sum(fleet.restart_counts().values())
             runs["crash_looped"] = fleet.crash_looped_workers()
     return runs
@@ -367,7 +387,7 @@ def test_fleet_whatif_matrix(registry, hurricane, record_property):
         f"{FEAT_REDUCTION_FLOOR:.0%} on repeated-field what-if traffic"
     )
     # Zero failed queries in every cell — including the chaos cell's
-    # worker kill + fleet-wide refresh mid-run.
+    # worker kill + re-publish mid-run.
     for name, cell in matrix.items():
         for label in ("cold", "warm"):
             if label in cell:
@@ -376,6 +396,8 @@ def test_fleet_whatif_matrix(registry, hurricane, record_property):
                 for counter in CELL_COUNTERS:
                     assert cell[label][counter] >= 0, f"{name}/{label} {counter}"
     assert matrix["fleet_chaos"]["restarts"] >= 1
+    chaos = matrix["fleet_chaos"]
+    assert chaos["served_after"] == [chaos["republished"]] * FLEET_WORKERS
     assert matrix["fleet_chaos"]["crash_looped"] == []
     # The warm shared cell actually served from the cache.
     assert warm["feat_hits"] == N_QUERIES

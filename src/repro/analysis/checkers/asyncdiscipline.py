@@ -87,6 +87,7 @@ DISK_METHODS = frozenset(
         "put",
         "record_failure",
         "set_meta",
+        "stamp",
         "verify",
         "versions",
     }

@@ -20,6 +20,7 @@ import argparse
 import contextlib
 import json
 import os
+import signal
 import sys
 import time
 from typing import Any, Sequence
@@ -114,13 +115,6 @@ def _add_evaluation_flags(sub: argparse.ArgumentParser) -> None:
                      help="out_of_sample groups CV folds by field (the paper's "
                      "protocol); in_sample is the best-case variant")
     sub.add_argument("--json", action="store_true", help="emit JSON records")
-
-
-def _add_drift_flags(sub: argparse.ArgumentParser) -> None:
-    """The drift threshold ``serve`` and ``loop`` expose; every other
-    :class:`~repro.serve.drift.DriftConfig` field keeps its default."""
-    sub.add_argument("--drift-medape", type=float, default=25.0,
-                     help="windowed MedAPE (%%) above which drift breaches")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,20 +255,22 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-worker L1 entries in the featurization cache")
     serve.add_argument("--feat-cache-bytes", type=int, default=64 * 1024 * 1024,
                        help="byte budget for the shared featurization tier")
-    _add_drift_flags(serve)
+    # The one DriftConfig field a server takes from the command line.
+    serve.add_argument("--drift-medape", type=float, default=25.0,
+                       help="windowed MedAPE (%%) above which drift breaches")
 
     loop = command(
         "loop", cmd_loop,
-        help="continuous learning: drift-triggered recollect → republish → "
-        "refresh rollovers against live servers",
+        help="continuous learning: drift-triggered recollect → republish "
+        "rollovers; live servers follow the registry",
     )
     loop.add_argument("checkpoint", help="shared checkpoint database; each "
                       "round's re-collect resumes from it")
     loop.add_argument("--registry", required=True, help="registry root directory")
     loop.add_argument(
         "--servers", nargs="*", default=[], metavar="HOST:PORT",
-        help="live prediction servers to poll for drift and refresh after "
-        "each publish; with none given, --rounds rollovers run unconditionally",
+        help="live prediction servers to poll for drift; with none given, "
+        "--rounds rollovers run unconditionally",
     )
     loop.add_argument("--rounds", type=int, default=1,
                       help="rollovers to perform before exiting")
@@ -305,9 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="give up after this many idle polls",
     )
     _add_chaos_flags(
-        loop, example="trainer_kill:0.5,publish_corrupt:0.3,refresh_drop:0.2"
+        loop, example="trainer_kill:0.5,publish_corrupt:0.3"
     )
-    _add_drift_flags(loop)
 
     query = command("query", cmd_query, help="query a running prediction server")
     query.add_argument("--host", default="127.0.0.1")
@@ -644,16 +639,28 @@ def cmd_serve(args: argparse.Namespace) -> int:
             server_options=server_options,
             **feat_cache,
         )
-        with fleet:
+        stop_signals = (signal.SIGTERM, signal.SIGINT)
+
+        def _stop(signum: int, frame: Any) -> None:
+            # Ignore a second signal, so it cannot cut fleet.stop() short.
+            for sig in stop_signals:
+                signal.signal(sig, signal.SIG_IGN)
+            raise KeyboardInterrupt
+
+        # SIGTERM and SIGINT both unwind through fleet.stop(), which stops
+        # the workers and sweeps the cache dir; setting SIGINT also undoes
+        # the SIG_IGN a non-interactive shell gives a background job.
+        for sig in stop_signals:
+            signal.signal(sig, _stop)
+        with contextlib.suppress(KeyboardInterrupt), fleet:
             host, port = fleet.address
             print(
                 f"serving {args.registry} on {host}:{port} "
                 f"({fleet.workers} workers, feat-cache={args.feat_cache})",
                 flush=True,
             )
-            with contextlib.suppress(KeyboardInterrupt):
-                while True:
-                    time.sleep(1.0)
+            while True:
+                time.sleep(1.0)
         return 0
 
     server = PredictionServer(
@@ -669,6 +676,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     async def _serve() -> None:
         await server.start()
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            asyncio.get_running_loop().add_signal_handler(sig, server.request_stop)
         print(f"serving {args.registry} on {server.host}:{server.port}", flush=True)
         await server.serve_until_stopped()
 
@@ -678,7 +687,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_loop(args: argparse.Namespace) -> int:
-    """Run the continuous-learning loop: drift → retrain → refresh."""
+    """Run the continuous-learning loop: drift → retrain → republish."""
     from ..serve import ContinuousLearner, ModelRegistry, RolloverFailedError
 
     try:
@@ -702,7 +711,6 @@ def cmd_loop(args: argparse.Namespace) -> int:
         retry_policy=_retry_policy(args, args.max_stage_attempts - 1),
         chaos=chaos,
         verify_n=args.verify_n,
-        drift_config={"medape_threshold": args.drift_medape},
     )
     try:
         if servers:

@@ -112,9 +112,9 @@ class RetryPolicy:
 
 #: Fault classes a :class:`ChaosPlan` can inject.  The first five hit
 #: the collection harness (task execution, checkpoint, result sink);
-#: the next three hit the continuous-learning loop (trainer killed at a
-#: publish fault point, at-rest corruption of a freshly published blob,
-#: a dropped server refresh); ``cache_kill`` kills a serving worker in
+#: the next two hit the continuous-learning loop (trainer killed at a
+#: publish fault point, at-rest corruption of a freshly published
+#: blob); ``cache_kill`` kills a serving worker in
 #: the middle of a shared-featurization-cache store (row written to its
 #: temp file, not yet renamed); ``rank_kill`` abruptly kills a whole
 #: cluster worker rank at a selected task — the node-loss fault the
@@ -127,7 +127,6 @@ CHAOS_CLASSES = (
     "sink",
     "trainer_kill",
     "publish_corrupt",
-    "refresh_drop",
     "cache_kill",
     "rank_kill",
 )
@@ -162,7 +161,6 @@ class ChaosPlan:
         sink_rate: float = 0.0,
         trainer_kill_rate: float = 0.0,
         publish_corrupt_rate: float = 0.0,
-        refresh_drop_rate: float = 0.0,
         cache_kill_rate: float = 0.0,
         rank_kill_rate: float = 0.0,
         hang_seconds: float = 5.0,
@@ -178,7 +176,6 @@ class ChaosPlan:
             "sink": float(sink_rate),
             "trainer_kill": float(trainer_kill_rate),
             "publish_corrupt": float(publish_corrupt_rate),
-            "refresh_drop": float(refresh_drop_rate),
             "cache_kill": float(cache_kill_rate),
             "rank_kill": float(rank_kill_rate),
         }
@@ -201,9 +198,8 @@ class ChaosPlan:
         """Parse ``"crash:0.1,hang:0.05"`` into a plan.
 
         Classes: ``crash``, ``hang``, ``exception``, ``corrupt``,
-        ``sink``, ``trainer_kill``, ``publish_corrupt``,
-        ``refresh_drop``, ``cache_kill``, ``rank_kill``.  A bare class
-        name means rate 1.0.
+        ``sink``, ``trainer_kill``, ``publish_corrupt``, ``cache_kill``,
+        ``rank_kill``.  A bare class name means rate 1.0.
         """
         rates: dict[str, float] = {}
         for part in spec.split(","):
@@ -298,7 +294,7 @@ class ChaosPlan:
         """Fire a continuous-learning-loop fault exactly once per *key*.
 
         ``kind`` is one of ``trainer_kill``/``publish_corrupt``/
-        ``refresh_drop``/``cache_kill``; *key* names the stage instance
+        ``cache_kill``; *key* names the stage instance
         (round, registry key, publish fault point…).  Same once-only
         marker discipline as the collection classes, so a retried stage
         does not re-fault on the same site and the supervisor provably

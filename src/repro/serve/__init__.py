@@ -8,7 +8,7 @@ two-phase-commit publish), and a :class:`PredictionServer` answers
 micro-batched vectorised inference.  On top of both, the
 continuous-learning loop (:class:`ContinuousLearner`) closes the
 circle: drift detection (:class:`DriftMonitor`) → incremental
-re-collect → republish → zero-restart refresh of every live server.
+re-collect → republish, which every live server follows on its own.
 :class:`ServeFleet` scales the tier to the hardware: one worker process
 per core behind a shared ``SO_REUSEPORT`` data port, all sharing the
 row files of one :class:`FeaturizationCache` directory.
@@ -35,7 +35,7 @@ from .drift import DriftConfig, DriftMonitor, ResidualLedger
 from .featcache import CachedRow, FeaturizationCache, content_fingerprint
 from .fleet import (
     FEAT_CACHE_MODES,
-    FleetRefreshError,
+    FleetFanoutError,
     ServeFleet,
     aggregate_stats,
 )
@@ -78,7 +78,7 @@ __all__ = [
     "EncodedArray",
     "FEAT_CACHE_MODES",
     "FeaturizationCache",
-    "FleetRefreshError",
+    "FleetFanoutError",
     "INTENT_NAME",
     "LoadedModel",
     "LoopStageError",

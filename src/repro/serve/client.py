@@ -351,28 +351,14 @@ class PredictionClient:
             payload["version"] = version
         return self._checked(payload)["drift"]
 
-    def drift(
-        self, *, configure: Mapping[str, Any] | None = None
-    ) -> dict[str, Any]:
-        """Per-key drift snapshots (and optionally push a new config).
+    def drift(self) -> dict[str, Any]:
+        """Per-key drift snapshots.
 
         Returns the full response body: ``monitors`` maps key →
         snapshot (with a ``stale`` flag), ``stale_keys`` lists keys
         serving a known-drifted generation.
         """
-        payload: dict[str, Any] = {"op": "drift"}
-        if configure is not None:
-            payload["configure"] = dict(configure)
-        return self._checked(payload)
-
-    def refresh(self, key: str | None = None) -> dict[str, str | None]:
-        """Push a registry invalidation: the server re-reads ``LATEST``
-        and evicts stale warm models, so a re-publish takes effect
-        without a restart.  Returns ``{key: live_version}``."""
-        payload: dict[str, Any] = {"op": "refresh"}
-        if key is not None:
-            payload["key"] = key
-        return self._checked(payload)["refreshed"]
+        return self._checked({"op": "drift"})
 
     def shutdown(self) -> None:
         self._checked({"op": "shutdown"})

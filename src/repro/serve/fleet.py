@@ -13,15 +13,16 @@ every worker running the *same* server code:
   own bind fails and :meth:`ServeFleet.start` raises at once.
 * **Private control ports** — each worker opens a second, ephemeral
   listener serving the same op set.  The kernel decides which worker a
-  data-port connection reaches, so anything that must reach *every*
-  worker (``refresh`` after a publish, ``stats`` aggregation, drift
-  configuration) fans out over the control addresses instead.  Control
-  ports are re-reported on restart, and fan-outs re-resolve addresses
-  per attempt, so a worker mid-restart is retried at its new port, not
-  skipped.
+  data-port connection reaches, so what must read *every* worker
+  (``stats`` aggregation, ``drift`` snapshots, ``ping``) fans out over
+  the control addresses instead.  Control ports are re-reported on
+  restart, and fan-outs re-resolve addresses per attempt, so a worker
+  mid-restart is retried at its new port, not skipped.
 * **Shared model + feature state** — all workers read one on-disk
   :class:`~repro.serve.registry.ModelRegistry` (per-worker warm LRUs on
-  top) and, with ``feat_cache="shared"``, one directory of row files
+  top, each following its ``LATEST`` pointer, so a publish reaches
+  every worker with nothing sent to any of them) and, with
+  ``feat_cache="shared"``, one directory of row files
   behind every worker's :class:`~repro.serve.featcache.FeaturizationCache`
   (its L2 tier): a field featurized by any worker is a cache hit for
   all of them.
@@ -143,7 +144,7 @@ class _WorkerRecord:
     exit_codes: list[int] = field(default_factory=list)
 
 
-class FleetRefreshError(RuntimeError):
+class FleetFanoutError(RuntimeError):
     """A fan-out could not reach every live worker within its retries."""
 
 
@@ -227,7 +228,7 @@ class ServeFleet:
                 # repro-lint: disable=RL702  # placeholder held by design; the child closes the inherited fd
                 self._spawn(worker_id)
             self._await_ready(self.ready_timeout)
-        except Exception:
+        except BaseException:  # a stop signal during start too
             self._started = False
             self._terminate_all()
             self._sweep_feat_cache()
@@ -408,8 +409,8 @@ class ServeFleet:
         """Per-worker private addresses, re-resolved on every call.
 
         Restarted workers re-report with fresh ports, so callers must
-        not cache this list across failures — the loop's refresh fan-out
-        and :meth:`_fanout` both re-resolve per attempt.
+        not cache this list across failures — the loop's drift polls and
+        :meth:`_fanout` both re-resolve per attempt.
         """
         with self._lock:
             return [
@@ -445,8 +446,8 @@ class ServeFleet:
     def connect(self, **client_kwargs: Any) -> PredictionClient:
         """A client on the shared data port (the kernel picks the worker).
 
-        Per-request ops only: ``refresh``/``stats`` on it reach one
-        worker — use the fleet's own :meth:`refresh` and :meth:`stats`,
+        Per-request ops only: ``stats``/``drift`` on it reach one
+        worker — use the fleet's own :meth:`stats` and :meth:`drift`,
         which fan out over every control port.
         """
         return PredictionClient(*self.address, **client_kwargs)
@@ -464,10 +465,9 @@ class ServeFleet:
 
         Addresses are re-resolved per attempt so a worker that died and
         restarted mid-fan-out is reached at its new control port.  Raises
-        :class:`FleetRefreshError` when, after all retries, some live
-        worker never answered — a silent partial fan-out would leave a
-        worker serving a stale model, the exact bug refresh exists to
-        prevent.
+        :class:`FleetFanoutError` when, after all retries, some live
+        worker never answered — a silent partial fan-out would report
+        fleet totals or drift state that miss a worker.
         """
         results: dict[int, Any] = {}
         last_errors: dict[int, str] = {}
@@ -500,19 +500,10 @@ class ServeFleet:
             if attempt < retries:
                 time.sleep(backoff * (attempt + 1))
         missing = sorted(expected - set(results))
-        raise FleetRefreshError(
+        raise FleetFanoutError(
             f"workers {missing} unreachable after {retries + 1} attempts: "
             f"{ {w: last_errors.get(w, 'never ready') for w in missing} }"
         )
-
-    def refresh(self, key: str | None = None) -> dict[int, dict[str, Any]]:
-        """Fan a registry invalidation out to *every* worker.
-
-        One publish flips the whole fleet without restarts; returns each
-        worker's ``{key: live_version}`` map, and raises if any live
-        worker could not be refreshed.
-        """
-        return self._fanout(lambda client: client.refresh(key))
 
     def stats(self) -> dict[str, Any]:
         """Aggregated fleet counters plus the per-worker snapshots."""
@@ -522,9 +513,9 @@ class ServeFleet:
             "aggregate": aggregate_stats(list(per_worker.values())),
         }
 
-    def drift(self, *, configure: Mapping[str, Any] | None = None) -> dict[int, Any]:
-        """Fan the ``drift`` op (snapshots / reconfiguration) fleet-wide."""
-        return self._fanout(lambda client: client.drift(configure=configure))
+    def drift(self) -> dict[int, Any]:
+        """Every worker's ``drift`` snapshots."""
+        return self._fanout(lambda client: client.drift())
 
     def ping(self) -> bool:
         """True when every non-crash-looped worker answers a ping."""
@@ -545,7 +536,7 @@ def aggregate_stats(snapshots: list[dict[str, Any]]) -> dict[str, Any]:
     summed = (
         "requests", "completed", "failed", "shed", "batches", "predict_calls",
         "batched_rows", "cache_hits", "cache_misses",
-        "model_loads", "refreshes", "observations", "drift_fires",
+        "model_loads", "observations", "drift_fires",
         "connections", "feat_hits", "feat_misses", "feat_bypass",
         "feat_ref_hits", "feat_ref_misses",
         "feat_bytes_saved", "feat_seconds_saved", "queue_wait_seconds",
@@ -566,7 +557,7 @@ def aggregate_stats(snapshots: list[dict[str, Any]]) -> dict[str, Any]:
 
 __all__ = [
     "FEAT_CACHE_MODES",
-    "FleetRefreshError",
+    "FleetFanoutError",
     "ServeFleet",
     "aggregate_stats",
 ]

@@ -1,4 +1,4 @@
-"""The continuous-learning loop: drift → re-collect → retrain → republish → refresh.
+"""The continuous-learning loop: drift → re-collect → retrain → republish.
 
 The operational story the versioned registry was built for, closed
 into a supervised, chaos-proofed pipeline.  A :class:`ContinuousLearner`
@@ -15,25 +15,28 @@ fires, it drives one **rollover**:
    checkpoint does not already hold actually run (resume, not restart);
 3. **publish** — retrain and publish vN+1 through the registry's
    journaled two-phase commit, with round-trip proof;
-4. **verify** — reload every published key; a blob corrupted between
-   publish and refresh is quarantined by the load and triggers a
-   republish (as vN+2) instead of ever being served;
-5. **refresh** — push a ``refresh`` to every connected server, flipping
-   them to the new version with zero restarts, and confirm the flip.
+4. **verify** — reload every published key; a blob corrupted after its
+   commit is quarantined by the load (``LATEST`` retargeted) and
+   triggers a republish (as vN+2) instead of ever being loaded again.
+
+Nothing is sent to the servers: each one re-validates its warm model
+against the registry's ``LATEST`` pointer whenever a batch takes it,
+so the publish (and any quarantine retarget) reaches every worker of
+every server by itself, with zero restarts.
 
 Every stage runs under a :class:`~repro.bench.faults.RetryPolicy`-style
 supervisor: stage failures (including injected trainer kills) back off
 and retry with per-stage memoisation — observations collected once,
-receipts kept across refresh retries — up to a crash-loop cap
+receipts kept across verify retries — up to a crash-loop cap
 (:class:`RolloverFailedError` beyond it).  Servers keep answering from
 vN the whole time; the only externally visible degradation is the
 ``stale`` flag in their stats.
 
-Chaos integration (the PR-2 :class:`~repro.bench.faults.ChaosPlan`,
-extended): ``trainer_kill`` kills the trainer at collect or at a
-precise publish fault point, ``publish_corrupt`` damages the freshly
-committed blob at rest, ``refresh_drop`` loses a server refresh.  All
-seeded, all once-per-site, so a chaos rollover provably converges.
+Chaos integration (:class:`~repro.bench.faults.ChaosPlan`):
+``trainer_kill`` kills the trainer at collect or at a precise publish
+fault point, ``publish_corrupt`` damages the freshly committed blob at
+rest.  Both seeded, both once-per-site, so a chaos rollover provably
+converges.
 """
 
 from __future__ import annotations
@@ -41,10 +44,10 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 from ..core.errors import PressioError, Status
-from .client import PredictionClient, ServerError
+from .client import PredictionClient
 from .registry import (
     PUBLISH_FAULT_POINTS,
     ModelRegistry,
@@ -81,7 +84,6 @@ class RolloverReport:
     attempts: int = 0
     stage_attempts: dict[str, int] = field(default_factory=dict)
     published: dict[str, str] = field(default_factory=dict)  # key -> version
-    refreshed: dict[str, dict[str, str | None]] = field(default_factory=dict)
     recovered: dict[str, int] = field(default_factory=dict)
     duration_s: float = 0.0
 
@@ -109,8 +111,8 @@ class ContinuousLearner:
         rounds is what makes re-collection incremental.  The learner
         closes each runner when it is done with it.
     servers:
-        ``(host, port)`` pairs of live :class:`PredictionServer`\\ s to
-        refresh after each publish.
+        ``(host, port)`` pairs of live :class:`PredictionServer`\\ s (or
+        fleets) whose drift monitors :meth:`run` polls.
     retry_policy:
         Backoff schedule between stage retries, and the crash-loop cap:
         a rollover that cannot converge within ``max_retries + 1``
@@ -119,7 +121,7 @@ class ContinuousLearner:
         attempts.
     chaos:
         Optional :class:`~repro.bench.faults.ChaosPlan` with
-        ``trainer_kill``/``publish_corrupt``/``refresh_drop`` rates.
+        ``trainer_kill``/``publish_corrupt`` rates.
     """
 
     def __init__(
@@ -131,7 +133,6 @@ class ContinuousLearner:
         retry_policy: Any | None = None,
         chaos: Any | None = None,
         verify_n: int = 4,
-        drift_config: Mapping[str, Any] | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         from ..bench.faults import RetryPolicy  # serve must not hard-couple bench
@@ -148,7 +149,6 @@ class ContinuousLearner:
         self.retry_policy = retry_policy or RetryPolicy(max_retries=11)
         self.chaos = chaos
         self.verify_n = int(verify_n)
-        self.drift_config = dict(drift_config) if drift_config else None
         self.sleep = sleep
         self.reports: list[RolloverReport] = []
 
@@ -176,7 +176,7 @@ class ContinuousLearner:
         A :class:`~repro.serve.fleet.ServeFleet` entry contributes one
         address per live worker (its control ports — the data port is
         kernel-balanced and cannot address a specific worker), so a
-        loop-driven refresh flips every member of the fleet.
+        drift poll reads every member of the fleet.
         """
         addresses: list[tuple[str, int]] = []
         for entry in self.servers:
@@ -185,14 +185,6 @@ class ContinuousLearner:
             else:
                 addresses.append(entry)
         return addresses
-
-    def configure_servers(self) -> None:
-        """Push the learner's drift thresholds to every server."""
-        if self.drift_config is None:
-            return
-        for host, port in self._server_addresses():
-            with PredictionClient(host, port) as client:
-                client.drift(configure=self.drift_config)
 
     def fired_keys(self) -> dict[str, dict[str, Any]]:
         """Keys whose drift monitor has fired and is still stale."""
@@ -207,7 +199,7 @@ class ContinuousLearner:
 
     # -- the rollover pipeline ---------------------------------------------------
     def rollover(self, round_no: int) -> RolloverReport:
-        """Drive one full recover→collect→publish→verify→refresh pass.
+        """Drive one full recover→collect→publish→verify pass.
 
         Supervised: every stage may fail (or be chaos-killed) and is
         retried with backoff, memoising completed stages, up to the
@@ -262,7 +254,7 @@ class ContinuousLearner:
                     stage_attempts["verify"] += 1
                     for receipt in receipts:
                         # load() heals: a blob corrupted after commit is
-                        # quarantined here, never served.
+                        # quarantined here and LATEST retargeted past it.
                         loaded = self.registry.load(receipt.key)
                         if _vnum(loaded.version) < _vnum(receipt.version):
                             receipts = None
@@ -271,8 +263,6 @@ class ContinuousLearner:
                                 f"{receipt.key[:12]}… did not survive "
                                 "verification; republishing"
                             )
-                    stage_attempts["refresh"] += 1
-                    report.refreshed = self._refresh_servers(round_no, receipts)
                     report.published = {r.key: r.version for r in receipts}
                     report.stage_attempts = dict(stage_attempts)
                     report.recovered = {
@@ -281,7 +271,7 @@ class ContinuousLearner:
                     report.duration_s = time.monotonic() - t0
                     self.reports.append(report)
                     return report
-                except (LoopStageError, ServerError, OSError) as exc:
+                except (LoopStageError, OSError) as exc:
                     last_error = exc
                     delay = self.retry_policy.delay(f"round{round_no}", attempt)
                     if delay > 0:
@@ -294,31 +284,6 @@ class ContinuousLearner:
             f"{max_attempts} attempts (crash-loop cap); "
             f"last error: {last_error}"
         ) from last_error
-
-    def _refresh_servers(
-        self, round_no: int, receipts: list[PublishedModel]
-    ) -> dict[str, dict[str, str | None]]:
-        """Flip every live server to the new versions and confirm it."""
-        out: dict[str, dict[str, str | None]] = {}
-        expected = {r.key: self.registry.latest(r.key) for r in receipts}
-        for host, port in self._server_addresses():
-            addr = f"{host}:{port}"
-            if self.chaos is not None and self.chaos.loop_fault(
-                "refresh_drop", f"round{round_no}:refresh:{addr}"
-            ):
-                raise LoopStageError(
-                    f"chaos: refresh to {addr} dropped (round {round_no})"
-                )
-            with PredictionClient(host, port) as client:
-                refreshed = client.refresh()
-            for key, want in expected.items():
-                if refreshed.get(key) != want:
-                    raise LoopStageError(
-                        f"server {addr} refreshed {key[:12]}… to "
-                        f"{refreshed.get(key)!r}, expected {want!r}"
-                    )
-            out[addr] = {k: refreshed.get(k) for k in expected}
-        return out
 
     # -- the outer loop ----------------------------------------------------------
     def run(
@@ -335,7 +300,6 @@ class ContinuousLearner:
         servers attached there is nothing to poll — the caller drives
         :meth:`rollover` directly instead.
         """
-        self.configure_servers()
         reports: list[RolloverReport] = []
         polls = 0
         while len(reports) < int(max_rounds) and polls < int(max_polls):

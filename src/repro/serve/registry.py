@@ -34,7 +34,8 @@ Guarantees:
   garbage-collects the orphaned stage, then clears the journal;
 * **atomic latest pointer** — ``LATEST`` is replaced via write-temp +
   ``os.replace``, so readers see the old version or the new one, never a
-  torn pointer;
+  torn pointer; the fresh file is also what live servers watch
+  (:meth:`ModelRegistry.stamp`) to follow each publish;
 * **integrity** — the manifest records a SHA-256 checksum of the state
   blob; :meth:`ModelRegistry.load` verifies it and *quarantines* a
   mismatching blob (renames the version directory aside, retargets
@@ -219,6 +220,22 @@ class ModelRegistry:
         ):
             return None
         return name
+
+    def stamp(self, key: str, version: str | None = None) -> tuple[int, int] | None:
+        """A change marker for what :meth:`load` of ``(key, version)`` reads.
+
+        Follow-latest is marked by the ``LATEST`` file, which every
+        publish and every quarantine retarget replaces with a fresh file
+        (:meth:`_set_latest`); a pinned version by its directory, which
+        quarantine renames away.  One ``os.stat``: ``(inode, mtime_ns)``,
+        or None when the file is gone.
+        """
+        path = os.path.join(self._key_dir(key), version or LATEST_NAME)
+        try:
+            st = os.stat(path)
+        except FileNotFoundError:
+            return None
+        return (st.st_ino, st.st_mtime_ns)
 
     def describe(self, key: str) -> dict[str, Any]:
         """Manifest of the latest version plus version inventory."""

@@ -16,8 +16,12 @@ behaviour — applied to a latency-sensitive online path:
   compute thread from its admission, so during the pause; a batch's one
   ``predict_many`` runs there too, or inline on the loop thread for
   ``results`` rows: model work never fights itself for the GIL;
-* **warm-model LRU** — sized to hold a campaign's published set; one
-  drain per key, so a cold key is read and decoded exactly once;
+* **warm-model LRU that follows the registry** — sized to hold a
+  campaign's published set; one drain per key, so a cold key is read and
+  decoded exactly once, and every take of a model checks the
+  registry's ``LATEST`` stamp (one ``os.stat``), so the batch taken
+  after a publish is served by that version or newer — nothing is ever
+  pushed into a live server;
 * **admission control** — at most ``max_in_flight`` admitted requests
   and ``max_queue_depth`` queued rows; beyond that, requests are *shed*
   with the documented ``"overloaded"`` status instead of queuing
@@ -46,7 +50,6 @@ Wire protocol: newline-delimited JSON over TCP.  Request::
      "prediction": 3.1, "truth": 2.9,   # earlier prediction: feed the
      "version": "v0001"}                # drift monitor's ledger
     {"op": "drift"}                     # per-key drift snapshots
-    {"op": "drift", "configure": {...}} # push a DriftConfig (loop CLI)
     {"op": "stats" | "ping" | "models" | "shutdown"}
 
 Response statuses (documented contract): ``"ok"``, ``"overloaded"``
@@ -66,8 +69,8 @@ so a client that saw ``(scope, fingerprint)`` confirmed may send
 ``data_ref`` to any key of that scope and to no other
 (:class:`~repro.serve.client.PredictionClient` does, unasked).
 
-Degradation contract: when a model's drift monitor has fired but no
-new version has started serving (the continuous-learning loop is down
+Degradation contract: when a model's drift monitor has fired on the
+version the registry still names (the continuous-learning loop is down
 or still retraining), the key is **stale** — it keeps answering from
 vN, and ``stats``/``drift`` responses carry the ``stale`` flag so
 operators see the degradation instead of silent decay.
@@ -122,8 +125,6 @@ class ServeStats:
     cache_misses: int = 0
     #: Actual blob deserialisations (cold loads).
     model_loads: int = 0
-    #: ``refresh`` ops served (registry invalidation pushes).
-    refreshes: int = 0
     #: Ground-truthed residuals fed through the ``observe`` op.
     observations: int = 0
     #: Drift-monitor fire transitions (per key, per armed generation).
@@ -183,7 +184,6 @@ class ServeStats:
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "model_loads": self.model_loads,
-            "refreshes": self.refreshes,
             "observations": self.observations,
             "drift_fires": self.drift_fires,
             "connections": self.connections,
@@ -205,62 +205,45 @@ class ServeStats:
 
 
 class _ModelCache:
-    """Warm-model LRU.
+    """Warm-model LRU that follows the registry.
 
     Only a key's drain task asks for its model, so a cold key is
-    deserialised exactly once no matter how many requests race it.  The
-    blocking registry read runs in a worker thread so the event loop
-    keeps serving other keys meanwhile.
+    deserialised exactly once no matter how many requests race it.  Every
+    take re-validates the warm model against the registry's
+    :meth:`~ModelRegistry.stamp` (one ``os.stat``): a publish or a
+    quarantine moves it, and the next batch reloads.  The blocking
+    registry read runs in a worker thread so the event loop keeps
+    serving other keys meanwhile.
     """
 
     def __init__(self, registry: ModelRegistry, capacity: int, stats: ServeStats) -> None:
         self.registry = registry
         self.capacity = max(1, int(capacity))
         self.stats = stats
-        self._models: OrderedDict[tuple[str, str | None], LoadedModel] = OrderedDict()
+        #: (key, version pin) → (the stamp taken before its load, the model).
+        self._models: OrderedDict[
+            tuple[str, str | None], tuple[tuple[int, int] | None, LoadedModel]
+        ] = OrderedDict()
 
     async def get(self, key: str, version: str | None = None) -> LoadedModel:
         cache_key = (key, version)
-        model = self._models.get(cache_key)
-        if model is not None:
+        cached = self._models.pop(cache_key, None)
+        # Stamped before the load: a publish racing it shows at the next take.
+        # The stat stays on the loop thread: shipping a ~2 µs call to a worker
+        # thread would add a thread hand-off to every batch.
+        # repro-lint: disable=RL601  # one os.stat per take, on the loop by design
+        stamp = self.registry.stamp(key, version)
+        if cached is not None and stamp is not None and cached[0] == stamp:
             self.stats.cache_hits += 1
-            self._models.move_to_end(cache_key)
-            return model
+            self._models[cache_key] = cached
+            return cached[1]
         self.stats.cache_misses += 1
         model = await asyncio.to_thread(self.registry.load, key, version)
         self.stats.model_loads += 1
-        self._models[cache_key] = model
+        self._models[cache_key] = (stamp, model)
         while len(self._models) > self.capacity:
             self._models.popitem(last=False)
         return model
-
-    def refresh(
-        self, key: str, latest: str | None, intact: list[str] | None = None
-    ) -> int:
-        """Evict generations of *key* made stale by a new ``LATEST``.
-
-        The follow-latest entry (version pin ``None``) is dropped when
-        the model it holds is no longer the latest; a pinned version
-        survives only while it is still *intact* on disk (``intact`` is
-        the registry's current non-quarantined version list) — a
-        quarantined blob must never keep serving from the warm cache
-        after the registry moved it aside.  A vanished key (``latest``
-        is None: quarantined or deleted) drops everything.  Returns the
-        number of evictions.
-        """
-        dropped = 0
-        for cached in [ck for ck in self._models if ck[0] == key]:
-            pin = cached[1]
-            model = self._models[cached]
-            stale = (
-                latest is None
-                or (pin is None and model.version != latest)
-                or (intact is not None and model.version not in intact)
-            )
-            if stale:
-                self._models.pop(cached, None)
-                dropped += 1
-        return dropped
 
 
 @dataclass
@@ -343,8 +326,6 @@ class PredictionServer:
         self.drift_config = drift_config or DriftConfig()
         #: key → drift monitor over the ``observe`` residual stream.
         self._monitors: dict[str, DriftMonitor] = {}
-        #: key → version most recently served (predict) or known (refresh).
-        self._served_versions: dict[str, str] = {}
         #: (key, version) → its queued requests, while its drain task lives.
         self._queues: dict[tuple[str, str | None], deque[_Pending]] = {}
         #: (key, version) → the model its drain holds: admission featurizes with it.
@@ -508,7 +489,7 @@ class PredictionServer:
             response = await self._handle_predict(request)
         elif op == "stats":
             snapshot = self.stats.snapshot()
-            snapshot["stale_keys"] = self.stale_keys()
+            snapshot["stale_keys"] = await self.stale_keys()
             snapshot["worker"] = self.worker_id
             if self.feat_cache is not None:
                 snapshot["featcache"] = self.feat_cache.stats()
@@ -516,7 +497,7 @@ class PredictionServer:
         elif op == "observe":
             response = self._handle_observe(request)
         elif op == "drift":
-            response = self._handle_drift(request)
+            response = await self._handle_drift()
         elif op == "ping":
             response = {"ok": True, "status": STATUS_OK, "pong": True}
         elif op == "models":
@@ -526,8 +507,6 @@ class PredictionServer:
             # version directories).
             models = await asyncio.to_thread(self._describe_models)
             response = {"ok": True, "status": STATUS_OK, "models": models}
-        elif op == "refresh":
-            response = await self._handle_refresh(request)
         elif op == "shutdown":
             response = {"ok": True, "status": STATUS_OK, "op": "shutdown"}
         else:
@@ -544,62 +523,24 @@ class PredictionServer:
         """Disk-walking registry listing (always runs via ``to_thread``)."""
         return [self.registry.describe(k) for k in self.registry.keys()]
 
-    # -- refresh path ------------------------------------------------------------
-    async def _handle_refresh(self, request: dict[str, Any]) -> dict[str, Any]:
-        """Registry invalidation push: re-read ``LATEST``, evict stale models.
-
-        A re-publish on disk flips this live server without a restart:
-        the next predict after a refresh cold-loads the new version.
-        Scoped to ``request["key"]`` when given, else every key the
-        registry currently knows.
-        """
-        key = request.get("key")
-        if key is not None and (not isinstance(key, str) or not key):
-            return {
-                "ok": False,
-                "status": STATUS_BAD_REQUEST,
-                "error": "'key' must be a non-empty string when present",
-            }
-        keys = [key] if key is not None else await asyncio.to_thread(self.registry.keys)
-        refreshed: dict[str, str | None] = {}
-        evicted = 0
-        for k in keys:
-            latest = await asyncio.to_thread(self.registry.latest, k)
-            intact = await asyncio.to_thread(self.registry.versions, k)
-            evicted += self.cache.refresh(k, latest, intact)
-            refreshed[k] = latest
-            if latest is not None:
-                self._served_versions[k] = latest
-                monitor = self._monitors.get(k)
-                # The rollover completed: a fired monitor watching an
-                # older generation re-arms (fresh calibration for vN+1)
-                # and the key stops being stale.
-                if monitor is not None and monitor.version not in (None, latest):
-                    monitor.reset(latest)
-        self.stats.refreshes += 1
-        return {
-            "ok": True,
-            "status": STATUS_OK,
-            "refreshed": refreshed,
-            "evicted": evicted,
-        }
-
     # -- drift path --------------------------------------------------------------
-    def stale_keys(self) -> list[str]:
-        """Keys whose monitor fired while their generation still serves.
+    async def stale_keys(self) -> list[str]:
+        """Keys whose monitor fired on the version the registry still names.
 
         The degradation contract: the loop is down (or retraining), so
         the server keeps answering from the drifted vN — correct but
-        known-decayed, flagged instead of silent.
+        known-decayed, flagged instead of silent.  A publish clears the
+        flag at once; the monitor re-arms when a batch first serves it.
         """
-        out = []
-        for key, monitor in self._monitors.items():
-            if not monitor.fired:
-                continue
-            serving = self._served_versions.get(key)
-            if serving is None or monitor.fired_version in (None, serving):
-                out.append(key)
-        return sorted(out)
+        fired = {k: m.fired_version for k, m in self._monitors.items() if m.fired}
+        if not fired:
+            return []
+        latest = await asyncio.to_thread(self._latest_versions, list(fired))
+        return sorted(k for k, v in fired.items() if v is None or latest[k] in (None, v))
+
+    def _latest_versions(self, keys: list[str]) -> dict[str, str | None]:
+        """``LATEST`` of each key (reads files: always runs via ``to_thread``)."""
+        return {k: self.registry.latest(k) for k in keys}
 
     def _handle_observe(self, request: dict[str, Any]) -> dict[str, Any]:
         """Ground truth arrived for an earlier prediction: ledger it.
@@ -640,8 +581,6 @@ class PredictionServer:
             monitor.reset(version)
         if monitor.version is None:
             monitor.version = version
-        if version is not None:
-            self._served_versions.setdefault(key, version)
         was_fired = monitor.fired
         fired = monitor.observe(prediction, truth)
         self.stats.observations += 1
@@ -654,28 +593,9 @@ class PredictionServer:
             "drift": monitor.snapshot(),
         }
 
-    def _handle_drift(self, request: dict[str, Any]) -> dict[str, Any]:
-        """Drift snapshots per key; optionally reconfigure thresholds.
-
-        ``configure`` replaces the server's :class:`DriftConfig` (the
-        loop CLI pushes its ``--drift-*`` flags here at startup) and
-        re-arms every monitor under the new thresholds.  Re-sending the
-        config the server already runs is a no-op — the learner
-        configures on every :meth:`ContinuousLearner.run`, and an
-        idempotent re-push must not wipe a fired monitor.
-        """
-        configure = request.get("configure")
-        if configure is not None:
-            try:
-                new_config = DriftConfig.from_mapping(configure)
-            except (TypeError, ValueError) as exc:
-                return {"ok": False, "status": STATUS_BAD_REQUEST, "error": str(exc)}
-            if new_config != self.drift_config:
-                self.drift_config = new_config
-                for monitor in self._monitors.values():
-                    monitor.config = self.drift_config
-                    monitor.reset(monitor.version)
-        stale = set(self.stale_keys())
+    async def _handle_drift(self) -> dict[str, Any]:
+        """Drift snapshots per key, each flagged ``stale`` or not."""
+        stale = set(await self.stale_keys())
         monitors = {
             key: {**monitor.snapshot(), "stale": key in stale}
             for key, monitor in self._monitors.items()
@@ -819,10 +739,9 @@ class PredictionServer:
                 model = await self._take(cache_key)
                 if not batch and len(self._connection_tasks) > 1:  # the first turn only
                     await asyncio.sleep(_COALESCE_S)
-                    # A refresh handled during the pause may have evicted
-                    # that model: the batch predicts with what the cache
-                    # holds at detach.  Rows featurized meanwhile stay
-                    # valid, as featurization does not depend on the version.
+                    # A publish made during the pause reaches this batch.
+                    # Rows featurized meanwhile stay valid, as featurization
+                    # does not depend on the version.
                     model = await self._take(cache_key)
                 batch = [queue.popleft() for _ in range(min(len(queue), self.max_batch))]
                 self._queued -= len(batch)
@@ -899,10 +818,13 @@ class PredictionServer:
             self.stats.predict_calls += 1
             self.stats.batched_rows += len(live)
             self.stats.predict_seconds += predict_s
-            if version is None:
-                # Follow-latest traffic defines what "currently serving"
-                # means for the stale flag; pinned queries don't.
-                self._served_versions[key] = model.version
+            monitor = self._monitors.get(key)
+            if version is None and monitor is not None and monitor.version not in (
+                None, model.version
+            ):
+                # A new generation serves follow-latest traffic: its monitor
+                # re-arms for a fresh calibration (pinned queries don't).
+                monitor.reset(model.version)
             for item, pred in zip(live, preds):
                 if item.future.done():
                     continue

@@ -134,6 +134,23 @@ class TestAsyncBlockingCall:
         line = bad_line(src)
         assert hits(report, "RL601") == [line, line]  # describe and keys
 
+    def test_registry_stamp_on_the_loop_is_flagged_unless_suppressed(self):
+        # The warm-model cache stats the registry's LATEST per take: the
+        # rule sees that call, and only a reasoned suppression admits it.
+        src = """\
+            class Cache:
+                def __init__(self, registry):
+                    self.registry = registry
+
+                async def get(self, key):
+                    return self.registry.stamp(key)  # BAD
+        """
+        assert hits(lint(src), "RL601") == [bad_line(src)]
+        waived = src.replace("# BAD", "# repro-lint: disable=RL601  # one stat by design")
+        report = lint(waived)
+        assert hits(report, "RL601") == []
+        assert [f.line for f in report.suppressed()] == [bad_line(src)]
+
     def test_awaited_and_to_thread_shipped_calls_pass(self):
         assert lint(RL601_GOOD).clean
 
@@ -414,7 +431,7 @@ class TestHistoricalBugs:
     def test_fleet_spawn_is_suppressed_not_moved(self):
         # The placeholder must stay bound while workers spawn, so the fix
         # is in the child (it closes the inherited fd) and the spawn site
-        # carries src/'s one suppression.
+        # carries a suppression.
         src = SPAWN_UNDER_PLACEHOLDER.replace(
             "# BAD", "# repro-lint: disable=RL702  # the child closes the fd"
         )

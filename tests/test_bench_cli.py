@@ -3,7 +3,12 @@
 import json
 import os
 import re
+import select
 import shlex
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -437,6 +442,52 @@ class TestServeCommands:
             assert main(base + ["--key", "f" * 16, "--results", "{}"]) == 1
             err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
             assert err["status"] == "not_found"
+
+    @pytest.mark.parametrize(
+        "sig, prelude, repeats",
+        [
+            (signal.SIGTERM, "", 1),
+            # A background job of a non-interactive shell: SIGINT ignored.
+            (signal.SIGINT, 'trap "" INT; ', 1),
+            # A double Ctrl-C, or a supervisor re-sending TERM: the second
+            # signal lands while the fleet stops and must not cut it short.
+            (signal.SIGTERM, "", 2),
+        ],
+        ids=["sigterm", "sigint-while-ignored", "sigterm-twice"],
+    )
+    def test_stop_signal_stops_fleet_and_sweeps_its_cache(
+        self, tmp_path, sig, prelude, repeats
+    ):
+        tmpdir = tmp_path / "tmp"
+        tmpdir.mkdir()
+        env = {**os.environ, "PYTHONPATH": os.path.join(REPO_ROOT, "src"),
+               "TMPDIR": str(tmpdir)}
+        command = shlex.join([sys.executable, "-m", "repro.bench.cli", "serve",
+                              "--registry", str(tmp_path / "reg"), "--port", "0",
+                              "--workers", "2"])
+        proc = subprocess.Popen(["sh", "-c", prelude + "exec " + command], env=env,
+                                stdout=subprocess.PIPE, text=True, start_new_session=True)
+        pgid = proc.pid
+        try:
+            assert select.select([proc.stdout], [], [], 60)[0], "serve never started"
+            assert proc.stdout.readline().startswith("serving ")
+            assert list(tmpdir.glob("featcache-*"))
+            for _ in range(repeats):
+                os.kill(proc.pid, sig)  # a zombie still takes it: not yet reaped
+                time.sleep(0.001)
+            deadline = time.monotonic() + 10.0
+            proc.wait(10.0)  # reaped, so only the workers can keep the group alive
+            with pytest.raises(ProcessLookupError):
+                while time.monotonic() < deadline:
+                    os.killpg(pgid, 0)
+                    time.sleep(0.05)
+            assert not list(tmpdir.glob("featcache-*"))
+        finally:
+            try:
+                os.killpg(pgid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait(10.0)
 
 
 class TestChaosFlags:

@@ -236,7 +236,6 @@ class TestChaosPlan:
             "sink",
             "trainer_kill",
             "publish_corrupt",
-            "refresh_drop",
             "cache_kill",
             "rank_kill",
         }
@@ -245,7 +244,7 @@ class TestChaosPlan:
         plan = ChaosPlan(
             trainer_kill_rate=1.0,
             publish_corrupt_rate=1.0,
-            refresh_drop_rate=0.0,
+            cache_kill_rate=0.0,
             seed=3,
             state_dir=str(tmp_path),
         )
@@ -253,10 +252,10 @@ class TestChaosPlan:
         # once-only: the same site never fires twice
         assert plan.loop_fault("trainer_kill", "round1:collect") is False
         assert plan.loop_fault("publish_corrupt", "round1:key") is True
-        assert plan.loop_fault("refresh_drop", "round1:addr") is False
+        assert plan.loop_fault("cache_kill", "round1:worker") is False
         counts = plan.injected_counts()
         assert counts["trainer_kill"] == 1
         assert counts["publish_corrupt"] == 1
-        assert counts["refresh_drop"] == 0
+        assert counts["cache_kill"] == 0
         with pytest.raises(ValueError):
             plan.loop_fault("frobnicate", "x")

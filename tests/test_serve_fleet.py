@@ -2,10 +2,10 @@
 
 The serving tier's scale-out contract: N workers behind one
 ``SO_REUSEPORT`` address (the only data path — every test here runs on
-it), one shared featurization store, fleet-wide refresh that provably
-reaches every worker, a supervisor that restarts crashed workers while
-queries keep succeeding, and a start that fails fast when a worker dies
-before reporting ready.
+it), one shared featurization store, a republish that provably reaches
+every worker with only predicts sent, a supervisor that restarts crashed
+workers while queries keep succeeding, and a start that fails fast when
+a worker dies before reporting ready.
 """
 
 from __future__ import annotations
@@ -497,21 +497,28 @@ class TestSupervision:
 
 class TestRefresh:
     def test_refresh_fans_out_to_every_worker(self, campaign):
+        """A republish reaches every worker with only predicts sent."""
+        row = campaign.rows[0]
+
+        def served_by_each(f):
+            # A worker's control port serves predicts too: address each one.
+            out = {}
+            for address in f.control_addresses():
+                with PredictionClient(*address) as client:
+                    out[address] = client.predict(campaign.key, results=row)["version"]
+            return out
+
         with fleet(campaign) as f:
-            before = {
-                wid: resp[campaign.key] for wid, resp in f.refresh().items()
-            }
+            before = served_by_each(f)  # every worker holds a warm model
             assert len(before) == 2
-            # Publish a new generation, then flip the whole fleet.
             campaign.runner.publish(campaign.registry, campaign.observations)
             latest = campaign.registry.latest(campaign.key)
             assert latest not in before.values()
-            after = f.refresh()
-            assert {resp[campaign.key] for resp in after.values()} == {latest}
-            # Predictions now come from the new generation on any worker.
-            with f.connect() as client:
-                response = client.predict(campaign.key, results=campaign.rows[0])
-            assert response["version"] == latest
+            assert set(served_by_each(f).values()) == {latest}
+            # Fresh dials on the shared port reach either worker: all new.
+            for _ in range(8):
+                with f.connect() as client:
+                    assert client.predict(campaign.key, results=row)["version"] == latest
 
 
 class TestClientConnectionReuse:

@@ -1,6 +1,6 @@
 """The self-healing rollover pipeline: supervised retries, journaled
-publish under trainer kills, at-rest corruption healing, refresh loss,
-crash-loop cap — the tentpole's unit-level acceptance."""
+publish under trainer kills, at-rest corruption healing, crash-loop
+cap, and a live server that follows each publish by itself."""
 
 from __future__ import annotations
 
@@ -83,7 +83,6 @@ class TestRolloverHappyPath:
             "collect": 1,
             "publish": 1,
             "verify": 1,
-            "refresh": 1,
         }
         assert env.registry.latest(env.key) == "v0002"
         assert env.registry.verify() == []
@@ -159,35 +158,11 @@ class TestRolloverUnderChaos:
 
 
 class TestRolloverAgainstLiveServer:
-    def test_refresh_drop_is_retried_until_server_flips(self, env):
-        server = PredictionServer(env.registry, drift_config=FAST_DRIFT)
-        with ServerThread(server) as thread:
-            host, port = thread.address
-            chaos = ChaosPlan.from_spec("refresh_drop:1.0", seed=5)
-            learner = env.learner(chaos=chaos, servers=[(host, port)])
-            report = learner.rollover(1)
-            assert chaos.injected_counts()["refresh_drop"] == 1
-            assert report.attempts == 2  # dropped once, then delivered
-            addr = f"{host}:{port}"
-            assert report.refreshed[addr][env.key] == "v0002"
-            with PredictionClient(host, port) as client:
-                assert (
-                    client.predict(env.key, results=env.row)["version"] == "v0002"
-                )
-
     def test_run_polls_drift_and_rolls_over(self, env):
         server = PredictionServer(env.registry, drift_config=FAST_DRIFT)
         with ServerThread(server) as thread:
             host, port = thread.address
-            learner = env.learner(
-                servers=[(host, port)],
-                drift_config={
-                    "window": 8,
-                    "min_observations": 4,
-                    "calibration": 4,
-                    "hysteresis": 2,
-                },
-            )
+            learner = env.learner(servers=[(host, port)])
             with PredictionClient(host, port) as client:
                 resp = client.predict(env.key, results=env.row)
                 assert learner.fired_keys() == {}
@@ -203,9 +178,14 @@ class TestRolloverAgainstLiveServer:
                 assert env.key in learner.fired_keys()
                 reports = learner.run(1, poll_interval=0.0, max_polls=5)
                 assert len(reports) == 1
-                # the server flipped and the monitor re-armed: not stale
+                # the registry names a newer version: not stale, before
+                # any predict has reached the server
                 assert learner.fired_keys() == {}
                 assert (
                     client.predict(env.key, results=env.row)["version"]
                     == reports[0].published[env.key]
                 )
+                # that batch re-armed the monitor for the new version
+                monitor = client.drift()["monitors"][env.key]
+                assert monitor["fired"] is False
+                assert monitor["version"] == reports[0].published[env.key]

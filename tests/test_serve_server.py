@@ -644,7 +644,8 @@ class TestAdmissionControl:
 
 
 class TestRefreshOp:
-    """Registry invalidation push: a re-publish flips live servers."""
+    """A re-publish reaches a live server with nothing sent to it: each
+    batch re-validates its warm model against the registry's LATEST."""
 
     def _copied_registry(self, campaign, tmp_path):
         import shutil
@@ -671,23 +672,18 @@ class TestRefreshOp:
                 )
                 assert receipt.key == campaign.key
                 assert receipt.version != model.version
-                # The warm cache still serves the old generation...
-                stale = client.predict(campaign.key, results=row)
-                assert stale["version"] == model.version
-                # ...until a refresh re-reads LATEST and evicts it.
-                refreshed = client.refresh()
-                assert refreshed[campaign.key] == receipt.version
+                # The very next predict is served by the new generation.
                 fresh = client.predict(campaign.key, results=row)
                 assert fresh["version"] == receipt.version
-                assert client.stats()["refreshes"] == 1
+                assert client.stats()["model_loads"] == 2
 
     @pytest.mark.parametrize("kind", ["results", "data"])
     def test_refresh_during_the_pause_reaches_that_batch(
         self, campaign, tmp_path, monkeypatch, kind
     ):
-        # A predict admitted before a refresh and detached after it is
-        # answered by the refreshed version.  The coalescing pause is
-        # gated on events: it lasts exactly until the refresh has replied.
+        # A predict admitted before a publish and detached after it is
+        # answered by the published version.  The coalescing pause is
+        # gated on events: it lasts exactly until the publish has returned.
         registry = self._copied_registry(campaign, tmp_path)
         model = registry.load(campaign.key)
         paused, resume = threading.Event(), threading.Event()
@@ -705,19 +701,18 @@ class TestRefreshOp:
             with PredictionClient(*thread.address) as client:
                 # A lone connection: warmed without a pause.
                 assert client.predict(campaign.key, **query)["version"] == model.version
-                receipt = registry.publish(
-                    model.scheme,
-                    model.manifest["compressor"],
-                    model.manifest["compressor_options"],
-                    model.predictor,
-                )
                 monkeypatch.setattr(asyncio, "sleep", gated)
                 with PredictionClient(*thread.address) as control, \
                         ThreadPoolExecutor(1) as pool:
                     control.ping()  # a second open connection: the drain pauses
                     reply = pool.submit(client.predict, campaign.key, **query)
                     assert paused.wait(30), "the drain never paused"
-                    assert control.refresh()[campaign.key] == receipt.version
+                    receipt = registry.publish(
+                        model.scheme,
+                        model.manifest["compressor"],
+                        model.manifest["compressor_options"],
+                        model.predictor,
+                    )
                     resume.set()
                     assert reply.result(30)["version"] == receipt.version
 
@@ -725,22 +720,16 @@ class TestRefreshOp:
         with serve(campaign) as thread:
             with PredictionClient(*thread.address) as client:
                 before = client.predict(campaign.key, results=campaign.rows[0])
-                response = client.request({"op": "refresh", "key": campaign.key})
-                assert response["status"] == "ok"
-                assert response["evicted"] == 0
-                assert response["refreshed"] == {campaign.key: before["version"]}
-                # Still a cache hit: the valid warm model survived.
-                after = client.predict(campaign.key, results=campaign.rows[0])
-                assert after["version"] == before["version"]
+                loads = client.stats()["model_loads"]
+                for i in range(120):
+                    after = client.predict(
+                        campaign.key, results=campaign.rows[i % len(campaign.rows)]
+                    )
+                    assert after["version"] == before["version"]
+                # Each batch's take re-validated the warm model; none reloaded it.
                 stats = client.stats()
+                assert stats["model_loads"] == loads
                 assert stats["cache_misses"] == 1
-
-    def test_refresh_rejects_empty_key(self, campaign):
-        with serve(campaign) as thread:
-            with PredictionClient(*thread.address) as client:
-                with pytest.raises(ServerError) as err:
-                    client.refresh(key="")
-        assert err.value.server_status == "bad_request"
 
 
 class TestObserveAndDriftOps:
@@ -807,17 +796,19 @@ class TestObserveAndDriftOps:
                 # the fired monitor latches: more truth cannot clear it
                 client.observe(campaign.key, 1.0, 1.0)
                 assert campaign.key in client.stats()["stale_keys"]
-                # rollover: republish + refresh clears staleness and re-arms
+                # rollover: a republish clears staleness at once...
                 receipt = registry.publish(
                     model.scheme,
                     model.manifest["compressor"],
                     model.manifest["compressor_options"],
                     model.predictor,
                 )
-                refreshed = client.refresh()
-                assert refreshed[campaign.key] == receipt.version
                 stats = client.stats()
                 assert stats["stale_keys"] == []
+                assert client.drift()["stale_keys"] == []
+                # ...and the first batch it serves re-arms the monitor
+                served = client.predict(campaign.key, results=row)
+                assert served["version"] == receipt.version
                 body = client.drift()
                 monitor = body["monitors"][campaign.key]
                 assert monitor["fired"] is False
@@ -836,27 +827,10 @@ class TestObserveAndDriftOps:
                 assert snap["version"] == "v9999"
                 assert snap["observations"] == 1
 
-    def test_drift_configure_replaces_config_and_rearms(self, campaign):
-        with serve(campaign, drift_config=FAST_DRIFT) as thread:
-            with PredictionClient(*thread.address) as client:
-                client.observe(campaign.key, 1.0, 1.0)
-                body = client.drift(
-                    configure={"window": 16, "hysteresis": 5, "calibration": 8}
-                )
-                assert body["monitors"][campaign.key]["observations"] == 0
-                bad = client.request(
-                    {"op": "drift", "configure": {"nonsense": 1}}
-                )
-                assert bad["status"] == "bad_request"
-                tighter = client.request(
-                    {"op": "drift", "configure": {"window": 0}}
-                )
-                assert tighter["status"] == "bad_request"
-
 
 class TestQuarantinedVersionEviction:
     """A version quarantined on disk must not survive in the warm LRU —
-    not even pinned — once a refresh announces the new world."""
+    not even pinned: the next take sees its directory gone."""
 
     def test_refresh_evicts_pinned_quarantined_version(
         self, campaign, tmp_path
@@ -878,7 +852,6 @@ class TestQuarantinedVersionEviction:
         )
         with ServerThread(PredictionServer(registry)) as thread:
             with PredictionClient(*thread.address) as client:
-                client.refresh()
                 # warm BOTH a follow-latest and a pinned entry for v-new
                 assert (
                     client.predict(campaign.key, results=row)["version"]
@@ -893,9 +866,7 @@ class TestQuarantinedVersionEviction:
                 healed = registry.load(campaign.key)
                 assert healed.version == model.version
                 assert receipt.version not in registry.versions(campaign.key)
-                # refresh: the pinned ghost must be evicted with the rest
-                refreshed = client.refresh()
-                assert refreshed[campaign.key] == model.version
+                # the next predicts: the pinned ghost is evicted with the rest
                 assert (
                     client.predict(campaign.key, results=row)["version"]
                     == model.version
