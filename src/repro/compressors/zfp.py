@@ -36,6 +36,7 @@ smooth blocks.
 from __future__ import annotations
 
 import functools
+import math
 import struct
 from typing import Sequence
 
@@ -288,6 +289,12 @@ class ZFPCompressor(CompressorPlugin):
         if len(payload) < hdr:
             raise CorruptStreamError("zfp payload too short")
         eb, nblocks, body_size, side_size, _reserved = struct.unpack_from("<dQQQQ", payload, 0)
+        d = len(shape) if shape else 1
+        work_shape = tuple(max(s, 1) for s in shape) if shape else (1,)
+        # The block count is the shape's, and the side stream holds 13
+        # bytes a block: check both before anything is sized from it.
+        if nblocks != (0 if 0 in shape else math.prod(-(-s // BLOCK) for s in work_shape)):
+            raise CorruptStreamError("zfp block count does not match the shape")
         if nblocks == 0:
             return np.zeros(shape, dtype=dtype)
         off = hdr
@@ -296,13 +303,13 @@ class ZFPCompressor(CompressorPlugin):
         if len(body) != body_size or len(side_raw) != side_size:
             raise CorruptStreamError("zfp stream truncated")
         side = lossless_decompress(side_raw)
+        if len(side) != 13 * nblocks:
+            raise CorruptStreamError("zfp side stream does not match the block count")
         dc_delta = np.frombuffer(side, dtype="<i8", count=nblocks).astype(np.int64)
         ints = np.frombuffer(side, dtype="<i2", count=2 * nblocks, offset=8 * nblocks)
         exps = ints[:nblocks].astype(np.int64)
         shift = ints[nblocks:].astype(np.int64)
         widths = np.frombuffer(side, dtype=np.uint8, count=nblocks, offset=12 * nblocks)
-        d = len(shape) if shape else 1
-        work_shape = tuple(max(s, 1) for s in shape) if shape else (1,)
         padded_shape = tuple(s + ((-s) % BLOCK) for s in work_shape)
         ncoef = BLOCK**d
         ac = unzigzag(unpack_width_groups(lossless_decompress(body), widths, ncoef - 1))

@@ -4,8 +4,6 @@ from .bitio import (
     pack_codes,
     read_uint_array,
     uint_bit_length,
-    unpack_bits,
-    windows_at_every_position,
     write_uint_array,
 )
 from .entropy import (
@@ -38,8 +36,6 @@ __all__ = [
     "read_uint_array",
     "shannon_entropy",
     "uint_bit_length",
-    "unpack_bits",
-    "windows_at_every_position",
     "write_uint_array",
     "zero_run_ratio",
 ]

@@ -12,10 +12,13 @@ NumPy operations:
   the word's *byte planes* are accumulated into the output with one
   ``bincount`` each (``ceil((max_length + 7) / 8)`` passes, independent
   of the number of symbols);
-* **unpacking** — the ``k``-bit integer starting at *every* bit position
-  is cut out of a few-byte big-endian word per stream byte (one shift per
-  bit offset 0..7), which is the primitive the table-driven Huffman
-  decoder builds on.
+* **reading** — fixed-width values are cut straight out of the payload
+  bytes: the value at bit ``i * width`` is the big-endian 64-bit word
+  gathered at its first byte, shifted left by the value's offset inside
+  that byte (plus a ninth byte for widths 58..64) and right by
+  ``64 - width``; no bit array is ever unpacked.  The table-driven
+  Huffman decoder reads its windows from the bytes the same way
+  (``repro.encoding.huffman``).
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.errors import CorruptStreamError
+
+_BIG_ENDIAN_U64 = np.dtype(">u8")
 
 
 def pack_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
@@ -78,45 +83,6 @@ def pack_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
     return out[:nbytes].astype(np.uint8).tobytes(), total_bits
 
 
-def unpack_bits(payload: bytes, total_bits: int) -> np.ndarray:
-    """Inverse of :func:`pack_codes`' packing: the raw bit array."""
-    if total_bits == 0:
-        return np.zeros(0, dtype=np.uint8)
-    if len(payload) * 8 < total_bits:
-        raise CorruptStreamError("bit payload shorter than declared length")
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
-    return bits[:total_bits]
-
-
-def windows_at_every_position(bits: np.ndarray, width: int) -> np.ndarray:
-    """Return the ``width``-bit integer starting at every bit position.
-
-    The stream is zero padded on the right so positions near the end are
-    well defined.  Output dtype is int64; ``out[p]`` reads bits
-    ``p .. p+width-1`` MSB-first.  *width* is at most 57: the window at
-    bit ``8b + j`` is cut out of the ``ceil((width + 7) / 8)`` bytes
-    starting at byte ``b``, which have to fit one 64-bit word.
-    """
-    if not 0 < width <= 57:
-        raise ValueError("width must be in 1..57")
-    packed = np.packbits(bits)
-    n_bytes = max(packed.size, 1)
-    n_gather = (width + 14) >> 3
-    padded = np.zeros(n_bytes + n_gather, dtype=np.int64)
-    padded[: packed.size] = packed
-    # word[b] = bytes b .. b+n_gather-1, big-endian.
-    word = padded[:n_bytes].copy()
-    for k in range(1, n_gather):
-        word <<= 8
-        word |= padded[k : k + n_bytes]
-    out = np.empty((n_bytes, 8), dtype=np.int64)
-    spare = 8 * n_gather - width
-    for j in range(8):
-        np.right_shift(word, spare - j, out=out[:, j])
-    out &= (1 << width) - 1
-    return out.reshape(-1)[: max(bits.size, 1)]
-
-
 def uint_bit_length(values: np.ndarray) -> np.ndarray:
     """Exact bit length of unsigned integers, vectorised (0 maps to 0).
 
@@ -145,13 +111,33 @@ def write_uint_array(values: np.ndarray, bit_width: int) -> bytes:
 
 
 def read_uint_array(payload: bytes, bit_width: int, count: int) -> np.ndarray:
-    """Inverse of :func:`write_uint_array`."""
+    """Inverse of :func:`write_uint_array`: *count* values of *bit_width*
+    (1..64) bits each, as uint64, read straight from the bytes."""
     if count == 0:
         return np.zeros(0, dtype=np.uint64)
-    bits = unpack_bits(payload, bit_width * count)
-    mat = bits.reshape(count, bit_width).astype(np.uint64)
-    weights = (np.uint64(1) << np.arange(bit_width - 1, -1, -1, dtype=np.uint64))
-    return mat @ weights
+    nbytes = (bit_width * count + 7) >> 3
+    if len(payload) < nbytes:
+        raise CorruptStreamError("bit payload shorter than declared length")
+    # Value i starts at bit i * bit_width: gather the big-endian word at
+    # its first byte, drop the `lead` bits before it and keep the top
+    # bit_width bits.  Bits past the value are shifted out, so the nine
+    # bytes of padding may hold anything.
+    padded = bytes(payload) + bytes(9)
+    start = np.arange(0, bit_width * count, bit_width, dtype=np.int64)
+    first = start >> 3
+    lead = start.view(np.uint64) & 7
+    # The big-endian word at every byte offset (positional arguments: this
+    # constructor is a measurable part of a 63-value read).
+    words = np.ndarray((nbytes + 1,), _BIG_ENDIAN_U64, padded, 0, (1,))
+    # The ufunc call, not `<<`: on a large temporary the operator may be
+    # done in place and keep the big-endian dtype.
+    out = np.left_shift(words[first], lead)
+    if bit_width + 7 > 64:
+        # A value that starts late in its byte spills into a ninth one.
+        ninth = np.frombuffer(padded, dtype=np.uint8)[first + 8]
+        out |= ninth >> (8 - lead).astype(np.uint8)
+    out >>= 64 - bit_width
+    return out
 
 
 def pack_width_groups(codes: np.ndarray) -> tuple[bytes, np.ndarray]:
@@ -180,8 +166,13 @@ def unpack_width_groups(payload: bytes, widths: np.ndarray, row_len: int) -> np.
     """Inverse of :func:`pack_width_groups`: ``(len(widths), row_len)`` uint64."""
     widths = np.asarray(widths, dtype=np.int64)
     out = np.zeros((widths.size, row_len), dtype=np.uint64)
+    groups = np.unique(widths)
+    # The widths come from a side stream: one past 64 bits is damage, not
+    # a width read_uint_array can shift by.
+    if groups.size and not 0 <= groups[0] <= groups[-1] <= 64:
+        raise CorruptStreamError("width-group width outside 0..64 bits")
     cursor = 0
-    for width in np.unique(widths):
+    for width in groups:
         if width == 0:
             continue
         sel = widths == width

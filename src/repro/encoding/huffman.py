@@ -3,24 +3,32 @@
 The encoder builds optimal code lengths with the two-queue construction
 (one stable sort of the leaves, then a linear merge that keeps parent
 pointers only), limits them with a zlib-style pass and assigns canonical
-codes.  Codes are packed with :func:`repro.encoding.bitio.pack_codes`
-(byte-plane accumulation, no per-symbol Python loop).
+codes.  Each value finds its code through a dense lookup table over the
+values' ``[min, max]`` when that span is small next to the stream, else
+through a sorted search; codes are packed with
+:func:`repro.encoding.bitio.pack_codes` (byte-plane accumulation, no
+per-symbol Python loop).
 
 The decoder avoids the classic sequential bit-walk.  Because code lengths
-are limited to ``max_length`` bits, a single lookup table maps every
-``max_length``-bit window to ``(symbol, code_length)``.  The length table
-is evaluated at *every* bit position of the stream at once, which gives
-the "next code starts at" jump array ``J[p] = p + len[p]``; the position
-of the ``k``-th code is ``J`` applied ``k`` times to 0.  Those positions
-are recovered with **anchored binary lifting**: the jump-by-2^(j+1) table
-is the jump-by-2^j table applied to itself (a stream-sized gather), but
-only ``L`` such levels are built; the top one is walked sequentially to
-place an *anchor* at every ``2^L``-th code, and the lower levels fan each
+are limited to ``max_length`` (at most 24) bits, a single lookup table
+maps every ``max_length``-bit window to ``(symbol, code_length)``.  The
+windows are read straight from the payload bytes: one big-endian 32-bit
+word per byte holds the window at each of that byte's eight bit
+positions, one shift apart, so no bit array is ever unpacked.  The length
+table evaluated at *every* bit position gives the "next code starts at"
+jump array ``J[p] = p + len[p]``; the position of the ``k``-th code is
+``J`` applied ``k`` times to 0.  Those positions are recovered with
+**anchored binary lifting**: the jump-by-2^(j+1) table is the
+jump-by-2^j table applied to itself (a stream-sized gather), but only
+``L`` such levels are built; the top one is walked sequentially to place
+an *anchor* at every ``2^L``-th code, and the lower levels fan each
 anchor out to the ``2^L`` codes it covers with gathers whose sizes sum to
 ``N``.  That is ``O(L*T + N)`` vectorised work for ``T`` bits and ``N``
 codes plus ``N / 2^L`` interpreted steps — the list-ranking trick from
 parallel algorithms, stopped where a short serial walk becomes cheaper
-than another stream-sized pass.
+than another stream-sized pass.  ``L`` follows the stream's bits per
+code: a level costs ``T`` gathered elements and saves ``N / 2^(L+1)``
+walked steps.
 """
 
 from __future__ import annotations
@@ -31,16 +39,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.errors import CorruptStreamError
-from .bitio import pack_codes, unpack_bits, windows_at_every_position
+from .bitio import pack_codes
 
 DEFAULT_MAX_LENGTH = 16
 # The decoder tabulates every window of the code's width, so the width a
 # stream may declare is capped; :func:`build_code` never exceeds it.
 MAX_CODE_LENGTH = 24
-# Levels of the decoder's jump table that are materialised (see
-# :func:`_code_positions`): each costs a stream-sized gather and halves
-# the sequential anchor walk.
-_LIFT_LEVELS = 3
+# The decoder's lift depth (see :func:`_lift_levels`): one walked anchor
+# costs about as much as gathering this many bit positions of a level.
+# Every level is a stream-sized int64 array; with ``jump`` the decoder
+# then holds at most five, as many as the int64-window decoder did.
+_WALK_BITS = 32
+_MAX_LIFT_LEVELS = 4
+# :func:`encode` looks each value's code up in a table over the values'
+# [min, max] while that span is below this many times the value count.
+_LOOKUP_SPAN_FACTOR = 4
 
 
 def huffman_code_lengths(counts: np.ndarray) -> np.ndarray:
@@ -259,16 +272,37 @@ def encode(values: np.ndarray, *, max_length: int = DEFAULT_MAX_LENGTH,
     The stream embeds the code book (symbols + lengths) so decode needs
     no side channel.  An externally supplied *code* may be reused (e.g.
     by SECRE-style sampled estimators) as long as it covers all values.
+
+    When no code is supplied and the values span fewer than
+    ``_LOOKUP_SPAN_FACTOR`` times their count, the symbol counts are one
+    ``bincount`` and each value's code and length are gathered from tables
+    indexed by ``value - min``; otherwise the sorted symbols are searched.
+    Both give the same code.
     """
     values = np.asarray(values, dtype=np.int64).reshape(-1)
-    if code is None:
-        code = build_code(values, max_length=max_length)
-    idx = np.searchsorted(code.symbols, values)
-    if values.size and (
-        (idx >= code.symbols.size).any() or (code.symbols[np.minimum(idx, code.symbols.size - 1)] != values).any()
-    ):
-        raise ValueError("values contain symbols outside the supplied code book")
-    payload, total_bits = pack_codes(code.codes[idx], code.lengths[idx]) if values.size else (b"", 0)
+    lo, hi = (int(values.min()), int(values.max())) if values.size else (0, -1)
+    span = hi - lo + 1
+    if code is None and 0 < span < _LOOKUP_SPAN_FACTOR * values.size:
+        offsets = values - lo
+        counts = np.bincount(offsets, minlength=span)
+        slots = np.flatnonzero(counts)
+        code = build_code(symbols=slots + lo, counts=counts[slots], max_length=max_length)
+        length_at = np.zeros(span, dtype=np.int64)
+        length_at[slots] = code.lengths
+        code_at = np.zeros(span, dtype=np.uint64)
+        code_at[slots] = code.codes
+        codes, lengths = code_at[offsets], length_at[offsets]
+    else:
+        if code is None:
+            code = build_code(values, max_length=max_length)
+        idx = np.searchsorted(code.symbols, values)
+        if values.size and (
+            (idx >= code.symbols.size).any()
+            or (code.symbols[np.minimum(idx, code.symbols.size - 1)] != values).any()
+        ):
+            raise ValueError("values contain symbols outside the supplied code book")
+        codes, lengths = code.codes[idx], code.lengths[idx]
+    payload, total_bits = pack_codes(codes, lengths) if values.size else (b"", 0)
     head = _STREAM_HEADER.pack(code.symbols.size, values.size, total_bits, code.max_length)
     return b"".join([
         head,
@@ -282,8 +316,9 @@ def decode(stream: bytes) -> np.ndarray:
     """Decode a stream produced by :func:`encode` (vectorised, see module docs).
 
     Every header field is checked against the payload before anything is
-    sized from it, so a corrupt stream raises :class:`CorruptStreamError`
-    and never an allocation or indexing error.
+    sized from it, and the codes must end exactly at the declared bit
+    count, so a corrupt stream raises :class:`CorruptStreamError` and
+    never an allocation or indexing error or a short array.
     """
     if len(stream) < _STREAM_HEADER.size:
         raise CorruptStreamError("huffman stream too short")
@@ -297,7 +332,9 @@ def decode(stream: bytes) -> np.ndarray:
     off += n_symbols
     if n_values == 0:
         return np.zeros(0, dtype=np.int64)
-    bits = unpack_bits(stream[off:], total_bits)
+    nbytes = (total_bits + 7) >> 3
+    if len(stream) - off < nbytes:
+        raise CorruptStreamError("bit payload shorter than declared length")
     # Every code is at least one bit, and a one-symbol alphabet is coded
     # with exactly one bit a value.
     if n_symbols == 0 or n_values > total_bits or (n_symbols == 1 and n_values != total_bits):
@@ -308,8 +345,16 @@ def decode(stream: bytes) -> np.ndarray:
         return np.full(n_values, symbols[0], dtype=np.int64)
     code = HuffmanCode(symbols=symbols, lengths=lengths, codes=canonical_codes(lengths))
     sym_table, len_table = code.decode_tables()
-    windows = windows_at_every_position(bits, width)
-    len_at = len_table.astype(np.uint8)[windows]
+    # words[b] = payload bytes b..b+3 big-endian: the window at bit
+    # 8b + j is that word shifted right by 32 - width - j (width <= 25).
+    padded = np.zeros(nbytes + 3, dtype=np.uint8)
+    padded[:nbytes] = np.frombuffer(stream, dtype=np.uint8, count=nbytes, offset=off)
+    words = np.ndarray((nbytes,), dtype=">u4", buffer=padded, strides=(1,)).astype(np.uint32)
+    mask = np.uint32((1 << width) - 1)
+    windows = words[:, None] >> np.arange(32 - width, 24 - width, -1, dtype=np.uint32)
+    windows &= mask
+    len_at = len_table.astype(np.uint8)[windows].reshape(-1)[:total_bits]
+    del windows
     if len_at[0] == 0:
         raise CorruptStreamError("invalid prefix at stream start")
     # jump[p] = start of the code after the one at p; a position no code
@@ -319,37 +364,54 @@ def decode(stream: bytes) -> np.ndarray:
     jump[:total_bits] += len_at
     tail = jump[-(width + 1) :]
     np.minimum(tail, total_bits, out=tail)
-    pos = _code_positions(jump, n_values)
+    pos = _code_positions(jump, n_values, _lift_levels(n_values, total_bits))
     if (pos >= total_bits).any():
         raise CorruptStreamError("huffman stream truncated")
-    if (len_at[pos] == 0).any():
+    len_pos = len_at[pos]
+    if (len_pos == 0).any():
         raise CorruptStreamError("invalid huffman code in stream")
-    return symbols[sym_table[windows[pos]]]
+    if int(pos[-1]) + int(len_pos[-1]) != total_bits:
+        raise CorruptStreamError("huffman codes do not end at the declared bit count")
+    shift = np.uint32(32 - width) - (pos & 7).astype(np.uint32)
+    return symbols[sym_table[(words[pos >> 3] >> shift) & mask]]
 
 
-def _code_positions(jump: np.ndarray, n_values: int) -> np.ndarray:
+def _lift_levels(n_values: int, total_bits: int) -> int:
+    """Lift depth for a stream of *total_bits* bits and *n_values* codes.
+
+    A level costs one gather over all ``T`` bit positions and halves the
+    ``N / 2^L`` walked anchors, so the cost ``L*T + _WALK_BITS*N/2^L`` (in
+    gathered elements) is least near ``2^L = _WALK_BITS * N / T``: deep
+    for a near-one-bit code, none for a wide one.  The depth is capped at
+    ``_MAX_LIFT_LEVELS`` so a one-bit code costs no more memory.
+    """
+    ratio = _WALK_BITS * n_values // total_bits
+    return min(max(ratio.bit_length() - 1, 0), _MAX_LIFT_LEVELS)
+
+
+def _code_positions(jump: np.ndarray, n_values: int, levels: int) -> np.ndarray:
     """Start positions of the first *n_values* codes: ``jump`` applied
     0, 1, 2, ... times to position 0 (anchored binary lifting)."""
     # lifted[l] jumps 2**l codes at once; each level is the one below
     # applied to itself, a T-sized gather.
     lifted = [jump]
-    for _ in range(_LIFT_LEVELS):
+    for _ in range(levels):
         lifted.append(lifted[-1][lifted[-1]])
-    # Anchors: the position of every 2**_LIFT_LEVELS-th code, by walking
-    # the top level sequentially.
-    stride = 1 << _LIFT_LEVELS
-    jump_stride = lifted[-1].item
-    anchors = []
+    # Anchors: the position of every 2**levels-th code, by walking the
+    # top level sequentially (a memoryview index yields a plain int).
+    stride = 1 << levels
+    top = memoryview(lifted[-1])
+    anchors = [0] * -(-n_values // stride)
     at = 0
-    for _ in range(-(-n_values // stride)):
-        anchors.append(at)
-        at = jump_stride(at)
+    for a in range(len(anchors)):
+        anchors[a] = at
+        at = top[at]
     # Fan out: column r of row a is code stride * a + r.  Level l fills
     # the columns whose lowest set bit is 2**l from the columns 2**l to
     # their left, so each pass doubles the codes known per anchor.
     pos = np.empty((len(anchors), stride), dtype=np.int64)
     pos[:, 0] = anchors
-    for l in range(_LIFT_LEVELS - 1, -1, -1):
+    for l in range(levels - 1, -1, -1):
         step = 1 << l
         pos[:, step :: 2 * step] = lifted[l][pos[:, :: 2 * step]]
     return pos.reshape(-1)[:n_values]

@@ -30,6 +30,19 @@ before the trim: the lagged planes copied out with ``np.take`` over a
 canonical code book.  ``tests/test_featurizer_kernels.py`` holds the
 basic-slice forms and ``huffman.code_lengths`` to them bit for bit.
 
+``huffman_encode_searchsorted``, ``huffman_decode_windows`` and
+``read_uint_array_bitmatrix`` are the entropy-stage kernels before they
+read straight from the bytes: the encoder's sorted search for
+every value's symbol, the decoder that unpacked the payload to a bit
+array, packed it back and cut an int64 window at every bit position
+(with ``unpack_bits`` and ``windows_at_every_position``, which no
+production path calls any more) behind three fixed lifting levels, and
+the fixed-width reader's ``(count, width)`` bit matrix times a uint64
+weight vector.  ``tests/test_kernel_vectorization.py`` holds the new
+kernels to them byte for byte.  The retired decoder returns whatever
+``n_values`` codes it finds, also when they stop short of or run past
+``total_bits``; the production one refuses that stream.
+
 Nothing under ``src/`` imports this module.  The functions are the
 heap-based Huffman length builder, the bit-plane code packer, the
 full-lifting decoder (sliding-window matmul, int64 tables, one T-sized
@@ -51,8 +64,15 @@ import numpy as np
 from repro.core.errors import CorruptStreamError
 from repro.core.hashing import combined_hash, options_hash
 from repro.core.options import PressioOptions
-from repro.encoding.bitio import unpack_bits
-from repro.encoding.huffman import _STREAM_HEADER, HuffmanCode, build_code, canonical_codes
+from repro.encoding.bitio import pack_codes
+from repro.encoding.huffman import (
+    _STREAM_HEADER,
+    DEFAULT_MAX_LENGTH,
+    MAX_CODE_LENGTH,
+    HuffmanCode,
+    build_code,
+    canonical_codes,
+)
 from repro.encoding.lz import _MAX_MATCH, _MIN_MATCH, _WINDOW, _flush_literals
 from repro.mlkit.base import check_X, check_X_y
 
@@ -180,6 +200,136 @@ def decode_tables_scatter_loop(code: HuffmanCode) -> tuple[np.ndarray, np.ndarra
         len_table[b : b + s] = l
     return sym_table, len_table
 
+
+
+# -- the entropy-stage kernels before they read straight from the bytes ---------
+
+
+def unpack_bits(payload: bytes, total_bits: int) -> np.ndarray:
+    """Inverse of :func:`pack_codes`' packing: the raw bit array."""
+    if total_bits == 0:
+        return np.zeros(0, dtype=np.uint8)
+    if len(payload) * 8 < total_bits:
+        raise CorruptStreamError("bit payload shorter than declared length")
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
+    return bits[:total_bits]
+
+
+def windows_at_every_position(bits: np.ndarray, width: int) -> np.ndarray:
+    """Return the ``width``-bit integer starting at every bit position.
+
+    The stream is zero padded on the right so positions near the end are
+    well defined.  Output dtype is int64; ``out[p]`` reads bits
+    ``p .. p+width-1`` MSB-first.  *width* is at most 57: the window at
+    bit ``8b + j`` is cut out of the ``ceil((width + 7) / 8)`` bytes
+    starting at byte ``b``, which have to fit one 64-bit word.
+    """
+    if not 0 < width <= 57:
+        raise ValueError("width must be in 1..57")
+    packed = np.packbits(bits)
+    n_bytes = max(packed.size, 1)
+    n_gather = (width + 14) >> 3
+    padded = np.zeros(n_bytes + n_gather, dtype=np.int64)
+    padded[: packed.size] = packed
+    # word[b] = bytes b .. b+n_gather-1, big-endian.
+    word = padded[:n_bytes].copy()
+    for k in range(1, n_gather):
+        word <<= 8
+        word |= padded[k : k + n_bytes]
+    out = np.empty((n_bytes, 8), dtype=np.int64)
+    spare = 8 * n_gather - width
+    for j in range(8):
+        np.right_shift(word, spare - j, out=out[:, j])
+    out &= (1 << width) - 1
+    return out.reshape(-1)[: max(bits.size, 1)]
+
+
+def huffman_encode_searchsorted(values: np.ndarray, *, max_length: int = DEFAULT_MAX_LENGTH,
+                                code: HuffmanCode | None = None) -> bytes:
+    """``huffman.encode`` with each value's symbol found by a sorted search."""
+    values = np.asarray(values, dtype=np.int64).reshape(-1)
+    if code is None:
+        code = build_code(values, max_length=max_length)
+    idx = np.searchsorted(code.symbols, values)
+    if values.size and (
+        (idx >= code.symbols.size).any() or (code.symbols[np.minimum(idx, code.symbols.size - 1)] != values).any()
+    ):
+        raise ValueError("values contain symbols outside the supplied code book")
+    payload, total_bits = pack_codes(code.codes[idx], code.lengths[idx]) if values.size else (b"", 0)
+    head = _STREAM_HEADER.pack(code.symbols.size, values.size, total_bits, code.max_length)
+    return b"".join([
+        head,
+        code.symbols.astype("<i8").tobytes(),
+        code.lengths.astype("<u1").tobytes(),
+        payload,
+    ])
+
+
+def huffman_decode_windows(stream: bytes) -> np.ndarray:
+    """``huffman.decode`` over a bit array: an int64 window at every bit
+    position, three lifted levels, the header validated first."""
+    if len(stream) < _STREAM_HEADER.size:
+        raise CorruptStreamError("huffman stream too short")
+    n_symbols, n_values, total_bits, width = _STREAM_HEADER.unpack_from(stream, 0)
+    off = _STREAM_HEADER.size
+    if len(stream) < off + 9 * n_symbols:
+        raise CorruptStreamError("huffman code table truncated")
+    symbols = np.frombuffer(stream, dtype="<i8", count=n_symbols, offset=off).astype(np.int64)
+    off += 8 * n_symbols
+    lengths = np.frombuffer(stream, dtype="<u1", count=n_symbols, offset=off).astype(np.int64)
+    off += n_symbols
+    if n_values == 0:
+        return np.zeros(0, dtype=np.int64)
+    bits = unpack_bits(stream[off:], total_bits)
+    if n_symbols == 0 or n_values > total_bits or (n_symbols == 1 and n_values != total_bits):
+        raise CorruptStreamError("huffman header inconsistent with its payload")
+    if not 1 <= width <= MAX_CODE_LENGTH or width != lengths.max() or lengths.min() < 1:
+        raise CorruptStreamError("huffman code table inconsistent with its header")
+    if n_symbols == 1:
+        return np.full(n_values, symbols[0], dtype=np.int64)
+    code = HuffmanCode(symbols=symbols, lengths=lengths, codes=canonical_codes(lengths))
+    sym_table, len_table = code.decode_tables()
+    windows = windows_at_every_position(bits, width)
+    len_at = len_table.astype(np.uint8)[windows]
+    if len_at[0] == 0:
+        raise CorruptStreamError("invalid prefix at stream start")
+    jump = np.arange(total_bits + 1, dtype=np.int64)
+    jump[:total_bits] += len_at
+    tail = jump[-(width + 1) :]
+    np.minimum(tail, total_bits, out=tail)
+    levels = 3
+    lifted = [jump]
+    for _ in range(levels):
+        lifted.append(lifted[-1][lifted[-1]])
+    stride = 1 << levels
+    jump_stride = lifted[-1].item
+    anchors = []
+    at = 0
+    for _ in range(-(-n_values // stride)):
+        anchors.append(at)
+        at = jump_stride(at)
+    pos = np.empty((len(anchors), stride), dtype=np.int64)
+    pos[:, 0] = anchors
+    for l in range(levels - 1, -1, -1):
+        step = 1 << l
+        pos[:, step :: 2 * step] = lifted[l][pos[:, :: 2 * step]]
+    pos = pos.reshape(-1)[:n_values]
+    if (pos >= total_bits).any():
+        raise CorruptStreamError("huffman stream truncated")
+    if (len_at[pos] == 0).any():
+        raise CorruptStreamError("invalid huffman code in stream")
+    return symbols[sym_table[windows[pos]]]
+
+
+def read_uint_array_bitmatrix(payload: bytes, bit_width: int, count: int) -> np.ndarray:
+    """``bitio.read_uint_array`` as a ``(count, width)`` bit matrix times
+    the powers of two."""
+    if count == 0:
+        return np.zeros(0, dtype=np.uint64)
+    bits = unpack_bits(payload, bit_width * count)
+    mat = bits.reshape(count, bit_width).astype(np.uint64)
+    weights = (np.uint64(1) << np.arange(bit_width - 1, -1, -1, dtype=np.uint64))
+    return mat @ weights
 
 # -- the random forest before ISSUE 21 -------------------------------------------
 

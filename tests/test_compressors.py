@@ -1,5 +1,8 @@
 """Tests for the error-bounded compressors: bounds, round trips, stages."""
 
+import struct
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +30,8 @@ from repro.compressors.zfp import (
     unzigzag,
     zigzag,
 )
-from repro.core import OptionError
+from repro.core import CorruptStreamError, OptionError
+from repro.encoding import lossless_compress, lossless_decompress
 
 ALL = ("sz3", "zfp", "szx")
 
@@ -275,6 +279,48 @@ class TestZFPInternals:
         assert widths[3] == 0
         out = unpack_width_groups(payload, widths, 15)
         assert np.array_equal(out, rows)
+
+    def test_every_single_bit_flip_decodes_or_raises_corrupt(self):
+        """A flipped ``nblocks`` used to size buffers unchecked: 63 of its
+        64 flips escaped as ``ValueError`` or ``OverflowError``.  Any flip
+        of the payload must now decode to the right shape or raise
+        ``CorruptStreamError``, within 1 s."""
+        comp = make_compressor("zfp", pressio__abs=1e-3)
+        field = np.cumsum(np.random.default_rng(8).standard_normal((8, 8, 8)), axis=0)
+        payload = comp.compress_impl(field)
+        refused = 0
+        for bit in range(8 * len(payload)):
+            flipped = bytearray(payload)
+            flipped[bit >> 3] ^= 1 << (bit & 7)
+            t0 = time.perf_counter()
+            try:
+                out = comp.decompress_impl(bytes(flipped), field.dtype, field.shape)
+            except CorruptStreamError:
+                refused += bit // 8 in range(8, 16)  # the nblocks field
+            else:
+                assert out.shape == field.shape
+            assert time.perf_counter() - t0 < 1.0, f"bit {bit} stalled"
+        assert refused == 64
+
+    @pytest.mark.parametrize("width", [65, 255])
+    def test_width_byte_past_64_bits_is_corrupt(self, width):
+        """A width is one byte of the zlib'd side stream, so a flip there
+        rarely survives zlib; one that does must not reach the reader as a
+        shift past 64 bits."""
+        comp = make_compressor("zfp", pressio__abs=1e-3)
+        field = np.cumsum(np.random.default_rng(8).standard_normal((8, 8, 8)), axis=0)
+        payload = comp.compress_impl(field)
+        eb, nblocks, body_size, side_size, reserved = struct.unpack_from("<dQQQQ", payload, 0)
+        hdr = struct.calcsize("<dQQQQ")
+        body = payload[hdr : hdr + body_size]
+        side = bytearray(lossless_decompress(payload[hdr + body_size :]))
+        side[12 * nblocks] = width
+        side = lossless_compress(bytes(side), backend="zlib")
+        head = struct.pack("<dQQQQ", eb, nblocks, body_size, len(side), reserved)
+        with pytest.raises(CorruptStreamError, match="width"):
+            comp.decompress_impl(head + body + side, field.dtype, field.shape)
+        with pytest.raises(CorruptStreamError, match="width"):
+            unpack_width_groups(bytes(64), np.array([3, width], dtype=np.uint8), 2)
 
 
 class TestSZXInternals:

@@ -24,7 +24,7 @@ from repro.core import CorruptStreamError, OptionError
 from repro.core.compressor import compressor_registry
 import repro.compressors  # noqa: F401  (registers the plugins)
 from repro.compressors.zfp import pack_width_groups, unpack_width_groups
-from repro.encoding import huffman, pack_codes, uint_bit_length, windows_at_every_position
+from repro.encoding import huffman, pack_codes, read_uint_array, uint_bit_length, write_uint_array
 from repro.encoding.lz import (
     _lz77_compress,
     _lz77_decompress,
@@ -340,7 +340,7 @@ class TestWindowsEquivalence:
     @given(st.lists(st.integers(0, 1), max_size=90), st.integers(1, 57))
     def test_matches_sliding_window_matmul(self, bits, width):
         bits = np.array(bits, dtype=np.uint8)
-        got = windows_at_every_position(bits, width)
+        got = ref.windows_at_every_position(bits, width)
         want = ref.windows_matmul(bits, width)
         assert got.dtype == want.dtype == np.int64
         assert got.tolist() == want.tolist()
@@ -348,7 +348,7 @@ class TestWindowsEquivalence:
     @pytest.mark.parametrize("width", [0, -1, 58])
     def test_width_out_of_range(self, width):
         with pytest.raises(ValueError):
-            windows_at_every_position(np.array([1, 0], dtype=np.uint8), width)
+            ref.windows_at_every_position(np.array([1, 0], dtype=np.uint8), width)
 
 
 def _decode_outcome(decoder, stream: bytes):
@@ -356,6 +356,30 @@ def _decode_outcome(decoder, stream: bytes):
         return ("ok", decoder(stream).tolist())
     except Exception as exc:  # noqa: BLE001 - the comparison is on type and message
         return (type(exc).__name__, str(exc))
+
+
+_NOT_AT_END = ("CorruptStreamError", "huffman codes do not end at the declared bit count")
+
+
+def _coded_bits(stream: bytes, values: list[int]) -> int:
+    """Bits the code table of *stream* spends on *values*."""
+    n_symbols = int.from_bytes(stream[:4], "little")
+    symbols = np.frombuffer(stream, "<i8", n_symbols, huffman._STREAM_HEADER.size)
+    lengths = np.frombuffer(stream, "<u1", n_symbols, huffman._STREAM_HEADER.size + 8 * n_symbols)
+    return int(lengths[np.searchsorted(symbols, values)].astype(np.int64).sum())
+
+
+def _assert_decodes_like(oracle, stream: bytes) -> None:
+    """Same values, or the same exception type and message, as *oracle*,
+    except where the oracle's codes do not end at ``total_bits``: there
+    the production decoder refuses the stream instead."""
+    got = _decode_outcome(huffman.decode, stream)
+    want = _decode_outcome(oracle, stream)
+    if got == _NOT_AT_END and want[0] == "ok":
+        total_bits = huffman._STREAM_HEADER.unpack_from(stream, 0)[2]
+        assert _coded_bits(stream, want[1]) != total_bits
+    else:
+        assert got == want
 
 
 def _residual_stream(seed: int, n: int, spread: float, max_length: int = 16) -> bytes:
@@ -375,7 +399,10 @@ class TestDecoderEquivalence:
     """Same values, and on a damaged payload the same exception type and
     message, as the full-lifting decoder (the LZ77 golden test's style).
     Header and code table stay intact: that is where the new decoder
-    deliberately differs (``TestHuffmanHeaderValidation``)."""
+    deliberately differs (``TestHuffmanHeaderValidation``).  The other
+    difference is the end check: where the damage leaves ``n_values``
+    codes that stop short of or run past ``total_bits``, the oracle
+    returns them and the production decoder raises."""
 
     @pytest.mark.parametrize(
         "seed,n,spread,max_length",
@@ -394,9 +421,7 @@ class TestDecoderEquivalence:
             flipped[int(rng.integers(start, len(stream)))] ^= 1 << int(rng.integers(0, 8))
             cases.append(bytes(flipped))
         for case in cases:
-            assert _decode_outcome(huffman.decode, case) == _decode_outcome(
-                ref.huffman_decode_full_lifting, case
-            )
+            _assert_decodes_like(ref.huffman_decode_full_lifting, case)
 
     def test_incomplete_code_reports_invalid_code_like_the_oracle(self):
         """A hand-built stream whose code leaves windows unassigned: the
@@ -424,9 +449,7 @@ class TestDecoderEquivalence:
         flipped = bytearray(stream)
         flipped[start + where % span] ^= 1 << (where % 8)
         for case in (stream, bytes(flipped), stream[: start + where % span]):
-            assert _decode_outcome(huffman.decode, case) == _decode_outcome(
-                ref.huffman_decode_full_lifting, case
-            )
+            _assert_decodes_like(ref.huffman_decode_full_lifting, case)
 
 
 class TestHuffmanHeaderValidation:
@@ -454,6 +477,23 @@ class TestHuffmanHeaderValidation:
                 out = None
             assert time.perf_counter() - t0 < 1.0, f"header bit {bit} stalled"
             assert out is None or out.dtype == np.int64
+
+    def test_every_n_values_bit_flip_raises_or_decodes_all(self):
+        """A flipped ``n_values`` used to decode to a short array (296,
+        292, 268 or 44 of 300 values): the codes must end exactly at
+        ``total_bits``."""
+        values = np.round(np.random.default_rng(14).standard_normal(300) * 4.0).astype(np.int64)
+        stream = huffman.encode(values)
+        for bit in range(32, 96):  # bytes 4..11: n_values
+            flipped = bytearray(stream)
+            flipped[bit >> 3] ^= 1 << (bit & 7)
+            t0 = time.perf_counter()
+            try:
+                out = huffman.decode(bytes(flipped))
+            except CorruptStreamError:
+                out = values
+            assert time.perf_counter() - t0 < 1.0, f"n_values bit {bit} stalled"
+            assert np.array_equal(out, values)
 
     @pytest.mark.parametrize("name", sorted(STREAMS))
     def test_code_table_bit_flips_decode_or_raise_corrupt(self, name):
@@ -519,3 +559,139 @@ class TestHuffmanHeaderValidation:
         values = np.repeat(np.arange(40), np.minimum(counts, 50))
         stream = huffman.encode(values, max_length=64)
         assert np.array_equal(huffman.decode(stream), values)
+
+
+# -- entropy-stage kernels that read straight from the bytes, against the
+# -- retired forms: searchsorted encode, int64-window decoder, bit matrix --------------
+
+_SPAN_FACTOR = huffman._LOOKUP_SPAN_FACTOR
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def _symbol_streams(draw):
+    """Value arrays for both encoder paths: narrow alphabets (lookup
+    table), spans either side of the table threshold, full-range int64
+    values with the extremes, one symbol, and nothing."""
+    kind = draw(st.sampled_from(["narrow", "threshold", "wide", "one_symbol", "empty"]))
+    if kind == "empty":
+        return np.zeros(0, dtype=np.int64)
+    n = draw(st.integers(1, 300))
+    if kind == "narrow":
+        lo = draw(_INT64.filter(lambda v: v < 2**63 - 64))
+        return np.array(draw(st.lists(st.integers(lo, lo + 63), min_size=n, max_size=n)),
+                        dtype=np.int64)
+    if kind == "threshold":
+        n = max(n, 2)
+        span = _SPAN_FACTOR * n + draw(st.integers(-1, 1))
+        lo = draw(st.integers(-(2**63), 2**63 - span))
+        inner = draw(st.lists(st.integers(lo, lo + span - 1), min_size=n - 2, max_size=n - 2))
+        return np.array([lo, lo + span - 1, *inner], dtype=np.int64)
+    if kind == "wide":
+        edges = st.sampled_from([-(2**63), 2**63 - 1, -1, 0])
+        return np.array(draw(st.lists(_INT64 | edges, min_size=n, max_size=n)), dtype=np.int64)
+    return np.full(n, draw(_INT64), dtype=np.int64)
+
+
+class TestEncodeByLookup:
+    @settings(max_examples=300, deadline=None)
+    @given(_symbol_streams(), st.sampled_from([16, 9]))
+    def test_byte_identical_to_searchsorted_and_decodes_like_the_window_decoder(
+        self, values, max_length
+    ):
+        stream = huffman.encode(values, max_length=max_length)
+        assert stream == ref.huffman_encode_searchsorted(values, max_length=max_length)
+        out = huffman.decode(stream)
+        assert out.dtype == np.int64
+        assert out.tolist() == ref.huffman_decode_windows(stream).tolist() == values.tolist()
+
+    def test_both_sides_of_the_threshold_are_hit(self):
+        n = 50
+        for span in (_SPAN_FACTOR * n - 1, _SPAN_FACTOR * n):
+            values = np.arange(n, dtype=np.int64) * (span - 1) // (n - 1)
+            assert int(values.max() - values.min()) + 1 == span
+            stream = huffman.encode(values)
+            assert stream == ref.huffman_encode_searchsorted(values)
+            assert np.array_equal(huffman.decode(stream), values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_symbol_streams(), st.data())
+    def test_supplied_code_book(self, values, data):
+        if values.size == 0:
+            return
+        extra = np.array(data.draw(st.lists(_INT64, max_size=5)), dtype=np.int64)
+        code = huffman.build_code(np.concatenate([values, extra]))
+        stream = huffman.encode(values, code=code)
+        assert stream == ref.huffman_encode_searchsorted(values, code=code)
+        assert np.array_equal(huffman.decode(stream), values)
+
+    @pytest.mark.parametrize("outside", [-(2**63), 2**63 - 1, 3, 1000])
+    def test_value_outside_a_supplied_code_book_raises_in_both(self, outside):
+        code = huffman.build_code(np.array([0, 1, 2, 4, 4, 4], dtype=np.int64))
+        values = np.array([0, 1, outside, 2], dtype=np.int64)
+        for encoder in (huffman.encode, ref.huffman_encode_searchsorted):
+            with pytest.raises(ValueError, match="outside the supplied code book"):
+                encoder(values, code=code)
+
+
+class TestDecodeFromBytes:
+    @pytest.mark.parametrize(
+        "seed,n,spread,max_length",
+        [(20, 3, 1.0, 16), (21, 64, 0.4, 16), (22, 4000, 0.7, 16), (23, 4000, 8.0, 16),
+         (24, 4000, 3000.0, 16), (25, 2000, 50.0, 24), (26, 700, 9.0, 7)],
+    )
+    def test_every_lift_depth_matches_the_window_decoder(self, seed, n, spread, max_length):
+        stream = _residual_stream(seed, n, spread, max_length)
+        _, n_values, total_bits, _ = huffman._STREAM_HEADER.unpack_from(stream, 0)
+        assert huffman._lift_levels(n_values, total_bits) in range(huffman._MAX_LIFT_LEVELS + 1)
+        want = ref.huffman_decode_windows(stream)
+        assert huffman.decode(stream).tolist() == want.tolist()
+
+    def test_lift_depth_follows_bits_per_code(self):
+        levels = [huffman._lift_levels(1000, bits) for bits in (1000, 2000, 8000, 40000)]
+        assert levels == sorted(levels, reverse=True)
+        assert levels[-1] == 0
+
+    def test_one_bit_codes_hold_no_more_levels_than_the_window_decoder(self):
+        """The densest stream decode accepts has one bit a code; its lift
+        depth is capped so ``jump`` plus the levels make at most the five
+        stream-sized int64 arrays the int64-window decoder held."""
+        for n in (2, 63, 4096, 10**6):
+            assert huffman._lift_levels(n, n) == huffman._MAX_LIFT_LEVELS == 4
+        values = np.tile(np.array([3, 9], dtype=np.int64), 500)
+        stream = huffman.encode(values)
+        _, n_values, total_bits, _ = huffman._STREAM_HEADER.unpack_from(stream, 0)
+        assert n_values == total_bits
+        assert huffman.decode(stream).tolist() == ref.huffman_decode_windows(stream).tolist()
+
+
+class TestReadUintFromBytes:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 64), st.integers(0, 100), st.data())
+    def test_matches_the_bit_matrix_at_every_width(self, width, count, data):
+        values = np.array(
+            data.draw(st.lists(st.integers(0, 2**width - 1), min_size=count, max_size=count)),
+            dtype=np.uint64,
+        )
+        payload = write_uint_array(values, width)
+        got = read_uint_array(payload, width, count)
+        assert got.dtype == np.uint64
+        assert got.tolist() == ref.read_uint_array_bitmatrix(payload, width, count).tolist()
+        assert got.tolist() == values.tolist()
+
+    def test_large_reads_come_back_native_uint64(self):
+        """The `<<` operator once shifted a large gathered temporary in
+        place, so a 118 k-value read came back as big-endian uint64."""
+        values = np.arange(118_377, dtype=np.uint64) * np.uint64(35)
+        got = read_uint_array(write_uint_array(values, 22), 22, values.size)
+        assert got.dtype.str == np.dtype(np.uint64).str
+        assert got.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("width", [1, 7, 8, 57, 58, 63, 64])
+    def test_all_ones_and_truncation(self, width):
+        values = np.full(17, 2**width - 1, dtype=np.uint64)
+        payload = write_uint_array(values, width)
+        assert read_uint_array(payload, width, 17).tolist() == values.tolist()
+        for reader in (read_uint_array, ref.read_uint_array_bitmatrix):
+            with pytest.raises(CorruptStreamError, match="shorter than declared"):
+                reader(payload[:-1], width, 17)
