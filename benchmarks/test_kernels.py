@@ -16,17 +16,17 @@ serve benchmarks.  Six sections land in ``BENCH_kernels.json``:
   payload and two shape-contrast payloads (periodic, motif-tiled).
 * ``huffman_tables`` — the two-``np.repeat`` canonical-table build
   against the per-symbol scatter loop it replaced, and (``kernels``) the
-  two-queue length build, byte-plane packer, lookup-table encoder and
-  from-the-bytes decoder against the retired implementations in
-  ``tests/reference_kernels.py`` (heap build, bit-plane packer,
-  searchsorted encoder, and both the full-lifting and the int64-window
-  decoder) — on the production residual stream (sz3's quantize →
-  Lorenzo → escape split on a 512 KiB field: ~131 k codes over a
-  ~10 k-symbol alphabet) and on a 64-code one (the
-  ``campaign_many_small`` regime).  Byte equality is asserted, and "not
-  slower" at both sizes, except that the encoder and the int64-window
-  decoder comparisons tie on the 64-code stream and are held within
-  10 % there.
+  two-queue length build, argsort canonical code assignment, byte-plane
+  packer, lookup-table encoder and from-the-bytes decoder against the
+  retired implementations in ``tests/reference_kernels.py`` (heap build,
+  one pass per code length, bit-plane packer, searchsorted encoder, and
+  both the full-lifting and the int64-window decoder) — on the
+  production residual stream (sz3's quantize → Lorenzo → escape split on
+  a 512 KiB field: ~131 k codes over a ~10 k-symbol alphabet) and on a
+  64-code one (the ``campaign_many_small`` regime).  Byte equality is
+  asserted, and "not slower" at both sizes, except that the encoder and
+  the int64-window decoder comparisons tie on the 64-code stream and are
+  held within 10 % there.
 * ``read_uint`` — the fixed-width reader under zfp's and szx's width
   groups, straight from the bytes, against the ``(count, width)`` bit
   matrix it replaced: 118 k values at 22 bits (the largest group one
@@ -155,6 +155,10 @@ def _bench_huffman_kernels(symbols: np.ndarray, reps: int) -> dict:
     assert np.array_equal(lengths, lengths_ref), "two-queue build changed a code length"
 
     code = huffman.build_code(symbols=values, counts=counts)
+    t_canon_ref, codes_ref, t_canon, codes = _race(
+        ref.canonical_codes_per_length, huffman.canonical_codes, code.lengths, reps=reps
+    )
+    assert codes.tobytes() == codes_ref.tobytes(), "argsort ranking changed a code"
     idx = np.searchsorted(values, symbols)
     args = (code.codes[idx], code.lengths[idx])
     t_pack_ref, packed_ref = _best(ref.pack_codes_bitplanes, *args, reps=reps)
@@ -178,6 +182,9 @@ def _bench_huffman_kernels(symbols: np.ndarray, reps: int) -> dict:
         "build_ref_s": round(t_build_ref, 6),
         "build_s": round(t_build, 6),
         "build_speedup": round(t_build_ref / t_build, 2),
+        "canonical_ref_s": round(t_canon_ref, 6),
+        "canonical_s": round(t_canon, 6),
+        "canonical_speedup": round(t_canon_ref / t_canon, 2),
         "pack_ref_s": round(t_pack_ref, 6),
         "pack_s": round(t_pack, 6),
         "pack_speedup": round(t_pack_ref / t_pack, 2),
@@ -352,7 +359,7 @@ class TestKernelSpeed:
         # The Huffman kernels must win on the production stream and must
         # not lose on tiny ones (thousands of 2 KiB fields per campaign).
         for size, row in report["huffman_tables"]["kernels"].items():
-            for kernel in ("build", "pack", "decode"):
+            for kernel in ("build", "canonical", "pack", "decode"):
                 assert row[f"{kernel}_speedup"] >= 1.0, (size, kernel, row)
         # Against the forms they replaced, the lookup encoder, the
         # from-the-bytes decoder and the fixed-width reader must win on

@@ -156,7 +156,9 @@ def canonical_codes(lengths: np.ndarray) -> np.ndarray:
 
     Symbols are ranked by (length, symbol index); codes within one length
     are consecutive, and the first code of each length is derived from
-    the counts of shorter codes.
+    the counts of shorter codes.  One stable argsort gives the ranking,
+    so the work is a few whole-array calls however many lengths occur.
+    Zero-length symbols (absent from the code) get code 0.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     codes = np.zeros(lengths.size, dtype=np.uint64)
@@ -164,16 +166,19 @@ def canonical_codes(lengths: np.ndarray) -> np.ndarray:
         return codes
     max_len = int(lengths.max())
     bl_count = np.bincount(lengths, minlength=max_len + 1)
+    # A stable sort of a one-byte key is a radix sort: linear in the symbols.
+    key = lengths.astype(np.uint8) if max_len < 256 else lengths
+    order = np.argsort(key, kind="stable")[bl_count[0]:]
     bl_count[0] = 0
-    next_code = np.zeros(max_len + 1, dtype=np.uint64)
-    code = 0
-    for l in range(1, max_len + 1):
-        code = (code + int(bl_count[l - 1])) << 1
-        next_code[l] = code
-    for l in range(1, max_len + 1):
-        idx = np.flatnonzero(lengths == l)
-        if idx.size:
-            codes[idx] = next_code[l] + np.arange(idx.size, dtype=np.uint64)
+    first, code = [0], 0
+    for count in bl_count[:-1].tolist():
+        code = (code + count) << 1
+        first.append(code)
+    # Length l's codes count up from first[l] over its run in `order`,
+    # which starts at start[l]: code = (first - start)[l] + position.
+    start = (np.cumsum(bl_count) - bl_count).astype(np.uint64)
+    offset = np.array(first, dtype=np.uint64) - start
+    codes[order] = offset[lengths[order]] + np.arange(order.size, dtype=np.uint64)
     return codes
 
 

@@ -9,13 +9,13 @@ behaviour — applied to a latency-sensitive online path:
 * **work-conserving micro-batching** — a request for an idle model key
   starts that key's drain; requests arriving while its batch runs queue
   behind it and leave as *one* ``predict_many`` call of up to
-  ``max_batch`` rows.  A lone caller is answered at wire speed; only
-  while another connection (which could add a row) is open does an idle
-  key's first batch pause for ``_COALESCE_S``;
+  ``max_batch`` rows.  No batch waits on a timer: an idle key's request
+  leaves on the next loop iteration, with whatever that iteration read;
 * **one compute lane** — a raw field is featurized on the server's one
-  compute thread from its admission, so during the pause; a batch's one
-  ``predict_many`` runs there too, or inline on the loop thread for
-  ``results`` rows: model work never fights itself for the GIL;
+  compute thread from its admission, so while it queues behind a running
+  batch; a batch's one ``predict_many`` runs there too, or inline on the
+  loop thread for ``results`` rows: model work never fights itself for
+  the GIL;
 * **warm-model LRU that follows the registry** — sized to hold a
   campaign's published set; one drain per key, so a cold key is read and
   decoded exactly once, and every take of a model checks the
@@ -100,12 +100,6 @@ STATUS_NOT_FOUND = "not_found"
 STATUS_BAD_REQUEST = "bad_request"
 STATUS_NEED_DATA = "need_data"
 STATUS_ERROR = "error"
-
-#: Seconds an idle key's first batch waits for rows from other open
-#: connections: the one clock-bound share of a round trip, which keeps
-#: closed-loop throughput steady when the host is not (DESIGN.md §8).
-_COALESCE_S = 0.001
-
 
 @dataclass
 class ServeStats:
@@ -737,12 +731,6 @@ class PredictionServer:
         try:
             while queue:
                 model = await self._take(cache_key)
-                if not batch and len(self._connection_tasks) > 1:  # the first turn only
-                    await asyncio.sleep(_COALESCE_S)
-                    # A publish made during the pause reaches this batch.
-                    # Rows featurized meanwhile stay valid, as featurization
-                    # does not depend on the version.
-                    model = await self._take(cache_key)
                 batch = [queue.popleft() for _ in range(min(len(queue), self.max_batch))]
                 self._queued -= len(batch)
                 await self._run_batch(cache_key, model, batch)

@@ -43,6 +43,12 @@ kernels to them byte for byte.  The retired decoder returns whatever
 ``n_values`` codes it finds, also when they stop short of or run past
 ``total_bits``; the production one refuses that stream.
 
+``canonical_codes_per_length`` is the canonical code assignment as it
+was before one stable argsort ranked the symbols: a ``flatnonzero``
+pass over every symbol for each code length in turn.
+``tests/test_kernel_vectorization.py`` holds ``huffman.canonical_codes``
+to it code for code.
+
 Nothing under ``src/`` imports this module.  The functions are the
 heap-based Huffman length builder, the bit-plane code packer, the
 full-lifting decoder (sliding-window matmul, int64 tables, one T-sized
@@ -608,3 +614,24 @@ def huffman_bits_exact_built(symbols: np.ndarray, counts: np.ndarray) -> float:
     book built, then its expected bits per symbol under *counts*."""
     code = build_code(symbols=symbols, counts=counts)
     return code.expected_bits_per_symbol(counts)
+
+
+def canonical_codes_per_length(lengths: np.ndarray) -> np.ndarray:
+    """``huffman.canonical_codes`` with one ``flatnonzero`` pass per length."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    codes = np.zeros(lengths.size, dtype=np.uint64)
+    if lengths.size == 0:
+        return codes
+    max_len = int(lengths.max())
+    bl_count = np.bincount(lengths, minlength=max_len + 1)
+    bl_count[0] = 0
+    next_code = np.zeros(max_len + 1, dtype=np.uint64)
+    code = 0
+    for l in range(1, max_len + 1):
+        code = (code + int(bl_count[l - 1])) << 1
+        next_code[l] = code
+    for l in range(1, max_len + 1):
+        idx = np.flatnonzero(lengths == l)
+        if idx.size:
+            codes[idx] = next_code[l] + np.arange(idx.size, dtype=np.uint64)
+    return codes

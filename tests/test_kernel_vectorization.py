@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import CorruptStreamError, OptionError
@@ -695,3 +695,45 @@ class TestReadUintFromBytes:
         for reader in (read_uint_array, ref.read_uint_array_bitmatrix):
             with pytest.raises(CorruptStreamError, match="shorter than declared"):
                 reader(payload[:-1], width, 17)
+
+
+def _codes_or_error(assign, lengths):
+    try:
+        return assign(lengths).tobytes()
+    except Exception as exc:  # noqa: BLE001 - the error type is compared
+        return type(exc)
+
+
+class TestCanonicalCodesByArgsort:
+    """One stable argsort by (length, symbol index) gives the codes the
+    per-length passes gave, code for code, on built and on arbitrary
+    length tables (where both raise, they raise the same error)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=0, max_value=2**40), min_size=0, max_size=300),
+        st.integers(min_value=1, max_value=huffman.MAX_CODE_LENGTH),
+    )
+    def test_built_codes_are_identical(self, counts, max_length):
+        assume(len(counts) <= 2**max_length)  # else no code of that depth exists
+        lengths = huffman.code_lengths(np.array(counts, dtype=np.int64), max_length)
+        got = huffman.canonical_codes(lengths)
+        assert got.dtype == np.uint64
+        assert got.tobytes() == ref.canonical_codes_per_length(lengths).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=70), min_size=0, max_size=120))
+    def test_arbitrary_length_tables_are_identical(self, lengths):
+        lengths = np.array(lengths, dtype=np.int64)
+        assert _codes_or_error(huffman.canonical_codes, lengths) == _codes_or_error(
+            ref.canonical_codes_per_length, lengths
+        )
+
+    @pytest.mark.parametrize(
+        "lengths", [[], [0], [0, 0], [1], [3, 0, 3], [1, 1], [2, 1, 2], [70_000, 0, 70_000]]
+    )
+    def test_edge_tables(self, lengths):
+        lengths = np.array(lengths, dtype=np.int64)
+        assert _codes_or_error(huffman.canonical_codes, lengths) == _codes_or_error(
+            ref.canonical_codes_per_length, lengths
+        )

@@ -6,9 +6,11 @@ called directly; requests that arrive while their key's batch is running
 leave as one vectorised predict call; overload sheds with the documented
 status instead of hanging.
 
-The batching and admission tests are deterministic, not timed: a gated
-predictor holds one key's batch on the compute lane until the test has
-queued exactly the requests it wants behind it.
+The batching and admission tests are deterministic, not timed: a gate
+holds one key's batch on the compute lane (or on the loop, leaving the
+lane free to featurize) until the test has queued exactly the requests
+it wants behind it.  No test stretches or waits out a timer: the server
+has none.
 """
 
 from __future__ import annotations
@@ -174,23 +176,47 @@ class Held:
     the gated ``predict_many``; :meth:`ask` then admits one request at a
     time, so arrival order is the order of the calls; :meth:`release`
     opens the gate and returns every reply in that order.
+
+    ``lane_free=True`` holds the batch on the loop instead, before it
+    reaches the lane (``gate.calls`` then logs detached batches): the
+    lane stays free to featurize the raw fields queued behind it.
     """
 
-    def __init__(self, campaign, **server_kwargs):
+    def __init__(self, campaign, registry=None, lane_free=False, **server_kwargs):
         self.campaign = campaign
         self.gate = Gate()
-        self.server = PredictionServer(
-            GatedRegistry(campaign.registry, campaign.key, self.gate), **server_kwargs
-        )
+        self.lane_free = lane_free
+        registry = registry or campaign.registry
+        if lane_free:
+            self.server = PredictionServer(registry, **server_kwargs)
+            self._hold_on_the_loop()
+        else:
+            self.server = PredictionServer(
+                GatedRegistry(registry, campaign.key, self.gate), **server_kwargs
+            )
         self.thread = ServerThread(self.server)
         self.pool = ThreadPoolExecutor(32)
         self.replies = []
 
+    def _hold_on_the_loop(self):
+        run_batch, gate, key = self.server._run_batch, self.gate, self.campaign.key
+
+        async def gated(cache_key, model, batch):
+            if cache_key[0] == key:
+                gate.calls.append([(i.row or {}).get("tag") for i in batch])
+                await asyncio.to_thread(gate.open.wait, 30)
+            await run_batch(cache_key, model, batch)
+
+        self.server._run_batch = gated
+
     def __enter__(self):
         self.thread.start()
         self.gate.open.clear()
-        field = np.random.default_rng(3).standard_normal((16, 16, 8))
-        self.ask(self.campaign.key, data=field.astype(np.float32))
+        if self.lane_free:
+            self.ask(self.campaign.key, results=self.campaign.rows[0])
+        else:
+            field = np.random.default_rng(3).standard_normal((16, 16, 8))
+            self.ask(self.campaign.key, data=field.astype(np.float32))
         wait_until(lambda: self.gate.calls)
         return self
 
@@ -328,21 +354,28 @@ class TestMicroBatching:
         # waited for: the batch leaves on the next loop iteration.
         assert response["timings"]["queue_wait_ms"] < 1.0
 
-    def test_idle_key_pauses_for_company_only_while_another_connection_is_open(
+    def test_idle_key_leaves_without_a_timer_while_another_connection_is_open(
         self, campaign, monkeypatch
     ):
-        # The pause stretched to where two released-together requests are
-        # certain to land inside it: what is pinned is who waits and who
-        # shares, not how long a millisecond is.
-        monkeypatch.setattr(server_module, "_COALESCE_S", 0.25)
+        # An open second connection could add a row, yet nothing waits for
+        # one: a timer anywhere on the serving path trips this wire.
+        sleeps, sleep = [], server_module.asyncio.sleep
+
+        async def tripwire(delay, result=None):
+            sleeps.append(delay)
+            return await sleep(delay, result)
+
+        monkeypatch.setattr(server_module.asyncio, "sleep", tripwire)
         with serve(campaign) as thread:
             with PredictionClient(*thread.address) as client:
                 client.predict(campaign.key, results=campaign.rows[0])  # cold load
-                lone = client.predict(campaign.key, results=campaign.rows[0])
-            pair = burst(thread.address, campaign.key, campaign.rows, 2)
-        assert lone["batch_size"] == 1 and lone["timings"]["queue_wait_ms"] < 250
-        assert [r["batch_size"] for r in pair] == [2, 2]
-        assert max(r["timings"]["queue_wait_ms"] for r in pair) >= 250
+                with PredictionClient(*thread.address) as other:
+                    other.ping()  # the open connection that could add a row
+                    rows = client.predict(campaign.key, results=campaign.rows[1])
+                    raw = client.predict(campaign.key, data=raw_field(4))
+        assert sleeps == []
+        assert [r["status"] for r in (rows, raw)] == ["ok", "ok"]
+        assert [r["batch_size"] for r in (rows, raw)] == [1, 1]
 
     def test_burst_coalesces_into_fewer_predict_calls(self, campaign):
         k = 12
@@ -435,69 +468,74 @@ class TestMicroBatching:
         assert all(r["status"] == "ok" for r in replies)
         assert entries == 2 and peak == 1
 
-    def test_raw_featurization_overlaps_the_pause(self, campaign, monkeypatch):
-        # With a second connection open, a raw field is featurized while
-        # its batch waits out the pause, not after the batch detaches.
-        monkeypatch.setattr(server_module, "_COALESCE_S", 0.25)
-        server = PredictionServer(campaign.registry)
-        events = []
-        featurize, run_batch = server._featurize, server._run_batch
+    def test_raw_featurization_overlaps_the_queue_wait(self, campaign):
+        # A raw field queued behind a running batch is featurized from its
+        # admission, while it waits, not after its own batch detaches.
+        held, featurized = Held(campaign, lane_free=True), []
+        featurize = held.server._featurize
 
-        def logged_featurize(model, item):
-            events.append("featurize")
+        def logged(model, item):
             featurize(model, item)
+            featurized.append(item)
 
-        async def logged_run_batch(*args):
-            events.append("detach")
-            await run_batch(*args)
-
-        server._featurize, server._run_batch = logged_featurize, logged_run_batch
-        with ServerThread(server) as thread, PredictionClient(*thread.address) as idle:
-            idle.ping()  # the open connection that could add a row
-            with PredictionClient(*thread.address) as client:
-                reply = client.predict(campaign.key, data=raw_field(6))
-        assert events == ["featurize", "detach"]
+        held.server._featurize = logged
+        with held:
+            held.ask(campaign.key, data=raw_field(6))
+            wait_until(lambda: featurized, timeout=10)
+            assert held.gate.calls == [[None]], "its batch detached already"
+            _, reply = held.release()
         timings = reply["timings"]
-        assert timings["queue_wait_ms"] >= 250
+        assert timings["queue_wait_ms"] > 0
         assert timings["featurize_ms"] == 0 and timings["featurize_hidden_ms"] > 0
 
-    def test_reply_timings_sum_to_at_most_the_residency(self, campaign, monkeypatch):
-        # Raw fields on two connections: the featurization hidden in the
-        # queue wait is reported beside the four stages, not inside them.
-        monkeypatch.setattr(server_module, "_COALESCE_S", 0.05)
-        server = PredictionServer(campaign.registry)
-        with ServerThread(server) as thread:
-            replies = burst(thread.address, campaign.key, [raw_field(7), raw_field(8)], 2, "data")
+    def test_reply_timings_sum_to_at_most_the_residency(self, campaign):
+        # Raw fields featurized while they queue: the featurization hidden
+        # in the queue wait is reported beside the four stages, not inside.
+        held, featurized = Held(campaign, lane_free=True), []
+        featurize = held.server._featurize
+
+        def logged(model, item):
+            featurize(model, item)
+            featurized.append(item)
+
+        held.server._featurize = logged
+        with held:
+            for seed in (7, 8):
+                held.ask(campaign.key, data=raw_field(seed))
+            wait_until(lambda: len(featurized) == 2, timeout=10)
+            replies = held.release()
         stages = ("queue_wait_ms", "compute_wait_ms", "featurize_ms", "predict_ms")
         sums = sorted(sum(r["timings"][s] for s in stages) for r in replies)
         # Each reply's sum fits its own residency, so the k-th smallest sum
         # fits the k-th smallest residency.
-        residencies = sorted(s * 1e3 for s in server.stats.latencies)
-        assert len(residencies) == 2
+        residencies = sorted(s * 1e3 for s in held.server.stats.latencies)
+        assert len(residencies) == 3
         assert all(s <= r for s, r in zip(sums, residencies))
-        assert all(r["timings"]["featurize_hidden_ms"] > 0 for r in replies)
+        assert [r["batch_size"] for r in replies] == [1, 2, 2]
+        assert all(r["timings"]["featurize_hidden_ms"] > 0 for r in replies[1:])
 
-    def test_a_featurization_fault_fails_only_its_own_request(self, campaign, monkeypatch):
-        monkeypatch.setattr(server_module, "_COALESCE_S", 0.25)
-        server = PredictionServer(campaign.registry)
-        inner, poison = server._featurize_raw, -12345.0
+    def test_a_featurization_fault_fails_only_its_own_request(self, campaign):
+        held, poison = Held(campaign), -12345.0
+        inner = held.server._featurize_raw
 
         def evaluator(model, item):
             if decode_array(item.array).flat[0] == poison:
                 raise ValueError("poisoned field")
             return inner(model, item)
 
-        server._featurize_raw = evaluator
+        held.server._featurize_raw = evaluator
         poisoned = raw_field(9)
         poisoned.flat[0] = poison
-        with ServerThread(server) as thread:
-            bad, good = burst(thread.address, campaign.key, [poisoned, raw_field(10)], 2, "data")
-            with PredictionClient(*thread.address) as client:
-                stats = client.stats()
+        with held:
+            held.ask(campaign.key, data=poisoned)
+            held.ask(campaign.key, data=raw_field(10))
+            _, bad, good = held.release()
+            stats = held.stats()
         assert isinstance(bad, ServerError) and bad.server_status == "error"
         assert "poisoned field" in str(bad)
         assert good["status"] == "ok" and good["batch_size"] == 2
-        assert (stats["failed"], stats["completed"], stats["predict_calls"]) == (1, 1, 1)
+        assert held.gate.calls == [[None], [None]]  # one row each: the held one, the good one
+        assert (stats["failed"], stats["completed"], stats["predict_calls"]) == (1, 2, 2)
 
     def test_stop_drops_featurizations_that_have_not_started(self, campaign):
         held = Held(campaign).__enter__()  # the lane is inside the held predict
@@ -678,43 +716,25 @@ class TestRefreshOp:
                 assert client.stats()["model_loads"] == 2
 
     @pytest.mark.parametrize("kind", ["results", "data"])
-    def test_refresh_during_the_pause_reaches_that_batch(
-        self, campaign, tmp_path, monkeypatch, kind
-    ):
+    def test_refresh_while_queued_reaches_that_batch(self, campaign, tmp_path, kind):
         # A predict admitted before a publish and detached after it is
-        # answered by the published version.  The coalescing pause is
-        # gated on events: it lasts exactly until the publish has returned.
+        # answered by the published version: it queues behind a held batch
+        # until the publish has returned, and the turn that detaches it
+        # takes the model again.
         registry = self._copied_registry(campaign, tmp_path)
         model = registry.load(campaign.key)
-        paused, resume = threading.Event(), threading.Event()
-        sleep = asyncio.sleep
-
-        async def gated(delay, result=None):
-            if delay != server_module._COALESCE_S:
-                return await sleep(delay, result)
-            paused.set()
-            await asyncio.to_thread(resume.wait, 30)
-            return result
-
         query = {kind: campaign.rows[0] if kind == "results" else raw_field(9)}
-        with ServerThread(PredictionServer(registry)) as thread:
-            with PredictionClient(*thread.address) as client:
-                # A lone connection: warmed without a pause.
-                assert client.predict(campaign.key, **query)["version"] == model.version
-                monkeypatch.setattr(asyncio, "sleep", gated)
-                with PredictionClient(*thread.address) as control, \
-                        ThreadPoolExecutor(1) as pool:
-                    control.ping()  # a second open connection: the drain pauses
-                    reply = pool.submit(client.predict, campaign.key, **query)
-                    assert paused.wait(30), "the drain never paused"
-                    receipt = registry.publish(
-                        model.scheme,
-                        model.manifest["compressor"],
-                        model.manifest["compressor_options"],
-                        model.predictor,
-                    )
-                    resume.set()
-                    assert reply.result(30)["version"] == receipt.version
+        with Held(campaign, registry=registry) as held:
+            held.ask(campaign.key, **query)
+            receipt = registry.publish(
+                model.scheme,
+                model.manifest["compressor"],
+                model.manifest["compressor_options"],
+                model.predictor,
+            )
+            before, reply = held.release()
+        assert before["version"] == model.version
+        assert reply["version"] == receipt.version != model.version
 
     def test_refresh_without_republish_keeps_warm_model(self, campaign):
         with serve(campaign) as thread:
