@@ -81,11 +81,11 @@ def run_cluster(
     ledger: TaskLedger,
     tasks: list[Task],
     task_fn: Callable[[Task, int], dict[str, Any]] | None,
-    *,
-    worker_init: Callable[[], Callable[[Task, int], dict[str, Any]]] | None = None,
-    chaos=None,
 ):
     """Run *tasks* across the cluster described by ``queue.cluster``.
+
+    Every rank's init message carries *task_fn* — chaos-bound already
+    when the campaign runs under a plan — as its one task function.
 
     Returns ``(results, stats)`` like every engine; each result reached
     the ledger's ``on_result`` sink as its ack was charged.
@@ -135,9 +135,7 @@ def run_cluster(
                 rank,
                 {
                     "op": "init",
-                    "worker_init": worker_init,
                     "task_fn": task_fn,
-                    "chaos": chaos,
                     "heartbeat_interval": spec.heartbeat_interval,
                 },
             )

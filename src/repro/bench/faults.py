@@ -6,10 +6,11 @@ in mind are real: the external SECRE/FXRZ metric bridges crash, hang,
 and misreport.  This module gives the harness a vocabulary for those
 fault classes:
 
-* :class:`RetryPolicy` — how many times to retry, with what backoff, and
-  which :class:`~repro.core.errors.Status` codes are *permanent* (a task
-  asking for an unsupported scheme will never succeed; quarantine it on
-  the first failure instead of burning attempts);
+* :class:`~repro.core.errors.RetryPolicy` (re-exported here) — how many
+  times to retry, with what backoff, and which
+  :class:`~repro.core.errors.Status` codes are *permanent* (a task asking
+  for an unsupported scheme will never succeed; quarantine it on the
+  first failure instead of burning attempts);
 * :class:`ChaosPlan` — the multi-class, seeded chaos harness: worker
   crashes (``os._exit``), hangs, checkpoint payload corruption, and
   result-sink failures, each fired deterministically per task key and at
@@ -28,86 +29,12 @@ import hashlib
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
 from typing import Any, Callable, TYPE_CHECKING
 
-from ..core.errors import PERMANENT_STATUSES, TaskFailedError
+from ..core.errors import RetryPolicy, TaskFailedError, _stable_unit_interval
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .tasks import Task
-
-
-def _stable_unit_interval(*parts: Any) -> float:
-    """A deterministic draw in [0, 1) from hashed parts.
-
-    Python's ``hash()`` is salted per process; worker processes must
-    agree with the parent on every injection decision, so draws go
-    through SHA-256 instead.
-    """
-    digest = hashlib.sha256(":".join(str(p) for p in parts).encode()).digest()
-    return int.from_bytes(digest[:8], "big") / float(1 << 64)
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """When and how to retry a failed task.
-
-    Replaces the queue's bare ``max_retries`` counter with per-class
-    behaviour:
-
-    * *transient* failures (generic errors, timeouts, crashed workers)
-      are retried up to ``max_retries`` extra attempts, with exponential
-      backoff and deterministic seeded jitter;
-    * *permanent* failures (``UNSUPPORTED``, ``INVALID_OPTION``, …) are
-      quarantined immediately — the configuration is wrong, not the
-      execution, so no retry can succeed.
-
-    ``base_delay=0`` (the default) disables backoff sleeping entirely,
-    preserving the historical retry-immediately behaviour for tests and
-    fast in-memory campaigns.
-    """
-
-    max_retries: int = 2
-    #: First-retry delay in seconds; 0 retries immediately.
-    base_delay: float = 0.0
-    #: Multiplier applied per additional attempt.
-    backoff: float = 2.0
-    #: Ceiling on any single delay, in seconds.
-    max_delay: float = 30.0
-    #: Jitter amplitude as a fraction of the raw delay (±jitter).
-    jitter: float = 0.1
-    #: Seed for the deterministic jitter draw.
-    seed: int = 0
-    #: Status codes quarantined on first failure.
-    permanent_statuses: frozenset = field(
-        default_factory=lambda: frozenset(int(s) for s in PERMANENT_STATUSES)
-    )
-
-    def is_permanent(self, status: int) -> bool:
-        return int(status) in self.permanent_statuses
-
-    def classify(self, status: int) -> str:
-        """``"permanent"`` or ``"transient"`` for a failure status."""
-        return "permanent" if self.is_permanent(status) else "transient"
-
-    def should_retry(self, status: int, attempts: int) -> bool:
-        """Whether a task with *attempts* completed attempts retries."""
-        return not self.is_permanent(status) and attempts <= self.max_retries
-
-    def delay(self, key: str, attempt: int) -> float:
-        """Seconds to wait before retry *attempt* (1-based) of *key*.
-
-        Exponential in the attempt number, jittered deterministically
-        from ``(seed, key, attempt)`` — a fixed seed reproduces the
-        exact backoff schedule of a previous run.
-        """
-        if self.base_delay <= 0.0:
-            return 0.0
-        raw = min(self.base_delay * self.backoff ** max(attempt - 1, 0), self.max_delay)
-        if self.jitter <= 0.0:
-            return raw
-        frac = _stable_unit_interval(self.seed, key, attempt)
-        return raw * (1.0 - self.jitter + 2.0 * self.jitter * frac)
 
 
 #: Fault classes a :class:`ChaosPlan` can inject.  The first five hit
@@ -142,11 +69,11 @@ class ChaosPlan:
     task must not crash the rebuilt pool again) and resumed campaigns
     recover instead of re-faulting.
 
-    The plan is picklable — the process engine ships it to worker
-    processes inside ``worker_init`` — and doubles as the task-function
-    wrapper (``plan.bind(fn)``), the result-sink wrapper
-    (``plan.wrap_sink(on_result)``), and the at-rest corruption driver
-    (``plan.corrupt_checkpoint(store)``).
+    The plan is picklable and doubles as the task-function wrapper
+    (``plan.bind(fn)`` — what :meth:`~repro.bench.taskqueue.TaskQueue.run`
+    hands every engine's workers when given ``chaos=``), the result-sink
+    wrapper (``plan.wrap_sink(on_result)``), and the at-rest checkpoint
+    corrupter (``plan.corrupt_checkpoint(store)``).
     """
 
     def __init__(
@@ -349,21 +276,8 @@ class ChaosPlan:
         return victims
 
 
-def chaos_worker_init(
-    worker_init: Callable[[], Callable[["Task", int], dict[str, Any]]],
-    plan: ChaosPlan,
-) -> ChaosPlan:
-    """Rebuild a worker's task function, then wrap it in the chaos plan.
-
-    Module-level so ``functools.partial(chaos_worker_init, wi, plan)``
-    pickles into process-pool workers.
-    """
-    return plan.bind(worker_init())
-
-
 __all__ = [
     "CHAOS_CLASSES",
     "ChaosPlan",
     "RetryPolicy",
-    "chaos_worker_init",
 ]

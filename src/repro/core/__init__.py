@@ -25,6 +25,7 @@ from .errors import (
     MissingOptionError,
     OptionError,
     PressioError,
+    RetryPolicy,
     Status,
     TaskFailedError,
     TaskTimeoutError,
@@ -68,6 +69,7 @@ __all__ = [
     "PressioOptions",
     "RUNTIME",
     "Registry",
+    "RetryPolicy",
     "SizeMetrics",
     "Status",
     "TRAINING",

@@ -9,6 +9,9 @@ metric bridges can persist a faithful record of failures.
 from __future__ import annotations
 
 import enum
+import hashlib
+from dataclasses import dataclass, field
+from typing import Any
 
 
 class Status(enum.IntEnum):
@@ -51,6 +54,80 @@ def is_permanent_status(status: int) -> bool:
         return Status(int(status)) in PERMANENT_STATUSES
     except ValueError:
         return False
+
+
+def _stable_unit_interval(*parts: Any) -> float:
+    """A deterministic draw in [0, 1) from hashed parts.
+
+    Python's ``hash()`` is salted per process; worker processes must
+    agree with the parent on every draw, so draws go through SHA-256
+    instead.
+    """
+    digest = hashlib.sha256(":".join(str(p) for p in parts).encode()).digest()
+    return int.from_bytes(digest[:8], "big") / float(1 << 64)
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """When and how to retry a failed operation.
+
+    The one backoff formula of the project: the bench retries failed
+    tasks with it, the serving client retries ``overloaded`` answers
+    with it, and the fleet retries its control-port fan-out with it.
+
+    * *transient* failures (generic errors, timeouts, crashed workers)
+      are retried up to ``max_retries`` extra attempts, with exponential
+      backoff and deterministic seeded jitter;
+    * *permanent* failures (``UNSUPPORTED``, ``INVALID_OPTION``, …) are
+      quarantined immediately — the configuration is wrong, not the
+      execution, so no retry can succeed.
+
+    ``base_delay=0`` (the default) disables backoff sleeping entirely,
+    preserving the historical retry-immediately behaviour for tests and
+    fast in-memory campaigns.
+    """
+
+    max_retries: int = 2
+    #: First-retry delay in seconds; 0 retries immediately.
+    base_delay: float = 0.0
+    #: Multiplier applied per additional attempt.
+    backoff: float = 2.0
+    #: Ceiling on any single delay, in seconds.
+    max_delay: float = 30.0
+    #: Jitter amplitude as a fraction of the raw delay (±jitter).
+    jitter: float = 0.1
+    #: Seed for the deterministic jitter draw.
+    seed: int = 0
+    #: Status codes quarantined on first failure.
+    permanent_statuses: frozenset = field(
+        default_factory=lambda: frozenset(int(s) for s in PERMANENT_STATUSES)
+    )
+
+    def is_permanent(self, status: int) -> bool:
+        return int(status) in self.permanent_statuses
+
+    def classify(self, status: int) -> str:
+        """``"permanent"`` or ``"transient"`` for a failure status."""
+        return "permanent" if self.is_permanent(status) else "transient"
+
+    def should_retry(self, status: int, attempts: int) -> bool:
+        """Whether a task with *attempts* completed attempts retries."""
+        return not self.is_permanent(status) and attempts <= self.max_retries
+
+    def delay(self, key: str, attempt: int) -> float:
+        """Seconds to wait before retry *attempt* (1-based) of *key*.
+
+        Exponential in the attempt number, jittered deterministically
+        from ``(seed, key, attempt)`` — a fixed seed reproduces the
+        exact backoff schedule of a previous run.
+        """
+        if self.base_delay <= 0.0:
+            return 0.0
+        raw = min(self.base_delay * self.backoff ** max(attempt - 1, 0), self.max_delay)
+        if self.jitter <= 0.0:
+            return raw
+        frac = _stable_unit_interval(self.seed, key, attempt)
+        return raw * (1.0 - self.jitter + 2.0 * self.jitter * frac)
 
 
 def error_status(exc: BaseException) -> int:

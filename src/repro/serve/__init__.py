@@ -29,7 +29,6 @@ from .client import (
     ConnectionClosedError,
     PredictionClient,
     ServerError,
-    overload_backoff,
 )
 from .drift import DriftConfig, DriftMonitor, ResidualLedger
 from .featcache import CachedRow, FeaturizationCache, content_fingerprint
@@ -110,7 +109,6 @@ __all__ = [
     "decode_state",
     "encode_array",
     "encode_state",
-    "overload_backoff",
     "registry_key",
     "scheme_params",
     "state_checksum",

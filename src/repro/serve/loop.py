@@ -24,7 +24,7 @@ against the registry's ``LATEST`` pointer whenever a batch takes it,
 so the publish (and any quarantine retarget) reaches every worker of
 every server by itself, with zero restarts.
 
-Every stage runs under a :class:`~repro.bench.faults.RetryPolicy`-style
+Every stage runs under a :class:`~repro.core.errors.RetryPolicy`
 supervisor: stage failures (including injected trainer kills) back off
 and retry with per-stage memoisation — observations collected once,
 receipts kept across verify retries — up to a crash-loop cap
@@ -46,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from ..core.errors import PressioError, Status
+from ..core.errors import PressioError, RetryPolicy, Status
 from .client import PredictionClient
 from .registry import (
     PUBLISH_FAULT_POINTS,
@@ -130,13 +130,11 @@ class ContinuousLearner:
         runner_factory: Callable[[int], Any],
         *,
         servers: Sequence[tuple[str, int]] = (),
-        retry_policy: Any | None = None,
+        retry_policy: RetryPolicy | None = None,
         chaos: Any | None = None,
         verify_n: int = 4,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        from ..bench.faults import RetryPolicy  # serve must not hard-couple bench
-
         self.registry = registry
         self.runner_factory = runner_factory
         # Entries are (host, port) pairs or fleet-like objects exposing

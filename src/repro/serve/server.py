@@ -84,7 +84,7 @@ import threading
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
 from ..core.data import as_data
@@ -166,36 +166,20 @@ class ServeStats:
         return self.batched_rows / self.predict_calls if self.predict_calls else 0.0
 
     def snapshot(self) -> dict[str, Any]:
-        return {
-            "requests": self.requests,
-            "completed": self.completed,
-            "failed": self.failed,
-            "shed": self.shed,
-            "batches": self.batches,
-            "predict_calls": self.predict_calls,
-            "batched_rows": self.batched_rows,
-            "mean_batch_size": self.mean_batch_size,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "model_loads": self.model_loads,
-            "observations": self.observations,
-            "drift_fires": self.drift_fires,
-            "connections": self.connections,
-            "feat_hits": self.feat_hits,
-            "feat_misses": self.feat_misses,
-            "feat_bypass": self.feat_bypass,
-            "feat_ref_hits": self.feat_ref_hits,
-            "feat_ref_misses": self.feat_ref_misses,
-            "feat_bytes_saved": self.feat_bytes_saved,
-            "feat_seconds_saved": self.feat_seconds_saved,
-            "queue_wait_seconds": self.queue_wait_seconds,
-            "compute_wait_seconds": self.compute_wait_seconds,
-            "featurize_seconds": self.featurize_seconds,
-            "predict_seconds": self.predict_seconds,
-            "latency_p50_ms": self.latency_quantile(0.50) * 1e3,
-            "latency_p95_ms": self.latency_quantile(0.95) * 1e3,
-            "latency_p99_ms": self.latency_quantile(0.99) * 1e3,
-        }
+        """Every counter, the mean batch size and the latency quantiles."""
+        out: dict[str, Any] = {name: getattr(self, name) for name in SERVE_COUNTERS}
+        out["mean_batch_size"] = self.mean_batch_size
+        for name, q in LATENCY_QUANTILES.items():
+            out[name] = self.latency_quantile(q) * 1e3
+        return out
+
+
+#: The additive counters of :class:`ServeStats` — every field but the
+#: latency window — which a fleet sums across its workers.
+SERVE_COUNTERS = tuple(f.name for f in fields(ServeStats) if f.name != "latencies")
+
+#: Snapshot key → latency quantile, in milliseconds.
+LATENCY_QUANTILES = {"latency_p50_ms": 0.50, "latency_p95_ms": 0.95, "latency_p99_ms": 0.99}
 
 
 class _ModelCache:

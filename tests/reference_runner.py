@@ -10,7 +10,6 @@ importable from ``src/``.
 
 from __future__ import annotations
 
-import functools
 from typing import Any
 
 from repro.bench.runner import ExperimentRunner
@@ -18,11 +17,6 @@ from repro.bench.tasks import Task
 from repro.compressors import make_compressor
 from repro.core.errors import UnsupportedError
 from repro.core.metrics import ErrorStatMetrics, SizeMetrics, TimeMetrics
-
-
-def _rebuild_brute_force_fn(dataset, kwargs: dict):
-    """Process-engine twin of ``runner._rebuild_collection_fn``."""
-    return BruteForceRunner(dataset, **kwargs).run_task
 
 
 class BruteForceRunner(ExperimentRunner):
@@ -74,10 +68,6 @@ class BruteForceRunner(ExperimentRunner):
             for bucket, seconds in evaluator.stage_seconds.items():
                 payload[f"time:{scheme.id}:{bucket}"] = seconds
         return payload
-
-    def worker_init(self):
-        base = super().worker_init()
-        return functools.partial(_rebuild_brute_force_fn, *base.args)
 
 
 def comparable(observations) -> dict[tuple, dict[str, Any]]:

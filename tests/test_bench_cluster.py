@@ -211,9 +211,7 @@ class TestWorkerLoop:
             [
                 {
                     "op": "init",
-                    "worker_init": None,
                     "task_fn": _echo_task,
-                    "chaos": None,
                     "heartbeat_interval": 30.0,
                 },
                 {"op": "run", "tasks": tasks},
@@ -234,9 +232,7 @@ class TestWorkerLoop:
             [
                 {
                     "op": "init",
-                    "worker_init": None,
                     "task_fn": _fail_on_data0,
-                    "chaos": None,
                     "heartbeat_interval": 30.0,
                 },
                 {"op": "run", "tasks": tasks},

@@ -232,12 +232,21 @@ class TestQueueStress:
         assert stats.failed == 0 and stats.completed == len(tasks)
         assert stats.retries >= 1
 
-    def test_process_engine_worker_init(self):
-        tasks = make_tasks(n_data=3, per_data=2)
-        results, stats = TaskQueue(2, "process").run(
-            tasks, None, worker_init=_make_echo_worker
+    def test_process_engine_builds_worker_state_once_per_process(self):
+        # The task function is the one thing a worker gets: a picklable
+        # callable carries its per-worker state, built on first use in
+        # each worker process and kept for the rest of the campaign.
+        tasks = make_tasks(n_data=4, per_data=3)
+        results, stats = TaskQueue(2, "process", chunk_size=1).run(
+            tasks, _StatefulEcho()
         )
         assert stats.failed == 0 and stats.completed == len(tasks)
+        builds: dict[int, set[int]] = {}
+        for r in results:
+            builds.setdefault(r.payload["pid"], set()).add(r.payload["builds"])
+        assert os.getpid() not in builds
+        assert 1 <= len(builds) <= 2
+        assert all(seen == {1} for seen in builds.values())
 
     def test_timing_buckets_accumulate(self):
         tasks = make_tasks(n_data=2, per_data=2)
@@ -262,8 +271,18 @@ def _echo_worker(task, worker):
 _FLAKY_FAILED = set()
 
 
-def _make_echo_worker():
-    return _echo_worker
+class _StatefulEcho:
+    """A picklable task callable whose state is built on first use."""
+
+    def __init__(self):
+        self.builds = 0
+        self.pid = None
+
+    def __call__(self, task, worker):
+        if self.pid is None:
+            self.builds += 1
+            self.pid = os.getpid()
+        return {"pid": self.pid, "builds": self.builds, "w": worker}
 
 
 def _flaky_worker(task, worker):

@@ -37,7 +37,7 @@ from repro.serve import (
     registry_key,
     scheme_params,
 )
-from repro.serve import featcache
+from repro.serve import ServeStats, aggregate_stats, featcache
 
 BOUND = 1e-3
 SHAPE = (16, 16, 8)
@@ -558,3 +558,22 @@ class TestClientConnectionReuse:
                 assert client.connect_count >= 1
             finally:
                 client.close()
+
+
+def test_fleet_aggregate_carries_every_numeric_key_of_a_snapshot():
+    # Both are derived from ServeStats' fields: a counter added there
+    # reaches a worker's snapshot and the fleet total alike.
+    busy = ServeStats(requests=3, predict_calls=2, batched_rows=5, feat_seconds_saved=0.5)
+    busy.observe_latency(0.010)
+    idle = ServeStats(requests=1)
+    snapshots = [busy.snapshot(), idle.snapshot()]
+    aggregate = aggregate_stats(snapshots)
+
+    def numeric(mapping):
+        return {k for k, v in mapping.items() if isinstance(v, (int, float))}
+
+    assert numeric(aggregate) - {"workers"} == numeric(snapshots[0])
+    assert aggregate["workers"] == 2
+    assert aggregate["requests"] == 4 and aggregate["feat_seconds_saved"] == 0.5
+    assert aggregate["mean_batch_size"] == 2.5
+    assert aggregate["latency_p50_ms"] == snapshots[0]["latency_p50_ms"] == 10.0
