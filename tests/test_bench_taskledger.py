@@ -211,3 +211,19 @@ class TestLedgerRules:
         ledger.dispatch(0)
         ledger.worker_died(0, "x")
         assert not ledger.aborted
+
+    @pytest.mark.parametrize("engine, origin", [("process", ""), ("cluster", "rank1")])
+    def test_final_failure_carries_its_origin(self, engine, origin):
+        """The ledger names where a final failure ran — its rank on the
+        cluster engine only — so the runner copies it to the failure
+        ledger without asking which engine it ran on."""
+        (task,) = make_tasks(["a"], per_kind=1)
+        ledger = TaskLedger(
+            engine, engine, RetryPolicy(max_retries=0), None,
+            task_timeout=None, max_worker_deaths=5,
+        )
+        ledger.charge(task, 1, None, "RuntimeError: boom", int(Status.GENERIC_ERROR))
+        ledger.charge(task, 1, {"ok": 1}, None, int(Status.SUCCESS))
+        failed, ok = ledger.results
+        assert (failed.ok, failed.origin) == (False, origin)
+        assert (ok.ok, ok.origin) == (True, "")
