@@ -17,9 +17,8 @@ the call graph (``self._spawn(...)`` counts), so extracting the
 
 ``subprocess`` is deliberately *not* a spawn site: it forks-and-execs
 with ``close_fds=True``, so the child never sees the parent's heap or
-descriptors — which is exactly why the cluster engine's worker launch
-is safe where a fork would not be.  State tracking is lexical (source
-order within one function).
+descriptors.  State tracking is lexical (source order within one
+function).
 """
 
 from __future__ import annotations

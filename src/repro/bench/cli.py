@@ -71,9 +71,9 @@ def _add_queue_flags(
     """The collection queue.  ``loop`` has no per-task flags: its
     retries are rollover stages."""
     sub.add_argument("--workers", type=int, default=workers,
-                     help="pool size, or worker ranks to spawn (cluster)")
+                     help="worker ranks to start (process, cluster)")
     sub.add_argument("--engine", choices=list(engines), default=engine,
-                     help="'process' runs a worker pool with per-worker "
+                     help="'process' runs local worker ranks with per-worker "
                      "dataset/compressor initialization")
     sub.add_argument("--retry-base-delay", type=float, default=retry_base_delay,
                      help="first-retry backoff in seconds (0 retries at once); "
@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_chaos_flags(collect, example="rank_kill:0.1")
     collect.add_argument(
         "--max-pool-rebuilds", type=int, default=5,
-        help="consecutive no-progress rank deaths (or pool rebuilds) "
+        help="consecutive no-progress worker rank deaths "
         "tolerated before the campaign aborts with a diagnosis",
     )
     collect.add_argument(
@@ -163,8 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="TCP rendezvous for launched campaigns "
                          "(default: REPRO_CLUSTER_COORD)")
     collect.add_argument("--no-spawn", action="store_true",
-                         help="never fork local worker ranks; without a "
-                         "launcher environment this downgrades to 'process'")
+                         help="without a launcher environment, run as the "
+                         "'process' engine (the same local ranks; only the "
+                         "engine label changes)")
     collect.add_argument("--heartbeat-interval", type=float, default=0.5)
     collect.add_argument("--heartbeat-timeout", type=float, default=10.0)
     collect.add_argument("--startup-timeout", type=float, default=30.0,

@@ -12,11 +12,12 @@ The subsystem splits along the coordinator/worker seam:
 * :mod:`~repro.bench.cluster.worker` — the rank loop: execute batches
   and ack each one with its outcomes, payloads included (a worker rank
   opens no database);
-* :mod:`~repro.bench.cluster.engine` — the rank-0 coordinator: datum
-  affinity dispatch, heartbeat/EOF rank supervision with uncharged
-  requeue and respawn; every acked outcome is charged through the task
-  ledger, so results reach the caller's ``on_result`` sink exactly as
-  on the other engines;
+* :mod:`~repro.bench.cluster.engine` — the rank-0 coordinator of both
+  parallel engines (``process`` is its spawn mode): datum affinity
+  dispatch, heartbeat/EOF rank supervision with uncharged requeue and
+  respawn; every acked outcome is charged through the task ledger, so
+  results reach the caller's ``on_result`` sink exactly as on the
+  serial engine;
 * :mod:`~repro.bench.cluster.sbatch` — SLURM batch-script generation
   for launched-TCP campaigns (``mpirun``-started ranks need no script:
   the Open MPI/PMI rank variables are read directly).

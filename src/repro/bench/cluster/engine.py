@@ -1,11 +1,10 @@
 """The rank-0 coordinator: dispatch and supervise.
 
-This is the ``cluster`` engine behind the :class:`TaskQueue` seam —
-the multi-node analog of the pinned process engine, driving the same
+This is the coordinator of both parallel engines behind the
+:class:`TaskQueue` seam, ``process`` and ``cluster``: it drives the
 :class:`~repro.bench.taskledger.TaskLedger` (datum-affinity chunks,
 retry charging, uncharged requeue on infrastructure faults, the
-crash-loop cap) with worker *ranks* instead of worker processes.  What
-lives here is the mechanics:
+crash-loop cap) with worker *ranks*.  What lives here is the mechanics:
 
 * **dispatch** — every idle rank takes the ledger's best-affinity chunk
   over the transport;
@@ -20,25 +19,30 @@ through the ledger, whose ``on_result`` sink (the runner's checkpoint
 write) runs here on rank 0 — the single SQLite writer.
 
 Deployment modes (decided by :meth:`ClusterSpec.resolve`), both over
-TCP: ``spawn`` forks local worker subprocesses on loopback;
-``launched-tcp`` expects an external launcher (``srun``, ``mpirun``) to
-have started every rank of the same entry point (rank 0 becomes the
-coordinator at ``REPRO_CLUSTER_COORD``, the rest call straight into the
-worker loop).  On a launched worker rank :func:`run_cluster` runs the
-worker loop and returns an empty result list — so ``mpirun python
-script.py`` invoking ``queue.run(...)`` on every rank works
-transparently.
+TCP: ``spawn`` starts local ranks as :mod:`multiprocessing` children
+(forked where the platform can) on loopback — what the ``process``
+engine always does; ``launched-tcp`` expects an external launcher
+(``srun``, ``mpirun``) to have started every rank of the same entry
+point (rank 0 becomes the coordinator at ``REPRO_CLUSTER_COORD``, the
+rest call straight into the worker loop).  On a launched worker rank
+:func:`run_cluster` runs the worker loop and returns an empty result
+list — so ``mpirun python script.py`` invoking ``queue.run(...)`` on
+every rank works transparently.
+
+A forked rank uses nothing it inherited (it opens its own connection and
+receives its task function pickled), and the coordinator hangs up every
+socket it holds, so no descriptor copy in a rank keeps one alive.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
+import multiprocessing
+import pickle
 import time
 import warnings
 from typing import Any, Callable
 
+from ...core.lifetime import exit_with_parent
 from ..taskledger import TaskLedger
 from ..tasks import Task
 from .spec import ClusterSpec, parse_hostport
@@ -47,50 +51,57 @@ from .worker import run_worker
 
 #: Seconds granted to the stop → bye handshake per campaign (after the
 #: work is drained; a rank that cannot say goodbye in this window is
-#: abandoned — every result it acked is already charged).
+#: terminated — every result it acked is already charged).
 BYE_TIMEOUT = 10.0
 
 
-def _spawn_worker(rank: int, host: str, port: int) -> subprocess.Popen:
-    """Fork one worker-rank subprocess pointed at the coordinator.
+def serve_rank(host: str, port: int, rank: int, connect_timeout: float) -> int:
+    """Connect to the coordinator at ``host:port`` as *rank* and serve
+    it until it says stop; returns :func:`run_worker`'s exit code."""
+    transport = TcpWorkerTransport(host, port, rank, connect_timeout=connect_timeout)
+    try:
+        return run_worker(transport, rank=rank)
+    finally:
+        transport.close()
 
-    ``sys.path`` is propagated as ``PYTHONPATH`` so the worker can
-    unpickle task functions defined in test/benchmark modules the
-    installed package does not know about.
-    """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-    return subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.bench.cluster.worker",
-            "--host",
-            str(host),
-            "--port",
-            str(port),
-            "--rank",
-            str(rank),
-        ],
-        env=env,
-    )
+
+def _local_rank(host: str, port: int, rank: int, connect_timeout: float) -> None:
+    """Target of a spawn-mode rank.  Its coordinator's EOF is only read
+    between batches, so a rank in the middle of a long task watches its
+    parent itself rather than outlive a killed campaign."""
+    exit_with_parent()
+    serve_rank(host, port, rank, connect_timeout)
+
+
+def _stop_rank(proc: multiprocessing.process.BaseProcess) -> None:
+    """Terminate (if still running) and reap a local rank."""
+    if proc.is_alive():
+        proc.terminate()
+    proc.join(5.0)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
 
 
 def run_cluster(
-    queue,
+    spec: ClusterSpec,
+    n_ranks: int,
+    chunk_size: int | None,
     ledger: TaskLedger,
     tasks: list[Task],
     task_fn: Callable[[Task, int], dict[str, Any]] | None,
 ):
-    """Run *tasks* across the cluster described by ``queue.cluster``.
+    """Run *tasks* on the ranks *spec* describes (*n_ranks* local ones
+    in spawn mode), in chunks of *chunk_size* tasks of one datum.
 
     Every rank's init message carries *task_fn* — chaos-bound already
-    when the campaign runs under a plan — as its one task function.
+    when the campaign runs under a plan — as its one task function, so
+    it must pickle; one that does not fails the run before any rank
+    starts.
 
     Returns ``(results, stats)`` like every engine; each result reached
     the ledger's ``on_result`` sink as its ack was charged.
     """
-    spec: ClusterSpec = queue.cluster
     mode = spec.resolve()
     if mode is None:  # pragma: no cover - the queue downgrades first
         raise RuntimeError("cluster engine invoked with no resolvable deployment")
@@ -100,45 +111,49 @@ def run_cluster(
     # only rank 0 owns results and reporting.
     if spec.is_worker_rank:
         host, port = parse_hostport(spec.coord or "")
-        transport = TcpWorkerTransport(
-            host, port, spec.rank, connect_timeout=spec.worker_startup_timeout
-        )
-        try:
-            run_worker(transport, rank=spec.rank)
-        finally:
-            transport.close()
+        serve_rank(host, port, spec.rank, spec.worker_startup_timeout)
         return ledger.outcome()
 
     # ---- coordinator side ------------------------------------------------------
-    procs: dict[int, subprocess.Popen] = {}
+    if mode == "spawn" and not tasks:
+        return ledger.outcome()  # nothing to run: start no rank
+    try:
+        pickle.dumps(task_fn)
+    except Exception as exc:  # noqa: BLE001 - any pickling failure
+        raise TypeError(f"task function {task_fn!r} does not pickle: {exc}") from exc
+
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
+    procs: dict[int, multiprocessing.process.BaseProcess] = {}
     if mode == "launched-tcp":
         host, port = parse_hostport(spec.coord or "")
         coordinator = TcpCoordinator(host, port)
         worker_ranks = set(range(1, spec.world))
     else:  # spawn
         coordinator = TcpCoordinator()
-        worker_ranks = set(range(1, queue.n_workers + 1))
-        for rank in sorted(worker_ranks):
-            procs[rank] = _spawn_worker(rank, coordinator.host, coordinator.port)
+        worker_ranks = set(range(1, n_ranks + 1))
 
-    # Same chunk shape as the process engine, so affinity behaviour is
-    # comparable across engines.
-    ledger.enqueue(tasks, queue.chunk_size)
+    def start_rank(rank: int) -> None:
+        proc = ctx.Process(
+            target=_local_rank,
+            args=(coordinator.host, coordinator.port, rank, spec.worker_startup_timeout),
+            name=f"rank-{rank}",
+        )
+        proc.start()
+        procs[rank] = proc
+
+    ledger.enqueue(tasks, chunk_size)
     #: rank → monotonic time of its last message (admitted ranks only).
     last_seen: dict[int, float] = {}
+    said_bye: set[int] = set()
     draining = False
+
+    init = {"op": "init", "task_fn": task_fn, "heartbeat_interval": spec.heartbeat_interval}
 
     def admit(rank: int) -> None:
         """Initialise a newly connected (or respawned) rank."""
         try:
-            coordinator.send(
-                rank,
-                {
-                    "op": "init",
-                    "task_fn": task_fn,
-                    "heartbeat_interval": spec.heartbeat_interval,
-                },
-            )
+            coordinator.send(rank, init)
         except TransportError:
             return
         last_seen[rank] = time.monotonic()
@@ -147,15 +162,18 @@ def run_cluster(
         del last_seen[rank]
         coordinator.drop_rank(rank)
         proc = procs.pop(rank, None)
-        if proc is not None and proc.poll() is None:
-            proc.terminate()  # hung rather than dead: reclaim the process
+        if proc is not None:
+            _stop_rank(proc)  # hung rather than dead: reclaim the process
         stats.rank_deaths += 1
         ledger.worker_died(rank, cause)
         if mode == "spawn" and not (ledger.aborted or draining):
-            procs[rank] = _spawn_worker(rank, coordinator.host, coordinator.port)
+            start_rank(rank)
             stats.rank_restarts += 1
 
     try:
+        if mode == "spawn":
+            for rank in sorted(worker_ranks):
+                start_rank(rank)
         # ---- rendezvous --------------------------------------------------------
         arrived = coordinator.wait_for_ranks(worker_ranks, spec.worker_startup_timeout)
         missing = worker_ranks - arrived
@@ -243,17 +261,19 @@ def run_cluster(
             rank, msg = event
             if msg is RANK_DEAD or msg.get("op") == "bye":
                 awaiting_bye.discard(rank)
+                if msg is not RANK_DEAD:
+                    said_bye.add(rank)
     finally:
         stats.wire_bytes_sent = coordinator.bytes_sent
         stats.wire_bytes_received = coordinator.bytes_received
         coordinator.close()
-        for proc in procs.values():
-            try:
-                proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait(timeout=5.0)
+        # A rank that said bye is on its way out; any other (one still
+        # connecting, or one respawned as the drain began) is stopped.
+        for rank, proc in procs.items():
+            if rank in said_bye:
+                proc.join(5.0)
+            _stop_rank(proc)
     return ledger.outcome()
 
 
-__all__ = ["BYE_TIMEOUT", "run_cluster"]
+__all__ = ["BYE_TIMEOUT", "run_cluster", "serve_rank"]

@@ -4,10 +4,11 @@ A :class:`ClusterSpec` answers one question for the ``cluster`` engine:
 *how does this process find its peers?*  Ranks always talk over TCP;
 two answers exist:
 
-* ``spawn`` — no launcher: the coordinator forks its own worker
-  subprocesses on this host and hands them a TCP rendezvous address.
-  This is what tests and CI use, and what ``--engine cluster`` means on
-  a laptop.
+* ``spawn`` — no launcher: the coordinator starts its own worker ranks
+  on this host, :mod:`multiprocessing` children that connect back to
+  its TCP rendezvous address.  This is what tests and CI use, what
+  ``--engine cluster`` means on a laptop, and what the ``process``
+  engine always does.
 * ``launched-tcp`` — an external launcher (``srun``, ``mpirun``, a
   shell loop) started every rank of the same CLI entry point; the
   environment tells each process its rank and the world size (SLURM,
@@ -18,7 +19,8 @@ When neither applies — no launcher environment and spawning disabled —
 :meth:`ClusterSpec.resolve` returns ``None`` and the
 :class:`~repro.bench.taskqueue.TaskQueue` downgrades to the ``process``
 engine with a warning instead of raising after the caller already paid
-for dataset initialisation.
+for dataset initialisation.  The ``process`` engine runs the same local
+ranks, so the downgrade changes only the engine's name.
 
 This module must stay import-light (no taskqueue/engine imports): the
 queue imports it at module scope, while the heavy engine half of the
@@ -71,10 +73,11 @@ class ClusterSpec:
     Parameters
     ----------
     spawn:
-        Allow the coordinator to fork local worker subprocesses when no
+        Allow the coordinator to start local worker ranks when no
         launcher environment is present.  ``False`` turns a
         launcher-less ``--engine cluster`` into a ``process``-engine
-        downgrade instead.
+        downgrade instead, which starts the same local ranks under the
+        ``process`` name.
     coord:
         ``"host:port"`` TCP rendezvous.  In spawn mode
         ``None`` means an ephemeral port on localhost; in launched mode
@@ -93,7 +96,8 @@ class ClusterSpec:
     heartbeat_timeout: float = 10.0
     worker_startup_timeout: float = 30.0
     #: Filled by :meth:`resolve`: ``"spawn"`` / ``"launched-tcp"`` /
-    #: ``None`` (downgrade).
+    #: ``None`` (downgrade).  The ``process`` engine presets ``"spawn"``,
+    #: so it never reads the launcher environment.
     mode: str | None = field(default=None, repr=False)
     #: Launched-mode identity (rank 0 coordinates; ranks 1..world-1 work).
     rank: int = 0

@@ -55,6 +55,8 @@ class TcpCoordinator:
         self.host, self.port = self._listener.getsockname()[:2]
         self._inbox: queue.Queue[tuple[int, dict[str, Any] | None]] = queue.Queue()
         self._conns: dict[int, socket.socket] = {}  # guarded-by: _conn_lock
+        #: Every accepted connection, hello read or not.
+        self._accepted: set[socket.socket] = set()  # guarded-by: _conn_lock
         self._conn_lock = threading.Lock()
         self._ranks_changed = threading.Condition(self._conn_lock)
         self._closed = threading.Event()
@@ -71,7 +73,12 @@ class TcpCoordinator:
             try:
                 conn, _addr = self._listener.accept()
             except OSError:
-                return  # listener closed
+                return  # listener hung up
+            with self._conn_lock:
+                if self._closed.is_set():
+                    _hang_up(conn)  # accepted as close() began
+                    return
+                self._accepted.add(conn)
             handler = threading.Thread(
                 target=self._serve_connection, args=(conn,), daemon=True
             )
@@ -92,7 +99,7 @@ class TcpCoordinator:
                 self._conns[rank] = conn
                 self._ranks_changed.notify_all()
             if stale is not None:
-                stale.close()  # a respawned rank supersedes its corpse
+                _hang_up(stale)  # a respawned rank supersedes its corpse
             while True:
                 msg, nbytes = recv_frame(rfile)
                 self.bytes_received += nbytes
@@ -101,12 +108,12 @@ class TcpCoordinator:
             pass  # EOF or corrupt stream: the rank is dead either way
         finally:
             rfile.close()
-            if rank >= 0:
-                with self._conn_lock:
-                    if self._conns.get(rank) is conn:
-                        del self._conns[rank]
-                if not self._closed.is_set():
-                    self._inbox.put((rank, RANK_DEAD))
+            with self._conn_lock:
+                self._accepted.discard(conn)
+                if rank >= 0 and self._conns.get(rank) is conn:
+                    del self._conns[rank]
+            if rank >= 0 and not self._closed.is_set():
+                self._inbox.put((rank, RANK_DEAD))
             conn.close()
 
     # -- engine-facing API -------------------------------------------------------
@@ -152,18 +159,30 @@ class TcpCoordinator:
         with self._conn_lock:
             conn = self._conns.pop(rank, None)
         if conn is not None:
-            conn.close()
+            _hang_up(conn)
 
     def close(self) -> None:
-        self._closed.set()
-        self._listener.close()
+        """Hang up the listener and every connection (which wakes the
+        accept thread and every reader at once), then join the threads."""
         with self._conn_lock:
-            conns = list(self._conns.values())
+            self._closed.set()
+            conns = list(self._accepted)
             self._conns.clear()
+        _hang_up(self._listener)
         for conn in conns:
-            conn.close()
+            _hang_up(conn)
         for t in self._threads:
             t.join(timeout=1.0)
+
+
+def _hang_up(sock: socket.socket) -> None:
+    """``shutdown`` then ``close``: ends the socket itself, even while a
+    forked child still holds a copy of this process's descriptor."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # never connected, or the peer is gone already
+    sock.close()
 
 
 class TcpWorkerTransport:

@@ -9,8 +9,8 @@ function its init message carried (chaos-bound by
 :meth:`~repro.bench.taskqueue.TaskQueue.run` when the campaign runs
 under a plan) and acks the batch with one outcome per task — built by
 :func:`~repro.bench.taskledger.outcome_of`, the same
-``(worker, payload, error, status, seconds)`` tuple a process-engine
-worker returns, payload included.  A worker rank opens
+``(worker, payload, error, status, seconds)`` tuple the serial loop
+charges, payload included.  A worker rank opens
 no database: rank 0 charges the ack through its task ledger and the
 campaign's one ``on_result`` sink writes the payload, as on every other
 engine.
@@ -26,20 +26,15 @@ node loss.  The plan's once-only marker (shared ``state_dir``)
 guarantees the requeued batch does not re-kill its next host, so a
 chaos campaign provably drains.
 
-Spawn-mode entry point: ``python -m repro.bench.cluster.worker --host H
---port P --rank R`` (the coordinator launches this with ``PYTHONPATH``
-propagated so pickled task functions resolve).  A spawned rank exits on
-the coordinator's EOF between batches, and within a second of its
-death in the middle of one.
+Every rank enters this loop through
+:func:`~repro.bench.cluster.engine.serve_rank`.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import threading
 
-from ...core.lifetime import exit_with_parent
 from ..faults import ChaosPlan
 from ..taskledger import outcome_of
 from .wire import FrameError
@@ -111,27 +106,3 @@ def run_worker(transport, *, rank: int) -> int:
         stop_hb.set()
         heartbeat.join(timeout=1.0)
 
-
-def main(argv: list[str] | None = None) -> int:
-    """Spawn-mode entry point (``python -m repro.bench.cluster.worker``)."""
-    parser = argparse.ArgumentParser(description="cluster worker rank")
-    parser.add_argument("--host", required=True)
-    parser.add_argument("--port", type=int, required=True)
-    parser.add_argument("--rank", type=int, required=True)
-    ns = parser.parse_args(argv)
-    from .transport import TcpWorkerTransport
-
-    # The coordinator that spawned this rank is its parent.  Its EOF is
-    # only read between batches, so a rank in the middle of a long task
-    # watches the parent itself rather than outlive a killed campaign.
-    exit_with_parent()
-
-    transport = TcpWorkerTransport(ns.host, ns.port, ns.rank)
-    try:
-        return run_worker(transport, rank=ns.rank)
-    finally:
-        transport.close()
-
-
-if __name__ == "__main__":  # pragma: no cover - subprocess entry
-    raise SystemExit(main())

@@ -15,7 +15,7 @@ fault classes:
   crashes (``os._exit``), hangs, checkpoint payload corruption, and
   result-sink failures, each fired deterministically per task key and at
   most once (injection markers survive worker-process death, so a
-  crashed-and-rebuilt pool does not crash-loop on the same task).
+  crashed-and-respawned worker does not crash-loop on the same task).
 
 Determinism: every injection decision is a pure function of
 ``(seed, fault class, task key)``; two runs with the same seed inject
@@ -27,8 +27,10 @@ from __future__ import annotations
 
 import hashlib
 import os
+import shutil
 import tempfile
 import time
+import weakref
 from typing import Any, Callable, TYPE_CHECKING
 
 from ..core.errors import RetryPolicy, TaskFailedError, _stable_unit_interval
@@ -66,8 +68,10 @@ class ChaosPlan:
     deterministically from ``(seed, class, task key)``.  Every selected
     injection fires **once**: a marker file under ``state_dir`` records
     it, so the injection survives worker-process death (a crash-injected
-    task must not crash the rebuilt pool again) and resumed campaigns
-    recover instead of re-faulting.
+    task must not crash the respawned worker again) and resumed campaigns
+    recover instead of re-faulting.  Without a ``state_dir`` the plan
+    makes a temporary one and removes it when the plan, and every plan
+    bound from it, is released.
 
     The plan is picklable and doubles as the task-function wrapper
     (``plan.bind(fn)`` — what :meth:`~repro.bench.taskqueue.TaskQueue.run`
@@ -107,8 +111,10 @@ class ChaosPlan:
             "rank_kill": float(rank_kill_rate),
         }
         self.hang_seconds = float(hang_seconds)
+        self._own_dir: _OwnedDir | None = None
         if state_dir is None:
-            state_dir = tempfile.mkdtemp(prefix="chaos-plan-")
+            self._own_dir = _OwnedDir()
+            state_dir = self._own_dir.path
         else:
             os.makedirs(state_dir, exist_ok=True)
         self.state_dir = state_dir
@@ -194,7 +200,12 @@ class ChaosPlan:
             state_dir=self.state_dir,
         )
         clone.rates = dict(self.rates)
+        clone._own_dir = self._own_dir
         return clone
+
+    def __getstate__(self) -> dict[str, Any]:
+        # A copy in another process shares the markers, never their removal.
+        return {**self.__dict__, "_own_dir": None}
 
     def __call__(self, task: "Task", worker: int) -> dict[str, Any]:
         if self.task_fn is None:
@@ -274,6 +285,20 @@ class ChaosPlan:
         if victims:
             store.corrupt_rows(victims)
         return victims
+
+
+class _OwnedDir:
+    """A plan's own marker directory, removed once the last plan holding
+    it is released — by the process that made it, never by a fork."""
+
+    def __init__(self) -> None:
+        self.path = tempfile.mkdtemp(prefix="chaos-plan-")
+        weakref.finalize(self, _remove_dir, self.path, os.getpid())
+
+
+def _remove_dir(path: str, pid: int) -> None:
+    if os.getpid() == pid:
+        shutil.rmtree(path, ignore_errors=True)
 
 
 __all__ = [

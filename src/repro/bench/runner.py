@@ -140,8 +140,8 @@ class ExperimentRunner:
 
     A runner pickles without its live parts — the checkpoint store, the
     queue and the held entry context — so ``self.run_task`` is the task
-    function every engine's workers get: a process slot or cluster rank
-    runs it on its own copy of the runner, over its own dataset handle,
+    function every engine's workers get: a worker rank of the process or
+    cluster engine runs it on its own copy of the runner, over its own dataset handle,
     and keeps its own entry context.
     """
 

@@ -2,7 +2,7 @@
 
 Every engine behind :class:`~repro.bench.taskqueue.TaskQueue` (serial,
 process, cluster) drives one :class:`TaskLedger` per run.  The engine
-owns its *mechanics* — the loop, the worker pools, the transport — and
+owns its *mechanics* — the loop, the worker ranks, the transport — and
 reports what happened; the ledger owns the *policy*:
 
 * every reported outcome counts one attempt against its task;
@@ -43,7 +43,7 @@ def outcome_of(
     """Run ``task_fn(task, worker)`` and report it as an :data:`Outcome`.
 
     The one fault-isolation boundary of every engine's worker side (the
-    serial loop, a process slot, a cluster rank): an exception becomes
+    serial loop, a worker rank): an exception becomes
     its message and :func:`~repro.core.errors.error_status` code, so the
     ledger classifies it without unpickling exception objects.
     """
@@ -108,9 +108,6 @@ class QueueStats:
     quarantined: int = 0
     #: Task attempts that ended in a ``TIMEOUT``.
     timeouts: int = 0
-    #: Times a process-engine worker slot was torn down and rebuilt
-    #: after a crash or a hung worker.
-    pool_rebuilds: int = 0
     #: Total backoff delay scheduled before retries, in seconds.
     backoff_seconds: float = 0.0
     #: Worker-pinned affinity accounting (every engine): a hit is a task
@@ -120,13 +117,19 @@ class QueueStats:
     affinity_hits: int = 0
     affinity_misses: int = 0
     affinity_steals: int = 0
-    #: Cluster engine: worker ranks declared dead (heartbeat timeout or
-    #: connection loss) and ranks respawned after a death (spawn mode).
+    #: Worker ranks declared dead (connection loss, heartbeat timeout or
+    #: deadline overrun) and ranks respawned after a death (local ranks).
     rank_deaths: int = 0
     rank_restarts: int = 0
     #: Control-plane bytes the coordinator put on / took off the wire.
     wire_bytes_sent: int = 0
     wire_bytes_received: int = 0
+
+    @property
+    def pool_rebuilds(self) -> int:
+        """Worker deaths under the name ``--queue-stats`` prints: the
+        same count as :attr:`rank_deaths`."""
+        return self.rank_deaths
 
     @property
     def affinity_hit_rate(self) -> float:
@@ -380,8 +383,8 @@ class TaskLedger:
     def charge_chunk(self, worker: int, outcomes: Iterable[Outcome]) -> None:
         """*worker* reported its in-flight chunk: charge every task.
 
-        The part of the chunk's turnaround not spent executing (slot
-        backlog + transfer) is booked as queue wait.
+        The part of the chunk's turnaround not spent executing
+        (dispatch + transfer) is booked as queue wait.
         """
         chunk, submitted = self.in_flight.pop(worker)
         self.deaths_without_progress = 0

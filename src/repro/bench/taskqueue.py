@@ -6,28 +6,33 @@ compressors ... we attempt to schedule as many jobs with the same data
 to the same workers when they are available.  When multiple workers are
 not available, we can fall back to single-node processing."
 
+This module holds the seam, :class:`TaskQueue`, and the serial engine.
 Engines:
 
 * ``serial`` — single worker on the calling thread, deterministic order
   (the paper's single-node fallback);
-* ``process`` — N *pinned* single-process executors (one per worker
-  slot), for NumPy-bound collection that needs real cores;
-* ``cluster`` — worker *ranks* on one or many nodes
-  (:mod:`repro.bench.cluster`), with rank-level fault supervision.
+* ``process`` — N worker *ranks* started on this host, for NumPy-bound
+  collection that needs real cores;
+* ``cluster`` — worker ranks on one or many nodes, started here or by a
+  launcher (``srun``, ``mpirun``).
+
+Both parallel engines run one coordinator,
+:func:`~repro.bench.cluster.engine.run_cluster` (``process`` is its
+spawn mode), with worker ids ``1..n``.
 
 One thing reaches a worker, on every engine: the task function
 ``fn(task, worker)`` given to :meth:`TaskQueue.run` — already bound to
 the run's :class:`~repro.bench.faults.ChaosPlan` when there is one.
-The serial loop calls it, each process slot inherits it, each cluster
-rank receives it pickled; and every one of them reports a task the same
-way, through :func:`~repro.bench.taskledger.outcome_of`.  On every
-engine results come back to the calling process, which runs the one
-``on_result`` sink (so e.g. SQLite sees a single writer).
+The serial loop calls it and each rank receives it pickled in its init
+message; every one of them reports a task the same way, through
+:func:`~repro.bench.taskledger.outcome_of`.  On every engine results
+come back to the calling process, which runs the one ``on_result`` sink
+(so e.g. SQLite sees a single writer).
 
-Each engine is only its mechanics (the loop; slots, pools and futures;
-rendezvous, transport and heartbeats).  Placement and what a task
-outcome *costs* — attempts, retries with backoff, quarantine, deadline
-charges, the crash-loop cap — are decided in one place, the
+Each engine is only its mechanics (the loop; rendezvous, transport and
+heartbeats).  Placement and what a task outcome *costs* — attempts,
+retries with backoff, quarantine, deadline charges, the crash-loop cap
+— are decided in one place, the
 :class:`~repro.bench.taskledger.TaskLedger` every engine drives: tasks
 are grouped by ``data_id`` and routed by a worker-id → datum affinity
 map, so a datum's chunks follow the worker that loaded it and idle
@@ -43,30 +48,30 @@ Fault domains supervised (see :mod:`repro.bench.faults`):
   unsupported scheme can never succeed, so no attempts are burned);
 * **hangs** — with ``task_timeout`` set, the serial engine preempts the
   running task with a SIGALRM deadline guard (main thread only), and
-  the process and cluster engines charge an overdue chunk's tasks a
-  ``TIMEOUT`` attempt and recycle the worker slot / rank holding it,
-  since a hung worker process cannot be reclaimed any other way;
-* **worker crashes** — a dead worker process (or rank) is rebuilt and
-  its in-flight chunk requeued *without* charging the tasks an attempt
-  (the worker, not the task, failed); consecutive no-progress deaths
-  are capped so a crash-looping worker fails the run with a diagnosis
-  instead of hanging it.
+  the parallel engines charge an overdue chunk's tasks a ``TIMEOUT``
+  attempt and kill the rank holding it, since a hung worker process
+  cannot be reclaimed any other way;
+* **worker crashes** — a dead rank (EOF, heartbeat silence) is
+  respawned and its in-flight chunk requeued *without* charging the
+  tasks an attempt (the worker, not the task, failed); consecutive
+  no-progress deaths are capped so a crash-looping worker fails the run
+  with a diagnosis instead of hanging it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import signal
 import threading
 import time
 import warnings
 from typing import Any, Callable
 
-from ..core.errors import RetryPolicy, Status, TaskTimeoutError
-from ..core.lifetime import exit_with_parent
+from ..core.errors import RetryPolicy, TaskTimeoutError
 from .cluster.spec import ClusterSpec
 from .faults import ChaosPlan
-from .taskledger import Outcome, QueueStats, TaskLedger, TaskResult, outcome_of  # noqa: F401 - re-exported
+from .taskledger import QueueStats, TaskLedger, TaskResult, outcome_of  # noqa: F401 - re-exported
 from .tasks import Task
 
 ENGINES = ("serial", "process", "cluster")
@@ -160,10 +165,10 @@ class TaskQueue:
         to a no-op with a one-time warning.  On the process and cluster
         engines a chunk gets one deadline per task plus one of startup
         grace; an overrun charges its tasks a ``TIMEOUT`` attempt and
-        recycles the worker slot (or rank) that held it.
+        kills the rank that held it.
     max_pool_rebuilds:
-        Consecutive no-progress worker deaths (process-slot rebuilds,
-        rank deaths) tolerated before the run fails with a diagnosis.
+        Consecutive no-progress worker (rank) deaths tolerated before
+        the run fails with a diagnosis.
     chunk_size:
         Process/cluster dispatch granularity: tasks per chunk within a
         datum group.  ``None`` (default) dispatches whole groups —
@@ -235,9 +240,9 @@ class TaskQueue:
         ``task_fn(task, worker)`` produces the result payload; raising
         triggers a retry, then a recorded failure.  It is the one thing
         that reaches a worker, on every engine: the serial loop calls
-        it, each process slot inherits it (pickled only where processes
-        are spawned, not forked), each cluster rank receives it pickled
-        in its init message.  Per-worker state belongs inside it (e.g.
+        it, each rank of the process and cluster engines receives it
+        pickled in its init message (one that does not pickle fails the
+        run at once).  Per-worker state belongs inside it (e.g.
         :class:`~repro.bench.runner.ExperimentRunner`, whose pickled
         form drops its store, queue and held entry).
 
@@ -268,13 +273,17 @@ class TaskQueue:
             task_timeout=self.task_timeout,
             max_worker_deaths=self.max_pool_rebuilds,
         )
-        if self.engine == "cluster":
-            from .cluster.engine import run_cluster
+        if self.engine == "serial":
+            return self._run_serial(ledger, tasks, task_fn)
+        from .cluster.engine import run_cluster
 
-            return run_cluster(self, ledger, tasks, task_fn)
+        # The process engine is the cluster loop over local ranks it
+        # starts itself, whatever launcher environment it runs under (a
+        # downgraded cluster spec keeps its heartbeat and startup times).
+        spec = self.cluster
         if self.engine == "process":
-            return self._run_process(ledger, tasks, task_fn)
-        return self._run_serial(ledger, tasks, task_fn)
+            spec = dataclasses.replace(spec or ClusterSpec(), mode="spawn")
+        return run_cluster(spec, self.n_workers, self.chunk_size, ledger, tasks, task_fn)
 
     # -- serial engine -----------------------------------------------------------
     def _run_serial(
@@ -306,157 +315,3 @@ class TaskQueue:
             (task,) = chunk
             ledger.charge_chunk(0, [outcome_of(guarded, task, 0)])
         return ledger.outcome()
-
-    # -- process engine ----------------------------------------------------------
-    def _run_process(
-        self,
-        ledger: TaskLedger,
-        tasks: list[Task],
-        task_fn: Callable[[Task, int], dict[str, Any]],
-    ) -> tuple[list[TaskResult], QueueStats]:
-        """Fan tasks out to *pinned* worker processes with datum affinity.
-
-        Each worker slot is its own single-process executor, so "worker
-        ``w``" names one long-lived OS process — the control a shared
-        pool denies.  Work is dispatched in chunks (``chunk_size`` tasks
-        of one datum; whole groups by default) routed by the ledger's
-        affinity map: a chunk goes to the worker that owns its datum, an
-        unclaimed datum is claimed by the first free worker, and a
-        worker with nothing of its own *steals* — ownership moving with
-        the steal — rather than idle.  A worker holding a warm datum
-        (its entry context, or a cache in its dataset stack) serves
-        every later chunk of it without another load.
-
-        Results stream back to the parent, which owns the ledger and
-        the ``on_result`` sink (so e.g. SQLite sees a single writer).
-
-        A worker process dying, its executor breaking or its chunk
-        overrunning the deadline recycles only that slot — terminate,
-        rebuild lazily — and the other workers keep their warm state;
-        the ledger decides what the slot's chunk is charged.  A slot
-        whose parent dies (``kill -9``) exits within a second instead of
-        idling on as an orphan.
-        """
-        import multiprocessing as mp
-        from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-        from concurrent.futures.process import BrokenProcessPool
-
-        if not tasks:
-            return ledger.outcome()
-        ledger.enqueue(tasks, self.chunk_size)
-        methods = mp.get_all_start_methods()
-        ctx = mp.get_context("fork") if "fork" in methods else mp.get_context()
-        pools: dict[int, ProcessPoolExecutor] = {}
-        running: dict[int, Future] = {}
-
-        def make_pool(wid: int) -> ProcessPoolExecutor:
-            return ProcessPoolExecutor(
-                max_workers=1,
-                mp_context=ctx,
-                initializer=_init_process_slot,
-                initargs=(task_fn, wid),
-            )
-
-        def kill_pool(dead: ProcessPoolExecutor) -> None:
-            # A broken or hung pool cannot be drained gracefully: cancel
-            # what never started, then terminate the worker process so a
-            # hung task cannot outlive its executor.
-            procs = list((getattr(dead, "_processes", None) or {}).values())
-            try:
-                dead.shutdown(wait=False, cancel_futures=True)
-            except Exception:  # noqa: BLE001 - teardown best-effort
-                pass
-            for proc in procs:
-                try:
-                    if proc.is_alive():
-                        proc.terminate()
-                except Exception:  # noqa: BLE001 - teardown best-effort
-                    pass
-
-        def recycle(wid: int, cause: str) -> None:
-            kill_pool(pools.pop(wid))
-            ledger.stats.pool_rebuilds += 1
-            ledger.worker_died(wid, cause)
-
-        try:
-            while not ledger.aborted:
-                ledger.promote_delayed()
-                # Dispatch: every free slot takes its best-affinity chunk.
-                for wid in range(self.n_workers):
-                    if wid in running:
-                        continue
-                    chunk = ledger.dispatch(wid)
-                    if chunk is None:
-                        break
-                    if wid not in pools:
-                        pools[wid] = make_pool(wid)
-                    try:
-                        running[wid] = pools[wid].submit(_process_run_chunk, chunk)
-                    except Exception as exc:  # noqa: BLE001 - broken/shut pool
-                        recycle(wid, f"{type(exc).__name__}: {exc}")
-                if ledger.pending and len(running) < self.n_workers:
-                    continue  # a submit failed: its chunk wants a slot again
-                if not running:
-                    if not ledger.delayed:
-                        break  # drained
-                    ledger.sleep_until_promotable()
-                    continue
-
-                bound = 0.1 if (self.task_timeout is not None or ledger.delayed) else None
-                done, _ = wait(list(running.values()), timeout=bound, return_when=FIRST_COMPLETED)
-                broken: list[tuple[int, str]] = []
-                for wid in [w for w, fut in running.items() if fut in done]:
-                    try:
-                        outcomes = running.pop(wid).result()
-                    except BrokenProcessPool as exc:
-                        # Slot-level fault: the chunk never reported.
-                        broken.append((wid, f"{type(exc).__name__}: {exc}"))
-                        continue
-                    except Exception as exc:  # noqa: BLE001 - chunk-level fault
-                        # Attributable to the chunk itself (e.g. an
-                        # unpicklable payload): charge the tasks.
-                        failed: Outcome = (
-                            wid, None, f"{type(exc).__name__}: {exc}",
-                            int(Status.TASK_FAILED), 0.0,
-                        )
-                        outcomes = [failed] * len(ledger.in_flight[wid][0])
-                    ledger.charge_chunk(wid, outcomes)
-                # After the reports: a death can trip the crash-loop cap,
-                # which fails whatever is still booked as in flight.
-                for wid, cause in broken:
-                    recycle(wid, cause)
-                for wid in ledger.charge_overdue():
-                    del running[wid]
-                    recycle(wid, "hung worker process (deadline exceeded)")
-        finally:
-            for wid, pool in pools.items():
-                if wid in running:
-                    kill_pool(pool)  # abandoned mid-chunk
-                else:
-                    pool.shutdown(wait=True)
-        return ledger.outcome()
-
-
-# -- process-engine worker side (module level: must be picklable) --------------
-
-_WORKER_FN: Callable[[Task, int], dict[str, Any]] | None = None
-_WORKER_ID: int = -1
-
-
-def _init_process_slot(task_fn, worker_id: int) -> None:
-    """Runs once in each worker process: keep the task function there,
-    and end the process when the campaign's process dies.
-
-    ``worker_id`` arrives by value (each slot is a single-process pool),
-    so worker identity is stable across the whole campaign — the parent's
-    affinity map and the worker's warm caches agree on who is who.
-    """
-    global _WORKER_FN, _WORKER_ID
-    _WORKER_ID = int(worker_id)
-    _WORKER_FN = task_fn
-    exit_with_parent()
-
-
-def _process_run_chunk(chunk: list[Task]) -> list[Outcome]:
-    """Execute one datum chunk sequentially in a worker process."""
-    return [outcome_of(_WORKER_FN, task, _WORKER_ID) for task in chunk]

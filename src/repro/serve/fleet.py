@@ -40,6 +40,7 @@ lifetime.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import multiprocessing
 import os
 import shutil
@@ -98,9 +99,15 @@ def _fleet_worker_main(spec: dict[str, Any], ready_queue: Any) -> None:
             os.close(fd)
         except OSError:
             pass
-    # A fleet parent killed outright cannot stop its workers: each one
-    # watches for that itself rather than serve on as an orphan.
-    exit_with_parent()
+    # A fleet parent killed outright cannot stop its workers, nor remove
+    # the cache directory it made: each worker watches for that itself
+    # rather than serve on as an orphan, and removes the fleet's own
+    # directory on its way out (a caller's directory keeps its rows).
+    exit_with_parent(
+        functools.partial(shutil.rmtree, spec["feat_cache_dir"], ignore_errors=True)
+        if spec["feat_cache_dir_owned"]
+        else None
+    )
 
     registry = ModelRegistry(spec["registry_root"])
     feat_cache = build_feat_cache(spec)
@@ -290,6 +297,7 @@ class ServeFleet:
             "port": self.port,
             "feat_cache": self.feat_cache,
             "feat_cache_dir": self.feat_cache_dir,
+            "feat_cache_dir_owned": self._feat_dir_owned,
             "feat_cache_capacity": self.feat_cache_capacity,
             "feat_cache_bytes": self.feat_cache_bytes,
             "drift_config": self.drift_config,

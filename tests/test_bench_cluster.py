@@ -2,11 +2,11 @@
 spawn campaigns, launched-TCP campaigns, rank_kill chaos, and the CLI
 seams.
 
-The TCP tests fork real worker subprocesses over loopback — the same
-path CI's cluster job exercises — so they prove the whole chain:
-rendezvous, init shipping (pickled task functions resolve through the
-propagated ``PYTHONPATH``), payloads acked to rank 0 and written there
-by the one ``on_result`` sink, and rank supervision.  The launched test
+The TCP tests fork real worker ranks over loopback — the same path
+CI's engines job exercises — so they prove the whole chain:
+rendezvous, init shipping (the task function travels pickled),
+payloads acked to rank 0 and written there by the one ``on_result``
+sink, and rank supervision.  The launched test
 starts every rank itself with the environment ``mpirun`` would set, so
 an ``mpirun``-launched campaign runs the exact code it does.
 """
@@ -24,6 +24,7 @@ import pytest
 from repro.bench import CheckpointStore, Task, TaskQueue
 from repro.bench.cluster import ClusterSpec
 from repro.bench.cluster.spec import detect_launch_env, parse_hostport
+from repro.bench.cluster.transport import TcpCoordinator
 from repro.bench.cluster.wire import FrameError
 from repro.bench.cluster.worker import run_worker
 from repro.bench.faults import ChaosPlan
@@ -249,6 +250,27 @@ class TestWorkerLoop:
     def test_lost_coordinator_is_exit_1(self, tmp_path):
         transport = FakeTransport([])
         assert run_worker(transport, rank=1) == 1
+
+
+class TestCoordinatorClose:
+    """``close()`` hangs up its sockets, so no thread waits out a join."""
+
+    def test_close_wakes_a_blocked_accept(self):
+        coordinator = TcpCoordinator()
+        time.sleep(0.05)  # the accept thread is blocked in accept()
+        t0 = time.monotonic()
+        coordinator.close()
+        assert time.monotonic() - t0 < 0.2
+
+    def test_close_hangs_up_a_connection_that_sent_no_hello(self):
+        coordinator = TcpCoordinator()
+        with socket.create_connection((coordinator.host, coordinator.port)) as silent:
+            silent.settimeout(1.0)
+            time.sleep(0.05)  # accepted; its reader waits for a hello
+            t0 = time.monotonic()
+            coordinator.close()
+            assert time.monotonic() - t0 < 0.2
+            assert silent.recv(1) == b""  # hung up, not left open
 
 
 class TestTcpSpawnEndToEnd:

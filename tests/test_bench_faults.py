@@ -28,6 +28,10 @@ def make_tasks(n_data=2, per_data=2):
     return tasks
 
 
+def _echo(task, worker):
+    return {"ok": 1}
+
+
 _ATTEMPT_LOG_ENV = "REPRO_TEST_ATTEMPT_LOG"
 
 
@@ -226,6 +230,31 @@ class TestChaosPlan:
         assert clone.rates == plan.rates
         assert clone.seed == plan.seed
         assert clone.state_dir == plan.state_dir
+
+    def test_own_state_dir_is_removed_with_its_last_plan(self, tmp_path, monkeypatch):
+        import pickle
+        import tempfile
+
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        ChaosPlan.from_spec("crash:0.5")  # built and dropped at once
+        assert os.listdir(tmp_path) == []
+
+        plan = ChaosPlan.from_spec("exception:1.0")
+        bound = plan.bind(_echo)
+        copy = pickle.loads(pickle.dumps(bound))
+        assert copy._fire_once("exception", "k")  # markers shared by the copy
+        del copy  # a pickled copy never removes anything
+        del plan  # the bound clone still uses the directory
+        assert os.path.exists(bound._marker("exception", "k"))
+        del bound
+        assert os.listdir(tmp_path) == []
+
+    def test_callers_state_dir_is_never_removed(self, tmp_path):
+        plan = ChaosPlan.from_spec("exception:1.0", state_dir=str(tmp_path / "mine"))
+        assert plan.bind(_echo)._fire_once("exception", "k")
+        del plan
+        assert len(os.listdir(tmp_path / "mine")) == 1
 
     def test_all_classes_enumerated(self):
         assert set(CHAOS_CLASSES) == {

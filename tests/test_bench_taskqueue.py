@@ -1,5 +1,6 @@
 """Tests for the task queue: locality scheduling, retries, fault injection."""
 
+import multiprocessing
 import os
 import random
 import time
@@ -262,6 +263,34 @@ class TestQueueStress:
         with pytest.raises(ValueError):
             TaskQueue(1, "serial").run([], None)
 
+    def test_unpicklable_task_function_fails_at_once_naming_it(self):
+        # The task function reaches a worker rank one way, pickled: a
+        # closure cannot, and the run says so before any rank starts.
+        def closure_task(task, worker):
+            return {"w": worker}
+
+        t0 = time.monotonic()
+        with pytest.raises(TypeError, match="closure_task.*does not pickle"):
+            TaskQueue(2, "process").run(make_tasks(n_data=2, per_data=1), closure_task)
+        assert time.monotonic() - t0 < 1.0
+        assert multiprocessing.active_children() == []
+
+    def test_a_run_with_no_tasks_starts_no_rank(self, monkeypatch):
+        from repro.bench.cluster import engine
+
+        def no_coordinator(*args, **kwargs):
+            raise AssertionError("a run with no tasks built a coordinator")
+
+        monkeypatch.setattr(engine, "TcpCoordinator", no_coordinator)
+        results, stats = TaskQueue(2, "process").run([], _echo_worker)
+        assert results == [] and stats.completed == 0
+
+    def test_worker_ids_are_ranks_one_to_n(self):
+        tasks = make_tasks(n_data=4, per_data=1)
+        results, stats = TaskQueue(2, "process", chunk_size=1).run(tasks, _echo_worker)
+        assert stats.completed == len(tasks)
+        assert {r.worker for r in results} <= {1, 2}
+
 
 def _echo_worker(task, worker):
     """Module-level so the process engine can pickle it."""
@@ -418,6 +447,15 @@ class TestSupervision:
         assert all(r.attempts == 1 for r in results)
         # ... and they never pollute the per-worker balance stats.
         assert all(w >= 0 for w in stats.per_worker)
+
+    def test_a_rank_respawned_as_the_run_ends_is_not_waited_for(self, state_dir):
+        # The one task kills its rank; the other rank finishes it while
+        # the replacement is still starting, and the run ends at once.
+        tasks = make_tasks(n_data=1, per_data=1)
+        t0 = time.monotonic()
+        results, stats = TaskQueue(2, "process").run(tasks, _crash_once_worker)
+        assert stats.completed == 1 and stats.rank_restarts == 1
+        assert time.monotonic() - t0 < 2.0
 
     def test_crash_looping_worker_fails_run_with_diagnosis(self):
         tasks = make_tasks(n_data=2, per_data=1)

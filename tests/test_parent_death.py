@@ -1,7 +1,7 @@
 """Workers die with the process that started them.
 
-A campaign's process-engine slots, its spawned cluster ranks and a
-serving fleet's workers exist only to serve their parent.  When that
+A campaign's local worker ranks (on the process and cluster engines)
+and a serving fleet's workers exist only to serve their parent.  When that
 parent is killed outright (``kill -9``, the OOM killer) nothing stops
 them in an orderly way, so each must notice by itself: every test here
 starts the parent in a child interpreter, waits until its workers are
@@ -19,6 +19,7 @@ import sys
 import textwrap
 import time
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -70,7 +71,7 @@ FLEET = textwrap.dedent(
     from repro.serve import ServeFleet
 
     multiprocessing.set_start_method(sys.argv[2])
-    fleet = ServeFleet(sys.argv[1], workers=2, feat_cache="off").start()
+    fleet = ServeFleet(sys.argv[1], workers=2, feat_cache=sys.argv[3]).start()
     for pid in fleet.worker_pids().values():
         Path(os.environ["REPRO_TEST_PID_DIR"], str(pid)).touch()
     time.sleep(120)
@@ -87,12 +88,21 @@ def _running(pid: int) -> bool:
     return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
-def _kill_parent_and_watch(script: str, args: list[str], pid_dir: Path) -> list[int]:
-    """Run *script* with *args*, wait for two worker pids in *pid_dir*,
-    SIGKILL the parent; return the worker pids still running after
-    the grace period."""
+def _kill_parent_and_watch(
+    script: str,
+    args: list[str],
+    pid_dir: Path,
+    tmpdir: Path | None = None,
+    before_kill: Callable[[], None] = lambda: None,
+) -> list[int]:
+    """Run *script* with *args* (under *tmpdir* as ``TMPDIR`` when given),
+    wait for two worker pids in *pid_dir*, call *before_kill*, SIGKILL
+    the parent; return the worker pids still running after the grace
+    period."""
     env = dict(os.environ)
     env[PID_DIR_ENV] = str(pid_dir)
+    if tmpdir is not None:
+        env["TMPDIR"] = str(tmpdir)
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT), str(ROOT / "src")])
     parent = subprocess.Popen([sys.executable, "-c", script, *args], cwd=ROOT, env=env)
     pids: list[int] = []
@@ -104,6 +114,7 @@ def _kill_parent_and_watch(script: str, args: list[str], pid_dir: Path) -> list[
             time.sleep(0.05)
             pids = [int(p.name) for p in pid_dir.iterdir()]
         assert parent.pid not in pids
+        before_kill()
         parent.kill()
         parent.wait()
         deadline = time.monotonic() + GRACE_SECONDS
@@ -140,5 +151,21 @@ def test_fleet_workers_die_with_a_killed_fleet(start_method, tmp_path):
     pid_dir.mkdir()
     registry = tmp_path / "registry"
     registry.mkdir()
-    survivors = _kill_parent_and_watch(FLEET, [str(registry), start_method], pid_dir)
+    survivors = _kill_parent_and_watch(FLEET, [str(registry), start_method, "off"], pid_dir)
     assert survivors == [], f"{start_method} fleet workers outlived their parent: {survivors}"
+
+
+def test_killed_fleet_leaves_no_cache_dir_of_its_own(tmp_path):
+    """The fleet made its shared cache directory, so its workers remove
+    it when they see the fleet die."""
+    pid_dir, registry, tmpdir = tmp_path / "pids", tmp_path / "registry", tmp_path / "tmp"
+    for path in (pid_dir, registry, tmpdir):
+        path.mkdir()
+    made: list[Path] = []
+    survivors = _kill_parent_and_watch(
+        FLEET, [str(registry), "fork", "shared"], pid_dir, tmpdir,
+        before_kill=lambda: made.extend(tmpdir.glob("featcache-*")),
+    )
+    assert survivors == [], f"fleet workers outlived their parent: {survivors}"
+    assert len(made) == 1
+    assert list(tmpdir.glob("featcache-*")) == []
