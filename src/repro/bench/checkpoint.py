@@ -20,6 +20,17 @@ holds complete rows for every committed batch and nothing from the
 batch in flight — :meth:`pending` reports the lost tail and a restart
 recomputes exactly those keys.  File-backed stores run in WAL mode,
 which makes the commit itself cheaper and lets readers overlap writers.
+
+Reads: every multi-row read is one :meth:`CheckpointStore.scan`, one
+``SELECT key, payload, checksum FROM results`` that audits each row as
+it passes — checksum mismatches are quarantined (deleted, so a restart
+recomputes them) or, for a read-only caller, skipped, and legacy
+checksum-less rows that still parse are backfilled — and returns the
+verified payload text by key.  A campaign resume reads its todo set and
+its observations from that one scan; :meth:`~CheckpointStore.verify`,
+:meth:`~CheckpointStore.query`, :meth:`~CheckpointStore.pending` and
+:meth:`~CheckpointStore.keys` are thin wrappers over it.
+:meth:`~CheckpointStore.get` is the single-key lookup.
 """
 
 # The store shares ONE sqlite connection between two threads, guarded by
@@ -38,7 +49,8 @@ import os
 import sqlite3
 import threading
 import time
-from typing import Any, Iterable, Mapping
+import warnings
+from typing import Any, Iterable, Literal, Mapping, NamedTuple
 
 from ..core.errors import is_permanent_status
 from ..core.hashing import HASH_VERSION
@@ -70,6 +82,10 @@ CREATE TABLE IF NOT EXISTS failures (
 );
 """
 
+#: The partial-restore columns, in the order an encoded row holds them
+#: (after its key).
+_HASH_COLUMNS = ("compressor_hash", "dataset_hash", "experiment_hash")
+
 _INSERT_SQL = (
     "INSERT OR REPLACE INTO results "
     "(key, compressor_hash, dataset_hash, experiment_hash, replicate,"
@@ -88,8 +104,31 @@ def payload_checksum(payload_json: str) -> str:
     return hashlib.sha256(payload_json.encode("utf-8")).hexdigest()[:16]
 
 #: SQLite's default variable limit is 999; stay under it when batching
-#: ``WHERE key IN (...)`` lookups.
+#: ``WHERE key IN (...)`` statements.
 _IN_CHUNK = 500
+
+#: What :meth:`CheckpointStore.scan` does with a row that fails its audit:
+#: delete it (``"quarantine"``), leave it and skip it (``"skip"``, for
+#: read-only callers), or audit nothing (``"off"``).
+Audit = Literal["quarantine", "skip", "off"]
+
+
+class Scan(NamedTuple):
+    """What one :meth:`CheckpointStore.scan` read."""
+
+    #: Key → payload JSON text of every row that passed the audit, in
+    #: table order; buffered results included.
+    payloads: dict[str, str]
+    #: Keys whose committed row failed the audit.
+    mismatched: list[str]
+
+
+def _parses(payload_json: str) -> bool:
+    try:
+        json.loads(payload_json)
+    except (TypeError, ValueError):
+        return False
+    return True
 
 
 def _jsonable(value: Any) -> Any:
@@ -307,6 +346,7 @@ class CheckpointStore:
 
     # -- reads -----------------------------------------------------------------
     def get(self, key: str) -> dict[str, Any] | None:
+        """One result by key (buffered or committed), unaudited."""
         with self._lock:
             row = self._buffer.get(key)
             if row is not None:
@@ -315,26 +355,78 @@ class CheckpointStore:
             db_row = cur.fetchone()
         return None if db_row is None else json.loads(db_row[0])
 
-    def pending(self, keys: Iterable[str]) -> list[str]:
-        """The subset of *keys* not yet present (what a restart must run).
+    def scan(
+        self,
+        *,
+        audit: Audit = "quarantine",
+        compressor_hash: str | None = None,
+        dataset_hash: str | None = None,
+        experiment_hash: str | None = None,
+    ) -> Scan:
+        """Read every row (matching the given hashes) in one ``SELECT``.
 
-        One chunked ``SELECT ... WHERE key IN (...)`` per ``_IN_CHUNK``
-        keys instead of a query per key — on a campaign-sized restart
-        this is the difference between O(N) round-trips and a handful.
+        Each committed row is audited as it passes: a row whose payload
+        fails its checksum — or a legacy checksum-less row whose payload
+        no longer parses — is *mismatched*; a legacy row that still
+        parses passes.  ``audit="quarantine"`` deletes mismatched rows,
+        so their keys are missing and a restart recomputes them, and
+        backfills the legacy rows' checksums; ``audit="skip"`` leaves
+        the table as it is and only leaves them out; ``audit="off"``
+        checks nothing.  Buffered results are read too, unaudited (they
+        were checksummed as they were encoded), in place of their
+        committed row.  Payloads come back as JSON text: a caller
+        decodes what it uses.
         """
-        ordered = list(keys)
-        present: set[str] = set()
+        filters = {
+            col: val
+            for col, val in zip(
+                _HASH_COLUMNS, (compressor_hash, dataset_hash, experiment_hash)
+            )
+            if val is not None
+        }
+        where = " AND ".join(f"{col}=?" for col in filters)
+        sql = "SELECT key, payload, checksum FROM results" + (
+            f" WHERE {where}" if where else ""
+        )
+        payloads: dict[str, str] = {}
+        mismatched: list[str] = []
+        backfill: list[tuple[str, str]] = []
         with self._lock:
-            present.update(k for k in ordered if k in self._buffer)
-            unknown = [k for k in ordered if k not in present]
-            for i in range(0, len(unknown), _IN_CHUNK):
-                chunk = unknown[i : i + _IN_CHUNK]
-                marks = ",".join("?" * len(chunk))
-                cur = self._db.execute(
-                    f"SELECT key FROM results WHERE key IN ({marks})", chunk
+            for key, payload_json, checksum in self._db.execute(sql, list(filters.values())):
+                if key in self._buffer:
+                    continue  # its buffered result replaces it at the flush
+                if audit == "off":
+                    ok = True
+                elif checksum:
+                    ok = payload_checksum(payload_json) == checksum
+                else:  # a legacy row: trusted while it parses
+                    ok = _parses(payload_json)
+                    if ok:
+                        backfill.append((payload_checksum(payload_json), key))
+                if ok:
+                    payloads[key] = payload_json
+                else:
+                    mismatched.append(key)
+            if audit == "quarantine" and (backfill or mismatched):
+                self._db.executemany(
+                    "UPDATE results SET checksum=? WHERE key=?", backfill
                 )
-                present.update(row[0] for row in cur.fetchall())
-        return [k for k in ordered if k not in present]
+                for i in range(0, len(mismatched), _IN_CHUNK):
+                    chunk = mismatched[i : i + _IN_CHUNK]
+                    marks = ",".join("?" * len(chunk))
+                    self._db.execute(
+                        f"DELETE FROM results WHERE key IN ({marks})", chunk
+                    )
+                self._db.commit()
+            for key, row in self._buffer.items():
+                if all(row[1 + _HASH_COLUMNS.index(col)] == val for col, val in filters.items()):
+                    payloads[key] = row[5]
+        return Scan(payloads, mismatched)
+
+    def pending(self, keys: Iterable[str]) -> list[str]:
+        """The subset of *keys* not yet present (what a restart must run)."""
+        present = self.scan(audit="off").payloads
+        return [k for k in keys if k not in present]
 
     def count(self) -> int:
         self.flush()
@@ -349,32 +441,30 @@ class CheckpointStore:
         dataset_hash: str | None = None,
         experiment_hash: str | None = None,
     ) -> list[dict[str, Any]]:
-        """Partial restore: fetch payloads matching the given hashes."""
-        self.flush()
-        clauses = []
-        args: list[str] = []
-        for col, val in (
-            ("compressor_hash", compressor_hash),
-            ("dataset_hash", dataset_hash),
-            ("experiment_hash", experiment_hash),
-        ):
-            if val is not None:
-                clauses.append(f"{col}=?")
-                args.append(val)
-        where = (" WHERE " + " AND ".join(clauses)) if clauses else ""
-        with self._lock:
-            cur = self._db.execute(f"SELECT payload FROM results{where}", args)
-            rows = cur.fetchall()
-        return [json.loads(row[0]) for row in rows]
+        """Partial restore: the payloads matching the given hashes.
+
+        Read-only, and audited: a row that fails its checksum is left
+        out — not deleted — with a warning that names how many; a
+        ``collect`` on the checkpoint quarantines and recomputes them.
+        """
+        scan = self.scan(
+            audit="skip",
+            compressor_hash=compressor_hash,
+            dataset_hash=dataset_hash,
+            experiment_hash=experiment_hash,
+        )
+        if scan.mismatched:
+            warnings.warn(
+                f"checkpoint {self.path!r}: skipped {len(scan.mismatched)} row(s) "
+                "that fail their checksum; a collect on this checkpoint "
+                "recomputes them",
+                stacklevel=2,
+            )
+        return [json.loads(text) for text in scan.payloads.values()]
 
     def keys(self) -> list[str]:
-        """All committed (and buffered) result keys."""
-        with self._lock:
-            out = list(self._buffer)
-            cur = self._db.execute("SELECT key FROM results ORDER BY key")
-            seen = set(out)
-            out.extend(row[0] for row in cur.fetchall() if row[0] not in seen)
-        return out
+        """All committed (and buffered) result keys, sorted."""
+        return sorted(self.scan(audit="off").payloads)
 
     # -- campaign metadata -------------------------------------------------------
     def set_meta(self, key: str, value: str) -> None:
@@ -403,37 +493,10 @@ class CheckpointStore:
         from ``results`` so their keys surface in :meth:`pending` and a
         restart recomputes them.  Legacy rows that still parse are
         backfilled with a checksum instead.  Returns the quarantined
-        keys.
+        keys.  One :meth:`scan`, after the buffer is flushed.
         """
         self.flush()
-        corrupt: list[str] = []
-        backfill: list[tuple[str, str]] = []
-        with self._lock:
-            cur = self._db.execute("SELECT key, payload, checksum FROM results")
-            for key, payload_json, checksum in cur.fetchall():
-                if checksum:
-                    if payload_checksum(payload_json) != checksum:
-                        corrupt.append(key)
-                    continue
-                try:
-                    json.loads(payload_json)
-                except (TypeError, ValueError):
-                    corrupt.append(key)
-                else:
-                    backfill.append((payload_checksum(payload_json), key))
-            if backfill:
-                self._db.executemany(
-                    "UPDATE results SET checksum=? WHERE key=?", backfill
-                )
-            for i in range(0, len(corrupt), _IN_CHUNK):
-                chunk = corrupt[i : i + _IN_CHUNK]
-                marks = ",".join("?" * len(chunk))
-                self._db.execute(
-                    f"DELETE FROM results WHERE key IN ({marks})", chunk
-                )
-            if backfill or corrupt:
-                self._db.commit()
-        return corrupt
+        return self.scan(audit="quarantine").mismatched
 
     def corrupt_rows(self, keys: Iterable[str]) -> int:
         """Chaos hook: overwrite committed payloads *without* refreshing

@@ -145,6 +145,8 @@ def run_cluster(
     ledger.enqueue(tasks, chunk_size)
     #: rank → monotonic time of its last message (admitted ranks only).
     last_seen: dict[int, float] = {}
+    #: Ranks not admitted yet since the campaign started.
+    never_arrived = set(worker_ranks)
     said_bye: set[int] = set()
     draining = False
 
@@ -157,6 +159,7 @@ def run_cluster(
         except TransportError:
             return
         last_seen[rank] = time.monotonic()
+        never_arrived.discard(rank)
 
     def on_rank_death(rank: int, cause: str) -> None:
         del last_seen[rank]
@@ -174,42 +177,42 @@ def run_cluster(
         if mode == "spawn":
             for rank in sorted(worker_ranks):
                 start_rank(rank)
-        # ---- rendezvous --------------------------------------------------------
-        arrived = coordinator.wait_for_ranks(worker_ranks, spec.worker_startup_timeout)
-        missing = worker_ranks - arrived
-        if missing:
-            warnings.warn(
-                f"cluster ranks {sorted(missing)} never reported in "
-                f"({spec.worker_startup_timeout:g}s); continuing with "
-                f"{len(arrived)} rank(s)",
-                stacklevel=2,
-            )
-        for rank in sorted(arrived):
-            admit(rank)
-        if not last_seen and not ledger.drained:
-            ledger.fail_remaining(
-                "TaskFailedError: no cluster worker rank arrived within "
-                f"{spec.worker_startup_timeout:g}s — campaign cannot start"
-            )
-
         # ---- dispatch / supervision loop ---------------------------------------
+        # Ranks are admitted as their hellos arrive.  A rank that has not
+        # said hello by the startup deadline is written off (it is still
+        # admitted if it turns up later); none by then aborts.
+        startup_deadline = time.monotonic() + spec.worker_startup_timeout
         while not (ledger.aborted or ledger.drained):
             ledger.promote_delayed()
 
-            # Respawned (or late) ranks say hello asynchronously; fold
-            # them in as they appear.
-            for rank in coordinator.connected_ranks() - last_seen.keys():
-                if rank in worker_ranks:
-                    admit(rank)
+            if never_arrived and time.monotonic() >= startup_deadline:
+                warnings.warn(
+                    f"cluster ranks {sorted(never_arrived)} never reported in "
+                    f"({spec.worker_startup_timeout:g}s); continuing with "
+                    f"{len(worker_ranks - never_arrived)} rank(s)",
+                    stacklevel=2,
+                )
+                if never_arrived == worker_ranks:
+                    ledger.fail_remaining(
+                        "TaskFailedError: no cluster worker rank arrived within "
+                        f"{spec.worker_startup_timeout:g}s — campaign cannot start"
+                    )
+                    break
+                never_arrived.clear()
 
-            if not last_seen and not procs:
+            if not (last_seen or procs or never_arrived):
                 ledger.fail_remaining(
                     "TaskFailedError: every cluster worker rank died and "
                     "none can be respawned — aborting the campaign"
                 )
                 break
 
-            for rank in sorted(last_seen):
+            # A launcher starts its whole world at once, so dispatch waits
+            # for every rank it started (or the deadline) and each takes
+            # part; spawned ranks are forked one after another, and each
+            # takes work as it arrives.
+            assembling = mode == "launched-tcp" and bool(never_arrived)
+            for rank in [] if assembling else sorted(last_seen):
                 if rank in ledger.in_flight:
                     continue
                 chunk = ledger.dispatch(rank)
@@ -223,7 +226,11 @@ def run_cluster(
             event = coordinator.poll(timeout=0.05)
             if event is not None:
                 rank, msg = event
-                if rank not in last_seen:
+                if msg is not RANK_DEAD and msg.get("op") == "hello":
+                    # A new, late or respawned rank.
+                    if rank in worker_ranks and rank not in last_seen:
+                        admit(rank)
+                elif rank not in last_seen:
                     pass  # a rank already written off (or never admitted)
                 elif msg is RANK_DEAD:
                     on_rank_death(rank, "connection lost")

@@ -86,8 +86,11 @@ class ClusterSpec:
         Worker liveness cadence and the staleness threshold past which
         the coordinator declares a rank dead and requeues its batch.
     worker_startup_timeout:
-        Seconds the coordinator waits for every rank's hello before
-        giving up on the missing ones.
+        Seconds after the start by which every rank should have said
+        hello: the missing ones are then written off with a warning (and
+        with none at all the campaign aborts).  A spawned rank takes work
+        as soon as it arrives; a launched world starts work once it is
+        complete or this deadline has passed.
     """
 
     spawn: bool = True

@@ -15,8 +15,10 @@ reader thread per connection; every inbound message lands on a single
 queue the engine polls.  One thread per rank is deliberate — the engine
 targets tens of ranks per coordinator, where thread-per-connection is
 simpler and no slower than a selector loop, and a stalled rank cannot
-block the others' reads.  Rank death surfaces in-band: a reader that
-hits EOF (or a corrupt frame) enqueues ``(rank, None)``.
+block the others' reads.  Rank arrival and death surface in-band: a
+reader enqueues its rank's hello once the connection is registered (so
+the rank can be sent to), and ``(rank, None)`` when it hits EOF (or a
+corrupt frame).
 
 Byte accounting: both directions are counted so ``QueueStats`` can
 report bytes-over-wire per task — the number that tells you whether the
@@ -58,7 +60,6 @@ class TcpCoordinator:
         #: Every accepted connection, hello read or not.
         self._accepted: set[socket.socket] = set()  # guarded-by: _conn_lock
         self._conn_lock = threading.Lock()
-        self._ranks_changed = threading.Condition(self._conn_lock)
         self._closed = threading.Event()
         self.bytes_sent = 0
         self.bytes_received = 0  # reader threads; += races lose counts, never corrupt
@@ -97,15 +98,17 @@ class TcpCoordinator:
             with self._conn_lock:
                 stale = self._conns.pop(rank, None)
                 self._conns[rank] = conn
-                self._ranks_changed.notify_all()
             if stale is not None:
                 _hang_up(stale)  # a respawned rank supersedes its corpse
+            self._inbox.put((rank, hello))
             while True:
                 msg, nbytes = recv_frame(rfile)
                 self.bytes_received += nbytes
                 self._inbox.put((rank, msg))
-        except FrameError:
-            pass  # EOF or corrupt stream: the rank is dead either way
+        except (FrameError, OSError):
+            # EOF, a corrupt stream, or a connection close() hung up
+            # before this reader first read it: the rank is dead either way.
+            pass
         finally:
             rfile.close()
             with self._conn_lock:
@@ -117,25 +120,6 @@ class TcpCoordinator:
             conn.close()
 
     # -- engine-facing API -------------------------------------------------------
-    def wait_for_ranks(self, ranks: set[int], timeout: float) -> set[int]:
-        """Block until every rank in *ranks* has said hello (or timeout).
-
-        Returns the subset that actually arrived — the caller decides
-        whether a partial world is fatal or just smaller.
-        """
-        deadline = time.monotonic() + timeout
-        with self._conn_lock:
-            while not ranks <= set(self._conns):
-                remaining = deadline - time.monotonic()
-                if remaining <= 0.0:
-                    break
-                self._ranks_changed.wait(timeout=min(remaining, 0.25))
-            return ranks & set(self._conns)
-
-    def connected_ranks(self) -> set[int]:
-        with self._conn_lock:
-            return set(self._conns)
-
     def poll(self, timeout: float) -> tuple[int, dict[str, Any] | None] | None:
         """Next ``(rank, message)`` event; message ``None`` = rank died."""
         try:

@@ -38,7 +38,7 @@ from ..compressors import make_compressor  # imports register the codecs
 from ..core.compressor import CompressorPlugin
 from ..core.data import PressioData
 from ..core.errors import UnsupportedError
-from ..core.hashing import HashedOptions
+from ..core.hashing import EncodedItems, HashedOptions
 from ..core.metrics import ErrorStatMetrics, SizeMetrics, TimeMetrics
 from ..dataset.base import DatasetPlugin
 from ..mlkit.metrics import medape
@@ -199,13 +199,17 @@ class ExperimentRunner:
     def build_tasks(self) -> list[Task]:
         """Enumerate all collection tasks with precomputed hashes.
 
-        Each distinct part — one per dataset entry, one per compressor
-        configuration, the experiment mapping — is encoded once, here;
-        its tasks share the mapping and are sealed from the hashed part.
+        Each distinct part — one per compressor configuration, the
+        experiment mapping — is encoded once, here; its tasks share the
+        mapping and are sealed from the hashed part.  The dataset
+        configuration is encoded once too, and each entry's part is
+        derived from it by splicing in the entry's one item,
+        ``entry:data_id``.
         """
         tasks: list[Task] = []
         metas = self.dataset.load_metadata_all()
         ds_conf = self.dataset.get_configuration().to_dict()
+        ds_items = EncodedItems.of(ds_conf)
         experiment_part = HashedOptions.of(self.experiment_meta)
         configs = []
         for comp_id in self.compressors:
@@ -217,9 +221,10 @@ class ExperimentRunner:
                 part = HashedOptions.of(compressor_part(comp_id, options))
                 configs.append((comp_id, options, part))
         for idx, meta in enumerate(metas):
-            data_id = str(meta.get("data_id", idx))
-            entry_conf = {**ds_conf, "entry:data_id": meta.get("data_id", idx)}
-            entry_part = HashedOptions.of(entry_conf)
+            entry_id = meta.get("data_id", idx)
+            data_id = str(entry_id)
+            entry_conf = {**ds_conf, "entry:data_id": entry_id}
+            entry_part = ds_items.with_item("entry:data_id", entry_id)
             for comp_id, options, config_part in configs:
                 for rep in range(self.replicates):
                     task = Task(
@@ -346,10 +351,13 @@ class ExperimentRunner:
 
         Tasks whose key is already in the store are *not* re-run — this
         is the fine-grained checkpoint/restart the paper motivates with
-        its fault-prone metric implementations.  Before computing the
-        todo set, the store is audited (``verify=True``): rows whose
-        payload fails its checksum are quarantined and recomputed, so a
-        corrupted checkpoint heals instead of poisoning evaluation.
+        its fault-prone metric implementations.  The store is read in
+        one scan (:meth:`CheckpointStore.scan`) that gives the todo set
+        and, when nothing runs, the observations; a pass that ran tasks
+        scans once more to read them back.  With ``verify=True`` each
+        scan audits the rows: those whose payload fails its checksum are
+        quarantined and recomputed, so a corrupted checkpoint heals
+        instead of poisoning evaluation.
         Tasks the failure ledger marks *permanently* failed are skipped
         on resume (``skip_poison=True``) — re-running a task that can
         never succeed just burns the campaign's time again.
@@ -367,19 +375,12 @@ class ExperimentRunner:
         """
         tasks = self.build_tasks()
         by_key = {t.key(): t for t in tasks}
-        if verify:
-            corrupted = self.store.verify()
-            if corrupted:
-                warnings.warn(
-                    f"checkpoint verify quarantined {len(corrupted)} corrupt "
-                    "row(s); they will be recomputed",
-                    stacklevel=2,
-                )
+        stored = self._read_store(verify)
         poison: set[str] = set()
         if skip_poison:
             poison = self.store.poison_keys() & by_key.keys()
         todo = [
-            by_key[k] for k in self.store.pending(by_key.keys()) if k not in poison
+            t for k, t in by_key.items() if k not in stored and k not in poison
         ]
 
         def on_result(result) -> None:
@@ -429,10 +430,22 @@ class ExperimentRunner:
                 self.store.set_meta("last_run_stats", json.dumps(stats.summary()))
             except Exception:  # noqa: BLE001 - stats are advisory, never fatal
                 pass
-        observations = [
-            p for k in by_key if (p := self.store.get(k)) is not None
-        ]
+        if todo:
+            stored = self._read_store(verify)
+        observations = [json.loads(stored[k]) for k in by_key if k in stored]
         return CollectionResult(observations, stats, failures)
+
+    def _read_store(self, verify: bool) -> dict[str, str]:
+        """The store's rows as key → payload JSON text, in one scan that
+        (with *verify*) quarantines the rows failing their checksum."""
+        scan = self.store.scan(audit="quarantine" if verify else "off")
+        if scan.mismatched:
+            warnings.warn(
+                f"checkpoint verify quarantined {len(scan.mismatched)} corrupt "
+                "row(s); they will be recomputed",
+                stacklevel=3,
+            )
+        return scan.payloads
 
     # -- publish ---------------------------------------------------------------
     def publish(

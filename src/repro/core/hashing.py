@@ -15,9 +15,10 @@ hash differently and containers cannot collide with scalars.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import struct
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -28,6 +29,8 @@ from .options import PressioOptions, is_stable_value
 #: Bump when the canonical encoding changes; stored in checkpoint DBs so
 #: stale indexes are detected rather than silently mismatched.
 HASH_VERSION = 1
+#: What every canonical encoding starts with.
+_HEADER = b"pressio-hash-v%d" % HASH_VERSION
 
 _TAG_NONE = b"N"
 _TAG_BOOL = b"B"
@@ -72,16 +75,37 @@ def _encode(value: Any, out: list[bytes]) -> None:
         for item in stable:
             _encode(item, out)
     elif isinstance(value, Mapping):
-        stable = sorted(
-            (k, v) for k, v in value.items()
-            if isinstance(k, str) and is_stable_value(v)
-        )
-        out.append(_TAG_DICT + len(stable).to_bytes(8, "little"))
-        for key, item in stable:
-            _encode(key, out)
-            _encode(item, out)
+        out.append(_mapping_bytes([_encode_item(k, v) for k, v in _stable_items(value)]))
     else:
         raise TypeError(f"cannot canonically encode value of type {type(value).__name__}")
+
+
+def _encode_item(key: str, value: Any) -> bytes:
+    """The canonical encoding of one mapping item: its key, then its value.
+
+    The one item encoder: a mapping's bytes, whether :func:`_encode`
+    walks it or :meth:`EncodedItems.with_item` splices one item into it,
+    are these encodings in sorted key order.
+    """
+    out: list[bytes] = []
+    _encode(key, out)
+    _encode(value, out)
+    return b"".join(out)
+
+
+def _mapping_bytes(items: Sequence[bytes]) -> bytes:
+    """A mapping's encoding from its items' encodings, in key order."""
+    return _TAG_DICT + len(items).to_bytes(8, "little") + b"".join(items)
+
+
+def _stable_items(options: PressioOptions | Mapping[str, Any]) -> list[tuple[str, Any]]:
+    """The (key, value) pairs a hash covers, in sorted key order: string
+    keys with stable values."""
+    if isinstance(options, PressioOptions):
+        return options.stable_items()
+    return sorted(
+        (k, v) for k, v in options.items() if isinstance(k, str) and is_stable_value(v)
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,12 +113,12 @@ class HashedOptions:
     """An option structure that has been hashed.
 
     Holds the canonical bytes and their ``options_hash`` digest, both
-    derived once by :meth:`of`.  :func:`combined_hash` accepts it where
-    it accepts a mapping and feeds the stored bytes instead of walking
-    the structure again, so a part shared by many keys (one compressor
-    configuration, one dataset entry) is encoded once however many keys
-    it goes into.  It is a snapshot: later edits to the source mapping
-    are not seen.
+    derived once by :meth:`of` (or :meth:`EncodedItems.with_item`).
+    :func:`combined_hash` accepts it where it accepts a mapping and
+    feeds the stored bytes instead of walking the structure again, so a
+    part shared by many keys (one compressor configuration, one dataset
+    entry) is encoded once however many keys it goes into.  It is a
+    snapshot: later edits to the source mapping are not seen.
     """
 
     canonical: bytes
@@ -102,9 +126,48 @@ class HashedOptions:
 
     @classmethod
     def of(cls, options: PressioOptions | Mapping[str, Any]) -> "HashedOptions":
-        """Encode and hash *options* — the one place a structure is walked."""
-        canonical = canonical_bytes(options)
+        """Encode and hash *options*."""
+        return cls.from_canonical(canonical_bytes(options))
+
+    @classmethod
+    def from_canonical(cls, canonical: bytes) -> "HashedOptions":
+        """Hash canonical bytes that are already encoded."""
         return cls(canonical, hashlib.sha256(canonical).hexdigest())
+
+
+@dataclass(frozen=True, slots=True)
+class EncodedItems:
+    """An option mapping encoded once, item by item, in canonical order.
+
+    Many parts can share all but one item — every entry of a dataset has
+    the dataset's configuration plus its own ``entry:data_id``.
+    :meth:`with_item` derives such a part by splicing the encoding of
+    its one item into its sorted place among the stored ones, so the
+    shared items are encoded once however many parts they go into.
+    """
+
+    keys: tuple[str, ...]
+    items: tuple[bytes, ...]
+
+    @classmethod
+    def of(cls, options: PressioOptions | Mapping[str, Any]) -> "EncodedItems":
+        stable = _stable_items(options)
+        return cls(tuple(k for k, _ in stable), tuple(_encode_item(k, v) for k, v in stable))
+
+    def with_item(self, key: Any, value: Any) -> HashedOptions:
+        """``HashedOptions.of({**options, key: value})``, byte for byte.
+
+        The item replaces a stored one of the same key; an unstable
+        *value* drops that key, and a non-string *key* changes nothing —
+        as the mapping walk would have it.
+        """
+        items = self.items
+        if isinstance(key, str):
+            at = bisect.bisect_left(self.keys, key)
+            end = at + (at < len(self.keys) and self.keys[at] == key)
+            new = (_encode_item(key, value),) if is_stable_value(value) else ()
+            items = items[:at] + new + items[end:]
+        return HashedOptions.from_canonical(_HEADER + _mapping_bytes(items))
 
 
 def canonical_bytes(options: PressioOptions | Mapping[str, Any]) -> bytes:
@@ -114,15 +177,8 @@ def canonical_bytes(options: PressioOptions | Mapping[str, Any]) -> bytes:
     two configurations that differ only in opaque handles hash equally —
     exactly the semantics the paper's checkpoint index needs.
     """
-    if isinstance(options, PressioOptions):
-        items = options.stable_items()
-    else:
-        items = sorted(
-            (k, v) for k, v in options.items()
-            if isinstance(k, str) and is_stable_value(v)
-        )
-    out: list[bytes] = [b"pressio-hash-v%d" % HASH_VERSION]
-    _encode(dict(items), out)
+    out: list[bytes] = [_HEADER]
+    _encode(dict(_stable_items(options)), out)
     return b"".join(out)
 
 

@@ -116,12 +116,28 @@ class HurricaneGenerator:
         self.timesteps = int(timesteps)
         self.seed = int(seed)
         self.noise_level = float(noise_level)
+        self._tau_cache: dict[str, float] = {}
+        self._build_grid()
+
+    def _build_grid(self) -> None:
         nx, ny, nz = self.shape
         x = np.linspace(-1.0, 1.0, nx)
         y = np.linspace(-1.0, 1.0, ny)
         z = np.linspace(0.0, 1.0, nz)
         self._X, self._Y, self._Z = np.meshgrid(x, y, z, indexing="ij")
-        self._tau_cache: dict[str, float] = {}
+
+    # The grid is the bulk of a generator's state and ``shape`` alone
+    # determines it, so a pickle (every cluster rank's init message, every
+    # respawn) carries the shape and the receiver rebuilds the grid.
+    def __getstate__(self) -> dict[str, Any]:
+        state = dict(self.__dict__)
+        for name in ("_X", "_Y", "_Z"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._build_grid()
 
     # -- vortex kinematics ---------------------------------------------------
     def track(self, t: int) -> tuple[float, float, float]:

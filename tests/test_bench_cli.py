@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -263,6 +264,41 @@ class TestReportCommand:
         assert main(["report", ck]) == 1
         assert "no observations" in capsys.readouterr().out
 
+
+    def test_report_skips_rows_that_fail_their_checksum(self, tmp_path, capsys):
+        """One row corrupted, one tampered with so it still parses: the
+        read-only report leaves both out of Table 2, says so, and deletes
+        neither."""
+        from repro.bench import CheckpointStore
+
+        ck = str(tmp_path / "campaign.db")
+        base = ["--schemes", "khan2023", "--compressors", "szx", "--folds", "2"]
+        assert main(["run", *base, "--bounds", "1e-4", "--shape", "8", "8", "4",
+                     "--timesteps", "2", "--fields", "P", "U", "QRAIN",
+                     "--checkpoint", ck]) == 0
+        capsys.readouterr()
+        store = CheckpointStore(ck)
+        keys = sorted(store.keys())
+        n = len(keys)
+        store.corrupt_rows([keys[0]])
+        tampered = {**store.get(keys[1]), "size:compression_ratio": 1e6}
+        store._db.execute(
+            "UPDATE results SET payload=? WHERE key=?", (json.dumps(tampered), keys[1])
+        )
+        store._db.commit()
+        store.close()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["report", ck, *base, "--json"]) == 0
+            rows = json.loads(capsys.readouterr().out)["rows"]
+            assert main(["report", ck, *base]) == 0
+            assert f"({n - 2} observations)" in capsys.readouterr().out
+        assert {row["n_observations"] for row in rows} == {n - 2}
+        warned = [str(w.message) for w in caught if "checksum" in str(w.message)]
+        assert len(warned) == 2  # one per report
+        assert all("skipped 2 row(s)" in w and "collect" in w for w in warned)
+        with CheckpointStore(ck) as store:
+            assert store.count() == n
 
     @pytest.mark.parametrize(
         "extra",

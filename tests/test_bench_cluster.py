@@ -11,18 +11,21 @@ starts every rank itself with the environment ``mpirun`` would set, so
 an ``mpirun``-launched campaign runs the exact code it does.
 """
 
+import functools
 import os
 import socket
 import subprocess
 import sys
 import textwrap
 import time
+import warnings
 from collections import deque
 
 import pytest
 
 from repro.bench import CheckpointStore, Task, TaskQueue
 from repro.bench.cluster import ClusterSpec
+from repro.bench.cluster import engine as engine_module
 from repro.bench.cluster.spec import detect_launch_env, parse_hostport
 from repro.bench.cluster.transport import TcpCoordinator
 from repro.bench.cluster.wire import FrameError
@@ -415,6 +418,42 @@ class TestLaunchedTcpEndToEnd:
             assert proc.returncode == 0, err
         assert "LAUNCHED_OK" in outputs[0][0]
         assert sorted(os.listdir(tmp_path)) == ["ckpt.db", "launched_rank.py"]
+
+
+def _mark_then_echo(marker, task, worker):
+    """Leaves *marker* behind once any rank has run a task."""
+    open(marker, "a").close()
+    return {"w": worker}
+
+
+class TestAdmission:
+    def test_first_chunk_goes_out_before_the_last_hello(self, tmp_path, monkeypatch):
+        """Spawned rank 2 dials only once a task has run somewhere, so
+        the campaign finishes promptly only if the coordinator hands
+        rank 1 its first chunk without waiting for rank 2's hello."""
+        marker = str(tmp_path / "first-task-ran")
+        real_local_rank = engine_module._local_rank
+
+        def rank_two_waits_for_a_task(host, port, rank, connect_timeout):
+            deadline = time.monotonic() + 10.0
+            while rank == 2 and not os.path.exists(marker) and time.monotonic() < deadline:
+                time.sleep(0.005)
+            real_local_rank(host, port, rank, connect_timeout)
+
+        # Spawned ranks are forked: they run the patched target.
+        monkeypatch.setattr(engine_module, "_local_rank", rank_two_waits_for_a_task)
+        spec = ClusterSpec(worker_startup_timeout=5.0)
+        t0 = time.monotonic()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results, stats = TaskQueue(2, "cluster", cluster=spec).run(
+                make_tasks(2, 2), functools.partial(_mark_then_echo, marker)
+            )
+        elapsed = time.monotonic() - t0
+        assert stats.completed == 4 and stats.failed == 0
+        assert not [w for w in caught if "never reported in" in str(w.message)]
+        assert elapsed < spec.worker_startup_timeout
+        assert 1 in {r.worker for r in results}
 
 
 class TestClusterCli:

@@ -363,3 +363,96 @@ class TestFaultDomainCollection:
         assert failures == [] and stats.failed == 0
         assert stats.retries == len(runner.build_tasks())
         assert plan.injected_counts()["exception"] == stats.retries
+
+
+class TestOneScanRead:
+    """``collect()`` reads the store in one scan: a resume issues one
+    ``SELECT`` over ``results``, a pass that ran tasks one more, and the
+    observations are the rows in task order — what a per-key ``get``
+    reads."""
+
+    @staticmethod
+    def _runner(store, queue=None):
+        ds = HurricaneDataset(shape=(8, 8, 4), timesteps=[0, 1], fields=["P", "CLOUD"])
+        return ExperimentRunner(
+            ds,
+            compressors=("szx", "sz3"),
+            bounds=(1e-4, 1e-3),
+            schemes=("tao2019",),
+            store=store,
+            queue=queue or TaskQueue(1, "serial"),
+        )
+
+    @staticmethod
+    def _results_selects(store):
+        """Every SELECT over ``results`` the store's connection runs."""
+        selects = []
+
+        def trace(sql):
+            text = " ".join(sql.split()).upper()
+            if text.startswith("SELECT") and " FROM RESULTS" in text:
+                selects.append(text)
+
+        store._db.set_trace_callback(trace)
+        return selects
+
+    @staticmethod
+    def _per_key(runner):
+        return [
+            p for t in runner.build_tasks() if (p := runner.store.get(t.key())) is not None
+        ]
+
+    def test_resume_is_one_select_and_cold_pass_two(self, tmp_path):
+        store = CheckpointStore(str(tmp_path / "scan.db"), flush_every=4)
+        runner = self._runner(store)
+        selects = self._results_selects(store)
+        cold = runner.collect()
+        assert cold.stats.completed == len(runner.build_tasks())
+        assert 1 <= len(selects) <= 2
+        assert not [s for s in selects if "WHERE" in s]
+        selects.clear()
+        resumed = runner.collect()
+        assert resumed.stats.completed == 0
+        assert selects == ["SELECT KEY, PAYLOAD, CHECKSUM FROM RESULTS"]
+        assert resumed.observations == cold.observations
+
+    @pytest.mark.parametrize("engine", ["serial", "process", "cluster"])
+    def test_observations_equal_per_key_get_in_task_order(self, tmp_path, engine):
+        from repro.bench.cluster import ClusterSpec
+
+        workers = 1 if engine == "serial" else 2
+        queue = TaskQueue(workers, engine, cluster=ClusterSpec())
+        with CheckpointStore(str(tmp_path / "obs.db"), flush_every=3) as store:
+            runner = self._runner(store, queue)
+            cold = runner.collect()
+            assert cold.stats.completed == 16 and not cold.failures
+            assert cold.observations == self._per_key(runner)
+            resumed = runner.collect()
+            assert resumed.stats.completed == 0
+            assert resumed.observations == self._per_key(runner)
+
+    def test_quarantined_row_is_recomputed_in_its_place(self, tmp_path):
+        store = CheckpointStore(str(tmp_path / "heal.db"))
+        runner = self._runner(store)
+        runner.collect()
+        victim = runner.build_tasks()[5].key()
+        store.corrupt_rows([victim])
+        with pytest.warns(UserWarning, match="quarantined 1 corrupt"):
+            healed = runner.collect()
+        assert healed.stats.completed == 1
+        assert healed.observations == self._per_key(runner)
+        assert len(healed.observations) == 16
+        assert healed.observations[5]["data_id"] == runner.build_tasks()[5].data_id
+
+    def test_unverified_collect_reads_without_an_audit(self, tmp_path):
+        store = CheckpointStore(str(tmp_path / "raw.db"))
+        runner = self._runner(store)
+        runner.collect()
+        key = runner.build_tasks()[0].key()
+        store._db.execute(
+            "UPDATE results SET payload=? WHERE key=?", ('{"tampered": 1}', key)
+        )
+        store._db.commit()
+        resumed = runner.collect(verify=False)
+        assert resumed.stats.completed == 0
+        assert resumed.observations[0] == {"tampered": 1}

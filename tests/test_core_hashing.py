@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import PressioOptions, combined_hash, options_hash
-from repro.core.hashing import canonical_bytes
+from repro.core.hashing import EncodedItems, HashedOptions, canonical_bytes
 
 scalars = st.one_of(
     st.none(),
@@ -92,6 +92,49 @@ class TestCanonicalEncoding:
         changed[key] = new_value
         if changed != mapping:
             assert options_hash(changed) != base
+
+
+#: Values a hash skips: an opaque handle, and a list holding one.
+unstable = st.sampled_from([lambda: None, object(), [1, object()]])
+values = st.one_of(
+    scalars,
+    st.lists(scalars, max_size=3),
+    st.dictionaries(st.text(max_size=4), scalars, max_size=3),
+    unstable,
+)
+
+
+class TestSplicedItem:
+    """``EncodedItems.of(base).with_item(k, v)`` is the part of
+    ``{**base, k: v}``: what ``build_tasks`` derives each dataset
+    entry's part from."""
+
+    @given(
+        st.dictionaries(st.text(max_size=8), values, max_size=6),
+        st.data(),
+        values,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_splice_equals_the_walk(self, base, data, value):
+        key = data.draw(st.one_of(
+            st.text(max_size=8),
+            st.sampled_from(sorted(base) or [""]),  # a key already in base
+            st.integers(),  # non-string keys are not hashed
+            st.tuples(st.text(max_size=2)),
+        ))
+        spliced = EncodedItems.of(base).with_item(key, value)
+        assert spliced == HashedOptions.of({**base, key: value})
+
+    def test_splice_replaces_and_drops(self):
+        base = {"a": 1, "entry:data_id": "x", "z": [1.5]}
+        items = EncodedItems.of(base)
+        assert items.with_item("entry:data_id", "y") == HashedOptions.of(
+            {**base, "entry:data_id": "y"}
+        )
+        assert items.with_item("entry:data_id", object()) == HashedOptions.of(
+            {"a": 1, "z": [1.5]}
+        )
+        assert items.with_item(3, "y") == HashedOptions.of(base)
 
 
 class TestCombinedHash:

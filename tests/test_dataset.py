@@ -1,11 +1,13 @@
 """Tests for the dataset substrate: loaders, caches, sampling, hurricane."""
 
 import os
+import pickle
 import threading
 
 import numpy as np
 import pytest
 
+from repro.bench import ExperimentRunner
 from repro.core import OptionError
 from repro.core.data import PressioData
 from repro.dataset import (
@@ -313,6 +315,17 @@ class TestHurricane:
         a = HurricaneGenerator(shape=(8, 8, 4)).generate("QRAIN", 5)
         b = HurricaneGenerator(shape=(8, 8, 4)).generate("QRAIN", 5)
         assert np.array_equal(a, b)
+
+    def test_pickle_carries_no_grid(self):
+        """A runner's task function travels to every rank; the grid,
+        which the shape determines, is rebuilt there, not shipped."""
+        ds = HurricaneDataset(shape=(64, 64, 16), timesteps=[0, 1], fields=["P", "CLOUD"])
+        runner = ExperimentRunner(ds)
+        assert len(pickle.dumps(runner.run_task)) < 16 * 1024
+        before = ds.generator.generate("CLOUD", 1)
+        clone = pickle.loads(pickle.dumps(ds.generator))
+        assert clone.generate("CLOUD", 1).tobytes() == before.tobytes()
+        assert clone.generate("P", 0).tobytes() == ds.generator.generate("P", 0).tobytes()
 
     def test_temporal_coherence(self):
         gen = HurricaneGenerator(shape=(16, 16, 8), timesteps=48)

@@ -22,7 +22,13 @@ from hypothesis import strategies as st
 from repro.bench import CheckpointStore, ExperimentRunner, Task, TaskQueue, precompute_keys
 from repro.bench.cluster import ClusterSpec
 from repro.core import hashing
-from repro.core.hashing import HASH_VERSION, HashedOptions, combined_hash, options_hash
+from repro.core.hashing import (
+    HASH_VERSION,
+    EncodedItems,
+    HashedOptions,
+    combined_hash,
+    options_hash,
+)
 from repro.dataset import HurricaneDataset
 from repro.predict import evaluator as evaluator_module
 from tests import golden_task_keys as golden
@@ -60,19 +66,30 @@ def built() -> list[Task]:
 def encodings(monkeypatch):
     """Counts structure walks while the test runs.
 
-    ``parts`` — :meth:`HashedOptions.of` calls, the task layer's one
-    encoder entry point; ``evaluator`` — the metric evaluator's own
-    dependency hashes; ``total`` — every ``canonical_bytes`` walk,
-    whoever asked.
+    ``parts`` — :meth:`HashedOptions.of` and :meth:`EncodedItems.of`
+    calls, the task layer's two walks of a whole part; ``splices`` —
+    :meth:`EncodedItems.with_item` calls, which encode one item;
+    ``evaluator`` — the metric evaluator's own dependency hashes;
+    ``total`` — every ``canonical_bytes`` walk, whoever asked.
     """
-    counts = {"parts": 0, "evaluator": 0, "total": 0}
+    counts = {"parts": 0, "splices": 0, "evaluator": 0, "total": 0}
     real_of = HashedOptions.of.__func__
+    real_items_of = EncodedItems.of.__func__
+    real_with_item = EncodedItems.with_item
     real_canonical = hashing.canonical_bytes
     real_options_hash = evaluator_module.options_hash
 
     def counting_of(cls, options):
         counts["parts"] += 1
         return real_of(cls, options)
+
+    def counting_items_of(cls, options):
+        counts["parts"] += 1
+        return real_items_of(cls, options)
+
+    def counting_with_item(self, key, value):
+        counts["splices"] += 1
+        return real_with_item(self, key, value)
 
     def counting_canonical(options):
         counts["total"] += 1
@@ -83,6 +100,8 @@ def encodings(monkeypatch):
         return real_options_hash(options)
 
     monkeypatch.setattr(HashedOptions, "of", classmethod(counting_of))
+    monkeypatch.setattr(EncodedItems, "of", classmethod(counting_items_of))
+    monkeypatch.setattr(EncodedItems, "with_item", counting_with_item)
     monkeypatch.setattr(hashing, "canonical_bytes", counting_canonical)
     monkeypatch.setattr(evaluator_module, "options_hash", counting_options_hash)
     return counts
@@ -216,37 +235,40 @@ class TestCopies:
         blob = pickle.dumps(built, protocol=pickle.HIGHEST_PROTOCOL)
         clones = pickle.loads(blob)
         assert [hashes(c) for c in clones] == [hashes(t) for t in built]
-        assert encodings == {"parts": 0, "evaluator": 0, "total": 0}
+        assert encodings == {"parts": 0, "splices": 0, "evaluator": 0, "total": 0}
         assert b"pressio-hash-v" not in blob
         assert len(blob) <= 1.15 * PARENT_CHUNK_BYTES
 
 
 class TestExactCounts:
-    """E entries × C configurations × R replicates cost E + C + 1 walks."""
+    """E entries × C configurations × R replicates cost C + 2 walks — the
+    configurations, the experiment, the dataset configuration — and E
+    one-item splices, one per entry."""
 
     E, C, R = 4, 4, 2
 
     def test_build_tasks_encodes_each_distinct_part_once(self, encodings):
         tasks = golden.golden_runner().build_tasks()
         assert len(tasks) == self.E * self.C * self.R
-        assert encodings == {"parts": self.E + self.C + 1, "evaluator": 0,
-                             "total": self.E + self.C + 1}
+        assert encodings == {"parts": self.C + 2, "splices": self.E, "evaluator": 0,
+                             "total": self.C + 1}
 
     def test_collect_and_resume_add_nothing_from_bench(self, encodings):
         runner = golden.golden_runner()
         cold = runner.collect()
         assert cold.stats.completed == self.E * self.C * self.R
-        parts = self.E + self.C + 1
+        parts, walks = self.C + 2, self.C + 1
         # One build_tasks; the evaluator's dependency hashes are its own.
         assert encodings["evaluator"] > 0
-        assert encodings["parts"] == parts
-        assert encodings["total"] == parts + encodings["evaluator"]
+        assert encodings["parts"] == parts and encodings["splices"] == self.E
+        assert encodings["total"] == walks + encodings["evaluator"]
         evaluator_calls = encodings["evaluator"]
         resumed = runner.collect()
         assert resumed.stats.completed == 0
         assert len(resumed.observations) == len(cold.observations)
-        assert encodings == {"parts": 2 * parts, "evaluator": evaluator_calls,
-                             "total": 2 * parts + evaluator_calls}
+        assert encodings == {"parts": 2 * parts, "splices": 2 * self.E,
+                             "evaluator": evaluator_calls,
+                             "total": 2 * walks + evaluator_calls}
 
 
 def _hash_columns(path: str) -> list[tuple]:
