@@ -10,6 +10,12 @@ dataset configuration, experimental metadata, and replicate id (see
 :func:`repro.core.hashing.combined_hash`); payloads are JSON so the
 metrics results stay queryable.
 
+A row stores its values only, ``[column_set_id, v1, …, vn]``; the
+``columns`` table holds each distinct ordered key list once (``id``,
+``names``, a checksum of ``names``), registered in the transaction of
+the first row that uses it.  Rows written before column sets are the
+payload object itself and read as such: nothing is rewritten on open.
+
 Write scaling: a per-task ``commit`` + fsync dominates collection wall
 time once tasks are cheap, so the store supports *buffered* writes —
 ``put`` appends to an in-memory buffer that is flushed as one
@@ -23,13 +29,15 @@ which makes the commit itself cheaper and lets readers overlap writers.
 
 Reads: every multi-row read is one :meth:`CheckpointStore.scan`, one
 ``SELECT key, payload, checksum FROM results`` that audits each row as
-it passes — checksum mismatches are quarantined (deleted, so a restart
-recomputes them) or, for a read-only caller, skipped, and legacy
-checksum-less rows that still parse are backfilled — and returns the
-verified payload text by key.  A campaign resume reads its todo set and
-its observations from that one scan; :meth:`~CheckpointStore.verify`,
-:meth:`~CheckpointStore.query`, :meth:`~CheckpointStore.pending` and
-:meth:`~CheckpointStore.keys` are thin wrappers over it.
+it passes — a row failing its checksum or its column set is quarantined
+(deleted, so a restart recomputes it) or, for a read-only caller,
+skipped, and legacy checksum-less rows that still parse are backfilled
+— and returns the verified payloads by key, decoded as every read is
+(one ``json.loads`` over the joined rows, then ``dict(zip(names,
+values))`` per row).  A campaign resume reads its todo set and its
+observations from that one scan; :meth:`~CheckpointStore.verify` and
+:meth:`~CheckpointStore.query` wrap it, :meth:`~CheckpointStore.pending`
+and :meth:`~CheckpointStore.keys` read keys only, and
 :meth:`~CheckpointStore.get` is the single-key lookup.
 """
 
@@ -70,6 +78,11 @@ CREATE TABLE IF NOT EXISTS results (
     created_at REAL NOT NULL,
     checksum TEXT NOT NULL DEFAULT ''
 );
+CREATE TABLE IF NOT EXISTS columns (
+    id INTEGER PRIMARY KEY,
+    names TEXT NOT NULL UNIQUE,
+    checksum TEXT NOT NULL
+);
 CREATE INDEX IF NOT EXISTS idx_results_parts
     ON results (compressor_hash, dataset_hash, experiment_hash);
 CREATE TABLE IF NOT EXISTS failures (
@@ -109,26 +122,27 @@ _IN_CHUNK = 500
 
 #: What :meth:`CheckpointStore.scan` does with a row that fails its audit:
 #: delete it (``"quarantine"``), leave it and skip it (``"skip"``, for
-#: read-only callers), or audit nothing (``"off"``).
+#: read-only callers), or check no checksum (``"off"``).
 Audit = Literal["quarantine", "skip", "off"]
 
 
 class Scan(NamedTuple):
     """What one :meth:`CheckpointStore.scan` read."""
 
-    #: Key → payload JSON text of every row that passed the audit, in
+    #: Key → decoded payload of every row that passed the audit, in
     #: table order; buffered results included.
-    payloads: dict[str, str]
-    #: Keys whose committed row failed the audit.
+    payloads: dict[str, dict[str, Any]]
+    #: Keys whose committed row failed the audit (or, unaudited, did
+    #: not decode).
     mismatched: list[str]
 
 
-def _parses(payload_json: str) -> bool:
+def _loads(text: str) -> Any:
+    """*text* parsed, or ``None`` where it is not JSON."""
     try:
-        json.loads(payload_json)
+        return json.loads(text)
     except (TypeError, ValueError):
-        return False
-    return True
+        return None
 
 
 def _jsonable(value: Any) -> Any:
@@ -218,6 +232,9 @@ class CheckpointStore:
             self._lock = threading.Lock()
         #: key → encoded row awaiting flush (dict gives replace semantics).
         self._buffer: dict[str, tuple] = {}  # guarded-by: _lock
+        #: The column sets this handle knows (that pass their checksum).
+        self._names: dict[int, tuple[str, ...]] = {}  # guarded-by: _lock
+        self._ids: dict[tuple[str, ...], int] = {}  # guarded-by: _lock
         if path != ":memory:":
             self._db.execute("PRAGMA journal_mode=WAL")
             self._db.execute("PRAGMA synchronous=NORMAL")
@@ -291,16 +308,18 @@ class CheckpointStore:
         experiment_hash: str,
         replicate: int,
     ) -> tuple:
-        payload_json = json.dumps(_jsonable(dict(payload)))
+        obj = _jsonable(dict(payload))
+        if not all(isinstance(name, str) for name in obj):  # as JSON spells them
+            obj = json.loads(json.dumps(obj))
         return (
             key,
             compressor_hash,
             dataset_hash,
             experiment_hash,
             replicate,
-            payload_json,
+            tuple(obj),
+            json.dumps(list(obj.values())),
             time.time(),
-            payload_checksum(payload_json),
         )
 
     def put(
@@ -339,21 +358,91 @@ class CheckpointStore:
         self._last_flush = time.monotonic()
         if not self._buffer:
             return
-        self._db.executemany(_INSERT_SQL, list(self._buffer.values()))
+        rows = []
+        for *head, names, values, created_at in self._buffer.values():
+            cid = self._column_id_locked(names)  # json.dumps([cid, *values]):
+            row = f"[{cid}]" if values == "[]" else f"[{cid}, {values[1:]}"
+            rows.append((*head, row, created_at, payload_checksum(row)))
+        self._db.executemany(_INSERT_SQL, rows)
         self._db.commit()
         self.commit_count += 1
         self._buffer.clear()
 
+    def _column_id_locked(self, names: tuple[str, ...]) -> int:
+        """The id of column set *names*, registered in the open
+        transaction (it commits with the row that needs it) if new."""
+        cid = self._ids.get(names)
+        if cid is None:
+            text = json.dumps(names)
+            checksum = payload_checksum(text)
+            sql = "INSERT OR IGNORE INTO columns (names, checksum) VALUES (?,?)"
+            self._db.execute(sql, (text, checksum))
+            cid, stored = self._db.execute(
+                "SELECT id, checksum FROM columns WHERE names=?", (text,)
+            ).fetchone()
+            if stored != checksum:  # the names are ours byte for byte: re-seal
+                self._db.execute("UPDATE columns SET checksum=? WHERE id=?", (checksum, cid))
+            self._names[cid], self._ids[names] = names, cid
+        return cid
+
     # -- reads -----------------------------------------------------------------
+    def _read_columns_locked(self) -> None:
+        """Learn the sets other handles registered, but none that fails its
+        checksum or whose names are not unique strings."""
+        for cid, text, checksum in self._db.execute("SELECT id, names, checksum FROM columns"):
+            names = _loads(text) if payload_checksum(text) == checksum else None
+            if isinstance(names, list) and all(isinstance(n, str) for n in names):
+                if len(set(names)) == len(names):
+                    self._names[cid] = names = tuple(names)
+                    self._ids[names] = cid
+
+    def _decode_locked(self, texts: list[str]) -> list[dict[str, Any] | None]:
+        """Each row text's payload, or ``None`` where it has none.
+
+        The one decoder of stored rows: one ``json.loads`` over their
+        join (one by one if a damaged text breaks it).  An array row maps
+        its values onto its column set's names; an object row (written
+        before column sets) is the payload itself.  A row whose id stays
+        unknown after one re-read of ``columns``, or whose value count
+        differs from its set's name count, has no payload.
+        """
+        rows = _loads("[" + ",".join(texts) + "]")
+        if not isinstance(rows, list) or len(rows) != len(texts):
+            rows = [_loads(text) for text in texts]
+        out: list[dict[str, Any] | None] = []
+        reread = False
+        for row in rows:
+            if type(row) is dict:
+                out.append(row)
+                continue
+            names = None
+            if type(row) is list and row and type(row[0]) is int:
+                names = self._names.get(row[0])
+                if names is None and not reread:
+                    self._read_columns_locked()
+                    reread = True
+                    names = self._names.get(row[0])
+            ok = names is not None and len(names) == len(row) - 1
+            out.append(dict(zip(names, row[1:])) if ok else None)
+        return out
+
+    @staticmethod
+    def _buffered(row: tuple) -> dict[str, Any]:
+        """The payload of a buffered row, as its flushed row decodes."""
+        return dict(zip(row[5], json.loads(row[6])))
+
     def get(self, key: str) -> dict[str, Any] | None:
-        """One result by key (buffered or committed), unaudited."""
+        """One result by key (buffered or committed), unaudited; ``None``
+        when absent or when its row does not decode."""
         with self._lock:
             row = self._buffer.get(key)
             if row is not None:
-                return json.loads(row[5])
+                return self._buffered(row)
             cur = self._db.execute("SELECT payload FROM results WHERE key=?", (key,))
             db_row = cur.fetchone()
-        return None if db_row is None else json.loads(db_row[0])
+            if db_row is None:
+                return None
+            return self._decode_locked([db_row[0]])[0]
 
     def scan(
         self,
@@ -366,16 +455,16 @@ class CheckpointStore:
         """Read every row (matching the given hashes) in one ``SELECT``.
 
         Each committed row is audited as it passes: a row whose payload
-        fails its checksum — or a legacy checksum-less row whose payload
-        no longer parses — is *mismatched*; a legacy row that still
-        parses passes.  ``audit="quarantine"`` deletes mismatched rows,
-        so their keys are missing and a restart recomputes them, and
-        backfills the legacy rows' checksums; ``audit="skip"`` leaves
-        the table as it is and only leaves them out; ``audit="off"``
-        checks nothing.  Buffered results are read too, unaudited (they
-        were checksummed as they were encoded), in place of their
-        committed row.  Payloads come back as JSON text: a caller
-        decodes what it uses.
+        fails its checksum, or that does not decode (see
+        :meth:`_decode_locked`; a legacy checksum-less row decodes while
+        it parses), is *mismatched*.  ``audit="quarantine"`` deletes
+        mismatched rows, so their keys are missing and a restart
+        recomputes them, and backfills the legacy rows' checksums;
+        ``audit="skip"`` leaves the table as it is and only leaves them
+        out; ``audit="off"`` checks no checksum (what does not decode is
+        still mismatched).
+        Buffered results are read too, unaudited, in place of their
+        committed row.
         """
         filters = {
             col: val
@@ -388,25 +477,31 @@ class CheckpointStore:
         sql = "SELECT key, payload, checksum FROM results" + (
             f" WHERE {where}" if where else ""
         )
-        payloads: dict[str, str] = {}
+        payloads: dict[str, dict[str, Any]] = {}
         mismatched: list[str] = []
-        backfill: list[tuple[str, str]] = []
+        keys: list[str] = []
+        texts: list[str] = []
+        legacy: dict[str, str] = {}  # checksum-less rows: trusted while they parse
         with self._lock:
-            for key, payload_json, checksum in self._db.execute(sql, list(filters.values())):
+            for key, text, checksum in self._db.execute(sql, list(filters.values())):
                 if key in self._buffer:
                     continue  # its buffered result replaces it at the flush
-                if audit == "off":
-                    ok = True
-                elif checksum:
-                    ok = payload_checksum(payload_json) == checksum
-                else:  # a legacy row: trusted while it parses
-                    ok = _parses(payload_json)
-                    if ok:
-                        backfill.append((payload_checksum(payload_json), key))
-                if ok:
-                    payloads[key] = payload_json
-                else:
+                if audit != "off":
+                    if not checksum:
+                        legacy[key] = text
+                    elif payload_checksum(text) != checksum:
+                        mismatched.append(key)
+                        continue
+                keys.append(key)
+                texts.append(text)
+            for key, payload in zip(keys, self._decode_locked(texts)):
+                if payload is None:
                     mismatched.append(key)
+                else:
+                    payloads[key] = payload
+            backfill = [
+                (payload_checksum(text), key) for key, text in legacy.items() if key in payloads
+            ]
             if audit == "quarantine" and (backfill or mismatched):
                 self._db.executemany(
                     "UPDATE results SET checksum=? WHERE key=?", backfill
@@ -420,12 +515,12 @@ class CheckpointStore:
                 self._db.commit()
             for key, row in self._buffer.items():
                 if all(row[1 + _HASH_COLUMNS.index(col)] == val for col, val in filters.items()):
-                    payloads[key] = row[5]
+                    payloads[key] = self._buffered(row)
         return Scan(payloads, mismatched)
 
     def pending(self, keys: Iterable[str]) -> list[str]:
         """The subset of *keys* not yet present (what a restart must run)."""
-        present = self.scan(audit="off").payloads
+        present = set(self.keys())
         return [k for k in keys if k not in present]
 
     def count(self) -> int:
@@ -443,9 +538,10 @@ class CheckpointStore:
     ) -> list[dict[str, Any]]:
         """Partial restore: the payloads matching the given hashes.
 
-        Read-only, and audited: a row that fails its checksum is left
-        out — not deleted — with a warning that names how many; a
-        ``collect`` on the checkpoint quarantines and recomputes them.
+        Read-only, and audited: a row that fails its checksum or its
+        column set is left out — not deleted — with a warning that names
+        how many; a ``collect`` on the checkpoint quarantines and
+        recomputes them.
         """
         scan = self.scan(
             audit="skip",
@@ -456,15 +552,17 @@ class CheckpointStore:
         if scan.mismatched:
             warnings.warn(
                 f"checkpoint {self.path!r}: skipped {len(scan.mismatched)} row(s) "
-                "that fail their checksum; a collect on this checkpoint "
-                "recomputes them",
+                "that fail their checksum or column set; a collect on this "
+                "checkpoint recomputes them",
                 stacklevel=2,
             )
-        return [json.loads(text) for text in scan.payloads.values()]
+        return list(scan.payloads.values())
 
     def keys(self) -> list[str]:
-        """All committed (and buffered) result keys, sorted."""
-        return sorted(self.scan(audit="off").payloads)
+        """All committed (and buffered) result keys, sorted; unaudited."""
+        with self._lock:
+            present = {key for (key,) in self._db.execute("SELECT key FROM results")}
+            return sorted(present.union(self._buffer))
 
     # -- campaign metadata -------------------------------------------------------
     def set_meta(self, key: str, value: str) -> None:
@@ -488,8 +586,9 @@ class CheckpointStore:
     def verify(self) -> list[str]:
         """Audit every committed row's payload against its checksum.
 
-        Corrupt rows (checksum mismatch, or a legacy checksum-less row
-        whose payload no longer parses as JSON) are quarantined: deleted
+        Corrupt rows (checksum mismatch, a row its column set does not
+        decode, or a legacy checksum-less row whose payload no longer
+        parses as JSON) are quarantined: deleted
         from ``results`` so their keys surface in :meth:`pending` and a
         restart recomputes them.  Legacy rows that still parse are
         backfilled with a checksum instead.  Returns the quarantined

@@ -38,7 +38,7 @@ from ..compressors import make_compressor  # imports register the codecs
 from ..core.compressor import CompressorPlugin
 from ..core.data import PressioData
 from ..core.errors import UnsupportedError
-from ..core.hashing import EncodedItems, HashedOptions
+from ..core.hashing import EncodedItems, HashedOptions, hash_parts
 from ..core.metrics import ErrorStatMetrics, SizeMetrics, TimeMetrics
 from ..dataset.base import DatasetPlugin
 from ..mlkit.metrics import medape
@@ -204,7 +204,8 @@ class ExperimentRunner:
         mapping and are sealed from the hashed part.  The dataset
         configuration is encoded once too, and each entry's part is
         derived from it by splicing in the entry's one item,
-        ``entry:data_id``.
+        ``entry:data_id``.  Keys share hash prefixes: a configuration is
+        fed once, its state copied per entry and then per replicate.
         """
         tasks: list[Task] = []
         metas = self.dataset.load_metadata_all()
@@ -219,13 +220,14 @@ class ExperimentRunner:
                     "pressio:abs_is_relative": self.relative_bounds,
                 }
                 part = HashedOptions.of(compressor_part(comp_id, options))
-                configs.append((comp_id, options, part))
+                configs.append((comp_id, options, part, hash_parts(part)))
         for idx, meta in enumerate(metas):
             entry_id = meta.get("data_id", idx)
             data_id = str(entry_id)
             entry_conf = {**ds_conf, "entry:data_id": entry_id}
             entry_part = ds_items.with_item("entry:data_id", entry_id)
-            for comp_id, options, config_part in configs:
+            for comp_id, options, config_part, config_state in configs:
+                shared = hash_parts(entry_part, experiment_part, prefix=config_state)
                 for rep in range(self.replicates):
                     task = Task(
                         data_index=idx,
@@ -236,7 +238,7 @@ class ExperimentRunner:
                         experiment=self.experiment_meta,
                         replicate=rep,
                     )
-                    task.seal(config_part, entry_part, experiment_part)
+                    task.seal(config_part, entry_part, experiment_part, shared)
                     tasks.append(task)
         precompute_keys(tasks)
         return tasks
@@ -432,12 +434,12 @@ class ExperimentRunner:
                 pass
         if todo:
             stored = self._read_store(verify)
-        observations = [json.loads(stored[k]) for k in by_key if k in stored]
+        observations = [stored[k] for k in by_key if k in stored]
         return CollectionResult(observations, stats, failures)
 
-    def _read_store(self, verify: bool) -> dict[str, str]:
-        """The store's rows as key → payload JSON text, in one scan that
-        (with *verify*) quarantines the rows failing their checksum."""
+    def _read_store(self, verify: bool) -> dict[str, dict[str, Any]]:
+        """The store's rows as key → payload, in one scan that (with
+        *verify*) quarantines the rows failing their audit."""
         scan = self.store.scan(audit="quarantine" if verify else "off")
         if scan.mismatched:
             warnings.warn(

@@ -25,10 +25,11 @@ instead — ``dataclasses.replace`` starts from an unsealed one.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from ..core.hashing import HashedOptions, combined_hash
+from ..core.hashing import HashedOptions, hash_parts
 
 
 def compressor_part(compressor_id: str, options: Mapping[str, Any]) -> dict[str, Any]:
@@ -63,11 +64,15 @@ class Task:
     )
 
     def seal(
-        self, compressor: HashedOptions, dataset: HashedOptions, experiment: HashedOptions
+        self, compressor: HashedOptions, dataset: HashedOptions, experiment: HashedOptions,
+        prefix: hashlib._Hash | None = None,
     ) -> None:
-        """Fix this task's hashes from its three already-hashed parts."""
+        """Fix this task's hashes from its three already-hashed parts;
+        *prefix*, if given, is ``hash_parts`` of the three (replicates
+        share it)."""
+        prefix = prefix or hash_parts(compressor, dataset, experiment)
         self._hashes = (
-            combined_hash(compressor, dataset, experiment, str(self.replicate)),
+            hash_parts(str(self.replicate), prefix=prefix).hexdigest(),
             compressor.digest,
             dataset.digest,
             experiment.digest,

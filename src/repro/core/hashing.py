@@ -187,6 +187,29 @@ def options_hash(options: PressioOptions | Mapping[str, Any]) -> str:
     return hashlib.sha256(canonical_bytes(options)).hexdigest()
 
 
+def hash_parts(
+    *parts: PressioOptions | Mapping[str, Any] | HashedOptions | str,
+    prefix: hashlib._Hash | None = None,
+) -> hashlib._Hash:
+    """A SHA-256 state fed *parts*, after a copy of *prefix* if given.
+
+    The one recipe of a combined key (:func:`combined_hash` is its
+    digest).  ``hash_parts(*a, *b)`` equals ``hash_parts(*b,
+    prefix=hash_parts(*a))``, and *prefix* is left as it was, so keys
+    that share leading parts feed them once.
+    """
+    h = hashlib.sha256() if prefix is None else prefix.copy()
+    for part in parts:
+        if isinstance(part, str):
+            h.update(b"\x00str\x00" + part.encode("utf-8"))
+        else:
+            canonical = (
+                part.canonical if isinstance(part, HashedOptions) else canonical_bytes(part)
+            )
+            h.update(b"\x00opt\x00" + canonical)
+    return h
+
+
 def combined_hash(*parts: PressioOptions | Mapping[str, Any] | HashedOptions | str) -> str:
     """Hash several structures/strings into one key.
 
@@ -196,13 +219,4 @@ def combined_hash(*parts: PressioOptions | Mapping[str, Any] | HashedOptions | s
     :class:`HashedOptions` part feeds the bytes it already holds, so the
     key is the same whether a part arrives raw or hashed.
     """
-    h = hashlib.sha256()
-    for part in parts:
-        if isinstance(part, str):
-            h.update(b"\x00str\x00" + part.encode("utf-8"))
-        else:
-            canonical = (
-                part.canonical if isinstance(part, HashedOptions) else canonical_bytes(part)
-            )
-            h.update(b"\x00opt\x00" + canonical)
-    return h.hexdigest()
+    return hash_parts(*parts).hexdigest()

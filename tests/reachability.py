@@ -30,7 +30,6 @@ import ast
 import json
 import os
 import signal
-import sqlite3
 import subprocess
 import sys
 import tempfile
@@ -204,8 +203,12 @@ def drive_serve(work: Path, env: dict[str, str], log) -> int:
 
     field = work / "field.npy"
     np.save(field, np.random.default_rng(0).standard_normal((16, 16, 8)).astype(np.float32))
-    with sqlite3.connect(work / "ckpt.db") as db:
-        row = db.execute("SELECT payload FROM results LIMIT 1").fetchone()[0]
+    # One observation, decoded by the store (a stored row holds values only).
+    row = subprocess.run(
+        [sys.executable, "-c", "import json, sys; from repro.bench import CheckpointStore; "
+         "print(json.dumps(CheckpointStore(sys.argv[1]).query()[0]))", str(work / "ckpt.db")],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
     bench = [sys.executable, "-m", "repro.bench.cli"]
     server = subprocess.Popen(
         bench + ["serve", "--registry", str(work / "registry"), "--port", "0",

@@ -207,7 +207,9 @@ class TestWitnessedCheckpointStore:
     def test_instrument_watches_the_annotated_attrs(self):
         assert set(guarded_attributes(CheckpointStore)) == {
             "_buffer",
+            "_ids",
             "_last_flush",
+            "_names",
             "commit_count",
         }
 
