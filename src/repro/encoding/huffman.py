@@ -10,8 +10,10 @@ through a sorted search; codes are packed with
 per-symbol Python loop).
 
 The decoder avoids the classic sequential bit-walk.  Because code lengths
-are limited to ``max_length`` (at most 24) bits, a single lookup table
-maps every ``max_length``-bit window to ``(symbol, code_length)``.  The
+are limited to ``max_length`` (at most 24) bits, a one-byte table maps
+every ``max_length``-bit window to the length of the code it starts with;
+symbols are resolved only at the ``N`` code starts, by canonical-code
+arithmetic, so nothing else is sized by ``2**max_length``.  The
 windows are read straight from the payload bytes: one big-endian 32-bit
 word per byte holds the window at each of that byte's eight bit
 positions, one shift apart, so no bit array is ever unpacked.  The length
@@ -42,8 +44,9 @@ from ..core.errors import CorruptStreamError
 from .bitio import pack_codes
 
 DEFAULT_MAX_LENGTH = 16
-# The decoder tabulates every window of the code's width, so the width a
-# stream may declare is capped; :func:`build_code` never exceeds it.
+# The decoder tabulates a code length for every window of the code's
+# width, so the width a stream may declare is capped; :func:`build_code`
+# never exceeds it.
 MAX_CODE_LENGTH = 24
 # The decoder's lift depth (see :func:`_lift_levels`): one walked anchor
 # costs about as much as gathering this many bit positions of a level.
@@ -348,8 +351,7 @@ def decode(stream: bytes) -> np.ndarray:
         raise CorruptStreamError("huffman code table inconsistent with its header")
     if n_symbols == 1:
         return np.full(n_values, symbols[0], dtype=np.int64)
-    code = HuffmanCode(symbols=symbols, lengths=lengths, codes=canonical_codes(lengths))
-    sym_table, len_table = code.decode_tables()
+    len_table, ranked, rank_offset = _canonical_layout(symbols, lengths, width)
     # words[b] = payload bytes b..b+3 big-endian: the window at bit
     # 8b + j is that word shifted right by 32 - width - j (width <= 25).
     padded = np.zeros(nbytes + 3, dtype=np.uint8)
@@ -358,7 +360,7 @@ def decode(stream: bytes) -> np.ndarray:
     mask = np.uint32((1 << width) - 1)
     windows = words[:, None] >> np.arange(32 - width, 24 - width, -1, dtype=np.uint32)
     windows &= mask
-    len_at = len_table.astype(np.uint8)[windows].reshape(-1)[:total_bits]
+    len_at = len_table[windows].reshape(-1)[:total_bits]
     del windows
     if len_at[0] == 0:
         raise CorruptStreamError("invalid prefix at stream start")
@@ -378,7 +380,41 @@ def decode(stream: bytes) -> np.ndarray:
     if int(pos[-1]) + int(len_pos[-1]) != total_bits:
         raise CorruptStreamError("huffman codes do not end at the declared bit count")
     shift = np.uint32(32 - width) - (pos & 7).astype(np.uint32)
-    return symbols[sym_table[(words[pos >> 3] >> shift) & mask]]
+    windows = (words[pos >> 3] >> shift) & mask
+    # A code of length l is the window's top l bits; canonical codes of
+    # one length count up from that length's first code, one rank apart.
+    len_pos = len_pos.astype(np.intp)
+    ranks = windows >> (width - len_pos)
+    ranks += rank_offset.take(len_pos)
+    return ranked.take(ranks)
+
+
+def _canonical_layout(
+    symbols: np.ndarray, lengths: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The canonical code over *lengths* (each ``1..width``) as
+    :func:`decode` reads it: ``len_table[w]``, the length of the code the
+    ``width``-bit window *w* starts with (uint8, 0 past the last code);
+    the *symbols* in canonical order (by length, then index); and per
+    length *l* the rank of its first code less that code's value, so a
+    length-*l* code ``c`` is ``ranked[c + rank_offset[l]]``.
+    """
+    bl_count = np.bincount(lengths, minlength=width + 1)
+    size = 1 << width
+    # Left-justified, the codes of length 1, 2, ... tile [0, 2**width) in
+    # that order; an over-full code book (a corrupt stream) runs past it.
+    ends = np.minimum(np.cumsum(bl_count << (width - np.arange(width + 1))), size)
+    len_table = np.zeros(size, dtype=np.uint8)
+    len_table[: ends[-1]] = np.repeat(
+        np.arange(width + 1, dtype=np.uint8), np.diff(ends, prepend=0)
+    )
+    first, code = [0], 0
+    for count in bl_count[:-1].tolist():
+        code = (code + count) << 1
+        first.append(code)
+    rank_offset = (np.cumsum(bl_count) - bl_count) - np.array(first, dtype=np.int64)
+    ranked = symbols[np.argsort(lengths.astype(np.uint8), kind="stable")]
+    return len_table, ranked, rank_offset
 
 
 def _lift_levels(n_values: int, total_bits: int) -> int:

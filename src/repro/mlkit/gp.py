@@ -12,7 +12,6 @@ no gradient optimisation is needed at these data scales.
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg
 
 from .base import BaseEstimator, check_X, check_X_y
 
@@ -57,6 +56,8 @@ class GaussianProcessRegressor(BaseEstimator):
         self.noise = float(noise)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GaussianProcessRegressor":
+        from scipy import linalg
+
         X, y = check_X_y(X, y)
         self.x_mean_ = X.mean(axis=0)
         scale = X.std(axis=0)
@@ -86,6 +87,8 @@ class GaussianProcessRegressor(BaseEstimator):
 
     def predict_std(self, X: np.ndarray) -> np.ndarray:
         """Posterior predictive standard deviation (incl. noise)."""
+        from scipy import linalg
+
         Xs = self._standardise(X)
         Ks = rbf_kernel(Xs, self.X_train_, self.length_scale_)
         v = linalg.solve_triangular(self.chol_, Ks.T, lower=True)

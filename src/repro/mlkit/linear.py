@@ -4,13 +4,14 @@ The Krasowska 2021 scheme fits a "simple trained linear regression" over
 two features; ridge is its numerically safer sibling used wherever
 collinear features appear (the Ganguli feature set).  Solved with
 ``scipy.linalg.lstsq`` / the regularised normal equations — no iterative
-optimisation needed at these scales.
+optimisation needed at these scales.  ``scipy.linalg`` is imported in
+``fit``, so a process that only predicts, or never fits these models,
+does not load scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg
 
 from .base import BaseEstimator, check_X, check_X_y
 
@@ -19,6 +20,8 @@ class LinearRegression(BaseEstimator):
     """Ordinary least squares with an intercept."""
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LinearRegression":
+        from scipy import linalg
+
         X, y = check_X_y(X, y)
         A = np.column_stack([np.ones(X.shape[0]), X])
         coef, *_ = linalg.lstsq(A, y)
@@ -42,6 +45,8 @@ class Ridge(BaseEstimator):
         self.alpha = float(alpha)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "Ridge":
+        from scipy import linalg
+
         X, y = check_X_y(X, y)
         x_mean = X.mean(axis=0)
         y_mean = float(y.mean())

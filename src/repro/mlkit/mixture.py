@@ -11,7 +11,6 @@ the *inputs* so prediction-time assignment needs no target.
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg
 
 from .base import BaseEstimator, check_X, check_X_y
 
@@ -77,6 +76,8 @@ class MixtureLinearRegression(BaseEstimator):
 
     # -- EM ---------------------------------------------------------------------
     def fit(self, X: np.ndarray, y: np.ndarray) -> "MixtureLinearRegression":
+        from scipy import linalg
+
         X, y = check_X_y(X, y)
         # Standardise inputs internally: the gate works on any scale, but
         # the per-expert solves (and their extrapolation behaviour) are

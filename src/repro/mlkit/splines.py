@@ -11,7 +11,6 @@ ridge-regularised least squares.
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg
 
 from .base import BaseEstimator, check_X, check_X_y
 
@@ -60,6 +59,8 @@ class NaturalSplineRegression(BaseEstimator):
         self.alpha = float(alpha)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "NaturalSplineRegression":
+        from scipy import linalg
+
         X, y = check_X_y(X, y)
         self.knots_ = [quantile_knots(X[:, j], self.n_knots) for j in range(X.shape[1])]
         B = self._design(X)

@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Any
 
 import numpy as np
-from scipy import linalg
 
 from ...core.data import PressioData
 from ...core.metrics import ERROR_AGNOSTIC, NONDETERMINISTIC, MetricsPlugin
@@ -138,6 +137,8 @@ def svd_truncation_rank(array: np.ndarray, energy: float = 0.999) -> int:
     low rank means the data's global spatial information is concentrated
     → highly compressible (Underwood & Bessac 2023).
     """
+    from scipy import linalg
+
     arr = np.asarray(array, dtype=np.float64)
     flat = arr.reshape(-1)
     if flat.size == 0:

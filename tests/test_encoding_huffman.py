@@ -1,5 +1,7 @@
 """Tests for canonical Huffman coding (construction + vectorised decode)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,6 +128,29 @@ class TestRoundTrip:
         code = build_code(train)
         stream = huffman.encode(np.array([2, 1, 0, 0]), code=code)
         assert huffman.decode(stream).tolist() == [2, 1, 0, 0]
+
+    def test_widest_code_decodes_in_alphabet_sized_memory(self):
+        """Fibonacci counts build the deepest tree (26 symbols want 25
+        bits), so the stream declares the widest code decode accepts.
+        A decoder that tabulates symbols over every 24-bit window peaks
+        near 400 MB here; one byte per window plus the stream's own
+        arrays stays far below 64 MB."""
+        counts = [1, 1]
+        while len(counts) < 26:
+            counts.append(counts[-1] + counts[-2])
+        values = np.random.default_rng(0).permutation(
+            np.repeat(np.arange(26, dtype=np.int64), counts)
+        )
+        stream = huffman.encode(values, max_length=huffman.MAX_CODE_LENGTH)
+        assert huffman._STREAM_HEADER.unpack_from(stream, 0)[3] == huffman.MAX_CODE_LENGTH
+        tracemalloc.start()
+        try:
+            out = huffman.decode(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out, values)
+        assert peak < 64 << 20, f"decode peaked at {peak / 2**20:.1f} MB"
 
     def test_external_code_missing_symbol_raises(self):
         code = build_code(np.array([0, 1]))

@@ -647,6 +647,23 @@ class TestDecodeFromBytes:
         want = ref.huffman_decode_windows(stream)
         assert huffman.decode(stream).tolist() == want.tolist()
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(1, 12), min_size=2, max_size=40),
+        st.binary(min_size=1, max_size=64),
+        st.integers(1, 512),
+    )
+    def test_damaged_code_table_decodes_like_the_table_decoder(self, lengths, payload, n):
+        """Any code-length table the header checks let through, over-full
+        (a corrupt stream) or incomplete, resolves codes exactly as the
+        full symbol table over every window does."""
+        n_symbols, width = len(lengths), max(lengths)
+        total_bits = 8 * len(payload)
+        head = huffman._STREAM_HEADER.pack(n_symbols, min(n, total_bits), total_bits, width)
+        symbols = np.arange(n_symbols, dtype="<i8") * 7 - 20
+        stream = head + symbols.tobytes() + np.array(lengths, dtype="<u1").tobytes() + payload
+        _assert_decodes_like(ref.huffman_decode_windows, stream)
+
     def test_lift_depth_follows_bits_per_code(self):
         levels = [huffman._lift_levels(1000, bits) for bits in (1000, 2000, 8000, 40000)]
         assert levels == sorted(levels, reverse=True)

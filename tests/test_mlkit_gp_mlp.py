@@ -65,6 +65,23 @@ class TestGaussianProcess:
         gp = GaussianProcessRegressor().fit(X[:50], y[:50])
         assert np.isfinite(gp.log_marginal_likelihood())
 
+    def test_fit_and_std_are_scipy_factorisations_bit_for_bit(self, wavy_data):
+        from scipy import linalg
+
+        X, y = wavy_data
+        gp = GaussianProcessRegressor().fit(X[:80], y[:80])
+        K = rbf_kernel(gp.X_train_, gp.X_train_, gp.length_scale_)
+        K[np.diag_indices_from(K)] += gp.noise
+        chol = linalg.cholesky(K, lower=True)
+        ys = (y[:80] - gp.y_mean_) / gp.y_scale_
+        assert gp.chol_.tobytes() == chol.tobytes()
+        assert gp.alpha_.tobytes() == linalg.cho_solve((chol, True), ys).tobytes()
+        Xs = (X[80:90] - gp.x_mean_) / gp.x_scale_
+        Ks = rbf_kernel(Xs, gp.X_train_, gp.length_scale_)
+        v = linalg.solve_triangular(chol, Ks.T, lower=True)
+        want = gp.y_scale_ * np.sqrt(np.maximum(1.0 + gp.noise - (v * v).sum(axis=0), 1e-12))
+        assert gp.predict_std(X[80:90]).tobytes() == want.tobytes()
+
     def test_explicit_length_scale(self, wavy_data):
         X, y = wavy_data
         gp = GaussianProcessRegressor(length_scale=0.7).fit(X[:50], y[:50])

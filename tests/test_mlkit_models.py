@@ -67,7 +67,32 @@ class TestLinear:
         assert np.allclose(a, b, atol=1e-6)
 
 
+    def test_fits_are_scipy_solves_bit_for_bit(self, linear_data):
+        """The fits run scipy.linalg's routines (numpy.linalg's LAPACK
+        build may differ in the last bits, and so would every MedAPE)."""
+        from scipy import linalg
+
+        X, y = linear_data
+        coef = linalg.lstsq(np.column_stack([np.ones(len(X)), X]), y)[0]
+        ols = LinearRegression().fit(X, y)
+        assert ols.intercept_ == coef[0] and ols.coef_.tobytes() == coef[1:].tobytes()
+        Xc, yc = X - X.mean(axis=0), y - y.mean()
+        gram = Xc.T @ Xc + 0.5 * np.eye(X.shape[1])
+        want = linalg.solve(gram, Xc.T @ yc, assume_a="pos")
+        assert Ridge(alpha=0.5).fit(X, y).coef_.tobytes() == want.tobytes()
+
+
 class TestSplines:
+    def test_fit_is_a_scipy_solve_bit_for_bit(self, nonlinear_data):
+        from scipy import linalg
+
+        X, y = nonlinear_data
+        model = NaturalSplineRegression(n_knots=6).fit(X, y)
+        A = np.column_stack([np.ones(len(X)), model._design(X)])
+        gram = A.T @ A + model.alpha * np.eye(A.shape[1])
+        want = linalg.solve(gram, A.T @ y, assume_a="pos")
+        assert model.coef_.tobytes() == want.tobytes()
+
     def test_basis_shape(self):
         x = np.linspace(0, 1, 40)
         knots = quantile_knots(x, 5)
