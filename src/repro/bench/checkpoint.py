@@ -536,7 +536,10 @@ class CheckpointStore:
         dataset_hash: str | None = None,
         experiment_hash: str | None = None,
     ) -> list[dict[str, Any]]:
-        """Partial restore: the payloads matching the given hashes.
+        """Partial restore: the payloads matching the given hashes, in
+        key order — not the order the rows arrived in, which on a
+        parallel engine is completion order, so an order-sensitive fit
+        over them gives one answer per checkpoint.
 
         Read-only, and audited: a row that fails its checksum or its
         column set is left out — not deleted — with a warning that names
@@ -556,7 +559,7 @@ class CheckpointStore:
                 "checkpoint recomputes them",
                 stacklevel=2,
             )
-        return list(scan.payloads.values())
+        return [scan.payloads[key] for key in sorted(scan.payloads)]
 
     def keys(self) -> list[str]:
         """All committed (and buffered) result keys, sorted; unaudited."""

@@ -80,8 +80,6 @@ def _add_queue_flags(
                      "later retries back off exponentially with seeded jitter")
     if not task_flags:
         return
-    sub.add_argument("--chunk-size", type=int, default=None,
-                     help="tasks per dispatched datum chunk (default: whole datums)")
     sub.add_argument("--max-retries", type=int, default=2,
                      help="extra attempts per task after a transient failure")
     sub.add_argument("--task-timeout", type=float, default=None,
@@ -162,10 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     collect.add_argument("--coord", default=None, metavar="HOST:PORT",
                          help="TCP rendezvous for launched campaigns "
                          "(default: REPRO_CLUSTER_COORD)")
-    collect.add_argument("--no-spawn", action="store_true",
-                         help="without a launcher environment, run as the "
-                         "'process' engine (the same local ranks; only the "
-                         "engine label changes)")
     collect.add_argument("--heartbeat-interval", type=float, default=0.5)
     collect.add_argument("--heartbeat-timeout", type=float, default=10.0)
     collect.add_argument("--startup-timeout", type=float, default=30.0,
@@ -369,7 +363,6 @@ def _queue_from_args(args: argparse.Namespace, **extra: Any) -> TaskQueue:
         cluster = None
         if args.engine == "cluster":
             cluster = ClusterSpec(
-                spawn=not args.no_spawn,
                 coord=args.coord,
                 heartbeat_interval=args.heartbeat_interval,
                 heartbeat_timeout=args.heartbeat_timeout,
@@ -380,7 +373,6 @@ def _queue_from_args(args: argparse.Namespace, **extra: Any) -> TaskQueue:
             args.engine,
             retry_policy=_retry_policy(args, args.max_retries),
             task_timeout=args.task_timeout,
-            chunk_size=args.chunk_size,
             cluster=cluster,
             **extra,
         )
@@ -443,12 +435,6 @@ def _print_failures(store: CheckpointStore, keys: set[str] | None = None) -> int
     return len(entries)
 
 
-def _engine_label(summary: dict[str, Any]) -> str:
-    """The engine that ran, plus the one asked for when they differ."""
-    engine, requested = summary["engine"], summary["requested_engine"]
-    return f"{engine} (requested {requested})" if requested not in ("", engine) else engine
-
-
 def _print_table2(
     args: argparse.Namespace, runner: ExperimentRunner, observations: Sequence[Any],
     title: str, harness: dict[str, Any] | None,
@@ -480,7 +466,7 @@ def _collection_pass(
             f"{name}={seconds:.3f}s" for name, seconds in summary["stage_summary"].items()
         )
         print(
-            f"queue[{_engine_label(summary)} x{queue.n_workers}] "
+            f"queue[{summary['engine']} x{queue.n_workers}] "
             f"{stages} retries={summary['retries']} quarantined={stats.quarantined} "
             f"timeouts={stats.timeouts} pool_rebuilds={stats.pool_rebuilds} "
             f"commits={store.commit_count} affinity={summary['affinity_hit_rate']:.0%} "
@@ -532,11 +518,11 @@ def cmd_collect(args: argparse.Namespace) -> int:
         summary = stats.summary()
         print(
             f"collected {len(observations)} observation(s) into "
-            f"{args.checkpoint} [{_engine_label(summary)}]: "
+            f"{args.checkpoint} [{summary['engine']}]: "
             f"completed={stats.completed} failed={stats.failed} "
             f"retries={stats.retries}"
         )
-        if stats.engine == "cluster":
+        if stats.engine != "serial":
             print(f"cluster: rank_deaths={summary['rank_deaths']} "
                   f"rank_restarts={summary['rank_restarts']} "
                   f"wire_bytes_per_task={summary['wire_bytes_per_task']:.0f}")
@@ -696,14 +682,17 @@ def cmd_loop(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"predict-bench: error: --servers: {exc}", file=sys.stderr)
         return 2
+    try:
+        queue = TaskQueue(args.workers, args.engine)
+    except ValueError as exc:
+        print(f"predict-bench: error: {exc}", file=sys.stderr)
+        return 2
     chaos = _chaos(args)
     store = _store(args)
 
     def runner_factory(round_no: int) -> ExperimentRunner:
         timesteps = args.base_timesteps + max(round_no - 1, 0) * args.timesteps_per_round
-        return _runner(
-            args, store, _dataset(args, timesteps), queue=TaskQueue(args.workers, args.engine)
-        )
+        return _runner(args, store, _dataset(args, timesteps), queue=queue)
 
     learner = ContinuousLearner(
         ModelRegistry(args.registry),

@@ -4,8 +4,9 @@ The subsystem splits along the coordinator/worker seam:
 
 * :mod:`~repro.bench.cluster.spec` — deployment description and
   environment detection (spawned or launcher-started ranks, both over
-  TCP), import-light so the task queue can resolve (and honestly
-  downgrade) before dataset initialisation is paid for;
+  TCP), import-light so the task queue can resolve it (and reject a
+  malformed coordinator address) before dataset initialisation is paid
+  for;
 * :mod:`~repro.bench.cluster.wire` + :mod:`~repro.bench.cluster.transport`
   — the length-prefixed checksummed frame codec and the pure-socket TCP
   transport that carries it;

@@ -86,13 +86,12 @@ def _stop_rank(proc: multiprocessing.process.BaseProcess) -> None:
 def run_cluster(
     spec: ClusterSpec,
     n_ranks: int,
-    chunk_size: int | None,
     ledger: TaskLedger,
     tasks: list[Task],
     task_fn: Callable[[Task, int], dict[str, Any]] | None,
 ):
     """Run *tasks* on the ranks *spec* describes (*n_ranks* local ones
-    in spawn mode), in chunks of *chunk_size* tasks of one datum.
+    in spawn mode), one chunk per datum.
 
     Every rank's init message carries *task_fn* — chaos-bound already
     when the campaign runs under a plan — as its one task function, so
@@ -103,8 +102,6 @@ def run_cluster(
     the ledger's ``on_result`` sink as its ack was charged.
     """
     mode = spec.resolve()
-    if mode is None:  # pragma: no cover - the queue downgrades first
-        raise RuntimeError("cluster engine invoked with no resolvable deployment")
     stats = ledger.stats
 
     # Launched worker rank: serve, then hand back an empty result set —
@@ -142,7 +139,7 @@ def run_cluster(
         proc.start()
         procs[rank] = proc
 
-    ledger.enqueue(tasks, chunk_size)
+    ledger.enqueue(tasks)
     #: rank → monotonic time of its last message (admitted ranks only).
     last_seen: dict[int, float] = {}
     #: Ranks not admitted yet since the campaign started.

@@ -2,7 +2,7 @@
 
 A :class:`ClusterSpec` answers one question for the ``cluster`` engine:
 *how does this process find its peers?*  Ranks always talk over TCP;
-two answers exist:
+there are two answers, and :meth:`ClusterSpec.resolve` always gives one:
 
 * ``spawn`` — no launcher: the coordinator starts its own worker ranks
   on this host, :mod:`multiprocessing` children that connect back to
@@ -15,12 +15,8 @@ two answers exist:
   Open MPI and PMI variables are all read), and ``REPRO_CLUSTER_COORD``
   or ``--coord`` names the coordinator's ``host:port``.
 
-When neither applies — no launcher environment and spawning disabled —
-:meth:`ClusterSpec.resolve` returns ``None`` and the
-:class:`~repro.bench.taskqueue.TaskQueue` downgrades to the ``process``
-engine with a warning instead of raising after the caller already paid
-for dataset initialisation.  The ``process`` engine runs the same local
-ranks, so the downgrade changes only the engine's name.
+A launched world is recognised only when its environment and a
+coordinator address are both present; otherwise the engine spawns.
 
 This module must stay import-light (no taskqueue/engine imports): the
 queue imports it at module scope, while the heavy engine half of the
@@ -72,12 +68,6 @@ class ClusterSpec:
 
     Parameters
     ----------
-    spawn:
-        Allow the coordinator to start local worker ranks when no
-        launcher environment is present.  ``False`` turns a
-        launcher-less ``--engine cluster`` into a ``process``-engine
-        downgrade instead, which starts the same local ranks under the
-        ``process`` name.
     coord:
         ``"host:port"`` TCP rendezvous.  In spawn mode
         ``None`` means an ephemeral port on localhost; in launched mode
@@ -93,13 +83,12 @@ class ClusterSpec:
         complete or this deadline has passed.
     """
 
-    spawn: bool = True
     coord: str | None = None
     heartbeat_interval: float = 0.5
     heartbeat_timeout: float = 10.0
     worker_startup_timeout: float = 30.0
-    #: Filled by :meth:`resolve`: ``"spawn"`` / ``"launched-tcp"`` /
-    #: ``None`` (downgrade).  The ``process`` engine presets ``"spawn"``,
+    #: Filled by :meth:`resolve`: ``"spawn"`` or ``"launched-tcp"``
+    #: (``None`` until then).  The ``process`` engine presets ``"spawn"``,
     #: so it never reads the launcher environment.
     mode: str | None = field(default=None, repr=False)
     #: Launched-mode identity (rank 0 coordinates; ranks 1..world-1 work).
@@ -112,13 +101,12 @@ class ClusterSpec:
         if self.heartbeat_timeout <= self.heartbeat_interval:
             raise ValueError("heartbeat_timeout must exceed heartbeat_interval")
 
-    def resolve(self) -> str | None:
-        """Decide (and record) the deployment mode for this process.
-
-        Returns the mode, or ``None`` when no cluster deployment is
-        possible — the queue's cue to downgrade.  Idempotent.  Raises
-        ValueError when a launched deployment's coordinator address is
-        not ``HOST:PORT``, before the caller has built anything.
+    def resolve(self) -> str:
+        """Decide (and record) the deployment mode for this process:
+        ``"launched-tcp"`` under a launcher with a coordinator address,
+        ``"spawn"`` otherwise.  Idempotent.  Raises ValueError when a
+        launched deployment's coordinator address is not ``HOST:PORT``,
+        before the caller has built anything.
         """
         if self.mode is not None:
             return self.mode
@@ -132,11 +120,8 @@ class ClusterSpec:
                 self.world = int(env["world"])
                 self.coord = coord
                 return self.mode
-        if self.spawn:
-            self.mode = "spawn"
-            self.rank = 0
-            return self.mode
-        return None
+        self.mode = "spawn"
+        return self.mode
 
     @property
     def is_worker_rank(self) -> bool:

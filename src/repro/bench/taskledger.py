@@ -72,7 +72,7 @@ class TaskResult:
     #: checkpoint failure ledger.
     status: int = int(Status.SUCCESS)
     #: Where a failure happened, as the failure ledger names it: its
-    #: rank on the cluster engine, empty elsewhere (set by the ledger).
+    #: rank on a parallel engine, empty on serial (set by the ledger).
     origin: str = ""
 
     @property
@@ -99,11 +99,8 @@ class QueueStats:
     queue_wait_seconds: float = 0.0
     execute_seconds: float = 0.0
     checkpoint_seconds: float = 0.0
-    #: The engine that actually ran (``n_workers=1`` downgrades to
-    #: serial) and the engine the caller asked for — so ``--queue-stats``
-    #: output is truthful about what executed.
+    #: The engine that ran.
     engine: str = ""
-    requested_engine: str = ""
     #: Tasks quarantined on a permanent (non-retriable) failure.
     quarantined: int = 0
     #: Task attempts that ended in a ``TIMEOUT``.
@@ -169,16 +166,15 @@ class QueueStats:
     def summary(self) -> dict[str, Any]:
         """The run as one plain mapping: what the runner persists as a
         checkpoint's ``last_run_stats``, what ``report`` renders, and what
-        ``--queue-stats`` prints (the cluster counters on that engine only)."""
+        ``--queue-stats`` prints (rank and wire counters when ranks ran)."""
         return {
             "engine": self.engine,
-            "requested_engine": self.requested_engine,
             "completed": self.completed,
             "failed": self.failed,
             "retries": self.retries,
             "stage_summary": self.stage_summary(),
             **self.affinity_summary(),
-            **(self.cluster_summary() if self.engine == "cluster" else {}),
+            **(self.cluster_summary() if self.engine != "serial" else {}),
         }
 
 
@@ -254,7 +250,6 @@ class TaskLedger:
     def __init__(
         self,
         engine: str,
-        requested_engine: str,
         policy: RetryPolicy,
         on_result: Callable[[TaskResult], None] | None,
         *,
@@ -265,7 +260,7 @@ class TaskLedger:
         self.on_result = on_result
         self.task_timeout = task_timeout
         self.max_worker_deaths = max_worker_deaths
-        self.stats = QueueStats(engine=engine, requested_engine=requested_engine)
+        self.stats = QueueStats(engine=engine)
         self.results: list[TaskResult] = []
         self.attempts: dict[str, int] = defaultdict(int)
         #: Chunks ready to dispatch, and ``(ready_at, chunk)`` retries
@@ -280,16 +275,15 @@ class TaskLedger:
         self.aborted = False
 
     # -- backlog -----------------------------------------------------------------
-    def enqueue(self, tasks: Iterable[Task], chunk_size: int | None) -> None:
-        """Group *tasks* by datum and cut the groups into dispatch chunks
-        (``chunk_size=None``: one chunk per datum, maximum batching)."""
+    def enqueue(self, tasks: Iterable[Task], *, whole_datums: bool = True) -> None:
+        """Group *tasks* by datum onto the backlog: one chunk per datum
+        (the parallel engines), or one chunk per task in datum order
+        (``whole_datums=False``, the serial loop)."""
         groups: dict[str, list[Task]] = {}
         for task in tasks:
             groups.setdefault(task.data_id, []).append(task)
         for group in groups.values():
-            step = chunk_size or len(group)
-            for i in range(0, len(group), step):
-                self.pending.append(group[i : i + step])
+            self.pending.extend([group] if whole_datums else ([t] for t in group))
 
     def promote_delayed(self) -> None:
         """Move retries whose backoff has elapsed onto the backlog."""
@@ -341,7 +335,7 @@ class TaskLedger:
                         status=error_status(exc),
                     )
             stats.checkpoint_seconds += time.perf_counter() - t0
-        if not result.ok and stats.engine == "cluster" and result.worker >= 0:
+        if not result.ok and stats.engine != "serial" and result.worker >= 0:
             result.origin = f"rank{result.worker}"
         self.results.append(result)
         stats.completed += result.ok

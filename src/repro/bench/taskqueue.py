@@ -18,7 +18,8 @@ Engines:
 
 Both parallel engines run one coordinator,
 :func:`~repro.bench.cluster.engine.run_cluster` (``process`` is its
-spawn mode), with worker ids ``1..n``.
+spawn mode), with worker ids ``1..n``.  The engine named is the one
+that runs: one ``process`` worker is one forked rank.
 
 One thing reaches a worker, on every engine: the task function
 ``fn(task, worker)`` given to :meth:`TaskQueue.run` — already bound to
@@ -36,8 +37,9 @@ retries with backoff, quarantine, deadline charges, the crash-loop cap
 :class:`~repro.bench.taskledger.TaskLedger` every engine drives: tasks
 are grouped by ``data_id`` and routed by a worker-id → datum affinity
 map, so a datum's chunks follow the worker that loaded it and idle
-workers steal (ownership moves with the steal).  The serial engine is
-the one-worker case of the same backlog: single-task chunks, so it runs
+workers steal (ownership moves with the steal); a parallel engine
+dispatches each datum as one chunk.  The serial engine is the
+one-worker case of the same backlog: single-task chunks, so it runs
 one datum's tasks back to back, datums in order of first appearance.
 
 Fault domains supervised (see :mod:`repro.bench.faults`):
@@ -144,11 +146,9 @@ class TaskQueue:
     Parameters
     ----------
     n_workers:
-        Worker count; 1 forces the serial engine (with a warning when a
-        parallel engine was requested — the downgrade used to be silent).
+        Worker ranks a parallel engine starts (ids ``1..n``), ``>= 1``.
     engine:
-        One of :data:`ENGINES`: ``"serial"``, ``"process"`` or
-        ``"cluster"``.
+        One of :data:`ENGINES` — the engine that runs, for any count.
     max_retries:
         Additional attempts per task after a *transient* failure.  A
         task that still fails is reported as failed (not raised) so one
@@ -169,12 +169,9 @@ class TaskQueue:
     max_pool_rebuilds:
         Consecutive no-progress worker (rank) deaths tolerated before
         the run fails with a diagnosis.
-    chunk_size:
-        Process/cluster dispatch granularity: tasks per chunk within a
-        datum group.  ``None`` (default) dispatches whole groups —
-        maximum batching; a small value interleaves datums across
-        workers and lets the affinity map route later chunks back to
-        whichever worker loaded the datum first.
+    cluster:
+        The ``cluster`` engine's deployment (default: a launcher when
+        there is one, local ranks otherwise); ``process`` always spawns.
     """
 
     def __init__(
@@ -186,46 +183,29 @@ class TaskQueue:
         retry_policy: RetryPolicy | None = None,
         task_timeout: float | None = None,
         max_pool_rebuilds: int = 5,
-        chunk_size: int | None = None,
         cluster: ClusterSpec | None = None,
     ) -> None:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}")
-        self.n_workers = max(1, int(n_workers))
-        self.requested_engine = engine
+        if int(n_workers) < 1:
+            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+        self.n_workers = int(n_workers)
+        self.engine = engine
         self.cluster = cluster
-        if engine == "cluster":
-            # Resolve the deployment *now*, not after the caller has
-            # paid for dataset init: no launcher environment and spawning
-            # disabled means there is no cluster to run on — downgrade
-            # to the process engine with a warning (and let QueueStats
-            # stay truthful via requested_engine).
+        if engine == "process":
+            # The cluster loop over local ranks it starts itself, whatever
+            # launcher environment it runs under.
+            self.cluster = dataclasses.replace(cluster or ClusterSpec(), mode="spawn")
+        elif engine == "cluster":
+            # Resolve the deployment now: a malformed launched coordinator
+            # raises before the caller has paid for dataset init.
             self.cluster = cluster or ClusterSpec()
-            if self.cluster.resolve() is None:
-                warnings.warn(
-                    "engine 'cluster' found no launcher environment and "
-                    "spawning is disabled; falling back to 'process'",
-                    stacklevel=2,
-                )
-                engine = "process"
-        # A single-worker parallel engine is pointless *except* for the
-        # cluster engine, whose one worker is still a separate rank (the
-        # 1-rank cell of a scaling sweep).
-        if self.n_workers == 1 and engine not in ("serial", "cluster"):
-            warnings.warn(
-                f"engine {engine!r} requires more than one worker; "
-                "falling back to 'serial'",
-                stacklevel=2,
-            )
-        self.engine = engine if (self.n_workers > 1 or engine in ("serial", "cluster")) else "serial"
+            self.cluster.resolve()
         self.retry_policy = retry_policy or RetryPolicy(max_retries=int(max_retries))
         if task_timeout is not None and not float(task_timeout) > 0.0:
             raise ValueError("task_timeout must be > 0 (or None to disable deadlines)")
         self.task_timeout = None if task_timeout is None else float(task_timeout)
         self.max_pool_rebuilds = max(0, int(max_pool_rebuilds))
-        if chunk_size is not None and int(chunk_size) < 1:
-            raise ValueError("chunk_size must be >= 1 (or None for whole groups)")
-        self.chunk_size = None if chunk_size is None else int(chunk_size)
 
     def run(
         self,
@@ -252,9 +232,7 @@ class TaskQueue:
         before each task), and a plan with a ``sink`` rate wraps
         ``on_result``.
         """
-        if task_fn is None and not (
-            self.engine == "cluster" and self.cluster.is_worker_rank
-        ):
+        if task_fn is None and not (self.cluster and self.cluster.is_worker_rank):
             # A launched cluster *worker* rank receives its task function
             # over the wire (pickled in the coordinator's init message);
             # requiring one locally would make the symmetric "every rank
@@ -267,7 +245,6 @@ class TaskQueue:
                 on_result = chaos.wrap_sink(on_result)
         ledger = TaskLedger(
             self.engine,
-            self.requested_engine,
             self.retry_policy,
             on_result,
             task_timeout=self.task_timeout,
@@ -277,13 +254,7 @@ class TaskQueue:
             return self._run_serial(ledger, tasks, task_fn)
         from .cluster.engine import run_cluster
 
-        # The process engine is the cluster loop over local ranks it
-        # starts itself, whatever launcher environment it runs under (a
-        # downgraded cluster spec keeps its heartbeat and startup times).
-        spec = self.cluster
-        if self.engine == "process":
-            spec = dataclasses.replace(spec or ClusterSpec(), mode="spawn")
-        return run_cluster(spec, self.n_workers, self.chunk_size, ledger, tasks, task_fn)
+        return run_cluster(self.cluster, self.n_workers, ledger, tasks, task_fn)
 
     # -- serial engine -----------------------------------------------------------
     def _run_serial(
@@ -301,7 +272,7 @@ class TaskQueue:
             with _serial_deadline(self.task_timeout, task.key()):
                 return task_fn(task, worker)
 
-        ledger.enqueue(tasks, 1)
+        ledger.enqueue(tasks, whole_datums=False)
         while True:
             ledger.promote_delayed()
             chunk = ledger.dispatch(0)

@@ -248,8 +248,8 @@ class PredictionClient:
         memoises its content fingerprint by object identity, and once
         the server confirms the field is cached under this model's
         scope, repeats go out as a ``data_ref`` a few hundred bytes long
-        instead of the payload (falling back to a full resend on
-        ``need_data``).
+        instead of the payload (with a full resend when the server
+        answers ``need_data``).
 
         Returns the full response (``prediction``, ``target``,
         ``version``, ``batch_size``, ``timings``).  Raises

@@ -33,6 +33,13 @@ def documented_commands():
     return commands
 
 
+def table2_cells(report_json):
+    """``report --json`` output → its rows' method, compressor, MedAPE and
+    ``n``, as one string (a NaN MedAPE compares equal to itself there)."""
+    return repr([(r["method"], r["compressor"], r["medape_pct"], r["n_observations"])
+                 for r in json.loads(report_json)["rows"]])
+
+
 class TestParser:
     def test_defaults(self):
         args = build_parser().parse_args(["run"])
@@ -255,6 +262,38 @@ class TestReportCommand:
         out = capsys.readouterr().out
         assert "szx khan2023" in out
         assert "observations" in out
+
+    def test_report_ignores_the_order_rows_arrived_in(self, tmp_path, capsys):
+        """A parallel campaign stores rows in completion order.  The same
+        rows stored in reverse must report the same Table 2: the FXRZ
+        forest fits of rahman2023 move with the order they are given."""
+        import shutil
+        import sqlite3
+
+        base = ["--schemes", "khan2023", "rahman2023", "tao2019",
+                "--compressors", "szx", "sz3", "--folds", "3"]
+        forward, backward = str(tmp_path / "forward.db"), str(tmp_path / "backward.db")
+        assert main(["run", *base, "--shape", "8", "8", "4", "--timesteps", "2",
+                     "--fields", "P", "U", "QRAIN", "W", "--checkpoint", forward]) == 0
+        shutil.copy(forward, backward)
+        with sqlite3.connect(backward) as db:
+            db.executescript(
+                "CREATE TABLE reversed AS SELECT * FROM results ORDER BY rowid DESC;"
+                "DELETE FROM results; INSERT INTO results SELECT * FROM reversed;"
+                "DROP TABLE reversed;"
+            )
+        with sqlite3.connect(backward) as db:
+            first = db.execute("SELECT key FROM results ORDER BY rowid LIMIT 1").fetchone()
+        with sqlite3.connect(forward) as db:
+            last = db.execute("SELECT key FROM results ORDER BY rowid DESC LIMIT 1").fetchone()
+        assert first == last  # the table order really is reversed
+        capsys.readouterr()
+        reports = []
+        for ck in (forward, backward):
+            assert main(["report", ck, *base, "--json"]) == 0
+            reports.append(table2_cells(capsys.readouterr().out))
+        assert "rahman2023" in reports[0]
+        assert reports[0] == reports[1]
 
     def test_report_empty_checkpoint_fails_cleanly(self, tmp_path, capsys):
         ck = str(tmp_path / "empty.db")
@@ -645,7 +684,7 @@ class TestCollectCommand:
         assert re.search(r"^collected 2 observation\(s\) into ", captured.out, re.M)
         assert "completed=2 failed=0" in captured.out
         assert f"queue[{engine} x{workers}]" in captured.err
-        if engine == "cluster":
+        if engine != "serial":
             assert "cluster: rank_deaths=0 rank_restarts=0 " in captured.out
         assert main(argv) == 0
         captured = capsys.readouterr()
@@ -676,6 +715,51 @@ class TestCollectCommand:
             main(argv)
         assert exit_info.value.code == 2
         assert "HOST:PORT" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "collect", "loop"])
+    def test_zero_workers_is_a_usage_error_before_any_work(
+        self, tmp_path, capsys, launch_env, command
+    ):
+        import repro.bench.cli as cli
+
+        def no_dataset(*args, **kwargs):
+            raise AssertionError("the dataset was built before the usage check")
+
+        launch_env.setattr(cli, "HurricaneDataset", no_dataset)
+        db = str(tmp_path / "c.db")
+        argv = {
+            "run": ["run", *SMALL_CAMPAIGN, "--checkpoint", db],
+            "collect": ["collect", *SMALL_CAMPAIGN, "--checkpoint", db],
+            "loop": ["loop", db, "--registry", str(tmp_path / "reg")],
+        }[command]
+        try:
+            code = main([*argv, "--workers", "0"])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert "n_workers must be >= 1, got 0" in capsys.readouterr().err
+
+
+class TestEnginesAgree:
+    def test_report_is_identical_across_engines(self, tmp_path, capsys, launch_env):
+        """One campaign collected on serial, process (2) and cluster (2):
+        each checkpoint holds the same rows, in whatever order they
+        arrived, so ``report`` gives the same Table 2 from each."""
+        campaign = ["--schemes", "khan2023", "rahman2023", "--compressors", "szx",
+                    "--bounds", "1e-3", "1e-4", "--shape", "8", "8", "4",
+                    "--timesteps", "2", "--fields", "P", "U", "QRAIN", "W"]
+        reports = {}
+        for engine, workers in [("serial", "1"), ("process", "2"), ("cluster", "2")]:
+            db = str(tmp_path / f"{engine}.db")
+            assert main(["collect", *campaign, "--checkpoint", db,
+                         "--engine", engine, "--workers", workers]) == 0
+            assert "completed=16 failed=0" in capsys.readouterr().out
+            assert main(["report", db, "--schemes", "khan2023", "rahman2023",
+                         "--compressors", "szx", "--folds", "3", "--json"]) == 0
+            reports[engine] = table2_cells(capsys.readouterr().out)
+        assert "rahman2023" in reports["serial"]
+        assert reports["process"] == reports["serial"]
+        assert reports["cluster"] == reports["serial"]
 
 
 LOOP_CAMPAIGN = ["--schemes", "khan2023", "--compressors", "szx", "--bounds", "1e-4",

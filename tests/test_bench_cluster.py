@@ -17,6 +17,7 @@ import socket
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 import warnings
 from collections import deque
@@ -111,9 +112,6 @@ class TestClusterSpec:
         assert spec.rank == 0
         assert not spec.is_worker_rank
 
-    def test_no_spawn_no_launcher_downgrades(self):
-        assert ClusterSpec(spawn=False).resolve() is None
-
     def test_launched_env_detected(self, monkeypatch):
         monkeypatch.setenv("REPRO_CLUSTER_RANK", "2")
         monkeypatch.setenv("REPRO_CLUSTER_WORLD", "4")
@@ -164,19 +162,6 @@ class TestClusterSpec:
 
 
 class TestEngineDowngrade:
-    def test_no_deployment_downgrades_to_process_with_warning(self):
-        with pytest.warns(UserWarning, match="falling back to 'process'"):
-            q = TaskQueue(2, "cluster", cluster=ClusterSpec(spawn=False))
-        assert q.engine == "process"
-        assert q.requested_engine == "cluster"
-
-    def test_downgrade_recorded_in_stats(self):
-        with pytest.warns(UserWarning, match="falling back to 'process'"):
-            q = TaskQueue(2, "cluster", cluster=ClusterSpec(spawn=False))
-        _, stats = q.run(make_tasks(1, 1), _echo_task)
-        assert stats.engine == "process"
-        assert stats.requested_engine == "cluster"
-
     def test_single_worker_cluster_stays_cluster(self):
         # One worker rank is still a separate process — the 1-rank
         # cell of a scaling sweep, not a downgrade.
@@ -418,6 +403,59 @@ class TestLaunchedTcpEndToEnd:
             assert proc.returncode == 0, err
         assert "LAUNCHED_OK" in outputs[0][0]
         assert sorted(os.listdir(tmp_path)) == ["ckpt.db", "launched_rank.py"]
+
+    def test_silent_rank_is_declared_dead_by_heartbeat_staleness(self, monkeypatch):
+        """Rank 2 says hello, takes its chunk and goes silent with its
+        socket open: only heartbeat staleness can tell it from a slow
+        rank.  It is declared dead within ``heartbeat_timeout``, its
+        chunk goes back uncharged, and rank 1 runs it.  Were staleness
+        not checked, the campaign would wait for the silent rank to hang
+        up, SILENCE seconds later."""
+        from repro.bench.cluster.transport import TcpWorkerTransport
+
+        SILENCE = 15.0
+        port = _free_port()
+        monkeypatch.setenv("OMPI_COMM_WORLD_RANK", "0")
+        monkeypatch.setenv("OMPI_COMM_WORLD_SIZE", "3")
+        spec = ClusterSpec(coord=f"127.0.0.1:{port}", heartbeat_interval=0.1,
+                           heartbeat_timeout=1.0, worker_startup_timeout=10.0)
+        taken, release = [], threading.Event()
+
+        def silent_rank():
+            transport = TcpWorkerTransport("127.0.0.1", port, 2, connect_timeout=10.0)
+            try:
+                transport.recv()  # init
+                taken.append(transport.recv()["tasks"])  # its chunk, never acked
+                release.wait(SILENCE)
+            finally:
+                transport.close()
+
+        ranks = [
+            threading.Thread(target=engine_module.serve_rank,
+                             args=("127.0.0.1", port, 1, 10.0), daemon=True),
+            threading.Thread(target=silent_rank, daemon=True),
+        ]
+        for rank in ranks:
+            rank.start()
+        tasks = make_tasks(2, 2)
+        t0 = time.monotonic()
+        try:
+            results, stats = TaskQueue(2, "cluster", cluster=spec).run(tasks, _echo_task)
+        finally:
+            release.set()
+        elapsed = time.monotonic() - t0
+        assert spec.mode == "launched-tcp"
+        assert elapsed < 5.0, f"silent rank noticed only after {elapsed:.1f}s"
+        assert stats.rank_deaths == 1 and stats.rank_restarts == 0
+        assert stats.completed == len(tasks) and stats.failed == 0
+        assert sorted(r.task.key() for r in results) == sorted(t.key() for t in tasks)
+        # The silent rank's chunk ran on rank 1, charged once.
+        assert len(taken) == 1 and taken[0]
+        assert {r.worker for r in results} == {1}
+        assert all(r.attempts == 1 for r in results)
+        for rank in ranks:
+            rank.join(timeout=5.0)
+            assert not rank.is_alive()
 
 
 def _mark_then_echo(marker, task, worker):

@@ -76,8 +76,8 @@ def test_one_chaos_plan_faults_the_same_tasks_on_every_engine(tmp_path):
         assert row["stored"] == len(keys) - len(want_failed), engine
         assert row["injected"]["exception"] == len(want_retried), engine
         assert row["injected"]["sink"] == len(want_failed), engine
-        # The failure ledger names the rank only where there are ranks.
-        assert row["origins"] == ({"rank"} if engine.startswith("cluster") else {""}), engine
+        # The failure ledger names the rank on both parallel engines.
+        assert row["origins"] == ({""} if engine == "serial" else {"rank"}), engine
     counts = {engine: row["injected"] for engine, row in table.items()}
     assert len({tuple(sorted(c.items())) for c in counts.values()}) == 1, counts
 

@@ -134,19 +134,19 @@ class TestLedgerRules:
     def _ledger(self, task_timeout=None, max_worker_deaths=5):
         policy = RetryPolicy(max_retries=1, base_delay=0.05, jitter=0.0)
         return TaskLedger(
-            "process", "process", policy, None,
+            "process", policy, None,
             task_timeout=task_timeout, max_worker_deaths=max_worker_deaths,
         )
 
     def test_enqueue_cuts_datum_groups_into_chunks(self):
         tasks = make_tasks(["a", "b"], per_kind=3)
         ledger = self._ledger()
-        ledger.enqueue(tasks, None)
+        ledger.enqueue(tasks)
         assert [len(c) for c in ledger.pending] == [3, 3]
         ledger = self._ledger()
-        ledger.enqueue(tasks, 2)
+        ledger.enqueue(tasks, whole_datums=False)
         assert [[t.data_id for t in c] for c in ledger.pending] == [
-            ["a", "a"], ["a"], ["b", "b"], ["b"],
+            ["a"], ["a"], ["a"], ["b"], ["b"], ["b"],
         ]
 
     def test_overdue_chunk_is_charged_per_task_and_backs_off(self):
@@ -156,7 +156,7 @@ class TestLedgerRules:
         off here)."""
         tasks = make_tasks(["a"], per_kind=2)
         ledger = self._ledger(task_timeout=0.01)
-        ledger.enqueue(tasks, None)
+        ledger.enqueue(tasks)
         assert ledger.dispatch(0) == tasks
         assert ledger.charge_overdue() == []  # within (len + 1) deadlines
         time.sleep(0.05)
@@ -186,7 +186,7 @@ class TestLedgerRules:
     def test_crash_loop_cap_fails_every_remaining_task_once(self):
         tasks = make_tasks(["a", "b", "c"], per_kind=2)
         ledger = self._ledger(max_worker_deaths=1)
-        ledger.enqueue(tasks, None)
+        ledger.enqueue(tasks)
         ledger.dispatch(0)
         ledger.dispatch(1)
         ledger.worker_died(0, "exit 5")
@@ -203,7 +203,7 @@ class TestLedgerRules:
     def test_a_reported_chunk_resets_the_death_counter(self):
         tasks = make_tasks(["a", "b"], per_kind=1)
         ledger = self._ledger(max_worker_deaths=1)
-        ledger.enqueue(tasks, None)
+        ledger.enqueue(tasks)
         ledger.dispatch(0)
         ledger.worker_died(0, "x")
         ledger.dispatch(1)
@@ -212,14 +212,16 @@ class TestLedgerRules:
         ledger.worker_died(0, "x")
         assert not ledger.aborted
 
-    @pytest.mark.parametrize("engine, origin", [("process", ""), ("cluster", "rank1")])
+    @pytest.mark.parametrize(
+        "engine, origin", [("serial", ""), ("process", "rank1"), ("cluster", "rank1")]
+    )
     def test_final_failure_carries_its_origin(self, engine, origin):
-        """The ledger names where a final failure ran — its rank on the
-        cluster engine only — so the runner copies it to the failure
+        """The ledger names where a final failure ran — its rank on
+        either parallel engine — so the runner copies it to the failure
         ledger without asking which engine it ran on."""
         (task,) = make_tasks(["a"], per_kind=1)
         ledger = TaskLedger(
-            engine, engine, RetryPolicy(max_retries=0), None,
+            engine, RetryPolicy(max_retries=0), None,
             task_timeout=None, max_worker_deaths=5,
         )
         ledger.charge(task, 1, None, "RuntimeError: boom", int(Status.GENERIC_ERROR))

@@ -166,17 +166,30 @@ class TestTaskQueue:
             TaskQueue(2, "mpi")
 
     def test_single_worker_forces_serial(self):
-        with pytest.warns(UserWarning, match="falling back to 'serial'"):
+        """One worker no longer forces anything: the engine named runs."""
+        import warnings as warnings_mod
+
+        with warnings_mod.catch_warnings():
+            warnings_mod.simplefilter("error")
             q = TaskQueue(1, "process")
-        assert q.engine == "serial"
+        assert q.engine == "process"
 
     def test_single_worker_downgrade_warns_and_is_recorded(self):
-        with pytest.warns(UserWarning, match="falling back to 'serial'"):
-            q = TaskQueue(1, "process")
-        assert q.engine == "serial" and q.requested_engine == "process"
-        _, stats = q.run(make_tasks(1, 1), lambda t, w: {"ok": 1})
-        assert stats.engine == "serial"
-        assert stats.requested_engine == "process"
+        """``TaskQueue(1, "process")`` runs one forked rank, silently, and
+        its stats name the engine that ran."""
+        import warnings as warnings_mod
+
+        with warnings_mod.catch_warnings():
+            warnings_mod.simplefilter("error", UserWarning)
+            results, stats = TaskQueue(1, "process").run(make_tasks(2, 2), _echo_worker)
+        assert stats.engine == "process" and stats.completed == 4
+        assert {r.worker for r in results} == {1}
+        assert "requested_engine" not in stats.summary()
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_fewer_than_one_worker_rejected(self, workers):
+        with pytest.raises(ValueError, match="n_workers must be >= 1"):
+            TaskQueue(workers, "serial")
 
     def test_explicit_serial_does_not_warn(self):
         import warnings as warnings_mod
@@ -238,9 +251,7 @@ class TestQueueStress:
         # callable carries its per-worker state, built on first use in
         # each worker process and kept for the rest of the campaign.
         tasks = make_tasks(n_data=4, per_data=3)
-        results, stats = TaskQueue(2, "process", chunk_size=1).run(
-            tasks, _StatefulEcho()
-        )
+        results, stats = TaskQueue(2, "process").run(tasks, _StatefulEcho())
         assert stats.failed == 0 and stats.completed == len(tasks)
         builds: dict[int, set[int]] = {}
         for r in results:
@@ -287,7 +298,7 @@ class TestQueueStress:
 
     def test_worker_ids_are_ranks_one_to_n(self):
         tasks = make_tasks(n_data=4, per_data=1)
-        results, stats = TaskQueue(2, "process", chunk_size=1).run(tasks, _echo_worker)
+        results, stats = TaskQueue(2, "process").run(tasks, _echo_worker)
         assert stats.completed == len(tasks)
         assert {r.worker for r in results} <= {1, 2}
 
@@ -367,18 +378,14 @@ class TestAffinityDispatch:
         assert all(len(ws) == 1 for ws in by_datum.values())
 
     def test_chunked_dispatch_completes_and_accounts_every_task(self):
+        # The serial loop dispatches single-task chunks: four per datum,
+        # each accounted, the first of a datum a miss and the rest hits.
         tasks = make_tasks(n_data=3, per_data=4)
-        results, stats = TaskQueue(2, "process", chunk_size=2).run(
-            tasks, _echo_worker
-        )
+        results, stats = TaskQueue(1, "serial").run(tasks, _echo_worker)
         assert stats.completed == len(tasks)
         assert {r.task.key() for r in results} == {t.key() for t in tasks}
         assert stats.affinity_hits + stats.affinity_misses == len(tasks)
-        assert stats.affinity_hits > 0
-
-    def test_chunk_size_validation(self):
-        with pytest.raises(ValueError):
-            TaskQueue(2, "process", chunk_size=0)
+        assert (stats.affinity_misses, stats.affinity_hits) == (3, 9)
 
 
 class TestFaultInjector:

@@ -57,7 +57,7 @@ CAMPAIGN = textwrap.dedent(
     runner = ExperimentRunner(
         HurricaneDataset(shape=(8, 8, 4), timesteps=[0], fields=["P", "U"]),
         compressors=("szx",), bounds=(1e-4,), schemes=("tao2019",),
-        queue=TaskQueue(2, engine, chunk_size=1, cluster=cluster),
+        queue=TaskQueue(2, engine, cluster=cluster),
     )
     runner.collect(task_fn=report_pid_then_sleep)
     """
