@@ -26,7 +26,10 @@ serve benchmarks.  Six sections land in ``BENCH_kernels.json``:
   64-code one (the ``campaign_many_small`` regime).  Byte equality is
   asserted, and "not slower" at both sizes, except that the encoder and
   the int64-window decoder comparisons tie on the 64-code stream and are
-  held within 10 % there.
+  held within 10 % there.  Each row also records the traced peak MB of
+  one encode and one decode (``encode_peak_mb``, ``decode_peak_mb``):
+  both kernels work in fixed-size blocks, so these stay near the
+  output's size; no bar is set on them.
 * ``read_uint`` — the fixed-width reader under zfp's and szx's width
   groups, straight from the bytes, against the ``(count, width)`` bit
   matrix it replaced: 118 k values at 22 bits (the largest group one
@@ -57,6 +60,7 @@ from __future__ import annotations
 import json
 import os
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -95,6 +99,16 @@ def _race(ref_fn, new_fn, *args, reps: int = 3) -> tuple[float, object, float, o
         t2 = time.perf_counter()
         best_ref, best_new = min(best_ref, t1 - t0), min(best_new, t2 - t1)
     return best_ref, out_ref, best_new, out_new
+
+
+def _peak_mb(fn, *args) -> float:
+    """Traced peak of one call in MB (its arguments allocated before)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return round(tracemalloc.get_traced_memory()[1] / 2**20, 3)
+    finally:
+        tracemalloc.stop()
 
 
 def _production_payload(size: int = PAYLOAD_SIZE) -> bytes:
@@ -176,6 +190,7 @@ def _bench_huffman_kernels(symbols: np.ndarray, reps: int) -> dict:
     )
     assert np.array_equal(out, out_ref) and np.array_equal(out, symbols)
     assert np.array_equal(out, out_win)
+    encode_peak, decode_peak = _peak_mb(huffman.encode, symbols), _peak_mb(huffman.decode, stream)
     return {
         "codes": int(symbols.size),
         "symbols": int(values.size),
@@ -196,6 +211,8 @@ def _bench_huffman_kernels(symbols: np.ndarray, reps: int) -> dict:
         "decode_s": round(t_dec, 6),
         "decode_speedup": round(t_dec_ref / t_dec, 2),
         "decode_windows_speedup": round(t_dec_win / t_dec, 2),
+        "encode_peak_mb": encode_peak,
+        "decode_peak_mb": decode_peak,
     }
 
 

@@ -355,13 +355,19 @@ def _retry_policy(args: argparse.Namespace, max_retries: int) -> RetryPolicy:
 
 
 def _queue_from_args(args: argparse.Namespace, **extra: Any) -> TaskQueue:
-    """The collection queue the queue flags (and, on the ``cluster``
-    engine, the cluster flags) describe.  A value the queue rejects — a
-    malformed coordinator address included — is a usage error (exit 2,
-    like argparse), reported before any dataset is built."""
+    """The collection queue the queue flags (and, where the command has
+    them, the cluster flags) describe.  The ``process`` engine runs the
+    same coordinator as ``cluster``, so it takes the same timing flags;
+    it starts its own ranks, so a ``--coord`` there is an error.  A value
+    the queue rejects — a malformed coordinator address included — is a
+    usage error (exit 2, like argparse), reported before any dataset is
+    built."""
     try:
         cluster = None
-        if args.engine == "cluster":
+        if args.engine != "serial" and "heartbeat_interval" in vars(args):
+            if args.engine == "process" and args.coord is not None:
+                raise ValueError("--coord names a launched campaign's coordinator; "
+                                 "the process engine starts its own ranks")
             cluster = ClusterSpec(
                 coord=args.coord,
                 heartbeat_interval=args.heartbeat_interval,

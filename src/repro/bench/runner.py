@@ -356,10 +356,11 @@ class ExperimentRunner:
         its fault-prone metric implementations.  The store is read in
         one scan (:meth:`CheckpointStore.scan`) that gives the todo set
         and, when nothing runs, the observations; a pass that ran tasks
-        scans once more to read them back.  With ``verify=True`` each
-        scan audits the rows: those whose payload fails its checksum are
-        quarantined and recomputed, so a corrupted checkpoint heals
-        instead of poisoning evaluation.
+        scans once more to read them back.  Observations come back in
+        key order, as :meth:`CheckpointStore.query` gives them.  With
+        ``verify=True`` each scan audits the rows: those whose payload
+        fails its checksum are quarantined and recomputed, so a corrupted
+        checkpoint heals instead of poisoning evaluation.
         Tasks the failure ledger marks *permanently* failed are skipped
         on resume (``skip_poison=True``) — re-running a task that can
         never succeed just burns the campaign's time again.
@@ -434,7 +435,10 @@ class ExperimentRunner:
                 pass
         if todo:
             stored = self._read_store(verify)
-        observations = [stored[k] for k in by_key if k in stored]
+        # Key order, as CheckpointStore.query() reads them: an order-
+        # sensitive fit over them then gives ``run`` and ``report`` of one
+        # checkpoint the same Table 2.
+        observations = [stored[k] for k in sorted(by_key) if k in stored]
         return CollectionResult(observations, stats, failures)
 
     def _read_store(self, verify: bool) -> dict[str, dict[str, Any]]:

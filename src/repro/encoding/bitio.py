@@ -6,12 +6,16 @@ runtime of the whole library (the hpc-parallel guides' first rule:
 vectorise the hot loop), so both directions are expressed as whole-array
 NumPy operations:
 
-* **packing** — given per-symbol ``(code, length)`` arrays, bit offsets
-  come from a cumulative sum of lengths; each code is left-aligned in a
-  64-bit word, shifted to its offset inside its first output byte, and
-  the word's *byte planes* are accumulated into the output with one
-  ``bincount`` each (``ceil((max_length + 7) / 8)`` passes, independent
-  of the number of symbols);
+* **packing** — given per-symbol ``(code, length)`` arrays, one block
+  of ``_PACK_VALUES`` codes at a time: bit offsets come from a
+  cumulative sum of the block's lengths plus the bits before it; each
+  code is left-aligned in a 64-bit word, shifted to its offset inside
+  its first output byte, and the word's *byte planes* are accumulated
+  into the block's bytes with one ``bincount`` each
+  (``ceil((max_length + 7) / 8)`` passes, independent of the number of
+  symbols); a block's first byte, when the previous block ends inside
+  it, is OR-ed into that block's last byte, and the blocks' bytes are
+  joined.  Past the output, the memory is one block's;
 * **reading** — fixed-width values are cut straight out of the payload
   bytes: the value at bit ``i * width`` is the big-endian 64-bit word
   gathered at its first byte, shifted left by the value's offset inside
@@ -28,6 +32,9 @@ import numpy as np
 from ..core.errors import CorruptStreamError
 
 _BIG_ENDIAN_U64 = np.dtype(">u8")
+# Codes :func:`pack_codes` places at once: its working memory is about
+# 100 bytes per code of one such block, whatever the stream.
+_PACK_VALUES = 1 << 14
 
 
 def pack_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
@@ -48,7 +55,7 @@ def pack_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
         number of meaningful bits.
     """
     codes = np.asarray(codes, dtype=np.uint64)
-    lengths = np.asarray(lengths, dtype=np.int64)
+    lengths = np.asarray(lengths)
     if codes.shape != lengths.shape:
         raise ValueError("codes and lengths must have the same shape")
     if codes.size == 0:
@@ -56,10 +63,33 @@ def pack_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
     max_len = int(lengths.max())
     if max_len > 64 or int(lengths.min()) < 0:
         raise ValueError("code lengths must be in 0..64")
+    codes, lengths = codes.reshape(-1), lengths.reshape(-1)
+    n_planes = (max_len + 14) >> 3  # ceil((7 lead bits + max_len) / 8)
+    parts: list[np.ndarray] = []
+    at = 0
+    for i in range(0, codes.size, _PACK_VALUES):
+        block = slice(i, i + _PACK_VALUES)
+        part, end = _pack_block(codes[block], lengths[block], at & 7, n_planes)
+        if at & 7:
+            # The last byte so far holds this block's first bits too:
+            # disjoint bits again, so OR them in.
+            parts[-1][-1] |= part[0]
+            part = part[1:]
+        if part.size:
+            parts.append(part)
+        at = (at & ~7) + end
+    return b"".join(parts), at
+
+
+def _pack_block(
+    codes: np.ndarray, lengths: np.ndarray, lead0: int, n_planes: int
+) -> tuple[np.ndarray, int]:
+    """The bytes *codes* fill when the first starts at bit *lead0* of its
+    first byte, and the bit (from that byte's start) after the last."""
+    lengths = lengths.astype(np.int64, copy=False)
     ends = np.cumsum(lengths)
-    total_bits = int(ends[-1])
-    if total_bits == 0:
-        return b"", 0
+    if lead0:
+        ends += lead0
     starts = ends - lengths
     first_byte = starts >> 3
     lead = (starts & 7).astype(np.uint64)
@@ -72,15 +102,15 @@ def pack_codes(codes: np.ndarray, lengths: np.ndarray) -> tuple[bytes, int]:
     # OR-ing, and sums stay below 256 (exact in bincount's float64).
     word = codes << (64 - lengths).astype(np.uint64)
     planes = (word >> lead).astype(">u8").view(np.uint8).reshape(-1, 8)
-    nbytes = (total_bits + 7) >> 3
-    out = np.zeros(nbytes + 9, dtype=np.float64)
-    n_planes = (max_len + 14) >> 3  # ceil((7 lead bits + max_len) / 8)
+    end = int(ends[-1])
+    nbytes = (end + 7) >> 3
+    acc = np.zeros(nbytes + 9, dtype=np.float64)
     for k in range(n_planes):
         # A code longer than 57 bits at a large offset spills into a ninth
         # byte: the low `lead` bits the right shift pushed off the word.
         piece = planes[:, k] if k < 8 else (word << (np.uint64(8) - lead)) & np.uint64(0xFF)
-        out[k : k + nbytes] += np.bincount(first_byte, weights=piece, minlength=nbytes)[:nbytes]
-    return out[:nbytes].astype(np.uint8).tobytes(), total_bits
+        acc[k : k + nbytes] += np.bincount(first_byte, weights=piece, minlength=nbytes)[:nbytes]
+    return acc[:nbytes].astype(np.uint8), end
 
 
 def uint_bit_length(values: np.ndarray) -> np.ndarray:
@@ -104,9 +134,10 @@ def uint_bit_length(values: np.ndarray) -> np.ndarray:
 
 def write_uint_array(values: np.ndarray, bit_width: int) -> bytes:
     """Pack fixed-width unsigned integers (used for escape values)."""
-    values = np.asarray(values, dtype=np.uint64)
-    lengths = np.full(values.shape, bit_width, dtype=np.int64)
-    payload, _ = pack_codes(values, lengths)
+    if not 0 <= bit_width <= 64:
+        raise ValueError("code lengths must be in 0..64")
+    values = np.asarray(values, dtype=np.uint64).reshape(-1)
+    payload, _ = pack_codes(values, np.full(values.shape, bit_width, dtype=np.uint8))
     return payload
 
 

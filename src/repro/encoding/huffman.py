@@ -6,31 +6,38 @@ pointers only), limits them with a zlib-style pass and assigns canonical
 codes.  Each value finds its code through a dense lookup table over the
 values' ``[min, max]`` when that span is small next to the stream, else
 through a sorted search; codes are packed with
-:func:`repro.encoding.bitio.pack_codes` (byte-plane accumulation, no
-per-symbol Python loop).
+:func:`repro.encoding.bitio.pack_codes` (byte-plane accumulation, one
+block of codes at a time, no per-symbol Python loop).
 
 The decoder avoids the classic sequential bit-walk.  Because code lengths
-are limited to ``max_length`` (at most 24) bits, a one-byte table maps
-every ``max_length``-bit window to the length of the code it starts with;
-symbols are resolved only at the ``N`` code starts, by canonical-code
-arithmetic, so nothing else is sized by ``2**max_length``.  The
-windows are read straight from the payload bytes: one big-endian 32-bit
-word per byte holds the window at each of that byte's eight bit
-positions, one shift apart, so no bit array is ever unpacked.  The length
-table evaluated at *every* bit position gives the "next code starts at"
-jump array ``J[p] = p + len[p]``; the position of the ``k``-th code is
-``J`` applied ``k`` times to 0.  Those positions are recovered with
-**anchored binary lifting**: the jump-by-2^(j+1) table is the
-jump-by-2^j table applied to itself (a stream-sized gather), but only
+are limited to ``max_length`` (at most 24) bits, the length of the code a
+``max_length``-bit window starts with is a lookup in a small table over
+the window's top bits (a sorted search over the per-length limits for the
+few windows whose prefix spans two lengths); symbols are resolved only
+at the ``N`` code starts, by canonical-code arithmetic, so nothing is
+sized by ``2**max_length``.  The windows are read straight from the
+payload bytes: one big-endian 32-bit word per byte holds the window at
+each of that byte's eight bit positions, one shift apart, so no bit
+array is ever unpacked.  The lengths at *every* bit position give the
+"next code starts at" jump array ``J[p] = p + len[p]``; the position of
+the ``k``-th code is ``J`` applied ``k`` times to 0.  Those positions
+are recovered with **anchored binary lifting**: the jump-by-2^(j+1)
+table is the jump-by-2^j table applied to itself (a gather), but only
 ``L`` such levels are built; the top one is walked sequentially to place
 an *anchor* at every ``2^L``-th code, and the lower levels fan each
-anchor out to the ``2^L`` codes it covers with gathers whose sizes sum to
-``N``.  That is ``O(L*T + N)`` vectorised work for ``T`` bits and ``N``
-codes plus ``N / 2^L`` interpreted steps — the list-ranking trick from
-parallel algorithms, stopped where a short serial walk becomes cheaper
-than another stream-sized pass.  ``L`` follows the stream's bits per
-code: a level costs ``T`` gathered elements and saves ``N / 2^(L+1)``
-walked steps.
+anchor out to the ``2^L`` codes it covers with gathers whose sizes sum
+to ``N``.  That is ``O(L*T + N)`` vectorised work for ``T`` bits and
+``N`` codes plus ``N / 2^L`` interpreted steps — the list-ranking trick
+from parallel algorithms, stopped where a short serial walk becomes
+cheaper than another pass over the bits.  ``L`` follows the stream's
+bits per code: a level costs ``T`` gathered elements and saves
+``N / 2^(L+1)`` walked steps.
+
+All of this runs over one block of ``_DECODE_BITS`` bit positions at a
+time, from the byte that holds the next code's start: the block's last
+code carries that start into the next block, and the symbols go
+straight into one preallocated output.  Besides that output, the
+decoder's memory is a few MB whatever the stream's length.
 """
 
 from __future__ import annotations
@@ -44,16 +51,27 @@ from ..core.errors import CorruptStreamError
 from .bitio import pack_codes
 
 DEFAULT_MAX_LENGTH = 16
-# The decoder tabulates a code length for every window of the code's
-# width, so the width a stream may declare is capped; :func:`build_code`
-# never exceeds it.
+# The decoder reads each code's window out of one 32-bit word, so the
+# width a stream may declare is capped; :func:`build_code` never exceeds
+# it.
 MAX_CODE_LENGTH = 24
 # The decoder's lift depth (see :func:`_lift_levels`): one walked anchor
 # costs about as much as gathering this many bit positions of a level.
-# Every level is a stream-sized int64 array; with ``jump`` the decoder
-# then holds at most five, as many as the int64-window decoder did.
+# Every level is a block-sized intp array; with ``jump`` the decoder
+# holds at most five.
 _WALK_BITS = 32
 _MAX_LIFT_LEVELS = 4
+# Anchors walked between two tests for the walk's end: a block's walk
+# overshoots its last code by at most this many steps.
+_WALK_CHUNK = 64
+# Bit positions :func:`decode` tabulates at once: its working memory is
+# about 40 bytes per position of one such block, whatever the stream.
+_DECODE_BITS = 1 << 16
+# The decoder's first-level length table covers a window's top bits;
+# the windows whose prefix spans more than one code length (at most one
+# prefix per length) are searched instead.
+_TOP_BITS = 12
+_MIXED = 255
 # :func:`encode` looks each value's code up in a table over the values'
 # [min, max] while that span is below this many times the value count.
 _LOOKUP_SPAN_FACTOR = 4
@@ -295,7 +313,7 @@ def encode(values: np.ndarray, *, max_length: int = DEFAULT_MAX_LENGTH,
         counts = np.bincount(offsets, minlength=span)
         slots = np.flatnonzero(counts)
         code = build_code(symbols=slots + lo, counts=counts[slots], max_length=max_length)
-        length_at = np.zeros(span, dtype=np.int64)
+        length_at = np.zeros(span, dtype=np.uint8)
         length_at[slots] = code.lengths
         code_at = np.zeros(span, dtype=np.uint64)
         code_at[slots] = code.codes
@@ -309,7 +327,7 @@ def encode(values: np.ndarray, *, max_length: int = DEFAULT_MAX_LENGTH,
             or (code.symbols[np.minimum(idx, code.symbols.size - 1)] != values).any()
         ):
             raise ValueError("values contain symbols outside the supplied code book")
-        codes, lengths = code.codes[idx], code.lengths[idx]
+        codes, lengths = code.codes[idx], code.lengths.astype(np.uint8)[idx]
     payload, total_bits = pack_codes(codes, lengths) if values.size else (b"", 0)
     head = _STREAM_HEADER.pack(code.symbols.size, values.size, total_bits, code.max_length)
     return b"".join([
@@ -351,70 +369,113 @@ def decode(stream: bytes) -> np.ndarray:
         raise CorruptStreamError("huffman code table inconsistent with its header")
     if n_symbols == 1:
         return np.full(n_values, symbols[0], dtype=np.int64)
-    len_table, ranked, rank_offset = _canonical_layout(symbols, lengths, width)
-    # words[b] = payload bytes b..b+3 big-endian: the window at bit
-    # 8b + j is that word shifted right by 32 - width - j (width <= 25).
-    padded = np.zeros(nbytes + 3, dtype=np.uint8)
-    padded[:nbytes] = np.frombuffer(stream, dtype=np.uint8, count=nbytes, offset=off)
-    words = np.ndarray((nbytes,), dtype=">u4", buffer=padded, strides=(1,)).astype(np.uint32)
-    mask = np.uint32((1 << width) - 1)
-    windows = words[:, None] >> np.arange(32 - width, 24 - width, -1, dtype=np.uint32)
-    windows &= mask
-    len_at = len_table[windows].reshape(-1)[:total_bits]
-    del windows
-    if len_at[0] == 0:
-        raise CorruptStreamError("invalid prefix at stream start")
-    # jump[p] = start of the code after the one at p; a position no code
-    # matches (length 0) maps to itself, and the end of the stream is a
-    # sink.  Only the last `width` positions can point past it.
-    jump = np.arange(total_bits + 1, dtype=np.int64)
-    jump[:total_bits] += len_at
-    tail = jump[-(width + 1) :]
-    np.minimum(tail, total_bits, out=tail)
-    pos = _code_positions(jump, n_values, _lift_levels(n_values, total_bits))
-    if (pos >= total_bits).any():
-        raise CorruptStreamError("huffman stream truncated")
-    len_pos = len_at[pos]
-    if (len_pos == 0).any():
-        raise CorruptStreamError("invalid huffman code in stream")
-    if int(pos[-1]) + int(len_pos[-1]) != total_bits:
+    layout = _canonical_layout(symbols, lengths, width)
+    payload = np.frombuffer(stream, dtype=np.uint8, count=nbytes, offset=off)
+    levels = _lift_levels(n_values, total_bits)
+    out = np.empty(n_values, dtype=np.int64)
+    # One block of bit positions at a time, from the byte holding the
+    # next code's start; the block's last code carries that start on.
+    done = at = 0
+    while done < n_values:
+        if at >= total_bits:
+            raise CorruptStreamError("huffman stream truncated")
+        first = at >> 3
+        windows = _block_windows(payload, first, min(_DECODE_BITS, total_bits - 8 * first), width)
+        len_at = layout.lengths_of(windows)
+        pos = _code_positions(len_at, at - 8 * first, n_values - done, levels)
+        len_pos = len_at[pos]
+        if not len_pos.all():
+            if done == 0 and len_pos[0] == 0:
+                raise CorruptStreamError("invalid prefix at stream start")
+            raise CorruptStreamError("invalid huffman code in stream")
+        # A code of length l is the window's top l bits; canonical codes of
+        # one length count up from that length's first code, one rank apart.
+        len_pos = len_pos.astype(np.intp)
+        ranks = windows[pos] >> (width - len_pos)
+        ranks += layout.rank_offset.take(len_pos)
+        layout.ranked.take(ranks, out=out[done : done + pos.size])
+        done += pos.size
+        at = 8 * first + int(pos[-1]) + int(len_pos[-1])
+    if at != total_bits:
         raise CorruptStreamError("huffman codes do not end at the declared bit count")
-    shift = np.uint32(32 - width) - (pos & 7).astype(np.uint32)
-    windows = (words[pos >> 3] >> shift) & mask
-    # A code of length l is the window's top l bits; canonical codes of
-    # one length count up from that length's first code, one rank apart.
-    len_pos = len_pos.astype(np.intp)
-    ranks = windows >> (width - len_pos)
-    ranks += rank_offset.take(len_pos)
-    return ranked.take(ranks)
+    return out
 
 
-def _canonical_layout(
-    symbols: np.ndarray, lengths: np.ndarray, width: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The canonical code over *lengths* (each ``1..width``) as
-    :func:`decode` reads it: ``len_table[w]``, the length of the code the
-    ``width``-bit window *w* starts with (uint8, 0 past the last code);
-    the *symbols* in canonical order (by length, then index); and per
-    length *l* the rank of its first code less that code's value, so a
-    length-*l* code ``c`` is ``ranked[c + rank_offset[l]]``.
+@dataclass
+class _CanonicalLayout:
+    """The canonical code over a length table (each ``1..width``) as
+    :func:`decode` reads it.
+
+    ``ends[l]`` is where the left-justified codes of lengths ``1..l`` end
+    in ``[0, 2**width)`` (capped there: an over-full code book is a
+    corrupt stream), so a window's code length is the first ``l`` whose
+    end lies past it, or 0 past the last code.  ``top`` holds that length
+    for each value of the window's top bits (the window shifted right by
+    ``spread``), ``_MIXED`` where such a prefix spans more than one
+    length; ``ranked`` is the symbols in canonical order (by length, then
+    index) and ``rank_offset[l]`` the rank of length *l*'s first code less
+    that code's value, so a length-*l* code ``c`` is
+    ``ranked[c + rank_offset[l]]``.
     """
+
+    ends: np.ndarray
+    top: np.ndarray
+    spread: int
+    ranked: np.ndarray
+    rank_offset: np.ndarray
+
+    def lengths_of(self, windows: np.ndarray) -> np.ndarray:
+        """The length of the code each window starts with (uint8, 0
+        where it starts none)."""
+        lens = self.top.take(windows >> self.spread)
+        mixed = np.flatnonzero(lens == _MIXED)
+        if mixed.size:
+            lens[mixed] = _search_lengths(self.ends, windows[mixed])
+        return lens
+
+
+def _search_lengths(ends: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """:meth:`_CanonicalLayout.lengths_of` by a sorted search over *ends*."""
+    lens = np.searchsorted(ends, windows, side="right")
+    lens[lens == ends.size] = 0
+    return lens.astype(np.uint8)
+
+
+def _canonical_layout(symbols: np.ndarray, lengths: np.ndarray, width: int) -> _CanonicalLayout:
+    """The :class:`_CanonicalLayout` of *symbols* coded with *lengths*."""
     bl_count = np.bincount(lengths, minlength=width + 1)
-    size = 1 << width
     # Left-justified, the codes of length 1, 2, ... tile [0, 2**width) in
     # that order; an over-full code book (a corrupt stream) runs past it.
-    ends = np.minimum(np.cumsum(bl_count << (width - np.arange(width + 1))), size)
-    len_table = np.zeros(size, dtype=np.uint8)
-    len_table[: ends[-1]] = np.repeat(
-        np.arange(width + 1, dtype=np.uint8), np.diff(ends, prepend=0)
-    )
+    shifted = bl_count << (width - np.arange(width + 1))
+    ends = np.minimum(np.cumsum(shifted), 1 << width).astype(np.uint32)
     first, code = [0], 0
     for count in bl_count[:-1].tolist():
         code = (code + count) << 1
         first.append(code)
     rank_offset = (np.cumsum(bl_count) - bl_count) - np.array(first, dtype=np.int64)
     ranked = symbols[np.argsort(lengths.astype(np.uint8), kind="stable")]
-    return len_table, ranked, rank_offset
+    # A prefix holds one length when its first and last windows agree.
+    spread = width - min(width, _TOP_BITS)
+    prefixes = np.arange(1 << (width - spread), dtype=np.uint32) << spread
+    top = _search_lengths(ends, prefixes)
+    top[top != _search_lengths(ends, prefixes | ((1 << spread) - 1))] = _MIXED
+    return _CanonicalLayout(ends, top, spread, ranked, rank_offset)
+
+
+def _block_windows(payload: np.ndarray, first: int, size: int, width: int) -> np.ndarray:
+    """The ``width``-bit window at each of the *size* bit positions from
+    byte *first* of *payload* on, zero past its end (uint32)."""
+    nb = (size + 7) >> 3
+    padded = np.zeros(nb + 3, dtype=np.uint8)
+    chunk = payload[first : first + nb + 3]
+    padded[: chunk.size] = chunk
+    # words[b] = bytes b..b+3 big-endian: the window at bit 8b + j is that
+    # word shifted right by 32 - width - j (width <= 25).
+    words = np.ndarray((nb,), ">u4", padded, 0, (1,)).astype(np.uint32)
+    windows = (words[:, None] >> np.arange(32 - width, 24 - width, -1, dtype=np.uint32))
+    windows = windows.reshape(-1)[:size]
+    windows &= np.uint32((1 << width) - 1)
+    return windows
 
 
 def _lift_levels(n_values: int, total_bits: int) -> int:
@@ -430,29 +491,49 @@ def _lift_levels(n_values: int, total_bits: int) -> int:
     return min(max(ratio.bit_length() - 1, 0), _MAX_LIFT_LEVELS)
 
 
-def _code_positions(jump: np.ndarray, n_values: int, levels: int) -> np.ndarray:
-    """Start positions of the first *n_values* codes: ``jump`` applied
-    0, 1, 2, ... times to position 0 (anchored binary lifting)."""
+def _code_positions(len_at: np.ndarray, start: int, count: int, levels: int) -> np.ndarray:
+    """Start positions of up to *count* codes in one block whose code
+    lengths at each bit position are *len_at*, the first at *start*:
+    ``jump`` applied 0, 1, 2, ... times to *start* (anchored binary
+    lifting), up to the last code that starts in the block.  At a
+    position no code matches (length 0) the codes stay put."""
+    size = len_at.size
+    # jump[p] = start of the code after the one at p; a position no code
+    # matches maps to itself, and the end of the block is a sink.  Only
+    # the last MAX_CODE_LENGTH positions can point past it.
+    jump = np.arange(size + 1, dtype=np.intp)
+    jump[:size] += len_at
+    tail = jump[-(MAX_CODE_LENGTH + 1) :]
+    np.minimum(tail, size, out=tail)
     # lifted[l] jumps 2**l codes at once; each level is the one below
-    # applied to itself, a T-sized gather.
+    # applied to itself, a block-sized gather.
     lifted = [jump]
     for _ in range(levels):
-        lifted.append(lifted[-1][lifted[-1]])
+        lifted.append(lifted[-1].take(lifted[-1]))
     # Anchors: the position of every 2**levels-th code, by walking the
-    # top level sequentially (a memoryview index yields a plain int).
+    # top level sequentially (a memoryview index yields a plain int).  The
+    # walk stops moving at the block's end or at a dead position; it is
+    # tested for that once a chunk of steps, not at every step.
     stride = 1 << levels
     top = memoryview(lifted[-1])
-    anchors = [0] * -(-n_values // stride)
-    at = 0
-    for a in range(len(anchors)):
-        anchors[a] = at
-        at = top[at]
+    anchors = [0] * -(-min(count, size - start) // stride)
+    at, filled = start, 0
+    while filled < len(anchors):
+        chunk_end = min(filled + _WALK_CHUNK, len(anchors))
+        for a in range(filled, chunk_end):
+            anchors[a] = at
+            at = top[at]
+        filled = chunk_end
+        if top[at] == at:
+            break
+    del anchors[filled:]
     # Fan out: column r of row a is code stride * a + r.  Level l fills
     # the columns whose lowest set bit is 2**l from the columns 2**l to
     # their left, so each pass doubles the codes known per anchor.
-    pos = np.empty((len(anchors), stride), dtype=np.int64)
+    pos = np.empty((len(anchors), stride), dtype=np.intp)
     pos[:, 0] = anchors
     for l in range(levels - 1, -1, -1):
         step = 1 << l
-        pos[:, step :: 2 * step] = lifted[l][pos[:, :: 2 * step]]
-    return pos.reshape(-1)[:n_values]
+        pos[:, step :: 2 * step] = lifted[l].take(pos[:, :: 2 * step])
+    pos = pos.reshape(-1)[:count]
+    return pos[: np.searchsorted(pos, size)]

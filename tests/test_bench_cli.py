@@ -295,6 +295,21 @@ class TestReportCommand:
         assert "rahman2023" in reports[0]
         assert reports[0] == reports[1]
 
+    def test_run_and_report_of_its_checkpoint_print_one_table(self, tmp_path, capsys):
+        """``run`` evaluates the observations its collection returns,
+        ``report`` those the checkpoint holds: both come in key order, so
+        rahman2023's order-sensitive forest fits give the same MedAPE
+        (the timing columns are measured afresh by each command)."""
+        ck = str(tmp_path / "campaign.db")
+        base = ["--schemes", "khan2023", "rahman2023", "--compressors", "szx", "sz3",
+                "--folds", "3", "--json"]
+        assert main(["run", *base, "--shape", "8", "8", "4", "--timesteps", "2",
+                     "--fields", "P", "U", "QRAIN", "W", "--checkpoint", ck]) == 0
+        ran = table2_cells(json.dumps({"rows": json.loads(capsys.readouterr().out)}))
+        assert main(["report", ck, *base]) == 0
+        assert "rahman2023" in ran
+        assert ran == table2_cells(capsys.readouterr().out)
+
     def test_report_empty_checkpoint_fails_cleanly(self, tmp_path, capsys):
         ck = str(tmp_path / "empty.db")
         from repro.bench import CheckpointStore
@@ -715,6 +730,44 @@ class TestCollectCommand:
             main(argv)
         assert exit_info.value.code == 2
         assert "HOST:PORT" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("engine", ["process", "cluster"])
+    def test_both_parallel_engines_take_the_timing_flags(self, engine, launch_env):
+        import repro.bench.cli as cli
+
+        args = build_parser().parse_args(
+            ["collect", *SMALL_CAMPAIGN, "--engine", engine, "--heartbeat-interval", "2",
+             "--heartbeat-timeout", "7", "--startup-timeout", "3"])
+        spec = cli._queue_from_args(args).cluster
+        assert (spec.heartbeat_interval, spec.heartbeat_timeout,
+                spec.worker_startup_timeout) == (2.0, 7.0, 3.0)
+
+    @pytest.mark.parametrize(
+        "engine,flags,message",
+        [("process", ["--heartbeat-interval", "5", "--heartbeat-timeout", "1"],
+          "heartbeat_timeout must exceed heartbeat_interval"),
+         ("cluster", ["--heartbeat-interval", "5", "--heartbeat-timeout", "1"],
+          "heartbeat_timeout must exceed heartbeat_interval"),
+         ("process", ["--coord", "127.0.0.1:7621"], "--coord")],
+    )
+    def test_bad_cluster_flags_are_a_usage_error_before_any_work(
+        self, tmp_path, capsys, launch_env, engine, flags, message
+    ):
+        """The process engine runs the cluster coordinator: its timing
+        flags are checked like the cluster engine's, and a coordinator
+        address (it starts its own ranks) is refused."""
+        import repro.bench.cli as cli
+
+        def no_dataset(*args, **kwargs):
+            raise AssertionError("the dataset was built before the usage check")
+
+        launch_env.setattr(cli, "HurricaneDataset", no_dataset)
+        argv = ["collect", *SMALL_CAMPAIGN, "--checkpoint", str(tmp_path / "c.db"),
+                "--engine", engine, *flags]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "collect", "loop"])
     def test_zero_workers_is_a_usage_error_before_any_work(

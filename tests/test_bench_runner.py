@@ -368,8 +368,8 @@ class TestFaultDomainCollection:
 class TestOneScanRead:
     """``collect()`` reads the store in one scan: a resume issues one
     ``SELECT`` over ``results``, a pass that ran tasks one more, and the
-    observations are the rows in task order — what a per-key ``get``
-    reads."""
+    observations are the rows in key order (as ``CheckpointStore.query``
+    reads them) — what a per-key ``get`` reads."""
 
     @staticmethod
     def _runner(store, queue=None):
@@ -397,9 +397,12 @@ class TestOneScanRead:
         return selects
 
     @staticmethod
-    def _per_key(runner):
+    def _tasks(runner):
+        return sorted(runner.build_tasks(), key=lambda t: t.key())
+
+    def _per_key(self, runner):
         return [
-            p for t in runner.build_tasks() if (p := runner.store.get(t.key())) is not None
+            p for t in self._tasks(runner) if (p := runner.store.get(t.key())) is not None
         ]
 
     def test_resume_is_one_select_and_cold_pass_two(self, tmp_path):
@@ -417,7 +420,7 @@ class TestOneScanRead:
         assert resumed.observations == cold.observations
 
     @pytest.mark.parametrize("engine", ["serial", "process", "cluster"])
-    def test_observations_equal_per_key_get_in_task_order(self, tmp_path, engine):
+    def test_observations_equal_per_key_get_in_key_order(self, tmp_path, engine):
         from repro.bench.cluster import ClusterSpec
 
         workers = 1 if engine == "serial" else 2
@@ -435,20 +438,20 @@ class TestOneScanRead:
         store = CheckpointStore(str(tmp_path / "heal.db"))
         runner = self._runner(store)
         runner.collect()
-        victim = runner.build_tasks()[5].key()
+        victim = self._tasks(runner)[5].key()
         store.corrupt_rows([victim])
         with pytest.warns(UserWarning, match="quarantined 1 corrupt"):
             healed = runner.collect()
         assert healed.stats.completed == 1
         assert healed.observations == self._per_key(runner)
         assert len(healed.observations) == 16
-        assert healed.observations[5]["data_id"] == runner.build_tasks()[5].data_id
+        assert healed.observations[5]["data_id"] == self._tasks(runner)[5].data_id
 
     def test_unverified_collect_reads_without_an_audit(self, tmp_path):
         store = CheckpointStore(str(tmp_path / "raw.db"))
         runner = self._runner(store)
         runner.collect()
-        key = runner.build_tasks()[0].key()
+        key = self._tasks(runner)[0].key()
         store._db.execute(
             "UPDATE results SET payload=? WHERE key=?", ('{"tampered": 1}', key)
         )

@@ -14,6 +14,8 @@ decoder's header validation is pinned by flipping every header bit.
 from __future__ import annotations
 
 import time
+import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from repro.core import CorruptStreamError, OptionError
 from repro.core.compressor import compressor_registry
 import repro.compressors  # noqa: F401  (registers the plugins)
 from repro.compressors.zfp import pack_width_groups, unpack_width_groups
-from repro.encoding import huffman, pack_codes, read_uint_array, uint_bit_length, write_uint_array
+from repro.encoding import bitio, huffman, pack_codes, read_uint_array, uint_bit_length, write_uint_array
 from repro.encoding.lz import (
     _lz77_compress,
     _lz77_decompress,
@@ -333,6 +335,9 @@ class TestPackCodesEquivalence:
             pack_codes(np.array([1]), np.array([65]))
         with pytest.raises(ValueError, match="0..64"):
             pack_codes(np.array([1, 1]), np.array([3, -1]))
+        for width in (-1, 65, 300):
+            with pytest.raises(ValueError, match="0..64"):
+                write_uint_array(np.array([1], dtype=np.uint64), width)
 
 
 class TestWindowsEquivalence:
@@ -754,3 +759,160 @@ class TestCanonicalCodesByArgsort:
         assert _codes_or_error(huffman.canonical_codes, lengths) == _codes_or_error(
             ref.canonical_codes_per_length, lengths
         )
+
+
+# -- entropy kernels in fixed-size blocks, against the oracles, with the
+# -- block constants shrunk so that codes straddle block boundaries --------------
+
+_DECODE_BLOCKS = st.sampled_from([8, 9, 16, 24, 31, 64, 200, huffman._DECODE_BITS])
+_PACK_BLOCKS = st.sampled_from([1, 2, 3, 7, 16, bitio._PACK_VALUES])
+
+
+def _bit_walk(stream: bytes) -> np.ndarray:
+    """Sequential oracle for streams whose header and code table are
+    intact: one code at a time, one bit at a time (bits past the payload's
+    last byte read as zero), truncation where a code must start at or past
+    ``total_bits``, and the codes must end there."""
+    n_symbols, n_values, total_bits, width = huffman._STREAM_HEADER.unpack_from(stream, 0)
+    symbols = np.frombuffer(stream, "<i8", n_symbols, HEADER)
+    lengths = np.frombuffer(stream, "<u1", n_symbols, HEADER + 8 * n_symbols).astype(np.int64)
+    nbytes = (total_bits + 7) >> 3
+    payload = stream[_payload_offset(stream) :]
+    if len(payload) < nbytes:
+        raise CorruptStreamError("bit payload shorter than declared length")
+    book = {(int(l), int(c)): int(s)
+            for s, l, c in zip(symbols, lengths, huffman.canonical_codes(lengths))}
+    bits = np.unpackbits(np.frombuffer(payload[:nbytes], np.uint8)).tolist() + [0] * width
+    out, pos = [], 0
+    for k in range(n_values):
+        if pos >= total_bits:
+            raise CorruptStreamError("huffman stream truncated")
+        code = 0
+        for length in range(1, width + 1):
+            code = 2 * code + bits[pos + length - 1]
+            if (length, code) in book:
+                break
+        else:
+            raise CorruptStreamError(
+                "invalid prefix at stream start" if k == 0 else "invalid huffman code in stream")
+        out.append(book[length, code])
+        pos += length
+    if pos != total_bits:
+        raise CorruptStreamError("huffman codes do not end at the declared bit count")
+    return np.array(out, dtype=np.int64)
+
+
+@st.composite
+def _coded_streams(draw):
+    """A few hundred values under a code book whose lengths reach up to
+    24 bits (Fibonacci counts build the deepest trees), coded with it."""
+    n_symbols = draw(st.integers(2, 26))
+    max_length = draw(st.integers(max(1, (n_symbols - 1).bit_length()), huffman.MAX_CODE_LENGTH))
+    if draw(st.booleans()):
+        counts = _fibonacci_counts(n_symbols)
+    else:
+        counts = np.array(draw(st.lists(st.integers(1, 10**6), min_size=n_symbols,
+                                        max_size=n_symbols)), dtype=np.int64)
+    symbols = np.arange(n_symbols, dtype=np.int64) * 3 - 7
+    code = huffman.build_code(symbols=symbols, counts=counts, max_length=max_length)
+    # Mostly the longest codes, so a few hundred values span many blocks.
+    longest = np.flatnonzero(code.lengths == code.max_length)
+    picks = draw(st.lists(st.integers(0, n_symbols - 1) | st.sampled_from(longest.tolist()),
+                          min_size=1, max_size=300))
+    return huffman.encode(symbols[picks], code=code), symbols[picks]
+
+
+class TestBlockedKernels:
+    """The decoder and packer run one block at a time; shrunk blocks put
+    code and byte boundaries on every kind of block seam."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_coded_streams(), _DECODE_BLOCKS, st.data())
+    def test_decoder_matches_the_oracles_across_block_seams(self, coded, block, data):
+        stream, values = coded
+        start = _payload_offset(stream)
+        cases = [stream]
+        if len(stream) > start:
+            # Damage in the stream's later blocks: the back half of the payload.
+            where = data.draw(st.integers((start + len(stream)) // 2, len(stream) - 1))
+            flipped = bytearray(stream)
+            flipped[where] ^= 1 << data.draw(st.integers(0, 7))
+            cases += [bytes(flipped), stream[:where]]
+        width = huffman._STREAM_HEADER.unpack_from(stream, 0)[3]
+        with patch.object(huffman, "_DECODE_BITS", block):
+            assert huffman.decode(stream).tolist() == values.tolist()
+            for case in cases:
+                assert _decode_outcome(huffman.decode, case) == _decode_outcome(_bit_walk, case)
+                if width <= 16:
+                    _assert_decodes_like(ref.huffman_decode_windows, case)
+
+    @pytest.mark.parametrize("block", [8, 64, 1000])
+    @pytest.mark.parametrize("seed,n,spread,max_length",
+                             [(40, 3000, 0.6, 16), (41, 3000, 25.0, 16), (42, 700, 9.0, 7)])
+    def test_residual_streams_at_every_lift_depth(self, block, seed, n, spread, max_length):
+        """Thousands of codes over many blocks, damage in the later ones."""
+        stream = _residual_stream(seed, n, spread, max_length)
+        later = (_payload_offset(stream) + len(stream)) // 2
+        rng = np.random.default_rng(seed)
+        cases = [stream] + [stream[: int(rng.integers(later, len(stream)))] for _ in range(4)]
+        for _ in range(8):
+            flipped = bytearray(stream)
+            flipped[int(rng.integers(later, len(stream)))] ^= 1 << int(rng.integers(0, 8))
+            cases.append(bytes(flipped))
+        with patch.object(huffman, "_DECODE_BITS", block):
+            for case in cases:
+                _assert_decodes_like(ref.huffman_decode_full_lifting, case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_codes_and_lengths, _PACK_BLOCKS)
+    def test_packer_is_byte_identical_across_block_seams(self, pairs, block):
+        codes = np.array([c for c, _ in pairs], dtype=np.uint64)
+        lengths = np.array([l for _, l in pairs], dtype=np.int64)
+        with patch.object(bitio, "_PACK_VALUES", block):
+            assert pack_codes(codes, lengths) == ref.pack_codes_bitplanes(codes, lengths)
+            assert pack_codes(codes, lengths.astype(np.uint8)) == pack_codes(codes, lengths)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(57, 64), st.integers(1, 60), _PACK_BLOCKS, st.data())
+    def test_wide_codes_spill_a_ninth_byte_across_block_seams(self, width, count, block, data):
+        values = np.array(data.draw(st.lists(st.integers(2**width - 2**20, 2**width - 1),
+                                             min_size=count, max_size=count)), dtype=np.uint64)
+        with patch.object(bitio, "_PACK_VALUES", block):
+            payload = write_uint_array(values, width)
+        lengths = np.full(count, width, dtype=np.int64)
+        assert payload == ref.pack_codes_bitplanes(values, lengths)[0]
+        assert read_uint_array(payload, width, count).tolist() == values.tolist()
+
+
+class TestMemoryIndependentOfStreamSize:
+    """Both kernels work one block at a time: past their output, a 4 M
+    value stream needs the same fixed budget as a 1 M one."""
+
+    BUDGET = 8 << 20
+
+    @staticmethod
+    def _peak(fn, *args):
+        tracemalloc.start()
+        try:
+            out = fn(*args)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("n", [1 << 20, 1 << 22])
+    def test_decode(self, n):
+        values = np.round(np.random.default_rng(n).standard_normal(n) * 3.0).astype(np.int64)
+        stream = huffman.encode(values)
+        out, peak = self._peak(huffman.decode, stream)
+        assert np.array_equal(out, values)
+        assert peak - out.nbytes < self.BUDGET, f"{(peak - out.nbytes) / 2**20:.1f} MB"
+
+    @pytest.mark.parametrize("n", [1 << 20, 1 << 22])
+    def test_pack(self, n):
+        rng = np.random.default_rng(n)
+        lengths = rng.integers(1, 25, n).astype(np.uint8)
+        codes = rng.integers(0, 2**24, n, dtype=np.uint64)
+        (payload, bits), peak = self._peak(pack_codes, codes, lengths)
+        assert bits == int(lengths.sum(dtype=np.int64))
+        # The packed bytes are built in place, then copied out as bytes.
+        assert peak - 2 * len(payload) < self.BUDGET, f"{(peak - 2 * len(payload)) / 2**20:.1f} MB"
