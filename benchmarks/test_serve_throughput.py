@@ -91,7 +91,6 @@ def test_serve_throughput_100_concurrent(registry, observations, record_property
         registry,
         max_batch=64,
         max_in_flight=2 * N_QUERIES,
-        max_queue_depth=4 * N_QUERIES,
     )
     responses: list = [None] * N_QUERIES
     barrier = threading.Barrier(N_QUERIES + 1)
@@ -289,10 +288,7 @@ def _fleet_cell(registry_root, queries, *, workers, feat_cache, chaos=False):
         registry_root,
         workers,
         feat_cache=feat_cache,
-        server_options={
-            "max_in_flight": 2 * N_QUERIES,
-            "max_queue_depth": 4 * N_QUERIES,
-        },
+        server_options={"max_in_flight": 2 * N_QUERIES},
     )
     with fleet:
         baseline = _snapshot(fleet)

@@ -229,23 +229,21 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-batch", type=int, default=32,
                        help="most rows one predict_many call may carry")
     serve.add_argument("--max-in-flight", type=int, default=64,
-                       help="admission control: concurrent admitted requests")
-    serve.add_argument("--max-queue-depth", type=int, default=256,
-                       help="admission control: total queued rows before shedding")
+                       help="admission control, per worker: admitted requests "
+                       "(queued ones included) before shedding")
     serve.add_argument("--cache-capacity", type=int, default=64,
                        help="warm-model LRU capacity (models)")
     serve.add_argument("--workers", type=int, default=1,
-                       help="worker processes; >1 runs a ServeFleet sharing "
-                       "the port via SO_REUSEPORT (required for >1)")
+                       help="worker processes of the ServeFleet; they share "
+                       "the port via SO_REUSEPORT, which every count requires")
     serve.add_argument("--feat-cache", choices=["off", "local", "shared"],
                        default="shared",
                        help="featurization cache tier: off, per-worker local, "
                        "or row files in a directory shared across the fleet")
     serve.add_argument("--feat-cache-dir", default=None,
                        help="directory of the shared tier's row files "
-                       "(default: a private temp dir removed at exit); a "
-                       "single-process server leaves its rows for the next "
-                       "start on the same directory, a fleet sweeps them at stop")
+                       "(default: a private temp dir removed at exit); its "
+                       "rows survive stop, so the next serve on it starts warm")
     serve.add_argument("--feat-cache-capacity", type=int, default=1024,
                        help="per-worker L1 entries in the featurization cache")
     serve.add_argument("--feat-cache-bytes", type=int, default=64 * 1024 * 1024,
@@ -610,72 +608,50 @@ def cmd_publish(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the prediction server (or a multi-worker fleet) until interrupted."""
-    import asyncio
-
-    from ..serve import DriftConfig, ModelRegistry, PredictionServer, ServeFleet
-    from ..serve.fleet import build_feat_cache
+    """Run a prediction fleet of ``--workers`` processes until stopped."""
+    from ..serve import DriftConfig, ServeFleet
 
     # The server and cache flags are named as the keywords they feed.
     flags = vars(args)
-    server_options = {k: flags[k] for k in ("max_batch", "max_in_flight", "max_queue_depth",
-                                            "cache_capacity")}
-    feat_cache = {k: v for k, v in flags.items() if k.startswith("feat_cache")}
-    drift_config = DriftConfig(medape_threshold=args.drift_medape)
-    if args.workers > 1:
-        fleet = ServeFleet(
-            args.registry,
-            args.workers,
-            host=args.host,
-            port=args.port,
-            drift_config=drift_config,
-            server_options=server_options,
-            **feat_cache,
-        )
-        stop_signals = (signal.SIGTERM, signal.SIGINT)
-
-        def _stop(signum: int, frame: Any) -> None:
-            # Ignore a second signal, so it cannot cut fleet.stop() short.
-            for sig in stop_signals:
-                signal.signal(sig, signal.SIG_IGN)
-            raise KeyboardInterrupt
-
-        # SIGTERM and SIGINT both unwind through fleet.stop(), which stops
-        # the workers and sweeps the cache dir; setting SIGINT also undoes
-        # the SIG_IGN a non-interactive shell gives a background job.
-        for sig in stop_signals:
-            signal.signal(sig, _stop)
-        with contextlib.suppress(KeyboardInterrupt), fleet:
-            host, port = fleet.address
-            print(
-                f"serving {args.registry} on {host}:{port} "
-                f"({fleet.workers} workers, feat-cache={args.feat_cache})",
-                flush=True,
-            )
-            while True:
-                time.sleep(1.0)
-        return 0
-
-    server = PredictionServer(
-        ModelRegistry(args.registry),
+    fleet = ServeFleet(
+        args.registry,
+        args.workers,
         host=args.host,
         port=args.port,
-        drift_config=drift_config,
-        # One process: nothing sweeps a shared tier's rows at exit, so the
-        # next server started on the same --feat-cache-dir reads them back.
-        feat_cache=build_feat_cache(feat_cache),
-        **server_options,
+        drift_config=DriftConfig(medape_threshold=args.drift_medape),
+        server_options={k: flags[k] for k in ("max_batch", "max_in_flight", "cache_capacity")},
+        **{k: v for k, v in flags.items() if k.startswith("feat_cache")},
     )
+    stop_signals = (signal.SIGTERM, signal.SIGINT)
 
-    async def _serve() -> None:
-        await server.start()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            asyncio.get_running_loop().add_signal_handler(sig, server.request_stop)
-        print(f"serving {args.registry} on {server.host}:{server.port}", flush=True)
-        await server.serve_until_stopped()
+    def _stop(signum: int, frame: Any) -> None:
+        # Ignore a second signal, so it cannot cut fleet.stop() short.
+        for sig in stop_signals:
+            signal.signal(sig, signal.SIG_IGN)
+        raise KeyboardInterrupt
 
-    with contextlib.suppress(KeyboardInterrupt):
-        asyncio.run(_serve())
+    # SIGTERM and SIGINT both unwind through fleet.stop(), which stops
+    # the workers and removes a cache dir the fleet made; setting SIGINT
+    # also undoes the SIG_IGN a non-interactive shell gives a background job.
+    for sig in stop_signals:
+        signal.signal(sig, _stop)
+    with contextlib.suppress(KeyboardInterrupt), fleet:
+        host, port = fleet.address
+        print(
+            f"serving {args.registry} on {host}:{port} "
+            f"({fleet.workers} workers, feat-cache={args.feat_cache})",
+            flush=True,
+        )
+        while len(fleet.crash_looped_workers()) < fleet.workers:
+            time.sleep(1.0)
+        codes = fleet.exit_codes()
+        parked = ", ".join(
+            f"worker {wid} (exit codes {', '.join(map(str, codes[wid]))})"
+            for wid in fleet.crash_looped_workers()
+        )
+        print(f"serve: every worker crash-looped and is parked: {parked}",
+              file=sys.stderr, flush=True)
+        return 1
     return 0
 
 

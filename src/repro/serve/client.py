@@ -343,9 +343,6 @@ class PredictionClient:
         """
         return self._checked({"op": "drift"})
 
-    def shutdown(self) -> None:
-        self._checked({"op": "shutdown"})
-
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:
         self._drop_connection()

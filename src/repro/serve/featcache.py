@@ -37,7 +37,7 @@ Two tiers:
   writes a uniquely named temp file and renames it (``os.replace``) onto
   ``<sha256 of the cache key>.row``: a reader sees a whole row or
   nothing, and a writer killed at any instant leaves at most a temp
-  file in the directory the owner sweeps.  The name is a digest, never
+  file, which a later directory pass reclaims once it is a minute old.  The name is a digest, never
   the key, because a client-supplied ``data_ref`` reaches :meth:`get`
   unvalidated.  No ``fsync``: it is a cache — a file torn by power loss
   (cut short, or blocks read back as zeros) is not the strict JSON the
@@ -133,7 +133,7 @@ class FeaturizationCache:
         Directory of the L2 row files; ``None`` disables L2
         (per-process "local" mode).  Every process pointing at the same
         directory shares one store, and the rows outlive the process
-        (whoever owns the directory calls :meth:`sweep`).
+        (a fleet removes a directory it made; a named one keeps them).
     shared_capacity_bytes:
         Byte budget for L2 rows; oldest publishes are evicted first
         (the module docstring states the rule and its bound).
@@ -429,8 +429,9 @@ class FeaturizationCache:
         return self.shared_dir is not None
 
     def sweep(self) -> list[str]:
-        """Owner-side cleanup: remove every row and temp file of the
-        L2 directory (the directory itself stays); returns their names."""
+        """Empty the L2 directory of rows and temp files (the directory
+        itself stays); returns their names.  For the directory's owner:
+        a fleet never sweeps a directory it was handed."""
         if self.shared_dir is None:
             return []
         return [

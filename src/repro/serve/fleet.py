@@ -31,10 +31,11 @@ every worker running the *same* server code:
   harness uses (``max_restarts`` per worker, then the worker is parked
   as crash-looped and the rest of the fleet keeps serving).
 
-The fleet owns shared resources' lifecycles: the feature store's
-directory is swept at :meth:`stop` (removed, when the fleet made it), so
-a chaos-killed worker cannot leave a row or temp file past the fleet's
-lifetime.
+A directory the fleet made for the feature store is removed at
+:meth:`stop`, or by the workers themselves when the parent is killed, so
+no row or temp file outlives the fleet.  A caller-named directory keeps
+its rows: a fleet started on it again starts warm.  Only the fleet's
+owner stops it; no request does.
 """
 
 from __future__ import annotations
@@ -69,23 +70,6 @@ FEAT_CACHE_MODES = ("off", "local", "shared")
 FANOUT_RETRY = RetryPolicy(max_retries=5, base_delay=0.25, backoff=1.5, max_delay=1.2, jitter=0.0)
 
 
-def build_feat_cache(spec: Mapping[str, Any]) -> FeaturizationCache | None:
-    """The cache ``spec["feat_cache"]`` names, sized by the ``feat_cache_*``
-    settings.  ``shared`` without a directory is a per-process cache: a
-    lone server's shared tier is only worth its file writes on a stable
-    directory, whose rows the next server started on it reads back."""
-    mode = spec["feat_cache"]
-    if mode == "off":
-        return None
-    if mode == "local":
-        return FeaturizationCache(capacity=spec["feat_cache_capacity"])
-    return FeaturizationCache(
-        capacity=spec["feat_cache_capacity"],
-        shared_dir=spec["feat_cache_dir"],
-        shared_capacity_bytes=spec["feat_cache_bytes"],
-    )
-
-
 def _fleet_worker_main(spec: dict[str, Any], ready_queue: Any) -> None:
     """Entry point of one fleet worker process (module-level: picklable)."""
     import asyncio
@@ -110,7 +94,12 @@ def _fleet_worker_main(spec: dict[str, Any], ready_queue: Any) -> None:
     )
 
     registry = ModelRegistry(spec["registry_root"])
-    feat_cache = build_feat_cache(spec)
+    mode = spec["feat_cache"]
+    feat_cache = None if mode == "off" else FeaturizationCache(
+        capacity=spec["feat_cache_capacity"],
+        shared_dir=spec["feat_cache_dir"] if mode == "shared" else None,
+        shared_capacity_bytes=spec["feat_cache_bytes"],
+    )
     drift_config = (
         DriftConfig.from_mapping(spec["drift_config"])
         if spec.get("drift_config")
@@ -248,7 +237,7 @@ class ServeFleet:
         except BaseException:  # a stop signal during start too
             self._started = False
             self._terminate_all()
-            self._sweep_feat_cache()
+            self._remove_own_feat_dir()
             raise
         finally:
             self._placeholder_fd = None
@@ -260,7 +249,8 @@ class ServeFleet:
         return self
 
     def stop(self, timeout: float = 10.0) -> None:
-        """Stop every worker (SIGTERM, then kill) and sweep shared state."""
+        """Stop every worker (SIGTERM, then kill) and remove the cache
+        directory the fleet made; a caller-named one keeps its rows."""
         if not self._started:
             return
         self._started = False
@@ -272,15 +262,12 @@ class ServeFleet:
         if self._ready_queue is not None:
             self._ready_queue.close()
             self._ready_queue = None
-        self._sweep_feat_cache()
+        self._remove_own_feat_dir()
 
-    def _sweep_feat_cache(self) -> None:
-        if self.feat_cache == "shared" and self.feat_cache_dir is not None:
-            if self._feat_dir_owned:
-                shutil.rmtree(self.feat_cache_dir, ignore_errors=True)
-                self.feat_cache_dir = None
-            else:
-                FeaturizationCache(shared_dir=self.feat_cache_dir).sweep()
+    def _remove_own_feat_dir(self) -> None:
+        if self._feat_dir_owned and self.feat_cache_dir is not None:
+            shutil.rmtree(self.feat_cache_dir, ignore_errors=True)
+            self.feat_cache_dir = None
 
     def __enter__(self) -> "ServeFleet":
         return self.start()
@@ -460,6 +447,11 @@ class ServeFleet:
     def restart_counts(self) -> dict[int, int]:
         with self._lock:
             return {wid: rec.restarts for wid, rec in self._records.items()}
+
+    def exit_codes(self) -> dict[int, list[int]]:
+        """Each worker's exit codes so far, oldest first."""
+        with self._lock:
+            return {wid: list(rec.exit_codes) for wid, rec in self._records.items()}
 
     def connect(self, **client_kwargs: Any) -> PredictionClient:
         """A client on the shared data port (the kernel picks the worker).

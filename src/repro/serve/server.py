@@ -23,9 +23,9 @@ behaviour — applied to a latency-sensitive online path:
   after a publish is served by that version or newer — nothing is ever
   pushed into a live server;
 * **admission control** — at most ``max_in_flight`` admitted requests
-  and ``max_queue_depth`` queued rows; beyond that, requests are *shed*
-  with the documented ``"overloaded"`` status instead of queuing
-  unboundedly (a client can back off; a hung socket cannot);
+  (queued ones included); beyond that, requests are *shed* with the
+  documented ``"overloaded"`` status instead of queuing unboundedly (a
+  client can back off; a hung socket cannot);
 * **stage timings** — every response carries queue-wait / compute-wait /
   featurize / predict ms, summing to at most the server residency (the
   featurization hidden in the queue wait is ``featurize_hidden_ms``),
@@ -50,7 +50,11 @@ Wire protocol: newline-delimited JSON over TCP.  Request::
      "prediction": 3.1, "truth": 2.9,   # earlier prediction: feed the
      "version": "v0001"}                # drift monitor's ledger
     {"op": "drift"}                     # per-key drift snapshots
-    {"op": "stats" | "ping" | "models" | "shutdown"}
+    {"op": "stats" | "ping" | "models"}
+
+No op stops a server: its owner does (a signal, :meth:`ServerThread.stop`,
+:meth:`PredictionServer.request_stop`, or ``ServeFleet.stop``), so no
+client can take a worker down.
 
 Response statuses (documented contract): ``"ok"``, ``"overloaded"``
 (shed by admission control — retry after backoff), ``"not_found"``
@@ -271,7 +275,6 @@ class PredictionServer:
         *,
         max_batch: int = 32,
         max_in_flight: int = 64,
-        max_queue_depth: int = 256,
         cache_capacity: int = 64,
         drift_config: DriftConfig | None = None,
         feat_cache: FeaturizationCache | None = None,
@@ -285,7 +288,6 @@ class PredictionServer:
         self.port = int(port)  # 0 = ephemeral; real port known after start
         self.max_batch = max(1, int(max_batch))
         self.max_in_flight = max(1, int(max_in_flight))
-        self.max_queue_depth = max(1, int(max_queue_depth))
         self.stats = ServeStats()  # loop-owned
         self.cache = _ModelCache(registry, cache_capacity, self.stats)
         #: Shared/local featurization cache; None disables (see featcache.py).
@@ -312,7 +314,6 @@ class PredictionServer:
         #: The one compute lane: two would convoy on the GIL (DESIGN.md §8).
         self._lane = ThreadPoolExecutor(1, thread_name_prefix="serve-compute")
         self._in_flight = 0
-        self._queued = 0
         self._server: asyncio.AbstractServer | None = None
         self._control_server: asyncio.AbstractServer | None = None
         self._stopping: asyncio.Event | None = None
@@ -387,9 +388,6 @@ class PredictionServer:
                 writer.write((json.dumps(response) + "\n").encode("utf-8"))
                 await writer.drain()
                 if refusal is not None:  # the next request cannot be found
-                    break
-                if response.get("op") == "shutdown":
-                    self.request_stop()
                     break
         except (ConnectionResetError, asyncio.IncompleteReadError):
             pass
@@ -485,8 +483,6 @@ class PredictionServer:
             # version directories).
             models = await asyncio.to_thread(self._describe_models)
             response = {"ok": True, "status": STATUS_OK, "models": models}
-        elif op == "shutdown":
-            response = {"ok": True, "status": STATUS_OK, "op": "shutdown"}
         else:
             response = {
                 "ok": False,
@@ -630,16 +626,17 @@ class PredictionServer:
             }
         # Admission control: shed instead of queueing unboundedly.  The
         # overload contract is a *fast* "overloaded" response so clients
-        # back off; an unbounded queue turns overload into timeouts.
-        if self._in_flight >= self.max_in_flight or self._queued >= self.max_queue_depth:
+        # back off; an unbounded queue turns overload into timeouts.  A
+        # queued request is in flight until its reply, so this one limit
+        # bounds the queues too.
+        if self._in_flight >= self.max_in_flight:
             self.stats.shed += 1
             return {
                 "ok": False,
                 "status": STATUS_OVERLOADED,
                 "error": (
                     f"admission control: {self._in_flight} in flight "
-                    f"(max {self.max_in_flight}), {self._queued} queued "
-                    f"(max {self.max_queue_depth}); retry with backoff"
+                    f"(max {self.max_in_flight}); retry with backoff"
                 ),
             }
         version = request.get("version")
@@ -651,7 +648,6 @@ class PredictionServer:
             enqueued=time.perf_counter(),
         )
         self._in_flight += 1
-        self._queued += 1
         try:
             self._enqueue(key, version, pending)
             payload = await pending.future
@@ -716,7 +712,6 @@ class PredictionServer:
             while queue:
                 model = await self._take(cache_key)
                 batch = [queue.popleft() for _ in range(min(len(queue), self.max_batch))]
-                self._queued -= len(batch)
                 await self._run_batch(cache_key, model, batch)
         finally:
             # (No await since the emptiness test: nothing is queued behind us.)
@@ -935,7 +930,7 @@ class PredictionServer:
 
 
 class ServerThread:
-    """Run a :class:`PredictionServer` on a daemon thread (tests, CLI).
+    """Run a :class:`PredictionServer` on a daemon thread (tests, embedding).
 
     The server owns its own event loop; :meth:`start` blocks until the
     listening port is bound, :meth:`stop` requests a graceful stop and

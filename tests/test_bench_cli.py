@@ -1,5 +1,6 @@
 """Tests for the predict-bench CLI."""
 
+import contextlib
 import json
 import os
 import re
@@ -534,19 +535,21 @@ class TestServeCommands:
             assert err["status"] == "not_found"
 
     @pytest.mark.parametrize(
-        "sig, prelude, repeats",
+        "sig, prelude, repeats, workers",
         [
-            (signal.SIGTERM, "", 1),
+            (signal.SIGTERM, "", 1, "2"),
             # A background job of a non-interactive shell: SIGINT ignored.
-            (signal.SIGINT, 'trap "" INT; ', 1),
+            (signal.SIGINT, 'trap "" INT; ', 1, "2"),
             # A double Ctrl-C, or a supervisor re-sending TERM: the second
             # signal lands while the fleet stops and must not cut it short.
-            (signal.SIGTERM, "", 2),
+            (signal.SIGTERM, "", 2, "2"),
+            # One worker is a fleet too: the same stop, the same cleanup.
+            (signal.SIGTERM, "", 1, "1"),
         ],
-        ids=["sigterm", "sigint-while-ignored", "sigterm-twice"],
+        ids=["sigterm", "sigint-while-ignored", "sigterm-twice", "sigterm-one-worker"],
     )
-    def test_stop_signal_stops_fleet_and_sweeps_its_cache(
-        self, tmp_path, sig, prelude, repeats
+    def test_stop_signal_stops_fleet_and_removes_its_cache(
+        self, tmp_path, sig, prelude, repeats, workers
     ):
         tmpdir = tmp_path / "tmp"
         tmpdir.mkdir()
@@ -554,7 +557,7 @@ class TestServeCommands:
                "TMPDIR": str(tmpdir)}
         command = shlex.join([sys.executable, "-m", "repro.bench.cli", "serve",
                               "--registry", str(tmp_path / "reg"), "--port", "0",
-                              "--workers", "2"])
+                              "--workers", workers])
         proc = subprocess.Popen(["sh", "-c", prelude + "exec " + command], env=env,
                                 stdout=subprocess.PIPE, text=True, start_new_session=True)
         pgid = proc.pid
@@ -578,6 +581,51 @@ class TestServeCommands:
             except ProcessLookupError:
                 pass
             proc.wait(10.0)
+
+
+    def test_serve_exits_once_every_worker_is_parked(self, tmp_path):
+        """A fleet whose every worker crash-looped serves nothing: serve
+        exits 1 naming the parked worker and its exit codes, instead of
+        sleeping on a dead port."""
+
+        def workers(pid):
+            # Restarts fork from the supervisor thread: read every task's list.
+            kids = set()
+            for task in os.listdir(f"/proc/{pid}/task"):
+                with contextlib.suppress(FileNotFoundError):
+                    with open(f"/proc/{pid}/task/{task}/children") as fh:
+                        kids.update(int(k) for k in fh.read().split())
+            return kids
+
+        env = {**os.environ, "PYTHONPATH": os.path.join(REPO_ROOT, "src")}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.bench.cli", "serve", "--registry",
+             str(tmp_path / "reg"), "--port", "0", "--workers", "1"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )
+        try:
+            assert select.select([proc.stdout], [], [], 60)[0], "serve never started"
+            assert proc.stdout.readline().startswith("serving ")
+            killed = set()
+            for _ in range(4):  # the default cap restarts a worker 3 times
+                deadline = time.monotonic() + 30
+                while not (fresh := workers(proc.pid) - killed):
+                    assert time.monotonic() < deadline, "worker never restarted"
+                    time.sleep(0.05)
+                victim = fresh.pop()
+                os.kill(victim, signal.SIGKILL)
+                killed.add(victim)
+            assert proc.wait(30) == 1
+            err = proc.stderr.read()
+            assert "every worker crash-looped" in err
+            assert "worker 0 (exit codes -9, -9, -9, -9)" in err
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait(10)
+            proc.stdout.close()
+            proc.stderr.close()
 
 
 class TestChaosFlags:

@@ -196,6 +196,28 @@ class TestSharedFeatureCache:
         assert aggregate["feat_hits"] == 1
         assert aggregate["feat_bytes_saved"] == arr.nbytes
 
+    def test_named_dir_survives_stop_and_the_next_fleet_starts_warm(
+        self, campaign, tmp_path
+    ):
+        """stop() leaves a caller-named directory's rows: the same query
+        to a new fleet on it is an L2 hit, not a featurization."""
+        arr = np.random.default_rng(15).standard_normal(SHAPE).astype(np.float32)
+        store = str(tmp_path / "store")
+        with fleet(campaign, feat_cache="shared", feat_cache_dir=store) as f:
+            with f.connect() as client:
+                first = client.predict(campaign.key, data=arr)
+            # The row file is written after the reply is out.
+            assert wait_for(lambda: any(
+                w["featcache"]["l2_entries"] for w in f.stats()["workers"].values()
+            ))
+        with fleet(campaign, feat_cache="shared", feat_cache_dir=store) as f:
+            with f.connect() as client:
+                again = client.predict(campaign.key, data=arr)
+            workers = f.stats()["workers"].values()
+        assert again["prediction"] == first["prediction"]
+        assert sum(w["featcache"]["l2_hits"] for w in workers) >= 1
+        assert sum(w["feat_misses"] for w in workers) == 0
+
     def test_what_if_sweep_hits_within_worker(self, campaign):
         """Repeats of the same field hit the cache (the what-if shape:
         rahman2023's features are bound-insensitive)."""
@@ -410,20 +432,22 @@ class TestSupervision:
                         campaign.key, results=campaign.rows[i % len(campaign.rows)]
                     )
                     assert "prediction" in response
+                # live_workers() can still read 2 before the supervisor
+                # reaps the victim: wait on the restart itself.
+                assert wait_for(lambda: f.restart_counts()[0] >= 1)
                 assert wait_for(lambda: f.live_workers() == 2)
-                assert f.restart_counts()[0] >= 1
                 assert f.worker_pids()[0] != victim
                 # And the restarted worker serves again.
                 assert f.ping()
 
     @pytest.mark.parametrize("own_dir", [True, False], ids=["fleet-dir", "given-dir"])
-    def test_stop_after_a_worker_kill_leaves_nothing(
+    def test_stop_after_a_worker_kill_cleans_up_what_the_fleet_owns(
         self, campaign, tmp_path, own_dir
     ):
         """SIGKILL a worker of a shared-cache fleet under raw-field
-        traffic, then stop(): no row or temp file outlives the fleet (a
-        directory the fleet made is gone altogether) and no shared-memory
-        name was ever created."""
+        traffic, then stop(): a directory the fleet made is gone with
+        every row and temp file in it, a caller's directory keeps its
+        rows, and no shared-memory name was ever created."""
         shm_before = _shm_names()
         rng = np.random.default_rng(14)
         fields = [rng.standard_normal(SHAPE).astype(np.float32) for _ in range(6)]
@@ -466,7 +490,8 @@ class TestSupervision:
         if own_dir:
             assert not os.path.exists(cache_dir) and f.feat_cache_dir is None
         else:
-            assert os.listdir(cache_dir) == []
+            assert f.feat_cache_dir == cache_dir
+            assert any(name.endswith(".row") for name in os.listdir(cache_dir))
         assert _shm_names() == shm_before
 
     def test_crash_loop_cap_parks_worker(self, campaign):
@@ -483,6 +508,21 @@ class TestSupervision:
             assert f.ping()
             with PredictionClient(*f.address, reconnects=4) as client:
                 assert client.predict(campaign.key, results=campaign.rows[0])
+
+    def test_shutdown_lines_are_unknown_ops_and_restart_nothing(self, campaign):
+        """No request stops a worker: more ``shutdown`` lines than the
+        crash-loop cap allows restarts are each refused, and the one
+        worker keeps serving without a restart."""
+        with fleet(campaign, workers=1, max_restarts=3) as f:
+            with PredictionClient(*f.address) as client:
+                for _ in range(f.max_restarts + 2):
+                    reply = client.request({"op": "shutdown"})
+                    assert reply["status"] == "bad_request"
+                    assert "unknown op" in reply["error"]
+                time.sleep(0.3)  # six supervisor scans
+                assert client.predict(campaign.key, results=campaign.rows[0])["prediction"] > 0
+            assert f.restart_counts() == {0: 0}
+            assert f.crash_looped_workers() == [] and f.live_workers() == 1
 
     @staticmethod
     def _kill_once(f, worker_id):

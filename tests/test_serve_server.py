@@ -337,12 +337,18 @@ class TestEndToEnd:
         ):
             assert stats[stage] >= 0
 
-    def test_shutdown_op_stops_server(self, campaign):
+    def test_only_the_owner_stops_the_server(self, campaign):
+        """A ``shutdown`` line is an unknown op like any other; the
+        owner's stop() ends the server under a keep-alive client."""
         thread = serve(campaign).start()
-        with PredictionClient(*thread.address) as client:
-            client.shutdown()
-        thread._thread.join(5)
-        assert not thread._thread.is_alive()
+        with PredictionClient(*thread.address, reconnects=0) as client:
+            reply = client.request({"op": "shutdown"})
+            assert (reply["status"], reply["error"]) == ("bad_request", "unknown op 'shutdown'")
+            assert client.ping()
+            thread.stop()
+            assert not thread._thread.is_alive()
+            with pytest.raises(ServerError):
+                client.ping()
 
 
 class TestMicroBatching:
@@ -552,9 +558,7 @@ class TestMicroBatching:
         try:
             for seed in (11, 12):
                 held.ask(campaign.key, data=raw_field(seed))  # queued on the busy lane
-            with PredictionClient(*held.thread.address) as client:
-                client.shutdown()
-            held.thread._thread.join(10)
+            held.thread.stop(timeout=10)
             assert not held.thread._thread.is_alive()
         finally:
             held.gate.open.set()
@@ -591,8 +595,8 @@ class TestAdmissionControl:
         # A policy with no retries turns client retries off: the raw
         # shed must surface with the documented status.
         raw = {"retry": RetryPolicy(max_retries=0)}
-        with Held(campaign, max_in_flight=2, max_queue_depth=1) as held:
-            # The held batch is in flight; one more fills both limits.
+        with Held(campaign, max_in_flight=2) as held:
+            # The held batch is in flight; one more fills the limit.
             for row in tagged(campaign, 5):
                 held.ask(campaign.key, raw, results=row)
             results = held.release()
@@ -613,7 +617,7 @@ class TestAdmissionControl:
         retrying = {
             "retry": RetryPolicy(max_retries=12, base_delay=0.02, max_delay=2.0, jitter=0.5)
         }
-        with Held(campaign, max_in_flight=2, max_queue_depth=1) as held:
+        with Held(campaign, max_in_flight=2) as held:
             for row in tagged(campaign, 5):
                 held.ask(campaign.key, retrying, results=row)
             results = held.release()
