@@ -239,9 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--feat-cache", choices=["off", "local", "shared"],
                        default="shared",
                        help="featurization cache tier: off, per-worker local, "
-                       "or row files in a directory shared across the fleet")
+                       "or one SQLite table in a directory shared across the fleet")
     serve.add_argument("--feat-cache-dir", default=None,
-                       help="directory of the shared tier's row files "
+                       help="directory of the shared tier's database "
                        "(default: a private temp dir removed at exit); its "
                        "rows survive stop, so the next serve on it starts warm")
     serve.add_argument("--feat-cache-capacity", type=int, default=1024,
@@ -613,15 +613,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     # The server and cache flags are named as the keywords they feed.
     flags = vars(args)
-    fleet = ServeFleet(
-        args.registry,
-        args.workers,
-        host=args.host,
-        port=args.port,
-        drift_config=DriftConfig(medape_threshold=args.drift_medape),
-        server_options={k: flags[k] for k in ("max_batch", "max_in_flight", "cache_capacity")},
-        **{k: v for k, v in flags.items() if k.startswith("feat_cache")},
-    )
+    try:
+        fleet = ServeFleet(
+            args.registry,
+            args.workers,
+            host=args.host,
+            port=args.port,
+            drift_config=DriftConfig(medape_threshold=args.drift_medape),
+            server_options={k: flags[k] for k in ("max_batch", "max_in_flight", "cache_capacity")},
+            **{k: v for k, v in flags.items() if k.startswith("feat_cache")},
+        )
+    except ValueError as exc:  # a usage error, like argparse's (exit 2)
+        print(f"predict-bench: error: {exc}", file=sys.stderr)
+        return 2
     stop_signals = (signal.SIGTERM, signal.SIGINT)
 
     def _stop(signum: int, frame: Any) -> None:

@@ -223,49 +223,6 @@ class HuffmanCode:
             return 0.0
         return float((counts * self.lengths).sum() / total)
 
-    def decode_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Full lookup tables of size ``2**max_length``.
-
-        ``sym_table[w]`` / ``len_table[w]`` give the decoded symbol index
-        and its code length for any window *w* whose leading bits match a
-        code.  Windows that match no code get length 0 (detected as
-        corruption during decode).
-        """
-        width = max(self.max_length, 1)
-        size = 1 << width
-        sym_table = np.zeros(size, dtype=np.int64)
-        len_table = np.zeros(size, dtype=np.int64)
-        active = np.flatnonzero(self.lengths > 0)
-        if active.size == 0:
-            return sym_table, len_table
-        lens = self.lengths[active].astype(np.int64)
-        base = self.codes[active].astype(np.int64) << (width - lens)
-        span = np.int64(1) << (width - lens)
-        order = np.argsort(base, kind="stable")
-        starts = base[order]
-        spans = span[order]
-        total = int(spans.sum())
-        # Canonical codes tile a prefix of [0, 2^width) contiguously, so
-        # the whole table is two np.repeat fills — no per-symbol loop.
-        if total <= size and np.array_equal(
-            starts, np.concatenate(([0], np.cumsum(spans)[:-1]))
-        ):
-            sym_table[:total] = np.repeat(active[order], spans)
-            len_table[:total] = np.repeat(lens[order], spans)
-        else:
-            # Non-canonical length tables (possible only for corrupt
-            # streams) fall back to the per-symbol scatter, preserving
-            # the original later-code-overwrites behaviour exactly.
-            for i in range(self.symbols.size):
-                l = int(self.lengths[i])
-                if l == 0:
-                    continue
-                b = int(self.codes[i]) << (width - l)
-                s = 1 << (width - l)
-                sym_table[b : b + s] = i
-                len_table[b : b + s] = l
-        return sym_table, len_table
-
 
 def code_lengths(counts: np.ndarray, max_length: int = DEFAULT_MAX_LENGTH) -> np.ndarray:
     """The code lengths :func:`build_code` assigns to *counts*: optimal,

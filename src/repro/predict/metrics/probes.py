@@ -9,6 +9,7 @@ the bound changes but reuses them across error-agnostic invalidations.
 
 from __future__ import annotations
 
+import heapq
 from typing import Any
 
 import numpy as np
@@ -24,11 +25,57 @@ from ...encoding.entropy import huffman_expected_length, quantized_entropy
 from ...encoding.huffman import code_lengths
 
 
+#: A Huffman code as deep as ``DEFAULT_MAX_LENGTH + 1`` = 17 bits needs a
+#: total count of at least the Fibonacci number F(19) = 4181; below it,
+#: limiting the lengths is a no-op.
+_UNLIMITED_TOTAL = 4181
+
+
 def _huffman_bits_exact(counts: np.ndarray) -> float:
     """Mean bits per value under the Huffman code ``build_code`` would
-    make for *counts*: its limited code lengths are all this needs."""
-    weights = np.asarray(counts, dtype=np.float64)
+    make for *counts*.
+
+    Below ``_UNLIMITED_TOTAL`` (every count positive, more than two
+    symbols) that code is an unlimited Huffman code, whose cost
+    sum(count * length) is the sum of the merged weights whatever the
+    tie-breaks: :func:`_huffman_cost` adds them up over runs of equal
+    counts.  Both sums are exact integers, so the quotient is the one
+    the per-symbol lengths give, bit for bit.  Other inputs take the
+    limited code lengths.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    total = int(counts.sum())
+    if counts.size > 2 and total < _UNLIMITED_TOTAL and counts.min() > 0:
+        return float(_huffman_cost(counts)) / float(total)
+    weights = counts.astype(np.float64)
     return float((weights * code_lengths(counts)).sum() / weights.sum())
+
+
+def _huffman_cost(counts: np.ndarray) -> int:
+    """Sum of the merged weights of a Huffman merge of *counts* (more
+    than one), taking ``m`` equal weights as ``m // 2`` merges at once.
+
+    The heap holds ``(weight, multiplicity)`` runs, starting from the
+    distinct counts, so the loop turns per run, not per symbol."""
+    weights, multiplicity = np.unique(counts, return_counts=True)
+    heap = list(zip(weights.tolist(), multiplicity.tolist()))  # sorted: a heap
+    cost = 0
+    while True:
+        weight, m = heapq.heappop(heap)
+        if m == 1:
+            if not heap:  # the root
+                return cost
+            other, m_other = heapq.heappop(heap)
+            if m_other > 1:
+                heapq.heappush(heap, (other, m_other - 1))
+            merged, pairs = weight + other, 1
+        else:
+            pairs = m // 2
+            if m % 2:
+                heapq.heappush(heap, (weight, 1))
+            merged = 2 * weight
+        cost += merged * pairs
+        heapq.heappush(heap, (merged, pairs))
 
 
 def _abs_bound(options: PressioOptions) -> float:

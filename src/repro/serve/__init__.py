@@ -11,7 +11,7 @@ circle: drift detection (:class:`DriftMonitor`) → incremental
 re-collect → republish, which every live server follows on its own.
 :class:`ServeFleet` scales the tier to the hardware: one worker process
 per core behind a shared ``SO_REUSEPORT`` data port, all sharing the
-row files of one :class:`FeaturizationCache` directory.
+SQLite table of one :class:`FeaturizationCache` directory.
 """
 
 from .codec import (

@@ -26,45 +26,39 @@ Two tiers:
 * **L1** — a per-process ``OrderedDict`` LRU of decoded rows
   (capacity-bounded by entry count), shared by nothing, paid for by
   nobody.
-* **L2** — a directory of row files (the paper's ``local_cache``
-  pattern, Figure 2: node-local files), so every worker of a
-  :class:`~repro.serve.fleet.ServeFleet` shares one feature store: a
-  row featurized by worker 0 is a hit for worker 3 without either
-  re-running the evaluator, and a server restarted on the same
-  directory starts warm.  Rows ride the exact-round-trip state codec
-  (:func:`~repro.serve.codec.encode_state`), so an L2 hit is
-  bit-identical to the evaluator output that produced it.  A store
-  writes a uniquely named temp file and renames it (``os.replace``) onto
-  ``<sha256 of the cache key>.row``: a reader sees a whole row or
-  nothing, and a writer killed at any instant leaves at most a temp
-  file, which a later directory pass reclaims once it is a minute old.  The name is a digest, never
-  the key, because a client-supplied ``data_ref`` reaches :meth:`get`
-  unvalidated.  No ``fsync``: it is a cache — a file torn by power loss
-  (cut short, or blocks read back as zeros) is not the strict JSON the
-  codec parses, so it reads as a miss and the next store renames over
-  it.
+* **L2** — one SQLite table, ``rows(key TEXT PRIMARY KEY, blob)``, in a
+  ``rows.db`` inside the shared directory (the paper's harness keeps its
+  results the same way: a SQLite store keyed by stable option hashes),
+  so every worker of a :class:`~repro.serve.fleet.ServeFleet` shares one
+  feature store: a row featurized by worker 0 is a hit for worker 3
+  without either re-running the evaluator, and a server restarted on
+  the same directory starts warm.  Rows ride the exact-round-trip state
+  codec (:func:`~repro.serve.codec.encode_state`), so an L2 hit is
+  bit-identical to the evaluator output that produced it.  A lookup is
+  one ``SELECT``; a store is one ``INSERT OR REPLACE`` transaction, so a
+  reader sees a committed row or nothing, and a writer killed before
+  its commit leaves nothing.  The key is a bound parameter, never a
+  path: a client-supplied ``data_ref`` reaches :meth:`get` unvalidated.
+  WAL mode, ``synchronous=OFF``, because it is a cache: a file that is
+  not (or no longer) a database reads as a miss, and the next store
+  replaces it.  Each process opens its own connection on first use, so
+  a forked child never shares its parent's.
 
-Capacity on L2 is byte-bounded (file sizes, not allocated blocks),
-oldest publish first (file mtime), and a store costs the same, amortised,
-however many rows the directory holds: each process spends a
-*headroom* — ``min(budget - bytes found, budget // _SCAN_FRACTION)`` as
-of its last ``os.scandir`` pass — and lists the directory again only
-once that is written.  A pass that finds the budget exceeded evicts
-down to ``budget - budget // _SCAN_FRACTION`` so the next one is a
-headroom away.  One writer therefore never exceeds
-``shared_capacity_bytes``; *W* processes writing one directory can
-overshoot it by at most ``(W - 1) * (budget // _SCAN_FRACTION)`` bytes,
-the headroom the others took before the latest pass.
+Capacity on L2 is byte-bounded (blob bytes), oldest store first (lowest
+``rowid``).  The writer's transaction adds its blob to a running total
+kept in the same database and evicts the oldest rows until the total is
+back within ``shared_capacity_bytes``, so the budget holds after every
+commit however many processes write.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
+import sqlite3
 import threading
-import time
-import uuid
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Mapping
@@ -77,23 +71,15 @@ from .registry import LoadedModel, scheme_params
 #: L2 payload wrapper version (bump when the wrapper layout changes).
 _WRAPPER_VERSION = 1
 
-_ROW_SUFFIX = ".row"
-_TMP_SUFFIX = ".tmp"
-#: A process lists the shared directory again after writing this
-#: fraction of the byte budget (see the module docstring for the
-#: eviction rule and the overshoot bound that follow from it).
-_SCAN_FRACTION = 8
-#: A temp file this old has no writer behind it (a store is one small
-#: write); directory passes reclaim it.
-_STALE_TMP_SECONDS = 60.0
-
-
-def _remove(path: str) -> bool:
-    try:
-        os.remove(path)
-    except FileNotFoundError:  # a sibling's pass got there first
-        return False
-    return True
+#: The L2 database's file name inside the shared directory.
+DB_NAME = "rows.db"
+_SCHEMA = (
+    "CREATE TABLE IF NOT EXISTS rows (key TEXT PRIMARY KEY, blob BLOB NOT NULL)",
+    # The blob bytes ``rows`` holds, kept by every store's transaction.
+    "CREATE TABLE IF NOT EXISTS used"
+    " (id INTEGER PRIMARY KEY CHECK (id = 0), bytes INTEGER NOT NULL)",
+    "INSERT OR IGNORE INTO used VALUES (0, 0)",
+)
 
 
 def content_fingerprint(payload: EncodedArray) -> str:
@@ -130,22 +116,21 @@ class FeaturizationCache:
     capacity:
         Max L1 entries (row dicts) held per process.
     shared_dir:
-        Directory of the L2 row files; ``None`` disables L2
+        Directory of the L2 database; ``None`` disables L2
         (per-process "local" mode).  Every process pointing at the same
         directory shares one store, and the rows outlive the process
         (a fleet removes a directory it made; a named one keeps them).
     shared_capacity_bytes:
-        Byte budget for L2 rows; oldest publishes are evicted first
-        (the module docstring states the rule and its bound).
+        Byte budget for L2 blobs; the oldest stores are evicted first.
     fault_hook:
-        Chaos-test seam: called as ``fault_hook(key)`` between the temp
-        write and the rename of every L2 store — the one instant a
-        killed writer leaves anything behind; tests ``os._exit`` from it.
+        Chaos-test seam: called as ``fault_hook(key)`` between the
+        insert and the commit of every L2 store; tests ``os._exit``
+        from it, or raise.
     lock_witness:
         A :class:`~repro.analysis.racewitness.LocksetWitness` that wraps
-        the internal lock during stress tests, so it can check every
-        ``# guarded-by: _lock`` access holds it; ``None`` (the default)
-        uses a plain ``threading.Lock``.
+        the internal locks during stress tests, so it can check every
+        ``# guarded-by:`` access holds its lock; ``None`` (the default)
+        uses plain ``threading.Lock`` objects.
     """
 
     def __init__(
@@ -159,10 +144,9 @@ class FeaturizationCache:
     ) -> None:
         self.capacity = max(1, int(capacity))
         self.shared_capacity_bytes = int(shared_capacity_bytes)
-        self._lock = (
-            lock_witness.wrap(name="featcache.lock")
-            if lock_witness is not None
-            else threading.Lock()
+        self._lock, self._db_lock = (
+            threading.Lock() if lock_witness is None else lock_witness.wrap(name=name)
+            for name in ("featcache.lock", "featcache.db_lock")
         )
         #: cache key -> (row, cost_s, source_nbytes)
         self._l1: OrderedDict[str, tuple[dict[str, Any], float, int]] = OrderedDict()  # guarded-by: _lock
@@ -182,12 +166,10 @@ class FeaturizationCache:
         }
         self.shared_dir = None if shared_dir is None else os.fspath(shared_dir)
         self.fault_hook = fault_hook
-        #: bytes this process may still store before it must list
-        #: ``shared_dir`` again
-        self._l2_headroom = 0  # guarded-by: _lock
+        #: (pid, connection) to the L2 database, opened on first use
+        self._db: tuple[int, sqlite3.Connection] | None = None  # guarded-by: _db_lock
         if self.shared_dir is not None:
             os.makedirs(self.shared_dir, exist_ok=True)
-            self._make_room(0)
 
     # -- keying ------------------------------------------------------------------
     def model_signature(self, model: LoadedModel) -> str | None:
@@ -279,24 +261,12 @@ class FeaturizationCache:
             self.counters["misses"] += 1
         return None
 
-    def put(
-        self,
-        key: str,
-        row: Mapping[str, Any],
-        *,
-        cost_s: float,
-        source_nbytes: int,
-    ) -> None:
+    def put(self, key: str, row: Mapping[str, Any], *, cost_s: float, source_nbytes: int) -> None:
         """Store a freshly featurized row in both tiers, L1 then L2."""
         self.put_l2(*self.put_l1(key, row, cost_s=cost_s, source_nbytes=source_nbytes))
 
     def put_l1(
-        self,
-        key: str,
-        row: Mapping[str, Any],
-        *,
-        cost_s: float,
-        source_nbytes: int,
+        self, key: str, row: Mapping[str, Any], *, cost_s: float, source_nbytes: int
     ) -> tuple[str, dict[str, Any], float, int]:
         """Store *row* in this process's L1; return the arguments of the
         :meth:`put_l2` that publishes it to the shared tier.
@@ -311,9 +281,9 @@ class FeaturizationCache:
         return entry
 
     def put_l2(self, key: str, row: dict[str, Any], cost_s: float, nbytes: int) -> None:
-        """Publish a row file: a temp file renamed onto the row's name, so
-        a reader sees the complete encoded row or nothing, and a writer
-        killed mid-store cannot poison the tier.  A write that raises is
+        """Publish a row to the shared table in one transaction that also
+        evicts the oldest rows it pushes past the byte budget.  A file
+        that is no database is replaced first; a write that raises is
         counted in ``l2_write_errors`` and is otherwise a later miss.
         """
         if self.shared_dir is None:
@@ -326,22 +296,22 @@ class FeaturizationCache:
                 "source_nbytes": nbytes,
             }
         ).encode("utf-8")
-        with self._lock:
-            self._l2_headroom -= len(blob)
-            crowded = self._l2_headroom < 0
-        tmp = os.path.join(self.shared_dir, uuid.uuid4().hex + _TMP_SUFFIX)
         try:
-            if crowded:
-                self._make_room(len(blob))
-            with open(tmp, "wb") as fh:
-                fh.write(blob)
-            if self.fault_hook is not None:
-                self.fault_hook(key)
-            os.replace(tmp, self._row_path(key))
+            try:
+                evicted = self._store(key, blob)
+            except sqlite3.DatabaseError as exc:
+                # The base class itself means "not a database" or "malformed";
+                # busy, constraint and I/O errors are subclasses.
+                if type(exc) is not sqlite3.DatabaseError:
+                    raise
+                self._replace_db()
+                evicted = self._store(key, blob)
         except Exception:  # noqa: BLE001 - a cache write never fails its caller
-            _remove(tmp)
             with self._lock:
                 self.counters["l2_write_errors"] += 1
+            return
+        with self._lock:
+            self.counters["l2_evictions"] += evicted
 
     def _l1_store(self, key: str, row: dict[str, Any], cost_s: float, nbytes: int) -> None:
         with self._lock:
@@ -351,20 +321,74 @@ class FeaturizationCache:
                 self._l1.popitem(last=False)
                 self.counters["l1_evictions"] += 1
 
-    def _row_path(self, key: str) -> str:
-        digest = hashlib.sha256(key.encode("utf-8", "surrogatepass")).hexdigest()
-        return os.path.join(self.shared_dir, digest + _ROW_SUFFIX)
+    def _connection(self) -> sqlite3.Connection:
+        """This process's connection to the L2 database, opened (and the
+        table made) on first use; the caller holds ``_db_lock``."""
+        pid = os.getpid()
+        if self._db is None or self._db[0] != pid:  # first use, or a forked child
+            db = sqlite3.connect(
+                os.path.join(self.shared_dir, DB_NAME),
+                isolation_level=None,  # every transaction is an explicit BEGIN
+                check_same_thread=False,  # the lane stores, the event loop reads stats
+            )
+            try:
+                db.execute("PRAGMA journal_mode=WAL")
+                db.execute("PRAGMA synchronous=OFF")
+                for statement in _SCHEMA:
+                    db.execute(statement)
+            except BaseException:
+                db.close()
+                raise
+            self._db = (pid, db)
+        return self._db[1]
+
+    def _store(self, key: str, blob: bytes) -> int:
+        """Insert *blob* under *key* and evict the oldest rows until the
+        running total fits the budget, all in one write transaction;
+        returns how many rows were evicted."""
+        evicted = 0
+        with self._db_lock:
+            db = self._connection()
+            db.execute("BEGIN IMMEDIATE")
+            with db:  # commits, or rolls back on any exception
+                used, replaced = db.execute(
+                    "SELECT bytes, (SELECT length(blob) FROM rows WHERE key = ?) FROM used",
+                    (key,),
+                ).fetchone()
+                db.execute("INSERT OR REPLACE INTO rows VALUES (?, ?)", (key, blob))
+                used += len(blob) - (replaced or 0)
+                while used > self.shared_capacity_bytes:
+                    rowid, size = db.execute(
+                        "SELECT rowid, length(blob) FROM rows ORDER BY rowid LIMIT 1"
+                    ).fetchone()
+                    db.execute("DELETE FROM rows WHERE rowid = ?", (rowid,))
+                    used -= size
+                    evicted += 1
+                db.execute("UPDATE used SET bytes = ?", (used,))
+                if self.fault_hook is not None:
+                    self.fault_hook(key)
+        return evicted
+
+    def _replace_db(self) -> None:
+        """Remove a database file SQLite cannot read, so the next
+        connection makes a fresh one."""
+        self.close()
+        path = os.path.join(self.shared_dir, DB_NAME)
+        for name in (path, path + "-wal", path + "-shm"):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(name)
 
     def _read_row(self, key: str) -> tuple[dict[str, Any], float, int] | None:
-        """*key*'s L2 row as ``(row, cost_s, source_nbytes)``; a missing,
-        torn or alien file is a miss."""
+        """*key*'s L2 row as ``(row, cost_s, source_nbytes)``; a missing
+        or alien row, and a file that is no database, are misses."""
         try:
-            with open(self._row_path(key), "rb") as fh:
-                blob = fh.read()
-        except OSError:  # never stored, or evicted since
-            return None
-        try:
-            wrapper = decode_state(blob.decode("utf-8"))
+            with self._db_lock:
+                found = self._connection().execute(
+                    "SELECT blob FROM rows WHERE key = ?", (key,)
+                ).fetchone()
+            if found is None:  # never stored, or evicted since
+                return None
+            wrapper = decode_state(found[0].decode("utf-8"))
             row = wrapper["row"]
             if wrapper["wrapper_version"] != _WRAPPER_VERSION or not isinstance(row, dict):
                 return None
@@ -372,80 +396,53 @@ class FeaturizationCache:
         except Exception:  # noqa: BLE001 - whatever else the bytes are, they are no row
             return None
 
-    def _scan_rows(self) -> list[tuple[int, int, str]]:
-        """One ``scandir`` pass: ``(publish time, size, path)`` per row.
-
-        Everything comes from ``stat``; no file is opened.  Temp files
-        older than ``_STALE_TMP_SECONDS`` are what writers killed
-        mid-store left behind and are reclaimed on the way.
-        """
-        rows: list[tuple[int, int, str]] = []
-        stale_before = time.time() - _STALE_TMP_SECONDS
-        with os.scandir(self.shared_dir) as entries:
-            for entry in entries:
-                try:
-                    st = entry.stat()
-                except FileNotFoundError:  # renamed or evicted mid-pass
-                    continue
-                if entry.name.endswith(_ROW_SUFFIX):
-                    rows.append((st.st_mtime_ns, st.st_size, entry.path))
-                elif entry.name.endswith(_TMP_SUFFIX) and st.st_mtime < stale_before:
-                    _remove(entry.path)
-        return rows
-
-    def _make_room(self, incoming: int) -> None:
-        """List the directory, evict if *incoming* bytes would break the
-        budget, and take a new headroom (rule: module docstring)."""
-        rows = self._scan_rows()
-        used = sum(size for _, size, _ in rows)
-        slack = self.shared_capacity_bytes // _SCAN_FRACTION
-        evicted = 0
-        if used + incoming > self.shared_capacity_bytes:
-            rows.sort()
-            for _, size, path in rows:
-                if used + incoming <= self.shared_capacity_bytes - slack:
-                    break
-                evicted += _remove(path)
-                used -= size
-        with self._lock:
-            self.counters["l2_evictions"] += evicted
-            self._l2_headroom = (
-                min(self.shared_capacity_bytes - used, slack) - incoming
-            )
-
     # -- introspection / lifecycle --------------------------------------------------
     def stats(self) -> dict[str, Any]:
         with self._lock:
             out = dict(self.counters)
             out["l1_entries"] = len(self._l1)
         if self.shared_dir is not None:
-            rows = self._scan_rows()
-            out["l2_entries"] = len(rows)
-            out["l2_bytes"] = sum(size for _, size, _ in rows)
+            try:
+                with self._db_lock:
+                    entries, used = self._connection().execute(
+                        "SELECT count(*), total(length(blob)) FROM rows"
+                    ).fetchone()
+            except Exception:  # noqa: BLE001 - a file that is no database holds no row
+                entries, used = 0, 0.0
+            out["l2_entries"] = entries
+            out["l2_bytes"] = int(used)
         return out
 
     @property
     def shared(self) -> bool:
         return self.shared_dir is not None
 
-    def sweep(self) -> list[str]:
-        """Empty the L2 directory of rows and temp files (the directory
-        itself stays); returns their names.  For the directory's owner:
-        a fleet never sweeps a directory it was handed."""
+    def sweep(self) -> int:
+        """Empty the L2 table (the database stays); returns the number of
+        rows removed.  For the directory's owner: a fleet never sweeps a
+        directory it was handed."""
         if self.shared_dir is None:
-            return []
-        return [
-            name
-            for name in os.listdir(self.shared_dir)
-            if name.endswith((_ROW_SUFFIX, _TMP_SUFFIX))
-            and _remove(os.path.join(self.shared_dir, name))
-        ]
+            return 0
+        with self._db_lock:
+            db = self._connection()
+            db.execute("BEGIN IMMEDIATE")
+            with db:
+                removed = db.execute("DELETE FROM rows").rowcount
+                db.execute("UPDATE used SET bytes = 0")
+        return removed
+
+    def close(self) -> None:
+        """Close this process's L2 connection; the next use reopens it."""
+        with self._db_lock:
+            if self._db is not None and self._db[0] == os.getpid():
+                self._db[1].close()
+            self._db = None
 
     def __enter__(self) -> "FeaturizationCache":
         return self
 
     def __exit__(self, *exc: Any) -> None:
-        """Nothing to release: no OS handle is held between calls."""
+        self.close()
 
 
 __all__ = [

@@ -22,7 +22,7 @@ every worker running the *same* server code:
   :class:`~repro.serve.registry.ModelRegistry` (per-worker warm LRUs on
   top, each following its ``LATEST`` pointer, so a publish reaches
   every worker with nothing sent to any of them) and, with
-  ``feat_cache="shared"``, one directory of row files
+  ``feat_cache="shared"``, one SQLite table in a shared directory
   behind every worker's :class:`~repro.serve.featcache.FeaturizationCache`
   (its L2 tier): a field featurized by any worker is a cache hit for
   all of them.
@@ -33,7 +33,7 @@ every worker running the *same* server code:
 
 A directory the fleet made for the feature store is removed at
 :meth:`stop`, or by the workers themselves when the parent is killed, so
-no row or temp file outlives the fleet.  A caller-named directory keeps
+no database outlives the fleet.  A caller-named directory keeps
 its rows: a fleet started on it again starts warm.  Only the fleet's
 owner stops it; no request does.
 """
@@ -133,7 +133,11 @@ def _fleet_worker_main(spec: dict[str, Any], ready_queue: Any) -> None:
         )
         await server.serve_until_stopped()
 
-    asyncio.run(amain())
+    try:
+        asyncio.run(amain())
+    finally:
+        if feat_cache is not None:
+            feat_cache.close()
 
 
 @dataclass
@@ -183,7 +187,9 @@ class ServeFleet:
                 f"feat_cache must be one of {FEAT_CACHE_MODES}, got {feat_cache!r}"
             )
         self.registry_root = os.fspath(registry_root)
-        self.workers = max(1, int(workers if workers is not None else os.cpu_count() or 1))
+        self.workers = int(workers if workers is not None else os.cpu_count() or 1)
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         self.host = host
         self.port = int(port)
         self.feat_cache = feat_cache

@@ -259,7 +259,7 @@ class _Pending:
     source_nbytes: int = 0
     #: The original featurize cost a hit inherited from its stored row.
     cached_cost_s: float = 0.0
-    #: A miss's row, stored in L1 on the lane; its L2 row file is
+    #: A miss's row, stored in L1 on the lane; its L2 row is
     #: written there too, once the batch's replies are out.
     l2_write: tuple | None = None
 
@@ -822,7 +822,7 @@ class PredictionServer:
             for item in batch:
                 if not item.future.done():
                     item.future.set_exception(exc)
-        # The replies are resolved: the row files go on the lane behind
+        # The replies are resolved: the L2 rows go on the lane behind
         # them.  A sibling worker misses them for one lane turn longer.
         writes = [item.l2_write for item in batch if item.l2_write is not None]
         if writes:

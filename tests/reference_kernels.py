@@ -53,7 +53,8 @@ Nothing under ``src/`` imports this module.  The functions are the
 heap-based Huffman length builder, the bit-plane code packer, the
 full-lifting decoder (sliding-window matmul, int64 tables, one T-sized
 self-composition per bit of ``n_values``) and, from PR 6, the per-symbol
-scatter loop behind ``HuffmanCode.decode_tables``.  The decoder predates the
+scatter loop behind ``decode_tables``, which moved here from
+``HuffmanCode`` once only tests called it.  The decoder predates the
 header validation of the production one: on a corrupt *header* it can
 raise ``MemoryError``/``IndexError``/``OverflowError``/``ValueError`` or
 stall, so the differential tests only feed it streams whose 24 header
@@ -163,7 +164,7 @@ def huffman_decode_full_lifting(stream: bytes) -> np.ndarray:
     bits = unpack_bits(stream[off:], total_bits)
     width = max(int(width), 1)
     windows = windows_matmul(bits, width)
-    sym_table, len_table = code.decode_tables()
+    sym_table, len_table = decode_tables(code)
     sym_at = sym_table[windows]
     len_at = len_table[windows]
     if (len_at[0] == 0) if total_bits else False:
@@ -187,6 +188,42 @@ def huffman_decode_full_lifting(stream: bytes) -> np.ndarray:
     if (len_at[pos] == 0).any():
         raise CorruptStreamError("invalid huffman code in stream")
     return symbols[decoded_idx]
+
+
+def decode_tables(code: HuffmanCode) -> tuple[np.ndarray, np.ndarray]:
+    """Full lookup tables of size ``2**max_length`` (``HuffmanCode.decode_tables``
+    until the decoder stopped building them).
+
+    ``sym_table[w]`` / ``len_table[w]`` give the decoded symbol index
+    and its code length for any window *w* whose leading bits match a
+    code.  Windows that match no code get length 0 (detected as
+    corruption during decode).
+    """
+    width = max(code.max_length, 1)
+    size = 1 << width
+    sym_table = np.zeros(size, dtype=np.int64)
+    len_table = np.zeros(size, dtype=np.int64)
+    active = np.flatnonzero(code.lengths > 0)
+    if active.size == 0:
+        return sym_table, len_table
+    lens = code.lengths[active].astype(np.int64)
+    base = code.codes[active].astype(np.int64) << (width - lens)
+    span = np.int64(1) << (width - lens)
+    order = np.argsort(base, kind="stable")
+    starts = base[order]
+    spans = span[order]
+    total = int(spans.sum())
+    # Canonical codes tile a prefix of [0, 2^width) contiguously, so
+    # the whole table is two np.repeat fills — no per-symbol loop.
+    if total <= size and np.array_equal(
+        starts, np.concatenate(([0], np.cumsum(spans)[:-1]))
+    ):
+        sym_table[:total] = np.repeat(active[order], spans)
+        len_table[:total] = np.repeat(lens[order], spans)
+        return sym_table, len_table
+    # Non-canonical length tables (possible only for corrupt streams)
+    # take the per-symbol scatter: a later code overwrites an earlier one.
+    return decode_tables_scatter_loop(code)
 
 
 def decode_tables_scatter_loop(code: HuffmanCode) -> tuple[np.ndarray, np.ndarray]:
@@ -294,7 +331,7 @@ def huffman_decode_windows(stream: bytes) -> np.ndarray:
     if n_symbols == 1:
         return np.full(n_values, symbols[0], dtype=np.int64)
     code = HuffmanCode(symbols=symbols, lengths=lengths, codes=canonical_codes(lengths))
-    sym_table, len_table = code.decode_tables()
+    sym_table, len_table = decode_tables(code)
     windows = windows_at_every_position(bits, width)
     len_at = len_table.astype(np.uint8)[windows]
     if len_at[0] == 0:

@@ -817,7 +817,7 @@ class TestCollectCommand:
         assert exit_info.value.code == 2
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["run", "collect", "loop"])
+    @pytest.mark.parametrize("command", ["run", "collect", "loop", "serve"])
     def test_zero_workers_is_a_usage_error_before_any_work(
         self, tmp_path, capsys, launch_env, command
     ):
@@ -832,13 +832,16 @@ class TestCollectCommand:
             "run": ["run", *SMALL_CAMPAIGN, "--checkpoint", db],
             "collect": ["collect", *SMALL_CAMPAIGN, "--checkpoint", db],
             "loop": ["loop", db, "--registry", str(tmp_path / "reg")],
+            "serve": ["serve", "--registry", str(tmp_path / "reg")],
         }[command]
         try:
             code = main([*argv, "--workers", "0"])
         except SystemExit as exc:
             code = exc.code
         assert code == 2
-        assert "n_workers must be >= 1, got 0" in capsys.readouterr().err
+        # The queue names its parameter n_workers, the fleet workers.
+        expected = "workers" if command == "serve" else "n_workers"
+        assert f"predict-bench: error: {expected} must be >= 1, got 0" in capsys.readouterr().err
 
 
 class TestEnginesAgree:

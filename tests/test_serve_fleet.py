@@ -13,9 +13,9 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import re
 import signal
 import socketserver
+import sqlite3
 import threading
 import time
 from types import SimpleNamespace
@@ -154,6 +154,11 @@ class TestFleetLifecycle:
                 assert (client.host, client.port) == f.address
                 response = client.predict(campaign.key, results=campaign.rows[0])
             assert response["prediction"] > 0
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_a_worker_count_below_one_is_refused(self, campaign, workers):
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            fleet(campaign, workers)
 
     def test_worker_dying_at_boot_fails_start_fast(self, campaign):
         """A worker that exits before reporting ready (here: a server
@@ -341,30 +346,31 @@ class TestZeroCopyResend:
     ):
         """``data_ref`` is client text that reaches the shared tier
         unvalidated: whatever it spells, the server answers ``need_data``
-        and the only files it tries are digest-named ones directly inside
-        the cache directory."""
+        and the only file it opens is the database inside the cache
+        directory."""
         shared = tmp_path / "a" / "b" / "store"
         opened = []
+        real_connect = sqlite3.connect
         monkeypatch.setattr(
-            featcache, "open",
-            lambda path, *a, **kw: opened.append(path) or open(path, *a, **kw),
-            raising=False,
+            sqlite3, "connect",
+            lambda path, *a, **kw: opened.append(path) or real_connect(path, *a, **kw),
         )
         server = PredictionServer(
             campaign.registry, feat_cache=FeaturizationCache(shared_dir=str(shared))
         )
-        refs = ["../../x", "/etc/hostname", "..", "\ud800"]
+        refs = ["../../x", "/etc/hostname", "..", "x' OR '1'='1", "\ud800"]
         with ServerThread(server) as thread, PredictionClient(*thread.address) as client:
             replies = [
                 client.request({"op": "predict", "key": campaign.key, "data_ref": ref})
                 for ref in refs
             ]
         assert [r["status"] for r in replies] == ["need_data"] * len(refs)
-        assert len(set(opened)) == len(refs)
-        for path in opened:
-            assert os.path.dirname(path) == str(shared)
-            assert re.fullmatch(r"[0-9a-f]{64}\.row", os.path.basename(path))
-        assert [p.name for p in tmp_path.rglob("*")] == ["a", "b", "store"]
+        assert set(opened) == {os.path.join(str(shared), featcache.DB_NAME)}
+        files = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")}
+        assert {"a", "a/b", "a/b/store", "a/b/store/rows.db"} <= files
+        assert files <= {"a", "a/b", "a/b/store"} | {
+            f"a/b/store/rows.db{suffix}" for suffix in ("", "-wal", "-shm")
+        }
 
     def test_cache_off_server_answers_need_data(self, campaign):
         """A ref learned from a cache-on server, sent to its cache-off
@@ -446,8 +452,8 @@ class TestSupervision:
     ):
         """SIGKILL a worker of a shared-cache fleet under raw-field
         traffic, then stop(): a directory the fleet made is gone with
-        every row and temp file in it, a caller's directory keeps its
-        rows, and no shared-memory name was ever created."""
+        its database, a caller's directory keeps its rows, and no
+        shared-memory name was ever created."""
         shm_before = _shm_names()
         rng = np.random.default_rng(14)
         fields = [rng.standard_normal(SHAPE).astype(np.float32) for _ in range(6)]
@@ -480,18 +486,16 @@ class TestSupervision:
                 thread.join(30)
                 assert not thread.is_alive()
             assert errors == []
-            assert any(name.endswith(".row") for name in os.listdir(cache_dir))
-            # What a worker killed inside a store leaves (TestCrashSafety
-            # in test_serve_featcache.py pins that it is exactly this).
-            with open(os.path.join(cache_dir, "f" * 32 + ".tmp"), "wb") as fh:
-                fh.write(b'{"codec_ver')
+            with FeaturizationCache(shared_dir=cache_dir) as reader:
+                assert reader.stats()["l2_entries"] > 0
         finally:
             f.stop()
         if own_dir:
             assert not os.path.exists(cache_dir) and f.feat_cache_dir is None
         else:
             assert f.feat_cache_dir == cache_dir
-            assert any(name.endswith(".row") for name in os.listdir(cache_dir))
+            with FeaturizationCache(shared_dir=cache_dir) as reader:
+                assert reader.stats()["l2_entries"] > 0
         assert _shm_names() == shm_before
 
     def test_crash_loop_cap_parks_worker(self, campaign):
