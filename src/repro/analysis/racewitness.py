@@ -12,11 +12,12 @@ lock that consistently protects it — a data race report, even if the
 racy interleaving never actually fired during the run.
 
 :meth:`LocksetWitness.wrap` builds the locks it tracks, which is what
-the ``lock_witness=`` seams (CheckpointStore, FeaturizationCache) call::
+the ``lock_witness=`` seam of FeaturizationCache (shared by the serving
+event loop and its compute lane) calls::
 
     witness = LocksetWitness()
-    store = CheckpointStore(path, lock_witness=witness)
-    witness.instrument(store, name="store")   # auto-finds guarded attrs
+    cache = FeaturizationCache(capacity=128, lock_witness=witness)
+    witness.instrument(cache, name="featcache")   # auto-finds guarded attrs
     ... hammer it from threads ...
     witness.assert_race_free()
 

@@ -26,6 +26,8 @@ holds complete rows for every committed batch and nothing from the
 batch in flight — :meth:`pending` reports the lost tail and a restart
 recomputes exactly those keys.  File-backed stores run in WAL mode,
 which makes the commit itself cheaper and lets readers overlap writers.
+A handle is single-threaded: the thread that opened it does every write
+and read (see :class:`CheckpointStore`).
 
 Reads: every multi-row read is one :meth:`CheckpointStore.scan`, one
 ``SELECT key, payload, checksum FROM results`` that audits each row as
@@ -41,21 +43,12 @@ and :meth:`~CheckpointStore.keys` read keys only, and
 :meth:`~CheckpointStore.get` is the single-key lookup.
 """
 
-# The store shares ONE sqlite connection between two threads, guarded by
-# self._lock: the thread that owns the store (the queue's on_result sink,
-# rank 0's on the cluster engine, plus every read) and, with
-# flush_interval set, the timer thread that flushes the buffer.  The
-# commit *is* the critical section (single writer by design; WAL keeps
-# readers unblocked): committing outside the lock would let the timer's
-# flush interleave with a put's executemany/commit pair.
-
 from __future__ import annotations
 
 import hashlib
 import json
 import os
 import sqlite3
-import threading
 import time
 import warnings
 from typing import Any, Iterable, Literal, Mapping, NamedTuple
@@ -180,82 +173,41 @@ class CheckpointStore:
         keeps the historical one-commit-per-result behaviour; collection
         campaigns with cheap tasks should raise it (the runner and CLI
         expose it as a knob).  Buffered results are visible to every
-        read on this handle; they reach disk on flush/close/exception.
-    flush_interval:
-        Wall-clock flush period in seconds (``None`` disables).  Works
-        *alongside* ``flush_every`` — the buffer commits on whichever
-        trips first — so a long-running sparse campaign (large
-        ``flush_every``, slow trickle of results) still bounds its
-        maximum data loss to one interval.  A daemon timer drives the
-        periodic flush, so the bound holds even while no ``put`` arrives.
-    lock_witness:
-        Optional :class:`~repro.analysis.racewitness.LocksetWitness`;
-        when given, the store lock is wrapped so the witness knows which
-        thread holds it (test-only instrumentation, zero overhead when
-        ``None``).
+        read on this handle; they reach disk on flush/close/exception,
+        so a crash loses at most the last ``flush_every - 1`` results.
+
+    A handle belongs to the thread that opened it: its connection keeps
+    sqlite3's thread check, so a read or write from any other thread
+    raises :class:`sqlite3.ProgrammingError` instead of racing.  Every
+    engine hands its results to one sink on the calling thread, and a
+    process that wants another thread's view opens its own handle (WAL
+    lets it read while this one writes).
 
     Writes use ``INSERT OR REPLACE`` inside explicit batch transactions,
     so a crash mid-write never leaves a partial row; readers see either
     the previous state or the full new batch.
     """
 
-    def __init__(
-        self,
-        path: str = ":memory:",
-        *,
-        flush_every: int = 1,
-        flush_interval: float | None = None,
-        lock_witness=None,
-    ) -> None:
+    def __init__(self, path: str = ":memory:", *, flush_every: int = 1) -> None:
         self.path = path
         self.flush_every = max(1, int(flush_every))
-        if flush_interval is not None and float(flush_interval) <= 0.0:
-            raise ValueError("flush_interval must be positive (or None)")
-        self.flush_interval = None if flush_interval is None else float(flush_interval)
-        self._last_flush = time.monotonic()  # guarded-by: _lock
-        self._stop_flush_timer = threading.Event()
-        self._flush_timer: threading.Thread | None = None
         #: Commits issued on the results table — the benchmark counter
-        #: proving batching (≤ 1 commit per flush interval).
-        self.commit_count = 0  # guarded-by: _lock
+        #: proving batching (one commit per ``flush_every`` results).
+        self.commit_count = 0
         if path != ":memory:":
             os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        # The flush_interval timer commits from its own thread; SQLite
-        # connections default to thread affinity, so share one connection
-        # guarded by our own lock instead.
-        self._db = sqlite3.connect(path, check_same_thread=False)
-        # Test-only: a LocksetWitness wraps the store lock so stress
-        # suites can check every '# guarded-by: _lock' access holds it.
-        if lock_witness is not None:
-            self._lock = lock_witness.wrap(name="checkpoint.lock")
-        else:
-            self._lock = threading.Lock()
+        self._db = sqlite3.connect(path)
         #: key → encoded row awaiting flush (dict gives replace semantics).
-        self._buffer: dict[str, tuple] = {}  # guarded-by: _lock
+        self._buffer: dict[str, tuple] = {}
         #: The column sets this handle knows (that pass their checksum).
-        self._names: dict[int, tuple[str, ...]] = {}  # guarded-by: _lock
-        self._ids: dict[tuple[str, ...], int] = {}  # guarded-by: _lock
+        self._names: dict[int, tuple[str, ...]] = {}
+        self._ids: dict[tuple[str, ...], int] = {}
         if path != ":memory:":
             self._db.execute("PRAGMA journal_mode=WAL")
             self._db.execute("PRAGMA synchronous=NORMAL")
         self._db.executescript(_SCHEMA)
         self._migrate_schema()
         self._check_hash_version()
-        if self.flush_interval is not None:
-            self._flush_timer = threading.Thread(
-                target=self._flush_timer_loop, daemon=True
-            )
-            self._flush_timer.start()
-
-    def _flush_timer_loop(self) -> None:
-        # Wall-clock flushing must not depend on puts arriving: the
-        # timer fires every interval regardless, so the unflushed window
-        # is bounded even when the campaign goes quiet mid-batch.
-        while not self._stop_flush_timer.wait(self.flush_interval):
-            try:
-                self.flush()
-            except sqlite3.ProgrammingError:  # closed underneath us
-                return
 
     def _migrate_schema(self) -> None:
         """Bring pre-integrity databases up to the current schema.
@@ -337,30 +289,19 @@ class CheckpointStore:
         With ``flush_every == 1`` the row commits immediately; otherwise
         it is buffered and committed with its batch.
         """
-        row = self._encode_row(
+        self._buffer[key] = self._encode_row(
             key, payload, compressor_hash, dataset_hash, experiment_hash, replicate
         )
-        with self._lock:
-            self._buffer[key] = row
-            interval_due = (
-                self.flush_interval is not None
-                and time.monotonic() - self._last_flush >= self.flush_interval
-            )
-            if len(self._buffer) >= self.flush_every or interval_due:
-                self._flush_locked()
+        if len(self._buffer) >= self.flush_every:
+            self.flush()
 
     def flush(self) -> None:
         """Commit all buffered results as one atomic batch."""
-        with self._lock:
-            self._flush_locked()
-
-    def _flush_locked(self) -> None:
-        self._last_flush = time.monotonic()
         if not self._buffer:
             return
         rows = []
         for *head, names, values, created_at in self._buffer.values():
-            cid = self._column_id_locked(names)  # json.dumps([cid, *values]):
+            cid = self._column_id(names)  # json.dumps([cid, *values]):
             row = f"[{cid}]" if values == "[]" else f"[{cid}, {values[1:]}"
             rows.append((*head, row, created_at, payload_checksum(row)))
         self._db.executemany(_INSERT_SQL, rows)
@@ -368,7 +309,7 @@ class CheckpointStore:
         self.commit_count += 1
         self._buffer.clear()
 
-    def _column_id_locked(self, names: tuple[str, ...]) -> int:
+    def _column_id(self, names: tuple[str, ...]) -> int:
         """The id of column set *names*, registered in the open
         transaction (it commits with the row that needs it) if new."""
         cid = self._ids.get(names)
@@ -386,7 +327,7 @@ class CheckpointStore:
         return cid
 
     # -- reads -----------------------------------------------------------------
-    def _read_columns_locked(self) -> None:
+    def _read_columns(self) -> None:
         """Learn the sets other handles registered, but none that fails its
         checksum or whose names are not unique strings."""
         for cid, text, checksum in self._db.execute("SELECT id, names, checksum FROM columns"):
@@ -396,7 +337,7 @@ class CheckpointStore:
                     self._names[cid] = names = tuple(names)
                     self._ids[names] = cid
 
-    def _decode_locked(self, texts: list[str]) -> list[dict[str, Any] | None]:
+    def _decode(self, texts: list[str]) -> list[dict[str, Any] | None]:
         """Each row text's payload, or ``None`` where it has none.
 
         The one decoder of stored rows: one ``json.loads`` over their
@@ -419,7 +360,7 @@ class CheckpointStore:
             if type(row) is list and row and type(row[0]) is int:
                 names = self._names.get(row[0])
                 if names is None and not reread:
-                    self._read_columns_locked()
+                    self._read_columns()
                     reread = True
                     names = self._names.get(row[0])
             ok = names is not None and len(names) == len(row) - 1
@@ -434,15 +375,14 @@ class CheckpointStore:
     def get(self, key: str) -> dict[str, Any] | None:
         """One result by key (buffered or committed), unaudited; ``None``
         when absent or when its row does not decode."""
-        with self._lock:
-            row = self._buffer.get(key)
-            if row is not None:
-                return self._buffered(row)
-            cur = self._db.execute("SELECT payload FROM results WHERE key=?", (key,))
-            db_row = cur.fetchone()
-            if db_row is None:
-                return None
-            return self._decode_locked([db_row[0]])[0]
+        row = self._buffer.get(key)
+        if row is not None:
+            return self._buffered(row)
+        cur = self._db.execute("SELECT payload FROM results WHERE key=?", (key,))
+        db_row = cur.fetchone()
+        if db_row is None:
+            return None
+        return self._decode([db_row[0]])[0]
 
     def scan(
         self,
@@ -456,7 +396,7 @@ class CheckpointStore:
 
         Each committed row is audited as it passes: a row whose payload
         fails its checksum, or that does not decode (see
-        :meth:`_decode_locked`; a legacy checksum-less row decodes while
+        :meth:`_decode`; a legacy checksum-less row decodes while
         it parses), is *mismatched*.  ``audit="quarantine"`` deletes
         mismatched rows, so their keys are missing and a restart
         recomputes them, and backfills the legacy rows' checksums;
@@ -482,40 +422,39 @@ class CheckpointStore:
         keys: list[str] = []
         texts: list[str] = []
         legacy: dict[str, str] = {}  # checksum-less rows: trusted while they parse
-        with self._lock:
-            for key, text, checksum in self._db.execute(sql, list(filters.values())):
-                if key in self._buffer:
-                    continue  # its buffered result replaces it at the flush
-                if audit != "off":
-                    if not checksum:
-                        legacy[key] = text
-                    elif payload_checksum(text) != checksum:
-                        mismatched.append(key)
-                        continue
-                keys.append(key)
-                texts.append(text)
-            for key, payload in zip(keys, self._decode_locked(texts)):
-                if payload is None:
+        for key, text, checksum in self._db.execute(sql, list(filters.values())):
+            if key in self._buffer:
+                continue  # its buffered result replaces it at the flush
+            if audit != "off":
+                if not checksum:
+                    legacy[key] = text
+                elif payload_checksum(text) != checksum:
                     mismatched.append(key)
-                else:
-                    payloads[key] = payload
-            backfill = [
-                (payload_checksum(text), key) for key, text in legacy.items() if key in payloads
-            ]
-            if audit == "quarantine" and (backfill or mismatched):
-                self._db.executemany(
-                    "UPDATE results SET checksum=? WHERE key=?", backfill
+                    continue
+            keys.append(key)
+            texts.append(text)
+        for key, payload in zip(keys, self._decode(texts)):
+            if payload is None:
+                mismatched.append(key)
+            else:
+                payloads[key] = payload
+        backfill = [
+            (payload_checksum(text), key) for key, text in legacy.items() if key in payloads
+        ]
+        if audit == "quarantine" and (backfill or mismatched):
+            self._db.executemany(
+                "UPDATE results SET checksum=? WHERE key=?", backfill
+            )
+            for i in range(0, len(mismatched), _IN_CHUNK):
+                chunk = mismatched[i : i + _IN_CHUNK]
+                marks = ",".join("?" * len(chunk))
+                self._db.execute(
+                    f"DELETE FROM results WHERE key IN ({marks})", chunk
                 )
-                for i in range(0, len(mismatched), _IN_CHUNK):
-                    chunk = mismatched[i : i + _IN_CHUNK]
-                    marks = ",".join("?" * len(chunk))
-                    self._db.execute(
-                        f"DELETE FROM results WHERE key IN ({marks})", chunk
-                    )
-                self._db.commit()
-            for key, row in self._buffer.items():
-                if all(row[1 + _HASH_COLUMNS.index(col)] == val for col, val in filters.items()):
-                    payloads[key] = self._buffered(row)
+            self._db.commit()
+        for key, row in self._buffer.items():
+            if all(row[1 + _HASH_COLUMNS.index(col)] == val for col, val in filters.items()):
+                payloads[key] = self._buffered(row)
         return Scan(payloads, mismatched)
 
     def pending(self, keys: Iterable[str]) -> list[str]:
@@ -525,9 +464,8 @@ class CheckpointStore:
 
     def count(self) -> int:
         self.flush()
-        with self._lock:
-            cur = self._db.execute("SELECT COUNT(*) FROM results")
-            return int(cur.fetchone()[0])
+        cur = self._db.execute("SELECT COUNT(*) FROM results")
+        return int(cur.fetchone()[0])
 
     def query(
         self,
@@ -563,9 +501,8 @@ class CheckpointStore:
 
     def keys(self) -> list[str]:
         """All committed (and buffered) result keys, sorted; unaudited."""
-        with self._lock:
-            present = {key for (key,) in self._db.execute("SELECT key FROM results")}
-            return sorted(present.union(self._buffer))
+        present = {key for (key,) in self._db.execute("SELECT key FROM results")}
+        return sorted(present.union(self._buffer))
 
     # -- campaign metadata -------------------------------------------------------
     def set_meta(self, key: str, value: str) -> None:
@@ -573,16 +510,14 @@ class CheckpointStore:
         run's queue statistics, serialised as JSON by the caller)."""
         if key == "hash_version":
             raise ValueError("'hash_version' is managed by the store")
-        with self._lock:
-            self._db.execute(
-                "INSERT OR REPLACE INTO meta (key, value) VALUES (?,?)", (key, value)
-            )
-            self._db.commit()
+        self._db.execute(
+            "INSERT OR REPLACE INTO meta (key, value) VALUES (?,?)", (key, value)
+        )
+        self._db.commit()
 
     def get_meta(self, key: str) -> str | None:
-        with self._lock:
-            cur = self._db.execute("SELECT value FROM meta WHERE key=?", (key,))
-            row = cur.fetchone()
+        cur = self._db.execute("SELECT value FROM meta WHERE key=?", (key,))
+        row = cur.fetchone()
         return None if row is None else str(row[0])
 
     # -- integrity ---------------------------------------------------------------
@@ -606,14 +541,13 @@ class CheckpointStore:
         must catch.  Returns the number of rows damaged."""
         self.flush()
         damaged = 0
-        with self._lock:
-            for key in keys:
-                cur = self._db.execute(
-                    "UPDATE results SET payload=? WHERE key=?",
-                    ('{"corrupted": tru', key),
-                )
-                damaged += cur.rowcount
-            self._db.commit()
+        for key in keys:
+            cur = self._db.execute(
+                "UPDATE results SET payload=? WHERE key=?",
+                ('{"corrupted": tru', key),
+            )
+            damaged += cur.rowcount
+        self._db.commit()
         return damaged
 
     # -- failure ledger ----------------------------------------------------------
@@ -627,37 +561,34 @@ class CheckpointStore:
         whose failure is permanent.  ``origin`` names where the failure
         happened (e.g. ``"rank3"``, a cluster worker rank); empty means
         this process."""
-        with self._lock:
-            self._db.execute(
-                "INSERT OR REPLACE INTO failures "
-                "(key, error, status, attempts, updated_at, origin) "
-                "VALUES (?,?,?,?,?,?)",
-                (key, error, int(status), int(attempts), time.time(), origin),
-            )
-            self._db.commit()
+        self._db.execute(
+            "INSERT OR REPLACE INTO failures "
+            "(key, error, status, attempts, updated_at, origin) "
+            "VALUES (?,?,?,?,?,?)",
+            (key, error, int(status), int(attempts), time.time(), origin),
+        )
+        self._db.commit()
 
     def clear_failures(self, keys: Iterable[str]) -> None:
         """Drop ledger entries (e.g. once the task finally succeeded)."""
         chunk_src = list(keys)
         if not chunk_src:
             return
-        with self._lock:
-            for i in range(0, len(chunk_src), _IN_CHUNK):
-                chunk = chunk_src[i : i + _IN_CHUNK]
-                marks = ",".join("?" * len(chunk))
-                self._db.execute(
-                    f"DELETE FROM failures WHERE key IN ({marks})", chunk
-                )
-            self._db.commit()
+        for i in range(0, len(chunk_src), _IN_CHUNK):
+            chunk = chunk_src[i : i + _IN_CHUNK]
+            marks = ",".join("?" * len(chunk))
+            self._db.execute(
+                f"DELETE FROM failures WHERE key IN ({marks})", chunk
+            )
+        self._db.commit()
 
     def failures(self) -> list[dict[str, Any]]:
         """Every recorded failure, most recent first."""
-        with self._lock:
-            cur = self._db.execute(
-                "SELECT key, error, status, attempts, updated_at, origin "
-                "FROM failures ORDER BY updated_at DESC, key"
-            )
-            rows = cur.fetchall()
+        cur = self._db.execute(
+            "SELECT key, error, status, attempts, updated_at, origin "
+            "FROM failures ORDER BY updated_at DESC, key"
+        )
+        rows = cur.fetchall()
         return [
             {
                 "key": key,
@@ -671,23 +602,17 @@ class CheckpointStore:
         ]
 
     def failed_keys(self) -> set[str]:
-        with self._lock:
-            cur = self._db.execute("SELECT key FROM failures")
-            return {row[0] for row in cur.fetchall()}
+        cur = self._db.execute("SELECT key FROM failures")
+        return {row[0] for row in cur.fetchall()}
 
     def poison_keys(self) -> set[str]:
         """Keys whose recorded failure is *permanent* — a resume skips
         these instead of re-running a task that can never succeed."""
-        with self._lock:
-            cur = self._db.execute("SELECT key, status FROM failures")
-            rows = cur.fetchall()
+        cur = self._db.execute("SELECT key, status FROM failures")
+        rows = cur.fetchall()
         return {key for key, status in rows if is_permanent_status(status)}
 
     def close(self) -> None:
-        self._stop_flush_timer.set()
-        if self._flush_timer is not None:
-            self._flush_timer.join(timeout=1.0)
-            self._flush_timer = None
         try:
             self.flush()
         finally:

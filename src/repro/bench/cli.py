@@ -93,8 +93,6 @@ def _add_store_flags(sub: argparse.ArgumentParser, checkpoint: str, flush_every:
     sub.add_argument("--checkpoint", default=checkpoint)
     sub.add_argument("--flush-every", type=int, default=flush_every,
                      help="checkpoint writes per SQLite commit (1 = the safest)")
-    sub.add_argument("--flush-interval", type=float, default=None,
-                     help="also flush every this many seconds of wall clock")
 
 
 def _add_chaos_flags(sub: argparse.ArgumentParser, example: str) -> None:
@@ -337,12 +335,7 @@ def _dataset(args: argparse.Namespace, timesteps: int | None = None) -> Hurrican
 def _store(args: argparse.Namespace) -> CheckpointStore:
     """The checkpoint ``args.checkpoint`` names, batched as the store
     flags say where a command has them."""
-    flags = vars(args)
-    return CheckpointStore(
-        args.checkpoint,
-        flush_every=flags.get("flush_every", 1),
-        flush_interval=flags.get("flush_interval"),
-    )
+    return CheckpointStore(args.checkpoint, flush_every=vars(args).get("flush_every", 1))
 
 
 def _retry_policy(args: argparse.Namespace, max_retries: int) -> RetryPolicy:

@@ -18,7 +18,11 @@ Two phases mirror how the real bench separates concerns:
 2. **Evaluation** — per (scheme, compressor): assemble observations into
    feature rows, run the cross-validation protocol (grouped by field for
    the out-of-sample setting §6 emphasises), time fit and inference, and
-   compute MedAPE on out-of-fold predictions.
+   compute MedAPE on out-of-fold predictions.  Every fit sees its rows in
+   one order, by entry, compressor, bound and replicate: the folds, the
+   forests' bootstraps and the augmentation draw rows by position, so
+   the order the rows arrived in (completion order, or the key order that
+   moves with the campaign's scheme set) must not reach them.
 
 The output rows correspond one-to-one to Table 2 of the paper.
 """
@@ -49,6 +53,11 @@ from .checkpoint import CheckpointStore
 from .faults import ChaosPlan
 from .tasks import Task, compressor_part, precompute_keys
 from .taskqueue import QueueStats, TaskQueue, TaskResult
+
+
+def _fit_order(row: Mapping[str, Any]) -> tuple[str, str, float, int]:
+    """The sort key that puts the rows of a fit in one order."""
+    return (row["data_id"], row["compressor"], row["bound"], row["replicate"])
 
 
 class CollectionResult(NamedTuple):
@@ -493,14 +502,17 @@ class ExperimentRunner:
             target_key = scheme.target_key
             for comp_id in self.compressors:
                 for eb in self.bounds:
-                    rows = [
-                        dict(o)
-                        for o in observations
-                        if o.get("compressor") == comp_id
-                        and float(o.get("bound", math.nan)) == eb
-                        and o.get(f"scheme:{scheme.id}:supported", False)
-                        and o.get(target_key) is not None
-                    ]
+                    rows = sorted(
+                        (
+                            dict(o)
+                            for o in observations
+                            if o.get("compressor") == comp_id
+                            and float(o.get("bound", math.nan)) == eb
+                            and o.get(f"scheme:{scheme.id}:supported", False)
+                            and o.get(target_key) is not None
+                        ),
+                        key=_fit_order,
+                    )
                     if len(rows) < min_observations:
                         warnings.warn(
                             f"publish: skipping {scheme.id}/{comp_id}@{eb:g} "
@@ -554,13 +566,16 @@ class ExperimentRunner:
         """K-fold evaluation of one scheme on one compressor's rows."""
         row = Table2Row(method=scheme.id, compressor=compressor_id)
         target_key = scheme.target_key
-        obs = [
-            dict(o)
-            for o in observations
-            if o.get("compressor") == compressor_id
-            and o.get(f"scheme:{scheme.id}:supported", False)
-            and o.get(target_key) is not None
-        ]
+        obs = sorted(
+            (
+                dict(o)
+                for o in observations
+                if o.get("compressor") == compressor_id
+                and o.get(f"scheme:{scheme.id}:supported", False)
+                and o.get(target_key) is not None
+            ),
+            key=_fit_order,
+        )
         row.n_observations = len(obs)
         if not obs:
             row.supported = False

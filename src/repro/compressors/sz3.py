@@ -19,9 +19,9 @@ fully vectorisable and strictly error bounded:
 4. **Lossless** — the Huffman stream goes through a final
    zlib/LZ77 pass, mirroring SZ3's zstd stage.
 
-The stage boundaries are exposed (``quantize``, ``predict_residuals``,
-``stage_sizes``) because the Jin 2022, Khan 2023 and Wang 2023 prediction
-schemes model exactly these internals.
+The stage boundaries are exposed (``quantize``, ``predict_residuals``)
+because the Jin 2022, Khan 2023 and Wang 2023 prediction schemes model
+exactly these internals.
 """
 
 from __future__ import annotations
@@ -193,18 +193,6 @@ class SZ3Compressor(CompressorPlugin):
 
     def _interp_stride(self) -> int:
         return int(self._options.get("sz3:interp_max_stride", 16))
-
-    def stage_sizes(self, array: np.ndarray) -> dict[str, int]:
-        """Byte sizes contributed by each pipeline stage (for ZPerf-style
-        gray-box decomposition); runs the full pipeline once."""
-        payload = self.compress_impl(np.asarray(array))
-        (hsize, esc_size) = struct.unpack_from("<QQ", payload, 1)
-        return {
-            "total": len(payload),
-            "huffman_stream": int(hsize),
-            "escape_stream": int(esc_size),
-            "header": len(payload) - int(hsize) - int(esc_size),
-        }
 
     # -- codec ---------------------------------------------------------------
     def compress_impl(self, array: np.ndarray, lap: Lap = no_lap) -> bytes:

@@ -118,13 +118,3 @@ class SZXCompressor(CompressorPlugin):
             codes = unpack_width_groups(body, widths[nc], block)
             out[nc] = reps[nc][:, None] + 2.0 * eb * codes.astype(np.float64)
         return out.reshape(-1)[:n].reshape(shape).astype(dtype)
-
-    # -- introspection for SECRE-style estimators ---------------------------
-    def constant_block_fraction(self, array: np.ndarray) -> float:
-        """Fraction of blocks classified constant at the current bound."""
-        flat = np.asarray(array, dtype=np.float64).reshape(-1)
-        if flat.size == 0:
-            return 1.0
-        block = int(self._options.get("szx:block_size", DEFAULT_BLOCK))
-        _, _, const = classify_blocks(flat, block, self.abs_bound)
-        return float(const.mean())

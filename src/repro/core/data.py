@@ -18,8 +18,6 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import TypeMismatchError
-
 #: Process-wide serials for buffers without provenance.  ``id(obj)`` is
 #: handed to the next object once one is freed, so it cannot key a cache
 #: that outlives the buffer; a serial is never handed out twice.
@@ -60,11 +58,6 @@ class PressioData:
 
     # -- constructors ------------------------------------------------------
     @classmethod
-    def empty(cls, shape: tuple[int, ...], dtype: Any = np.float32) -> "PressioData":
-        """Allocate an uninitialised buffer of the given shape/dtype."""
-        return cls(np.empty(shape, dtype=dtype))
-
-    @classmethod
     def from_bytes(cls, payload: bytes, *, metadata: Mapping[str, Any] | None = None) -> "PressioData":
         """Wrap an opaque byte string (e.g. a compressed stream)."""
         return cls(np.frombuffer(payload, dtype=np.uint8), metadata=metadata)
@@ -73,10 +66,6 @@ class PressioData:
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(self.array.shape)
-
-    @property
-    def ndim(self) -> int:
-        return self.array.ndim
 
     @property
     def dtype(self) -> np.dtype:
@@ -94,14 +83,6 @@ class PressioData:
         return self.array.tobytes()
 
     # -- conversions -----------------------------------------------------------
-    def astype(self, dtype: Any) -> "PressioData":
-        """Return a copy cast to *dtype*, preserving metadata."""
-        return PressioData(self.array.astype(dtype), metadata=self.metadata, domain=self.domain)
-
-    def ravel(self) -> np.ndarray:
-        """A flat view when possible, else a flat copy."""
-        return self.array.reshape(-1)
-
     def to_domain(self, domain: str) -> "PressioData":
         """Return this buffer tagged as living in *domain*.
 
@@ -118,18 +99,6 @@ class PressioData:
         merged = dict(self.metadata)
         merged.update(extra)
         return PressioData(self.array, metadata=merged, domain=self.domain)
-
-    def require_floating(self) -> np.ndarray:
-        """Return the payload, asserting it is a float array.
-
-        Error-bounded compressors only accept floating payloads; giving
-        them integer data is a caller bug surfaced with a clear message.
-        """
-        if not np.issubdtype(self.array.dtype, np.floating):
-            raise TypeMismatchError(
-                f"expected floating-point data, got dtype {self.array.dtype}"
-            )
-        return self.array
 
     # -- misc ---------------------------------------------------------------
     def data_id(self) -> str:

@@ -13,9 +13,9 @@ features that LibPressio-Predict relies on:
   cached results (``predictors:invalidate``).
 
 This module provides :class:`PressioOptions`, a thin ordered mapping with
-type tracking, namespace queries, and an explicit notion of *unstable*
-entries (opaque handles such as callables or RNGs) that are excluded from
-hashing, mirroring LibPressio's exclusion of ``void*`` entries.
+namespace queries and an explicit notion of *unstable* entries (opaque
+handles such as callables or RNGs) that are excluded from hashing,
+mirroring LibPressio's exclusion of ``void*`` entries.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import OptionError, TypeMismatchError
+from .errors import OptionError
 
 #: Types that participate in stable hashing.  Anything else is treated as
 #: an opaque/unstable entry (LibPressio's ``void*``) and skipped.
@@ -62,15 +62,13 @@ class PressioOptions:
 
     * :meth:`namespace` — select the sub-options for one prefix;
     * :meth:`merge` / :meth:`updated` — functional-style combination;
-    * :meth:`stable_items` — the deterministic walk used for hashing;
-    * type guards via :meth:`set_type` / :meth:`cast_set`.
+    * :meth:`stable_items` — the deterministic walk used for hashing.
     """
 
-    __slots__ = ("_data", "_types")
+    __slots__ = ("_data",)
 
     def __init__(self, values: Mapping[str, Any] | None = None) -> None:
         self._data: dict[str, Any] = {}
-        self._types: dict[str, type] = {}
         if values:
             for key, value in values.items():
                 self[key] = value
@@ -82,11 +80,6 @@ class PressioOptions:
     def __setitem__(self, key: str, value: Any) -> None:
         if not isinstance(key, str):
             raise OptionError(f"option keys must be str, got {type(key).__name__}")
-        expected = self._types.get(key)
-        if expected is not None and value is not None and not isinstance(value, expected):
-            raise TypeMismatchError(
-                f"option {key!r} expects {expected.__name__}, got {type(value).__name__}"
-            )
         self._data[key] = value
 
     def __delitem__(self, key: str) -> None:
@@ -132,36 +125,7 @@ class PressioOptions:
     def copy(self) -> "PressioOptions":
         out = PressioOptions()
         out._data = dict(self._data)
-        out._types = dict(self._types)
         return out
-
-    # -- typed access ------------------------------------------------------
-    def set_type(self, key: str, typ: type) -> None:
-        """Declare the expected Python type for *key*.
-
-        Subsequent assignments with a mismatched type raise
-        :class:`TypeMismatchError`.  Used by plugins to publish their
-        configurable surface for introspection (the bench CLI builds
-        argument parsers from these declarations).
-        """
-        self._types[key] = typ
-        if key not in self._data:
-            self._data[key] = None
-
-    def declared_type(self, key: str) -> type | None:
-        """Return the declared type for *key*, if any."""
-        return self._types.get(key)
-
-    def cast_set(self, key: str, raw: str) -> None:
-        """Parse *raw* (a string, e.g. from the CLI) into the declared type."""
-        typ = self._types.get(key, str)
-        if typ is bool:
-            value: Any = raw.lower() in ("1", "true", "yes", "on")
-        elif typ in (int, float, str):
-            value = typ(raw)
-        else:
-            raise TypeMismatchError(f"cannot parse option {key!r} of type {typ}")
-        self[key] = value
 
     # -- namespaces & combination -------------------------------------------
     def namespace(self, prefix: str) -> "PressioOptions":

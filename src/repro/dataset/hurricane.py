@@ -246,11 +246,6 @@ class HurricaneGenerator:
             )
         return self._tau_cache[key]
 
-    def sparsity(self, field: str, t: int) -> float:
-        """Fraction of exact zeros in the generated field."""
-        data = self.generate(field, t)
-        return float((data == 0).mean())
-
 
 @dataset_registry.register("hurricane")
 class HurricaneDataset(DatasetPlugin):

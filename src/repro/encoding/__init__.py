@@ -8,7 +8,6 @@ from .bitio import (
 )
 from .entropy import (
     coding_gain,
-    cross_entropy_bits,
     empirical_entropy,
     histogram_probabilities,
     huffman_expected_length,
@@ -23,7 +22,6 @@ __all__ = [
     "HuffmanCode",
     "build_code",
     "coding_gain",
-    "cross_entropy_bits",
     "decode",
     "empirical_entropy",
     "encode",

@@ -87,18 +87,3 @@ def coding_gain(data: np.ndarray, block: int = 8) -> float:
     arithmetic = float(var.mean())
     geometric = float(np.exp(np.mean(np.log(var))))
     return arithmetic / geometric
-
-
-def cross_entropy_bits(counts: np.ndarray, model_probs: np.ndarray) -> float:
-    """Total bits to code *counts* occurrences under *model_probs*.
-
-    Used to estimate the cost of coding one block with the global code
-    table (the SECRE-style sampled-stage estimate).
-    """
-    counts = np.asarray(counts, dtype=np.float64)
-    q = np.asarray(model_probs, dtype=np.float64)
-    mask = counts > 0
-    if not mask.any():
-        return 0.0
-    q = np.clip(q[mask], 1e-12, 1.0)
-    return float(-np.sum(counts[mask] * np.log2(q)))

@@ -215,14 +215,6 @@ class HuffmanCode:
     def max_length(self) -> int:
         return int(self.lengths.max(initial=0))
 
-    def expected_bits_per_symbol(self, counts: np.ndarray) -> float:
-        """Average code length under the empirical counts."""
-        counts = np.asarray(counts, dtype=np.float64)
-        total = counts.sum()
-        if total == 0:
-            return 0.0
-        return float((counts * self.lengths).sum() / total)
-
 
 def code_lengths(counts: np.ndarray, max_length: int = DEFAULT_MAX_LENGTH) -> np.ndarray:
     """The code lengths :func:`build_code` assigns to *counts*: optimal,

@@ -1,7 +1,7 @@
 """From-scratch ML kit (the scikit-learn substitution).
 
 Implements exactly the model families the prediction schemes in the
-paper depend on: linear/ridge regression (Krasowska), natural cubic
+paper depend on: linear regression (Krasowska), natural cubic
 splines (Underwood), random forests (Rahman/FXRZ), mixture-of-experts +
 conformal intervals (Ganguli), plus K-fold / grouped cross-validation,
 MedAPE-style metrics, and FXRZ's interpolation data augmentation.
@@ -12,17 +12,8 @@ from .base import BaseEstimator, check_X, check_X_y
 from .conformal import ConformalRegressor
 from .forest import RandomForestRegressor
 from .gp import GaussianProcessRegressor, median_heuristic, rbf_kernel
-from .linear import LinearRegression, Ridge
-from .metrics import (
-    absolute_percentage_errors,
-    coverage,
-    mae,
-    mape,
-    max_ape,
-    medape,
-    r2_score,
-    rmse,
-)
+from .linear import LinearRegression
+from .metrics import absolute_percentage_errors, coverage, medape, r2_score
 from .mixture import MixtureLinearRegression
 from .mlp import MLPRegressor
 from .model_selection import GroupKFold, KFold
@@ -40,7 +31,6 @@ _ESTIMATORS = {
         MixtureLinearRegression,
         NaturalSplineRegression,
         RandomForestRegressor,
-        Ridge,
     )
 }
 
@@ -65,20 +55,15 @@ __all__ = [
     "MixtureLinearRegression",
     "NaturalSplineRegression",
     "RandomForestRegressor",
-    "Ridge",
     "absolute_percentage_errors",
     "check_X",
     "check_X_y",
     "coverage",
     "interpolation_augment",
-    "mae",
-    "mape",
-    "max_ape",
     "medape",
     "median_heuristic",
     "natural_cubic_basis",
     "quantile_knots",
     "r2_score",
     "rbf_kernel",
-    "rmse",
 ]

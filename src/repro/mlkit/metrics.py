@@ -3,8 +3,8 @@
 The paper's headline quality number is **MedAPE** — the median absolute
 percentage error — chosen (following Ganguli 2023, Krasowska 2021 and
 Underwood 2023) because it is robust to outliers and to the scale of the
-predicted metric.  The rest are standard companions used in the extended
-experiments.
+predicted metric.  ``r2_score`` and ``coverage`` are its companions for
+the model families and the conformal intervals.
 """
 
 from __future__ import annotations
@@ -33,28 +33,6 @@ def absolute_percentage_errors(y_true: np.ndarray, y_pred: np.ndarray) -> np.nda
 def medape(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     """Median Absolute Percentage Error, in percent (paper's Table 2)."""
     return float(np.median(absolute_percentage_errors(y_true, y_pred)))
-
-
-def mape(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Mean Absolute Percentage Error, in percent."""
-    return float(np.mean(absolute_percentage_errors(y_true, y_pred)))
-
-
-def max_ape(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Worst-case absolute percentage error, in percent."""
-    return float(np.max(absolute_percentage_errors(y_true, y_pred)))
-
-
-def mae(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Mean absolute error."""
-    t, p = _pair(y_true, y_pred)
-    return float(np.mean(np.abs(p - t)))
-
-
-def rmse(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Root mean squared error."""
-    t, p = _pair(y_true, y_pred)
-    return float(np.sqrt(np.mean((p - t) ** 2)))
 
 
 def r2_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:

@@ -135,32 +135,7 @@ class MetricsEvaluator:
             results.merge(out)
         return results
 
-    def evaluate_with_compression(self, data: PressioData) -> PressioOptions:
-        """Run a full compress/decompress with all metrics attached.
-
-        Used when ``predictors:training`` is requested: training-grade
-        metrics (realised CR, error statistics) need the compressor to
-        actually run — this *is* the training-time cost of Table 2.
-        """
-        data = as_data(data)
-        self.compressor.set_metrics(self.metrics)
-        start = now()
-        stream = self.compressor.compress(data)
-        self.compressor.decompress(stream)
-        self.stage_seconds["training"] = self.stage_seconds.get("training", 0.0) + (
-            now() - start
-        )
-        results = self.compressor.get_metrics_results()
-        self.compressor.set_metrics([])
-        return results
-
     # -- introspection -----------------------------------------------------------
-    def cache_size(self) -> int:
-        return len(self._cache)
-
-    def clear_cache(self) -> None:
-        self._cache.clear()
-
     def stats(self) -> dict[str, Any]:
         """Reuse counters and per-stage accumulated seconds."""
         return {

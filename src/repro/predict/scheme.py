@@ -98,9 +98,10 @@ class SchemePlugin:
         """An evaluator over exactly the metrics the invalidation set
         requires (all of them when *invalidations* is None).
 
-        ``predictors:training`` in the set additionally pulls in the
-        training-only observations (the realised CR from running the
-        compressor) — see :meth:`MetricsEvaluator.evaluate_with_compression`.
+        The training-only observations that ``predictors:training``
+        names (the realised CR) come from running the compressor, which
+        the collection worker does for its ground truth; this evaluator
+        runs the metrics only.
         """
         self.check_supported(compressor)
         metrics = self.make_metrics(compressor)

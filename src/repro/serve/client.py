@@ -307,9 +307,6 @@ class PredictionClient:
     def models(self) -> list[dict[str, Any]]:
         return self._checked({"op": "models"})["models"]
 
-    def ping(self) -> bool:
-        return bool(self._checked({"op": "ping"}).get("pong"))
-
     def observe(
         self,
         key: str,

@@ -14,10 +14,10 @@ every worker running the *same* server code:
 * **Private control ports** — each worker opens a second, ephemeral
   listener serving the same op set.  The kernel decides which worker a
   data-port connection reaches, so what must read *every* worker
-  (``stats`` aggregation, ``drift`` snapshots, ``ping``) fans out over
-  the control addresses instead.  Control ports are re-reported on
-  restart, and fan-outs re-resolve addresses per attempt, so a worker
-  mid-restart is retried at its new port, not skipped.
+  (``stats`` aggregation) fans out over the control addresses instead.
+  Control ports are re-reported on restart, and fan-outs re-resolve
+  addresses per attempt, so a worker mid-restart is retried at its new
+  port, not skipped.
 * **Shared model + feature state** — all workers read one on-disk
   :class:`~repro.serve.registry.ModelRegistry` (per-worker warm LRUs on
   top, each following its ``LATEST`` pointer, so a publish reaches
@@ -459,15 +459,6 @@ class ServeFleet:
         with self._lock:
             return {wid: list(rec.exit_codes) for wid, rec in self._records.items()}
 
-    def connect(self, **client_kwargs: Any) -> PredictionClient:
-        """A client on the shared data port (the kernel picks the worker).
-
-        Per-request ops only: ``stats``/``drift`` on it reach one
-        worker — use the fleet's own :meth:`stats` and :meth:`drift`,
-        which fan out over every control port.
-        """
-        return PredictionClient(*self.address, **client_kwargs)
-
     # -- fleet-wide operations -----------------------------------------------------
     def _fanout(
         self,
@@ -481,7 +472,7 @@ class ServeFleet:
         restarted mid-fan-out is reached at its new control port.  Raises
         :class:`FleetFanoutError` when, after all retries, some live
         worker never answered — a silent partial fan-out would report
-        fleet totals or drift state that miss a worker.
+        fleet totals that miss a worker.
         """
         results: dict[int, Any] = {}
         last_errors: dict[int, str] = {}
@@ -526,14 +517,6 @@ class ServeFleet:
             "workers": per_worker,
             "aggregate": aggregate_stats(list(per_worker.values())),
         }
-
-    def drift(self) -> dict[int, Any]:
-        """Every worker's ``drift`` snapshots."""
-        return self._fanout(lambda client: client.drift())
-
-    def ping(self) -> bool:
-        """True when every non-crash-looped worker answers a ping."""
-        return all(self._fanout(lambda client: client.ping()).values())
 
 
 def aggregate_stats(snapshots: list[dict[str, Any]]) -> dict[str, Any]:

@@ -10,8 +10,8 @@ runs the commands and reads the records back::
     python tests/reachability.py replay OUT_DIR --cheap   # smoke + examples
     python tests/reachability.py report OUT_DIR [--json FILE]
 
-The full path set is the benchmark's smoke run, the documented CLI flows,
-the examples and ``pytest benchmarks --benchmark-disable``.  The flag
+The full path set is the benchmark's smoke run, the documented CLI flows
+(with the lint passes the CI ``analysis`` job runs), the examples and ``pytest benchmarks --benchmark-disable``.  The flag
 matters: pytest-benchmark clears the profile hook (``sys.setprofile(None)``)
 around every measured body, so a timed benchmark would hide the very code
 it runs.
@@ -44,7 +44,7 @@ ENABLE = "REPRO_REACH_DIR"
 
 ALLOWLIST = {
     "predict/metrics/external.py": "paper §4.2: external metrics",
-    "analysis/racewitness.py": "test instrumentation behind the lock_witness= seams",
+    "analysis/racewitness.py": "the `FeaturizationCache` seam",
 }
 
 
@@ -194,6 +194,9 @@ def cli_flows(work: Path) -> list[list[str]]:
                  "--rounds", "1", "--shape", "16", "16", "8", "--base-timesteps", "2",
                  "--fields", "CLOUD", "P", "--compressors", "szx"],
         [sys.executable, "-m", "repro.analysis", str(PACKAGE)],
+        # what the CI analysis job runs: both machine-readable renderers
+        [sys.executable, "-m", "repro.analysis", str(SRC), "--format", "json"],
+        [sys.executable, "-m", "repro.analysis", str(SRC), "--format", "github"],
     ]
 
 

@@ -650,7 +650,9 @@ def huffman_bits_exact_built(symbols: np.ndarray, counts: np.ndarray) -> float:
     """The stage probes' ``huffman_bits_exact``: a whole canonical code
     book built, then its expected bits per symbol under *counts*."""
     code = build_code(symbols=symbols, counts=counts)
-    return code.expected_bits_per_symbol(counts)
+    counts = np.asarray(counts, dtype=np.float64)
+    total = counts.sum()
+    return float((counts * code.lengths).sum() / total) if total else 0.0
 
 
 def canonical_codes_per_length(lengths: np.ndarray) -> np.ndarray:

@@ -213,6 +213,48 @@ class TestEvaluation:
         assert all("medape_pct" in r for r in records)
 
 
+def _cells(runner, observations):
+    """(method, compressor) -> (MedAPE bytes, n) of every Table 2 cell."""
+    return {
+        (r.method, r.compressor): (np.float64(r.medape_pct).tobytes(), r.n_observations)
+        for r in runner.table2(observations)
+    }
+
+
+class TestFitOrder:
+    """Every fit sees its rows in one order, so Table 2 moves neither with
+    the order the rows arrive in nor with the campaign's other schemes."""
+
+    def test_reversed_and_shuffled_rows_give_the_same_table(self, runner_and_obs):
+        runner, obs, _ = runner_and_obs
+        want = _cells(runner, obs)
+        shuffled = list(obs)
+        np.random.default_rng(7).shuffle(shuffled)
+        assert _cells(runner, obs[::-1]) == want
+        assert _cells(runner, shuffled) == want
+
+    @pytest.mark.parametrize("protocol", ["out_of_sample", "in_sample"])
+    def test_an_extra_scheme_in_the_campaign_moves_no_cell(self, protocol):
+        ds = HurricaneDataset(
+            shape=(12, 12, 8), timesteps=[0, 24], fields=["CLOUD", "P", "QRAIN", "U", "TC"]
+        )
+
+        def campaign(schemes):
+            runner = ExperimentRunner(
+                ds, compressors=("zfp",), bounds=(1e-4,), schemes=schemes,
+                n_folds=5, protocol=protocol,
+            )
+            return runner, runner.collect().observations
+
+        base, base_obs = campaign(("rahman2023",))
+        wider, wider_obs = campaign(("rahman2023", "tao2019"))
+        # The task keys hash the scheme set, so the rows arrive in another order.
+        assert [o["data_id"] for o in base_obs] != [o["data_id"] for o in wider_obs]
+        want = _cells(base, base_obs)
+        got = _cells(wider, wider_obs)
+        assert {cell: got[cell] for cell in want} == want
+
+
 def _names(directory, prefix):
     try:
         return {n for n in os.listdir(directory) if n.startswith(prefix)}

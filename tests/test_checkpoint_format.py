@@ -19,10 +19,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import multiprocessing
 import os
 import sqlite3
-import sys
-import threading
 import warnings
 
 import numpy as np
@@ -352,39 +351,32 @@ class TestTwoHandles:
             assert store.verify() == [] and store.get("k") == {"v": 2}
 
 
+def _register_shapes(path: str, wid: int, start) -> None:
+    """One process's writer: its own handle, rows of ten shapes."""
+    with CheckpointStore(path, flush_every=3) as store:
+        start.wait(timeout=30)
+        for i in range(40):
+            store.put(f"w{wid}-{i}", {f"s{i % 10}": i, "w": wid})
+
+
 class TestConcurrentRegistration:
-    def test_threads_registering_the_same_shapes_share_one_set_each(self, tmp_path):
-        """More threads than cores put rows of ten shapes at once, with the
-        switch interval shortened so a check made outside the store lock
-        would interleave with another thread's registration."""
+    def test_processes_registering_the_same_shapes_share_one_set_each(self, tmp_path):
+        """Two forked processes, each with its own handle on one file,
+        put rows of the same ten shapes at once: each shape still gets
+        exactly one column set, and the file stays in WAL mode."""
         path = str(tmp_path / "race.db")
-        store = CheckpointStore(path, flush_every=3)
-        errors: list[BaseException] = []
-        start = threading.Barrier(8)
-
-        def worker(wid: int) -> None:
-            try:
-                start.wait(timeout=10)
-                for i in range(40):
-                    store.put(f"w{wid}-{i}", {f"s{i % 10}": i, "w": wid})
-            except BaseException as exc:  # noqa: BLE001 - reported below
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(w,)) for w in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in threads)
-        finally:
-            sys.setswitchinterval(interval)
-            store.close()
-        assert errors == []
+        CheckpointStore(path).close()  # the schema exists before both start
+        ctx = multiprocessing.get_context("fork")
+        start = ctx.Barrier(2)
+        procs = [ctx.Process(target=_register_shapes, args=(path, w, start)) for w in range(2)]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=60)
+        assert [proc.exitcode for proc in procs] == [0, 0]
         assert sorted(column_sets(path).values()) == sorted([f"s{k}", "w"] for k in range(10))
         with CheckpointStore(path) as reader:
+            assert reader._db.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
             assert reader.verify() == []
-            assert reader.get("w3-17") == {"s7": 17, "w": 3}
-            assert len(reader.query()) == 8 * 40
+            assert reader.get("w1-17") == {"s7": 17, "w": 1}
+            assert len(reader.query()) == 2 * 40

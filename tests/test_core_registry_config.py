@@ -1,9 +1,8 @@
-"""Tests for the plugin registry and typed option casting."""
+"""Tests for the plugin registry."""
 
 import pytest
 
 from repro.core import OptionError, Registry
-from repro.core.options import PressioOptions
 
 
 class TestRegistry:
@@ -37,27 +36,3 @@ class TestRegistry:
         reg.add("x", lambda: 1)
         reg.add("x", lambda: 2)
         assert reg.create("x") == 2
-
-
-class TestCoercion:
-    """A flag string becomes an option value of the option's declared
-    type (§4.3's flag -> options conversion by introspection)."""
-
-    @pytest.mark.parametrize(
-        "raw,expected",
-        [
-            ("1", 1),
-            ("-3", -3),
-            ("1.5", 1.5),
-            ("1e-4", 1e-4),
-            ("true", True),
-            ("off", False),
-            ("hello", "hello"),
-        ],
-    )
-    def test_coerce_scalar(self, raw, expected):
-        opts = PressioOptions()
-        opts.set_type("demo:x", type(expected))
-        opts.cast_set("demo:x", raw)
-        assert opts["demo:x"] == expected
-        assert type(opts["demo:x"]) is type(expected)

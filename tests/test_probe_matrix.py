@@ -81,5 +81,6 @@ def test_every_scheme_evaluates_or_refuses(shape, compressor):
             evaluator = scheme.req_metrics_opts(comp)
         except UnsupportedError:
             continue
-        results = evaluator.evaluate_with_compression(data)
+        results = evaluator.evaluate(data)
         assert results, (scheme_id, compressor, shape)
+        assert comp.decompress(comp.compress(data)).shape == shape, (scheme_id, compressor)

@@ -140,7 +140,6 @@ class TestFleetLifecycle:
     def test_start_ping_stats_stop(self, campaign):
         with fleet(campaign) as f:
             assert f.live_workers() == 2
-            assert f.ping()
             stats = f.stats()
             assert stats["aggregate"]["workers"] == 2
             assert set(stats["workers"]) == {0, 1}
@@ -149,9 +148,7 @@ class TestFleetLifecycle:
     def test_reuse_port_single_shared_address(self, campaign):
         with fleet(campaign) as f:
             assert f.address == (f.host, f.port) and f.port > 0
-            with f.connect() as client:
-                assert isinstance(client, PredictionClient)
-                assert (client.host, client.port) == f.address
+            with PredictionClient(*f.address) as client:
                 response = client.predict(campaign.key, results=campaign.rows[0])
             assert response["prediction"] > 0
 
@@ -209,14 +206,14 @@ class TestSharedFeatureCache:
         arr = np.random.default_rng(15).standard_normal(SHAPE).astype(np.float32)
         store = str(tmp_path / "store")
         with fleet(campaign, feat_cache="shared", feat_cache_dir=store) as f:
-            with f.connect() as client:
+            with PredictionClient(*f.address) as client:
                 first = client.predict(campaign.key, data=arr)
             # The row file is written after the reply is out.
             assert wait_for(lambda: any(
                 w["featcache"]["l2_entries"] for w in f.stats()["workers"].values()
             ))
         with fleet(campaign, feat_cache="shared", feat_cache_dir=store) as f:
-            with f.connect() as client:
+            with PredictionClient(*f.address) as client:
                 again = client.predict(campaign.key, data=arr)
             workers = f.stats()["workers"].values()
         assert again["prediction"] == first["prediction"]
@@ -229,7 +226,7 @@ class TestSharedFeatureCache:
         rng = np.random.default_rng(6)
         arr = rng.standard_normal(SHAPE).astype(np.float32)
         with fleet(campaign, workers=1, feat_cache="local") as f:
-            with f.connect() as client:
+            with PredictionClient(*f.address) as client:
                 for _ in range(4):
                     client.predict(campaign.key, data=arr)
             aggregate = f.stats()["aggregate"]
@@ -241,7 +238,7 @@ class TestSharedFeatureCache:
         rng = np.random.default_rng(7)
         arr = rng.standard_normal(SHAPE).astype(np.float32)
         with fleet(campaign, workers=1, feat_cache="off") as f:
-            with f.connect() as client:
+            with PredictionClient(*f.address) as client:
                 client.predict(campaign.key, data=arr)
                 client.predict(campaign.key, data=arr)
             stats = f.stats()
@@ -280,7 +277,7 @@ class TestZeroCopyResend:
         rng = np.random.default_rng(9)
         arr = rng.standard_normal(SHAPE).astype(np.float32)
         with fleet(campaign, workers=1, feat_cache="shared") as f:
-            with f.connect() as client:
+            with PredictionClient(*f.address) as client:
                 by_array = client.predict(campaign.key, data=arr)
                 by_payload = client.predict(campaign.key, data=encode_array(arr))
         assert by_payload["prediction"] == by_array["prediction"]
@@ -444,7 +441,7 @@ class TestSupervision:
                 assert wait_for(lambda: f.live_workers() == 2)
                 assert f.worker_pids()[0] != victim
                 # And the restarted worker serves again.
-                assert f.ping()
+                assert f.stats()["aggregate"]["workers"] == 2
 
     @pytest.mark.parametrize("own_dir", [True, False], ids=["fleet-dir", "given-dir"])
     def test_stop_after_a_worker_kill_cleans_up_what_the_fleet_owns(
@@ -509,7 +506,7 @@ class TestSupervision:
             # The fleet keeps serving on the survivor, and fleet-wide ops
             # exclude the parked slot instead of hanging on it.
             assert f.live_workers() == 1
-            assert f.ping()
+            assert f.stats()["aggregate"]["workers"] == 1
             with PredictionClient(*f.address, reconnects=4) as client:
                 assert client.predict(campaign.key, results=campaign.rows[0])
 
@@ -561,7 +558,7 @@ class TestRefresh:
             assert set(served_by_each(f).values()) == {latest}
             # Fresh dials on the shared port reach either worker: all new.
             for _ in range(8):
-                with f.connect() as client:
+                with PredictionClient(*f.address) as client:
                     assert client.predict(campaign.key, results=row)["version"] == latest
 
 

@@ -117,7 +117,7 @@ def burst(address, key, rows, n, kind="results"):
 
     def worker(i):
         with PredictionClient(*address) as client:
-            client.ping()  # dialled before the release, not as part of it
+            client.request({"op": "ping"})  # dialled before the release, not as part of it
             barrier.wait(30)
             try:
                 return client.predict(key, **{kind: rows[i % len(rows)]})
@@ -317,7 +317,7 @@ class TestEndToEnd:
     def test_ping_models_and_stats_ops(self, campaign):
         with serve(campaign) as thread:
             with PredictionClient(*thread.address) as client:
-                assert client.ping()
+                assert client.request({"op": "ping"})["pong"]
                 models = client.models()
                 assert {m["manifest"]["scheme"] for m in models} == {
                     "rahman2023",
@@ -344,11 +344,11 @@ class TestEndToEnd:
         with PredictionClient(*thread.address, reconnects=0) as client:
             reply = client.request({"op": "shutdown"})
             assert (reply["status"], reply["error"]) == ("bad_request", "unknown op 'shutdown'")
-            assert client.ping()
+            assert client.request({"op": "ping"})["pong"]
             thread.stop()
             assert not thread._thread.is_alive()
             with pytest.raises(ServerError):
-                client.ping()
+                client.request({"op": "ping"})
 
 
 class TestMicroBatching:
@@ -378,7 +378,7 @@ class TestMicroBatching:
             with PredictionClient(*thread.address) as client:
                 client.predict(campaign.key, results=campaign.rows[0])  # cold load
                 with PredictionClient(*thread.address) as other:
-                    other.ping()  # the open connection that could add a row
+                    other.request({"op": "ping"})  # the open connection that could add a row
                     rows = client.predict(campaign.key, results=campaign.rows[1])
                     raw = client.predict(campaign.key, data=raw_field(4))
         assert sleeps == []

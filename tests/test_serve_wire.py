@@ -103,7 +103,7 @@ def exchange(address, message: bytes, *, shut_write: bool = False, timeout: floa
 
 def still_serving(address) -> bool:
     with PredictionClient(*address, timeout=1.0) as client:
-        return client.ping()
+        return bool(client.request({"op": "ping"}).get("pong"))
 
 
 def wait_for(predicate, timeout=10.0):
