@@ -67,10 +67,7 @@ class Finding:
 
     def render(self) -> str:
         hint = f"  [hint: {self.hint}]" if self.hint else ""
-        return (
-            f"{self.path}:{self.line}: {self.rule.id} "
-            f"({self.rule.name}) {self.message}{hint}"
-        )
+        return f"{self.location()}: {self.rule.id} ({self.rule.name}) {self.message}{hint}"
 
 
 # -- rule registry -------------------------------------------------------------

@@ -273,8 +273,11 @@ class ChaosPlan:
     def corrupt_checkpoint(self, store: Any) -> list[str]:
         """Corrupt committed payload rows at rest (once per selected key).
 
-        Returns the corrupted keys; ``CheckpointStore.verify()`` must
-        detect every one of them and return the keys to ``pending()``.
+        About half the victims, by a seeded draw per key, have a bit of
+        their float block flipped, the rest their text overwritten (a
+        row without a block always loses its text).  Returns the
+        corrupted keys; ``CheckpointStore.verify()`` must detect every
+        one of them and return the keys to ``pending()``.
         """
         store.flush()
         victims = [
@@ -282,8 +285,11 @@ class ChaosPlan:
             for key in store.keys()
             if self.selects("corrupt", key) and self._fire_once("corrupt", key)
         ]
-        if victims:
-            store.corrupt_rows(victims)
+        in_block = {
+            k for k in victims if _stable_unit_interval(self.seed, "corrupt_block", k) < 0.5
+        }
+        store.corrupt_rows([k for k in victims if k not in in_block])
+        store.corrupt_rows(sorted(in_block), block=True)
         return victims
 
 

@@ -11,7 +11,8 @@ runs the commands and reads the records back::
     python tests/reachability.py report OUT_DIR [--json FILE]
 
 The full path set is the benchmark's smoke run, the documented CLI flows
-(with the lint passes the CI ``analysis`` job runs), the examples and ``pytest benchmarks --benchmark-disable``.  The flag
+(with the lint passes the CI ``analysis`` job runs, its one-finding
+fixture included), the examples and ``pytest benchmarks --benchmark-disable``.  The flag
 matters: pytest-benchmark clears the profile hook (``sys.setprofile(None)``)
 around every measured body, so a timed benchmark would hide the very code
 it runs.
@@ -41,6 +42,8 @@ SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
 SITE = Path(__file__).resolve().parent / "reachability_site"
 ENABLE = "REPRO_REACH_DIR"
+#: A file with exactly one repro-lint finding, RL601.
+LINT_FIXTURE = ROOT / "tests" / "lint_fixtures" / "one_finding.py"
 
 ALLOWLIST = {
     "predict/metrics/external.py": "paper §4.2: external metrics",
@@ -197,7 +200,31 @@ def cli_flows(work: Path) -> list[list[str]]:
         # what the CI analysis job runs: both machine-readable renderers
         [sys.executable, "-m", "repro.analysis", str(SRC), "--format", "json"],
         [sys.executable, "-m", "repro.analysis", str(SRC), "--format", "github"],
+        [sys.executable, "-m", "repro.analysis", "--list-rules"],
     ]
+
+
+def lint_fixture(env: dict[str, str], log) -> int:
+    """The lint of ``LINT_FIXTURE`` in both machine formats, as the CI
+    ``analysis`` job runs it: each must exit 1 and report exactly the
+    fixture's one finding.  Returns the failed format count."""
+    failures = 0
+    for fmt in ("json", "github"):
+        argv = [sys.executable, "-m", "repro.analysis", str(LINT_FIXTURE), "--format", fmt]
+        print("$ " + " ".join(argv), file=log, flush=True)
+        done = subprocess.run(argv, env=env, cwd=ROOT, capture_output=True, text=True,
+                              timeout=300)
+        print(done.stdout + done.stderr, file=log, flush=True)
+        if fmt == "json":
+            rules = [f["rule"] for f in json.loads(done.stdout or "{}").get("findings", [])]
+        else:
+            rules = [line.split("title=", 1)[1].split()[0]
+                     for line in done.stdout.splitlines() if line.startswith("::")]
+        ok = done.returncode == 1 and rules == ["RL601"]
+        print(f"[{fmt}: exit {done.returncode}, findings {rules}: "
+              f"{'ok' if ok else 'FAILED'}]", file=log, flush=True)
+        failures += not ok
+    return failures
 
 
 def drive_serve(work: Path, env: dict[str, str], log) -> int:
@@ -270,6 +297,7 @@ def replay(out: Path, cheap: bool) -> int:
         if not cheap:
             for argv in cli_flows(work):
                 failures += run(argv, env, log, timeout=900)
+            failures += lint_fixture(env, log)
             failures += drive_serve(work, env, log)
             failures += run([sys.executable, "-m", "pytest", "benchmarks", "-q",
                              "-p", "no:cacheprovider", "--benchmark-disable"],

@@ -251,7 +251,9 @@ class TestOneThread:
         assert not worker.is_alive()
         return caught
 
-    @pytest.mark.parametrize("op", ["flush", "get", "count", "scan", "pending"])
+    @pytest.mark.parametrize(
+        "op", ["flush", "get", "get-buffered", "put", "count", "scan", "pending"]
+    )
     def test_second_thread_raises_programming_error(self, tmp_path, op):
         path = str(tmp_path / "t.db")
         store = CheckpointStore(path, flush_every=2)
@@ -261,6 +263,10 @@ class TestOneThread:
         call = {
             "flush": store.flush,
             "get": lambda: store.get("a"),
+            # neither touches the connection: the buffer answers the read,
+            # and replacing "c" stays below flush_every
+            "get-buffered": lambda: store.get("c"),
+            "put": lambda: store.put("c", {"v": 4}),
             "count": store.count,
             "scan": store.scan,
             "pending": lambda: store.pending(["a", "d"]),
@@ -271,6 +277,14 @@ class TestOneThread:
         store.close()  # the owner still commits what it buffered
         with CheckpointStore(path) as reader:
             assert reader.count() == 3 and reader.get("c") == {"v": 3}
+
+    def test_every_public_method_checks_the_thread(self):
+        public = {
+            name for name, fn in vars(CheckpointStore).items()
+            if callable(fn) and (not name.startswith("_") or name == "__enter__")
+        }
+        wrapped = {name for name in public if hasattr(vars(CheckpointStore)[name], "__wrapped__")}
+        assert public - wrapped == set()
 
     def test_store_starts_no_thread(self, tmp_path):
         before = set(threading.enumerate())

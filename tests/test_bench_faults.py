@@ -222,6 +222,29 @@ class TestChaosPlan:
         store.put("k0", {"value": 0})
         assert plan.corrupt_checkpoint(store) == []
 
+    def test_corrupt_checkpoint_damages_float_blocks_and_texts(self, tmp_path):
+        import contextlib
+        import sqlite3
+
+        plan = ChaosPlan.from_spec("corrupt:1.0", seed=3, state_dir=str(tmp_path / "chaos"))
+        store = CheckpointStore(str(tmp_path / "f.db"))
+        keys = [f"k{i}" for i in range(8)]
+        for i, k in enumerate(keys):
+            store.put(k, {"id": i, "ratio": i + 0.5, "time": 1e-3 * i})
+        read = "SELECT key, payload, floats FROM results"
+        before = {k: (text, block) for k, text, block in store._db.execute(read)}
+        assert sorted(plan.corrupt_checkpoint(store)) == keys
+        with contextlib.closing(sqlite3.connect(str(tmp_path / "f.db"))) as db:
+            after = {k: (text, block) for k, text, block in db.execute(read)}
+        in_text = {k for k in keys if after[k][0] != before[k][0]}
+        in_block = {k for k in keys if after[k][1] != before[k][1]}
+        # Each victim is damaged in exactly one place, and both places occur.
+        assert in_text and in_block and in_text | in_block == set(keys)
+        assert not in_text & in_block
+        assert all(len(after[k][1]) == len(before[k][1]) for k in in_block)
+        assert sorted(store.verify()) == keys
+        assert store.pending(keys) == keys
+
     def test_plan_is_picklable(self, tmp_path):
         import pickle
 

@@ -458,7 +458,7 @@ class TestOneScanRead:
         selects.clear()
         resumed = runner.collect()
         assert resumed.stats.completed == 0
-        assert selects == ["SELECT KEY, PAYLOAD, CHECKSUM FROM RESULTS"]
+        assert selects == ["SELECT KEY, PAYLOAD, FLOATS, CHECKSUM FROM RESULTS"]
         assert resumed.observations == cold.observations
 
     @pytest.mark.parametrize("engine", ["serial", "process", "cluster"])

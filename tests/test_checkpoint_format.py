@@ -1,17 +1,22 @@
 """The checkpoint row format: values per row, one column list per shape.
 
-A row stores ``[column_set_id, v1, …, vn]``; the ``columns`` table holds
-each ordered key list once, with a checksum.  These tests pin what that
-must not change — every read returns exactly what a JSON object row
-returned, key order included — and what it must refuse: a row whose
-column set is damaged, unknown or of another length never comes back,
-and never under the wrong keys.
+A row stores ``[column_set_id, v…]`` with its top-level floats in one
+float64 block beside it; the ``columns`` table holds each row shape
+(ordered key list plus float positions) once, with a checksum.  These
+tests pin what that must not change — every read returns exactly what a
+JSON object row returned, key order and float bits included — and what
+it must refuse: a row whose column set is damaged, unknown or of another
+length, or whose block is damaged or of another length, never comes
+back, and never under the wrong keys.
 
 ``golden/checkpoint_rows_v1.json`` holds six rows exactly as the build
 before column sets wrote them (a ``collect`` of the argv it records),
 plus that build's ``report --json`` Table 2 without the two columns it
-times live (fit, inference).  It must not be regenerated: the rows are
-the format this build has to keep reading.
+times live (fit, inference).  ``golden/checkpoint_rows_v2.json`` holds
+the same campaign as the build before float blocks wrote it: its
+``columns`` rows (``column_sets``), its value rows (``[id, v…]``, every
+float as text) and its Table 2, from the same argv.  Neither may be
+regenerated: the rows are the formats this build has to keep reading.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.bench import CheckpointStore, ExperimentRunner, TaskQueue
@@ -35,6 +40,7 @@ from repro.bench.cli import _dataset, _runner, build_parser, main
 from repro.dataset import HurricaneDataset
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "checkpoint_rows_v1.json")
+GOLDEN_V2 = os.path.join(os.path.dirname(__file__), "golden", "checkpoint_rows_v2.json")
 #: The Table 2 columns timed while the report runs, not read from rows.
 LIVE_COLUMNS = ("fit_ms", "inference_ms")
 
@@ -60,6 +66,18 @@ def insert(path: str, rows) -> None:
 def stored_rows(path: str) -> dict[str, str]:
     with contextlib.closing(sqlite3.connect(path)) as db:
         return dict(db.execute("SELECT key, payload FROM results"))
+
+
+def insert_sets(path: str, sets) -> None:
+    """``columns`` rows (id, names, checksum) written by SQL."""
+    with contextlib.closing(sqlite3.connect(path)) as db:
+        db.executemany("INSERT INTO columns (id, names, checksum) VALUES (?,?,?)", sets)
+        db.commit()
+
+
+def stored_blocks(path: str) -> dict[str, bytes | None]:
+    with contextlib.closing(sqlite3.connect(path)) as db:
+        return dict(db.execute("SELECT key, floats FROM results"))
 
 
 def column_sets(path: str) -> dict[int, list[str]]:
@@ -110,6 +128,11 @@ class TestDifferentialOracle:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(payload=payloads, other=payloads)
+    @example(payload={"neg_zero": -0.0, "inf": float("inf"), "ninf": float("-inf"),
+                      "subnormal": 5e-324, "big": 2**53 + 1}, other={})
+    @example(payload={"t": True, "i": 1, "f": 1.0}, other={"f": 1.0, "t": True, "i": 1})
+    @example(payload={"a": 0.5, "s": "x", "b": np.float32(0.1), "n": None, "c": np.float64(-2.5)},
+             other={"only": 3.25})
     def test_every_read_returns_the_object_row(self, tmp_path_factory, payload, other):
         want = canonical(payload)
         path = str(tmp_path_factory.mktemp("oracle") / "o.db")
@@ -159,13 +182,42 @@ class TestDifferentialOracle:
         assert stored_rows(path)["k3"] == f"[{wide}, 3, [3, null]]"
         assert store.commit_count == 6  # the sets rode along with their rows
 
+    def test_a_row_keeps_its_floats_in_one_block(self, tmp_path):
+        path = str(tmp_path / "b.db")
+        with CheckpointStore(path) as store:
+            store.put("k", {"s": "x", "f": -0.0, "i": 2, "g": float("inf"), "h": [1.5]})
+            store.put("ints", {"s": "y", "f": 1, "i": 2, "g": True, "h": []})
+        sets = column_sets(path)
+        mixed = next(cid for cid, spec in sets.items() if isinstance(spec, dict))
+        assert sets[mixed] == {"names": ["s", "f", "i", "g", "h"], "floats": [1, 3]}
+        plain = [names for names in sets.values() if isinstance(names, list)]
+        assert plain == [["s", "f", "i", "g", "h"]]
+        rows, blocks = stored_rows(path), stored_blocks(path)
+        assert rows["k"] == f'[{mixed}, "x", 2, [1.5]]'
+        assert blocks["k"] == np.array([-0.0, np.inf], "<f8").tobytes()
+        assert blocks["ints"] is None  # no float: a text-only row, as before blocks
+        with contextlib.closing(sqlite3.connect(path)) as db:
+            checksum = dict(db.execute("SELECT key, checksum FROM results"))
+        assert checksum["k"] == payload_checksum(rows["k"], blocks["k"])
+        assert checksum["ints"] == payload_checksum(rows["ints"])
+
 
 # -- rows written before column sets ------------------------------------------------
 
 
-def _golden():
-    with open(GOLDEN, encoding="utf-8") as fh:
+def _golden(path: str = GOLDEN):
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _v2_payloads(golden) -> dict[str, dict]:
+    """Key → payload of each v2 row, decoded by hand from its set's names."""
+    names = {cid: json.loads(text) for cid, text, _ in golden["column_sets"]}
+    out = {}
+    for key, *_, text, _checksum in golden["rows"]:
+        row = json.loads(text)
+        out[key] = dict(zip(names[row[0]], row[1:]))
+    return out
 
 
 def _golden_runner(path: str, golden) -> ExperimentRunner:
@@ -229,6 +281,66 @@ class TestLegacyRows:
         table = _report_rows(path, golden)
         assert [r["n_observations"] for r in table] == [6, 6]
 
+    def test_v2_rows_resume_with_no_work_and_report_the_v2_table(self, tmp_path):
+        golden = _golden(GOLDEN_V2)
+        path = str(tmp_path / "v2.db")
+        CheckpointStore(path).close()
+        insert_sets(path, golden["column_sets"])
+        insert(path, golden["rows"])
+        runner = _golden_runner(path, golden)
+        try:
+            resumed = runner.collect()
+            assert resumed.stats.completed == 0 and not resumed.failures
+            assert runner.store.commit_count == 0
+            by_key = _v2_payloads(golden)
+            keys = sorted(t.key() for t in runner.build_tasks())
+            assert [json.dumps(o) for o in resumed.observations] == [
+                json.dumps(by_key[k]) for k in keys
+            ]
+        finally:
+            runner.store.close()
+        assert stored_rows(path) == {r[0]: r[5] for r in golden["rows"]}  # nothing rewritten
+        assert set(stored_blocks(path).values()) == {None}
+        assert json.dumps(_report_rows(path, golden)) == json.dumps(golden["table2"])
+
+    def test_one_scan_reads_object_value_and_block_rows(self, tmp_path):
+        v1, v2 = _golden(), _golden(GOLDEN_V2)
+        path = str(tmp_path / "three.db")
+        CheckpointStore(path).close()
+        keys = sorted(r[0] for r in v2["rows"])  # two keys each: object, value, new
+        objects = [r for r in v1["rows"] if r[0] in keys[0:2]]
+        values = [r for r in v2["rows"] if r[0] in keys[2:4]]
+        insert_sets(path, v2["column_sets"])
+        insert(path, objects + values)
+        runner = _golden_runner(path, v2)
+        try:
+            filled = runner.collect()
+            assert filled.stats.completed == 2
+        finally:
+            runner.store.close()
+        blocks = stored_blocks(path)
+        fresh = {k for k, b in blocks.items() if b is not None}
+        assert len(fresh) == 2 and fresh.isdisjoint(r[0] for r in objects + values)
+        want = {r[0]: json.loads(r[5]) for r in objects}
+        want.update((k, p) for k, p in _v2_payloads(v2).items() if k in {r[0] for r in values})
+        with CheckpointStore(path) as store:
+            scan = store.scan()
+            assert scan.mismatched == [] and len(scan.payloads) == 6
+            for key, payload in want.items():
+                assert json.dumps(scan.payloads[key]) == json.dumps(payload)
+            fills = {json.dumps(o) for o in filled.observations}
+            assert {json.dumps(scan.payloads[k]) for k in fresh} <= fills
+        runner = _golden_runner(path, v2)
+        try:
+            resumed = runner.collect()
+            assert resumed.stats.completed == 0 and runner.store.commit_count == 0
+            assert [json.dumps(o) for o in resumed.observations] == [
+                json.dumps(o) for o in filled.observations
+            ]
+        finally:
+            runner.store.close()
+        assert [r["n_observations"] for r in _report_rows(path, v2)] == [6, 6]
+
 
 # -- corruption ----------------------------------------------------------------------
 
@@ -275,8 +387,38 @@ def _count_mismatch(db, odd_id):
     return [key]
 
 
+def _block_row(db):
+    """The key and float block of one row that has a block (an even row)."""
+    return db.execute("SELECT key, floats FROM results WHERE floats IS NOT NULL").fetchone()
+
+
+def _flipped_bit(db, odd_id):
+    key, block = _block_row(db)
+    damaged = block[:-1] + bytes([block[-1] ^ 0x10])  # an exponent bit of the last float
+    db.execute("UPDATE results SET floats=? WHERE key=?", (damaged, key))
+    return [key]
+
+
+def _truncated_block(db, odd_id):
+    key, block = _block_row(db)
+    db.execute("UPDATE results SET floats=? WHERE key=?", (block[:-3], key))
+    return [key]
+
+
+def _block_length_mismatch(db, odd_id):
+    key, block = _block_row(db)
+    (text,) = db.execute("SELECT payload FROM results WHERE key=?", (key,)).fetchone()
+    block += np.array([2.5], "<f8").tobytes()  # one float too many, checksum refreshed
+    db.execute("UPDATE results SET floats=?, checksum=? WHERE key=?",
+               (block, payload_checksum(text, block), key))
+    return [key]
+
+
 class TestCorruption:
-    @pytest.mark.parametrize("damage", [_damage_column_set, _unknown_id, _count_mismatch])
+    @pytest.mark.parametrize("damage", [
+        _damage_column_set, _unknown_id, _count_mismatch,
+        _flipped_bit, _truncated_block, _block_length_mismatch,
+    ])
     def test_report_skips_and_collect_quarantines(self, tmp_path, damage):
         path = str(tmp_path / "c.db")
         runner = _shaped_campaign(path)

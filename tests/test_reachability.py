@@ -119,3 +119,10 @@ def test_decorated_function_is_keyed_by_its_decorator_line(tmp_path):
 def test_nothing_is_recorded_unless_enabled(tmp_path):
     _run_demo(tmp_path, None)
     assert not list(tmp_path.rglob("*.reach"))
+
+
+def test_lint_fixture_reports_its_one_finding_in_both_formats(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(reachability.SRC))
+    with open(tmp_path / "replay.log", "w") as log:
+        assert reachability.lint_fixture(env, log) == 0
+    assert (tmp_path / "replay.log").read_text().count(": ok]") == 2
